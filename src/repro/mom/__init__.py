@@ -17,6 +17,7 @@ from repro.mom.message import PERSISTENT, TRANSIENT, Delivery, Message
 from repro.mom.persistence import FileMessageStore, InMemoryMessageStore
 from repro.mom.queue import Consumer, MessageQueue
 from repro.mom.sqs import SqsBrokerAdapter, SqsQueue, SqsService
+from repro.mom.transport import MomTransport
 
 __all__ = [
     "DEFAULT_EXCHANGE",
@@ -34,6 +35,7 @@ __all__ = [
     "Message",
     "MessageBroker",
     "MessageQueue",
+    "MomTransport",
     "SqsBrokerAdapter",
     "SqsQueue",
     "SqsService",

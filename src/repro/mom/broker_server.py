@@ -5,9 +5,13 @@ narrow AMQP-shaped surface ObjectMQ needs:
 
 * ``declare_queue`` / ``delete_queue`` / ``declare_exchange``
 * ``bind_queue(exchange, queue, key)``
-* ``publish(exchange, routing_key, message)``
+* ``publish(exchange, routing_key, message)`` / ``publish_many``
 * ``consume`` / ``cancel`` (push) and ``get`` (pull)
-* ``ack`` / ``nack``
+* ``ack`` / ``ack_many`` / ``nack``
+
+That surface is written down as :class:`repro.mom.transport.MomTransport`.
+Publishing and settling each have one body that works on a run of
+messages; the singular names call it with a run of one.
 
 It also implements the reliability behaviours the paper leans on:
 unacked messages are redelivered when a consumer is cancelled
@@ -19,7 +23,8 @@ benchmarks charge realistic network costs to every broker hop.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import BrokerClosed, DeliveryError, ExchangeNotFound, QueueNotFound
 from repro.mom.exchange import EXCHANGE_TYPES, DirectExchange, Exchange
@@ -32,6 +37,9 @@ from repro.telemetry.registry import REGISTRY
 
 #: Name of the implicit default exchange (direct; routing key == queue name).
 DEFAULT_EXCHANGE = ""
+
+_DELIVERY_TAG = attrgetter("delivery_tag")
+_MESSAGE = attrgetter("message")
 
 
 class BrokerStats:
@@ -46,38 +54,18 @@ class BrokerStats:
         self.acks = 0
         self.bytes_published = 0
 
-    def on_publish(self, message: Message, queue_count: int) -> None:
+    def on_publish_many(
+        self, messages: int, queue_count: int, payload_bytes: int
+    ) -> None:
+        """Record a run of *messages* publishes that each reached
+        *queue_count* queues and total *payload_bytes* of payload."""
         with self._lock:
-            self.publishes += 1
-            self.deliveries += queue_count
-            self.bytes_published += message.size * max(1, queue_count)
-
-    def on_publish_many(self, accounted: Iterable[Tuple[int, int]]) -> None:
-        """Record a batch of publishes under one stats-lock acquisition.
-
-        *accounted* yields ``(payload_size, queue_count)`` pairs — the
-        batched counterpart of :meth:`on_publish`.
-        """
-        publishes = deliveries = total_bytes = 0
-        for size, queue_count in accounted:
-            publishes += 1
-            deliveries += queue_count
-            total_bytes += size * max(1, queue_count)
-        if not publishes:
-            return
-        with self._lock:
-            self.publishes += publishes
-            self.deliveries += deliveries
-            self.bytes_published += total_bytes
-
-    def on_ack(self) -> None:
-        with self._lock:
-            self.acks += 1
+            self.publishes += messages
+            self.deliveries += messages * queue_count
+            self.bytes_published += payload_bytes * max(1, queue_count)
 
     def on_ack_many(self, count: int) -> None:
         """Record *count* acks under one stats-lock acquisition."""
-        if count <= 0:
-            return
         with self._lock:
             self.acks += count
 
@@ -100,11 +88,6 @@ class MessageBroker:
             publish — used by live benchmarks to model broker RTT.  Defaults
             to no latency.
     """
-
-    #: Capability flag: subscribers may pass ``batch_callback`` to
-    #: :meth:`consume` and settle whole batches via :meth:`ack_many`.
-    #: Adapters without the batched plane (e.g. SQS) leave this False.
-    supports_batch_consume = True
 
     def __init__(
         self,
@@ -151,8 +134,7 @@ class MessageBroker:
                 queue = MessageQueue(name, durable=durable, exclusive=exclusive)
                 self._queues[name] = queue
                 if durable:
-                    for message in self.store.pending_for(name):
-                        queue.put(message)
+                    queue.put_many(self.store.pending_for(name))
             return queue
 
     def delete_queue(self, name: str) -> None:
@@ -173,12 +155,6 @@ class MessageBroker:
                 exchange = EXCHANGE_TYPES[type_name](name)
                 self._exchanges[name] = exchange
             return exchange
-
-    def delete_exchange(self, name: str) -> None:
-        if name == DEFAULT_EXCHANGE:
-            return
-        with self._lock:
-            self._exchanges.pop(name, None)
 
     def bind_queue(self, exchange_name: str, queue_name: str, binding_key: str = "") -> None:
         exchange = self._get_exchange(exchange_name)
@@ -230,17 +206,10 @@ class MessageBroker:
         journal.
         """
         self._check_open()
-        if self._publish_latency is not None:
-            delay = self._publish_latency()
-            if delay > 0:
-                time.sleep(delay)
-        routed = self._route_one(exchange_name, routing_key, message)
-        self.stats.on_publish(message, routed)
+        self._charge_latency()
+        routed = self._publish_run(exchange_name, routing_key, (message,))
         if routed == 0 and exchange_name != DEFAULT_EXCHANGE:
-            raise DeliveryError(
-                f"message with key {routing_key!r} matched no queue on "
-                f"exchange {exchange_name!r}"
-            )
+            raise self._unroutable(exchange_name, routing_key)
         return routed
 
     def publish_many(
@@ -250,65 +219,74 @@ class MessageBroker:
 
         The broker-side half of publisher buffering: the latency model is
         charged **once** for the whole batch (that is the point — one
-        broker round trip amortized over N messages), messages bound for
-        the same queue are enqueued through a single
-        :meth:`MessageQueue.put_many` lock cycle, and the stats lock is
-        taken once.  Per-message routing semantics (lazy default-exchange
-        declaration, fanout copies, durable journalling) are identical to
-        :meth:`publish`.  Returns total queues reached; a non-default
-        exchange item that matches no queue raises :class:`DeliveryError`
-        *after* the rest of the batch has been delivered, preserving
-        at-least-once for every routable message.
+        broker round trip amortized over N messages) and the messages
+        bound for one ``(exchange, routing_key)`` land as one run — one
+        routing decision, one :meth:`MessageQueue.put_many` lock cycle per
+        destination queue, one stats update.  Returns total queues
+        reached; a non-default exchange item that matches no queue raises
+        :class:`DeliveryError` *after* the rest of the batch has been
+        delivered, preserving at-least-once for every routable message.
         """
-        batch = list(items)
-        if not batch:
+        runs: Dict[Tuple[str, str], List[Message]] = {}
+        for exchange_name, routing_key, message in items:
+            runs.setdefault((exchange_name, routing_key), []).append(message)
+        if not runs:
             return 0
         self._check_open()
+        self._charge_latency()
+        unroutable: Optional[Tuple[str, str]] = None
+        total = 0
+        for (exchange_name, routing_key), messages in runs.items():
+            routed = self._publish_run(exchange_name, routing_key, messages)
+            total += routed * len(messages)
+            if routed == 0 and exchange_name != DEFAULT_EXCHANGE and unroutable is None:
+                unroutable = (exchange_name, routing_key)
+        if unroutable is not None:
+            raise self._unroutable(*unroutable)
+        return total
+
+    def _publish_run(
+        self, exchange_name: str, routing_key: str, messages: Sequence[Message]
+    ) -> int:
+        """Route, journal, enqueue and account a run of messages bound for
+        one ``(exchange, routing_key)``; returns the queues each reached.
+
+        The first destination enqueues the publisher's own message
+        objects; fanout siblings get envelope copies (per-queue delivery
+        state), taken before anything is enqueued so no consumer has
+        touched the originals yet.  Durable queues journal before they
+        enqueue, and the journal snapshots payloads: bytes are forced
+        exactly once here so memoryview publishers stay copy-free
+        elsewhere.
+        """
+        queues = self._resolve_queues(exchange_name, routing_key)
+        runs = [messages]
+        while len(runs) < len(queues):
+            runs.append([m.copy_for_queue() for m in messages])
+        for queue, run in zip(queues, runs):
+            if queue.durable:
+                for message in run:
+                    message.materialize()
+                    self.store.record_publish(queue.name, message)
+            queue.put_many(run)
+        payload_bytes = 0
+        for message in messages:
+            payload_bytes += message.size
+        self.stats.on_publish_many(len(messages), len(queues), payload_bytes)
+        return len(queues)
+
+    def _charge_latency(self) -> None:
         if self._publish_latency is not None:
             delay = self._publish_latency()
             if delay > 0:
                 time.sleep(delay)
 
-        # Group by (exchange, routing key) so routing is resolved once per
-        # distinct destination set, then group by queue so each
-        # destination pays one lock/dispatch cycle for the whole flush.
-        groups: Dict[Tuple[str, str], List[Message]] = {}
-        for exchange_name, routing_key, message in batch:
-            groups.setdefault((exchange_name, routing_key), []).append(message)
-        per_queue: Dict[str, Tuple[MessageQueue, List[Message]]] = {}
-        accounted: List[Tuple[int, int]] = []
-        unroutable: Optional[Tuple[str, str]] = None
-        total = 0
-        for (exchange_name, routing_key), messages in groups.items():
-            queues = self._resolve_queues(exchange_name, routing_key)
-            routed = len(queues)
-            total += routed * len(messages)
-            for message in messages:
-                accounted.append((message.size, routed))
-            if routed == 0:
-                if exchange_name != DEFAULT_EXCHANGE and unroutable is None:
-                    unroutable = (exchange_name, routing_key)
-                continue
-            for message in messages:
-                for index, queue in enumerate(queues):
-                    copy = message.copy_for_queue() if index else message
-                    if queue.durable:
-                        copy.materialize()
-                        self.store.record_publish(queue.name, copy)
-                    entry = per_queue.get(queue.name)
-                    if entry is None:
-                        per_queue[queue.name] = (queue, [copy])
-                    else:
-                        entry[1].append(copy)
-        for queue, messages in per_queue.values():
-            queue.put_many(messages)
-        self.stats.on_publish_many(accounted)
-        if unroutable is not None:
-            raise DeliveryError(
-                f"message with key {unroutable[1]!r} matched no queue on "
-                f"exchange {unroutable[0]!r}"
-            )
-        return total
+    @staticmethod
+    def _unroutable(exchange_name: str, routing_key: str) -> DeliveryError:
+        return DeliveryError(
+            f"message with key {routing_key!r} matched no queue on "
+            f"exchange {exchange_name!r}"
+        )
 
     def _resolve_queues(
         self, exchange_name: str, routing_key: str
@@ -326,39 +304,10 @@ class MessageBroker:
                 if queue is not None
             ]
 
-    def _resolve_destinations(
-        self, exchange_name: str, routing_key: str, message: Message
-    ) -> List[Tuple[MessageQueue, Message]]:
-        """Route *message*, pairing each destination queue with the envelope
-        it should enqueue (the original for the first queue, copies for
-        fanout siblings)."""
-        resolved: List[Tuple[MessageQueue, Message]] = []
-        for queue in self._resolve_queues(exchange_name, routing_key):
-            copy = message.copy_for_queue() if resolved else message
-            if queue.durable:
-                # The journal snapshots payloads; force bytes exactly once
-                # here so memoryview publishers stay copy-free elsewhere.
-                copy.materialize()
-            resolved.append((queue, copy))
-        return resolved
-
-    def _route_one(
-        self, exchange_name: str, routing_key: str, message: Message
-    ) -> int:
-        routed = 0
-        for queue, copy in self._resolve_destinations(
-            exchange_name, routing_key, message
-        ):
-            if queue.durable:
-                self.store.record_publish(queue.name, copy)
-            queue.put(copy)
-            routed += 1
-        return routed
-
     def consume(
         self,
         queue_name: str,
-        callback: Callable[[Delivery], None],
+        callback: Optional[Callable[[Delivery], None]],
         consumer_tag: str,
         prefetch: int = 1,
         auto_ack: bool = False,
@@ -375,8 +324,7 @@ class MessageBroker:
         )
 
     def cancel(self, queue_name: str, consumer_tag: str) -> None:
-        with self._lock:
-            queue = self._queues.get(queue_name)
+        queue = self._find_queue(queue_name)
         if queue is not None:
             queue.cancel_consumer(consumer_tag)
 
@@ -384,59 +332,48 @@ class MessageBroker:
         queue = self._get_queue(queue_name)
         return queue.get(timeout=timeout)
 
-    def ack(self, delivery: Delivery) -> None:
-        with self._lock:
-            queue = self._queues.get(delivery.queue_name)
-        if queue is None:
-            return
-        if queue.ack(delivery.delivery_tag):
-            self.stats.on_ack()
-            if queue.durable:
-                self.store.record_ack(delivery.queue_name, delivery.message)
+    def ack(self, delivery: Delivery) -> bool:
+        """Acknowledge one delivery; False when its tag was not live."""
+        return bool(self._ack_run((delivery,)))
 
-    def ack_many(self, deliveries: List[Delivery]) -> int:
-        """Acknowledge a batch of deliveries; returns how many were acked.
+    def ack_many(self, deliveries: Iterable[Delivery]) -> int:
+        """Acknowledge a run of deliveries; returns how many were acked.
 
-        The batched counterpart of :meth:`ack`: one queue-lock cycle per
-        destination queue, one stats update, and one journal sweep for
-        durable queues — a consumer that just processed a prefetch batch
-        settles the whole window in a handful of lock trips instead of
-        4 × N.  Unknown tags are skipped, exactly as :meth:`ack` ignores
-        them.
+        Consecutive deliveries of one queue — a consumer's whole prefetch
+        window, in practice — are settled together by :meth:`_ack_run`.
         """
-        if not deliveries:
-            return 0
-        by_queue: Dict[str, List[Delivery]] = {}
-        for delivery in deliveries:
-            by_queue.setdefault(delivery.queue_name, []).append(delivery)
         total = 0
-        for queue_name, queue_deliveries in by_queue.items():
-            with self._lock:
-                queue = self._queues.get(queue_name)
-            if queue is None:
-                continue
-            acked_tags = queue.ack_many(
-                [d.delivery_tag for d in queue_deliveries]
-            )
-            if not acked_tags:
-                continue
-            total += len(acked_tags)
-            self.stats.on_ack_many(len(acked_tags))
-            if queue.durable:
-                tag_set = set(acked_tags)
-                self.store.record_ack_many(
-                    queue_name,
-                    [
-                        d.message
-                        for d in queue_deliveries
-                        if d.delivery_tag in tag_set
-                    ],
-                )
+        run: List[Delivery] = []
+        for delivery in deliveries:
+            if run and delivery.queue_name != run[0].queue_name:
+                total += self._ack_run(run)
+                run = []
+            run.append(delivery)
+        if run:
+            total += self._ack_run(run)
         return total
 
+    def _ack_run(self, run: Sequence[Delivery]) -> int:
+        """Settle deliveries of one queue: one queue-lock cycle, one stats
+        update and one journal sweep if the queue is durable.  Unknown
+        tags (requeued by a crash, or acked twice) are skipped."""
+        queue = self._find_queue(run[0].queue_name)
+        if queue is None:
+            return 0
+        acked_tags = queue.ack_many(map(_DELIVERY_TAG, run))
+        acked = len(acked_tags)
+        if not acked:
+            return 0
+        self.stats.on_ack_many(acked)
+        if queue.durable:
+            if acked < len(run):
+                settled = set(acked_tags)
+                run = [d for d in run if d.delivery_tag in settled]
+            self.store.record_ack_many(queue.name, map(_MESSAGE, run))
+        return acked
+
     def nack(self, delivery: Delivery, requeue: bool = True) -> None:
-        with self._lock:
-            queue = self._queues.get(delivery.queue_name)
+        queue = self._find_queue(delivery.queue_name)
         if queue is not None:
             queue.nack(delivery.delivery_tag, requeue=requeue)
 
@@ -480,9 +417,12 @@ class MessageBroker:
         if self._closed:
             raise BrokerClosed(f"broker {self.name!r} is closed")
 
-    def _get_queue(self, name: str) -> MessageQueue:
+    def _find_queue(self, name: str) -> Optional[MessageQueue]:
         with self._lock:
-            queue = self._queues.get(name)
+            return self._queues.get(name)
+
+    def _get_queue(self, name: str) -> MessageQueue:
+        queue = self._find_queue(name)
         if queue is None:
             raise QueueNotFound(f"queue {name!r} has not been declared")
         return queue

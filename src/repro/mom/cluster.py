@@ -19,7 +19,6 @@ from typing import Callable, List, Optional
 
 from repro.errors import BrokerClosed
 from repro.mom.broker_server import MessageBroker
-from repro.mom.message import Delivery, Message
 from repro.mom.persistence import InMemoryMessageStore
 from repro.telemetry.profiling import TimedLock
 
@@ -114,83 +113,21 @@ class BrokerCluster:
             return node
 
     # -- broker facade ------------------------------------------------------------
-    # The cluster quacks like a MessageBroker so ObjectMQ can be pointed at
-    # either interchangeably.
+    # The cluster is a MomTransport: everything it does not define itself
+    # is the active node's, so ObjectMQ can be pointed at either
+    # interchangeably.  A failover between two calls simply lands the next
+    # one on the promoted node — the shared durable journal carries
+    # persistent messages across.
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):
+            raise AttributeError(name)
+        return getattr(self.active, name)
 
     def declare_queue(self, name: str, durable: bool = False, exclusive: bool = False):
         if durable:
             self._durable_queues.add(name)
         return self.active.declare_queue(name, durable=durable, exclusive=exclusive)
-
-    def delete_queue(self, name: str) -> None:
-        self.active.delete_queue(name)
-
-    def declare_exchange(self, name: str, type_name: str = "direct"):
-        return self.active.declare_exchange(name, type_name)
-
-    def bind_queue(self, exchange_name: str, queue_name: str, binding_key: str = "") -> None:
-        self.active.bind_queue(exchange_name, queue_name, binding_key)
-
-    def unbind_queue(self, exchange_name: str, queue_name: str, binding_key: str = "") -> None:
-        self.active.unbind_queue(exchange_name, queue_name, binding_key)
-
-    def publish(self, exchange_name: str, routing_key: str, message: Message) -> int:
-        return self.active.publish(exchange_name, routing_key, message)
-
-    def publish_many(self, items) -> int:
-        """Batched publish on the active node (see
-        :meth:`MessageBroker.publish_many`).  A failover between flushes
-        simply lands the next batch on the promoted node — the shared
-        durable journal carries persistent messages across."""
-        return self.active.publish_many(items)
-
-    #: The facade inherits the batched consume/ack plane from its nodes.
-    supports_batch_consume = True
-
-    def consume(
-        self,
-        queue_name,
-        callback,
-        consumer_tag,
-        prefetch: int = 1,
-        auto_ack: bool = False,
-        batch_callback=None,
-    ):
-        return self.active.consume(
-            queue_name,
-            callback,
-            consumer_tag,
-            prefetch=prefetch,
-            auto_ack=auto_ack,
-            batch_callback=batch_callback,
-        )
-
-    def cancel(self, queue_name: str, consumer_tag: str) -> None:
-        self.active.cancel(queue_name, consumer_tag)
-
-    def get(self, queue_name: str, timeout: Optional[float] = None) -> Optional[Message]:
-        return self.active.get(queue_name, timeout=timeout)
-
-    def ack(self, delivery: Delivery) -> None:
-        self.active.ack(delivery)
-
-    def ack_many(self, deliveries: List[Delivery]) -> int:
-        return self.active.ack_many(deliveries)
-
-    def nack(self, delivery: Delivery, requeue: bool = True) -> None:
-        self.active.nack(delivery, requeue=requeue)
-
-    def queue_exists(self, name: str) -> bool:
-        return self.active.queue_exists(name)
-
-    def exchange_has_bindings(self, name: str) -> bool:
-        return self.active.exchange_has_bindings(name)
-
-    def queue_depth(self, name: str) -> int:
-        return self.active.queue_depth(name)
-
-    def queue_stats(self, name: str):
-        return self.active.queue_stats(name)
 
     def close(self) -> None:
         with self._lock:

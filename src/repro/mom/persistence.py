@@ -39,11 +39,10 @@ class InMemoryMessageStore:
             self._entries[(queue_name, message.message_id)] = message
 
     def record_ack(self, queue_name: str, message: Message) -> None:
-        with self._lock:
-            self._entries.pop((queue_name, message.message_id), None)
+        self.record_ack_many(queue_name, (message,))
 
     def record_ack_many(self, queue_name: str, messages: Iterable[Message]) -> None:
-        """Drop a batch of journal entries under one store-lock cycle."""
+        """Drop a run of journal entries under one store-lock cycle."""
         with self._lock:
             for message in messages:
                 self._entries.pop((queue_name, message.message_id), None)
@@ -147,16 +146,15 @@ class FileMessageStore(InMemoryMessageStore):
         super().record_publish(queue_name, message)
         self._append(self._pub_record(queue_name, message.message_id, message))
 
-    def record_ack(self, queue_name: str, message: Message) -> None:
-        had = (queue_name, message.message_id) in self._entries
-        super().record_ack(queue_name, message)
-        if had:
-            self._append(
-                {"op": "ack", "queue": queue_name, "message_id": message.message_id}
-            )
-
     def record_ack_many(self, queue_name: str, messages: Iterable[Message]) -> None:
-        # The journal needs one ack record per message, so the file store
-        # cannot use the base class's single-lock bulk pop.
-        for message in messages:
-            self.record_ack(queue_name, message)
+        # The journal needs one ack record per message that was actually
+        # journalled, so the file store keeps its own pop.
+        with self._lock:
+            acked = [
+                message.message_id
+                for message in messages
+                if self._entries.pop((queue_name, message.message_id), None)
+                is not None
+            ]
+        for message_id in acked:
+            self._append({"op": "ack", "queue": queue_name, "message_id": message_id})

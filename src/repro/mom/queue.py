@@ -8,13 +8,16 @@ window.  With ``prefetch=1`` this is exactly the "deliver to the first idle
 remote object" behaviour the paper describes, and it is what makes adding a
 SyncService instance immediately absorb load.
 
-The dispatch core is batched: one lock acquisition drains up to
-``batch_size`` ready messages *per consumer* into per-consumer mailboxes
-(one mailbox handoff per consumer per cycle, not one per message), and
-consumers with ``prefetch > 1`` have their whole window filled in a single
-cycle.  Pull-mode waiters are woken with *targeted* notifies — exactly as
-many waiters as there are messages to take — never a ``notify_all``
-stampede.
+There is one delivery path and it works on *runs* of messages: publishing
+is :meth:`MessageQueue.put_many`, settling is :meth:`MessageQueue.ack_many`
+and a consumer is handed lists of deliveries; ``put`` and ``ack`` are the
+same code called with a run of one.  One lock acquisition drains up to
+:data:`DEFAULT_BATCH_SIZE` ready messages *per consumer* into per-consumer
+mailboxes (one mailbox handoff per consumer per cycle, not one per
+message), and consumers with ``prefetch > 1`` have their whole window
+filled in a single cycle.  Pull-mode waiters are woken with *targeted*
+notifies — exactly as many waiters as there are messages to take — never
+a ``notify_all`` stampede.
 
 Reliability: a delivery stays in the consumer's unacked set until it is
 acked.  If the consumer is cancelled or its owner crashes, every unacked
@@ -32,7 +35,7 @@ import queue as stdlib_queue
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import DuplicateConsumer
 from repro.mom.message import Delivery, Message
@@ -51,35 +54,50 @@ _STOP = object()
 DEFAULT_BATCH_SIZE = 64
 
 
+def _each(
+    tag: str, callback: Callable[[Delivery], None]
+) -> Callable[[List[Delivery]], None]:
+    """Wrap a per-delivery *callback* into a handler of runs."""
+
+    def handle(deliveries: List[Delivery]) -> None:
+        for delivery in deliveries:
+            try:
+                callback(delivery)
+            except Exception:  # noqa: BLE001 - consumer bugs must not kill dispatch
+                logger.exception("consumer %s raised while handling delivery", tag)
+
+    return handle
+
+
 class Consumer:
-    """A registered consumer: a callback plus its delivery worker thread.
+    """A registered consumer: a handler plus its delivery worker thread.
 
     Deliveries are executed on a dedicated thread so that one slow consumer
-    never blocks the queue's dispatch path or its sibling consumers.  The
-    callback receives a :class:`Delivery`; acking is the responsibility of
-    the subscriber (normally the ObjectMQ skeleton) via
-    :meth:`MessageQueue.ack`.
+    never blocks the queue's dispatch path or its sibling consumers.
+    Acking is the responsibility of the subscriber (normally the ObjectMQ
+    skeleton) via :meth:`MessageQueue.ack_many`.
 
-    The mailbox carries *batches*: the dispatch loop hands over a list of
-    deliveries per cycle, and the worker unpacks it — so a burst of N
-    messages costs one queue handoff, not N.  A subscriber that can
-    exploit whole batches (e.g. to ack them in one broker round trip)
-    registers a *batch_callback*, which then receives the full list and
-    owns per-delivery error handling; otherwise the per-delivery
-    ``callback`` is invoked for each element.
+    The mailbox carries *runs*: the dispatch loop hands over a list of
+    deliveries per cycle, so a burst of N messages costs one queue
+    handoff, not N.  The handler is chosen once, at registration: a
+    *batch_callback* receives each list whole and owns per-delivery error
+    handling; a per-delivery *callback* is wrapped into a list handler
+    that isolates each delivery, so one bad delivery never drops its
+    siblings.
     """
 
     def __init__(
         self,
         tag: str,
-        callback: Callable[[Delivery], None],
+        callback: Optional[Callable[[Delivery], None]],
         prefetch: int = 1,
         auto_ack: bool = False,
         batch_callback: Optional[Callable[[List[Delivery]], None]] = None,
     ):
         self.tag = tag
-        self.callback = callback
-        self.batch_callback = batch_callback
+        self._handler = (
+            batch_callback if batch_callback is not None else _each(tag, callback)
+        )
         self.prefetch = max(1, prefetch)
         self.auto_ack = auto_ack
         self.unacked: Dict[int, Delivery] = {}
@@ -89,11 +107,8 @@ class Consumer:
         )
         self._thread.start()
 
-    def deliver(self, delivery: Delivery) -> None:
-        self._mailbox.put((delivery,))
-
     def deliver_batch(self, deliveries: List[Delivery]) -> None:
-        """Hand a whole dispatch-cycle batch over in one mailbox put."""
+        """Hand a whole dispatch-cycle run over in one mailbox put."""
         self._mailbox.put(deliveries)
 
     def stop(self) -> None:
@@ -107,21 +122,10 @@ class Consumer:
             item = self._mailbox.get()
             if item is _STOP:
                 return
-            if self.batch_callback is not None:
-                try:
-                    self.batch_callback(list(item))
-                except Exception:  # noqa: BLE001 - consumer bugs must not kill dispatch
-                    logger.exception(
-                        "consumer %s raised while handling batch", self.tag
-                    )
-                continue
-            for delivery in item:
-                try:
-                    self.callback(delivery)
-                except Exception:  # noqa: BLE001 - consumer bugs must not kill dispatch
-                    logger.exception(
-                        "consumer %s raised while handling delivery", self.tag
-                    )
+            try:
+                self._handler(item)
+            except Exception:  # noqa: BLE001 - consumer bugs must not kill dispatch
+                logger.exception("consumer %s raised while handling batch", self.tag)
 
 
 class MessageQueue:
@@ -131,21 +135,12 @@ class MessageQueue:
         name: Queue name (routing target on the default exchange).
         durable: Survive broker restarts (persistent messages replayed).
         exclusive: Private single-owner queue (response/multicast queues).
-        batch_size: Max messages one dispatch cycle hands a single
-            consumer; see :data:`DEFAULT_BATCH_SIZE`.
     """
 
-    def __init__(
-        self,
-        name: str,
-        durable: bool = False,
-        exclusive: bool = False,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ):
+    def __init__(self, name: str, durable: bool = False, exclusive: bool = False):
         self.name = name
         self.durable = durable
         self.exclusive = exclusive
-        self.batch_size = max(1, batch_size)
         self._ready: deque = deque()
         self._consumers: List[Consumer] = []
         self._rr_index = 0
@@ -191,47 +186,35 @@ class MessageQueue:
 
     # -- publishing ---------------------------------------------------------
 
-    def put(self, message: Message, at_head: bool = False) -> None:
-        """Enqueue *message* and trigger dispatch."""
+    def put(self, message: Message) -> None:
+        """Enqueue *message* and trigger dispatch: a run of one."""
+        self.put_many((message,))
+
+    def put_many(self, messages: Sequence[Message]) -> int:
+        """Enqueue a run of messages under one lock acquisition.
+
+        The whole run lands through a single lock cycle and a single
+        dispatch pass, in order — a flushed publish buffer pays the
+        acquire/dispatch/notify cost once, not per message.  Returns the
+        number of messages enqueued.
+        """
+        if not messages:
+            return 0
         if TRACER.enabled:
             # Broker-clock enqueue stamp: queue-wait spans are derived
             # from these header timestamps, not from endpoint timers.
-            message.headers.setdefault(ENQUEUED_AT_KEY, time.time())
-        with self._lock:
-            if at_head:
-                self._ready.appendleft(message)
-            else:
-                self._ready.append(message)
-            self.published_count += 1
-            if len(self._ready) > self.depth_high_water:
-                self.depth_high_water = len(self._ready)
-            self._dispatch_locked()
-            self._notify_pull_waiters_locked()
-
-    def put_many(self, messages: Iterable[Message]) -> int:
-        """Enqueue a batch of messages under one lock acquisition.
-
-        This is the broker-side half of publisher buffering: a flushed
-        publish buffer lands its whole run of same-queue messages through
-        a single lock cycle and a single dispatch pass, instead of paying
-        the acquire/dispatch/notify cost per message.  Returns the number
-        of messages enqueued.
-        """
-        batch = list(messages)
-        if not batch:
-            return 0
-        if TRACER.enabled:
             now = time.time()
-            for message in batch:
+            for message in messages:
                 message.headers.setdefault(ENQUEUED_AT_KEY, now)
+        count = len(messages)
         with self._lock:
-            self._ready.extend(batch)
-            self.published_count += len(batch)
+            self._ready.extend(messages)
+            self.published_count += count
             if len(self._ready) > self.depth_high_water:
                 self.depth_high_water = len(self._ready)
             self._dispatch_locked()
             self._notify_pull_waiters_locked()
-        return len(batch)
+        return count
 
     def _notify_pull_waiters_locked(self) -> None:
         """Wake exactly as many pull-mode getters as can make progress.
@@ -287,7 +270,7 @@ class MessageQueue:
     def add_consumer(
         self,
         tag: str,
-        callback: Callable[[Delivery], None],
+        callback: Optional[Callable[[Delivery], None]],
         prefetch: int = 1,
         auto_ack: bool = False,
         batch_callback: Optional[Callable[[List[Delivery]], None]] = None,
@@ -323,28 +306,21 @@ class MessageQueue:
             if consumer is None:
                 return
             consumer.stop()
-            requeued = self._requeue_unacked_locked(consumer)
-            self._dispatch_locked()
-            if requeued:
-                self._notify_pull_waiters_locked()
+            window = sorted(consumer.unacked.values(), key=lambda d: d.delivery_tag)
+            consumer.unacked.clear()
+            self._requeue_locked(window)
 
-    def _requeue_unacked_locked(self, consumer: Consumer) -> int:
-        """Splice *consumer*'s unacked messages back head-of-queue.
-
-        Returns the number of requeued messages.  Must be called with the
-        queue lock held.
-        """
-        if not consumer.unacked:
-            return 0
-        deliveries = sorted(consumer.unacked.values(), key=lambda d: d.delivery_tag)
-        consumer.unacked.clear()
+    def _requeue_locked(self, deliveries: List[Delivery]) -> None:
+        """Splice *deliveries*' messages back head-of-queue, oldest first,
+        flagged ``redelivered``, then dispatch.  Queue lock held."""
         for delivery in deliveries:
             delivery.message.redelivered = True
-        # extendleft reverses, so feed it newest-first to land the batch
+        # extendleft reverses, so feed it newest-first to land the run
         # ahead of the ready buffer in original (oldest-first) order.
         self._ready.extendleft(d.message for d in reversed(deliveries))
         self.redelivered_count += len(deliveries)
-        return len(deliveries)
+        self._dispatch_locked()
+        self._notify_pull_waiters_locked()
 
     def _pop_consumer_locked(self, tag: str) -> Optional[Consumer]:
         for i, consumer in enumerate(self._consumers):
@@ -356,22 +332,15 @@ class MessageQueue:
 
     def ack(self, delivery_tag: int) -> bool:
         """Acknowledge a delivery; returns False if the tag is unknown."""
-        with self._lock:
-            for consumer in self._consumers:
-                if delivery_tag in consumer.unacked:
-                    del consumer.unacked[delivery_tag]
-                    self.acked_count += 1
-                    self._dispatch_locked()
-                    return True
-        return False
+        return bool(self.ack_many((delivery_tag,)))
 
-    def ack_many(self, delivery_tags: List[int]) -> List[int]:
-        """Acknowledge a batch of deliveries in one lock cycle.
+    def ack_many(self, delivery_tags: Iterable[int]) -> List[int]:
+        """Acknowledge a run of deliveries in one lock cycle.
 
-        Returns the tags that were actually acked (unknown tags — e.g.
-        already requeued after a consumer crash — are skipped, exactly as
-        :meth:`ack` would report False for them).  Dispatch runs once at
-        the end: freeing N prefetch slots triggers one drain, not N.
+        Returns the tags that were actually acked; unknown tags — e.g.
+        already requeued after a consumer crash, or acked twice — are
+        skipped.  Dispatch runs once at the end: freeing N prefetch slots
+        triggers one drain, not N.
         """
         acked: List[int] = []
         with self._lock:
@@ -392,13 +361,7 @@ class MessageQueue:
             for consumer in self._consumers:
                 delivery = consumer.unacked.pop(delivery_tag, None)
                 if delivery is not None:
-                    if requeue:
-                        delivery.message.redelivered = True
-                        self._ready.appendleft(delivery.message)
-                        self.redelivered_count += 1
-                    self._dispatch_locked()
-                    if requeue:
-                        self._notify_pull_waiters_locked()
+                    self._requeue_locked([delivery] if requeue else [])
                     return True
         return False
 
@@ -412,17 +375,18 @@ class MessageQueue:
         default prefetch of 1 this selects only idle consumers, which is
         the transparent load balancing the paper credits the MOM layer
         with.  Consumers with wider windows (or ``auto_ack``) have up to
-        ``batch_size`` messages drained into their mailbox in this one
-        lock cycle — one mailbox handoff per consumer, not per message.
+        :data:`DEFAULT_BATCH_SIZE` messages drained into their mailbox in
+        this one lock cycle — one mailbox handoff per consumer, not per
+        message.
         """
         self.dispatch_cycles += 1
         if not self._consumers or not self._ready:
             return
         stamp = time.time() if TRACER.enabled else None
         # Rounds of capped batches: each round hands every consumer at
-        # most batch_size messages in one mailbox put, and rounds repeat
-        # until nothing more can move — a burst larger than batch_size is
-        # chunked, never stranded waiting for the next put/ack.
+        # most DEFAULT_BATCH_SIZE messages in one mailbox put, and rounds
+        # repeat until nothing more can move — a larger burst is chunked,
+        # never stranded waiting for the next put/ack.
         while self._ready:
             batches: "Dict[Consumer, List[Delivery]]" = {}
             while self._ready:
@@ -452,14 +416,14 @@ class MessageQueue:
                 consumer.deliver_batch(batch)
 
     def _next_eligible_locked(
-        self, batches: Optional["Dict[Consumer, List[Delivery]]"] = None
+        self, batches: "Dict[Consumer, List[Delivery]]"
     ) -> Optional[Consumer]:
         n = len(self._consumers)
         for offset in range(n):
             candidate = self._consumers[(self._rr_index + offset) % n]
             if len(candidate.unacked) >= candidate.prefetch:
                 continue
-            if batches is not None and len(batches.get(candidate, ())) >= self.batch_size:
+            if len(batches.get(candidate, ())) >= DEFAULT_BATCH_SIZE:
                 continue
             self._rr_index = (self._rr_index + offset + 1) % n
             return candidate

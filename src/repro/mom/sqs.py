@@ -9,12 +9,15 @@ SQS or Microsoft Service Bus".  This module substantiates that claim:
   ``delete_message`` (the ack), automatic reappearance of unacked
   messages, long polling, and approximate-count introspection.  There is
   no exchange concept and no push delivery, exactly like the real thing.
-* :class:`SqsBrokerAdapter` exposes the :class:`~repro.mom.MessageBroker`
-  surface ObjectMQ expects on top of an :class:`SqsService`: fanout
-  exchanges become client-side lists of destination queues, push
-  consumers become poller threads, acks become deletes.
+* :class:`SqsBrokerAdapter` implements the
+  :class:`~repro.mom.transport.MomTransport` contract ObjectMQ is written
+  against on top of an :class:`SqsService`: fanout exchanges become
+  client-side lists of destination queues, push consumers become poller
+  threads, acks become deletes.  The backend moves one message per call,
+  so here — and only here — the run operations (``publish_many``,
+  ``ack_many``, ``batch_callback``) are loops over the singular ones.
 
-The adapter passes the same ObjectMQ test matrix as the AMQP-style
+The adapter passes the same transport conformance suite as the AMQP-style
 broker, demonstrating that the middleware is MOM-agnostic.
 """
 
@@ -22,14 +25,17 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import BrokerClosed, DeliveryError, ExchangeNotFound, QueueNotFound
 from repro.mom.broker_server import BrokerStats
 from repro.mom.message import Delivery, Message
+
+logger = logging.getLogger(__name__)
 
 #: Default visibility timeout, seconds (SQS default is 30 s).
 DEFAULT_VISIBILITY_TIMEOUT = 30.0
@@ -190,6 +196,11 @@ class SqsService:
             return sorted(self._queues)
 
 
+def _receipt_key(delivery: Delivery) -> tuple:
+    # Delivery tags are per-poller, so the consumer tag is part of the key.
+    return (delivery.queue_name, delivery.consumer_tag, delivery.delivery_tag)
+
+
 class _Poller:
     """Background receive-loop emulating a push consumer over SQS."""
 
@@ -232,11 +243,13 @@ class _Poller:
                 consumer_tag=self.consumer_tag,
                 message=message,
             )
-            self.adapter.register_receipt(self.queue.name, delivery_tag, handle)
+            self.adapter.register_receipt(delivery, handle)
             try:
                 self.callback(delivery)
             except Exception:  # noqa: BLE001 - consumer bugs must not kill polling
-                pass
+                logger.exception(
+                    "consumer %s raised while handling delivery", self.consumer_tag
+                )
             if self.auto_ack:
                 self.adapter.ack(delivery)
 
@@ -263,7 +276,7 @@ class SqsBrokerAdapter:
         self._lock = threading.Lock()
         self._fanouts: Dict[str, Set[str]] = {}
         self._pollers: Dict[tuple, _Poller] = {}
-        # (queue, delivery_tag) -> receipt handle, for ack mapping.
+        # _receipt_key(delivery) -> receipt handle, for ack mapping.
         self._receipts: Dict[tuple, str] = {}
         self._closed = False
         self.stats = BrokerStats()
@@ -281,6 +294,7 @@ class SqsBrokerAdapter:
             pollers = [key for key in self._pollers if key[0] == name]
             for key in pollers:
                 self._pollers.pop(key).stop()
+            self._drop_receipts_locked(name)
         self.service.delete_queue(name)
 
     def declare_exchange(self, name: str, type_name: str = "direct"):
@@ -309,13 +323,17 @@ class SqsBrokerAdapter:
     def queue_exists(self, name: str) -> bool:
         return self.service.queue_exists(name)
 
+    def exchange_has_bindings(self, name: str) -> bool:
+        with self._lock:
+            return bool(self._fanouts.get(name))
+
     # -- publish / consume ----------------------------------------------------------
 
     def publish(self, exchange_name: str, routing_key: str, message: Message) -> int:
         self._check_open()
         if exchange_name == "":
             self.service.create_queue(routing_key).send(message)
-            self.stats.on_publish(message, 1)
+            self.stats.on_publish_many(1, 1, message.size)
             return 1
         with self._lock:
             destinations = sorted(self._fanouts.get(exchange_name, ()))
@@ -328,7 +346,7 @@ class SqsBrokerAdapter:
             copy = message.copy_for_queue() if routed else message
             self.service.get_queue(queue_name).send(copy)
             routed += 1
-        self.stats.on_publish(message, routed)
+        self.stats.on_publish_many(1, routed, message.size)
         if routed == 0:
             raise DeliveryError(
                 f"message with key {routing_key!r} matched no queue on "
@@ -336,16 +354,34 @@ class SqsBrokerAdapter:
             )
         return routed
 
+    def publish_many(self, items: Iterable[Tuple[str, str, Message]]) -> int:
+        """One :meth:`publish` per item, in order; an unroutable item
+        raises only after the rest of the batch has been sent."""
+        total = 0
+        unroutable: Optional[DeliveryError] = None
+        for exchange_name, routing_key, message in items:
+            try:
+                total += self.publish(exchange_name, routing_key, message)
+            except DeliveryError as exc:
+                unroutable = unroutable or exc
+        if unroutable is not None:
+            raise unroutable
+        return total
+
     def consume(
         self,
         queue_name: str,
-        callback: Callable[[Delivery], None],
+        callback: Optional[Callable[[Delivery], None]],
         consumer_tag: str,
         prefetch: int = 1,
         auto_ack: bool = False,
+        batch_callback: Optional[Callable[[List[Delivery]], None]] = None,
     ):
         self._check_open()
         queue = self.service.get_queue(queue_name)
+        if batch_callback is not None:
+            # SQS hands over one message per receive: every run is of one.
+            callback = lambda delivery: batch_callback([delivery])  # noqa: E731
         poller = _Poller(queue, callback, consumer_tag, auto_ack, adapter=self)
         with self._lock:
             self._pollers[(queue_name, consumer_tag)] = poller
@@ -354,11 +390,12 @@ class SqsBrokerAdapter:
     def cancel(self, queue_name: str, consumer_tag: str) -> None:
         with self._lock:
             poller = self._pollers.pop((queue_name, consumer_tag), None)
+            # Unacked receipts of this consumer are forgotten: the
+            # messages reappear after their visibility timeout — SQS's
+            # (slower) analogue of AMQP's immediate requeue-on-cancel.
+            self._drop_receipts_locked(queue_name, consumer_tag)
         if poller is not None:
             poller.stop()
-            # Unacked receipts of this consumer reappear after their
-            # visibility timeout — SQS's (slower) analogue of AMQP's
-            # immediate requeue-on-cancel.
 
     def get(self, queue_name: str, timeout: Optional[float] = None) -> Optional[Message]:
         queue = self.service.get_queue(queue_name)
@@ -371,34 +408,49 @@ class SqsBrokerAdapter:
 
     # -- acks ------------------------------------------------------------------------
 
-    def register_receipt(self, queue_name: str, delivery_tag: int, handle: str) -> None:
+    def register_receipt(self, delivery: Delivery, handle: str) -> None:
         with self._lock:
-            self._receipts[(queue_name, delivery_tag)] = handle
+            self._receipts[_receipt_key(delivery)] = handle
 
-    def ack(self, delivery: Delivery) -> None:
+    def _take_receipt(self, delivery: Delivery) -> Optional[Tuple[SqsQueue, str]]:
+        """Pop *delivery*'s receipt; None once settled, forgotten or its
+        queue is gone — settling it again is then a harmless no-op."""
         with self._lock:
-            handle = self._receipts.pop(
-                (delivery.queue_name, delivery.delivery_tag), None
-            )
+            handle = self._receipts.pop(_receipt_key(delivery), None)
         if handle is None:
-            return
+            return None
         try:
-            if self.service.get_queue(delivery.queue_name).delete(handle):
-                self.stats.on_ack()
+            return self.service.get_queue(delivery.queue_name), handle
         except QueueNotFound:
-            pass
+            return None
+
+    def _drop_receipts_locked(
+        self, queue_name: str, consumer_tag: Optional[str] = None
+    ) -> None:
+        """Forget the receipts of one consumer, or of a whole queue."""
+        for key in [
+            key
+            for key in self._receipts
+            if key[0] == queue_name and consumer_tag in (None, key[1])
+        ]:
+            del self._receipts[key]
+
+    def ack(self, delivery: Delivery) -> bool:
+        """Delete one received message; False when its receipt is gone."""
+        taken = self._take_receipt(delivery)
+        if taken is None or not taken[0].delete(taken[1]):
+            return False
+        self.stats.on_ack_many(1)
+        return True
+
+    def ack_many(self, deliveries: Sequence[Delivery]) -> int:
+        return sum(1 for delivery in deliveries if self.ack(delivery))
 
     def nack(self, delivery: Delivery, requeue: bool = True) -> None:
-        with self._lock:
-            handle = self._receipts.pop(
-                (delivery.queue_name, delivery.delivery_tag), None
-            )
-        if handle is None:
+        taken = self._take_receipt(delivery)
+        if taken is None:
             return
-        try:
-            queue = self.service.get_queue(delivery.queue_name)
-        except QueueNotFound:
-            return
+        queue, handle = taken
         if requeue:
             queue.change_visibility(handle, 0.0)  # reappear immediately
         else:

@@ -1,8 +1,9 @@
 """The ObjectMQ Broker: ``bind`` / ``lookup`` over a MOM system (§3.1).
 
 This is the ``omq.Broker`` of the paper.  It connects to a message broker
-(:class:`repro.mom.MessageBroker` or a :class:`repro.mom.BrokerCluster`)
-and exposes two primitives:
+— anything that satisfies :class:`repro.mom.transport.MomTransport`: a
+:class:`repro.mom.MessageBroker`, a :class:`repro.mom.BrokerCluster`, the
+:class:`repro.mom.SqsBrokerAdapter` — and exposes two primitives:
 
 * :meth:`Broker.bind(oid, remote_object)` — bind an object instance under
   the identifier *oid*.  Creates (idempotently) the shared unicast queue
@@ -28,6 +29,7 @@ from typing import Any, Dict, Optional, Type
 
 from repro.errors import BindingError, ObjectMqError
 from repro.mom.message import Delivery, Message
+from repro.mom.transport import MomTransport
 from repro.objectmq.annotations import interface_specs
 from repro.objectmq.buffering import DEFAULT_FLUSH_DEADLINE, PublishBuffer
 from repro.objectmq.naming import multi_exchange_name, response_queue_name
@@ -121,7 +123,8 @@ class Broker:
     """ObjectMQ entry point: one connection to the MOM system.
 
     Args:
-        mom: The message broker (or cluster) to communicate through.
+        mom: The :class:`~repro.mom.transport.MomTransport` to
+            communicate through.
         environment: Optional configuration; recognised keys are
             ``codec`` (``"pickle"`` | ``"json"`` | ``"binary"``, default
             pickle), ``client_id`` (stable id for the response queue),
@@ -132,7 +135,9 @@ class Broker:
             :data:`~repro.objectmq.buffering.DEFAULT_FLUSH_DEADLINE`).
     """
 
-    def __init__(self, mom, environment: Optional[Dict[str, Any]] = None):
+    def __init__(
+        self, mom: MomTransport, environment: Optional[Dict[str, Any]] = None
+    ):
         environment = dict(environment or {})
         self.mom = mom
         self.client_id: str = environment.get("client_id") or uuid.uuid4().hex[:12]
@@ -274,18 +279,13 @@ class Broker:
     def multicast_has_listeners(self, oid: str) -> bool:
         """True when at least one instance is bound to *oid*'s fanout.
 
-        Cheaper than :meth:`Proxy.has_multicast_listeners` for callers
-        that have not built a proxy yet: probing a missing exchange is a
-        plain negative (no declaration, no proxy construction), so a
-        server can skip notification plumbing for quiet oids entirely.
+        Probing a missing exchange is a plain negative (no declaration,
+        no proxy construction), so a server can skip notification
+        plumbing for quiet oids entirely.
         Racing a concurrent bind is benign — identical to publishing
         just before it.
         """
-        has_bindings = getattr(self.mom, "exchange_has_bindings", None)
-        if has_bindings is None:
-            # Adapter without the probe (e.g. SQS): assume listeners.
-            return True
-        return has_bindings(multi_exchange_name(oid))
+        return self.mom.exchange_has_bindings(multi_exchange_name(oid))
 
     def flush_publishes(self) -> int:
         """Drain any buffered casts to the broker; no-op when disabled.

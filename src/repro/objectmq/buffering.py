@@ -41,6 +41,7 @@ import time
 from typing import List, Optional, Tuple
 
 from repro.mom.message import Message
+from repro.mom.transport import MomTransport
 from repro.telemetry.registry import REGISTRY
 
 logger = logging.getLogger(__name__)
@@ -53,9 +54,7 @@ class PublishBuffer:
     """Bounded client-side buffer amortizing broker publish cycles.
 
     Args:
-        mom: The message broker (or cluster/adapter) flushed into.  Uses
-            ``publish_many`` when the target offers it, falling back to
-            per-message ``publish`` (e.g. the SQS adapter).
+        mom: The :class:`~repro.mom.transport.MomTransport` flushed into.
         max_messages: Buffer capacity; the filling publish flushes inline
             (backpressure).
         flush_deadline: Upper bound on how long a buffered cast may wait
@@ -65,7 +64,7 @@ class PublishBuffer:
 
     def __init__(
         self,
-        mom,
+        mom: MomTransport,
         max_messages: int = 64,
         flush_deadline: float = DEFAULT_FLUSH_DEADLINE,
         name: str = "",
@@ -156,16 +155,8 @@ class PublishBuffer:
                 self.size_flushes += 1
             elif reason == "deadline":
                 self.deadline_flushes += 1
-        self._deliver(batch)
+        self._mom.publish_many(batch)
         return len(batch)
-
-    def _deliver(self, batch: List[Tuple[str, str, Message]]) -> None:
-        publish_many = getattr(self._mom, "publish_many", None)
-        if publish_many is not None:
-            publish_many(batch)
-            return
-        for exchange_name, routing_key, message in batch:
-            self._mom.publish(exchange_name, routing_key, message)
 
     # -- background deadline flusher -------------------------------------------
 

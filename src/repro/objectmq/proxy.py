@@ -286,7 +286,7 @@ class Proxy:
     def _invoke_multi_async(self, method: str, spec: CallSpec, args, kwargs) -> int:
         with TRACER.span(f"proxy.multicast:{method}", layer="proxy"):
             exchange = self._multi_exchange()
-            if not self._exchange_has_listeners(exchange):
+            if not self._broker.mom.exchange_has_bindings(exchange):
                 # Nobody is bound to the fanout: a multicast to an empty
                 # group is a no-op by contract, so skip serialization and
                 # the broker round trip entirely.
@@ -341,22 +341,6 @@ class Proxy:
             self._broker.mom.declare_exchange(exchange, "fanout")
             self._multi_exchange_declared = True
         return exchange
-
-    def _exchange_has_listeners(self, exchange: str) -> bool:
-        has_bindings = getattr(self._broker.mom, "exchange_has_bindings", None)
-        if has_bindings is None:
-            # Adapter without the probe (e.g. SQS): assume listeners.
-            return True
-        return has_bindings(exchange)
-
-    def has_multicast_listeners(self) -> bool:
-        """True when at least one instance is bound to this oid's fanout.
-
-        Callers with expensive payloads (e.g. commit notifications) probe
-        this before even *building* the message; racing a concurrent bind
-        is benign — identical to publishing just before it.
-        """
-        return self._exchange_has_listeners(self._multi_exchange())
 
     @staticmethod
     def _unwrap(method: str, reply: dict) -> Any:

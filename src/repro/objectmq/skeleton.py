@@ -73,28 +73,16 @@ class Skeleton:
         # _running is False is treated as arriving into a crashed instance
         # (never acked).
         self._running = True
-        if getattr(mom, "supports_batch_consume", False):
-            # Batched dispatch hands this skeleton whole prefetch windows;
-            # processing them via the batch callback lets the acks settle
-            # in one broker round trip instead of one per message.
-            mom.consume(
-                self.oid, self._on_delivery, consumer_tag=self._unicast_tag,
-                prefetch=self.prefetch, batch_callback=self._on_delivery_batch,
-            )
-            mom.consume(
-                self.instance_id, self._on_delivery, consumer_tag=self._multi_tag,
-                prefetch=max(self.prefetch, 8),
-                batch_callback=self._on_delivery_batch,
-            )
-        else:
-            mom.consume(
-                self.oid, self._on_delivery, consumer_tag=self._unicast_tag,
-                prefetch=self.prefetch,
-            )
-            mom.consume(
-                self.instance_id, self._on_delivery, consumer_tag=self._multi_tag,
-                prefetch=max(self.prefetch, 8),
-            )
+        # The transport hands this skeleton runs of deliveries (whole
+        # prefetch windows where it can), so their acks settle together.
+        mom.consume(
+            self.oid, None, consumer_tag=self._unicast_tag,
+            prefetch=self.prefetch, batch_callback=self._on_deliveries,
+        )
+        mom.consume(
+            self.instance_id, None, consumer_tag=self._multi_tag,
+            prefetch=max(self.prefetch, 8), batch_callback=self._on_deliveries,
+        )
         self._metrics_token = REGISTRY.register_source(
             "omq_instance",
             self.object_info,
@@ -128,39 +116,26 @@ class Skeleton:
 
     # -- dispatch ------------------------------------------------------------------
 
-    def _on_delivery(self, delivery: Delivery) -> None:
-        if not self._running:
-            # Crash window: never ack, so the message is requeued when the
-            # consumer is cancelled.
-            return
-        self._process_delivery(delivery)
-        # Ack last: a crash before this point re-queues the request.
-        self.broker.mom.ack(delivery)
+    def _on_deliveries(self, deliveries) -> None:
+        """Process a run of deliveries, then settle its acks at once.
 
-    def _on_delivery_batch(self, deliveries) -> None:
-        """Process a whole dispatch batch, then settle its acks at once.
-
-        Each delivery is still processed (and its reply sent) before its
-        ack is issued, so the at-least-once contract is unchanged — a
-        crash mid-batch re-queues every message whose ack had not been
-        settled yet, which can only widen the redelivery window, never
-        lose a request.
+        Each delivery is processed (and its reply sent) before its ack is
+        issued, so a crash mid-run re-queues every message whose ack had
+        not been settled yet — that can only widen the redelivery window,
+        never lose a request.
         """
         processed = []
         for delivery in deliveries:
             if not self._running:
-                # Crash window mid-batch: the rest is never processed and
-                # never acked, so it is requeued on cancel.
+                # Crash window: this delivery and the rest of the run are
+                # never processed and never acked, so they are requeued
+                # when the consumer is cancelled.
                 break
             self._process_delivery(delivery)
             processed.append(delivery)
-        if not processed:
-            return
-        mom = self.broker.mom
-        if len(processed) == 1:
-            mom.ack(processed[0])
-        else:
-            mom.ack_many(processed)
+        if processed:
+            # Ack last: a crash before this point re-queues the requests.
+            self.broker.mom.ack_many(processed)
 
     def _process_delivery(self, delivery: Delivery) -> None:
         envelope = None

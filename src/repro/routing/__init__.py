@@ -7,9 +7,6 @@ One tested ring serves both placement problems in the stack:
 * **metadata sharding** — :class:`ShardRouter` maps ``workspace_id`` onto
   one of N metadata shards, the partitioned commit path that lets the
   SyncService pool scale past a single back-end.
-
-:mod:`repro.storage.ring` re-exports :class:`HashRing` from here for
-backwards compatibility.
 """
 
 from repro.routing.ring import HashRing

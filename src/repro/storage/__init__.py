@@ -7,8 +7,8 @@ from repro.storage.latency import (
     ZERO_PROFILE,
 )
 from repro.storage.gc import ChunkGarbageCollector, GcReport
+from repro.routing import HashRing
 from repro.storage.object_store import StorageNode, SwiftLikeStore
-from repro.storage.ring import HashRing
 
 __all__ = [
     "ChunkGarbageCollector",

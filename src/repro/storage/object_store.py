@@ -4,7 +4,7 @@ The StackSync client addresses the Storage back-end with a narrow
 container/object API: PUT/GET/DELETE/HEAD of immutable compressed chunks
 keyed by fingerprint.  The testbed of the paper was one Swift proxy in
 front of 4 storage nodes; :class:`SwiftLikeStore` mirrors that topology —
-a proxy that consults the :class:`~repro.storage.ring.HashRing`, writes
+a proxy that consults the :class:`~repro.routing.HashRing`, writes
 all replicas, reads from the primary (falling over to replicas), and
 charges every hop to a :class:`~repro.storage.latency.LatencyModel`.
 
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set
 
 from repro.errors import ObjectNotFound, StorageError
+from repro.routing import HashRing
 from repro.storage.latency import LatencyModel, LatencyProfile, ZERO_PROFILE
-from repro.storage.ring import HashRing
 from repro.telemetry.control import HEALTH
 from repro.telemetry.registry import REGISTRY
 

@@ -14,7 +14,7 @@ import time
 
 from repro.mom.broker_server import MessageBroker
 from repro.mom.message import PERSISTENT, Message
-from repro.mom.queue import MessageQueue
+from repro.mom.queue import DEFAULT_BATCH_SIZE, MessageQueue
 
 from tests.mom.test_queue import Collector, drain_wait
 
@@ -32,14 +32,20 @@ def test_wide_prefetch_window_filled_in_one_cycle():
 
 
 def test_burst_larger_than_batch_size_is_chunked_not_stranded():
-    queue = MessageQueue("q", batch_size=2)
-    collector = Collector()
-    queue.add_consumer("c1", collector, auto_ack=True)
+    queue = MessageQueue("q")
+    batches = []
+    queue.add_consumer(
+        "c1", None, auto_ack=True, batch_callback=lambda ds: batches.append(ds)
+    )
     # One put_many, no further puts/acks to re-trigger dispatch: every
-    # message must still arrive (in chunks of batch_size).
-    queue.put_many([Message(f"m{i}".encode()) for i in range(7)])
-    assert drain_wait(lambda: collector.count() == 7)
-    assert collector.bodies() == [f"m{i}".encode() for i in range(7)]
+    # message must still arrive (in chunks of the dispatch batch size).
+    burst = 3 * DEFAULT_BATCH_SIZE + 7
+    queue.put_many([Message(f"m{i}".encode()) for i in range(burst)])
+    assert drain_wait(lambda: sum(len(b) for b in batches) == burst)
+    assert [d.message.body for b in batches for d in b] == [
+        f"m{i}".encode() for i in range(burst)
+    ]
+    assert max(len(b) for b in batches) == DEFAULT_BATCH_SIZE
 
 
 def test_put_many_preserves_fifo_and_counts():

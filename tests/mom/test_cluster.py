@@ -8,14 +8,6 @@ from repro.errors import BrokerClosed
 from repro.mom import BrokerCluster, Message, PERSISTENT
 
 
-def test_cluster_quacks_like_a_broker():
-    cluster = BrokerCluster(size=2)
-    cluster.declare_queue("q")
-    cluster.publish("", "q", Message(b"x"))
-    assert cluster.get("q", timeout=0.1).body == b"x"
-    cluster.close()
-
-
 def test_failover_promotes_standby_and_recovers_persistent_messages():
     cluster = BrokerCluster(size=2)
     cluster.declare_queue("q", durable=True)

@@ -188,13 +188,6 @@ def test_consumer_exception_does_not_kill_dispatch():
     assert drain_wait(lambda: len(seen) == 2)
 
 
-def test_put_at_head():
-    queue = MessageQueue("q")
-    queue.put(Message(b"second"))
-    queue.put(Message(b"first"), at_head=True)
-    assert queue.get(timeout=0.1).body == b"first"
-
-
 def test_purge_and_len():
     queue = MessageQueue("q")
     for _ in range(5):

@@ -105,7 +105,7 @@ def test_service_queue_management():
         service.get_queue("a")
 
 
-# -- adapter: MessageBroker surface -------------------------------------------------
+# -- adapter specifics (shared surface: test_transport_conformance.py) ----------------
 
 
 @pytest.fixture
@@ -113,22 +113,6 @@ def sqs_mom():
     adapter = SqsBrokerAdapter(visibility_timeout=1.0)
     yield adapter
     adapter.close()
-
-
-def test_adapter_default_exchange_publish_get(sqs_mom):
-    sqs_mom.publish("", "work", Message(b"x"))
-    assert sqs_mom.get("work", timeout=0.2).body == b"x"
-
-
-def test_adapter_fanout_copies(sqs_mom):
-    sqs_mom.declare_exchange("fan", "fanout")
-    sqs_mom.declare_queue("a")
-    sqs_mom.declare_queue("b")
-    sqs_mom.bind_queue("fan", "a")
-    sqs_mom.bind_queue("fan", "b")
-    assert sqs_mom.publish("fan", "", Message(b"m")) == 2
-    assert sqs_mom.get("a", timeout=0.2).body == b"m"
-    assert sqs_mom.get("b", timeout=0.2).body == b"m"
 
 
 def test_adapter_consume_and_ack(sqs_mom):

@@ -1,0 +1,268 @@
+"""One conformance suite for every :class:`~repro.mom.transport.MomTransport`.
+
+ObjectMQ is written against the ``MomTransport`` contract and never asks
+which implementation it was given, so every implementation has to behave
+the same where ObjectMQ can see it.  Each case below runs against the
+in-process :class:`MessageBroker`, a two-node :class:`BrokerCluster` and
+the :class:`SqsBrokerAdapter`; a new transport joins by adding one entry
+to ``TRANSPORTS``.
+"""
+
+from __future__ import annotations
+
+import threading
+import time
+
+import pytest
+
+from repro.errors import DeliveryError
+from repro.mom import BrokerCluster, Message, MessageBroker, SqsBrokerAdapter
+from repro.objectmq import Broker
+
+from tests.mom.test_broker_server import wait_for
+from tests.mom.test_sqs import EchoApi, EchoServer
+
+TRANSPORTS = {
+    "broker": MessageBroker,
+    "cluster": lambda: BrokerCluster(size=2),
+    # Short visibility: an unacked SQS message reappears on its own clock,
+    # which is what the cancel case waits for.
+    "sqs": lambda: SqsBrokerAdapter(visibility_timeout=0.5),
+}
+
+
+@pytest.fixture(params=sorted(TRANSPORTS))
+def transport(request):
+    mom = TRANSPORTS[request.param]()
+    yield mom
+    mom.close()
+
+
+class Inbox:
+    """Thread-safe record of what a consumer was handed, call by call."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.calls = []
+
+    def __call__(self, handed):
+        with self.lock:
+            self.calls.append(handed)
+
+    def deliveries(self):
+        with self.lock:
+            return [
+                d
+                for call in self.calls
+                for d in (call if isinstance(call, list) else [call])
+            ]
+
+    def bodies(self):
+        return [d.message.body for d in self.deliveries()]
+
+
+# -- publishing -----------------------------------------------------------------
+
+
+def test_default_exchange_declares_the_queue_and_delivers(transport):
+    assert transport.publish("", "lazy", Message(b"x")) == 1
+    assert transport.queue_exists("lazy")
+    assert transport.get("lazy", timeout=0.5).body == b"x"
+
+
+def test_fanout_reaches_every_bound_queue_with_independent_envelopes(transport):
+    transport.declare_exchange("fan", "fanout")
+    for name in ("a", "b"):
+        transport.declare_queue(name)
+        transport.bind_queue("fan", name)
+    assert transport.publish("fan", "ignored", Message(b"multi", headers={"k": 1})) == 2
+    first = transport.get("a", timeout=0.5)
+    second = transport.get("b", timeout=0.5)
+    assert first.body == second.body == b"multi"
+    assert first is not second
+    first.headers["k"] = 99
+    assert second.headers["k"] == 1
+
+
+def test_fanout_without_bindings_raises_delivery_error(transport):
+    transport.declare_exchange("fan", "fanout")
+    with pytest.raises(DeliveryError):
+        transport.publish("fan", "k", Message(b"x"))
+
+
+def test_publish_many_keeps_order_and_counts_queues_reached(transport):
+    transport.declare_queue("q")
+    items = [("", "q", Message(f"m{i}".encode())) for i in range(5)]
+    assert transport.publish_many(items) == 5
+    assert transport.queue_depth("q") == 5
+    assert [transport.get("q", timeout=0.5).body for _ in range(5)] == [
+        f"m{i}".encode() for i in range(5)
+    ]
+    assert transport.publish_many([]) == 0
+
+
+def test_publish_many_delivers_the_routable_rest_before_raising(transport):
+    transport.declare_exchange("fan", "fanout")
+    items = [
+        ("", "q", Message(b"before")),
+        ("fan", "", Message(b"nowhere")),
+        ("", "q", Message(b"after")),
+    ]
+    with pytest.raises(DeliveryError):
+        transport.publish_many(items)
+    assert [transport.get("q", timeout=0.5).body for _ in range(2)] == [
+        b"before",
+        b"after",
+    ]
+
+
+# -- consuming and settling -----------------------------------------------------
+
+
+def test_callback_gets_one_delivery_at_a_time_and_ack_settles_it(transport):
+    transport.declare_queue("work")
+    inbox = Inbox()
+    transport.consume("work", inbox, consumer_tag="c1")
+    transport.publish("", "work", Message(b"job"))
+    assert wait_for(lambda: len(inbox.calls) == 1)
+    delivery = inbox.calls[0]
+    assert delivery.message.body == b"job"
+    assert delivery.queue_name == "work" and delivery.consumer_tag == "c1"
+    assert not delivery.message.redelivered
+    assert transport.ack(delivery)
+    assert not transport.ack(delivery)  # settling twice is a harmless no-op
+    stats = transport.queue_stats("work")
+    assert stats["acked"] == 1 and stats["unacked"] == 0 and stats["ready"] == 0
+
+
+def test_batch_callback_gets_lists_and_ack_many_settles_them(transport):
+    transport.declare_queue("work")
+    inbox = Inbox()
+
+    def on_run(deliveries):
+        inbox(deliveries)
+        assert transport.ack_many(deliveries) == len(deliveries)
+
+    transport.consume("work", None, consumer_tag="c1", prefetch=4, batch_callback=on_run)
+    transport.publish_many([("", "work", Message(f"m{i}".encode())) for i in range(6)])
+    assert wait_for(lambda: len(inbox.deliveries()) == 6)
+    assert all(isinstance(call, list) and call for call in inbox.calls)
+    assert inbox.bodies() == [f"m{i}".encode() for i in range(6)]
+    assert wait_for(lambda: transport.queue_stats("work")["acked"] == 6)
+    assert transport.ack_many(inbox.deliveries()) == 0
+    assert transport.queue_stats("work")["unacked"] == 0
+
+
+def test_nack_with_requeue_redelivers_flagged(transport):
+    transport.declare_queue("work")
+    inbox = Inbox()
+    flags = []  # read on arrival: a requeue may hand back the same Message
+
+    def handler(delivery):
+        flags.append(delivery.message.redelivered)
+        inbox(delivery)
+        if delivery.message.redelivered:
+            transport.ack(delivery)
+        else:
+            transport.nack(delivery, requeue=True)
+
+    transport.consume("work", handler, consumer_tag="c1")
+    transport.publish("", "work", Message(b"again"))
+    assert wait_for(lambda: len(inbox.calls) == 2)
+    assert flags == [False, True]
+    assert inbox.bodies() == [b"again", b"again"]
+    assert wait_for(lambda: transport.queue_stats("work")["unacked"] == 0)
+
+
+def test_cancel_redelivers_unacked_to_a_sibling(transport):
+    transport.declare_queue("work")
+    crashed, survivor = Inbox(), Inbox()
+    transport.consume("work", crashed, consumer_tag="never-acks")
+    transport.publish("", "work", Message(b"job"))
+    assert wait_for(lambda: len(crashed.calls) == 1)
+
+    def handler(delivery):
+        survivor(delivery)
+        transport.ack(delivery)
+
+    transport.consume("work", handler, consumer_tag="sibling")
+    transport.cancel("work", "never-acks")
+    assert wait_for(lambda: len(survivor.calls) == 1, timeout=5.0)
+    redelivered = survivor.calls[0]
+    assert redelivered.message.body == b"job" and redelivered.message.redelivered
+    assert redelivered.consumer_tag == "sibling"
+    # The cancelled consumer's late ack must not settle anything.
+    assert not transport.ack(crashed.calls[0])
+
+
+def test_get_returns_none_after_the_timeout(transport):
+    transport.declare_queue("empty")
+    started = time.monotonic()
+    assert transport.get("empty", timeout=0.1) is None
+    assert time.monotonic() - started >= 0.09
+
+
+def test_exchange_has_bindings_follows_bind_and_unbind(transport):
+    assert not transport.exchange_has_bindings("fan")  # missing: a plain False
+    transport.declare_exchange("fan", "fanout")
+    assert not transport.exchange_has_bindings("fan")
+    transport.declare_queue("a")
+    transport.bind_queue("fan", "a")
+    assert transport.exchange_has_bindings("fan")
+    transport.unbind_queue("fan", "a")
+    assert not transport.exchange_has_bindings("fan")
+    transport.bind_queue("fan", "a")
+    transport.delete_queue("a")
+    assert not transport.exchange_has_bindings("fan")
+
+
+# -- ObjectMQ over the transport ------------------------------------------------
+
+
+@pytest.fixture
+def omq_pair(transport):
+    server, client = Broker(transport), Broker(transport)
+    yield server, client
+    client.close()
+    server.close()
+
+
+def test_objectmq_sync_call(omq_pair):
+    server, client = omq_pair
+    server.bind("echo", EchoServer())
+    assert client.lookup("echo", EchoApi).echo("hello") == "hello"
+
+
+def test_objectmq_async_cast(omq_pair):
+    server, client = omq_pair
+    echo = EchoServer()
+    server.bind("echo", echo)
+    client.lookup("echo", EchoApi).note(7)
+    assert wait_for(lambda: echo.notes == [7])
+
+
+def test_objectmq_multicast_reaches_every_instance(omq_pair):
+    server, client = omq_pair
+    assert not server.multicast_has_listeners("echo")
+    server.bind("echo", EchoServer("one"))
+    server.bind("echo", EchoServer("two"))
+    assert client.multicast_has_listeners("echo")
+    assert sorted(client.lookup("echo", EchoApi).ident()) == ["one", "two"]
+
+
+def test_objectmq_buffered_casts_flush_in_order(transport):
+    server = Broker(transport)
+    client = Broker(
+        transport, environment={"publish_buffer": 4, "publish_flush_deadline": 0.01}
+    )
+    try:
+        echo = EchoServer()
+        server.bind("echo", echo)
+        proxy = client.lookup("echo", EchoApi)
+        for i in range(10):
+            proxy.note(i)
+        assert wait_for(lambda: len(echo.notes) == 10)
+        assert echo.notes == list(range(10))
+    finally:
+        client.close()
+        server.close()

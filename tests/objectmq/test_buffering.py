@@ -40,12 +40,10 @@ def wait_for(predicate, timeout=3.0):
 class RecordingMom:
     """Fake broker recording publish / publish_many calls thread-safely."""
 
-    def __init__(self, batched=True):
+    def __init__(self):
         self.lock = threading.Lock()
         self.batches = []
         self.singles = []
-        if not batched:
-            self.publish_many = None  # simulate an adapter without batch API
 
     def publish(self, exchange_name, routing_key, message):
         with self.lock:
@@ -114,15 +112,6 @@ def test_close_flushes_pending_casts():
     # Casts after close degrade to direct publishes — never dropped.
     buffer.publish("", "q", Message(b"late"))
     assert mom.singles[0][2].body == b"late"
-
-
-def test_falls_back_to_per_message_publish_without_batch_api():
-    mom = RecordingMom(batched=False)
-    buffer = PublishBuffer(mom, max_messages=2, flush_deadline=60.0)
-    buffer.publish("", "q", Message(b"x"))
-    buffer.publish("", "q", Message(b"y"))
-    assert [m.body for _, _, m in mom.singles] == [b"x", b"y"]
-    buffer.close()
 
 
 def test_constructor_validates_arguments():

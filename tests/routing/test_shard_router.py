@@ -7,14 +7,6 @@ import pytest
 from repro.routing import HashRing, ShardRouter
 
 
-def test_storage_ring_is_a_reexport():
-    # The deprecation shim must hand out the very same class, so rings
-    # built through either import path agree byte for byte.
-    from repro.storage.ring import HashRing as LegacyHashRing
-
-    assert LegacyHashRing is HashRing
-
-
 def test_requires_at_least_one_shard():
     with pytest.raises(ValueError):
         ShardRouter(0)
