@@ -46,6 +46,12 @@ class ReactiveProvisioner(Provisioner):
         self._monitored_sigma_b2: Optional[float] = None
         self.last_triggered = False
 
+    def predicted_rate(self, timestamp: float) -> float:
+        """λ_pred(t) of the comparison baseline (0.0 in pure-reactive mode)."""
+        if self.predictive is None:
+            return 0.0
+        return self.predictive.predicted_rate(timestamp)
+
     def deviation_detected(self, lam_obs: float, lam_pred: float) -> Optional[str]:
         """Which threshold λ_obs/λ_pred breached: "tau1", "tau2", or None."""
         if lam_pred <= 0:
@@ -64,11 +70,7 @@ class ReactiveProvisioner(Provisioner):
             self._monitored_sigma_b2 = observation.service_time_variance
 
         lam_obs = observation.arrival_rate
-        lam_pred = (
-            self.predictive.predicted_rate(observation.timestamp)
-            if self.predictive is not None
-            else 0.0
-        )
+        lam_pred = self.predicted_rate(observation.timestamp)
         self.last_threshold = self.deviation_detected(lam_obs, lam_pred)
         self.last_triggered = self.last_threshold is not None
         if not self.last_triggered:
@@ -187,6 +189,9 @@ class CombinedProvisioner(Provisioner):
         self.last_reason = f"predictive baseline: {self._predictive_reason}"
         self.last_threshold = None
         return self._predictive_proposal
+
+    def predicted_rate(self, timestamp: float) -> float:
+        return self.predictive.predicted_rate(timestamp)
 
     def reset(self) -> None:
         self.predictive.reset()

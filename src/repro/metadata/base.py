@@ -6,19 +6,14 @@ replaced easily".  Two implementations ship: an in-memory engine
 (:mod:`repro.metadata.memory_backend`) and a SQLite engine with real ACID
 transactions (:mod:`repro.metadata.sqlite_backend`).
 
-Consistency contract used by Algorithm 1:
-
-* :meth:`store_new_object` atomically inserts version 1 of an item and
-  raises :class:`~repro.errors.TransactionAborted` if any version already
-  exists;
-* :meth:`store_new_version` atomically verifies that the proposal's
-  version is exactly ``current + 1`` and inserts it, raising
-  :class:`TransactionAborted` otherwise.
-
-Because the checks re-run inside the transaction, two SyncService
-instances racing on the same item serialize correctly: the first commit
-wins, the second aborts and is reported as a conflict — the paper's
-first-writer-wins policy, with no rollback ever needed.
+Consistency contract used by Algorithm 1 (§4.2): an engine decides a
+proposal in exactly one place, :meth:`MetadataBackend.store_versions_bulk`
+— inside one transaction, commit iff the version is ``current + 1`` —
+so two SyncService instances racing on the same item serialize: the
+first commit wins and the second is reported as a conflict with the
+winner attached (first-writer-wins, no rollback ever needed).
+``store_new_object`` / ``store_new_version`` are that body called with a
+bundle of one.
 """
 
 from __future__ import annotations
@@ -66,7 +61,7 @@ class MetadataBackend(ABC):
     """Abstract DAO over users, workspaces and versioned item metadata."""
 
     def transaction_span(self, proposals: int):
-        """Telemetry span for one bulk commit transaction.
+        """Telemetry span for one commit transaction.
 
         Every engine wraps its :meth:`store_versions_bulk` body in this so
         the trace tree attributes back-end time to the ``metadata`` layer
@@ -117,13 +112,6 @@ class MetadataBackend(ABC):
         """Latest committed version of *item_id*, or None."""
 
     @abstractmethod
-    def store_new_object(self, metadata: ItemMetadata) -> None:
-        """Atomically insert the first version of a new item."""
-
-    @abstractmethod
-    def store_new_version(self, metadata: ItemMetadata) -> None:
-        """Atomically append the next version of an existing item."""
-
     def store_versions_bulk(
         self, proposals: List[ItemMetadata]
     ) -> List[BulkOutcome]:
@@ -135,31 +123,32 @@ class MetadataBackend(ABC):
         check is skipped — reported as ``(False, current)`` — without
         aborting its siblings, exactly as if it had been committed alone.
         Proposals later in the bundle observe the effects of earlier ones,
-        so a client may bundle v2 and v3 of the same item.
-
-        This default implementation loops over the single-item primitives
-        so any third-party backend works unchanged; the shipped engines
-        override it with genuinely single-transaction versions.
+        so a client may bundle v2 and v3 of the same item.  An unknown
+        ``workspace_id`` anywhere in the bundle raises
+        :class:`~repro.errors.UnknownWorkspace` before anything is stored.
         """
-        outcomes: List[BulkOutcome] = []
-        with self.transaction_span(len(proposals)):
-            for proposal in proposals:
-                current = self.get_current(proposal.item_id)
-                try:
-                    if current is None:
-                        self.store_new_object(proposal)
-                    elif proposal.version == current.version + 1:
-                        self.store_new_version(proposal)
-                    else:
-                        outcomes.append((False, current))
-                        continue
-                except TransactionAborted:
-                    # Lost a race between the read and the write: report the
-                    # winner from a fresh read.
-                    outcomes.append((False, self.get_current(proposal.item_id)))
-                    continue
-                outcomes.append((True, None))
-        return outcomes
+
+    def store_new_object(self, metadata: ItemMetadata) -> None:
+        """Atomically insert the first version of a new item."""
+        self._store_one(metadata, first=True)
+
+    def store_new_version(self, metadata: ItemMetadata) -> None:
+        """Atomically append the next version of an existing item."""
+        self._store_one(metadata, first=False)
+
+    def _store_one(self, metadata: ItemMetadata, first: bool) -> None:
+        """Algorithm 1 on a bundle of one; a proposal that loses aborts."""
+        if (metadata.version == 1) != first:
+            raise TransactionAborted(
+                f"version {metadata.version} of {metadata.item_id!r} is not "
+                f"a {'first' if first else 'successor'} version"
+            )
+        ((committed, current),) = self.store_versions_bulk([metadata])
+        if not committed:
+            raise TransactionAborted(
+                f"version {metadata.version} of {metadata.item_id!r} lost; "
+                f"current version: {current and current.version}"
+            )
 
     @abstractmethod
     def get_workspace_state(self, workspace_id: str) -> List[ItemMetadata]:

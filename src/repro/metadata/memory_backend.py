@@ -10,7 +10,7 @@ from __future__ import annotations
 import threading
 from typing import Dict, List, Optional, Set
 
-from repro.errors import MetadataError, TransactionAborted, UnknownWorkspace
+from repro.errors import MetadataError, UnknownWorkspace
 from repro.metadata.base import MetadataBackend, WorkspaceDump
 from repro.sync.models import STATUS_DELETED, ItemMetadata, Workspace
 from repro.telemetry.control import HEALTH
@@ -100,40 +100,14 @@ class MemoryMetadataBackend(MetadataBackend):
             versions = self._versions.get(item_id)
             return versions[-1] if versions else None
 
-    def store_new_object(self, metadata: ItemMetadata) -> None:
-        with self._lock:
-            self._require_workspace(metadata.workspace_id)
-            if metadata.item_id in self._versions:
-                raise TransactionAborted(
-                    f"item {metadata.item_id!r} already exists"
-                )
-            if metadata.version != 1:
-                raise TransactionAborted(
-                    f"first version of {metadata.item_id!r} must be 1, "
-                    f"got {metadata.version}"
-                )
-            self._versions[metadata.item_id] = [metadata]
-            self._workspace_items[metadata.workspace_id].add(metadata.item_id)
-
-    def store_new_version(self, metadata: ItemMetadata) -> None:
-        with self._lock:
-            versions = self._versions.get(metadata.item_id)
-            if not versions:
-                raise TransactionAborted(f"item {metadata.item_id!r} does not exist")
-            current = versions[-1]
-            if metadata.version != current.version + 1:
-                raise TransactionAborted(
-                    f"version {metadata.version} does not succeed "
-                    f"{current.version} for {metadata.item_id!r}"
-                )
-            versions.append(metadata)
-
     def store_versions_bulk(self, proposals):
-        """Whole bundle under one lock acquisition; per-item conflicts."""
+        """Algorithm 1 for this engine: the bundle under one lock cycle."""
         outcomes = []
         with self.transaction_span(len(proposals)), self._lock:
+            for proposal in proposals:  # before anything is stored
+                if proposal.workspace_id not in self._workspaces:
+                    self._require_workspace(proposal.workspace_id)  # raises
             for proposal in proposals:
-                self._require_workspace(proposal.workspace_id)
                 versions = self._versions.get(proposal.item_id)
                 current = versions[-1] if versions else None
                 expected = 1 if current is None else current.version + 1

@@ -33,16 +33,18 @@ straight to the owning shard; opaque ids fall back to scanning all
 shards (correct, just slower — the miss path of monitoring tools).
 
 Rebalancing: :meth:`migrate_workspace` moves one workspace between
-shards under a write fence — export, import, verify per-item history
-lengths, flip a routing override, drop the source copy.  The fence
-blocks new writes for that workspace only; all other workspaces commit
-concurrently throughout.
+shards under a write fence — wait out the writes already admitted,
+export, import, verify per-item history lengths, flip a routing
+override, drop the source copy.  The fence blocks writes for that
+workspace only; all other workspaces commit concurrently throughout.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence
+from collections import Counter
+from contextlib import contextmanager
+from typing import Collection, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import MetadataError
 from repro.metadata.base import BulkOutcome, MetadataBackend
@@ -96,22 +98,24 @@ class ShardedMetadataBackend(MetadataBackend):
         # invalidated when a migration moves the workspace.  Plain dict
         # ops are atomic under CPython, so no extra lock is needed.
         self._engine_cache: Dict[str, MetadataBackend] = {}
-        # Write fence for in-flight migrations, guarded by one condition.
+        # Write fence, guarded by one condition: the workspaces migrating,
+        # and per workspace its admitted, unfinished writes (zeros stay).
         self._fence = threading.Condition()
         self._fenced: set = set()
+        self._inflight: Counter = Counter()
         self._migrations = REGISTRY.counter(
             "metadata_workspace_migrations_total"
         )
-        for shard, engine in enumerate(self.engines):
+        self._source_tokens = [
             REGISTRY.register_source(
                 "metadata_shard",
                 engine,
-                lambda e: {
-                    k: float(v) for k, v in e.counts().items()
-                },
+                lambda e: {k: float(v) for k, v in e.counts().items()},
                 shard=str(shard),
                 backend=type(engine).__name__,
             )
+            for shard, engine in enumerate(self.engines)
+        ]
         HEALTH.register(probe_name, self, ShardedMetadataBackend._health_probe)
 
     # -- constructors ----------------------------------------------------------------
@@ -174,21 +178,26 @@ class ShardedMetadataBackend(MetadataBackend):
             return None
         return self.engine_for_workspace(workspace_id)
 
-    def _await_unfenced(self, workspace_id: str) -> None:
-        """Block while *workspace_id* is mid-migration (write fence).
+    @contextmanager
+    def _writing(self, workspace_ids: Collection[str]) -> Iterator[None]:
+        """Admit one write to *workspace_ids* for the ``with`` body.
 
-        Fast path first: reading the fence set's emptiness is atomic
-        under CPython, and commits vastly outnumber migrations.  The
-        lock-free read races a fence being raised exactly as the locked
-        check does (a commit that passed the check before the fence
-        landed proceeds either way); the lock only matters for *waiting*,
-        so it is taken just when some workspace is actually fenced.
+        Waiting out fences and counting the write in flight happen under
+        the one fence condition, so either the write is admitted first
+        and :meth:`migrate_workspace` waits for it before exporting, or
+        the fence lands first and the write waits, then routes (inside
+        the body) to the new shard.
         """
-        if not self._fenced:
-            return
         with self._fence:
-            while workspace_id in self._fenced:
-                self._fence.wait()
+            self._fence.wait_for(lambda: self._fenced.isdisjoint(workspace_ids))
+            self._inflight.update(workspace_ids)
+        try:
+            yield
+        finally:
+            with self._fence:
+                self._inflight.subtract(workspace_ids)
+                if self._fenced:
+                    self._fence.notify_all()
 
     def _health_probe(self) -> Dict[str, object]:
         return {
@@ -205,16 +214,16 @@ class ShardedMetadataBackend(MetadataBackend):
             engine.create_user(user_id, name)
 
     def create_workspace(self, workspace: Workspace) -> None:
-        self._await_unfenced(workspace.workspace_id)
-        self.engine_for_workspace(workspace.workspace_id).create_workspace(
-            workspace
-        )
+        with self._writing((workspace.workspace_id,)):
+            self.engine_for_workspace(workspace.workspace_id).create_workspace(
+                workspace
+            )
 
     def grant_access(self, workspace_id: str, user_id: str) -> None:
-        self._await_unfenced(workspace_id)
-        self.engine_for_workspace(workspace_id).grant_access(
-            workspace_id, user_id
-        )
+        with self._writing((workspace_id,)):
+            self.engine_for_workspace(workspace_id).grant_access(
+                workspace_id, user_id
+            )
 
     def workspaces_for(self, user_id: str) -> List[Workspace]:
         merged: Dict[str, Workspace] = {}
@@ -249,18 +258,6 @@ class ShardedMetadataBackend(MetadataBackend):
                 return current
         return None
 
-    def store_new_object(self, metadata: ItemMetadata) -> None:
-        self._await_unfenced(metadata.workspace_id)
-        self.engine_for_workspace(metadata.workspace_id).store_new_object(
-            metadata
-        )
-
-    def store_new_version(self, metadata: ItemMetadata) -> None:
-        self._await_unfenced(metadata.workspace_id)
-        self.engine_for_workspace(metadata.workspace_id).store_new_version(
-            metadata
-        )
-
     def store_versions_bulk(
         self, proposals: List[ItemMetadata]
     ) -> List[BulkOutcome]:
@@ -272,24 +269,22 @@ class ShardedMetadataBackend(MetadataBackend):
         per-item first-writer-wins semantics are unchanged because each
         item's whole history lives on its own shard.
         """
-        if not proposals:
-            return []
-        groups: Dict[int, List[int]] = {}
-        for index, proposal in enumerate(proposals):
-            self._await_unfenced(proposal.workspace_id)
-            shard = self.shard_for_workspace(proposal.workspace_id)
-            groups.setdefault(shard, []).append(index)
-        if len(groups) == 1:
-            shard = next(iter(groups))
-            return self.engines[shard].store_versions_bulk(proposals)
-        outcomes: List[Optional[BulkOutcome]] = [None] * len(proposals)
-        for shard, indices in groups.items():
-            shard_outcomes = self.engines[shard].store_versions_bulk(
-                [proposals[i] for i in indices]
-            )
-            for i, outcome in zip(indices, shard_outcomes):
-                outcomes[i] = outcome
-        return outcomes  # type: ignore[return-value]
+        with self._writing({p.workspace_id for p in proposals}):
+            groups: Dict[int, List[int]] = {}
+            for index, proposal in enumerate(proposals):
+                shard = self.shard_for_workspace(proposal.workspace_id)
+                groups.setdefault(shard, []).append(index)
+            if len(groups) == 1:
+                shard = next(iter(groups))
+                return self.engines[shard].store_versions_bulk(proposals)
+            outcomes: List[Optional[BulkOutcome]] = [None] * len(proposals)
+            for shard, indices in groups.items():
+                shard_outcomes = self.engines[shard].store_versions_bulk(
+                    [proposals[i] for i in indices]
+                )
+                for i, outcome in zip(indices, shard_outcomes):
+                    outcomes[i] = outcome
+            return outcomes  # type: ignore[return-value]
 
     def get_workspace_state(self, workspace_id: str) -> List[ItemMetadata]:
         return self.engine_for_workspace(workspace_id).get_workspace_state(
@@ -311,10 +306,11 @@ class ShardedMetadataBackend(MetadataBackend):
     def migrate_workspace(self, workspace_id: str, target_shard: int) -> Dict[str, int]:
         """Move one workspace to *target_shard* under a write fence.
 
-        Sequence: fence writes for this workspace → export from the
-        source engine → import into the target → verify every item's
-        history length survived the copy → flip the routing override →
-        drop the source copy → lift the fence.  On verification failure
+        Sequence: fence writes for this workspace → wait for the writes
+        already admitted to finish → export from the source engine →
+        import into the target → verify every item's history length
+        survived the copy → flip the routing override → drop the source
+        copy → lift the fence.  On verification failure
         the half-imported copy is dropped from the target and routing is
         untouched, so the source remains authoritative.
 
@@ -337,6 +333,8 @@ class ShardedMetadataBackend(MetadataBackend):
                 }
             self._fenced.add(workspace_id)
         try:
+            with self._fence:
+                self._fence.wait_for(lambda: not self._inflight[workspace_id])
             source = self.engines[source_shard]
             target = self.engines[target_shard]
             dump = source.export_workspace(workspace_id)
@@ -381,5 +379,7 @@ class ShardedMetadataBackend(MetadataBackend):
         }
 
     def close(self) -> None:
+        for token in self._source_tokens:  # a closed engine cannot be scraped
+            REGISTRY.unregister_source(token)
         for engine in self.engines:
             engine.close()

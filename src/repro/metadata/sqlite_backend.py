@@ -2,10 +2,10 @@
 
 The paper chose a relational store "to benefit from the ACID semantics,
 and this way simplify the maintenance of consistency" (§4).  This engine
-gives the same guarantee: each ``store_new_object`` / ``store_new_version``
-runs as an IMMEDIATE transaction whose version check re-executes inside
-the transaction, so racing SyncService instances serialize and the loser
-aborts cleanly (first-writer-wins, no rollback of committed data).
+gives the same guarantee: each ``store_versions_bulk`` bundle runs as an
+IMMEDIATE transaction whose version checks execute inside the
+transaction, so racing SyncService instances serialize and the loser is
+reported, not stored (first-writer-wins, no rollback of committed data).
 
 A single connection guarded by a lock keeps the engine usable from the
 many consumer threads of the MOM layer; WAL mode keeps readers cheap.
@@ -18,7 +18,7 @@ import sqlite3
 import threading
 from typing import Dict, List, Optional
 
-from repro.errors import MetadataError, TransactionAborted, UnknownWorkspace
+from repro.errors import MetadataError, UnknownWorkspace
 from repro.metadata.base import MetadataBackend, WorkspaceDump
 from repro.sync.models import STATUS_DELETED, ItemMetadata, Workspace
 from repro.telemetry.control import HEALTH
@@ -185,55 +185,8 @@ class SqliteMetadataBackend(MetadataBackend):
             ).fetchone()
         return self._row_to_item(row) if row else None
 
-    def store_new_object(self, metadata: ItemMetadata) -> None:
-        with self._lock:
-            self._require_workspace(metadata.workspace_id)
-            try:
-                self._conn.execute("BEGIN IMMEDIATE")
-                existing = self._conn.execute(
-                    "SELECT MAX(version) FROM item_versions WHERE item_id = ?",
-                    (metadata.item_id,),
-                ).fetchone()[0]
-                if existing is not None:
-                    raise TransactionAborted(
-                        f"item {metadata.item_id!r} already exists"
-                    )
-                if metadata.version != 1:
-                    raise TransactionAborted(
-                        f"first version of {metadata.item_id!r} must be 1, "
-                        f"got {metadata.version}"
-                    )
-                self._insert(metadata)
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-
-    def store_new_version(self, metadata: ItemMetadata) -> None:
-        with self._lock:
-            try:
-                self._conn.execute("BEGIN IMMEDIATE")
-                current = self._conn.execute(
-                    "SELECT MAX(version) FROM item_versions WHERE item_id = ?",
-                    (metadata.item_id,),
-                ).fetchone()[0]
-                if current is None:
-                    raise TransactionAborted(
-                        f"item {metadata.item_id!r} does not exist"
-                    )
-                if metadata.version != current + 1:
-                    raise TransactionAborted(
-                        f"version {metadata.version} does not succeed {current} "
-                        f"for {metadata.item_id!r}"
-                    )
-                self._insert(metadata)
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-
     def store_versions_bulk(self, proposals):
-        """One BEGIN IMMEDIATE for the whole commitRequest bundle.
+        """Algorithm 1 for this engine: one BEGIN IMMEDIATE per bundle.
 
         Version checks re-run inside the transaction, so racing
         SyncService instances still serialize per item; a losing proposal
@@ -242,8 +195,11 @@ class SqliteMetadataBackend(MetadataBackend):
         """
         outcomes = []
         with self.transaction_span(len(proposals)), self._lock:
+            checked = set()
             for proposal in proposals:
-                self._require_workspace(proposal.workspace_id)
+                if proposal.workspace_id not in checked:
+                    checked.add(proposal.workspace_id)
+                    self._require_workspace(proposal.workspace_id)
             try:
                 self._conn.execute("BEGIN IMMEDIATE")
                 for proposal in proposals:

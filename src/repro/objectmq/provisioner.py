@@ -2,18 +2,31 @@
 
 A :class:`Provisioner` observes a server-object pool (queue metrics +
 instance introspection) each control period and proposes how many
-instances should exist.  The :class:`~repro.objectmq.supervisor.Supervisor`
-enforces the proposal.  Third parties plug in policies by subclassing —
-the paper's predictive and reactive policies live in
-:mod:`repro.elasticity`.
+instances should exist.  :func:`decide` turns that proposal into the
+period's :class:`ControlDecision` — the one routine the live
+:class:`~repro.objectmq.supervisor.Supervisor` and the trace-driven
+:class:`~repro.simulation.autoscale.AutoscaleSimulation` both enforce.
+Third parties plug in policies by subclassing — the paper's predictive
+and reactive policies live in :mod:`repro.elasticity`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import Any, List, Optional
 
 from repro.objectmq.introspection import PoolObservation
+from repro.objectmq.naming import parse_shard_oid
+from repro.telemetry.control import (
+    KIND_DECISION,
+    KIND_SHUTDOWN,
+    KIND_SPAWN,
+    REASON_CRASH_REPAIR,
+    REASON_SCALE_DOWN,
+    REASON_SCALE_UP,
+    DecisionJournal,
+)
 
 
 class Provisioner(ABC):
@@ -36,8 +49,109 @@ class Provisioner(ABC):
     def propose(self, observation: PoolObservation) -> int:
         """Return the number of instances this policy wants right now."""
 
+    def predicted_rate(self, timestamp: float) -> float:
+        """λ_pred(t) the policy compares against; 0.0 without a predictor."""
+        return 0.0
+
     def reset(self) -> None:
         """Clear internal state (history windows, EWMA, ...)."""
+
+
+@dataclass
+class ControlDecision:
+    """One control period's verdict, and the journal of what enforces it.
+
+    The caller owns the capacity actions (fleet RPCs live, the server
+    pool in the DES) and reports each through :meth:`spawned` /
+    :meth:`shut_down`, so action entries carry the same attribution and
+    decision back-reference whoever took them.
+    """
+
+    observation: PoolObservation
+    #: The policy's proposal clamped to ``[min_instances, max_instances]``.
+    desired: int
+    #: Instances that died since the previous period: how far the census
+    #: fell below the target that period enforced (Fig 8(f)).
+    crash_shortfall: int
+    lam_pred: float
+    reason: str
+    journal: Optional[DecisionJournal]
+    shard: Optional[int]
+    seq: int = 0  # of the journaled decision entry
+
+    def spawned(self, index: int, **extra: Any) -> None:
+        """Journal this period's *index*-th spawn (0-based): the first
+        ``crash_shortfall`` replace the dead, the rest are growth."""
+        repair = index < self.crash_shortfall
+        self._action(
+            KIND_SPAWN, REASON_CRASH_REPAIR if repair else REASON_SCALE_UP, extra
+        )
+
+    def shut_down(self, **extra: Any) -> None:
+        """Journal one instance shut down to reach ``desired``."""
+        self._action(KIND_SHUTDOWN, REASON_SCALE_DOWN, extra)
+
+    def _action(self, kind: str, reason: str, extra: dict) -> None:
+        if self.journal is not None:
+            self.journal.append(
+                kind,
+                self.observation.timestamp,
+                oid=self.observation.oid,
+                shard=self.shard,
+                reason=reason,
+                policy_reason=self.reason,
+                decision_seq=self.seq,
+                **extra,
+            )
+
+
+def decide(
+    provisioner: Provisioner,
+    observation: PoolObservation,
+    min_instances: int,
+    max_instances: int,
+    enforced: Optional[int],
+    journal: Optional[DecisionJournal],
+    **extra: Any,
+) -> ControlDecision:
+    """The decision half of one control period (§3.3-3.4).
+
+    Ask the policy, clamp its proposal, measure the census against
+    *enforced* (the size the previous period commanded; None before the
+    first) and journal the decision, *extra* fields included.
+    """
+    proposal = provisioner.propose(observation)
+    census = observation.instance_count
+    decision = ControlDecision(
+        observation=observation,
+        desired=min(max_instances, max(min_instances, proposal)),
+        crash_shortfall=0 if enforced is None else max(0, enforced - census),
+        lam_pred=provisioner.predicted_rate(observation.timestamp),
+        reason=provisioner.last_reason
+        or f"{provisioner.name} proposed {proposal}",
+        journal=journal,
+        shard=parse_shard_oid(observation.oid)[1],
+    )
+    if journal is not None:
+        decision.seq = journal.append(
+            KIND_DECISION,
+            observation.timestamp,
+            oid=observation.oid,
+            shard=decision.shard,
+            lam_obs=observation.arrival_rate,
+            lam_pred=decision.lam_pred,
+            interarrival_variance=observation.interarrival_variance,
+            queue_depth=observation.queue_depth,
+            census=census,
+            census_shortfall=decision.crash_shortfall,
+            policy=provisioner.name,
+            proposal=proposal,
+            desired=decision.desired,
+            threshold=provisioner.last_threshold,
+            reason=decision.reason,
+            **extra,
+        ).seq
+    return decision
 
 
 class FixedProvisioner(Provisioner):

@@ -7,10 +7,11 @@ Each control period the Supervisor:
    instance simply stops appearing in the census;
 2. samples the shared request queue to measure the observed arrival rate
    λ_obs and interarrival variance;
-3. hands the resulting :class:`PoolObservation` to the active
-   :class:`~repro.objectmq.provisioner.Provisioner`;
-4. reconciles reality with the proposal by calling ``spawn``/``shutdown``
-   on RemoteBrokers.
+3. hands the resulting :class:`PoolObservation` to
+   :func:`~repro.objectmq.provisioner.decide`, the decision half of the
+   period, which the trace-driven simulation enforces too;
+4. reconciles reality with the decision by calling ``spawn``/``shutdown``
+   on RemoteBrokers, reporting each action back for the journal.
 
 Crash repair falls out of step 4: when an instance dies, the census count
 drops below the enforced target and the Supervisor spawns a replacement —
@@ -29,18 +30,9 @@ from typing import Deque, List, Optional, Tuple
 from repro.objectmq.broker import Broker
 from repro.objectmq.introspection import ObjectInfoSnapshot, PoolObservation
 from repro.objectmq.naming import parse_shard_oid, shard_oid
-from repro.objectmq.provisioner import Provisioner
+from repro.objectmq.provisioner import ControlDecision, Provisioner, decide
 from repro.objectmq.remote_broker import REMOTE_BROKER_OID, RemoteBrokerApi
-from repro.telemetry.control import (
-    HEALTH,
-    KIND_DECISION,
-    KIND_SHUTDOWN,
-    KIND_SPAWN,
-    REASON_CRASH_REPAIR,
-    REASON_SCALE_DOWN,
-    REASON_SCALE_UP,
-    DecisionJournal,
-)
+from repro.telemetry.control import HEALTH, DecisionJournal
 from repro.telemetry.registry import REGISTRY
 
 logger = logging.getLogger(__name__)
@@ -120,6 +112,11 @@ class SupervisorRecord:
     removed: int
     alive_brokers: int
 
+    @property
+    def pool_size(self) -> int:
+        """Instances once this period's actions landed."""
+        return self.instances_before + self.spawned - self.removed
+
 
 @dataclass
 class SupervisorHistory:
@@ -129,7 +126,7 @@ class SupervisorHistory:
         self.records.append(record)
 
     def instance_series(self) -> List[int]:
-        return [r.instances_before + r.spawned - r.removed for r in self.records]
+        return [r.pool_size for r in self.records]
 
 
 class Supervisor:
@@ -170,9 +167,8 @@ class Supervisor:
         self._thread: Optional[threading.Thread] = None
         self._stop = threading.Event()
         self._heartbeat_cb = None
-        #: The pool size enforced by the previous step.  A census below
-        #: it at the next step means instances died in between — the
-        #: shortfall's replacement spawns are journaled as crash repair.
+        #: The pool size enforced by the previous step (None until a step
+        #: reached the fleet); ``decide`` measures the census against it.
         self._enforced_target: Optional[int] = None
         HEALTH.register(
             f"supervisor:{oid}", self, Supervisor._health_probe, required=True
@@ -224,81 +220,30 @@ class Supervisor:
     def step(self, now: Optional[float] = None) -> SupervisorRecord:
         """Run one control period synchronously (used by tests and benches)."""
         observation = self.observe(now)
-        proposal = self.provisioner.propose(observation)
-        desired = min(self.max_instances, max(self.min_instances, proposal))
-        reason = getattr(self.provisioner, "last_reason", "") or (
-            f"{self.provisioner.name} proposed {proposal}"
-        )
-        threshold = getattr(self.provisioner, "last_threshold", None)
-
         alive = self.fleet.ping()
-        spawned = removed = 0
+        decision = decide(
+            self.provisioner,
+            observation,
+            self.min_instances,
+            self.max_instances,
+            self._enforced_target,
+            self.journal,
+            alive_brokers=len(alive),
+        )
+        desired = decision.desired
         current = observation.instance_count
-        # Census shortfall against the previously enforced target means
-        # instances died since last period (Fig 8(f)); their replacement
-        # spawns are crash repair, any further growth is a scale-up.
-        crash_shortfall = 0
-        if self._enforced_target is not None and current < self._enforced_target:
-            crash_shortfall = self._enforced_target - current
-
-        decision_seq = 0
-        if self.journal is not None:
-            decision_seq = self.journal.append(
-                KIND_DECISION,
-                observation.timestamp,
-                oid=self.oid,
-                shard=self.shard,
-                lam_obs=observation.arrival_rate,
-                lam_pred=getattr(self.provisioner, "last_prediction", None)
-                or self._predicted_rate(observation.timestamp),
-                interarrival_variance=observation.interarrival_variance,
-                queue_depth=observation.queue_depth,
-                census=current,
-                census_shortfall=crash_shortfall,
-                alive_brokers=len(alive),
-                policy=self.provisioner.name,
-                proposal=proposal,
-                desired=desired,
-                threshold=threshold,
-                reason=reason,
-            ).seq
-
-        removed_ids: List[str] = []
+        spawned = removed = 0
         if alive:
             while current + spawned < desired:
                 try:
                     instance_id = self.fleet.spawn(self.oid)
-                    spawned += 1
                 except Exception:
                     logger.exception("spawn of %s failed", self.oid)
                     break
-                if self.journal is not None:
-                    repair = spawned <= min(crash_shortfall, desired - current)
-                    self.journal.append(
-                        KIND_SPAWN,
-                        observation.timestamp,
-                        oid=self.oid,
-                        shard=self.shard,
-                        instance_id=instance_id,
-                        reason=REASON_CRASH_REPAIR if repair else REASON_SCALE_UP,
-                        policy_reason=reason,
-                        decision_seq=decision_seq,
-                    )
+                decision.spawned(spawned, instance_id=instance_id)
+                spawned += 1
             if current > desired:
-                removed_ids = self._remove_surplus(observation, current - desired)
-                removed = len(removed_ids)
-                if self.journal is not None:
-                    for instance_id in removed_ids:
-                        self.journal.append(
-                            KIND_SHUTDOWN,
-                            observation.timestamp,
-                            oid=self.oid,
-                            shard=self.shard,
-                            instance_id=instance_id,
-                            reason=REASON_SCALE_DOWN,
-                            policy_reason=reason,
-                            decision_seq=decision_seq,
-                        )
+                removed = self._remove_surplus(decision, current - desired)
             self._enforced_target = desired
 
         record = SupervisorRecord(
@@ -313,41 +258,20 @@ class Supervisor:
         )
         self.history.append(record)
         self.last_step_at = time.monotonic()
-        self._export_gauges(observation, desired, spawned, removed)
+        self._export_gauges(record)
         if self._heartbeat_cb is not None:
             self._heartbeat_cb()
         return record
 
-    def _predicted_rate(self, timestamp: float) -> float:
-        """λ_pred from the active policy's predictor, if it has one."""
-        predictive = getattr(self.provisioner, "predictive", None)
-        if predictive is not None and hasattr(predictive, "predicted_rate"):
-            return predictive.predicted_rate(timestamp)
-        if hasattr(self.provisioner, "predicted_rate"):
-            return self.provisioner.predicted_rate(timestamp)
-        return 0.0
-
-    def _export_gauges(
-        self,
-        observation: PoolObservation,
-        desired: int,
-        spawned: int,
-        removed: int,
-    ) -> None:
+    def _export_gauges(self, record: SupervisorRecord) -> None:
         """Publish control-plane gauges for SLO rules / the ops endpoint."""
         labels = {"oid": self.oid}
         if self.shard is not None:
             labels["shard"] = str(self.shard)
-        REGISTRY.gauge("supervisor_pool_size", **labels).set(
-            observation.instance_count + spawned - removed
-        )
-        REGISTRY.gauge("supervisor_desired", **labels).set(desired)
-        REGISTRY.gauge("supervisor_queue_depth", **labels).set(
-            observation.queue_depth
-        )
-        REGISTRY.gauge("supervisor_lambda_obs", **labels).set(
-            observation.arrival_rate
-        )
+        REGISTRY.gauge("supervisor_pool_size", **labels).set(record.pool_size)
+        REGISTRY.gauge("supervisor_desired", **labels).set(record.desired)
+        REGISTRY.gauge("supervisor_queue_depth", **labels).set(record.queue_depth)
+        REGISTRY.gauge("supervisor_lambda_obs", **labels).set(record.arrival_rate)
         try:
             stats = self.broker.mom.queue_stats(self.oid)
         except Exception:
@@ -371,17 +295,17 @@ class Supervisor:
                 detail["error"] = "control loop stalled"
         return detail
 
-    def _remove_surplus(self, observation: PoolObservation, surplus: int) -> List[str]:
-        """Shut down the most idle instances first; returns removed ids."""
+    def _remove_surplus(self, decision: ControlDecision, surplus: int) -> int:
+        """Shut down the most idle instances first; returns how many went."""
         candidates = sorted(
-            observation.instances,
+            decision.observation.instances,
             key=lambda s: (s.busy, s.last_invocation_at or 0.0),
         )
-        removed: List[str] = []
+        removed = 0
         for snapshot in candidates[:surplus]:
-            acks = self.fleet.shutdown(self.oid, snapshot.instance_id)
-            if any(acks):
-                removed.append(snapshot.instance_id)
+            if any(self.fleet.shutdown(self.oid, snapshot.instance_id)):
+                decision.shut_down(instance_id=snapshot.instance_id)
+                removed += 1
         return removed
 
     # -- background operation --------------------------------------------------------
@@ -466,15 +390,10 @@ class ShardedSupervisor:
 
     def pool_sizes(self) -> List[int]:
         """Currently enforced pool size per shard (0 before the first step)."""
-        sizes = []
-        for supervisor in self.supervisors:
-            records = supervisor.history.records
-            if records:
-                last = records[-1]
-                sizes.append(last.instances_before + last.spawned - last.removed)
-            else:
-                sizes.append(0)
-        return sizes
+        return [
+            s.history.records[-1].pool_size if s.history.records else 0
+            for s in self.supervisors
+        ]
 
     def start(self) -> None:
         for supervisor in self.supervisors:

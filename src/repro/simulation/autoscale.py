@@ -8,9 +8,10 @@ Wires together:
 * any :class:`~repro.objectmq.provisioner.Provisioner` (fixed,
   utilization-threshold, predictive, reactive, or combined),
 
-with a Supervisor-like control loop that observes the arrival rate every
-``control_interval`` simulated seconds, asks the provisioner for a pool
-size, and applies it.  The result records everything the paper plots:
+with a control loop that observes the arrival rate every
+``control_interval`` simulated seconds, takes the period's decision with
+the live Supervisor's own :func:`~repro.objectmq.provisioner.decide`, and
+applies it to the pool.  The result records everything the paper plots:
 instance counts over time (Fig 8a/8d), response times (Fig 8b/8e), and
 observed vs predicted arrival rates (Fig 8c).
 """
@@ -23,8 +24,8 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.elasticity.ggone import PAPER_PARAMETERS, SlaParameters
 from repro.objectmq.introspection import PoolObservation
-from repro.objectmq.naming import parse_shard_oid, shard_oid
-from repro.objectmq.provisioner import Provisioner
+from repro.objectmq.naming import shard_oid
+from repro.objectmq.provisioner import ControlDecision, Provisioner, decide
 from repro.simulation.des import EventLoop
 from repro.simulation.metrics import boxplot_stats, bucket_by_time, fraction_above
 from repro.simulation.server import (
@@ -33,15 +34,7 @@ from repro.simulation.server import (
     ServiceTimeDistribution,
     poisson_arrival_times,
 )
-from repro.telemetry.control import (
-    KIND_DECISION,
-    KIND_SHUTDOWN,
-    KIND_SPAWN,
-    REASON_CRASH_REPAIR,
-    REASON_SCALE_DOWN,
-    REASON_SCALE_UP,
-    DecisionJournal,
-)
+from repro.telemetry.control import DecisionJournal
 
 
 @dataclass(frozen=True)
@@ -133,13 +126,12 @@ class AutoscaleSimulation:
         self.provisioner = provisioner
         self.config = config if config is not None else SimConfig()
         #: When set, the control loop journals every decision and
-        #: capacity action exactly like the live Supervisor does.
+        #: capacity action through the routine the live Supervisor uses.
         self.journal = journal
         #: Pool identity stamped on observations and journal entries; a
         #: partitioned oid (``syncservice.shard.2``) also yields a shard
-        #: field on every entry, mirroring the live Supervisor.
+        #: field on every entry.
         self.oid = oid
-        self.shard = parse_shard_oid(oid)[1]
         #: Optional per-control-period hook ``(observation, desired)``,
         #: invoked after the decision is journaled and before capacity is
         #: applied.  This is the scrape point the soak harness hangs
@@ -166,65 +158,25 @@ class AutoscaleSimulation:
         sigma_a2 = var_counts * mean_interarrival**3  # window width = 1s
         return lam, sigma_a2
 
-    def _predicted_rate(self, timestamp: float) -> float:
-        predictive = getattr(self.provisioner, "predictive", None)
-        if predictive is not None and hasattr(predictive, "predicted_rate"):
-            return predictive.predicted_rate(timestamp)
-        if hasattr(self.provisioner, "predicted_rate"):
-            return self.provisioner.predicted_rate(timestamp)
-        return 0.0
-
-    def _journal_step(
-        self,
-        observation: PoolObservation,
-        proposal: int,
-        desired: int,
-        enforced: int,
-    ) -> None:
-        """Journal one control period exactly like the live Supervisor."""
+    def control_period(
+        self, observation: PoolObservation, enforced: int
+    ) -> ControlDecision:
+        """Decide one control period; the pool resizes in one step, so the
+        actions journaled are the census-to-desired difference."""
+        decision = decide(
+            self.provisioner,
+            observation,
+            self.config.min_instances,
+            self.config.max_instances,
+            enforced,
+            self.journal,
+        )
         census = observation.instance_count
-        crash_shortfall = max(0, enforced - census)
-        reason = getattr(self.provisioner, "last_reason", "") or (
-            f"{self.provisioner.name} proposed {proposal}"
-        )
-        decision = self.journal.append(
-            KIND_DECISION,
-            observation.timestamp,
-            oid=observation.oid,
-            shard=self.shard,
-            lam_obs=observation.arrival_rate,
-            lam_pred=self._predicted_rate(observation.timestamp),
-            interarrival_variance=observation.interarrival_variance,
-            queue_depth=observation.queue_depth,
-            census=census,
-            census_shortfall=crash_shortfall,
-            policy=self.provisioner.name,
-            proposal=proposal,
-            desired=desired,
-            threshold=getattr(self.provisioner, "last_threshold", None),
-            reason=reason,
-        )
-        for index in range(max(0, desired - census)):
-            repair = index < min(crash_shortfall, desired - census)
-            self.journal.append(
-                KIND_SPAWN,
-                observation.timestamp,
-                oid=observation.oid,
-                shard=self.shard,
-                reason=REASON_CRASH_REPAIR if repair else REASON_SCALE_UP,
-                policy_reason=reason,
-                decision_seq=decision.seq,
-            )
-        for _ in range(max(0, census - desired)):
-            self.journal.append(
-                KIND_SHUTDOWN,
-                observation.timestamp,
-                oid=observation.oid,
-                shard=self.shard,
-                reason=REASON_SCALE_DOWN,
-                policy_reason=reason,
-                decision_seq=decision.seq,
-            )
+        for index in range(decision.desired - census):
+            decision.spawned(index)
+        for _ in range(census - decision.desired):
+            decision.shut_down()
+        return decision
 
     # -- run --------------------------------------------------------------------------
 
@@ -251,9 +203,7 @@ class AutoscaleSimulation:
             loop.schedule_at(when, pool.arrive)
 
         duration = float(len(self.arrivals))
-        # Pool size commanded by the previous control period; a census
-        # below it means servers crashed in between, so the replacement
-        # portion of any growth is journaled as crash repair (Fig 8(f)).
+        # Pool size commanded by the previous control period.
         enforced = [pool.capacity]
 
         def control_step() -> None:
@@ -271,20 +221,18 @@ class AutoscaleSimulation:
                 mean_service_time=config.params.s,
                 service_time_variance=config.params.sigma_b2,
             )
-            proposal = self.provisioner.propose(observation)
-            desired = min(config.max_instances, max(config.min_instances, proposal))
+            decision = self.control_period(observation, enforced[0])
+            desired = decision.desired
             result.control_records.append(
                 ControlRecord(
                     timestamp=now,
                     lam_obs=lam_obs,
-                    lam_pred=self._predicted_rate(timestamp),
+                    lam_pred=decision.lam_pred,
                     capacity_before=census,
                     desired=desired,
                     queue_depth=pool.queue_depth,
                 )
             )
-            if self.journal is not None:
-                self._journal_step(observation, proposal, desired, enforced[0])
             if self.on_control_period is not None:
                 self.on_control_period(observation, desired)
             if desired != pool.capacity:

@@ -250,3 +250,11 @@ def test_sqlite_persists_to_disk(tmp_path):
     assert reopened.get_current("ws1:a.txt").version == 1
     assert reopened.workspace_exists("ws1")
     reopened.close()
+
+
+def test_closed_backend_is_not_scraped(metadata_backend):
+    """A backend that is closed but not yet collected must not break /metrics."""
+    from repro.telemetry.registry import REGISTRY
+
+    metadata_backend.close()
+    REGISTRY.snapshot()  # sqlite cannot count rows on a closed database

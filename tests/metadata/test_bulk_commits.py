@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.metadata.base import MetadataBackend
 from repro.sync.models import STATUS_CHANGED, STATUS_NEW, ItemMetadata, Workspace
 
 
@@ -84,13 +83,3 @@ def test_bulk_version_for_unknown_item_conflicts_with_no_winner(backend):
     assert current is None
     assert backend.get_current("ws:ghost.txt") is None
 
-
-def test_default_base_implementation_matches_overrides(backend):
-    """The MetadataBackend fallback loop gives identical outcomes."""
-    backend.store_new_object(item("a.txt", 1))
-    bundle = [item("a.txt", 1, device="dev-2"), item("b.txt", 1)]
-    expected = MetadataBackend.store_versions_bulk(backend, list(bundle))
-    # Reset b.txt so the override sees the same starting state.
-    fresh = [item("a.txt", 1, device="dev-2"), item("c.txt", 1)]
-    actual = backend.store_versions_bulk(fresh)
-    assert [ok for ok, _ in actual] == [ok for ok, _ in expected]

@@ -1,15 +1,15 @@
-"""Stateful property tests: both metadata engines vs a reference model.
+"""Stateful property tests: every metadata engine vs a reference model.
 
-Hypothesis drives random operation sequences against the SQLite engine
-and a trivially-correct in-Python model simultaneously; any divergence in
-results, errors, or final state is a bug in the engine (or in the
-contract).  This is the strongest guarantee we have that the two
-back-ends are interchangeable under ObjectMQ's concurrency patterns.
+Hypothesis drives random operation sequences against an engine (memory,
+SQLite, and both sharded composites) and a trivially-correct in-Python
+model simultaneously; any divergence in results, errors, or final state
+is a bug in the engine (or in the contract).  This is the strongest
+guarantee we have that the back-ends are interchangeable under
+ObjectMQ's concurrency patterns.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -27,6 +27,7 @@ from repro.sync.models import (
     ItemMetadata,
     Workspace,
 )
+from tests.conftest import make_metadata_backend
 
 ITEMS = [f"ws:item{i}" for i in range(4)]
 STATUSES = [STATUS_CHANGED, STATUS_DELETED]
@@ -47,11 +48,19 @@ def proposal(item_id: str, version: int, status: str, marker: int) -> ItemMetada
 
 
 class MetadataMachine(RuleBasedStateMachine):
-    """Engine under test (SQLite) vs reference model (dict of lists)."""
+    """Engine under test vs reference model (dict of lists).
+
+    A proposal reaches the engine one of three ways — a bundle of one, or
+    either singular call — and all three must agree with Algorithm 1 as
+    the model states it: the proposal wins iff its version is
+    ``current + 1``.  Subclasses pick the engine.
+    """
+
+    kind = "sqlite"
 
     @initialize()
     def setup(self):
-        self.engine = SqliteMetadataBackend(":memory:")
+        self.engine = make_metadata_backend(self.kind)
         self.engine.create_user("u")
         self.engine.create_workspace(Workspace(workspace_id="ws", owner="u"))
         self.model = {}  # item_id -> list of versions (marker ints)
@@ -60,37 +69,71 @@ class MetadataMachine(RuleBasedStateMachine):
     def teardown(self):
         self.engine.close()
 
-    @rule(item=st.sampled_from(ITEMS))
-    def store_new_object(self, item):
-        self.marker += 1
-        meta = proposal(item, 1, STATUS_CHANGED, self.marker)
-        should_fail = item in self.model
-        try:
-            self.engine.store_new_object(meta)
-            assert not should_fail
-            self.model[item] = [self.marker]
-        except TransactionAborted:
-            assert should_fail
+    def _check_loser(self, meta, current):
+        """A losing outcome carries the model's winner (None: no item)."""
+        markers = self.model.get(meta.item_id)
+        if not markers:
+            assert current is None
+        else:
+            assert (current.version, current.size) == (len(markers), markers[-1])
 
     @rule(
         item=st.sampled_from(ITEMS),
-        version_offset=st.integers(min_value=0, max_value=2),
+        version_offset=st.integers(min_value=0, max_value=2),  # only 1 is legal
         status=st.sampled_from(STATUSES),
+        via=st.sampled_from(["bulk", "store_new_object", "store_new_version"]),
     )
-    def store_new_version(self, item, version_offset, status):
-        self.marker += 1
-        current = len(self.model.get(item, []))
-        version = current + version_offset  # only offset 1 is legal
-        if version < 1:
+    def propose(self, item, version_offset, status, via):
+        version = len(self.model.get(item, [])) + version_offset
+        if version < 1:  # not a constructible ItemMetadata
             return
+        self.marker += 1
         meta = proposal(item, version, status, self.marker)
-        should_succeed = current > 0 and version == current + 1
-        try:
-            self.engine.store_new_version(meta)
-            assert should_succeed
-            self.model[item].append(self.marker)
-        except TransactionAborted:
-            assert not should_succeed
+        wins = version_offset == 1
+        if via == "bulk":
+            ((committed, current),) = self.engine.store_versions_bulk([meta])
+            assert committed == wins
+            if wins:
+                assert current is None
+            else:
+                self._check_loser(meta, current)
+        else:
+            # The singular calls are the bundle of one behind a guard on
+            # which of the two a version may go through.
+            wins = wins and (meta.version == 1) == (via == "store_new_object")
+            try:
+                getattr(self.engine, via)(meta)
+                assert wins
+            except TransactionAborted:
+                assert not wins
+        if wins:
+            self.model.setdefault(item, []).append(meta.size)
+
+    @rule(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from(ITEMS), st.integers(min_value=0, max_value=2)
+            ),
+            min_size=2,
+            max_size=4,
+        )
+    )
+    def propose_bundle(self, steps):
+        """Later proposals of a bundle see the earlier ones' effects."""
+        bundle, expected = [], []
+        staged = {item: list(markers) for item, markers in self.model.items()}
+        for item, version_offset in steps:
+            version = len(staged.get(item, [])) + version_offset
+            if version < 1:
+                continue
+            self.marker += 1
+            bundle.append(proposal(item, version, STATUS_CHANGED, self.marker))
+            expected.append(version_offset == 1)
+            if version_offset == 1:
+                staged.setdefault(item, []).append(self.marker)
+        outcomes = self.engine.store_versions_bulk(bundle)
+        assert [committed for committed, _ in outcomes] == expected
+        self.model = staged
 
     @invariant()
     def current_versions_match(self):
@@ -111,10 +154,18 @@ class MetadataMachine(RuleBasedStateMachine):
             assert [m.size for m in history] == markers
 
 
-MetadataMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=30, deadline=None
-)
-TestMetadataStateful = MetadataMachine.TestCase
+def _machine_case(kind: str):
+    machine = type(f"MetadataMachine[{kind}]", (MetadataMachine,), {"kind": kind})
+    machine.TestCase.settings = settings(
+        max_examples=25, stateful_step_count=30, deadline=None
+    )
+    return machine.TestCase
+
+
+TestMetadataStateful = _machine_case("sqlite")
+TestMetadataStatefulMemory = _machine_case("memory")
+TestMetadataStatefulSharded = _machine_case("sharded")
+TestMetadataStatefulShardedSqlite = _machine_case("sharded-sqlite")
 
 
 class EngineEquivalenceMachine(RuleBasedStateMachine):
