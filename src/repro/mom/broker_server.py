@@ -5,26 +5,24 @@ narrow AMQP-shaped surface ObjectMQ needs:
 
 * ``declare_queue`` / ``delete_queue`` / ``declare_exchange``
 * ``bind_queue(exchange, queue, key)``
-* ``publish(exchange, routing_key, message)`` / ``publish_many``
+* ``publish(exchange, routing_key, message)``
 * ``consume`` / ``cancel`` (push) and ``get`` (pull)
 * ``ack`` / ``ack_many`` / ``nack``
 
 That surface is written down as :class:`repro.mom.transport.MomTransport`.
-Publishing and settling each have one body that works on a run of
-messages; the singular names call it with a run of one.
+A publish is one message; settling has one body that works on a run of
+deliveries, and ``ack`` calls it with a run of one.
 
 It also implements the reliability behaviours the paper leans on:
 unacked messages are redelivered when a consumer is cancelled
-(:meth:`MessageQueue.cancel_consumer`), persistent messages on durable
-queues survive :meth:`restart`, and a per-call latency model lets the
-benchmarks charge realistic network costs to every broker hop.
+(:meth:`MessageQueue.cancel_consumer`) and persistent messages on durable
+queues survive :meth:`restart`.
 """
 
 from __future__ import annotations
 
-import time
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import BrokerClosed, DeliveryError, ExchangeNotFound, QueueNotFound
 from repro.mom.exchange import EXCHANGE_TYPES, DirectExchange, Exchange
@@ -84,20 +82,15 @@ class MessageBroker:
 
     Args:
         store: Durable message store; defaults to a fresh in-memory store.
-        publish_latency: Callable returning the seconds to sleep on every
-            publish — used by live benchmarks to model broker RTT.  Defaults
-            to no latency.
     """
 
     def __init__(
         self,
         store: Optional[InMemoryMessageStore] = None,
-        publish_latency: Optional[Callable[[], float]] = None,
         name: str = "broker",
     ):
         self.name = name
         self.store = store if store is not None else InMemoryMessageStore()
-        self._publish_latency = publish_latency
         self._lock = TimedLock(f"mom.broker.{name}")
         self._queues: Dict[str, MessageQueue] = {}
         self._exchanges: Dict[str, Exchange] = {DEFAULT_EXCHANGE: DirectExchange("")}
@@ -201,92 +194,29 @@ class MessageBroker:
         Zero-copy contract: delivered to a single queue (the unicast RPC
         hot path), the message object — and therefore its payload buffer,
         which may be a ``memoryview`` — is handed through untouched.
-        Envelope copies happen only on true fanout (per-queue delivery
-        state), and payload bytes are materialized only for the durable
-        journal.
+        Fanout siblings get envelope copies (per-queue delivery state),
+        taken before anything is enqueued so no consumer has touched the
+        original yet.  Durable queues journal before they enqueue, and the
+        journal snapshots the payload: bytes are forced exactly once here
+        so memoryview publishers stay copy-free elsewhere.
         """
         self._check_open()
-        self._charge_latency()
-        routed = self._publish_run(exchange_name, routing_key, (message,))
-        if routed == 0 and exchange_name != DEFAULT_EXCHANGE:
-            raise self._unroutable(exchange_name, routing_key)
-        return routed
-
-    def publish_many(
-        self, items: Iterable[Tuple[str, str, Message]]
-    ) -> int:
-        """Publish a batch of ``(exchange, routing_key, message)`` at once.
-
-        The broker-side half of publisher buffering: the latency model is
-        charged **once** for the whole batch (that is the point — one
-        broker round trip amortized over N messages) and the messages
-        bound for one ``(exchange, routing_key)`` land as one run — one
-        routing decision, one :meth:`MessageQueue.put_many` lock cycle per
-        destination queue, one stats update.  Returns total queues
-        reached; a non-default exchange item that matches no queue raises
-        :class:`DeliveryError` *after* the rest of the batch has been
-        delivered, preserving at-least-once for every routable message.
-        """
-        runs: Dict[Tuple[str, str], List[Message]] = {}
-        for exchange_name, routing_key, message in items:
-            runs.setdefault((exchange_name, routing_key), []).append(message)
-        if not runs:
-            return 0
-        self._check_open()
-        self._charge_latency()
-        unroutable: Optional[Tuple[str, str]] = None
-        total = 0
-        for (exchange_name, routing_key), messages in runs.items():
-            routed = self._publish_run(exchange_name, routing_key, messages)
-            total += routed * len(messages)
-            if routed == 0 and exchange_name != DEFAULT_EXCHANGE and unroutable is None:
-                unroutable = (exchange_name, routing_key)
-        if unroutable is not None:
-            raise self._unroutable(*unroutable)
-        return total
-
-    def _publish_run(
-        self, exchange_name: str, routing_key: str, messages: Sequence[Message]
-    ) -> int:
-        """Route, journal, enqueue and account a run of messages bound for
-        one ``(exchange, routing_key)``; returns the queues each reached.
-
-        The first destination enqueues the publisher's own message
-        objects; fanout siblings get envelope copies (per-queue delivery
-        state), taken before anything is enqueued so no consumer has
-        touched the originals yet.  Durable queues journal before they
-        enqueue, and the journal snapshots payloads: bytes are forced
-        exactly once here so memoryview publishers stay copy-free
-        elsewhere.
-        """
         queues = self._resolve_queues(exchange_name, routing_key)
-        runs = [messages]
-        while len(runs) < len(queues):
-            runs.append([m.copy_for_queue() for m in messages])
-        for queue, run in zip(queues, runs):
+        copies = [message]
+        while len(copies) < len(queues):
+            copies.append(message.copy_for_queue())
+        for queue, copy in zip(queues, copies):
             if queue.durable:
-                for message in run:
-                    message.materialize()
-                    self.store.record_publish(queue.name, message)
-            queue.put_many(run)
-        payload_bytes = 0
-        for message in messages:
-            payload_bytes += message.size
-        self.stats.on_publish_many(len(messages), len(queues), payload_bytes)
+                copy.materialize()
+                self.store.record_publish(queue.name, copy)
+            queue.put(copy)
+        self.stats.on_publish_many(1, len(queues), message.size)
+        if not queues and exchange_name != DEFAULT_EXCHANGE:
+            raise DeliveryError(
+                f"message with key {routing_key!r} matched no queue on "
+                f"exchange {exchange_name!r}"
+            )
         return len(queues)
-
-    def _charge_latency(self) -> None:
-        if self._publish_latency is not None:
-            delay = self._publish_latency()
-            if delay > 0:
-                time.sleep(delay)
-
-    @staticmethod
-    def _unroutable(exchange_name: str, routing_key: str) -> DeliveryError:
-        return DeliveryError(
-            f"message with key {routing_key!r} matched no queue on "
-            f"exchange {exchange_name!r}"
-        )
 
     def _resolve_queues(
         self, exchange_name: str, routing_key: str

@@ -15,7 +15,7 @@ re-bind their remote objects.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from repro.errors import BrokerClosed
 from repro.mom.broker_server import MessageBroker
@@ -28,29 +28,18 @@ class BrokerCluster:
 
     Args:
         size: Total number of nodes (1 primary + size-1 standbys).
-        publish_latency: Optional latency model passed to every node.
     """
 
-    def __init__(
-        self,
-        size: int = 2,
-        publish_latency: Optional[Callable[[], float]] = None,
-    ):
+    def __init__(self, size: int = 2):
         if size < 1:
             raise ValueError("cluster size must be >= 1")
         self._store = InMemoryMessageStore()
-        self._publish_latency = publish_latency
         # Every facade call resolves `active` through this lock: on the
         # hot path it guards one list index, so its hold time should be
         # negligible — the contention series proves (or disproves) that.
         self._lock = TimedLock("mom.cluster")
         self._nodes: List[MessageBroker] = [
-            MessageBroker(
-                store=self._store,
-                publish_latency=publish_latency,
-                name=f"node-{i}",
-            )
-            for i in range(size)
+            MessageBroker(store=self._store, name=f"node-{i}") for i in range(size)
         ]
         self._active_index = 0
         self.generation = 0
@@ -106,7 +95,6 @@ class BrokerCluster:
         with self._lock:
             node = MessageBroker(
                 store=self._store,
-                publish_latency=self._publish_latency,
                 name=f"node-{self.generation}-{len(self._nodes)}",
             )
             self._nodes.append(node)

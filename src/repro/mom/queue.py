@@ -194,7 +194,7 @@ class MessageQueue:
         """Enqueue a run of messages under one lock acquisition.
 
         The whole run lands through a single lock cycle and a single
-        dispatch pass, in order — a flushed publish buffer pays the
+        dispatch pass, in order — a replayed durable journal pays the
         acquire/dispatch/notify cost once, not per message.  Returns the
         number of messages enqueued.
         """

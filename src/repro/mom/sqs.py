@@ -14,8 +14,8 @@ SQS or Microsoft Service Bus".  This module substantiates that claim:
   against on top of an :class:`SqsService`: fanout exchanges become
   client-side lists of destination queues, push consumers become poller
   threads, acks become deletes.  The backend moves one message per call,
-  so here — and only here — the run operations (``publish_many``,
-  ``ack_many``, ``batch_callback``) are loops over the singular ones.
+  so here — and only here — the run operations (``ack_many``,
+  ``batch_callback``) are loops over the singular ones.
 
 The adapter passes the same transport conformance suite as the AMQP-style
 broker, demonstrating that the middleware is MOM-agnostic.
@@ -29,7 +29,7 @@ import logging
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import BrokerClosed, DeliveryError, ExchangeNotFound, QueueNotFound
 from repro.mom.broker_server import BrokerStats
@@ -353,20 +353,6 @@ class SqsBrokerAdapter:
                 f"exchange {exchange_name!r}"
             )
         return routed
-
-    def publish_many(self, items: Iterable[Tuple[str, str, Message]]) -> int:
-        """One :meth:`publish` per item, in order; an unroutable item
-        raises only after the rest of the batch has been sent."""
-        total = 0
-        unroutable: Optional[DeliveryError] = None
-        for exchange_name, routing_key, message in items:
-            try:
-                total += self.publish(exchange_name, routing_key, message)
-            except DeliveryError as exc:
-                unroutable = unroutable or exc
-        if unroutable is not None:
-            raise unroutable
-        return total
 
     def consume(
         self,

@@ -4,8 +4,8 @@ The paper's ObjectMQ (§3, §3.4) leans on exactly three MOM guarantees —
 work-queue balancing among the consumers of one queue, fanout multicast,
 and at-least-once delivery with ack-after-invoke — and claims to be
 MOM-agnostic.  :class:`MomTransport` lists every call ObjectMQ
-(``Broker``, ``Skeleton``, ``Proxy``, ``PublishBuffer``) makes, so that
-claim is a checkable one: :class:`~repro.mom.broker_server.MessageBroker`,
+(``Broker``, ``Skeleton``, ``Proxy``) makes, so that claim is a
+checkable one: :class:`~repro.mom.broker_server.MessageBroker`,
 :class:`~repro.mom.cluster.BrokerCluster` and
 :class:`~repro.mom.sqs.SqsBrokerAdapter` all satisfy it and all pass
 ``tests/mom/test_transport_conformance.py``.  A new transport (a socket
@@ -18,7 +18,7 @@ on which transport it was given.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Protocol, Sequence
 
 from repro.mom.message import Delivery, Message
 
@@ -69,12 +69,6 @@ class MomTransport(Protocol):
         *routing_key*, declaring it if need be.  Any other exchange that
         matches no queue raises :class:`~repro.errors.DeliveryError`.
         """
-        ...
-
-    def publish_many(self, items: Iterable[Tuple[str, str, Message]]) -> int:
-        """Publish ``(exchange, routing_key, message)`` items in order;
-        returns total queues reached.  An unroutable item raises
-        ``DeliveryError`` only after every routable one was delivered."""
         ...
 
     # -- consuming ------------------------------------------------------------

@@ -28,10 +28,9 @@ import uuid
 from typing import Any, Dict, Optional, Type
 
 from repro.errors import BindingError, ObjectMqError
-from repro.mom.message import Delivery, Message
+from repro.mom.message import Delivery
 from repro.mom.transport import MomTransport
 from repro.objectmq.annotations import interface_specs
-from repro.objectmq.buffering import DEFAULT_FLUSH_DEADLINE, PublishBuffer
 from repro.objectmq.naming import multi_exchange_name, response_queue_name
 from repro.objectmq.proxy import Proxy
 from repro.objectmq.skeleton import Skeleton
@@ -125,20 +124,19 @@ class Broker:
     Args:
         mom: The :class:`~repro.mom.transport.MomTransport` to
             communicate through.
-        environment: Optional configuration; recognised keys are
+        environment: Optional configuration; the recognised keys are
             ``codec`` (``"pickle"`` | ``"json"`` | ``"binary"``, default
-            pickle), ``client_id`` (stable id for the response queue),
-            ``publish_buffer`` (max buffered async casts; 0 — the default
-            — publishes every cast immediately) and
-            ``publish_flush_deadline`` (seconds a buffered cast may wait
-            before the background flusher pushes it out; default
-            :data:`~repro.objectmq.buffering.DEFAULT_FLUSH_DEADLINE`).
+            pickle) and ``client_id`` (stable id for the response queue).
+            Any other key raises :class:`~repro.errors.ObjectMqError`.
     """
 
     def __init__(
         self, mom: MomTransport, environment: Optional[Dict[str, Any]] = None
     ):
         environment = dict(environment or {})
+        for key in environment:
+            if key not in ("codec", "client_id"):
+                raise ObjectMqError(f"unknown Broker environment key {key!r}")
         self.mom = mom
         self.client_id: str = environment.get("client_id") or uuid.uuid4().hex[:12]
         self.codec: Serializer = make_serializer(environment.get("codec", "pickle"))
@@ -149,21 +147,6 @@ class Broker:
         # this Broker's proxies (auth tokens, tracing ids, ...).  Server
         # skeletons hand it to their interceptors.
         self.call_context: Dict[str, Any] = {}
-        # Publisher-side buffering (opt-in): async casts from this
-        # Broker's proxies are batched into publish_many flushes.
-        buffer_size = int(environment.get("publish_buffer", 0) or 0)
-        if buffer_size > 0:
-            flush_deadline = float(
-                environment.get("publish_flush_deadline", DEFAULT_FLUSH_DEADLINE)
-            )
-            self._publish_buffer: Optional[PublishBuffer] = PublishBuffer(
-                mom,
-                max_messages=buffer_size,
-                flush_deadline=flush_deadline,
-                name=self.client_id,
-            )
-        else:
-            self._publish_buffer = None
 
         self.response_queue_name = response_queue_name(self.client_id)
         self.mom.declare_queue(self.response_queue_name, exclusive=True)
@@ -256,26 +239,6 @@ class Broker:
     def unregister_waiter(self, correlation_id: str) -> None:
         self._reply_router.unregister(correlation_id)
 
-    @property
-    def publish_buffer(self) -> Optional[PublishBuffer]:
-        """The publisher-side cast buffer, or None when disabled."""
-        return self._publish_buffer
-
-    def publish_buffered(
-        self, exchange_name: str, routing_key: str, message: Message
-    ) -> bool:
-        """Buffer a fire-and-forget cast if buffering is enabled.
-
-        Returns True when the message was accepted into the buffer (it
-        will reach the broker within the flush deadline); False when
-        buffering is off and the caller must publish directly.
-        """
-        buffer = self._publish_buffer
-        if buffer is None:
-            return False
-        buffer.publish(exchange_name, routing_key, message)
-        return True
-
     def multicast_has_listeners(self, oid: str) -> bool:
         """True when at least one instance is bound to *oid*'s fanout.
 
@@ -287,18 +250,6 @@ class Broker:
         """
         return self.mom.exchange_has_bindings(multi_exchange_name(oid))
 
-    def flush_publishes(self) -> int:
-        """Drain any buffered casts to the broker; no-op when disabled.
-
-        Called by proxies before every unbuffered (sync/multicast)
-        publish so one client's observable publish order is identical to
-        an unbuffered client's.
-        """
-        buffer = self._publish_buffer
-        if buffer is None:
-            return 0
-        return buffer.flush()
-
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
@@ -308,10 +259,6 @@ class Broker:
             self._closed = True
             skeletons = list(self._skeletons.values())
             self._skeletons.clear()
-        if self._publish_buffer is not None:
-            # Final flush first: buffered casts must reach the broker
-            # before this client disappears (at-least-once on shutdown).
-            self._publish_buffer.close()
         for skeleton in skeletons:
             skeleton.stop()
         try:

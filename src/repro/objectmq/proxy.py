@@ -169,9 +169,7 @@ class Proxy:
 
     # -- invocation paths ----------------------------------------------------------
 
-    def _publish(
-        self, exchange: str, routing_key: str, envelope: dict, buffered: bool = False
-    ) -> int:
+    def _publish(self, exchange: str, routing_key: str, envelope: dict) -> int:
         if self._broker.call_context:
             envelope["context"] = dict(self._broker.call_context)
         headers = None
@@ -198,17 +196,12 @@ class Proxy:
             headers=headers if headers is not None else {},
             delivery_mode=PERSISTENT,
         )
-        if buffered and self._broker.publish_buffered(exchange, routing_key, message):
-            return 1
-        # Unbuffered publishes drain the cast buffer first, so the order
-        # the broker observes matches the order this client published in.
-        self._broker.flush_publishes()
         return self._broker.mom.publish(exchange, routing_key, message)
 
     def _invoke_async(self, method: str, spec: CallSpec, args, kwargs) -> None:
         with TRACER.span(f"proxy.cast:{method}", layer="proxy"):
             envelope = make_request(method, list(args), kwargs, call="async", multi=False)
-            self._publish("", self._oid, envelope, buffered=True)
+            self._publish("", self._oid, envelope)
 
     def _invoke_sync(self, method: str, spec: CallSpec, args, kwargs) -> Any:
         correlation_id = new_correlation_id()

@@ -25,9 +25,9 @@ SYNC_SERVICE_OID = "syncservice"
 #: stateless and commit handling is short, so letting the MOM park a
 #: run of requests in each instance's mailbox (filled in one batched
 #: dispatch cycle, settled with one batched ack) amortizes the queue
-#: lock without starving siblings.  Sized to the publish-buffer flush
-#: batch: a whole client-side burst moves broker → consumer in one
-#: dispatch round instead of dribbling through ack-at-a-time windows.
+#: lock without starving siblings.  A backlog (a replayed durable
+#: journal, a requeued window) moves broker → consumer in one dispatch
+#: round instead of dribbling through ack-at-a-time windows.
 #: The cost is the standard AMQP trade — a wider redelivery window on
 #: crash — which at-least-once semantics absorb; elasticity experiments
 #: that depend on strict first-idle-instance balancing still pass

@@ -33,10 +33,8 @@ the broker/RPC rewrite (ROADMAP #1) can be *measured* before and after:
   bounded: when full, the fastest non-errored exemplar is evicted.
 
 Surfaces: ``/profile`` and ``/contention`` on the ops endpoint,
-``stacksync-repro profile`` in the CLI, per-control-period
-``soak_lock_*`` gauges in the soak harness, and
-``benchmarks/test_ablation_broker.py`` recording the pre-rewrite broker
-baseline onto the performance trajectory.
+``stacksync-repro profile`` in the CLI, and per-control-period
+``soak_lock_*`` gauges in the soak harness.
 """
 
 from __future__ import annotations

@@ -147,19 +147,6 @@ def test_closed_broker_rejects_operations():
         broker.publish("", "q", Message(b"x"))
 
 
-def test_publish_latency_model_invoked():
-    calls = []
-
-    def latency():
-        calls.append(1)
-        return 0.0
-
-    broker = MessageBroker(publish_latency=latency)
-    broker.publish("", "q", Message(b"x"))
-    broker.close()
-    assert calls
-
-
 def test_stats_accumulate(mom):
     mom.declare_queue("q")
     mom.publish("", "q", Message(b"12345"))

@@ -9,14 +9,6 @@ import pytest
 from repro.errors import QueueNotFound
 from repro.mom import Message
 from repro.mom.sqs import SqsBrokerAdapter, SqsService
-from repro.objectmq import (
-    Broker,
-    Remote,
-    async_method,
-    multi_method,
-    remote_interface,
-    sync_method,
-)
 
 
 # -- SqsService / SqsQueue semantics ----------------------------------------------
@@ -115,24 +107,6 @@ def sqs_mom():
     adapter.close()
 
 
-def test_adapter_consume_and_ack(sqs_mom):
-    sqs_mom.declare_queue("work")
-    got = []
-
-    def handler(delivery):
-        got.append(delivery)
-        sqs_mom.ack(delivery)
-
-    sqs_mom.consume("work", handler, consumer_tag="c1")
-    sqs_mom.publish("", "work", Message(b"job"))
-    deadline = time.monotonic() + 3.0
-    while not got and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert got
-    stats = sqs_mom.queue_stats("work")
-    assert stats["acked"] == 1
-
-
 def test_adapter_unacked_reappears_after_visibility(sqs_mom):
     sqs_mom.declare_queue("work")
     seen = []
@@ -144,89 +118,3 @@ def test_adapter_unacked_reappears_after_visibility(sqs_mom):
     # Delivered, never acked, visibility (1s) expired, redelivered.
     assert len(seen) >= 2
     assert seen[1].message.redelivered
-
-
-# -- ObjectMQ over SQS: the paper's portability claim --------------------------------
-
-
-@remote_interface
-class EchoApi(Remote):
-    @sync_method(timeout=3.0, retry=1)
-    def echo(self, value):
-        ...
-
-    @async_method
-    def note(self, value):
-        ...
-
-    @multi_method
-    @sync_method(timeout=2.0, retry=0)
-    def ident(self):
-        ...
-
-
-class EchoServer:
-    def __init__(self, name="echo"):
-        self.name = name
-        self.notes = []
-
-    def echo(self, value):
-        return value
-
-    def note(self, value):
-        self.notes.append(value)
-
-    def ident(self):
-        return self.name
-
-
-@pytest.fixture
-def omq_over_sqs():
-    mom = SqsBrokerAdapter(visibility_timeout=2.0)
-    server = Broker(mom)
-    client = Broker(mom)
-    yield mom, server, client
-    client.close()
-    server.close()
-    mom.close()
-
-
-def test_objectmq_sync_call_over_sqs(omq_over_sqs):
-    _mom, server, client = omq_over_sqs
-    server.bind("echo", EchoServer())
-    proxy = client.lookup("echo", EchoApi)
-    assert proxy.echo("hello over sqs") == "hello over sqs"
-
-
-def test_objectmq_async_call_over_sqs(omq_over_sqs):
-    _mom, server, client = omq_over_sqs
-    echo = EchoServer()
-    server.bind("echo", echo)
-    proxy = client.lookup("echo", EchoApi)
-    proxy.note(7)
-    deadline = time.monotonic() + 3.0
-    while not echo.notes and time.monotonic() < deadline:
-        time.sleep(0.02)
-    assert echo.notes == [7]
-
-
-def test_objectmq_multicast_over_sqs(omq_over_sqs):
-    _mom, server, client = omq_over_sqs
-    server.bind("echo", EchoServer("one"))
-    server.bind("echo", EchoServer("two"))
-    proxy = client.lookup("echo", EchoApi)
-    assert sorted(proxy.ident()) == ["one", "two"]
-
-
-def test_objectmq_load_balancing_over_sqs(omq_over_sqs):
-    _mom, server, client = omq_over_sqs
-    servers = [EchoServer(str(i)) for i in range(2)]
-    for echo in servers:
-        server.bind("echo", echo)
-    proxy = client.lookup("echo", EchoApi)
-    for i in range(10):
-        proxy.note(i)
-    deadline = time.monotonic() + 5.0
-    while sum(len(s.notes) for s in servers) < 10 and time.monotonic() < deadline:
-        time.sleep(0.02)
-    assert sum(len(s.notes) for s in servers) == 10

@@ -17,10 +17,16 @@ import pytest
 
 from repro.errors import DeliveryError
 from repro.mom import BrokerCluster, Message, MessageBroker, SqsBrokerAdapter
-from repro.objectmq import Broker
+from repro.objectmq import (
+    Broker,
+    Remote,
+    async_method,
+    multi_method,
+    remote_interface,
+    sync_method,
+)
 
 from tests.mom.test_broker_server import wait_for
-from tests.mom.test_sqs import EchoApi, EchoServer
 
 TRANSPORTS = {
     "broker": MessageBroker,
@@ -90,32 +96,6 @@ def test_fanout_without_bindings_raises_delivery_error(transport):
         transport.publish("fan", "k", Message(b"x"))
 
 
-def test_publish_many_keeps_order_and_counts_queues_reached(transport):
-    transport.declare_queue("q")
-    items = [("", "q", Message(f"m{i}".encode())) for i in range(5)]
-    assert transport.publish_many(items) == 5
-    assert transport.queue_depth("q") == 5
-    assert [transport.get("q", timeout=0.5).body for _ in range(5)] == [
-        f"m{i}".encode() for i in range(5)
-    ]
-    assert transport.publish_many([]) == 0
-
-
-def test_publish_many_delivers_the_routable_rest_before_raising(transport):
-    transport.declare_exchange("fan", "fanout")
-    items = [
-        ("", "q", Message(b"before")),
-        ("fan", "", Message(b"nowhere")),
-        ("", "q", Message(b"after")),
-    ]
-    with pytest.raises(DeliveryError):
-        transport.publish_many(items)
-    assert [transport.get("q", timeout=0.5).body for _ in range(2)] == [
-        b"before",
-        b"after",
-    ]
-
-
 # -- consuming and settling -----------------------------------------------------
 
 
@@ -144,7 +124,8 @@ def test_batch_callback_gets_lists_and_ack_many_settles_them(transport):
         assert transport.ack_many(deliveries) == len(deliveries)
 
     transport.consume("work", None, consumer_tag="c1", prefetch=4, batch_callback=on_run)
-    transport.publish_many([("", "work", Message(f"m{i}".encode())) for i in range(6)])
+    for i in range(6):
+        transport.publish("", "work", Message(f"m{i}".encode()))
     assert wait_for(lambda: len(inbox.deliveries()) == 6)
     assert all(isinstance(call, list) and call for call in inbox.calls)
     assert inbox.bodies() == [f"m{i}".encode() for i in range(6)]
@@ -219,6 +200,37 @@ def test_exchange_has_bindings_follows_bind_and_unbind(transport):
 # -- ObjectMQ over the transport ------------------------------------------------
 
 
+@remote_interface
+class EchoApi(Remote):
+    @sync_method(timeout=3.0, retry=1)
+    def echo(self, value):
+        ...
+
+    @async_method
+    def note(self, value):
+        ...
+
+    @multi_method
+    @sync_method(timeout=2.0, retry=0)
+    def ident(self):
+        ...
+
+
+class EchoServer:
+    def __init__(self, name="echo"):
+        self.name = name
+        self.notes = []
+
+    def echo(self, value):
+        return value
+
+    def note(self, value):
+        self.notes.append(value)
+
+    def ident(self):
+        return self.name
+
+
 @pytest.fixture
 def omq_pair(transport):
     server, client = Broker(transport), Broker(transport)
@@ -250,19 +262,37 @@ def test_objectmq_multicast_reaches_every_instance(omq_pair):
     assert sorted(client.lookup("echo", EchoApi).ident()) == ["one", "two"]
 
 
-def test_objectmq_buffered_casts_flush_in_order(transport):
-    server = Broker(transport)
-    client = Broker(
-        transport, environment={"publish_buffer": 4, "publish_flush_deadline": 0.01}
-    )
-    try:
-        echo = EchoServer()
-        server.bind("echo", echo)
-        proxy = client.lookup("echo", EchoApi)
-        for i in range(10):
-            proxy.note(i)
-        assert wait_for(lambda: len(echo.notes) == 10)
-        assert echo.notes == list(range(10))
-    finally:
-        client.close()
-        server.close()
+def test_objectmq_casts_precede_a_later_sync_call(omq_pair):
+    server, client = omq_pair
+    echo = EchoServer()
+    server.bind("echo", echo)
+    proxy = client.lookup("echo", EchoApi)
+    for i in range(10):
+        proxy.note(i)
+    # One publisher, one queue: the call is behind the casts, so its
+    # reply means the instance has already run every one of them.
+    assert proxy.echo("after") == "after"
+    assert echo.notes == list(range(10))
+
+
+def test_objectmq_load_balancing(omq_pair):
+    server, client = omq_pair
+    both_busy = threading.Barrier(2)
+
+    class Worker(EchoServer):
+        def note(self, value):
+            if value < 2:
+                # Returns only once the sibling is inside its own cast:
+                # a busy instance must not hold the queue's next message.
+                both_busy.wait(timeout=5.0)
+            super().note(value)
+
+    workers = [Worker(str(i)) for i in range(2)]
+    for worker in workers:
+        server.bind("echo", worker)
+    proxy = client.lookup("echo", EchoApi)
+    for i in range(10):
+        proxy.note(i)
+    assert wait_for(lambda: sum(len(w.notes) for w in workers) == 10, timeout=5.0)
+    assert all(w.notes for w in workers)
+    assert sorted(workers[0].notes + workers[1].notes) == list(range(10))

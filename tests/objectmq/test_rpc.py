@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from repro.errors import RemoteInvocationError, RemoteTimeout
+from repro.errors import ObjectMqError, RemoteInvocationError, RemoteTimeout
 from repro.mom import MessageBroker
 from repro.objectmq import (
     Broker,
@@ -217,6 +217,14 @@ def test_codec_configurable_per_broker():
     assert proxy.add(1, 2) == 3
     client.close()
     server.close()
+    mom.close()
+
+
+def test_unknown_environment_key_is_rejected():
+    mom = MessageBroker()
+    with pytest.raises(ObjectMqError, match="publish_buffer"):
+        Broker(mom, environment={"client_id": "c", "publish_buffer": 64})
+    assert mom.queue_names() == []  # refused before anything was declared
     mom.close()
 
 
