@@ -14,11 +14,6 @@ Two guarantees back the "zero-cost when disabled" claim:
    per-op site count, and compare against the measured per-op replay
    time.
 
-The profiling plane (TimedLock contention meters wired through the MOM
-layer, the StackSampler, exemplar reservoirs) is held to the same bar:
-the byte-identity run asserts profiling is off, and a disabled TimedLock
-cycle is projected against the replay the same way the tracer guard is.
-
 Run via the CI bench-smoke job or ``pytest benchmarks/ -k telemetry``.
 """
 
@@ -29,7 +24,6 @@ import timeit
 
 from repro.bench.overhead import replay_stacksync
 from repro.telemetry import enabled, get_tracer
-from repro.telemetry.profiling import TimedLock, lock_timing_enabled
 from repro.workload import TraceGenerator
 
 #: Pre-PR byte counters for TraceGenerator(initial_files=6,
@@ -44,12 +38,6 @@ PINNED_STORAGE_BYTES = 52006508
 #: storage per chunk, notification fanout...) — 64 is a generous ceiling.
 SITES_PER_OP = 64
 
-#: Timed-lock cycles (acquire+release pairs) a single replayed op can
-#: drive through the MOM layer: broker lock, stats lock, exchange lock,
-#: and queue lock on the publish side plus dispatch/ack cycles — 64
-#: cycles/op is again a generous ceiling.
-LOCK_CYCLES_PER_OP = 64
-
 
 def smoke_trace():
     return TraceGenerator(
@@ -59,9 +47,6 @@ def smoke_trace():
 
 def test_disabled_byte_counters_match_pre_telemetry_values():
     assert not enabled()
-    # The profiling plane must be off too: the MOM hot path now runs on
-    # TimedLocks, and this pin proves they change nothing when disabled.
-    assert not lock_timing_enabled()
     trace = smoke_trace()
     assert len(trace) == PINNED_OPS
     report = replay_stacksync(trace)
@@ -92,50 +77,6 @@ def test_disabled_guard_overhead_under_two_percent():
     print(
         f"\ntelemetry disabled-path projection: {guard_seconds * 1e9:.0f} ns/site"
         f" x {SITES_PER_OP} sites = {projected_overhead * 1e6:.1f} us/op"
-        f" vs {seconds_per_op * 1e6:.1f} us/op replay ({ratio * 100:.3f}%)"
-    )
-    assert ratio < 0.02
-
-
-def test_disabled_timed_lock_overhead_under_two_percent():
-    """A disabled TimedLock cycle projected against per-op replay time.
-
-    The MOM queue/exchange/broker/cluster locks are all TimedLocks now;
-    disabled, each acquire/release is one ``PROFILING.lock_timing``
-    attribute check plus delegation to the wrapped ``threading.Lock``.
-    The *extra* cost over a plain lock — not the lock itself — must stay
-    under 2 % of an op even at a generous cycles-per-op ceiling.
-    """
-    assert not lock_timing_enabled()
-    trace = smoke_trace()
-
-    started = time.perf_counter()
-    replay_stacksync(trace)
-    seconds_per_op = (time.perf_counter() - started) / len(trace)
-
-    import threading
-
-    iterations = 100_000
-    timed = TimedLock("bench.disabled")
-    plain = threading.Lock()
-
-    def timed_cycle():
-        timed.acquire()
-        timed.release()
-
-    def plain_cycle():
-        plain.acquire()
-        plain.release()
-
-    timed_seconds = timeit.timeit(timed_cycle, number=iterations) / iterations
-    plain_seconds = timeit.timeit(plain_cycle, number=iterations) / iterations
-    extra_seconds = max(0.0, timed_seconds - plain_seconds)
-
-    projected_overhead = extra_seconds * LOCK_CYCLES_PER_OP
-    ratio = projected_overhead / seconds_per_op
-    print(
-        f"\ntimed-lock disabled-path projection: {extra_seconds * 1e9:.0f} ns/cycle"
-        f" extra x {LOCK_CYCLES_PER_OP} cycles = {projected_overhead * 1e6:.1f} us/op"
         f" vs {seconds_per_op * 1e6:.1f} us/op replay ({ratio * 100:.3f}%)"
     )
     assert ratio < 0.02

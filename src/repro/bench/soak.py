@@ -59,7 +59,6 @@ from repro.telemetry.control import (
     KIND_SPAWN,
     DecisionJournal,
 )
-from repro.telemetry.profiling import PROFILING, contention_totals
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.slo import SloEngine, SloRule
 from repro.telemetry.stats import safe_percentile
@@ -462,21 +461,6 @@ class SoakHarness:
             observation.arrival_rate
         )
         self.registry.gauge("soak_pool_desired", **labels).set(desired)
-        # When the profiling plane is metering locks, mirror the aggregate
-        # contention picture into per-control-period gauges.  The soak's
-        # DES itself takes no MOM locks, so this reads whatever live MOM
-        # components share the process (and stays 0.0 in a pure-DES run)
-        # without perturbing the deterministic phase records.
-        if PROFILING.lock_timing:
-            totals = contention_totals()
-            self.registry.gauge("soak_lock_acquisitions").set(
-                totals["acquisitions"]
-            )
-            self.registry.gauge("soak_lock_wait_s").set(totals["wait_s"])
-            self.registry.gauge("soak_lock_hold_s").set(totals["hold_s"])
-            self.registry.gauge("soak_lock_max_wait_s").set(
-                totals["max_wait_s"]
-            )
         self.slo.evaluate(now=observation.timestamp)
         self._scrapes += 1
 

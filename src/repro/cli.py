@@ -11,13 +11,13 @@ Installed as ``stacksync-repro`` (see pyproject); also runnable as
 * ``telemetry``   — replay a small trace with tracing on and print the
   top-N slowest spans per layer (optionally exporting JSONL / Chrome
   ``trace_event`` files and a metrics snapshot);
-* ``profile``     — replay with the full profiling plane on: wall-clock
-  stack samples (collapsed-stack / Chrome flamegraph export), per-lock
-  wait/hold contention, span self-time breakdown, and tail exemplars
-  with their dominant critical-path segment;
+* ``profile``     — replay with the profiling plane on: wall-clock
+  stack samples (collapsed-stack / Chrome flamegraph export), span
+  self-time breakdown, and tail exemplars with their dominant
+  critical-path segment;
 * ``ops``         — boot the elastic SyncService demo stack with the ops
-  endpoint (``/metrics`` ``/health`` ``/ready`` ``/events`` ``/slo``
-  ``/bench``), a scaling-decision journal, and the SLO alert engine;
+  endpoint (routes: :data:`repro.telemetry.http.ROUTES`), a
+  scaling-decision journal, and the SLO alert engine;
 * ``soak``        — run the scripted multi-phase soak (diurnal ramp,
   flash crowd, rebalance storm) at up to registered-million-user scale,
   verify its operational contract, and record/compare the performance
@@ -201,22 +201,17 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profile the hot path: sampler + lock contention + tail exemplars.
+    """Profile the hot path: stack sampler + tail exemplars.
 
     Replays a workload trace through the full live stack (MOM broker,
-    ObjectMQ, SyncService, metadata, storage) with every profiling-plane
-    instrument on, then reports where the wall-clock went.
+    ObjectMQ, SyncService, metadata, storage) with both profiling-plane
+    instruments on, then reports where the wall-clock went.
     """
-    import json as json_mod
-
-    from repro.telemetry import disable, enable, get_registry, get_tracer
+    from repro.telemetry import disable, enable
     from repro.telemetry.profiling import (
         StackSampler,
-        contention_snapshot,
         disable_exemplars,
-        disable_lock_timing,
         enable_exemplars,
-        enable_lock_timing,
         segment_breakdown,
     )
 
@@ -232,7 +227,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     sampler = StackSampler(hz=args.hz)
     tracer = enable()
-    enable_lock_timing()
     reservoir = enable_exemplars(min_samples=16, capacity=8)
     sampler.start()
     try:
@@ -241,7 +235,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         sampler.stop()
         disable()
         disable_exemplars()
-        disable_lock_timing()
 
     spans = tracer.spans()
     print(
@@ -259,24 +252,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         ))
     else:
         print("(no samples collected — replay finished between ticks)")
-
-    snapshot = contention_snapshot(get_registry())
-    print("\n-- lock contention --")
-    rows = []
-    for name in sorted(snapshot):
-        entry = snapshot[name]
-        wait = entry.get("wait", {})
-        hold = entry.get("hold", {})
-        rows.append([
-            name,
-            int(entry.get("acquisitions", 0)),
-            f"{wait.get('sum', 0.0) * 1000:.2f}",
-            f"{wait.get('p99', 0.0) * 1e6:.0f}",
-            f"{hold.get('sum', 0.0) * 1000:.2f}",
-        ])
-    print(render_table(
-        ["lock", "acquisitions", "wait ms", "wait p99 us", "hold ms"], rows
-    ))
 
     print("\n-- where the wall-clock goes (span self-time) --")
     breakdown = segment_breakdown(spans)
@@ -311,18 +286,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         sampler.write_chrome_trace(args.chrome)
         print(f"wrote Chrome sampling trace to {args.chrome} "
               f"(open in Perfetto)")
-    if args.contention:
-        with open(args.contention, "w", encoding="utf-8") as fh:
-            json_mod.dump(
-                {
-                    "locks": snapshot,
-                    "exemplars": [e.to_dict() for e in exemplars],
-                },
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-        print(f"wrote contention + exemplar report to {args.contention}")
     return 0
 
 
@@ -344,6 +307,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     )
     from repro.sync.models import ItemMetadata
     from repro.telemetry import DecisionJournal, OpsServer, SloEngine, default_rules
+    from repro.telemetry.http import ROUTES
 
     shards = args.shards
     journal = DecisionJournal(path=args.journal)
@@ -355,7 +319,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
         with open(args.port_file, "w", encoding="utf-8") as fh:
             fh.write(str(ops.port))
     print(f"ops endpoint: {ops.url}")
-    print("routes: /metrics /health /ready /events /slo /bench")
+    print("routes: " + " ".join(ROUTES))
 
     mom = MessageBroker()
     # The sharded composite with one shard IS the unsharded deployment
@@ -700,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="profile a replay: stack samples, lock contention, tail exemplars",
+        help="profile a replay: stack samples, span self-time, tail exemplars",
     )
     profile.add_argument("--initial-files", type=int, default=6)
     profile.add_argument("--training", type=int, default=2)
@@ -720,10 +684,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--chrome", metavar="PATH",
         help="write a Chrome trace_event sampling profile (Perfetto)",
-    )
-    profile.add_argument(
-        "--contention", metavar="PATH",
-        help="write the lock-contention + exemplar report as JSON",
     )
     profile.set_defaults(func=_cmd_profile)
 

@@ -94,10 +94,6 @@ class ShardedMetadataBackend(MetadataBackend):
         self.router = router or ShardRouter(len(engines))
         # Post-migration routing exceptions: workspace_id -> shard index.
         self._overrides: Dict[str, int] = {}
-        # workspace_id -> engine memo for the commit hot path; entries are
-        # invalidated when a migration moves the workspace.  Plain dict
-        # ops are atomic under CPython, so no extra lock is needed.
-        self._engine_cache: Dict[str, MetadataBackend] = {}
         # Write fence, guarded by one condition: the workspaces migrating,
         # and per workspace its admitted, unfinished writes (zeros stay).
         self._fence = threading.Condition()
@@ -166,11 +162,7 @@ class ShardedMetadataBackend(MetadataBackend):
         return self.router.shard_for(workspace_id)
 
     def engine_for_workspace(self, workspace_id: str) -> MetadataBackend:
-        engine = self._engine_cache.get(workspace_id)
-        if engine is None:
-            engine = self.engines[self.shard_for_workspace(workspace_id)]
-            self._engine_cache[workspace_id] = engine
-        return engine
+        return self.engines[self.shard_for_workspace(workspace_id)]
 
     def _engine_for_item(self, item_id: str) -> Optional[MetadataBackend]:
         workspace_id = workspace_of_item(item_id)
@@ -348,7 +340,6 @@ class ShardedMetadataBackend(MetadataBackend):
                         f"{len(moved)} != {len(chain)} versions"
                     )
             self._overrides[workspace_id] = target_shard
-            self._engine_cache.pop(workspace_id, None)
             source.drop_workspace(workspace_id)
             self._migrations.inc()
             return {

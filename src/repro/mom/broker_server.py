@@ -21,6 +21,7 @@ queues survive :meth:`restart`.
 
 from __future__ import annotations
 
+import threading
 from operator import attrgetter
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -30,7 +31,6 @@ from repro.mom.message import Delivery, Message
 from repro.mom.persistence import InMemoryMessageStore
 from repro.mom.queue import Consumer, MessageQueue
 from repro.telemetry.control import HEALTH
-from repro.telemetry.profiling import TimedLock
 from repro.telemetry.registry import REGISTRY
 
 #: Name of the implicit default exchange (direct; routing key == queue name).
@@ -43,10 +43,10 @@ _MESSAGE = attrgetter("message")
 class BrokerStats:
     """Aggregate counters exposed for provisioners and tests."""
 
-    def __init__(self, broker_name: str = "broker") -> None:
+    def __init__(self) -> None:
         # Taken on every publish/ack — the second-hottest lock in the
-        # broker after the queue lock, so it is contention-metered too.
-        self._lock = TimedLock(f"mom.broker.{broker_name}.stats")
+        # broker after the queue lock.
+        self._lock = threading.Lock()
         self.publishes = 0
         self.deliveries = 0
         self.acks = 0
@@ -91,11 +91,11 @@ class MessageBroker:
     ):
         self.name = name
         self.store = store if store is not None else InMemoryMessageStore()
-        self._lock = TimedLock(f"mom.broker.{name}")
+        self._lock = threading.Lock()
         self._queues: Dict[str, MessageQueue] = {}
         self._exchanges: Dict[str, Exchange] = {DEFAULT_EXCHANGE: DirectExchange("")}
         self._closed = False
-        self.stats = BrokerStats(name)
+        self.stats = BrokerStats()
         # Scrape-time wiring into the unified registry: evaluated only on
         # snapshot, weakly held, so the publish hot path is untouched.
         REGISTRY.register_source(

@@ -15,12 +15,12 @@ re-bind their remote objects.
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, List
 
 from repro.errors import BrokerClosed
 from repro.mom.broker_server import MessageBroker
 from repro.mom.persistence import InMemoryMessageStore
-from repro.telemetry.profiling import TimedLock
 
 
 class BrokerCluster:
@@ -35,9 +35,8 @@ class BrokerCluster:
             raise ValueError("cluster size must be >= 1")
         self._store = InMemoryMessageStore()
         # Every facade call resolves `active` through this lock: on the
-        # hot path it guards one list index, so its hold time should be
-        # negligible — the contention series proves (or disproves) that.
-        self._lock = TimedLock("mom.cluster")
+        # hot path it guards one list index.
+        self._lock = threading.Lock()
         self._nodes: List[MessageBroker] = [
             MessageBroker(store=self._store, name=f"node-{i}") for i in range(size)
         ]

@@ -21,9 +21,8 @@ pattern once at bind time instead of per publish.
 from __future__ import annotations
 
 import re
+import threading
 from typing import Dict, List, Set
-
-from repro.telemetry.profiling import TimedLock
 
 
 class Exchange:
@@ -33,7 +32,7 @@ class Exchange:
 
     def __init__(self, name: str):
         self.name = name
-        self._lock = TimedLock(f"mom.exchange.{name or 'default'}")
+        self._lock = threading.Lock()
         # binding key -> set of queue names
         self._bindings: Dict[str, Set[str]] = {}
         # routing key -> resolved destination list; rebuilt lazily after

@@ -39,7 +39,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import DuplicateConsumer
 from repro.mom.message import Delivery, Message
-from repro.telemetry.profiling import TimedCondition, TimedLock
 from repro.telemetry.registry import get_registry
 from repro.telemetry.trace import DEQUEUED_AT_KEY, ENQUEUED_AT_KEY, TRACER
 
@@ -151,14 +150,8 @@ class MessageQueue:
         # Pull-mode waiters currently blocked in get(); the publish path
         # wakes at most this many — and at most one per ready message.
         self._pull_waiters = 0
-        # Exclusive queues (per-proxy response queues, per-instance
-        # multicast queues) share one contention label so lock-series
-        # cardinality stays bounded by the number of queue *roles*.
-        lock_label = (
-            "mom.queue.<exclusive>" if exclusive else f"mom.queue.{name}"
-        )
-        self._lock = TimedLock(lock_label)
-        self._not_empty = TimedCondition(self._lock)
+        self._lock = threading.Lock()
+        self._not_empty = threading.Condition(self._lock)
         # Counters for introspection (HasObjectInfo, paper §3.3).
         self.published_count = 0
         self.delivered_count = 0

@@ -172,16 +172,13 @@ class Proxy:
     def _publish(self, exchange: str, routing_key: str, envelope: dict) -> int:
         if self._broker.call_context:
             envelope["context"] = dict(self._broker.call_context)
-        headers = None
         if TRACER.enabled:
-            # Propagate the trace both inside the envelope (for the
-            # skeleton) and as a MOM message property (for broker-level
-            # tooling).  Nothing is attached when tracing is off, so the
+            # Propagate the trace inside the envelope, where the skeleton
+            # reads it.  Nothing is attached when tracing is off, so the
             # wire bytes are identical to the untraced build.
             wire = TRACER.inject()
             if wire is not None:
                 envelope[TRACE_KEY] = wire
-                headers = {TRACE_KEY: wire}
             with TRACER.span(
                 f"proxy.serialize:{envelope.get('method', '?')}", layer="proxy"
             ):
@@ -193,7 +190,6 @@ class Proxy:
             routing_key=routing_key,
             reply_to=envelope.get("reply_to"),
             correlation_id=envelope.get("correlation_id"),
-            headers=headers if headers is not None else {},
             delivery_mode=PERSISTENT,
         )
         return self._broker.mom.publish(exchange, routing_key, message)

@@ -17,17 +17,16 @@ The control plane has its own observability on top
 recording every Supervisor scaling decision with its policy reason, a
 weakref :class:`HealthRegistry` of per-component liveness probes, a
 declarative :class:`SloEngine` alerting on registry gauges, and an
-:class:`OpsServer` exposing ``/metrics``, ``/health``, ``/ready``,
-``/events`` and ``/slo`` over plain HTTP.
+:class:`OpsServer` serving all of it over plain HTTP (routes:
+:data:`repro.telemetry.http.ROUTES`).
 
 The hot-path profiling plane (:mod:`repro.telemetry.profiling`) answers
 *where the wall-clock goes*: a wall-clock :class:`StackSampler` with
-collapsed-stack / Chrome flamegraph export, :class:`TimedLock` /
-:class:`TimedCondition` contention meters wired through the MOM layer,
-and tail-based :class:`ExemplarReservoir` trace sampling that keeps full
-span trees only for p99-slow (or errored) requests and names their
-dominant critical-path segment.  Served at ``/profile`` and
-``/contention`` and by the ``stacksync-repro profile`` CLI.
+collapsed-stack / Chrome flamegraph export, and tail-based
+:class:`ExemplarReservoir` trace sampling that keeps full span trees
+only for p99-slow (or errored) requests and names their dominant
+critical-path segment.  Served at ``/profile`` and by the
+``stacksync-repro profile`` CLI.
 
 Typical use::
 
@@ -78,21 +77,13 @@ from repro.telemetry.registry import (
 from repro.telemetry.http import OpsServer
 from repro.telemetry.profiling import (
     PROFILER,
-    PROFILING,
     Exemplar,
     ExemplarReservoir,
     StackSampler,
-    TimedCondition,
-    TimedLock,
-    contention_snapshot,
-    contention_totals,
     disable_exemplars,
-    disable_lock_timing,
     dominant_segment,
     enable_exemplars,
-    enable_lock_timing,
     get_profiler,
-    lock_timing_enabled,
     segment_breakdown,
 )
 from repro.telemetry.slo import (
@@ -143,29 +134,21 @@ __all__ = [
     "MetricsRegistry",
     "OpsServer",
     "PROFILER",
-    "PROFILING",
     "ProbeResult",
     "SloEngine",
     "SloRule",
     "Span",
     "StackSampler",
-    "TimedCondition",
-    "TimedLock",
     "TraceContext",
     "Tracer",
-    "contention_snapshot",
-    "contention_totals",
     "default_rules",
     "disable",
     "disable_exemplars",
-    "disable_lock_timing",
     "dominant_segment",
     "enable",
     "enable_exemplars",
-    "enable_lock_timing",
     "enabled",
     "get_profiler",
-    "lock_timing_enabled",
     "segment_breakdown",
     "get_health_registry",
     "get_registry",

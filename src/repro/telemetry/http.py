@@ -16,9 +16,9 @@ Route          Payload
 ``/slo``       JSON SLO rule status from the alert engine
 ``/bench``     JSON tail of the performance trajectory (``?n=``), when the
                server was given a ``bench_path``
-``/profile``   JSON sampling-profiler state: hottest stacks + collapsed
-               lines; ``?seconds=&hz=`` runs a synchronous burst profile
-``/contention``  JSON per-lock wait/hold histograms + exemplar summaries
+``/profile``   JSON sampling-profiler state (hottest stacks + collapsed
+               lines) and tail-exemplar summaries; ``?seconds=&hz=`` runs
+               a synchronous burst profile first
 ``/``          JSON index of the routes above
 =============  ==================================================================
 
@@ -46,6 +46,13 @@ from repro.telemetry.control import (
 )
 from repro.telemetry.registry import MetricsRegistry, get_registry
 from repro.telemetry.slo import SloEngine
+
+
+#: Every route `_OpsHandler` serves besides the ``/`` index; the index
+#: and the ``ops`` CLI banner both print this.
+ROUTES = (
+    "/metrics", "/health", "/ready", "/events", "/slo", "/bench", "/profile",
+)
 
 
 class _OpsHandler(BaseHTTPRequestHandler):
@@ -90,15 +97,10 @@ class _OpsHandler(BaseHTTPRequestHandler):
                     hz=float(query.get("hz", ["100"])[0]),
                     top=int(query.get("top", ["10"])[0]),
                 ))
-            elif route == "/contention":
-                self._send_json(200, ops.contention_payload())
             elif route == "/":
                 self._send_json(200, {
                     "service": "stacksync-repro ops",
-                    "routes": [
-                        "/metrics", "/health", "/ready", "/events", "/slo",
-                        "/bench", "/profile", "/contention",
-                    ],
+                    "routes": list(ROUTES),
                 })
             else:
                 self._send_json(404, {"error": f"no route {route!r}"})
@@ -245,15 +247,17 @@ class OpsServer:
     def profile_payload(
         self, seconds: float = 0.0, hz: float = 100.0, top: int = 10
     ) -> Dict[str, Any]:
-        """Sampling-profiler state; optionally run a burst profile first.
+        """Sampling-profiler state plus tail-exemplar summaries.
 
         With ``seconds > 0`` the request synchronously runs the global
         :class:`StackSampler` for that long (capped at
         :data:`MAX_BURST_SECONDS`, skipped when it is already running)
         and then reports.  With ``seconds == 0`` it reports whatever the
-        sampler has accumulated so far.
+        sampler has accumulated so far.  ``exemplars`` / ``reservoir``
+        are empty unless :func:`enable_exemplars` attached a reservoir.
         """
         from repro.telemetry.profiling import get_profiler
+        from repro.telemetry.trace import TRACER
 
         profiler = get_profiler()
         burst = 0.0
@@ -265,6 +269,8 @@ class OpsServer:
                 threading.Event().wait(burst)
             finally:
                 profiler.stop()
+        reservoir = TRACER.exemplars
+        exemplars = reservoir.exemplars() if reservoir is not None else []
         return {
             "running": profiler.running,
             "hz": profiler.hz,
@@ -277,29 +283,8 @@ class OpsServer:
                 for frame, count in profiler.hottest(top)
             ],
             "collapsed": profiler.collapsed().splitlines(),
-        }
-
-    def contention_payload(self) -> Dict[str, Any]:
-        """Per-lock contention report plus tail-exemplar summaries."""
-        from repro.telemetry.profiling import (
-            contention_snapshot,
-            contention_totals,
-            lock_timing_enabled,
-        )
-        from repro.telemetry.trace import TRACER
-
-        reservoir = TRACER.exemplars
-        exemplars: list = []
-        reservoir_stats: Dict[str, float] = {}
-        if reservoir is not None:
-            exemplars = [e.to_dict() for e in reservoir.exemplars()]
-            reservoir_stats = reservoir.stats()
-        return {
-            "lock_timing_enabled": lock_timing_enabled(),
-            "locks": contention_snapshot(self.registry),
-            "totals": contention_totals(self.registry),
-            "exemplars": exemplars,
-            "reservoir": reservoir_stats,
+            "exemplars": [e.to_dict() for e in exemplars],
+            "reservoir": reservoir.stats() if reservoir is not None else {},
         }
 
     def bench_payload(self, n: int = 5) -> Dict[str, Any]:

@@ -1,7 +1,6 @@
 """The hot-path profiling plane: where does a commit's wall-clock go?
 
-Three instruments, all stdlib-only, all zero-cost when disabled, built so
-the broker/RPC rewrite (ROADMAP #1) can be *measured* before and after:
+Two instruments, both stdlib-only, both costing nothing until started:
 
 * :class:`StackSampler` — a wall-clock sampling profiler over
   ``sys._current_frames()``: a daemon thread wakes at a configurable rate
@@ -10,31 +9,17 @@ the broker/RPC rewrite (ROADMAP #1) can be *measured* before and after:
   as Chrome ``trace_event`` sampling data (``stackFrames`` + ``samples``)
   for Perfetto.  Costs nothing unless started.
 
-* :class:`TimedLock` / :class:`TimedCondition` — drop-in wrappers around
-  ``threading.Lock`` / ``threading.Condition`` that, when
-  :data:`PROFILING` ``.lock_timing`` is on, record wait-time and
-  hold-time histograms plus an acquisitions counter into the unified
-  :class:`~repro.telemetry.registry.MetricsRegistry` (series
-  ``lock_wait_seconds`` / ``lock_hold_seconds`` / ``lock_acquisitions`` /
-  ``cond_wait_seconds``, labeled ``lock=<name>``).  The MOM hot path
-  (queue, exchange, broker, cluster) runs on these wrappers; disabled,
-  each operation adds a single attribute check before delegating to the
-  real lock — the same guarantee the tracer pins.  Waits longer than
-  :data:`SLOW_WAIT_SPAN_S` additionally surface as ``layer="lock"``
-  spans when tracing is on, so lock stalls appear inside trace trees.
-
 * :class:`ExemplarReservoir` — tail-based trace sampling.  Hooked onto
   the tracer (:func:`enable_exemplars`), it watches completed *root*
   spans, keeps a rolling window of their durations, and captures the
   full span tree only for roots slower than the window's p99 (or ones
   that errored).  Each :class:`Exemplar` can name the **dominant
-  critical-path segment** — queue-wait vs lock-wait vs metadata vs
-  storage — via per-layer self-time over its tree.  The reservoir is
-  bounded: when full, the fastest non-errored exemplar is evicted.
+  critical-path segment** — queue-wait vs metadata vs storage — via
+  per-layer self-time over its tree.  The reservoir is bounded: when
+  full, the fastest non-errored exemplar is evicted.
 
-Surfaces: ``/profile`` and ``/contention`` on the ops endpoint,
-``stacksync-repro profile`` in the CLI, and per-control-period
-``soak_lock_*`` gauges in the soak harness.
+Surfaces: ``/profile`` on the ops endpoint (stacks plus exemplar
+summaries) and ``stacksync-repro profile`` in the CLI.
 """
 
 from __future__ import annotations
@@ -47,241 +32,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.telemetry.registry import MetricsRegistry, get_registry
 from repro.telemetry.stats import percentile
 from repro.telemetry.trace import Span, Tracer, TRACER
-
-#: Lock waits at least this long (seconds) become ``layer="lock"`` spans
-#: when tracing is enabled, so stalls show up inside exemplar trees.
-SLOW_WAIT_SPAN_S = 0.001
-
-#: Metric series written by the lock wrappers.
-LOCK_WAIT_SERIES = "lock_wait_seconds"
-LOCK_HOLD_SERIES = "lock_hold_seconds"
-LOCK_ACQUISITIONS_SERIES = "lock_acquisitions"
-COND_WAIT_SERIES = "cond_wait_seconds"
-
-
-class ProfilingConfig:
-    """The process-wide on/off switches every instrumented site consults.
-
-    A single long-lived object (never rebound) so modules may cache the
-    reference; ``lock_timing`` is the one attribute the disabled hot
-    path reads.
-    """
-
-    __slots__ = ("lock_timing",)
-
-    def __init__(self) -> None:
-        self.lock_timing = False
-
-
-#: The singleton every TimedLock/TimedCondition checks.
-PROFILING = ProfilingConfig()
-
-
-def enable_lock_timing() -> None:
-    """Start recording wait/hold histograms on every TimedLock."""
-    PROFILING.lock_timing = True
-
-
-def disable_lock_timing() -> None:
-    PROFILING.lock_timing = False
-
-
-def lock_timing_enabled() -> bool:
-    return PROFILING.lock_timing
-
-
-# -- timed synchronization primitives -----------------------------------------
-
-
-class TimedLock:
-    """A ``threading.Lock`` that can meter its own contention.
-
-    Disabled (the default), every operation is one attribute check plus
-    delegation to the wrapped lock.  Enabled, each successful acquire
-    records the time spent blocking (``lock_wait_seconds``), each
-    release records the time the lock was held (``lock_hold_seconds``),
-    and ``lock_acquisitions`` counts cycles — all labeled with the
-    lock's *name*, so ``/contention`` can attribute stalls to specific
-    MOM structures.
-
-    Also implements the optional ``_release_save`` / ``_acquire_restore``
-    / ``_is_owned`` protocol, so a ``threading.Condition`` built on a
-    TimedLock keeps the wait/hold bookkeeping correct across
-    ``Condition.wait`` (the hold slice closes at wait, a new one opens
-    at wakeup, and the wakeup re-acquire counts as lock wait).
-    """
-
-    __slots__ = ("_inner", "name", "_hold_started")
-
-    def __init__(self, name: str):
-        self._inner = threading.Lock()
-        self.name = name
-        # perf_counter stamp of the current hold; written/read only by
-        # the holder, so no extra synchronization is needed.
-        self._hold_started = 0.0
-
-    # -- metric recording (enabled path only) ---------------------------------
-
-    def _record_acquire(self, waited: float) -> None:
-        registry = get_registry()
-        registry.counter(LOCK_ACQUISITIONS_SERIES, lock=self.name).inc()
-        registry.histogram(LOCK_WAIT_SERIES, lock=self.name).observe(waited)
-        if waited >= SLOW_WAIT_SPAN_S and TRACER.enabled:
-            now = time.time()
-            TRACER.record_span(
-                f"lock.wait:{self.name}",
-                layer="lock",
-                start=now - waited,
-                end=now,
-                parent=TRACER.current(),
-                attrs={"lock": self.name},
-            )
-
-    def _record_hold(self, held: float) -> None:
-        get_registry().histogram(LOCK_HOLD_SERIES, lock=self.name).observe(held)
-
-    # -- lock API -------------------------------------------------------------
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        if not PROFILING.lock_timing:
-            return self._inner.acquire(blocking, timeout)
-        t0 = time.perf_counter()
-        ok = self._inner.acquire(blocking, timeout)
-        if ok:
-            now = time.perf_counter()
-            self._hold_started = now
-            self._record_acquire(now - t0)
-        return ok
-
-    def release(self) -> None:
-        if PROFILING.lock_timing and self._hold_started:
-            held = time.perf_counter() - self._hold_started
-            self._hold_started = 0.0
-            self._inner.release()
-            # Recorded after the release so metric I/O never extends the
-            # measured (or actual) critical section.
-            self._record_hold(held)
-        else:
-            self._hold_started = 0.0
-            self._inner.release()
-
-    def locked(self) -> bool:
-        return self._inner.locked()
-
-    def __enter__(self) -> bool:
-        return self.acquire()
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.release()
-
-    # -- threading.Condition protocol -----------------------------------------
-
-    def _release_save(self) -> None:
-        """Condition.wait: close the hold slice and drop the lock."""
-        self.release()
-
-    def _acquire_restore(self, state: object) -> None:
-        """Condition.wait wakeup: the re-acquire is real lock wait."""
-        self.acquire()
-
-    def _is_owned(self) -> bool:
-        # Plain-Lock ownership probe (threading's own fallback), going
-        # straight to the inner lock so the probe never pollutes stats.
-        if self._inner.acquire(False):
-            self._inner.release()
-            return False
-        return True
-
-
-class TimedCondition(threading.Condition):
-    """A ``threading.Condition`` over a :class:`TimedLock`.
-
-    ``wait()`` additionally records how long the thread slept on the
-    condition (``cond_wait_seconds{lock=<name>}``) — the queue-wait side
-    of the MOM dispatch story, distinct from the lock wait its wakeup
-    re-acquire records through the TimedLock protocol hooks.
-    """
-
-    def __init__(self, lock: TimedLock):
-        super().__init__(lock)
-        self.name = lock.name
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        if not PROFILING.lock_timing:
-            return super().wait(timeout)
-        t0 = time.perf_counter()
-        notified = super().wait(timeout)
-        get_registry().histogram(COND_WAIT_SERIES, lock=self.name).observe(
-            time.perf_counter() - t0
-        )
-        return notified
-
-
-# -- contention snapshots -----------------------------------------------------
-
-
-def contention_snapshot(
-    registry: Optional[MetricsRegistry] = None,
-) -> Dict[str, Dict[str, Any]]:
-    """Per-lock contention report: acquisitions + wait/hold summaries.
-
-    Returns ``{lock name: {"acquisitions": n, "wait": {...}, "hold":
-    {...}[, "cond_wait": {...}]}}`` built from the registry's
-    ``lock_*``/``cond_wait_seconds`` series.  Histogram summaries carry
-    count/sum/max/mean/p50/p95/p99 like every registry histogram.
-    """
-    registry = registry if registry is not None else get_registry()
-    locks: Dict[str, Dict[str, Any]] = {}
-
-    def _lock_label(labels: Tuple[Tuple[str, str], ...]) -> Optional[str]:
-        for key, value in labels:
-            if key == "lock":
-                return value
-        return None
-
-    for series, slot in (
-        (LOCK_WAIT_SERIES, "wait"),
-        (LOCK_HOLD_SERIES, "hold"),
-        (COND_WAIT_SERIES, "cond_wait"),
-    ):
-        for histogram in registry.find_histograms(series):
-            name = _lock_label(histogram.labels)
-            if name is None:
-                continue
-            locks.setdefault(name, {})[slot] = histogram.summary()
-    for counter in registry.find_counters(LOCK_ACQUISITIONS_SERIES):
-        name = _lock_label(counter.labels)
-        if name is None:
-            continue
-        locks.setdefault(name, {})["acquisitions"] = counter.value
-    return locks
-
-
-def contention_totals(
-    registry: Optional[MetricsRegistry] = None,
-) -> Dict[str, float]:
-    """Aggregate contention across every lock: the soak-gauge view."""
-    snapshot = contention_snapshot(registry)
-    totals = {
-        "acquisitions": 0.0,
-        "wait_s": 0.0,
-        "hold_s": 0.0,
-        "max_wait_s": 0.0,
-    }
-    for entry in snapshot.values():
-        totals["acquisitions"] += float(entry.get("acquisitions", 0.0))
-        wait = entry.get("wait")
-        if wait:
-            totals["wait_s"] += wait["sum"]
-            totals["max_wait_s"] = max(totals["max_wait_s"], wait["max"])
-        hold = entry.get("hold")
-        if hold:
-            totals["hold_s"] += hold["sum"]
-    return totals
-
 
 # -- the sampling profiler ----------------------------------------------------
 
@@ -526,7 +278,6 @@ def get_profiler() -> StackSampler:
 #: Span layer → human segment name used in critical-path verdicts.
 SEGMENT_OF_LAYER = {
     "queue": "queue-wait",
-    "lock": "lock-wait",
     "metadata": "metadata",
     "storage": "storage",
     "sync": "sync",

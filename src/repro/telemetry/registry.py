@@ -189,23 +189,6 @@ class MetricsRegistry:
                 self._histograms[key] = instrument
             return instrument
 
-    # -- lookup (scrape helpers) ---------------------------------------------
-
-    def find_counters(self, name: str) -> List[Counter]:
-        """Every Counter series with this name, across all label sets."""
-        with self._lock:
-            return [c for (n, _), c in self._counters.items() if n == name]
-
-    def find_gauges(self, name: str) -> List[Gauge]:
-        """Every Gauge series with this name, across all label sets."""
-        with self._lock:
-            return [g for (n, _), g in self._gauges.items() if n == name]
-
-    def find_histograms(self, name: str) -> List[Histogram]:
-        """Every Histogram series with this name, across all label sets."""
-        with self._lock:
-            return [h for (n, _), h in self._histograms.items() if n == name]
-
     # -- scrape-time sources -------------------------------------------------
 
     def register_source(

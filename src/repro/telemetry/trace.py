@@ -1,10 +1,10 @@
 """Cross-layer trace propagation: one commit, one causally-linked span tree.
 
 A :class:`TraceContext` (``trace_id`` / ``span_id``) rides inside ObjectMQ
-envelopes (key ``"trace"``) and MOM message headers, so a single
-``commitRequest`` yields spans covering proxy serialization, broker queue
-wait, skeleton dispatch, SyncService handling, the metadata transaction
-and per-chunk storage I/O — across every thread the request touches.
+envelopes (key ``"trace"``), so a single ``commitRequest`` yields spans
+covering proxy serialization, broker queue wait, skeleton dispatch,
+SyncService handling, the metadata transaction and per-chunk storage I/O
+— across every thread the request touches.
 
 The module-level :data:`TRACER` is a singleton that starts **disabled**;
 every instrumentation site is guarded by one ``TRACER.enabled`` attribute

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import threading
+import time
 import uuid
 
 import pytest
@@ -17,6 +19,24 @@ from repro.objectmq import Broker
 from repro.storage import SwiftLikeStore
 from repro.sync import SYNC_SERVICE_OID, SyncService, Workspace
 from repro.client import StackSyncClient
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_threads():
+    """Fail any test that leaves alive a thread it started.
+
+    Autouse fixtures are set up first and torn down last, so every other
+    fixture has already closed what it opened when the census runs.
+    Stopping threads need a moment to exit, hence the bounded poll.
+    """
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 2.0
+    while (
+        leaked := [t for t in threading.enumerate() if t not in before]
+    ) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert not leaked, f"test left threads running: {[t.name for t in leaked]}"
 
 
 def make_metadata_backend(kind: str):

@@ -116,3 +116,38 @@ def test_confirmed_commits_survive_a_migration_storm(backend):
     for index in range(writers):
         history = backend.item_history(f"ws:w{index}.txt")
         assert [m.version for m in history] == list(range(1, commits_each + 1))
+
+
+def test_read_straddling_the_routing_flip_does_not_pin_the_old_shard(
+    backend, monkeypatch
+):
+    """An unfenced read resolves the owning shard, then a whole migration
+    lands before the read uses the answer.  That one read may see the
+    emptied source; every later one has to find the workspace."""
+    first = backend.shard_for_workspace("ws")
+    second = (first + 1) % backend.num_shards
+    backend.store_versions_bulk([make_item("ws", "doc.txt")])
+    # Moved once already, so the read below has to resolve its routing.
+    backend.migrate_workspace("ws", second)
+
+    real_resolve = backend.shard_for_workspace
+    raced = []
+
+    def resolve_then_migrate(workspace_id):
+        shard = real_resolve(workspace_id)
+        if not raced:
+            raced.append(shard)
+            backend.migrate_workspace(workspace_id, first)
+        return shard
+
+    with monkeypatch.context() as patch:
+        patch.setattr(backend, "shard_for_workspace", resolve_then_migrate)
+        backend.workspace_exists("ws")
+
+    assert raced == [second]
+    assert backend.shard_for_workspace("ws") == first
+    assert backend.workspace_exists("ws")
+    assert [m.version for m in backend.get_workspace_state("ws")] == [1]
+    assert backend.store_versions_bulk([make_item("ws", "doc.txt", 2)]) == [
+        (True, None)
+    ]

@@ -19,8 +19,7 @@ from repro.mom.queue import DEFAULT_BATCH_SIZE, MessageQueue
 from tests.mom.test_queue import Collector, drain_wait
 
 
-def test_wide_prefetch_window_filled_in_one_cycle():
-    queue = MessageQueue("q")
+def test_wide_prefetch_window_filled_in_one_cycle(queue):
     collector = Collector()  # no acks: the window stays occupied
     queue.add_consumer("c1", collector, prefetch=8)
     queue.put_many([Message(f"m{i}".encode()) for i in range(8)])
@@ -31,8 +30,7 @@ def test_wide_prefetch_window_filled_in_one_cycle():
     assert queue.unacked_count == 8
 
 
-def test_burst_larger_than_batch_size_is_chunked_not_stranded():
-    queue = MessageQueue("q")
+def test_burst_larger_than_batch_size_is_chunked_not_stranded(queue):
     batches = []
     queue.add_consumer(
         "c1", None, auto_ack=True, batch_callback=lambda ds: batches.append(ds)
@@ -48,8 +46,7 @@ def test_burst_larger_than_batch_size_is_chunked_not_stranded():
     assert max(len(b) for b in batches) == DEFAULT_BATCH_SIZE
 
 
-def test_put_many_preserves_fifo_and_counts():
-    queue = MessageQueue("q")
+def test_put_many_preserves_fifo_and_counts(queue):
     queue.put_many([Message(b"a"), Message(b"b")])
     queue.put_many([])
     queue.put_many([Message(b"c")])
@@ -57,8 +54,10 @@ def test_put_many_preserves_fifo_and_counts():
     assert [queue.get(timeout=0.2).body for _ in range(3)] == [b"a", b"b", b"c"]
 
 
-def test_delivery_tags_are_queue_scoped():
+def test_delivery_tags_are_queue_scoped(request):
     q1, q2 = MessageQueue("q1"), MessageQueue("q2")
+    request.addfinalizer(q1.close)
+    request.addfinalizer(q2.close)
     col1, col2 = Collector(), Collector()
     q1.add_consumer("c", col1, prefetch=4)
     q2.add_consumer("c", col2, prefetch=4)
@@ -73,8 +72,7 @@ def test_delivery_tags_are_queue_scoped():
         assert [d.delivery_tag for d in col2.deliveries] == [1]
 
 
-def test_cancel_requeues_whole_batch_in_original_order():
-    queue = MessageQueue("q")
+def test_cancel_requeues_whole_batch_in_original_order(queue):
     collector = Collector()  # never acks
     queue.add_consumer("c1", collector, prefetch=4)
     originals = [Message(f"m{i}".encode()) for i in range(4)]
@@ -94,8 +92,7 @@ def test_cancel_requeues_whole_batch_in_original_order():
     assert queue.redelivered_count == 4
 
 
-def test_cancel_mid_batch_requeues_unacked_ahead_of_ready():
-    queue = MessageQueue("q")
+def test_cancel_mid_batch_requeues_unacked_ahead_of_ready(queue):
     collector = Collector()
     queue.add_consumer("c1", collector, prefetch=4)
     queue.put_many([Message(f"m{i}".encode()) for i in range(6)])
@@ -111,8 +108,7 @@ def test_cancel_mid_batch_requeues_unacked_ahead_of_ready():
     assert queue.unacked_count == 0
 
 
-def test_ack_bookkeeping_under_batched_dispatch():
-    queue = MessageQueue("q")
+def test_ack_bookkeeping_under_batched_dispatch(queue):
     collector = Collector()
     queue.add_consumer("c1", collector, prefetch=8)
     queue.put_many([Message(f"m{i}".encode()) for i in range(5)])
@@ -128,8 +124,7 @@ def test_ack_bookkeeping_under_batched_dispatch():
     assert queue.delivered_count == 5
 
 
-def test_ack_many_settles_whole_window_in_one_lock_cycle():
-    queue = MessageQueue("q")
+def test_ack_many_settles_whole_window_in_one_lock_cycle(queue):
     collector = Collector()
     queue.add_consumer("c1", collector, prefetch=8)
     queue.put_many([Message(f"m{i}".encode()) for i in range(6)])
@@ -147,8 +142,7 @@ def test_ack_many_settles_whole_window_in_one_lock_cycle():
     assert queue.ack_many(tags) == []
 
 
-def test_ack_many_skips_tags_requeued_by_a_crash():
-    queue = MessageQueue("q")
+def test_ack_many_skips_tags_requeued_by_a_crash(queue):
     collector = Collector()
     queue.add_consumer("c1", collector, prefetch=4)
     queue.put_many([Message(b"a"), Message(b"b")])
@@ -162,8 +156,7 @@ def test_ack_many_skips_tags_requeued_by_a_crash():
     assert queue.acked_count == 0
 
 
-def test_batch_callback_receives_whole_dispatch_batches():
-    queue = MessageQueue("q")
+def test_batch_callback_receives_whole_dispatch_batches(queue):
     batches = []
     lock = threading.Lock()
 
@@ -206,8 +199,7 @@ def test_broker_ack_many_clears_durable_journal_per_settled_tag():
     broker.close()
 
 
-def test_publish_wakes_exactly_as_many_getters_as_messages():
-    queue = MessageQueue("q")
+def test_publish_wakes_exactly_as_many_getters_as_messages(queue):
     notify_counts = []
     original_notify = queue._not_empty.notify
 
@@ -244,8 +236,7 @@ def test_publish_wakes_exactly_as_many_getters_as_messages():
     assert sum(notify_counts) <= 3 + 2  # publish notifies + bounded cascades
 
 
-def test_getter_timeouts_unaffected_by_targeted_wakeups():
-    queue = MessageQueue("q")
+def test_getter_timeouts_unaffected_by_targeted_wakeups(queue):
     results = []
     results_lock = threading.Lock()
 
@@ -270,8 +261,7 @@ def test_getter_timeouts_unaffected_by_targeted_wakeups():
     assert len(misses) == 2
 
 
-def test_redelivered_message_keeps_flag_through_second_cancel():
-    queue = MessageQueue("q")
+def test_redelivered_message_keeps_flag_through_second_cancel(queue):
     first = Collector()
     queue.add_consumer("c1", first, prefetch=2)
     queue.put_many([Message(b"a"), Message(b"b")])

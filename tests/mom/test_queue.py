@@ -44,8 +44,7 @@ class Collector:
             return [d.message.body for d in self.deliveries]
 
 
-def test_pull_mode_get_returns_fifo():
-    queue = MessageQueue("q")
+def test_pull_mode_get_returns_fifo(queue):
     queue.put(Message(b"one"))
     queue.put(Message(b"two"))
     assert queue.get(timeout=0.1).body == b"one"
@@ -53,8 +52,7 @@ def test_pull_mode_get_returns_fifo():
     assert queue.get(timeout=0.05) is None
 
 
-def test_get_blocks_until_publish():
-    queue = MessageQueue("q")
+def test_get_blocks_until_publish(queue):
     results = []
 
     def reader():
@@ -68,16 +66,14 @@ def test_get_blocks_until_publish():
     assert results and results[0].body == b"late"
 
 
-def test_push_mode_delivers_to_consumer():
-    queue = MessageQueue("q")
+def test_push_mode_delivers_to_consumer(queue):
     collector = Collector(queue)
     queue.add_consumer("c1", collector)
     queue.put(Message(b"x"))
     assert drain_wait(lambda: collector.count() == 1)
 
 
-def test_round_robin_between_idle_consumers():
-    queue = MessageQueue("q")
+def test_round_robin_between_idle_consumers(queue):
     c1, c2 = Collector(queue), Collector(queue)
     queue.add_consumer("c1", c1)
     queue.add_consumer("c2", c2)
@@ -92,8 +88,7 @@ def test_round_robin_between_idle_consumers():
     assert c2.count() >= 1
 
 
-def test_prefetch_one_skips_busy_consumer():
-    queue = MessageQueue("q")
+def test_prefetch_one_skips_busy_consumer(queue):
     release = threading.Event()
     slow_got = []
 
@@ -115,8 +110,7 @@ def test_prefetch_one_skips_busy_consumer():
     release.set()
 
 
-def test_unacked_requeued_on_cancel_with_redelivered_flag():
-    queue = MessageQueue("q")
+def test_unacked_requeued_on_cancel_with_redelivered_flag(queue):
     got = []
 
     def never_ack(delivery):
@@ -136,8 +130,7 @@ def test_unacked_requeued_on_cancel_with_redelivered_flag():
     assert queue.redelivered_count == 1
 
 
-def test_nack_requeues_at_head():
-    queue = MessageQueue("q")
+def test_nack_requeues_at_head(queue):
     held = []
     queue.add_consumer("c1", lambda d: held.append(d), prefetch=10)
     queue.put(Message(b"a"))
@@ -149,8 +142,7 @@ def test_nack_requeues_at_head():
     assert queue.get(timeout=0.1).body == b"b"
 
 
-def test_explicit_nack():
-    queue = MessageQueue("q")
+def test_explicit_nack(queue):
     held = []
     queue.add_consumer("c1", lambda d: held.append(d), prefetch=1)
     queue.put(Message(b"x"))
@@ -160,20 +152,17 @@ def test_explicit_nack():
     assert queue.unacked_count == 0
 
 
-def test_ack_unknown_tag_returns_false():
-    queue = MessageQueue("q")
+def test_ack_unknown_tag_returns_false(queue):
     assert queue.ack(999999) is False
 
 
-def test_duplicate_consumer_tag_rejected():
-    queue = MessageQueue("q")
+def test_duplicate_consumer_tag_rejected(queue):
     queue.add_consumer("dup", lambda d: None)
     with pytest.raises(DuplicateConsumer):
         queue.add_consumer("dup", lambda d: None)
 
 
-def test_consumer_exception_does_not_kill_dispatch():
-    queue = MessageQueue("q")
+def test_consumer_exception_does_not_kill_dispatch(queue):
     seen = []
 
     def flaky(delivery):
@@ -188,8 +177,7 @@ def test_consumer_exception_does_not_kill_dispatch():
     assert drain_wait(lambda: len(seen) == 2)
 
 
-def test_purge_and_len():
-    queue = MessageQueue("q")
+def test_purge_and_len(queue):
     for _ in range(5):
         queue.put(Message(b"x"))
     assert len(queue) == 5
@@ -197,8 +185,7 @@ def test_purge_and_len():
     assert len(queue) == 0
 
 
-def test_counters():
-    queue = MessageQueue("q")
+def test_counters(queue):
     collector = Collector(queue)
     queue.add_consumer("c", collector)
     for _ in range(3):
@@ -208,8 +195,7 @@ def test_counters():
     assert queue.delivered_count == 3
 
 
-def test_auto_ack_consumer_never_tracks_unacked():
-    queue = MessageQueue("q")
+def test_auto_ack_consumer_never_tracks_unacked(queue):
     got = []
     queue.add_consumer("c", lambda d: got.append(d), auto_ack=True)
     queue.put(Message(b"x"))
@@ -218,19 +204,17 @@ def test_auto_ack_consumer_never_tracks_unacked():
     assert queue.acked_count == 1
 
 
-def test_close_stops_consumers():
-    queue = MessageQueue("q")
+def test_close_stops_consumers(queue):
     collector = Collector(queue)
     queue.add_consumer("c", collector)
     queue.close()
     assert queue.consumer_count == 0
 
 
-def test_cancel_requeues_unacked_ahead_of_ready_in_original_order():
+def test_cancel_requeues_unacked_ahead_of_ready_in_original_order(queue):
     """§3.4 crash recovery: the crashed consumer's in-flight deliveries go
     back to the *head* of the queue, in their original order, ahead of
     messages that were still waiting in the ready buffer."""
-    queue = MessageQueue("q")
     held = []
     queue.add_consumer("c1", lambda d: held.append(d), prefetch=3)
     for body in (b"m1", b"m2", b"m3", b"m4"):
@@ -246,10 +230,9 @@ def test_cancel_requeues_unacked_ahead_of_ready_in_original_order():
     assert [m.redelivered for m in drained] == [True, True, True, False]
 
 
-def test_get_survives_racing_getter_stealing_the_message():
+def test_get_survives_racing_getter_stealing_the_message(queue):
     """A notified getter that loses the race must keep waiting (bounded by
     its deadline) instead of returning None early."""
-    queue = MessageQueue("q")
     results = []
     started = threading.Barrier(3)
 
@@ -272,8 +255,7 @@ def test_get_survives_racing_getter_stealing_the_message():
     assert sorted(m.body for m in results) == [b"first", b"second"]
 
 
-def test_get_timeout_holds_under_spurious_conditions():
-    queue = MessageQueue("q")
+def test_get_timeout_holds_under_spurious_conditions(queue):
     t0 = time.monotonic()
     assert queue.get(timeout=0.2) is None
     assert time.monotonic() - t0 >= 0.2

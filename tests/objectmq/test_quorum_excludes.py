@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -37,15 +38,18 @@ class Replica:
     def __init__(self, name, delay=0.0):
         self.name = name
         self.delay = delay
+        # A straggler waits on this rather than sleeping, so its test can
+        # let it go before closing the brokers under it.
+        self.release = threading.Event()
 
     def read(self):
         if self.delay:
-            time.sleep(self.delay)
+            self.release.wait(self.delay)
         return self.name
 
     def read_all(self):
         if self.delay:
-            time.sleep(self.delay)
+            self.release.wait(self.delay)
         return self.name
 
 
@@ -62,7 +66,8 @@ def test_quorum_returns_after_n_replies():
     # Two fast replicas, one pathologically slow.
     server.bind("replica", Replica("fast-1"))
     server.bind("replica", Replica("fast-2"))
-    server.bind("replica", Replica("slow", delay=2.0))
+    slow = Replica("slow", delay=2.0)
+    server.bind("replica", slow)
     client = Broker(mom)
     proxy = client.lookup("replica", ReplicaApi)
 
@@ -72,6 +77,7 @@ def test_quorum_returns_after_n_replies():
     assert len(results) == 2
     assert set(results) <= {"fast-1", "fast-2"}
     assert elapsed < 1.0  # did not wait for the slow replica
+    slow.release.set()
     client.close()
     server.close()
     mom.close()
@@ -81,11 +87,13 @@ def test_no_quorum_waits_for_timeout_with_straggler():
     mom = MessageBroker()
     server = Broker(mom)
     server.bind("replica", Replica("fast"))
-    server.bind("replica", Replica("slow", delay=5.0))
+    slow = Replica("slow", delay=5.0)
+    server.bind("replica", slow)
     client = Broker(mom)
     proxy = client.lookup("replica", ReplicaApi)
     results = proxy.read_all()  # 0.5s timeout, slow replica misses it
     assert results == ["fast"]
+    slow.release.set()
     client.close()
     server.close()
     mom.close()

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.telemetry import TRACER
-from repro.telemetry.profiling import PROFILING
 
 
 @pytest.fixture(autouse=True)
@@ -14,10 +13,8 @@ def reset_telemetry():
     TRACER.enabled = False
     TRACER.clear()
     TRACER.exemplars = None
-    PROFILING.lock_timing = False
     yield
     TRACER.enabled = False
     TRACER.clear()
     TRACER.max_spans = 100_000
     TRACER.exemplars = None
-    PROFILING.lock_timing = False

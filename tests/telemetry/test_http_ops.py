@@ -60,7 +60,7 @@ def test_index_lists_routes(stack):
     assert status == 200
     assert set(json.loads(body)["routes"]) == {
         "/metrics", "/health", "/ready", "/events", "/slo", "/bench",
-        "/profile", "/contention",
+        "/profile",
     }
 
 
@@ -267,58 +267,32 @@ class TestProfileRoute:
         payload = ops.profile_payload(seconds=9999, hz=100)
         assert payload["burst_seconds"] == pytest.approx(0.05)
 
-
-class TestContentionRoute:
-    def test_reports_locks_and_exemplars(self, stack):
+    def test_serves_tail_exemplars(self, stack):
         import time as time_mod
 
-        from repro.telemetry.profiling import (
-            TimedLock,
-            disable_exemplars,
-            disable_lock_timing,
-            enable_exemplars,
-            enable_lock_timing,
-        )
+        from repro.telemetry.profiling import disable_exemplars, enable_exemplars
         from repro.telemetry.trace import TRACER, enable
 
-        registry, *_rest, ops = stack
-        lock = TimedLock("t.http")
-        enable_lock_timing()
+        *_rest, ops = stack
         tracer = enable()
         enable_exemplars(min_samples=1, capacity=2)
         try:
-            # The instrumented sites record into the process registry;
-            # this server serves its own, so record there explicitly.
-            registry.counter("lock_acquisitions", lock="t.http").inc()
-            registry.histogram("lock_wait_seconds", lock="t.http").observe(0.001)
-            registry.histogram("lock_hold_seconds", lock="t.http").observe(0.002)
-            with lock:
-                pass
             with tracer.span("op", layer="sync"):
                 time_mod.sleep(0.005)
-        finally:
-            disable_lock_timing()
-            TRACER.enabled = False
-
-        try:
-            status, body = _get(ops.url + "/contention")
+            status, body = _get(ops.url + "/profile")
             assert status == 200
             payload = json.loads(body)
-            assert payload["locks"]["t.http"]["acquisitions"] == 1
-            assert payload["locks"]["t.http"]["wait"]["count"] == 1
-            assert payload["locks"]["t.http"]["hold"]["count"] == 1
-            assert payload["totals"]["acquisitions"] == 1
             assert payload["reservoir"]["roots_seen"] >= 1
             assert payload["exemplars"], "tail exemplar not served"
             assert payload["exemplars"][0]["dominant_segment"] == "sync"
         finally:
+            TRACER.enabled = False
             disable_exemplars()
 
-    def test_empty_report_without_instruments(self, stack):
+    def test_exemplars_empty_without_a_reservoir(self, stack):
         *_rest, ops = stack
-        status, body = _get(ops.url + "/contention")
+        status, body = _get(ops.url + "/profile")
         assert status == 200
         payload = json.loads(body)
-        assert payload["lock_timing_enabled"] is False
-        assert payload["locks"] == {}
         assert payload["exemplars"] == []
+        assert payload["reservoir"] == {}

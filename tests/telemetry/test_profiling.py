@@ -1,4 +1,4 @@
-"""The hot-path profiling plane: sampler, lock meters, tail exemplars."""
+"""The hot-path profiling plane: sampler and tail exemplars."""
 
 from __future__ import annotations
 
@@ -8,228 +8,14 @@ import time
 import pytest
 
 from repro.telemetry.profiling import (
-    COND_WAIT_SERIES,
-    LOCK_ACQUISITIONS_SERIES,
-    LOCK_HOLD_SERIES,
-    LOCK_WAIT_SERIES,
-    PROFILING,
     ExemplarReservoir,
     StackSampler,
-    TimedCondition,
-    TimedLock,
-    contention_snapshot,
-    contention_totals,
     disable_exemplars,
-    disable_lock_timing,
     dominant_segment,
     enable_exemplars,
-    enable_lock_timing,
-    lock_timing_enabled,
     segment_breakdown,
 )
-from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.trace import TRACER, Span, enable
-
-
-@pytest.fixture()
-def registry(monkeypatch):
-    """A private registry swapped in for the process-wide one."""
-    fresh = MetricsRegistry()
-    monkeypatch.setattr("repro.telemetry.profiling.get_registry", lambda: fresh)
-    return fresh
-
-
-# -- TimedLock ----------------------------------------------------------------
-
-
-class TestTimedLock:
-    def test_disabled_behaves_like_plain_lock(self, registry):
-        lock = TimedLock("t.plain")
-        assert lock.acquire()
-        assert lock.locked()
-        assert not lock.acquire(blocking=False)
-        lock.release()
-        assert not lock.locked()
-        with lock:
-            assert lock.locked()
-        # Nothing recorded: the disabled path never touches the registry.
-        assert registry.snapshot() == {}
-
-    def test_enabled_records_wait_hold_and_acquisitions(self, registry):
-        lock = TimedLock("t.meters")
-        enable_lock_timing()
-        try:
-            with lock:
-                time.sleep(0.005)
-            with lock:
-                pass
-        finally:
-            disable_lock_timing()
-        counter = registry.counter(LOCK_ACQUISITIONS_SERIES, lock="t.meters")
-        assert counter.value == 2
-        wait = registry.histogram(LOCK_WAIT_SERIES, lock="t.meters")
-        hold = registry.histogram(LOCK_HOLD_SERIES, lock="t.meters")
-        assert wait.count == 2
-        assert hold.count == 2
-        assert hold.max >= 0.005
-
-    def test_contended_acquire_measures_real_wait(self, registry):
-        lock = TimedLock("t.contended")
-        enable_lock_timing()
-        try:
-            started = threading.Event()
-
-            def holder():
-                with lock:
-                    started.set()
-                    time.sleep(0.02)
-
-            thread = threading.Thread(target=holder)
-            thread.start()
-            started.wait(timeout=1.0)
-            with lock:
-                pass
-            thread.join(timeout=1.0)
-        finally:
-            disable_lock_timing()
-        wait = registry.histogram(LOCK_WAIT_SERIES, lock="t.contended")
-        assert wait.max >= 0.015
-
-    def test_slow_wait_emits_lock_layer_span(self, registry):
-        lock = TimedLock("t.span")
-        enable()
-        enable_lock_timing()
-        try:
-            started = threading.Event()
-
-            def holder():
-                with lock:
-                    started.set()
-                    time.sleep(0.01)
-
-            thread = threading.Thread(target=holder)
-            thread.start()
-            started.wait(timeout=1.0)
-            with lock:
-                pass
-            thread.join(timeout=1.0)
-        finally:
-            disable_lock_timing()
-        spans = [s for s in TRACER.spans() if s.layer == "lock"]
-        assert any(s.name == "lock.wait:t.span" for s in spans)
-
-    def test_failed_nonblocking_acquire_not_counted(self, registry):
-        lock = TimedLock("t.failed")
-        enable_lock_timing()
-        try:
-            lock.acquire()
-            assert not lock.acquire(blocking=False)
-            lock.release()
-        finally:
-            disable_lock_timing()
-        counter = registry.counter(LOCK_ACQUISITIONS_SERIES, lock="t.failed")
-        assert counter.value == 1
-
-    def test_enable_mid_hold_keeps_bookkeeping_sane(self, registry):
-        lock = TimedLock("t.midflight")
-        lock.acquire()  # disabled: no _hold_started stamp
-        enable_lock_timing()
-        try:
-            lock.release()  # no open hold slice -> nothing recorded
-            hold = registry.histogram(LOCK_HOLD_SERIES, lock="t.midflight")
-            assert hold.count == 0
-            with lock:
-                pass
-            assert hold.count == 1
-        finally:
-            disable_lock_timing()
-
-    def test_module_toggles(self):
-        assert not lock_timing_enabled()
-        enable_lock_timing()
-        assert lock_timing_enabled() and PROFILING.lock_timing
-        disable_lock_timing()
-        assert not lock_timing_enabled()
-
-
-class TestTimedCondition:
-    def test_wait_notify_works_and_records(self, registry):
-        lock = TimedLock("t.cond")
-        cond = TimedCondition(lock)
-        enable_lock_timing()
-        results = []
-        try:
-            def waiter():
-                with cond:
-                    while not results:
-                        cond.wait(timeout=1.0)
-
-            thread = threading.Thread(target=waiter)
-            thread.start()
-            time.sleep(0.01)
-            with cond:
-                results.append("go")
-                cond.notify_all()
-            thread.join(timeout=2.0)
-            assert not thread.is_alive()
-        finally:
-            disable_lock_timing()
-        cond_wait = registry.histogram(COND_WAIT_SERIES, lock="t.cond")
-        assert cond_wait.count >= 1
-        # Condition.wait releases/re-acquires through the TimedLock
-        # protocol hooks: the sleep itself must not count as lock hold.
-        hold = registry.histogram(LOCK_HOLD_SERIES, lock="t.cond")
-        assert hold.count >= 2
-        assert hold.max < 0.5
-
-    def test_wait_timeout_returns_false(self, registry):
-        cond = TimedCondition(TimedLock("t.cond.timeout"))
-        enable_lock_timing()
-        try:
-            with cond:
-                assert cond.wait(timeout=0.01) is False
-        finally:
-            disable_lock_timing()
-
-
-# -- contention snapshots -----------------------------------------------------
-
-
-class TestContentionSnapshot:
-    def test_snapshot_groups_by_lock(self, registry):
-        first, second = TimedLock("t.a"), TimedLock("t.b")
-        enable_lock_timing()
-        try:
-            with first:
-                pass
-            with second:
-                pass
-            with second:
-                pass
-        finally:
-            disable_lock_timing()
-        snapshot = contention_snapshot(registry)
-        assert set(snapshot) == {"t.a", "t.b"}
-        assert snapshot["t.b"]["acquisitions"] == 2
-        assert snapshot["t.a"]["wait"]["count"] == 1
-        assert snapshot["t.a"]["hold"]["count"] == 1
-
-    def test_totals_aggregate_across_locks(self, registry):
-        enable_lock_timing()
-        try:
-            for name in ("t.x", "t.y"):
-                with TimedLock(name):
-                    pass
-        finally:
-            disable_lock_timing()
-        totals = contention_totals(registry)
-        assert totals["acquisitions"] == 2
-        assert totals["hold_s"] > 0
-
-    def test_empty_registry_yields_empty_report(self, registry):
-        assert contention_snapshot(registry) == {}
-        totals = contention_totals(registry)
-        assert totals["acquisitions"] == 0
 
 
 # -- StackSampler -------------------------------------------------------------
@@ -370,11 +156,9 @@ class TestSegmentBreakdown:
         spans = [
             _span("root", "sync", 0.0, 1.0, span_id="r"),
             _span("qw", "queue", 0.0, 0.6, parent="r"),
-            _span("lk", "lock", 0.6, 0.8, parent="r"),
         ]
         breakdown = segment_breakdown(spans)
         assert breakdown["queue-wait"] == pytest.approx(0.6)
-        assert breakdown["lock-wait"] == pytest.approx(0.2)
         assert dominant_segment(spans)[0] == "queue-wait"
 
     def test_empty_input(self):

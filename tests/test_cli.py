@@ -131,6 +131,7 @@ def test_ops_command_serves_and_journals(capsys, tmp_path):
     prober.join(timeout=15)
     assert code == 0
     assert "ops endpoint: http://127.0.0.1:" in out
+    assert "/slo /bench /profile" in out  # the banner prints http.ROUTES
     assert "run complete:" in out
     assert probe_routes.health["components"]
     assert "supervisor_pool_size" in probe_routes.metrics
@@ -195,23 +196,15 @@ def test_soak_command_writes_bounded_journal(capsys, tmp_path):
 
 
 def test_profile_command(capsys, tmp_path):
-    import json
-
     collapsed = tmp_path / "prof.folded"
-    contention = tmp_path / "contention.json"
     code, out = run_cli(
         capsys, "profile",
         "--initial-files", "2", "--training", "1", "--snapshots", "4",
         "--hz", "400",
         "--collapsed", str(collapsed),
-        "--contention", str(contention),
     )
     assert code == 0
     assert "stack sample(s)" in out
-    assert "lock contention" in out
-    # Every instrumented MOM lock family shows up in the table.
-    assert "mom.queue." in out
-    assert "mom.broker." in out
     assert "where the wall-clock goes" in out
     assert "tail exemplars" in out
     # The collapsed-stack export is non-empty folded lines.
@@ -219,12 +212,8 @@ def test_profile_command(capsys, tmp_path):
     assert folded
     stack, count = folded.splitlines()[0].rsplit(" ", 1)
     assert ";" in stack and int(count) >= 1
-    report = json.loads(contention.read_text())
-    assert any(name.startswith("mom.queue.") for name in report["locks"])
     # The profiling plane is torn back down after the run.
     from repro.telemetry import TRACER
-    from repro.telemetry.profiling import PROFILING
 
     assert not TRACER.enabled
-    assert not PROFILING.lock_timing
     assert TRACER.exemplars is None
