@@ -2,8 +2,9 @@
 
 Measures wire size and encode+decode throughput of the three codecs on a
 realistic commitRequest envelope (metadata for a multi-chunk file).
-Expected: binary is the smallest, JSON the largest; pickle is the fastest
-to encode in-process.
+Expected: JSON is the largest and binary beats it; pickle, which writes a
+registered DTO as class code + positional values, is the smallest and the
+fastest in-process.
 """
 
 from __future__ import annotations

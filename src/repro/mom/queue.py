@@ -71,10 +71,11 @@ def _each(
 class Consumer:
     """A registered consumer: a handler plus its delivery worker thread.
 
-    Deliveries are executed on a dedicated thread so that one slow consumer
-    never blocks the queue's dispatch path or its sibling consumers.
-    Acking is the responsibility of the subscriber (normally the ObjectMQ
-    skeleton) via :meth:`MessageQueue.ack_many`.
+    Deliveries are executed on a dedicated thread (started with the first
+    run, see :meth:`deliver_batch`) so that one slow consumer never blocks
+    the queue's dispatch path or its sibling consumers.  Acking is the
+    responsibility of the subscriber (normally the ObjectMQ skeleton) via
+    :meth:`MessageQueue.ack_many`.
 
     The mailbox carries *runs*: the dispatch loop hands over a list of
     deliveries per cycle, so a burst of N messages costs one queue
@@ -101,20 +102,31 @@ class Consumer:
         self.auto_ack = auto_ack
         self.unacked: Dict[int, Delivery] = {}
         self._mailbox: "stdlib_queue.SimpleQueue" = stdlib_queue.SimpleQueue()
-        self._thread = threading.Thread(
-            target=self._run, name=f"consumer-{tag}", daemon=True
-        )
-        self._thread.start()
+        # Started by the first run handed over: a consumer that never gets
+        # a message (a listener's unicast queue, the reply queue of a
+        # broker that only casts) never costs a thread.
+        self._thread: Optional[threading.Thread] = None
 
     def deliver_batch(self, deliveries: List[Delivery]) -> None:
-        """Hand a whole dispatch-cycle run over in one mailbox put."""
+        """Hand a whole dispatch-cycle run over in one mailbox put.
+
+        Called under the queue lock (``_dispatch_locked`` is the only
+        caller), so the first-run thread start cannot race itself.
+        """
+        if self._thread is None:
+            self._thread = threading.Thread(
+                target=self._run, name=f"consumer-{self.tag}", daemon=True
+            )
+            self._thread.start()
         self._mailbox.put(deliveries)
 
     def stop(self) -> None:
-        self._mailbox.put(_STOP)
+        if self._thread is not None:
+            self._mailbox.put(_STOP)
 
     def join(self, timeout: Optional[float] = None) -> None:
-        self._thread.join(timeout)
+        if self._thread is not None:
+            self._thread.join(timeout)
 
     def _run(self) -> None:
         while True:

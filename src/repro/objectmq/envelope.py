@@ -1,12 +1,13 @@
 """Wire envelopes for ObjectMQ requests and replies.
 
 Envelopes are plain dicts (so every codec can carry them) with a small
-schema::
+schema; a request carries only what its receiver reads::
 
-    request:  {"method": str, "args": list, "kwargs": dict,
-               "call": "sync" | "async", "multi": bool,
-               "correlation_id": str | None, "reply_to": str | None,
-               "sent_at": float}
+    request:  {"method": str, "args": list,
+               "kwargs": dict,                  # only when non-empty
+               "reply_to": str,                 # sync calls only: the
+               "correlation_id": str,           #   skeleton replies iff set
+               "context": dict, <trace key>}    # added by the proxy, if any
     reply:    {"correlation_id": str, "ok": bool,
                "result": any | None, "error": str | None,
                "responder": str}
@@ -14,7 +15,6 @@ schema::
 
 from __future__ import annotations
 
-import time
 import uuid
 from typing import Any, Dict, List, Optional
 
@@ -33,16 +33,19 @@ def make_request(
     correlation_id: Optional[str] = None,
     clock: Optional[float] = None,
 ) -> Dict[str, Any]:
-    return {
-        "method": method,
-        "args": list(args),
-        "kwargs": dict(kwargs),
-        "call": call,
-        "multi": multi,
-        "correlation_id": correlation_id,
-        "reply_to": reply_to,
-        "sent_at": time.time() if clock is None else clock,
-    }
+    """Build a request envelope.
+
+    *call* decides whether the reply address travels; *multi* and *clock*
+    no longer reach the wire (no receiver read them) and are kept only for
+    the signature the benchmark harness calls.
+    """
+    envelope: Dict[str, Any] = {"method": method, "args": list(args)}
+    if kwargs:
+        envelope["kwargs"] = dict(kwargs)
+    if call == "sync":
+        envelope["reply_to"] = reply_to
+        envelope["correlation_id"] = correlation_id
+    return envelope
 
 
 def make_reply(

@@ -190,7 +190,8 @@ class Skeleton:
         service_time = time.perf_counter() - started
         self.object_info.invocation_finished(service_time, error=bool(error))
 
-        if envelope is not None and envelope.get("call") == "sync" and envelope.get("reply_to"):
+        # A reply address is what asks for a reply: only sync calls carry one.
+        if isinstance(envelope, dict) and envelope.get("reply_to"):
             self._send_reply(envelope, result, error)
 
     def _send_reply(self, envelope: dict, result: Any, error: str) -> None:

@@ -34,41 +34,47 @@ class HashRing:
         self.partition_count = 2**power
         self.replicas = min(replicas, len(devices))
         self.devices: List[str] = list(dict.fromkeys(devices))
-        self._assignments: List[List[str]] = []
-        self._rebuild()
+        # partition -> replica devices, worked out on the partition's first
+        # lookup: a ring nobody routes through (the object store of a
+        # metadata-only deployment) costs no hashing at all.
+        self._assignments: Dict[int, List[str]] = {}
 
-    def _rebuild(self) -> None:
-        """Assign each partition its replica devices by rendezvous hashing.
+    def _replicas_of(self, partition: int) -> List[str]:
+        """The partition's replica devices, by rendezvous hashing (memoised).
 
         Rendezvous (highest-random-weight) hashing gives the minimal-
         movement property without maintaining an explicit virtual-node
         ring, and is deterministic across processes.
         """
-        self._assignments = []
-        for partition in range(self.partition_count):
+        # A membership change rebinds the memo after it changes the device
+        # list, so an entry computed from the old list lands in the old memo.
+        memo = self._assignments
+        assigned = memo.get(partition)
+        if assigned is None:
             scored = sorted(
                 self.devices,
                 key=lambda dev: _hash_to_int(f"{partition}:{dev}"),
                 reverse=True,
             )
-            self._assignments.append(scored[: self.replicas])
+            assigned = memo[partition] = scored[: self.replicas]
+        return assigned
 
     def partition_for(self, key: str) -> int:
         return _hash_to_int(key) % self.partition_count
 
     def devices_for(self, key: str) -> List[str]:
         """The replica devices responsible for *key* (primary first)."""
-        return list(self._assignments[self.partition_for(key)])
+        return list(self._replicas_of(self.partition_for(key)))
 
     def primary_for(self, key: str) -> str:
-        return self._assignments[self.partition_for(key)][0]
+        return self._replicas_of(self.partition_for(key))[0]
 
     def add_device(self, device: str) -> None:
         if device in self.devices:
             return
         self.devices.append(device)
         self.replicas = min(max(self.replicas, 1), len(self.devices))
-        self._rebuild()
+        self._assignments = {}
 
     def remove_device(self, device: str) -> None:
         if device not in self.devices:
@@ -77,7 +83,7 @@ class HashRing:
             raise ValueError("cannot remove the last device")
         self.devices.remove(device)
         self.replicas = min(self.replicas, len(self.devices))
-        self._rebuild()
+        self._assignments = {}
 
     def load_distribution(self, keys: Sequence[str]) -> Dict[str, int]:
         """Count of primary assignments per device over *keys*."""

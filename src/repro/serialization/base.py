@@ -6,14 +6,23 @@ protocol: JSON (readable, interoperable), pickle (the Python analogue of
 Java serialization), and a compact binary codec (the Kryo analogue).
 
 A codec maps between Python objects and bytes.  The RPC layer keeps its
-envelope (method name, args, call type) as plain dict/list/str/int/float
+envelope (method name, args, reply address) as plain dict/list/str/int/float
 structures so any codec can carry it; rich domain objects register
 ``to_wire``/``from_wire`` hooks via :class:`WireRegistry`.
+
+One :meth:`WireRegistry.register` call per DTO fixes everything the wire
+knows about it: the string *tag* json and binary spell it with, and the
+*code* (with the dataclass field order) pickle spells it with.  All three
+codecs therefore admit the same surface — primitives, containers and the
+registered DTOs — and nothing else.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Protocol, Tuple, Type
+import copyreg
+import dataclasses
+from operator import attrgetter
+from typing import Any, Callable, Dict, Optional, Protocol, Tuple, Type
 
 from repro.errors import SerializationError
 
@@ -39,11 +48,23 @@ class WireRegistry:
     cross the RPC boundary register a ``(to_wire, from_wire)`` pair keyed by
     a stable type tag.  Encoded values become ``{"__wire__": tag, ...}``
     dicts that decode back into the original type.
+
+    A dataclass registered with a *code* also travels through pickle the
+    way Kryo writes a registered class: the code (a ``copyreg`` extension
+    code, one ``EXT1`` byte pair on the wire instead of module + qualname)
+    followed by the field values in declaration order — never a field
+    name — and is rebuilt through ``cls(*values)``, so ``__post_init__``
+    validates what a peer sent.  Codes are wire format: use the private
+    range 240-255 and never reuse one.  ``copyreg`` is process-wide, so
+    only types of the :data:`global_wire_registry` should be given one.
     """
 
     def __init__(self) -> None:
         self._by_type: Dict[Type, Tuple[str, Callable[[Any], dict]]] = {}
         self._by_tag: Dict[str, Callable[[dict], Any]] = {}
+        #: ``(module, qualname) -> class`` of every type registered with a
+        #: code: the allow-list of the pickle codec's unpickler.
+        self.pickle_classes: Dict[Tuple[str, str], Type] = {}
 
     def register(
         self,
@@ -51,9 +72,15 @@ class WireRegistry:
         tag: str,
         to_wire: Callable[[Any], dict],
         from_wire: Callable[[dict], Any],
+        code: Optional[int] = None,
     ) -> None:
         self._by_type[cls] = (tag, to_wire)
         self._by_tag[tag] = from_wire
+        if code is not None:
+            values = attrgetter(*(f.name for f in dataclasses.fields(cls)))
+            copyreg.add_extension(cls.__module__, cls.__qualname__, code)
+            copyreg.pickle(cls, lambda obj: (cls, values(obj)))
+            self.pickle_classes[cls.__module__, cls.__qualname__] = cls
 
     def lower(self, obj: Any) -> Any:
         """Recursively convert registered types into tagged dicts."""

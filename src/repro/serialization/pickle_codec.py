@@ -1,16 +1,34 @@
-"""Pickle codec — the Python analogue of Java serialization.
+"""Pickle codec — the Python analogue of Java serialization, allow-listed.
 
-Fast and fully general within one trust domain.  Only use between
-components you control (as the paper's StackSync does with Java
-serialization between its own client and server).
+The default transport, and the wire is a trust boundary: a body is decoded
+by an unpickler that resolves no class but the DTOs registered with a code
+(:meth:`~repro.serialization.base.WireRegistry.register`).  What it admits
+is what json and binary admit: primitives, containers and those DTOs, which
+travel as class code + positional field values.  A body naming anything
+else (``os.system``, a class of this package that no RPC carries) is
+refused with :class:`~repro.errors.SerializationError` before anything runs.
 """
 
 from __future__ import annotations
 
+import io
 import pickle
 from typing import Any
 
 from repro.errors import SerializationError
+from repro.serialization.base import global_wire_registry
+
+
+class _WireUnpickler(pickle.Unpickler):
+    """Resolves registered DTO classes only, by name or by extension code."""
+
+    def find_class(self, module: str, name: str) -> Any:
+        try:
+            return global_wire_registry.pickle_classes[module, name]
+        except KeyError:
+            raise pickle.UnpicklingError(
+                f"{module}.{name} is not a registered wire type"
+            ) from None
 
 
 class PickleSerializer:
@@ -29,6 +47,6 @@ class PickleSerializer:
 
     def decode(self, data: bytes) -> Any:
         try:
-            return pickle.loads(data)
+            return _WireUnpickler(io.BytesIO(data)).load()
         except Exception as exc:
             raise SerializationError(f"pickle decode failed: {exc}") from exc

@@ -2,8 +2,9 @@
 
 These are the DTOs crossing the ObjectMQ boundary between clients and the
 SyncService: item metadata proposals, commit notifications, and workspace
-descriptors.  Each registers with the serialization wire registry so the
-JSON and binary codecs can carry them.
+descriptors.  Each registers once with the serialization wire registry
+(bottom of this module), which is what lets any codec carry it: a tag for
+JSON and binary, a class code and the field order for pickle.
 """
 
 from __future__ import annotations
@@ -168,20 +169,24 @@ def _as_result(data) -> CommitResult:
     return data if isinstance(data, CommitResult) else CommitResult.from_wire(data)
 
 
-# Register the DTOs with the global wire registry so the JSON/binary codecs
-# can transport them transparently.
+# Register each DTO once: the tag json/binary spell it with and the code
+# pickle spells it with (class code + field values in the order declared
+# above).  Both are wire format — never renumber, reorder or reuse.
 global_wire_registry.register(
-    Workspace, "stacksync.Workspace", Workspace.to_wire, Workspace.from_wire
+    Workspace, "stacksync.Workspace", Workspace.to_wire, Workspace.from_wire, code=240
 )
 global_wire_registry.register(
-    ItemMetadata, "stacksync.ItemMetadata", ItemMetadata.to_wire, ItemMetadata.from_wire
+    ItemMetadata, "stacksync.ItemMetadata", ItemMetadata.to_wire,
+    ItemMetadata.from_wire, code=241,
 )
 global_wire_registry.register(
-    CommitResult, "stacksync.CommitResult", CommitResult.to_wire, CommitResult.from_wire
+    CommitResult, "stacksync.CommitResult", CommitResult.to_wire,
+    CommitResult.from_wire, code=242,
 )
 global_wire_registry.register(
     CommitNotification,
     "stacksync.CommitNotification",
     CommitNotification.to_wire,
     CommitNotification.from_wire,
+    code=243,
 )

@@ -79,8 +79,8 @@ def test_consume_and_ack_flow(mom):
     got = []
 
     def handler(delivery):
+        mom.ack(delivery)  # ack first: the test polls `got`, then reads the ack
         got.append(delivery)
-        mom.ack(delivery)
 
     mom.consume("work", handler, consumer_tag="c1")
     mom.publish("", "work", Message(b"job"))
@@ -128,8 +128,8 @@ def test_restart_does_not_replay_acked_messages(mom):
     got = []
 
     def handler(delivery):
+        mom.ack(delivery)  # ack first: the test polls `got`, then reads the ack
         got.append(delivery)
-        mom.ack(delivery)
 
     mom.consume("durable", handler, consumer_tag="c")
     mom.publish("", "durable", Message(b"done", delivery_mode=PERSISTENT))

@@ -59,8 +59,8 @@ def test_acked_messages_not_replayed_after_failover():
     got = []
 
     def handler(delivery):
+        cluster.ack(delivery)  # ack first: the test polls `got`, then reads the ack
         got.append(delivery)
-        cluster.ack(delivery)
 
     cluster.consume("q", handler, consumer_tag="c")
     deadline = time.monotonic() + 2.0

@@ -16,14 +16,17 @@ from repro.objectmq.supervisor import ArrivalMonitor
 
 
 def test_request_envelope_shape():
-    envelope = make_request("m", [1], {"k": 2}, call="sync", multi=False,
-                            reply_to="rq", correlation_id="c1", clock=5.0)
-    assert envelope["method"] == "m"
-    assert envelope["args"] == [1]
-    assert envelope["kwargs"] == {"k": 2}
-    assert envelope["sent_at"] == 5.0
-    assert is_request(envelope)
-    assert not is_reply(envelope)
+    """A request carries only what its receiver reads."""
+    sync = make_request("m", [1], {"k": 2}, call="sync", multi=False,
+                        reply_to="rq", correlation_id="c1", clock=5.0)
+    assert sync == {"method": "m", "args": [1], "kwargs": {"k": 2},
+                    "reply_to": "rq", "correlation_id": "c1"}
+    assert is_request(sync)
+    assert not is_reply(sync)
+    # A cast has no reply address, and empty kwargs do not travel.
+    cast = make_request("m", (1,), {}, call="async", multi=True)
+    assert cast == {"method": "m", "args": [1]}
+    assert is_request(cast)
 
 
 def test_reply_envelope_shape():

@@ -1,0 +1,146 @@
+"""The request envelope at a live skeleton: who gets a reply, what is refused.
+
+A skeleton replies iff the envelope carries ``reply_to`` (no ``call`` field
+travels any more), and a body the allow-listed pickle codec refuses is
+acked and dropped without stopping the instance.
+"""
+
+from __future__ import annotations
+
+import pickle
+import time
+
+import pytest
+
+from repro.mom import Message, MessageBroker
+from repro.objectmq import (
+    Broker,
+    Remote,
+    async_method,
+    multi_method,
+    remote_interface,
+    sync_method,
+)
+
+
+@remote_interface
+class CounterApi(Remote):
+    @sync_method(timeout=2.0, retry=0)
+    def total(self):
+        ...
+
+    @async_method
+    def add(self, amount):
+        ...
+
+    @multi_method
+    @async_method
+    def reset(self):
+        ...
+
+
+class Counter:
+    def __init__(self):
+        self.value = 0
+
+    def total(self):
+        return self.value
+
+    def add(self, amount):
+        self.value += amount
+
+    def reset(self):
+        self.value = 0
+
+
+@pytest.fixture
+def rig():
+    mom = MessageBroker()
+    server = Broker(mom)
+    client = Broker(mom)
+    yield mom, server, client
+    client.close()
+    server.close()
+    mom.close()
+
+
+def wait_for(predicate, timeout=3.0):
+    deadline = time.monotonic() + timeout
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    return predicate()
+
+
+def test_sync_call_is_answered_and_a_cast_is_not(rig):
+    mom, server, client = rig
+    counter = Counter()
+    server.bind("counter", counter)
+    proxy = client.lookup("counter", CounterApi)
+
+    def replies():
+        return mom.queue_stats(client.response_queue_name)["published"]
+
+    proxy.add(5)
+    assert wait_for(lambda: mom.queue_stats("counter")["acked"] == 1)
+    assert counter.value == 5
+    assert replies() == 0
+
+    assert proxy.total() == 5
+    assert replies() == 1
+
+    assert proxy.reset() == 1  # multicast cast: one instance, still no reply
+    assert wait_for(lambda: counter.value == 0)
+    assert replies() == 1
+
+
+def test_reply_is_decided_by_reply_to_alone(rig):
+    mom, server, client = rig
+    server.bind("counter", Counter())
+    mom.declare_queue("answers")
+    # No "call" key at all: the reply address is what asks for a reply ...
+    asks = {"method": "total", "args": [], "reply_to": "answers", "correlation_id": "c1"}
+    mom.publish("", "counter", Message(client.codec.encode(asks)))
+    reply = mom.get("answers", timeout=2.0)
+    assert reply is not None
+    assert client.codec.decode(reply.body)["correlation_id"] == "c1"
+    # ... and a parent-era envelope that says "sync" without one gets none.
+    mute = {"method": "total", "args": [], "call": "sync", "reply_to": None}
+    mom.publish("", "counter", Message(client.codec.encode(mute)))
+    assert wait_for(lambda: mom.queue_stats("counter")["acked"] == 2)
+    assert mom.get("answers", timeout=0.05) is None
+
+
+_RAN = []
+
+
+def _payload():
+    _RAN.append("code named by a message body ran")
+
+
+class _Exploit:
+    def __reduce__(self):
+        return (_payload, ())
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        pickle.dumps({"method": "add", "args": [_Exploit()]}),
+        pickle.dumps(["not", "an", "envelope"]),
+        b"\x80\x05 not a pickle",
+    ],
+    ids=["unregistered-callable", "not-a-dict", "garbage"],
+)
+def test_refused_body_is_acked_dropped_and_the_next_request_served(rig, body):
+    mom, server, client = rig
+    _RAN.clear()
+    counter = Counter()
+    skeleton = server.bind("counter", counter)
+    mom.publish("", "counter", Message(body))
+    assert wait_for(lambda: mom.queue_stats("counter")["acked"] == 1)
+    assert mom.queue_stats("counter")["unacked"] == 0
+    assert not _RAN
+    assert skeleton.object_info.snapshot().errors == 1
+    proxy = client.lookup("counter", CounterApi)
+    proxy.add(3)
+    assert proxy.total() == 3

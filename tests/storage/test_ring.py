@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.routing import ring as ring_module
 from repro.storage import HashRing
 
 
@@ -94,3 +97,47 @@ def test_property_placement_stable_under_unrelated_removal(key):
     victim = next(d for d in ring.devices if d != primary)
     ring.remove_device(victim)
     assert ring.primary_for(key) == primary
+
+
+def _eager_assignments(devices, replicas, partitions=256):
+    """Reference: every partition's replicas by rendezvous hashing, up front
+    (what the ring computed at construction before it hashed on demand)."""
+    score = ring_module._hash_to_int
+    return [
+        sorted(devices, key=lambda dev: score(f"{p}:{dev}"), reverse=True)[:replicas]
+        for p in range(partitions)
+    ]
+
+
+def test_ring_hashes_nothing_until_the_first_lookup(monkeypatch):
+    calls = []
+    real = ring_module._hash_to_int
+    monkeypatch.setattr(
+        ring_module, "_hash_to_int", lambda value: calls.append(value) or real(value)
+    )
+    ring = HashRing([f"n{i}" for i in range(4)], replicas=2)
+    assert calls == []
+    ring.primary_for("some-key")
+    assert len(calls) == 1 + 4  # the key, then one partition x four devices
+    ring.devices_for("some-key")
+    assert len(calls) == 2 + 4  # the partition's replicas are memoised
+
+
+def test_lazy_ring_matches_eager_reference_across_membership_changes():
+    rng = random.Random(21)
+    keys = [f"{rng.getrandbits(64):016x}" for _ in range(1000)]
+    devices = [f"n{i}" for i in range(5)]
+    ring = HashRing(devices, replicas=3)
+
+    def check():
+        reference = _eager_assignments(ring.devices, ring.replicas)
+        for key in keys:
+            expected = reference[ring.partition_for(key)]
+            assert ring.devices_for(key) == expected
+            assert ring.primary_for(key) == expected[0]
+
+    check()
+    ring.add_device("n5")
+    check()
+    ring.remove_device("n1")
+    check()
