@@ -24,6 +24,7 @@ from repro.sync.models import (
     STATUS_DELETED,
     STATUS_NEW,
     ItemMetadata,
+    make_item_id,
 )
 
 
@@ -138,8 +139,3 @@ class Indexer:
             device_id=device_id,
         )
         return IndexResult(proposal=proposal)
-
-
-def make_item_id(workspace_id: str, path: str) -> str:
-    """Stable item identity shared by every device syncing the workspace."""
-    return f"{workspace_id}:{path}"

@@ -52,14 +52,11 @@ class BrokerStats:
         self.acks = 0
         self.bytes_published = 0
 
-    def on_publish_many(
-        self, messages: int, queue_count: int, payload_bytes: int
-    ) -> None:
-        """Record a run of *messages* publishes that each reached
-        *queue_count* queues and total *payload_bytes* of payload."""
+    def on_publish(self, queue_count: int, payload_bytes: int) -> None:
+        """Record one publish of *payload_bytes* that reached *queue_count* queues."""
         with self._lock:
-            self.publishes += messages
-            self.deliveries += messages * queue_count
+            self.publishes += 1
+            self.deliveries += queue_count
             self.bytes_published += payload_bytes * max(1, queue_count)
 
     def on_ack_many(self, count: int) -> None:
@@ -210,7 +207,7 @@ class MessageBroker:
                 copy.materialize()
                 self.store.record_publish(queue.name, copy)
             queue.put(copy)
-        self.stats.on_publish_many(1, len(queues), message.size)
+        self.stats.on_publish(len(queues), message.size)
         if not queues and exchange_name != DEFAULT_EXCHANGE:
             raise DeliveryError(
                 f"message with key {routing_key!r} matched no queue on "

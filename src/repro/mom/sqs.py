@@ -333,7 +333,7 @@ class SqsBrokerAdapter:
         self._check_open()
         if exchange_name == "":
             self.service.create_queue(routing_key).send(message)
-            self.stats.on_publish_many(1, 1, message.size)
+            self.stats.on_publish(1, message.size)
             return 1
         with self._lock:
             destinations = sorted(self._fanouts.get(exchange_name, ()))
@@ -346,7 +346,7 @@ class SqsBrokerAdapter:
             copy = message.copy_for_queue() if routed else message
             self.service.get_queue(queue_name).send(copy)
             routed += 1
-        self.stats.on_publish_many(1, routed, message.size)
+        self.stats.on_publish(routed, message.size)
         if routed == 0:
             raise DeliveryError(
                 f"message with key {routing_key!r} matched no queue on "

@@ -17,6 +17,7 @@ sync      yes    fanout publish + collect replies until timeout
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import threading
 import time
@@ -33,6 +34,8 @@ from repro.telemetry.stats import percentile as _shared_percentile
 from repro.telemetry.trace import TRACE_KEY, TRACER
 
 logger = logging.getLogger(__name__)
+
+_UNTRACED = contextlib.nullcontext()  # tracer off: no span name is formatted
 
 
 class CallStats:
@@ -195,7 +198,8 @@ class Proxy:
         return self._broker.mom.publish(exchange, routing_key, message)
 
     def _invoke_async(self, method: str, spec: CallSpec, args, kwargs) -> None:
-        with TRACER.span(f"proxy.cast:{method}", layer="proxy"):
+        traced = TRACER.enabled and TRACER.span(f"proxy.cast:{method}", layer="proxy")
+        with traced or _UNTRACED:
             envelope = make_request(method, list(args), kwargs, call="async", multi=False)
             self._publish("", self._oid, envelope)
 
@@ -212,8 +216,9 @@ class Proxy:
         )
         waiter = self._broker.register_waiter(correlation_id)
         started = time.perf_counter()
+        traced = TRACER.enabled and TRACER.span(f"proxy.call:{method}", layer="proxy")
         try:
-            with TRACER.span(f"proxy.call:{method}", layer="proxy"):
+            with traced or _UNTRACED:
                 attempts = 1 + max(0, spec.retry)
                 for attempt in range(attempts):
                     self._publish("", self._oid, envelope)
@@ -273,7 +278,8 @@ class Proxy:
         return future
 
     def _invoke_multi_async(self, method: str, spec: CallSpec, args, kwargs) -> int:
-        with TRACER.span(f"proxy.multicast:{method}", layer="proxy"):
+        traced = TRACER.enabled and TRACER.span(f"proxy.multicast:{method}", layer="proxy")
+        with traced or _UNTRACED:
             exchange = self._multi_exchange()
             if not self._broker.mom.exchange_has_bindings(exchange):
                 # Nobody is bound to the fanout: a multicast to an empty
@@ -301,8 +307,9 @@ class Proxy:
         waiter = self._broker.register_waiter(correlation_id)
         results: List[Any] = []
         started = time.perf_counter()
+        traced = TRACER.enabled and TRACER.span(f"proxy.multicall:{method}", layer="proxy")
         try:
-            with TRACER.span(f"proxy.multicall:{method}", layer="proxy"):
+            with traced or _UNTRACED:
                 try:
                     fanout = self._publish(self._multi_exchange(), self._oid, envelope)
                 except DeliveryError:

@@ -12,9 +12,9 @@ structures so any codec can carry it; rich domain objects register
 
 One :meth:`WireRegistry.register` call per DTO fixes everything the wire
 knows about it: the string *tag* json and binary spell it with, and the
-*code* (with the dataclass field order) pickle spells it with.  All three
-codecs therefore admit the same surface — primitives, containers and the
-registered DTOs — and nothing else.
+*code* (with the dataclass field order, or a packed layout) pickle spells
+it with.  All three codecs therefore admit the same surface — primitives,
+containers and the registered DTOs — and nothing else.
 """
 
 from __future__ import annotations
@@ -54,17 +54,25 @@ class WireRegistry:
     code, one ``EXT1`` byte pair on the wire instead of module + qualname)
     followed by the field values in declaration order — never a field
     name — and is rebuilt through ``cls(*values)``, so ``__post_init__``
-    validates what a peer sent.  Codes are wire format: use the private
-    range 240-255 and never reuse one.  ``copyreg`` is process-wide, so
-    only types of the :data:`global_wire_registry` should be given one.
+    validates what a peer sent.  With *pack* / *unpack* the type has a
+    **packed layout** instead: ``pack(obj)`` returns the values that travel
+    (a digest as raw bytes, a derivable field left out) and the module-level
+    ``unpack(*values)`` rebuilds the instance; the code then names *unpack*,
+    which the unpickler admits like a class (by name or code, through
+    :attr:`pickle_classes`) and which must end in ``cls(...)`` so that
+    ``__post_init__`` still runs.  json and binary keep ``to_wire``.  Codes
+    are wire format: use the private range 240-255, never reuse one, and
+    give a changed layout a new code — a retired one has no decoder and is
+    refused like any unregistered name.  ``copyreg`` is process-wide, so only
+    types of the :data:`global_wire_registry` should be given one.
     """
 
     def __init__(self) -> None:
         self._by_type: Dict[Type, Tuple[str, Callable[[Any], dict]]] = {}
         self._by_tag: Dict[str, Callable[[dict], Any]] = {}
-        #: ``(module, qualname) -> class`` of every type registered with a
-        #: code: the allow-list of the pickle codec's unpickler.
-        self.pickle_classes: Dict[Tuple[str, str], Type] = {}
+        #: ``(module, qualname) -> class / unpack function`` of every type
+        #: registered with a code: the allow-list of the pickle unpickler.
+        self.pickle_classes: Dict[Tuple[str, str], Callable[..., Any]] = {}
 
     def register(
         self,
@@ -73,14 +81,19 @@ class WireRegistry:
         to_wire: Callable[[Any], dict],
         from_wire: Callable[[dict], Any],
         code: Optional[int] = None,
+        pack: Optional[Callable[[Any], tuple]] = None,
+        unpack: Optional[Callable[..., Any]] = None,
     ) -> None:
         self._by_type[cls] = (tag, to_wire)
         self._by_tag[tag] = from_wire
         if code is not None:
-            values = attrgetter(*(f.name for f in dataclasses.fields(cls)))
-            copyreg.add_extension(cls.__module__, cls.__qualname__, code)
-            copyreg.pickle(cls, lambda obj: (cls, values(obj)))
-            self.pickle_classes[cls.__module__, cls.__qualname__] = cls
+            if unpack is None:
+                pack = attrgetter(*(f.name for f in dataclasses.fields(cls)))
+                unpack = cls
+            copyreg.add_extension(unpack.__module__, unpack.__qualname__, code)
+            copyreg.pickle(cls, lambda obj: (unpack, pack(obj)))
+            for admitted in (cls, unpack):
+                self.pickle_classes[admitted.__module__, admitted.__qualname__] = admitted
 
     def lower(self, obj: Any) -> Any:
         """Recursively convert registered types into tagged dicts."""

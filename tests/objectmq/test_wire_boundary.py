@@ -2,7 +2,8 @@
 
 A skeleton replies iff the envelope carries ``reply_to`` (no ``call`` field
 travels any more), and a body the allow-listed pickle codec refuses is
-acked and dropped without stopping the instance.
+acked and dropped without stopping the instance — so is one whose packed
+DTO is malformed or travels under a retired code.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from repro.objectmq import (
     remote_interface,
     sync_method,
 )
+from tests.serialization.test_wire_format import CRAFTED
 
 
 @remote_interface
@@ -38,6 +40,11 @@ class CounterApi(Remote):
     def reset(self):
         ...
 
+    @multi_method
+    @sync_method(timeout=2.0)
+    def totals(self):
+        ...
+
 
 class Counter:
     def __init__(self):
@@ -51,6 +58,9 @@ class Counter:
 
     def reset(self):
         self.value = 0
+
+    def totals(self):
+        return self.value
 
 
 @pytest.fixture
@@ -128,8 +138,9 @@ class _Exploit:
         pickle.dumps({"method": "add", "args": [_Exploit()]}),
         pickle.dumps(["not", "an", "envelope"]),
         b"\x80\x05 not a pickle",
+        *(body for body, _ in CRAFTED.values()),
     ],
-    ids=["unregistered-callable", "not-a-dict", "garbage"],
+    ids=["unregistered-callable", "not-a-dict", "garbage", *CRAFTED],
 )
 def test_refused_body_is_acked_dropped_and_the_next_request_served(rig, body):
     mom, server, client = rig

@@ -1,5 +1,5 @@
-"""The pickle wire format: a byte budget, the DTO class codes and the
-allow-list that makes the wire a trust boundary.
+"""The pickle wire format: a byte budget, the DTO codes and packed layouts,
+and the allow-list that makes the wire a trust boundary.
 
 Byte counts are counts: the inputs below are fixed-width like the repo
 benchmark's (``benchmarks/e2e/commit_load.py``), so every figure is exact
@@ -12,8 +12,10 @@ import copy
 import copyreg
 import dataclasses
 import pickle
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SerializationError
 from repro.objectmq.envelope import make_request
@@ -26,8 +28,12 @@ from repro.serialization import (
 from repro.sync.models import (
     CommitNotification,
     CommitResult,
+    VALID_STATUSES,
     ItemMetadata,
     Workspace,
+    make_item_id,
+    unpack_item,
+    unpack_notification,
 )
 
 WORKSPACE = "ws-52e6b438-00"
@@ -81,7 +87,8 @@ DTOS = [
 
 
 @pytest.mark.parametrize(
-    "items, request_budget, notify_budget", [(1, 350, 350), (8, 1700, 1750)]
+    "items, request_budget, notify_budget", [(1, 260, 240), (8, 1000, 1030)],
+    ids=["1-item", "8-items"],  # not the budgets: they fall, the test stays
 )
 def test_pickle_wire_budget(items, request_budget, notify_budget):
     codec = PickleSerializer()
@@ -91,10 +98,18 @@ def test_pickle_wire_budget(items, request_budget, notify_budget):
 
 
 def test_dto_travels_as_class_code_and_values_only():
-    body = PickleSerializer().encode(proposal(0))
-    assert bytes((pickle.EXT1[0], 241)) in body
-    for spelled_out in (b"repro.sync.models", b"ItemMetadata", b"item_id", b"chunks"):
+    item = proposal(0)
+    body = PickleSerializer().encode(item)
+    assert bytes((pickle.EXT1[0], 244)) in body
+    for spelled_out in (b"repro.sync.models", b"ItemMetadata", b"unpack_item",
+                        b"item_id", b"chunks", b"CHANGED"):
         assert spelled_out not in body
+    # A digest is its 20 bytes, and the conventional item id is not sent.
+    assert not re.search(rb"[0-9a-f]{40}", body)
+    assert item.item_id.encode() not in body
+    assert body.count(WORKSPACE.encode()) == 1
+    assert bytes.fromhex(item.checksum) in body
+    assert bytes.fromhex(item.chunks[0]) in body
 
 
 @pytest.mark.parametrize(
@@ -111,15 +126,23 @@ def test_every_codec_round_trips_both_envelopes(codec):
 
 
 def test_class_codes_are_pinned():
-    """Codes are wire format: renumbering one breaks every deployed peer."""
-    expected = {Workspace: 240, ItemMetadata: 241, CommitResult: 242,
-                CommitNotification: 243}
-    for cls, code in expected.items():
-        key = (cls.__module__, cls.__qualname__)
+    """Codes are wire format: renumbering one breaks every deployed peer.
+
+    A packed DTO's code names its unpack function; 241 and 243 (the unpacked
+    ``ItemMetadata`` / ``CommitNotification`` layouts) are retired for good.
+    """
+    expected = {Workspace: 240, CommitResult: 242, unpack_item: 244,
+                unpack_notification: 245}
+    for admitted, code in expected.items():
+        key = (admitted.__module__, admitted.__qualname__)
         assert copyreg._extension_registry[key] == code
-        assert global_wire_registry.pickle_classes[key] is cls
+        assert global_wire_registry.pickle_classes[key] is admitted
+    for cls in (Workspace, ItemMetadata, CommitResult, CommitNotification):
+        assert global_wire_registry.pickle_classes[cls.__module__, cls.__qualname__] is cls
         assert cls in copyreg.dispatch_table
-    assert len(global_wire_registry.pickle_classes) == len(expected)
+    assert len(global_wire_registry.pickle_classes) == 6
+    ours = {code for code in copyreg._inverted_registry if 240 <= code <= 255}
+    assert ours == {240, 242, 244, 245}
 
 
 @pytest.mark.parametrize("dto", DTOS, ids=lambda d: type(d).__name__)
@@ -175,13 +198,153 @@ def test_unregistered_class_of_this_package_is_refused():
         PickleSerializer().decode(pickle.dumps(Message(b"x")))
 
 
+def _body(code: int, values: tuple) -> bytes:
+    """What a peer would send under *code*: pickled by hand, because the
+    encoder itself can never produce a malformed layout."""
+    return (
+        pickle.PROTO + b"\x05" + pickle.EXT1 + bytes([code])
+        + pickle.dumps(values, 5)[2:-1]  # strip PROTO 5 and STOP
+        + pickle.REDUCE + pickle.STOP
+    )
+
+
+def _crafted(**changed):
+    """The body of ``proposal(0)`` with some wire values replaced."""
+    layout = ("workspace_id", "filename", "version", "status", "is_folder", "size",
+              "checksum", "chunks", "modified_at", "device_id", "item_id")
+    values = dict(zip(layout, copyreg.dispatch_table[ItemMetadata](proposal(0))[1]))
+    assert set(changed) <= set(values)
+    values.update(changed)
+    return _body(244, tuple(values.values()))
+
+
+def _recoded(dto, old: int, new: int) -> bytes:
+    body = PickleSerializer().encode(dto)
+    assert body.count(pickle.EXT1 + bytes([old])) == 1
+    return body.replace(pickle.EXT1 + bytes([old]), pickle.EXT1 + bytes([new]))
+
+
+#: name -> (body, what the refusal says).  Also delivered to a live skeleton
+#: by ``tests/objectmq/test_wire_boundary.py``.
+CRAFTED = {
+    "blob-not-20n": (_crafted(chunks=b"\x01" * 30), "do not hold digests"),
+    "checksum-of-40-bytes": (_crafted(checksum=b"\x01" * 40), "checksum of 40 bytes"),
+    "request-id-of-8-bytes": (
+        _body(245, (WORKSPACE, DEVICE, [], 1_400_000_002.5, b"\x01" * 8)),
+        "request id of 8 bytes",
+    ),
+    "status-code-7": (_crafted(status=7), "out of range"),
+    "status-spelled-out": (_crafted(status="CHANGED"), "indices must be integers"),
+    "version-0": (_crafted(version=0), "version numbers start at 1"),
+    "retired-code-241": (_recoded(proposal(0), 244, 241), "unregistered extension code 241"),
+    "retired-code-243": (_recoded(DTOS[3], 245, 243), "unregistered extension code 243"),
+    "code-nobody-registered": (
+        pickle.PROTO + b"\x05" + pickle.EXT1 + bytes([250]) + b")R.",
+        "unregistered extension code 250",
+    ),
+    "os-system": (
+        pickle.dumps({"method": "m", "args": [_Exploit()]}),
+        "not a registered wire type",
+    ),
+}
+
+
 def test_crafted_positional_item_fails_validation():
-    """Decoding goes through ``cls(*values)``, so ``__post_init__`` runs."""
-    good = PickleSerializer().encode(proposal(0))
-    assert good.count(b"K\x02") == 1  # BININT1 2: the version field
-    for crafted in (
-        good.replace(b"K\x02", b"K\x00"),  # version=0
-        good.replace(b"\x07CHANGED", b"\x07BOGUS!!"),  # status
-    ):
+    """Decoding ends in ``cls(...)``, so ``__post_init__`` runs."""
+    assert PickleSerializer().decode(_crafted()) == proposal(0)
+    assert PickleSerializer().decode(_crafted(status=0, version=9)) == dataclasses.replace(
+        proposal(0), status="NEW", version=9
+    )
+    assert PickleSerializer().decode(
+        _body(245, (WORKSPACE, DEVICE, [], 2.5, bytes.fromhex(REQUEST_ID)))
+    ) == CommitNotification(WORKSPACE, DEVICE, [], 2.5, REQUEST_ID)
+    for name in ("version-0", "status-code-7"):
         with pytest.raises(SerializationError):
-            PickleSerializer().decode(crafted)
+            PickleSerializer().decode(CRAFTED[name][0])
+
+
+@pytest.mark.parametrize("name", CRAFTED)
+def test_crafted_body_is_refused(name):
+    body, why = CRAFTED[name]
+    with pytest.raises(SerializationError, match=why):
+        PickleSerializer().decode(body)
+
+
+# -- the packed layout round-trips anything -------------------------------------
+
+_HEX = "0123456789abcdef"
+_digest = st.text(_HEX, min_size=40, max_size=40)
+_fingerprint = st.one_of(
+    _digest,
+    _digest.map(str.upper),
+    st.text("ghijk :", min_size=40, max_size=40),
+    st.text(_HEX + " ", min_size=38, max_size=42),
+    st.sampled_from(["fp1", "", "da39a3ee5e6b4b0d3255bfef95601890afd80709"]),
+)
+_name = st.text("abc:/. é", min_size=0, max_size=12)
+
+
+@st.composite
+def _items(draw):
+    workspace_id, filename = draw(_name), draw(_name)
+    return ItemMetadata(
+        item_id=draw(st.one_of(st.just(make_item_id(workspace_id, filename)), _name)),
+        workspace_id=workspace_id,
+        version=draw(st.integers(1, 2**40)),
+        filename=filename,
+        status=draw(st.sampled_from(VALID_STATUSES)),
+        is_folder=draw(st.booleans()),
+        size=draw(st.integers(0, 2**40)),
+        checksum=draw(_fingerprint),
+        chunks=draw(st.lists(_fingerprint, max_size=4)),
+        modified_at=draw(st.floats(0, 2e9)),
+        device_id=draw(_name),
+    )
+
+
+_notifications = st.builds(
+    CommitNotification,
+    workspace_id=_name,
+    source_device=_name,
+    results=st.lists(
+        st.builds(CommitResult, metadata=_items(), confirmed=st.booleans(),
+                  current=st.none() | _items()),
+        max_size=3,
+    ),
+    committed_at=st.floats(0, 2e9),
+    request_id=st.one_of(
+        st.text(_HEX, min_size=32, max_size=32),
+        st.text(_HEX.upper(), min_size=32, max_size=32),
+        st.text(_HEX, max_size=40),
+        st.just("req-1"),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dto=st.one_of(_items(), _notifications))
+def test_any_item_and_notification_round_trips(dto):
+    for codec in (PickleSerializer(), JsonSerializer(), BinarySerializer()):
+        assert codec.decode(codec.encode(dto)) == dto
+    assert copy.deepcopy(dto) == dto
+    assert dataclasses.replace(dto, workspace_id="other").workspace_id == "other"
+    assert dataclasses.replace(dto) == dto
+
+
+def test_canonical_digests_travel_packed_and_anything_else_literally():
+    packed = copyreg.dispatch_table[ItemMetadata]
+    digest = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
+    for checksum, chunks, wire_checksum, wire_chunks in (
+        (digest, [digest, digest], bytes.fromhex(digest), bytes.fromhex(digest) * 2),
+        (digest.upper(), [digest, digest.upper()], digest.upper(), [digest, digest.upper()]),
+        ("fp1", ["fp1"], "fp1", ["fp1"]),
+        ("", [], "", []),
+        (digest[:-2], [digest[:20], digest[20:] + digest], digest[:-2],
+         [digest[:20], digest[20:] + digest]),
+    ):
+        item = dataclasses.replace(proposal(0), checksum=checksum, chunks=chunks)
+        values = packed(item)[1]
+        assert (values[6], values[7]) == (wire_checksum, wire_chunks)
+        assert values[3] == VALID_STATUSES.index(item.status) and values[10] is None
+    moved = dataclasses.replace(proposal(0), item_id="ws:kept-across-a-rename")
+    assert packed(moved)[1][10] == "ws:kept-across-a-rename"

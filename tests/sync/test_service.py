@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.errors import RemoteInvocationError
+from repro.errors import RemoteInvocationError, UnknownWorkspace
 from repro.metadata import MemoryMetadataBackend
 from repro.mom import MessageBroker
 from repro.objectmq import Broker
@@ -17,6 +17,7 @@ from repro.sync import (
     workspace_oid,
 )
 from repro.sync.models import STATUS_CHANGED, STATUS_DELETED, ItemMetadata
+from tests.conftest import make_metadata_backend
 
 
 class NotificationSink:
@@ -139,10 +140,37 @@ def test_delete_version_recorded(rig):
 
 def test_unknown_workspace_rejected(rig):
     _metadata, service, _sink = rig
-    from repro.errors import UnknownWorkspace
-
     with pytest.raises(UnknownWorkspace):
         service.commit_request("ghost", "dev-1", [proposal(1)])
+
+
+@pytest.mark.parametrize("items", [1, 8, 0])
+@pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded"])
+def test_unknown_workspace_stores_and_notifies_nothing(kind, items):
+    """The engine's own check is the only one a non-empty bundle gets; an
+    empty bundle gives the engine no workspace to look at, so the service asks."""
+    mom = MessageBroker()
+    broker = Broker(mom)
+    metadata = make_metadata_backend(kind)
+    service = SyncService(metadata, broker)
+    sink = NotificationSink()
+    broker.bind(workspace_oid("ghost"), sink)
+    bundle = [
+        ItemMetadata(item_id=f"ghost:f{i}", workspace_id="ghost", version=1, filename=f"f{i}")
+        for i in range(items)
+    ]
+    try:
+        with pytest.raises(UnknownWorkspace):
+            service.commit_request("ghost", "dev-1", bundle)
+        assert all(metadata.get_current(item.item_id) is None for item in bundle)
+        assert service.commit_count == 0
+        time.sleep(0.05)
+        assert sink.notifications == []
+        assert mom.queue_stats(workspace_oid("ghost"))["published"] == 0
+    finally:
+        broker.close()
+        mom.close()
+        metadata.close()
 
 
 def test_get_workspaces_and_changes(rig):
