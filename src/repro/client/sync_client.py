@@ -262,22 +262,18 @@ class StackSyncClient:
 
     def put_file(self, path: str, content: bytes) -> ItemMetadata:
         """Write *path* locally and propagate it (ADD or UPDATE)."""
-        with TRACER.span(
-            "client.put_file",
-            layer="client",
-            attrs={"path": path, "nbytes": len(content), "device": self.device_id},
-        ):
+        attrs = None  # nothing is built for a tracer that is off
+        if TRACER.enabled:
+            attrs = {"path": path, "nbytes": len(content), "device": self.device_id}
+        with TRACER.span("client.put_file", layer="client", attrs=attrs):
             self.fs.write(path, content)
             self.watcher.ignore(path)
             return self._index_and_commit(path, content)
 
     def delete_file(self, path: str) -> ItemMetadata:
         """Delete *path* locally and propagate the removal."""
-        with TRACER.span(
-            "client.delete_file",
-            layer="client",
-            attrs={"path": path, "device": self.device_id},
-        ):
+        attrs = {"path": path, "device": self.device_id} if TRACER.enabled else None
+        with TRACER.span("client.delete_file", layer="client", attrs=attrs):
             self.fs.delete(path)
             self.watcher.ignore(path)
             result = self.indexer.index_delete(
@@ -376,11 +372,10 @@ class StackSyncClient:
         if not proposals:
             return
         self.stats.add_commit()
-        with TRACER.span(
-            "client.flush",
-            layer="client",
-            attrs={"device": self.device_id, "proposals": len(proposals)},
-        ):
+        attrs = None
+        if TRACER.enabled:
+            attrs = {"device": self.device_id, "proposals": len(proposals)}
+        with TRACER.span("client.flush", layer="client", attrs=attrs):
             self.sync_service.commit_request(
                 self.workspace.workspace_id,
                 self.device_id,
@@ -458,15 +453,14 @@ class StackSyncClient:
         :class:`~repro.errors.SyncError` instead of silently writing bad
         data into the user's workspace.
         """
-        with TRACER.span(
-            "client.fetch_content",
-            layer="client",
-            attrs={
+        attrs = None
+        if TRACER.enabled:
+            attrs = {
                 "device": self.device_id,
                 "path": metadata.filename,
                 "chunks": len(metadata.chunks),
-            },
-        ):
+            }
+        with TRACER.span("client.fetch_content", layer="client", attrs=attrs):
             return self._fetch_content_inner(metadata)
 
     def _fetch_content_inner(self, metadata: ItemMetadata) -> bytes:

@@ -236,11 +236,11 @@ class ChunkTransferManager:
         parent: Optional[TraceContext] = None,
     ) -> Tuple[TransferRecord, None]:
         started = time.perf_counter()
+        attrs = None  # nothing is built for a tracer that is off
+        if TRACER.enabled:
+            attrs = {"fingerprint": fingerprint, "nbytes": len(payload)}
         with TRACER.span(
-            "storage.put_chunk",
-            layer="storage",
-            parent=parent,
-            attrs={"fingerprint": fingerprint, "nbytes": len(payload)},
+            "storage.put_chunk", layer="storage", parent=parent, attrs=attrs
         ) as span:
             attempts = self._with_retry(
                 lambda: store.put_object(container, fingerprint, payload)
@@ -280,11 +280,9 @@ class ChunkTransferManager:
 
             # Only genuine downloads get a storage span; cache hits never
             # touch the back-end.
+            attrs = {"fingerprint": fingerprint} if TRACER.enabled else None
             with TRACER.span(
-                "storage.get_chunk",
-                layer="storage",
-                parent=parent,
-                attrs={"fingerprint": fingerprint},
+                "storage.get_chunk", layer="storage", parent=parent, attrs=attrs
             ) as span:
                 attempts = self._with_retry(fetch)
                 payload = box[-1]

@@ -67,11 +67,10 @@ class MetadataBackend(ABC):
         the trace tree attributes back-end time to the ``metadata`` layer
         regardless of which implementation is plugged in.
         """
-        return TRACER.span(
-            "metadata.txn",
-            layer="metadata",
-            attrs={"backend": type(self).__name__, "proposals": proposals},
-        )
+        attrs = None  # nothing is built for a tracer that is off
+        if TRACER.enabled:
+            attrs = {"backend": type(self).__name__, "proposals": proposals}
+        return TRACER.span("metadata.txn", layer="metadata", attrs=attrs)
 
     # -- accounts & workspaces ---------------------------------------------------
 

@@ -220,10 +220,8 @@ class MessageBroker:
     ) -> List[MessageQueue]:
         """Live destination queues for one (exchange, routing key) pair."""
         if exchange_name == DEFAULT_EXCHANGE:
-            destinations = [self.declare_queue(routing_key).name]
-        else:
-            exchange = self._get_exchange(exchange_name)
-            destinations = exchange.route(routing_key)
+            return [self.declare_queue(routing_key)]
+        destinations = self._get_exchange(exchange_name).route(routing_key)
         with self._lock:
             return [
                 queue

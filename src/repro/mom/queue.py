@@ -10,14 +10,13 @@ SyncService instance immediately absorb load.
 
 There is one delivery path and it works on *runs* of messages: publishing
 is :meth:`MessageQueue.put_many`, settling is :meth:`MessageQueue.ack_many`
-and a consumer is handed lists of deliveries; ``put`` and ``ack`` are the
-same code called with a run of one.  One lock acquisition drains up to
-:data:`DEFAULT_BATCH_SIZE` ready messages *per consumer* into per-consumer
-mailboxes (one mailbox handoff per consumer per cycle, not one per
-message), and consumers with ``prefetch > 1`` have their whole window
-filled in a single cycle.  Pull-mode waiters are woken with *targeted*
-notifies — exactly as many waiters as there are messages to take — never
-a ``notify_all`` stampede.
+and a consumer's handler is handed lists of deliveries; ``put`` and
+``ack`` are the same code called with a run of one.  The dispatcher hands
+over single deliveries; a run is what a woken consumer finds waiting in
+its mailbox (:meth:`Consumer._run`), which for an acking consumer is at
+most ``prefetch``.  Pull-mode waiters are woken with *targeted* notifies —
+exactly as many waiters as there are messages to take — never a
+``notify_all`` stampede.
 
 Reliability: a delivery stays in the consumer's unacked set until it is
 acked.  If the consumer is cancelled or its owner crashes, every unacked
@@ -47,11 +46,6 @@ logger = logging.getLogger(__name__)
 #: Sentinel pushed into a consumer mailbox to terminate its worker thread.
 _STOP = object()
 
-#: Most messages one dispatch cycle hands a single consumer.  Prefetch
-#: already bounds un-acked consumers; this bounds auto-ack consumers (and
-#: the mailbox burst size) so one drain cannot monopolize the lock.
-DEFAULT_BATCH_SIZE = 64
-
 
 def _each(
     tag: str, callback: Callable[[Delivery], None]
@@ -72,14 +66,16 @@ class Consumer:
     """A registered consumer: a handler plus its delivery worker thread.
 
     Deliveries are executed on a dedicated thread (started with the first
-    run, see :meth:`deliver_batch`) so that one slow consumer never blocks
+    delivery, see :meth:`deliver`) so that one slow consumer never blocks
     the queue's dispatch path or its sibling consumers.  Acking is the
     responsibility of the subscriber (normally the ObjectMQ skeleton) via
     :meth:`MessageQueue.ack_many`.
 
-    The mailbox carries *runs*: the dispatch loop hands over a list of
-    deliveries per cycle, so a burst of N messages costs one queue
-    handoff, not N.  The handler is chosen once, at registration: a
+    The mailbox carries single deliveries; the thread, woken by one, takes
+    every other already waiting and hands the handler the lot as one list.
+    An acking consumer holds at most ``prefetch`` deliveries, mailbox and
+    handler together, which bounds its runs; nothing bounds an auto-ack
+    consumer's.  The handler is chosen once, at registration: a
     *batch_callback* receives each list whole and owns per-delivery error
     handling; a per-delivery *callback* is wrapped into a list handler
     that isolates each delivery, so one bad delivery never drops its
@@ -102,23 +98,23 @@ class Consumer:
         self.auto_ack = auto_ack
         self.unacked: Dict[int, Delivery] = {}
         self._mailbox: "stdlib_queue.SimpleQueue" = stdlib_queue.SimpleQueue()
-        # Started by the first run handed over: a consumer that never gets
-        # a message (a listener's unicast queue, the reply queue of a
+        # Started by the first delivery: a consumer that never gets a
+        # message (a listener's unicast queue, the reply queue of a
         # broker that only casts) never costs a thread.
         self._thread: Optional[threading.Thread] = None
 
-    def deliver_batch(self, deliveries: List[Delivery]) -> None:
-        """Hand a whole dispatch-cycle run over in one mailbox put.
+    def deliver(self, delivery: Delivery) -> None:
+        """Put one delivery in the mailbox.
 
         Called under the queue lock (``_dispatch_locked`` is the only
-        caller), so the first-run thread start cannot race itself.
+        caller), so the first-delivery thread start cannot race itself.
         """
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self._run, name=f"consumer-{self.tag}", daemon=True
             )
             self._thread.start()
-        self._mailbox.put(deliveries)
+        self._mailbox.put(delivery)
 
     def stop(self) -> None:
         if self._thread is not None:
@@ -131,12 +127,20 @@ class Consumer:
     def _run(self) -> None:
         while True:
             item = self._mailbox.get()
-            if item is _STOP:
-                return
+            run = []
             try:
-                self._handler(item)
-            except Exception:  # noqa: BLE001 - consumer bugs must not kill dispatch
-                logger.exception("consumer %s raised while handling batch", self.tag)
+                while item is not _STOP:
+                    run.append(item)
+                    item = self._mailbox.get_nowait()
+            except stdlib_queue.Empty:
+                pass
+            if run:
+                try:
+                    self._handler(run)
+                except Exception:  # noqa: BLE001 - consumer bugs must not kill dispatch
+                    logger.exception("consumer %s raised while handling run", self.tag)
+            if item is _STOP:
+                return  # after the run that was queued ahead of it
 
 
 class MessageQueue:
@@ -175,7 +179,6 @@ class MessageQueue:
         # and numerous, so only named queues register a source.
         self.depth_high_water = 0
         self.dispatch_cycles = 0
-        self.batched_deliveries = 0
         self._source_token: Optional[int] = None
         if not exclusive:
             self._source_token = get_registry().register_source(
@@ -184,7 +187,6 @@ class MessageQueue:
                 lambda q: {
                     "depth_high_water": float(q.depth_high_water),
                     "dispatch_cycles": float(q.dispatch_cycles),
-                    "batched_deliveries": float(q.batched_deliveries),
                 },
                 queue=name,
             )
@@ -373,62 +375,42 @@ class MessageQueue:
     # -- dispatch -------------------------------------------------------------
 
     def _dispatch_locked(self) -> None:
-        """Drain ready messages to eligible consumers in per-consumer batches.
+        """Hand ready messages to eligible consumers, one delivery each.
 
         Must be called with ``self._lock`` held.  A consumer is eligible
         while its unacked window is below its prefetch limit; with the
         default prefetch of 1 this selects only idle consumers, which is
         the transparent load balancing the paper credits the MOM layer
-        with.  Consumers with wider windows (or ``auto_ack``) have up to
-        :data:`DEFAULT_BATCH_SIZE` messages drained into their mailbox in
-        this one lock cycle — one mailbox handoff per consumer, not per
-        message.
+        with.  An ``auto_ack`` consumer has no window and is always
+        eligible.
         """
         self.dispatch_cycles += 1
-        if not self._consumers or not self._ready:
-            return
         stamp = time.time() if TRACER.enabled else None
-        # Rounds of capped batches: each round hands every consumer at
-        # most DEFAULT_BATCH_SIZE messages in one mailbox put, and rounds
-        # repeat until nothing more can move — a larger burst is chunked,
-        # never stranded waiting for the next put/ack.
         while self._ready:
-            batches: "Dict[Consumer, List[Delivery]]" = {}
-            while self._ready:
-                consumer = self._next_eligible_locked(batches)
-                if consumer is None:
-                    break
-                message = self._ready.popleft()
-                if stamp is not None:
-                    message.headers[DEQUEUED_AT_KEY] = stamp
-                delivery = Delivery(
-                    delivery_tag=next(self._delivery_tags),
-                    queue_name=self.name,
-                    consumer_tag=consumer.tag,
-                    message=message,
-                )
-                if not consumer.auto_ack:
-                    consumer.unacked[delivery.delivery_tag] = delivery
-                else:
-                    self.acked_count += 1
-                self.delivered_count += 1
-                batches.setdefault(consumer, []).append(delivery)
-            if not batches:
-                break
-            for consumer, batch in batches.items():
-                if len(batch) > 1:
-                    self.batched_deliveries += len(batch)
-                consumer.deliver_batch(batch)
+            consumer = self._next_eligible_locked()
+            if consumer is None:
+                return
+            message = self._ready.popleft()
+            if stamp is not None:
+                message.headers[DEQUEUED_AT_KEY] = stamp
+            delivery = Delivery(
+                delivery_tag=next(self._delivery_tags),
+                queue_name=self.name,
+                consumer_tag=consumer.tag,
+                message=message,
+            )
+            if not consumer.auto_ack:
+                consumer.unacked[delivery.delivery_tag] = delivery
+            else:
+                self.acked_count += 1
+            self.delivered_count += 1
+            consumer.deliver(delivery)
 
-    def _next_eligible_locked(
-        self, batches: "Dict[Consumer, List[Delivery]]"
-    ) -> Optional[Consumer]:
+    def _next_eligible_locked(self) -> Optional[Consumer]:
         n = len(self._consumers)
         for offset in range(n):
             candidate = self._consumers[(self._rr_index + offset) % n]
             if len(candidate.unacked) >= candidate.prefetch:
-                continue
-            if len(batches.get(candidate, ())) >= DEFAULT_BATCH_SIZE:
                 continue
             self._rr_index = (self._rr_index + offset + 1) % n
             return candidate

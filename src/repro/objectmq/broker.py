@@ -81,27 +81,17 @@ class _ReplyRouter:
 
 
 class _Waiter:
-    """A blocking mailbox collecting reply envelopes for one call.
-
-    Setting :attr:`on_put` switches the waiter into callback mode (used
-    by the future-based invocation path): replies are handed to the
-    callback instead of being buffered.
-    """
+    """A blocking mailbox collecting reply envelopes for one call."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
         self._replies: list = []
-        self.on_put = None
 
     def put(self, envelope: dict) -> None:
         with self._ready:
-            callback = self.on_put
-            if callback is None:
-                self._replies.append(envelope)
-                self._ready.notify_all()
-        if callback is not None:
-            callback(envelope)
+            self._replies.append(envelope)
+            self._ready.notify_all()
 
     def take(self, timeout: float) -> Optional[dict]:
         """Wait up to *timeout* seconds for the next reply."""

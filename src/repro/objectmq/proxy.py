@@ -158,16 +158,6 @@ class Proxy:
 
         call.__name__ = method_name
         call.__qualname__ = f"{self._interface_name}.{method_name}"
-
-        if spec.kind == "sync" and not spec.multi:
-            # Future-based companion: begin_<name>() returns a
-            # RemoteFuture instead of blocking (see repro.objectmq.futures).
-            def begin(*args: Any, **kwargs: Any):
-                return self._invoke_begin(method_name, spec, args, kwargs)
-
-            begin.__name__ = f"begin_{method_name}"
-            begin.__qualname__ = f"{self._interface_name}.begin_{method_name}"
-            setattr(self, f"begin_{method_name}", begin)
         return call
 
     # -- invocation paths ----------------------------------------------------------
@@ -237,45 +227,6 @@ class Proxy:
                 )
         finally:
             self._broker.unregister_waiter(correlation_id)
-
-    def _invoke_begin(self, method: str, spec: CallSpec, args, kwargs):
-        """Publish a sync request, return a RemoteFuture for its reply.
-
-        Unlike the blocking path there are no republish retries: the
-        caller owns the timeout via ``future.result(timeout)``, and the
-        MOM's at-least-once delivery already covers server crashes.
-        """
-        from repro.objectmq.futures import RemoteFuture
-
-        correlation_id = new_correlation_id()
-        envelope = make_request(
-            method,
-            list(args),
-            kwargs,
-            call="sync",
-            multi=False,
-            reply_to=self._broker.response_queue_name,
-            correlation_id=correlation_id,
-        )
-        waiter = self._broker.register_waiter(correlation_id)
-        future = RemoteFuture(
-            on_finalize=lambda: self._broker.unregister_waiter(correlation_id)
-        )
-
-        def complete(reply: dict) -> None:
-            if reply.get("ok"):
-                future.set_result(reply.get("result"))
-            else:
-                future.set_error(
-                    RemoteInvocationError(method, reply.get("error") or "unknown error")
-                )
-
-        waiter.on_put = complete
-        try:
-            self._publish("", self._oid, envelope)
-        except Exception as exc:  # publish failure completes the future
-            future.set_error(exc)
-        return future
 
     def _invoke_multi_async(self, method: str, spec: CallSpec, args, kwargs) -> int:
         traced = TRACER.enabled and TRACER.span(f"proxy.multicast:{method}", layer="proxy")

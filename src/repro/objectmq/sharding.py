@@ -126,13 +126,4 @@ class ShardedProxy:
 
         call.__name__ = method_name
         call.__qualname__ = f"{self._interface_name}.{method_name}"
-
-        if spec.kind == "sync" and not spec.multi:
-            def begin(*args: Any, **kwargs: Any):
-                proxy = self._target(method_name, args)
-                return getattr(proxy, f"begin_{method_name}")(*args, **kwargs)
-
-            begin.__name__ = f"begin_{method_name}"
-            begin.__qualname__ = f"{self._interface_name}.begin_{method_name}"
-            setattr(self, f"begin_{method_name}", begin)
         return call

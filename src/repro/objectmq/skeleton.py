@@ -73,8 +73,8 @@ class Skeleton:
         # _running is False is treated as arriving into a crashed instance
         # (never acked).
         self._running = True
-        # The transport hands this skeleton runs of deliveries (whole
-        # prefetch windows where it can), so their acks settle together.
+        # The transport hands this skeleton runs of deliveries (the backlog
+        # it woke to, at most a prefetch window): their acks settle together.
         mom.consume(
             self.oid, None, consumer_tag=self._unicast_tag,
             prefetch=self.prefetch, batch_callback=self._on_deliveries,

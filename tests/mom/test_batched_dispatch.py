@@ -1,22 +1,23 @@
-"""Batched dispatch: per-consumer batches, requeue ordering, targeted wakeups.
+"""Runs of deliveries: where they form, requeue ordering, targeted wakeups.
 
-These tests pin the rebuilt dispatch core: one lock cycle drains a run of
-ready messages into per-consumer mailbox batches, delivery tags are
-queue-scoped, requeue-on-cancel splices the whole unacked window back
-head-of-queue in original order, and pull-mode publishes wake exactly as
-many waiters as there are messages.
+These tests pin the dispatch core: one lock cycle fills every open
+prefetch window, a consumer's run is whatever its mailbox held when it
+woke, delivery tags are queue-scoped, requeue-on-cancel splices the whole
+unacked window back head-of-queue in original order, and pull-mode
+publishes wake exactly as many waiters as there are messages.
 """
 
 from __future__ import annotations
 
 import threading
-import time
+
+import pytest
 
 from repro.mom.broker_server import MessageBroker
 from repro.mom.message import PERSISTENT, Message
-from repro.mom.queue import DEFAULT_BATCH_SIZE, MessageQueue
+from repro.mom.queue import MessageQueue
 
-from tests.mom.test_queue import Collector, drain_wait
+from tests.mom.test_queue import BlockingRunHandler, Collector, drain_wait
 
 
 def test_wide_prefetch_window_filled_in_one_cycle(queue):
@@ -25,25 +26,43 @@ def test_wide_prefetch_window_filled_in_one_cycle(queue):
     queue.put_many([Message(f"m{i}".encode()) for i in range(8)])
     assert drain_wait(lambda: collector.count() == 8)
     assert collector.bodies() == [f"m{i}".encode() for i in range(8)]
-    # The whole window went over as one batch, not eight mailbox puts.
-    assert queue.batched_deliveries == 8
     assert queue.unacked_count == 8
 
 
-def test_burst_larger_than_batch_size_is_chunked_not_stranded(queue):
-    batches = []
-    queue.add_consumer(
-        "c1", None, auto_ack=True, batch_callback=lambda ds: batches.append(ds)
-    )
-    # One put_many, no further puts/acks to re-trigger dispatch: every
-    # message must still arrive (in chunks of the dispatch batch size).
-    burst = 3 * DEFAULT_BATCH_SIZE + 7
-    queue.put_many([Message(f"m{i}".encode()) for i in range(burst)])
-    assert drain_wait(lambda: sum(len(b) for b in batches) == burst)
-    assert [d.message.body for b in batches for d in b] == [
-        f"m{i}".encode() for i in range(burst)
+@pytest.mark.parametrize(
+    "prefetch, run_lengths",
+    [(256, [1, 199]), (1, [1] * 200)],
+    ids=["prefetch-256", "prefetch-1"],
+)
+def test_a_run_is_the_backlog_a_busy_consumer_wakes_to(queue, prefetch, run_lengths):
+    handler = BlockingRunHandler(queue)
+    queue.add_consumer("c1", None, prefetch=prefetch, batch_callback=handler)
+    queue.put(Message(b"m0"))
+    assert handler.entered.wait(timeout=2.0)
+    # Published one at a time while the handler is busy: the dispatcher
+    # never holds two of them, the mailbox (within prefetch) does.
+    for i in range(1, 200):
+        queue.put(Message(f"m{i}".encode()))
+    handler.release.set()
+    assert drain_wait(lambda: queue.acked_count == 200)
+    assert [len(run) for run in handler.runs] == run_lengths
+    assert [body for run in handler.runs for body in run] == [
+        f"m{i}".encode() for i in range(200)
     ]
-    assert max(len(b) for b in batches) == DEFAULT_BATCH_SIZE
+
+
+def test_stop_behind_a_backlog_ends_the_thread_after_that_run(queue):
+    handler = BlockingRunHandler(queue)
+    consumer = queue.add_consumer("c1", None, prefetch=8, batch_callback=handler)
+    queue.put(Message(b"m0"))
+    assert handler.entered.wait(timeout=2.0)
+    queue.put_many([Message(b"m1"), Message(b"m2"), Message(b"m3")])
+    consumer.stop()
+    queue.put(Message(b"m4"))  # behind the stop: never handled
+    handler.release.set()
+    consumer.join(timeout=2.0)
+    assert not consumer._thread.is_alive()
+    assert handler.runs == [[b"m0"], [b"m1", b"m2", b"m3"]]
 
 
 def test_put_many_preserves_fifo_and_counts(queue):
@@ -169,8 +188,11 @@ def test_batch_callback_receives_whole_dispatch_batches(queue):
     queue.put_many([Message(f"m{i}".encode()) for i in range(8)])
     assert drain_wait(lambda: queue.acked_count == 8)
     with lock:
-        assert len(batches) == 1  # the whole window came over as one list
-        assert [d.message.body for d in batches[0]] == [
+        # Where the window is cut into runs depends on when the consumer
+        # thread woke; that they are lists, in order and within prefetch
+        # does not.
+        assert all(0 < len(batch) <= 8 for batch in batches)
+        assert [d.message.body for batch in batches for d in batch] == [
             f"m{i}".encode() for i in range(8)
         ]
 

@@ -23,7 +23,19 @@ def test_default_exchange_routes_and_lazily_declares(mom):
     routed = mom.publish("", "lazy-queue", Message(b"x"))
     assert routed == 1
     assert mom.queue_exists("lazy-queue")
+    first = mom.declare_queue("lazy-queue")
     assert mom.get("lazy-queue", timeout=0.1).body == b"x"
+    # After a delete the name is undeclared again: a fresh queue, not the
+    # closed one.
+    mom.delete_queue("lazy-queue")
+    assert mom.publish("", "lazy-queue", Message(b"y")) == 1
+    assert mom.declare_queue("lazy-queue") is not first
+    assert mom.get("lazy-queue", timeout=0.1).body == b"y"
+    # A closed broker declares nothing on the way to refusing.
+    mom.close()
+    with pytest.raises(BrokerClosed):
+        mom.publish("", "never-declared", Message(b"z"))
+    assert not mom.queue_exists("never-declared")
 
 
 def test_declare_queue_idempotent(mom):

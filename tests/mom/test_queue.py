@@ -44,6 +44,22 @@ class Collector:
             return [d.message.body for d in self.deliveries]
 
 
+class BlockingRunHandler:
+    """An acking ``batch_callback`` that parks inside its first run."""
+
+    def __init__(self, queue):
+        self.queue = queue
+        self.runs = []
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, deliveries):
+        self.runs.append([d.message.body for d in deliveries])
+        self.entered.set()
+        assert self.release.wait(timeout=5.0)
+        self.queue.ack_many([d.delivery_tag for d in deliveries])
+
+
 def test_pull_mode_get_returns_fifo(queue):
     queue.put(Message(b"one"))
     queue.put(Message(b"two"))
@@ -306,3 +322,28 @@ class TestQueueMetricsSource:
             assert get_registry().source_count() == before
         finally:
             queue.close()
+
+
+def test_slow_acking_consumer_holds_at_most_its_prefetch(queue):
+    """A stuck acking consumer is owed at most ``prefetch`` deliveries.
+
+    Its mailbox and its handler together hold 8; the other 9,992 messages
+    of the burst wait in the queue's ready buffer, where ``len(queue)`` and
+    ``depth_high_water`` can see them.  An *auto-ack* consumer has no such
+    bound — everything published goes straight to its mailbox (ROADMAP
+    4(d), still open).
+    """
+    handler = BlockingRunHandler(queue)
+    consumer = queue.add_consumer("c1", None, prefetch=8, batch_callback=handler)
+    queue.put(Message(b"0"))
+    assert handler.entered.wait(timeout=2.0)
+    for i in range(1, 10_000):
+        queue.put(Message(str(i).encode()))
+    assert handler.runs == [[b"0"]]
+    assert consumer._mailbox.qsize() == 7
+    assert queue.unacked_count == 8
+    assert len(queue) == queue.depth_high_water == 9_992
+    handler.release.set()
+    assert drain_wait(lambda: queue.acked_count == 10_000, timeout=10.0)
+    assert max(len(run) for run in handler.runs) <= 8
+    assert [int(body) for run in handler.runs for body in run] == list(range(10_000))

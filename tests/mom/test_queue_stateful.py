@@ -13,6 +13,9 @@ ready message numbers and one dict of unacked deliveries per consumer:
   front, flagged ``redelivered`` and only then;
 * **work conserving within prefetch** — no window is over its prefetch,
   and nothing waits in ready while a consumer has room;
+* **runs in tag order, within prefetch** — what a consumer's handler has
+  been handed so far, run after run, is the front of its delivery-tag
+  order, and no run is longer than its prefetch;
 * ``published = acked + ready + unacked`` (+ dropped by
   ``nack(requeue=False)``).
 
@@ -20,7 +23,9 @@ Only the test thread mutates the queue (consumer handlers just record what
 they are handed), so each consumer's ``unacked`` window can be read
 synchronously after every call; that the handlers really received those
 deliveries, once and in order, is checked when a consumer is cancelled and
-at teardown.
+at teardown.  A live tag is settled only once its consumer's handler has
+been handed it, as a real consumer must: that is what makes ``prefetch``
+bound a run.
 """
 
 from __future__ import annotations
@@ -49,15 +54,23 @@ class ModelConsumer:
         self.unacked = {}  # delivery tag -> message number (the model)
         self.assigned = []  # every delivery tag dispatch ever gave it
         self.seen = []  # delivery tags its handler was actually handed
-        self.lock = threading.Lock()
+        self.longest_run = 0  # whole-run handlers only
+        self.lock = threading.Condition()
 
     def on_delivery(self, delivery):
         with self.lock:
             self.seen.append(delivery.delivery_tag)
+            self.lock.notify_all()
 
     def on_deliveries(self, deliveries):
         with self.lock:
             self.seen.extend(d.delivery_tag for d in deliveries)
+            self.longest_run = max(self.longest_run, len(deliveries))
+            self.lock.notify_all()
+
+    def await_handed(self, tag):
+        with self.lock:
+            assert self.lock.wait_for(lambda: tag in self.seen, timeout=5.0)
 
 
 class QueueMachine(RuleBasedStateMachine):
@@ -188,6 +201,7 @@ class QueueMachine(RuleBasedStateMachine):
     @rule(data=st.data())
     def ack(self, data):
         tag, name = data.draw(st.sampled_from(self._live()))
+        self.consumers[name].await_handed(tag)
         assert self.queue.ack(tag) is True
         del self.consumers[name].unacked[tag]
         self.stale_tags.append(tag)
@@ -203,6 +217,7 @@ class QueueMachine(RuleBasedStateMachine):
         for tag in tags:
             if tag in live and tag not in expected:
                 expected.append(tag)
+                self.consumers[live[tag]].await_handed(tag)
         assert self.queue.ack_many(tags) == expected
         for tag in expected:
             del self.consumers[live[tag]].unacked[tag]
@@ -221,6 +236,7 @@ class QueueMachine(RuleBasedStateMachine):
     @rule(data=st.data(), requeue=st.booleans())
     def nack(self, data, requeue):
         tag, name = data.draw(st.sampled_from(self._live()))
+        self.consumers[name].await_handed(tag)
         assert self.queue.nack(tag, requeue=requeue) is True
         number = self.consumers[name].unacked.pop(tag)
         self.stale_tags.append(tag)
@@ -237,6 +253,14 @@ class QueueMachine(RuleBasedStateMachine):
         for consumer in self.consumers.values():
             assert set(consumer.handle.unacked) == set(consumer.unacked)
             assert len(consumer.unacked) <= consumer.prefetch
+
+    @invariant()
+    def runs_concatenate_to_tag_order_and_respect_prefetch(self):
+        for consumer in self.consumers.values():
+            with consumer.lock:
+                seen, longest_run = list(consumer.seen), consumer.longest_run
+            assert seen == consumer.assigned[: len(seen)]
+            assert longest_run <= consumer.prefetch
 
     @invariant()
     def nothing_waits_while_a_consumer_has_room(self):

@@ -167,27 +167,3 @@ def test_arrival_monitor_window_is_bounded():
         monitor.record(float(t), t)
     assert len(monitor._samples) == 10
     assert monitor._samples.maxlen == 10
-
-
-def test_begin_only_generated_for_plain_sync_methods(omq):
-    from repro.objectmq import Remote, async_method, multi_method, remote_interface, sync_method
-
-    @remote_interface
-    class Api(Remote):
-        @sync_method
-        def plain(self):
-            ...
-
-        @async_method
-        def fire(self):
-            ...
-
-        @multi_method
-        @sync_method
-        def group(self):
-            ...
-
-    proxy = omq.lookup("x", Api)
-    assert hasattr(proxy, "begin_plain")
-    assert not hasattr(proxy, "begin_fire")
-    assert not hasattr(proxy, "begin_group")

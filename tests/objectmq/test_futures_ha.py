@@ -1,130 +1,12 @@
-"""Tests for future-based invocations and supervisor HA failover."""
+"""Tests for supervisor HA failover."""
 
 from __future__ import annotations
 
 import time
 
-import pytest
-
-from repro.errors import RemoteInvocationError, RemoteTimeout
 from repro.mom import MessageBroker
-from repro.objectmq import (
-    Broker,
-    FixedProvisioner,
-    Remote,
-    RemoteBroker,
-    Supervisor,
-    remote_interface,
-    sync_method,
-)
-from repro.objectmq.futures import RemoteFuture
+from repro.objectmq import Broker, FixedProvisioner, RemoteBroker, Supervisor
 from repro.objectmq.ha import SupervisorNode
-
-
-@remote_interface
-class MathApi(Remote):
-    @sync_method(timeout=2.0, retry=0)
-    def square(self, x):
-        ...
-
-    @sync_method(timeout=2.0, retry=0)
-    def slow_square(self, x, delay):
-        ...
-
-    @sync_method(timeout=2.0, retry=0)
-    def explode(self):
-        ...
-
-
-class MathServer:
-    def square(self, x):
-        return x * x
-
-    def slow_square(self, x, delay):
-        time.sleep(delay)
-        return x * x
-
-    def explode(self):
-        raise RuntimeError("kaboom")
-
-
-@pytest.fixture
-def rig():
-    mom = MessageBroker()
-    server = Broker(mom)
-    server.bind("math", MathServer())
-    client = Broker(mom)
-    proxy = client.lookup("math", MathApi)
-    yield mom, proxy
-    client.close()
-    server.close()
-    mom.close()
-
-
-# -- RemoteFuture ---------------------------------------------------------------------
-
-
-def test_begin_returns_future_that_resolves(rig):
-    _mom, proxy = rig
-    future = proxy.begin_square(7)
-    assert isinstance(future, RemoteFuture)
-    assert future.result(timeout=2.0) == 49
-    assert future.done()
-
-
-def test_many_calls_in_flight_from_one_thread(rig):
-    _mom, proxy = rig
-    futures = [proxy.begin_slow_square(i, 0.05) for i in range(8)]
-    results = [f.result(timeout=5.0) for f in futures]
-    assert results == [i * i for i in range(8)]
-
-
-def test_future_propagates_remote_error(rig):
-    _mom, proxy = rig
-    future = proxy.begin_explode()
-    with pytest.raises(RemoteInvocationError) as excinfo:
-        future.result(timeout=2.0)
-    assert "kaboom" in str(excinfo.value)
-    assert isinstance(future.exception(timeout=0.1), RemoteInvocationError)
-
-
-def test_future_timeout():
-    mom = MessageBroker()
-    client = Broker(mom)
-    proxy = client.lookup("nobody", MathApi)
-    future = proxy.begin_square(1)
-    with pytest.raises(RemoteTimeout):
-        future.result(timeout=0.2)
-    client.close()
-    mom.close()
-
-
-def test_done_callback_fires(rig):
-    _mom, proxy = rig
-    seen = []
-    future = proxy.begin_square(3)
-    future.add_done_callback(lambda f: seen.append(f.result(0.1)))
-    future.result(timeout=2.0)
-    deadline = time.monotonic() + 1.0
-    while not seen and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert seen == [9]
-
-
-def test_done_callback_on_already_completed(rig):
-    _mom, proxy = rig
-    future = proxy.begin_square(4)
-    future.result(timeout=2.0)
-    seen = []
-    future.add_done_callback(lambda f: seen.append(True))
-    assert seen == [True]
-
-
-def test_blocking_and_future_paths_coexist(rig):
-    _mom, proxy = rig
-    future = proxy.begin_slow_square(5, 0.1)
-    assert proxy.square(2) == 4  # blocking call while a future is in flight
-    assert future.result(timeout=2.0) == 25
 
 
 # -- Supervisor HA ---------------------------------------------------------------------

@@ -263,3 +263,58 @@ def test_crash_mid_call_redelivers_to_survivor(rig):
     # The first delivery goes to one of the two instances; if it's the
     # crashy one, the reply comes from the survivor via redelivery.
     assert proxy.slow(0.01) == "done" or proxy.slow(0.01) == "done"
+
+
+class CountingAcks:
+    """A MOM that delegates to *mom* and records the size of each ``ack_many``."""
+
+    def __init__(self, mom):
+        self._mom = mom
+        self.runs = []
+
+    def ack_many(self, deliveries):
+        deliveries = list(deliveries)
+        self.runs.append(len(deliveries))
+        return self._mom.ack_many(deliveries)
+
+    def __getattr__(self, name):
+        return getattr(self._mom, name)
+
+
+@pytest.mark.parametrize(
+    "prefetch, settled_runs",
+    [(64, [1, 15]), (1, [1] * 16)],
+    ids=["prefetch-64", "prefetch-1"],
+)
+def test_backlog_behind_a_busy_instance_is_settled_as_one_run(prefetch, settled_runs):
+    """Casts that pile up behind a blocked method reach the skeleton as one
+    run and are acked together; with ``prefetch=1`` there is never a pile."""
+    mom = MessageBroker()
+    counting = CountingAcks(mom)
+    server, client = Broker(counting), Broker(mom)
+    entered, release = threading.Event(), threading.Event()
+
+    class Parked(Calculator):
+        def record(self, value):
+            entered.set()
+            assert release.wait(timeout=5.0)
+            super().record(value)
+
+    calc = Parked()
+    try:
+        server.bind("calc", calc, prefetch=prefetch)
+        proxy = client.lookup("calc", CalculatorApi)
+        proxy.record(0)
+        assert entered.wait(timeout=2.0)
+        for value in range(1, 16):
+            proxy.record(value)
+        release.set()
+        assert wait_for(lambda: sum(counting.runs) == 16)
+        assert counting.runs == settled_runs
+        assert calc.recorded == list(range(16))
+        assert mom.declare_queue("calc").unacked_count == 0
+    finally:
+        release.set()
+        client.close()
+        server.close()
+        mom.close()

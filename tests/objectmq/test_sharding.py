@@ -117,12 +117,6 @@ def test_async_calls_route_too(sharded_stack):
     assert servers[1].recorded == [key]
 
 
-def test_begin_companion_routes(sharded_stack):
-    proxy, _servers = sharded_stack
-    future = proxy.begin_where("ws-42")
-    assert future.result(timeout=5.0) == proxy.shard_for("ws-42")
-
-
 def test_multi_methods_fan_out_to_every_shard(sharded_stack):
     proxy, _servers = sharded_stack
     assert sorted(proxy.census("ignored")) == [0, 1, 2]

@@ -1,15 +1,20 @@
 """Nothing is formatted for a tracer that is off.
 
-The proxy's four invocation paths and ``SyncService.commit_request`` ask
-``TRACER.enabled`` before they build a span name or an attrs dict; with the
-tracer on, the spans are what they always were.
+The proxy's four invocation paths ask ``TRACER.enabled`` before they build
+a span name; ``SyncService.commit_request``, the metadata engines, the
+chunk transfers and the client's ``put_file`` / ``delete_file`` / flush /
+fetch ask it before they build an attrs dict.  With the tracer on, the
+spans are what they always were.
 """
 
 from __future__ import annotations
 
+import pytest
+
 from repro.metadata import MemoryMetadataBackend
 from repro.sync import SyncService, Workspace
 from repro.telemetry import TRACER, Tracer, disable, enable
+from tests.conftest import SyncTestbed
 from tests.objectmq.test_wire_boundary import Counter, CounterApi, rig, wait_for  # noqa: F401
 from tests.sync.test_service import proposal
 
@@ -28,15 +33,33 @@ def drive(rig):
     assert proxy.totals() == [0]
 
 
-def test_no_span_is_asked_for_while_the_tracer_is_off(rig, monkeypatch):
-    asked = []
+@pytest.fixture
+def asked(monkeypatch):
+    """Every ``Tracer.span`` call, as ``(name, attrs)``."""
+    calls = []
     real = Tracer.span
 
-    def counting(self, name, *args, **kwargs):
-        asked.append(name)
-        return real(self, name, *args, **kwargs)
+    def counting(self, name, layer, parent=None, attrs=None):
+        calls.append((name, attrs))
+        return real(self, name, layer, parent=parent, attrs=attrs)
 
     monkeypatch.setattr(Tracer, "span", counting)
+    return calls
+
+
+def sync_one_file(backend):
+    """``put_file`` on one device, applied on a second, over *backend*."""
+    bed = SyncTestbed(backend=backend)
+    try:
+        writer, reader = bed.client(device_id="dev-a"), bed.client(device_id="dev-b")
+        item = writer.put_file("a.txt", b"payload" * 300)
+        assert reader.wait_for_version(item.item_id, item.version, timeout=5.0)
+        assert reader.fs.read("a.txt") == b"payload" * 300
+    finally:
+        bed.close()
+
+
+def test_no_span_is_asked_for_while_the_tracer_is_off(rig, asked):
     drive(rig)
     assert asked == []
     enable()  # ... and the counter does count
@@ -44,7 +67,17 @@ def test_no_span_is_asked_for_while_the_tracer_is_off(rig, monkeypatch):
         rig[2].lookup("counter", CounterApi).add(1)
     finally:
         disable()
-    assert asked[:2] == ["proxy.cast:add", "proxy.serialize:add"]
+    assert [name for name, _ in asked[:2]] == ["proxy.cast:add", "proxy.serialize:add"]
+
+
+@pytest.mark.parametrize("backend", ["memory", "sqlite"])
+def test_no_attrs_are_built_while_the_tracer_is_off(asked, backend):
+    sync_one_file(backend)
+    assert {name for name, _ in asked} >= {
+        "client.put_file", "storage.put_chunk", "client.flush", "sync.commit_request",
+        "metadata.txn", "client.fetch_content", "storage.get_chunk",
+    }
+    assert [(name, attrs) for name, attrs in asked if attrs is not None] == []
 
 
 def test_span_names_and_attrs_with_the_tracer_on(rig):
@@ -67,3 +100,26 @@ def test_span_names_and_attrs_with_the_tracer_on(rig):
     commit = spans["sync.commit_request"]
     assert commit.layer == "sync"
     assert commit.attrs == {"workspace": "ws", "proposals": 1}
+    assert spans["metadata.txn"].attrs == {
+        "backend": "MemoryMetadataBackend", "proposals": 1,
+    }
+
+
+def test_data_path_attrs_with_the_tracer_on():
+    enable()
+    try:
+        sync_one_file("sqlite")
+    finally:
+        disable()
+    spans = {span.name: span for span in TRACER.spans()}
+    assert spans["metadata.txn"].attrs == {
+        "backend": "SqliteMetadataBackend", "proposals": 1,
+    }
+    put = spans["storage.put_chunk"]
+    assert put.layer == "storage"
+    assert set(put.attrs) == {"fingerprint", "nbytes", "attempts"}
+    assert put.attrs["attempts"] == 1 and put.attrs["nbytes"] > 0
+    assert spans["storage.get_chunk"].attrs["fingerprint"] == put.attrs["fingerprint"]
+    assert spans["client.put_file"].attrs == {
+        "path": "a.txt", "nbytes": 2100, "device": "dev-a",
+    }
