@@ -8,13 +8,11 @@ Installed as ``stacksync-repro`` (see pyproject); also runnable as
 * ``capacity``    — evaluate equations (1)-(2) for a given arrival rate;
 * ``experiments`` — list every paper artifact and its benchmark target;
 * ``demo``        — run the in-process two-device sync demo;
-* ``telemetry``   — replay a small trace with tracing on and print the
-  top-N slowest spans per layer (optionally exporting JSONL / Chrome
-  ``trace_event`` files and a metrics snapshot);
-* ``profile``     — replay with the profiling plane on: wall-clock
-  stack samples (collapsed-stack / Chrome flamegraph export), span
-  self-time breakdown, and tail exemplars with their dominant
-  critical-path segment;
+* ``telemetry``   — replay a small trace with tracing and tail exemplars
+  on and print the top-N slowest spans per layer, the span self-time
+  per segment and the tail exemplars with their dominant critical-path
+  segment (optionally exporting JSONL / Chrome ``trace_event`` files
+  and a metrics snapshot);
 * ``ops``         — boot the elastic SyncService demo stack with the ops
   endpoint (routes: :data:`repro.telemetry.http.ROUTES`), a
   scaling-decision journal, and the SLO alert engine;
@@ -152,14 +150,18 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _cmd_telemetry(args: argparse.Namespace) -> int:
     from repro.telemetry import (
         disable,
+        disable_exemplars,
         enable,
+        enable_exemplars,
         get_registry,
         load_jsonl,
         render_flame_table,
+        segment_breakdown,
         write_chrome_trace,
         write_jsonl,
     )
 
+    reservoir = None
     if args.load:
         spans = load_jsonl(args.load)
         print(f"loaded {len(spans)} span(s) from {args.load}")
@@ -174,10 +176,12 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
             seed=args.seed,
         ).generate()
         tracer = enable()
+        reservoir = enable_exemplars(min_samples=16, capacity=8)
         try:
             report = replay_stacksync(trace)
         finally:
             disable()
+            disable_exemplars()
         spans = tracer.spans()
         layers = sorted({s.layer for s in spans})
         print(
@@ -187,71 +191,6 @@ def _cmd_telemetry(args: argparse.Namespace) -> int:
         )
     print()
     print(render_flame_table(spans, top_n=args.top))
-    if args.jsonl:
-        write_jsonl(spans, args.jsonl)
-        print(f"\nwrote JSONL span dump to {args.jsonl}")
-    if args.chrome:
-        write_chrome_trace(spans, args.chrome)
-        print(f"wrote Chrome trace_event file to {args.chrome} "
-              f"(open in about:tracing or Perfetto)")
-    if args.metrics:
-        print("\n-- metrics snapshot --")
-        print(get_registry().render_prometheus(), end="")
-    return 0
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profile the hot path: stack sampler + tail exemplars.
-
-    Replays a workload trace through the full live stack (MOM broker,
-    ObjectMQ, SyncService, metadata, storage) with both profiling-plane
-    instruments on, then reports where the wall-clock went.
-    """
-    from repro.telemetry import disable, enable
-    from repro.telemetry.profiling import (
-        StackSampler,
-        disable_exemplars,
-        enable_exemplars,
-        segment_breakdown,
-    )
-
-    from repro.bench.overhead import replay_stacksync
-    from repro.workload import TraceGenerator
-
-    trace = TraceGenerator(
-        initial_files=args.initial_files,
-        training_iterations=args.training,
-        snapshots=args.snapshots,
-        seed=args.seed,
-    ).generate()
-
-    sampler = StackSampler(hz=args.hz)
-    tracer = enable()
-    reservoir = enable_exemplars(min_samples=16, capacity=8)
-    sampler.start()
-    try:
-        report = replay_stacksync(trace)
-    finally:
-        sampler.stop()
-        disable()
-        disable_exemplars()
-
-    spans = tracer.spans()
-    print(
-        f"replayed {len(trace)} op(s): {sampler.sample_count} stack sample(s) "
-        f"at {args.hz:g} Hz, {len(spans)} span(s), "
-        f"control {report.control_bytes} B, storage {report.storage_bytes} B"
-    )
-
-    print("\n-- hottest frames (wall-clock samples) --")
-    hottest = sampler.hottest(args.top)
-    if hottest:
-        print(render_table(
-            ["frame", "samples"],
-            [[frame, count] for frame, count in hottest],
-        ))
-    else:
-        print("(no samples collected — replay finished between ticks)")
 
     print("\n-- where the wall-clock goes (span self-time) --")
     breakdown = segment_breakdown(spans)
@@ -262,30 +201,33 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             [segment, f"{seconds:.3f}", f"{seconds / total:.1%}"]
             for segment, seconds in sorted(
                 breakdown.items(), key=lambda kv: -kv[1]
-            )
+            )[: args.top]
         ],
     ))
 
-    exemplars = reservoir.exemplars()
-    print(f"\n-- tail exemplars ({len(exemplars)} kept of "
-          f"{reservoir.roots_seen} roots) --")
-    for exemplar in exemplars[: args.top]:
-        segment, seconds, fraction = exemplar.dominant_segment()
-        flag = " [error]" if exemplar.errored else ""
-        print(
-            f"  {exemplar.root_name}{flag}: {exemplar.duration * 1000:.1f} ms, "
-            f"{len(exemplar.spans)} spans, dominant {segment} "
-            f"({seconds * 1000:.1f} ms, {fraction:.0%})"
-        )
+    if reservoir is not None:
+        exemplars = reservoir.exemplars()
+        print(f"\n-- tail exemplars ({len(exemplars)} kept of "
+              f"{reservoir.roots_seen} roots) --")
+        for exemplar in exemplars[: args.top]:
+            segment, seconds, fraction = exemplar.dominant_segment()
+            flag = " [error]" if exemplar.errored else ""
+            print(
+                f"  {exemplar.root_name}{flag}: {exemplar.duration * 1000:.1f} ms, "
+                f"{len(exemplar.spans)} spans, dominant {segment} "
+                f"({seconds * 1000:.1f} ms, {fraction:.0%})"
+            )
 
-    if args.collapsed:
-        sampler.write_collapsed(args.collapsed)
-        print(f"\nwrote collapsed stacks to {args.collapsed} "
-              f"(feed to flamegraph.pl / speedscope)")
+    if args.jsonl:
+        write_jsonl(spans, args.jsonl)
+        print(f"\nwrote JSONL span dump to {args.jsonl}")
     if args.chrome:
-        sampler.write_chrome_trace(args.chrome)
-        print(f"wrote Chrome sampling trace to {args.chrome} "
-              f"(open in Perfetto)")
+        write_chrome_trace(spans, args.chrome)
+        print(f"wrote Chrome trace_event file to {args.chrome} "
+              f"(open in about:tracing or Perfetto)")
+    if args.metrics:
+        print("\n-- metrics snapshot --")
+        print(get_registry().render_prometheus(), end="")
     return 0
 
 
@@ -312,9 +254,7 @@ def _cmd_ops(args: argparse.Namespace) -> int:
     shards = args.shards
     journal = DecisionJournal(path=args.journal)
     slo = SloEngine(default_rules(), journal=journal)
-    ops = OpsServer(
-        journal=journal, slo=slo, bench_path=args.bench, port=args.port
-    ).start()
+    ops = OpsServer(journal=journal, slo=slo, port=args.port).start()
     if args.port_file:
         with open(args.port_file, "w", encoding="utf-8") as fh:
             fh.write(str(ops.port))
@@ -643,7 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry.add_argument("--snapshots", type=int, default=12)
     telemetry.add_argument("--seed", type=int, default=42)
     telemetry.add_argument(
-        "--top", type=int, default=5, help="slowest spans shown per layer"
+        "--top", type=int, default=5,
+        help="rows shown per layer, in the segment table and of exemplars",
     )
     telemetry.add_argument(
         "--jsonl", metavar="PATH", help="write the span dump as JSONL"
@@ -661,31 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print the unified metrics registry snapshot",
     )
     telemetry.set_defaults(func=_cmd_telemetry)
-
-    profile = sub.add_parser(
-        "profile",
-        help="profile a replay: stack samples, span self-time, tail exemplars",
-    )
-    profile.add_argument("--initial-files", type=int, default=6)
-    profile.add_argument("--training", type=int, default=2)
-    profile.add_argument("--snapshots", type=int, default=12)
-    profile.add_argument("--seed", type=int, default=42)
-    profile.add_argument(
-        "--hz", type=float, default=200.0, help="stack sampling rate"
-    )
-    profile.add_argument(
-        "--top", type=int, default=10,
-        help="rows shown for hottest frames / exemplars",
-    )
-    profile.add_argument(
-        "--collapsed", metavar="PATH",
-        help="write collapsed ('folded') stacks for flamegraph tooling",
-    )
-    profile.add_argument(
-        "--chrome", metavar="PATH",
-        help="write a Chrome trace_event sampling profile (Perfetto)",
-    )
-    profile.set_defaults(func=_cmd_profile)
 
     ops = sub.add_parser(
         "ops",
@@ -714,10 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
     ops.add_argument(
         "--port-file", metavar="PATH",
         help="write the bound port here (for scripts using --port 0)",
-    )
-    ops.add_argument(
-        "--bench", metavar="PATH", default="BENCH_soak.json",
-        help="performance-trajectory file served at /bench",
     )
     ops.set_defaults(func=_cmd_ops)
 

@@ -20,13 +20,12 @@ declarative :class:`SloEngine` alerting on registry gauges, and an
 :class:`OpsServer` serving all of it over plain HTTP (routes:
 :data:`repro.telemetry.http.ROUTES`).
 
-The hot-path profiling plane (:mod:`repro.telemetry.profiling`) answers
-*where the wall-clock goes*: a wall-clock :class:`StackSampler` with
-collapsed-stack / Chrome flamegraph export, and tail-based
+:mod:`repro.telemetry.profiling` answers *where the wall-clock goes*
+from the spans alone: per-segment self time, and tail-based
 :class:`ExemplarReservoir` trace sampling that keeps full span trees
 only for p99-slow (or errored) requests and names their dominant
 critical-path segment.  Served at ``/profile`` and by the
-``stacksync-repro profile`` CLI.
+``stacksync-repro telemetry`` CLI.
 
 Typical use::
 
@@ -76,14 +75,11 @@ from repro.telemetry.registry import (
 )
 from repro.telemetry.http import OpsServer
 from repro.telemetry.profiling import (
-    PROFILER,
     Exemplar,
     ExemplarReservoir,
-    StackSampler,
     disable_exemplars,
     dominant_segment,
     enable_exemplars,
-    get_profiler,
     segment_breakdown,
 )
 from repro.telemetry.slo import (
@@ -133,12 +129,10 @@ __all__ = [
     "JournalEvent",
     "MetricsRegistry",
     "OpsServer",
-    "PROFILER",
     "ProbeResult",
     "SloEngine",
     "SloRule",
     "Span",
-    "StackSampler",
     "TraceContext",
     "Tracer",
     "default_rules",
@@ -148,7 +142,6 @@ __all__ = [
     "enable",
     "enable_exemplars",
     "enabled",
-    "get_profiler",
     "segment_breakdown",
     "get_health_registry",
     "get_registry",

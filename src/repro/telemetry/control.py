@@ -194,8 +194,11 @@ class DecisionJournal:
         return events
 
     def tail(self, n: int = 50, kind: Optional[str] = None) -> List[JournalEvent]:
-        """The most recent *n* events (optionally of one kind), oldest first."""
-        return self.events(kind)[-max(0, n):]
+        """The most recent *n* events (optionally of one kind), oldest first.
+
+        ``n <= 0`` asks for none (a bare ``[-0:]`` slice would be all).
+        """
+        return self.events(kind)[-n:] if n > 0 else []
 
     def __len__(self) -> int:
         with self._lock:

@@ -14,13 +14,13 @@ Route          Payload
 ``/ready``     JSON readiness (required probes only; 200 / 503)
 ``/events``    JSON tail of the scaling-decision journal (``?n=``, ``?kind=``)
 ``/slo``       JSON SLO rule status from the alert engine
-``/bench``     JSON tail of the performance trajectory (``?n=``), when the
-               server was given a ``bench_path``
-``/profile``   JSON sampling-profiler state (hottest stacks + collapsed
-               lines) and tail-exemplar summaries; ``?seconds=&hz=`` runs
-               a synchronous burst profile first
+``/profile``   JSON tail-exemplar summaries and reservoir counters (empty
+               unless a reservoir is attached to the tracer)
 ``/``          JSON index of the routes above
 =============  ==================================================================
+
+A malformed or negative ``?n=`` answers 400 naming the parameter; only a
+fault in the process itself answers 500.
 
 Usage::
 
@@ -46,12 +46,13 @@ from repro.telemetry.control import (
 )
 from repro.telemetry.registry import MetricsRegistry, get_registry
 from repro.telemetry.slo import SloEngine
+from repro.telemetry.trace import TRACER
 
 
 #: Every route `_OpsHandler` serves besides the ``/`` index; the index
 #: and the ``ops`` CLI banner both print this.
 ROUTES = (
-    "/metrics", "/health", "/ready", "/events", "/slo", "/bench", "/profile",
+    "/metrics", "/health", "/ready", "/events", "/slo", "/profile",
 )
 
 
@@ -80,23 +81,20 @@ class _OpsHandler(BaseHTTPRequestHandler):
                 status, payload = ops.ready_payload()
                 self._send_json(status, payload)
             elif route == "/events":
-                self._send_json(200, ops.events_payload(
-                    n=int(query.get("n", ["100"])[0]),
-                    kind=query.get("kind", [None])[0],
-                ))
+                n = query.get("n", ["100"])[0]
+                if not n.isdecimal():
+                    self._send_json(400, {
+                        "error": "query parameter 'n' must be a non-negative "
+                                 f"integer, got {n!r}",
+                    })
+                else:
+                    self._send_json(200, ops.events_payload(
+                        n=int(n), kind=query.get("kind", [None])[0],
+                    ))
             elif route == "/slo":
                 self._send_json(200, ops.slo_payload())
-            elif route == "/bench":
-                self._send_json(200, ops.bench_payload(
-                    n=int(query.get("n", ["5"])[0]),
-                ))
             elif route == "/profile":
-                seconds = float(query.get("seconds", ["0"])[0])
-                self._send_json(200, ops.profile_payload(
-                    seconds=seconds,
-                    hz=float(query.get("hz", ["100"])[0]),
-                    top=int(query.get("top", ["10"])[0]),
-                ))
+                self._send_json(200, ops.profile_payload())
             elif route == "/":
                 self._send_json(200, {
                     "service": "stacksync-repro ops",
@@ -143,10 +141,6 @@ class OpsServer:
         health: Health registry backing ``/health``/``/ready`` (default:
             the process-wide one).
         slo: Alert engine backing ``/slo`` (optional).
-        bench_path: Performance-trajectory file backing ``/bench``
-            (optional — normally the repo's ``BENCH_soak.json``).  Read
-            fresh on every request so a soak appending to the file is
-            visible without restarting the endpoint.
         port: TCP port; 0 picks an ephemeral port (read it back from
             :attr:`port` after :meth:`start`).
     """
@@ -157,7 +151,6 @@ class OpsServer:
         journal: Optional[DecisionJournal] = None,
         health: Optional[HealthRegistry] = None,
         slo: Optional[SloEngine] = None,
-        bench_path: Optional[str] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ):
@@ -165,7 +158,6 @@ class OpsServer:
         self.journal = journal
         self.health = health if health is not None else HEALTH
         self.slo = slo
-        self.bench_path = bench_path
         self.host = host
         self._requested_port = port
         self._server: Optional[_OpsHTTPServer] = None
@@ -240,65 +232,16 @@ class OpsServer:
             return {"rules": [], "active": []}
         return {"rules": self.slo.status(), "active": self.slo.active_alerts()}
 
-    #: Upper bound on a synchronous `/profile?seconds=` burst: the request
-    #: thread blocks while sampling, so keep bursts scrape-friendly.
-    MAX_BURST_SECONDS = 10.0
+    def profile_payload(self) -> Dict[str, Any]:
+        """Tail-exemplar summaries (slowest first) and reservoir counters.
 
-    def profile_payload(
-        self, seconds: float = 0.0, hz: float = 100.0, top: int = 10
-    ) -> Dict[str, Any]:
-        """Sampling-profiler state plus tail-exemplar summaries.
-
-        With ``seconds > 0`` the request synchronously runs the global
-        :class:`StackSampler` for that long (capped at
-        :data:`MAX_BURST_SECONDS`, skipped when it is already running)
-        and then reports.  With ``seconds == 0`` it reports whatever the
-        sampler has accumulated so far.  ``exemplars`` / ``reservoir``
-        are empty unless :func:`enable_exemplars` attached a reservoir.
+        Both are empty unless :func:`enable_exemplars` attached a
+        reservoir to the tracer.
         """
-        from repro.telemetry.profiling import get_profiler
-        from repro.telemetry.trace import TRACER
-
-        profiler = get_profiler()
-        burst = 0.0
-        if seconds > 0 and not profiler.running:
-            burst = min(seconds, self.MAX_BURST_SECONDS)
-            profiler.hz = max(1.0, hz)
-            profiler.start()
-            try:
-                threading.Event().wait(burst)
-            finally:
-                profiler.stop()
         reservoir = TRACER.exemplars
-        exemplars = reservoir.exemplars() if reservoir is not None else []
+        if reservoir is None:
+            return {"exemplars": [], "reservoir": {}}
         return {
-            "running": profiler.running,
-            "hz": profiler.hz,
-            "burst_seconds": burst,
-            "samples": profiler.sample_count,
-            "ticks": profiler.tick_count,
-            "active_seconds": profiler.active_seconds,
-            "hottest": [
-                {"frame": frame, "samples": count}
-                for frame, count in profiler.hottest(top)
-            ],
-            "collapsed": profiler.collapsed().splitlines(),
-            "exemplars": [e.to_dict() for e in exemplars],
-            "reservoir": reservoir.stats() if reservoir is not None else {},
-        }
-
-    def bench_payload(self, n: int = 5) -> Dict[str, Any]:
-        if self.bench_path is None:
-            return {"path": None, "benchmark": None, "total": 0, "entries": []}
-        # Imported here: repro.bench pulls in the soak harness, which uses
-        # the telemetry package — a module-level import would be circular.
-        from repro.bench.trajectory import Trajectory
-
-        trajectory = Trajectory.load(self.bench_path)
-        entries = trajectory.entries[-max(0, n):] if n > 0 else []
-        return {
-            "path": self.bench_path,
-            "benchmark": trajectory.benchmark,
-            "total": len(trajectory),
-            "entries": [entry.to_dict() for entry in entries],
+            "exemplars": [e.to_dict() for e in reservoir.exemplars()],
+            "reservoir": reservoir.stats(),
         }

@@ -53,6 +53,11 @@ class TestDecisionJournal:
         assert len(journal.actions()) == 2
         assert len(journal.alerts()) == 1
         assert [e.kind for e in journal.tail(2)] == ["shutdown", "alert-fired"]
+        # Asking for none gets none, not the whole journal.
+        assert journal.tail(0) == []
+        assert journal.tail(-2) == []
+        assert journal.tail(0, kind=KIND_SPAWN) == []
+        assert len(journal.tail(99)) == 4
 
     def test_ring_drops_oldest(self):
         journal = DecisionJournal(capacity=3)

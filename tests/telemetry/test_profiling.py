@@ -1,124 +1,19 @@
-"""The hot-path profiling plane: sampler and tail exemplars."""
+"""Span-derived profiling: segment self-time and tail exemplars."""
 
 from __future__ import annotations
 
-import threading
 import time
 
 import pytest
 
 from repro.telemetry.profiling import (
     ExemplarReservoir,
-    StackSampler,
     disable_exemplars,
     dominant_segment,
     enable_exemplars,
     segment_breakdown,
 )
 from repro.telemetry.trace import TRACER, Span, enable
-
-
-# -- StackSampler -------------------------------------------------------------
-
-
-def _spin(stop: threading.Event) -> None:
-    while not stop.is_set():
-        sum(range(50))
-
-
-class TestStackSampler:
-    def test_start_stop_idempotent(self):
-        sampler = StackSampler(hz=500)
-        assert not sampler.running
-        sampler.stop()  # stop before start: no-op
-        sampler.start()
-        thread = sampler._thread
-        sampler.start()  # second start: same thread, no respawn
-        assert sampler._thread is thread
-        assert sampler.running
-        sampler.stop()
-        sampler.stop()
-        assert not sampler.running
-
-    def test_samples_other_threads_not_itself(self):
-        sampler = StackSampler(hz=1000)
-        stop = threading.Event()
-        worker = threading.Thread(target=_spin, args=(stop,), name="spin-t")
-        worker.start()
-        sampler.start()
-        time.sleep(0.1)
-        sampler.stop()
-        stop.set()
-        worker.join()
-        assert sampler.sample_count > 0
-        threads = {thread for thread, _ in sampler.counts()}
-        assert "spin-t" in threads
-        assert "stack-sampler" not in threads
-
-    def test_collapsed_format(self):
-        sampler = StackSampler()
-        stop = threading.Event()
-        worker = threading.Thread(target=_spin, args=(stop,), name="fold-t")
-        worker.start()
-        time.sleep(0.01)
-        sampler.sample_once()
-        stop.set()
-        worker.join()
-        collapsed = sampler.collapsed()
-        assert collapsed
-        line = next(l for l in collapsed.splitlines() if l.startswith("fold-t;"))
-        stack, count = line.rsplit(" ", 1)
-        assert int(count) >= 1
-        assert ";" in stack
-
-    def test_hottest_ranks_leaf_frames(self):
-        sampler = StackSampler()
-        stop = threading.Event()
-        worker = threading.Thread(target=_spin, args=(stop,), name="hot-t")
-        worker.start()
-        time.sleep(0.01)
-        for _ in range(5):
-            sampler.sample_once()
-        stop.set()
-        worker.join()
-        hottest = sampler.hottest(3)
-        assert hottest
-        assert hottest[0][1] >= hottest[-1][1]
-
-    def test_chrome_trace_shape(self):
-        sampler = StackSampler()
-        stop = threading.Event()
-        worker = threading.Thread(target=_spin, args=(stop,), name="chrome-t")
-        worker.start()
-        time.sleep(0.01)
-        sampler.sample_once()
-        stop.set()
-        worker.join()
-        trace = sampler.chrome_trace()
-        assert trace["samples"], "no samples exported"
-        for sample in trace["samples"]:
-            assert str(sample["sf"]) in trace["stackFrames"]
-        names = [e["args"]["name"] for e in trace["traceEvents"]]
-        assert "chrome-t" in names
-
-    def test_clear_resets_aggregation(self):
-        sampler = StackSampler()
-        stop = threading.Event()
-        worker = threading.Thread(target=_spin, args=(stop,))
-        worker.start()
-        time.sleep(0.01)
-        sampler.sample_once()
-        stop.set()
-        worker.join()
-        assert sampler.sample_count > 0
-        sampler.clear()
-        assert sampler.sample_count == 0
-        assert sampler.counts() == {}
-        assert sampler.collapsed() == ""
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            StackSampler(hz=0)
 
 
 # -- exemplars ----------------------------------------------------------------

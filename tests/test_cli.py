@@ -131,7 +131,7 @@ def test_ops_command_serves_and_journals(capsys, tmp_path):
     prober.join(timeout=15)
     assert code == 0
     assert "ops endpoint: http://127.0.0.1:" in out
-    assert "/slo /bench /profile" in out  # the banner prints http.ROUTES
+    assert "/slo /profile" in out  # the banner prints http.ROUTES
     assert "run complete:" in out
     assert probe_routes.health["components"]
     assert "supervisor_pool_size" in probe_routes.metrics
@@ -195,25 +195,68 @@ def test_soak_command_writes_bounded_journal(capsys, tmp_path):
     assert journal_path.stat().st_size <= 65536
 
 
-def test_profile_command(capsys, tmp_path):
-    collapsed = tmp_path / "prof.folded"
-    code, out = run_cli(
-        capsys, "profile",
-        "--initial-files", "2", "--training", "1", "--snapshots", "4",
-        "--hz", "400",
-        "--collapsed", str(collapsed),
-    )
-    assert code == 0
-    assert "stack sample(s)" in out
-    assert "where the wall-clock goes" in out
-    assert "tail exemplars" in out
-    # The collapsed-stack export is non-empty folded lines.
-    folded = collapsed.read_text().strip()
-    assert folded
-    stack, count = folded.splitlines()[0].rsplit(" ", 1)
-    assert ";" in stack and int(count) >= 1
-    # The profiling plane is torn back down after the run.
+def _segment_rows(out):
+    """``(segment, share)`` rows of the printed span self-time table."""
+    section = out.split("-- where the wall-clock goes (span self-time) --")[1]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            if rows:
+                break
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if cells[0] != "segment":
+            rows.append((cells[0], cells[2]))
+    return rows
+
+
+def test_telemetry_command(capsys, tmp_path):
+    import json
+
     from repro.telemetry import TRACER
 
+    jsonl = tmp_path / "spans.jsonl"
+    chrome = tmp_path / "spans.chrome.json"
+    code, out = run_cli(
+        capsys, "telemetry",
+        "--initial-files", "2", "--training", "1", "--snapshots", "4",
+        "--jsonl", str(jsonl), "--chrome", str(chrome),
+    )
+    assert code == 0
+    replayed = _segment_rows(out)
+    assert replayed
+    assert "tail exemplars" in out
+    # The Chrome export is the span trace_event file: one labeled row per
+    # layer the JSONL dump holds.
+    layers = {json.loads(line)["layer"] for line in jsonl.read_text().splitlines()}
+    events = json.loads(chrome.read_text())["traceEvents"]
+    rows = [e["args"]["name"] for e in events if e["name"] == "thread_name"]
+    assert sorted(rows) == sorted(layers)
+    # Tracer and reservoir are torn back down after the run.
+    assert not TRACER.enabled
+    assert TRACER.exemplars is None
+
+    # Offline: the same segment table from the dump, and no exemplars
+    # (the reservoir lived only for the replay).
+    code, out = run_cli(capsys, "telemetry", "--load", str(jsonl))
+    assert code == 0
+    assert _segment_rows(out) == replayed
+    assert "tail exemplars" not in out
+
+
+def test_telemetry_command_tears_down_when_replay_raises(monkeypatch):
+    import repro.bench.overhead
+    from repro.telemetry import TRACER
+
+    def failing_replay(trace):
+        assert TRACER.enabled and TRACER.exemplars is not None
+        raise RuntimeError("replay failed")
+
+    monkeypatch.setattr(repro.bench.overhead, "replay_stacksync", failing_replay)
+    with pytest.raises(RuntimeError, match="replay failed"):
+        main([
+            "telemetry",
+            "--initial-files", "2", "--training", "1", "--snapshots", "4",
+        ])
     assert not TRACER.enabled
     assert TRACER.exemplars is None
