@@ -18,7 +18,7 @@ import time
 
 from conftest import run_once
 
-from repro.bench import record_benchmark_entry, render_series, render_table
+from repro.bench import render_series, render_table
 from repro.client import StackSyncClient
 from repro.metadata import MemoryMetadataBackend
 from repro.mom import MessageBroker
@@ -106,37 +106,6 @@ def test_ablation_parallel_transfer_pool_size(benchmark):
         [(pool, sum(results[pool][0].values())) for pool in POOL_SIZES],
         x_label="pool size",
     ))
-
-    # The shared trajectory recorder: one phase per pool width, persisted
-    # to BENCH_ablation_parallel_transfer.json only when
-    # REPRO_BENCH_TRAJECTORY_DIR is set.  Sync times are wall clock
-    # (wall_ prefix: recorded, not compared); byte counters are exact.
-    record_benchmark_entry(
-        "ablation_parallel_transfer",
-        phases={
-            f"pool-{pool}": dict(
-                {
-                    f"wall_sync_{kb}kb_s": results[pool][0][kb]
-                    for kb in SIZES_KB
-                },
-                wall_total_s=sum(results[pool][0].values()),
-                storage_up_bytes=float(results[pool][1][0]),
-                storage_down_bytes=float(results[pool][1][1]),
-            )
-            for pool in POOL_SIZES
-        },
-        config={
-            "pool_sizes": POOL_SIZES,
-            "sizes_kb": SIZES_KB,
-            "time_scale": TIME_SCALE,
-        },
-        totals={
-            "wall_multichunk_speedup_pool4": (
-                sum(results[1][0][kb] for kb in MULTICHUNK_KB)
-                / sum(results[4][0][kb] for kb in MULTICHUNK_KB)
-            ),
-        },
-    )
 
     # Parallelism must be invisible in the byte counters: every pool size
     # moves exactly the same chunks.

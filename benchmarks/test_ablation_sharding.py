@@ -21,7 +21,7 @@ import time
 
 from conftest import run_once
 
-from repro.bench import record_benchmark_entry, render_series, render_table
+from repro.bench import render_series, render_table
 from repro.metadata import ShardedMetadataBackend
 from repro.mom import MessageBroker
 from repro.objectmq import Broker, shard_oid
@@ -149,37 +149,6 @@ def test_ablation_metadata_shards(benchmark):
             [(s, results["memory"][s]["throughput"]) for s in SHARD_COUNTS],
             x_label="shards",
         )
-    )
-
-    # The shared trajectory recorder: one phase per swept configuration,
-    # persisted to BENCH_ablation_sharding.json only when
-    # REPRO_BENCH_TRAJECTORY_DIR is set (plain test runs stay pure).
-    # Wall-clock readings carry the wall_ prefix: recorded, not compared.
-    record_benchmark_entry(
-        "ablation_sharding",
-        phases={
-            f"{kind}-{shards}shard": {
-                "wall_elapsed_s": results[kind][shards]["elapsed"],
-                "wall_commits_per_sec": results[kind][shards]["throughput"],
-                "conflicts": float(results[kind][shards]["conflicts"]),
-            }
-            for kind in BACKENDS
-            for shards in SHARD_COUNTS
-        },
-        config={
-            "backends": BACKENDS,
-            "shard_counts": SHARD_COUNTS,
-            "workspaces": WORKSPACES,
-            "files": FILES,
-            "versions": VERSIONS,
-            "commit_delay_s": COMMIT_DELAY_S,
-        },
-        totals={
-            "wall_speedup_memory_4shard": (
-                results["memory"][4]["throughput"]
-                / results["memory"][1]["throughput"]
-            ),
-        },
     )
 
     for kind in BACKENDS:

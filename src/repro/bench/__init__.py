@@ -29,24 +29,12 @@ from repro.bench.soak import (
     run_soak,
     soak_rules,
 )
-from repro.bench.trajectory import (
-    ComparisonReport,
-    MetricCheck,
-    Trajectory,
-    TrajectoryEntry,
-    compare,
-    config_fingerprint,
-    current_git_sha,
-    record_benchmark_entry,
-)
 
 __all__ = [
-    "ComparisonReport",
     "DEFAULT_PHASES",
     "EXPERIMENTS",
     "Experiment",
     "HTTP_STORAGE_OVERHEAD",
-    "MetricCheck",
     "PHASE_DIURNAL",
     "PHASE_FLASH",
     "PHASE_REBALANCE",
@@ -56,16 +44,10 @@ __all__ = [
     "SoakResult",
     "SoakVerificationError",
     "StackSyncTestbed",
-    "Trajectory",
-    "TrajectoryEntry",
     "build_testbed",
-    "compare",
-    "config_fingerprint",
-    "current_git_sha",
     "experiment_index_markdown",
     "mb",
     "overhead_comparison",
-    "record_benchmark_entry",
     "render_boxplot_row",
     "render_cdf",
     "render_series",

@@ -27,15 +27,15 @@ latency, queue depth, pool size) plus the control-plane counts PR 3
 introduced (decisions, actions, alert edges).
 
 The DES core is deterministic: identical ``(config, seed)`` reproduce
-identical per-phase commit counts and journal decision sequences, which
-is what lets :mod:`repro.bench.trajectory` band-compare runs across PRs
-and machines.  Wall-clock readings (migration latencies, total runtime)
-are recorded under the ``wall_`` prefix and excluded from comparison.
+identical per-phase figures and journal decision sequences on every
+machine, so ``tests/bench/test_soak.py`` pins the smoke preset's figures
+exactly; a control-plane change that moves them re-pins them.
+Wall-clock readings (migration latencies, total runtime) carry the
+``wall_`` prefix and are never pinned.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
 from dataclasses import dataclass, field
@@ -67,11 +67,6 @@ from repro.workload.ubuntuone import (
     UB1Config,
     UbuntuOneTraceGenerator,
 )
-from repro.bench.trajectory import (
-    TrajectoryEntry,
-    config_fingerprint,
-    current_git_sha,
-)
 
 #: Phase names understood by :meth:`SoakHarness.run`.
 PHASE_DIURNAL = "diurnal-ramp"
@@ -87,6 +82,24 @@ REFERENCE_USERS = 1_000_000
 #: Journal event kind written for each live workspace migration.
 KIND_MIGRATE = "migrate"
 
+#: Day of the synthetic UB1 history replayed by ``diurnal-ramp``; the
+#: other two phases replay the day after it.
+DAY_INDEX = 8
+FLASH_HOUR = 15.0
+#: Surge over the diurnal rate in the flash crowd's middle third.
+FLASH_MULTIPLIER = 3.0
+REBALANCE_HOUR = 12.0
+#: Items (two versions each) seeded into each workspace picked for
+#: migration.
+ITEMS_PER_MIGRATING_WORKSPACE = 8
+#: The simulated Supervisor of every shard.
+CONTROL_INTERVAL_S = 5.0
+OBSERVATION_WINDOW_S = 30.0
+MIN_INSTANCES = 1
+SPAWN_DELAY_S = 1.0
+#: SLO rule threshold on per-shard queue depth.
+QUEUE_ALERT_THRESHOLD = 500
+
 
 class SoakVerificationError(Exception):
     """A soak run violated its operational contract (flaps, lost actions)."""
@@ -94,7 +107,7 @@ class SoakVerificationError(Exception):
 
 @dataclass(frozen=True)
 class SoakConfig:
-    """Knobs of one soak run.  Every field shapes the config fingerprint."""
+    """Knobs of one soak run; invalid values raise ``ValueError``."""
 
     #: Registered users; scales every arrival rate linearly against the
     #: paper's ~10^6-user trace.
@@ -106,13 +119,8 @@ class SoakConfig:
     #: Trace seconds representing one day in the diurnal phase (86400 =
     #: real time; the default compresses 30x without changing rates).
     seconds_per_day: int = 2880
-    #: Day of the synthetic UB1 history replayed by ``diurnal-ramp``.
-    day_index: int = 8
     flash_seconds: int = 600
-    flash_hour: float = 15.0
-    flash_multiplier: float = 3.0
     rebalance_seconds: int = 600
-    rebalance_hour: float = 12.0
     #: Live workspace migrations fired during ``rebalance-storm``.
     migrations: int = 16
     #: Registered rows actually materialized in the metadata backend.
@@ -120,21 +128,27 @@ class SoakConfig:
     #: always tracks ``users``; the materialization cap only bounds setup
     #: memory for the 10^6 presets.
     population: Optional[int] = None
-    #: Items seeded into each workspace picked for migration.
-    items_per_migrating_workspace: int = 8
-    control_interval: float = 5.0
-    observation_window: float = 30.0
-    min_instances: int = 1
     max_instances_per_shard: int = 64
-    spawn_delay: float = 1.0
     #: Mean commit service time (paper: 50 ms).  Reduced-scale presets
     #: raise it so per-instance load — and therefore the provisioner's
     #: scaling behaviour — matches the full-scale run instead of idling
     #: on one instance per shard.
     service_time_s: float = 0.050
     service_time_variance_s2: float = 200e-6
-    #: SLO rule threshold on per-shard queue depth.
-    queue_alert_threshold: int = 500
+
+    def __post_init__(self) -> None:
+        for name, floor in (
+            ("users", 1), ("shards", 1), ("seconds_per_day", 1), ("migrations", 0)
+        ):
+            if getattr(self, name) < floor:
+                raise ValueError(f"{name} must be at least {floor}")
+        if not self.phases:
+            raise ValueError("need at least one phase")
+        unknown = [p for p in self.phases if p not in DEFAULT_PHASES]
+        if unknown:
+            raise ValueError(
+                f"unknown phase(s) {unknown!r}; valid: {list(DEFAULT_PHASES)}"
+            )
 
     @property
     def effective_population(self) -> int:
@@ -145,15 +159,6 @@ class SoakConfig:
     @property
     def rate_scale(self) -> float:
         return self.users / REFERENCE_USERS
-
-    def fingerprint_payload(self) -> Dict[str, object]:
-        payload = dataclasses.asdict(self)
-        payload["phases"] = list(self.phases)
-        payload["population"] = self.effective_population
-        return payload
-
-    def fingerprint(self) -> str:
-        return config_fingerprint(self.fingerprint_payload())
 
     @classmethod
     def smoke(cls, **overrides: object) -> "SoakConfig":
@@ -177,17 +182,17 @@ class SoakConfig:
         return cls(**base)  # type: ignore[arg-type]
 
 
-def soak_rules(config: SoakConfig) -> List[SloRule]:
+def soak_rules() -> List[SloRule]:
     """The soak's operational contract, as SLO rules over ``soak_*`` gauges.
 
     A healthy soak never trips these: queue depth stays under the backlog
     budget for every shard (worst-case across ``shard=`` labels) and no
-    shard's pool ever collapses below the configured floor.
+    shard's pool ever collapses below the floor.
     """
     return SloRule.parse_many(
         f"""
-        soak-queue-backlog: soak_queue_depth > {config.queue_alert_threshold} for 3
-        soak-pool-collapse: soak_pool_size < {config.min_instances} for 2
+        soak-queue-backlog: soak_queue_depth > {QUEUE_ALERT_THRESHOLD} for 3
+        soak-pool-collapse: soak_pool_size < {MIN_INSTANCES} for 2
         """
     )
 
@@ -207,7 +212,7 @@ class MigrationRecord:
 
 @dataclass
 class SoakPhaseRecord:
-    """Everything one phase contributes to the trajectory."""
+    """What one phase measured: paper figures plus control-plane counts."""
 
     name: str
     sim_seconds: float
@@ -234,32 +239,6 @@ class SoakPhaseRecord:
     wall_migration_p50_s: Optional[float] = None
     wall_migration_p99_s: Optional[float] = None
 
-    def metrics(self) -> Dict[str, Optional[float]]:
-        """The per-phase dict recorded into the trajectory entry."""
-        return {
-            "sim_seconds": self.sim_seconds,
-            "arrivals": float(self.arrivals),
-            "completed": float(self.completed),
-            "commits_per_sec": self.commits_per_sec,
-            "p50_latency_s": self.p50_latency_s,
-            "p99_latency_s": self.p99_latency_s,
-            "max_queue_depth": float(self.max_queue_depth),
-            "mean_pool_size": self.mean_pool_size,
-            "max_pool_size": float(self.max_pool_size),
-            "decisions": float(self.decisions),
-            "spawns": float(self.spawns),
-            "shutdowns": float(self.shutdowns),
-            "alerts_fired": float(self.alerts_fired),
-            "alerts_resolved": float(self.alerts_resolved),
-            "alert_flaps": float(self.alert_flaps),
-            "unjournaled_actions": float(self.unjournaled_actions),
-            "scrapes": float(self.scrapes),
-            "migrations": float(self.migrations),
-            "migration_failures": float(self.migration_failures),
-            "wall_migration_p50_s": self.wall_migration_p50_s,
-            "wall_migration_p99_s": self.wall_migration_p99_s,
-        }
-
 
 @dataclass
 class SoakResult:
@@ -269,16 +248,7 @@ class SoakResult:
     records: List[SoakPhaseRecord] = field(default_factory=list)
     migrations: List[MigrationRecord] = field(default_factory=list)
     journal: Optional[DecisionJournal] = None
-    registry: Optional[MetricsRegistry] = None
     wall_runtime_s: float = 0.0
-
-    @property
-    def total_arrivals(self) -> int:
-        return sum(r.arrivals for r in self.records)
-
-    @property
-    def total_completed(self) -> int:
-        return sum(r.completed for r in self.records)
 
     def alert_flap_count(self) -> int:
         return sum(r.alert_flaps for r in self.records)
@@ -310,41 +280,15 @@ class SoakResult:
         if problems:
             raise SoakVerificationError("; ".join(problems))
 
-    def to_entry(
-        self, git_sha: Optional[str] = None, label: str = ""
-    ) -> TrajectoryEntry:
-        """Flatten the run into one trajectory entry."""
-        sim_seconds = sum(r.sim_seconds for r in self.records)
-        return TrajectoryEntry(
-            git_sha=git_sha if git_sha is not None else current_git_sha(),
-            fingerprint=self.config.fingerprint(),
-            benchmark="soak",
-            label=label,
-            phases={r.name: r.metrics() for r in self.records},
-            totals={
-                "users": float(self.config.users),
-                "shards": float(self.config.shards),
-                "population": float(self.config.effective_population),
-                "sim_seconds": sim_seconds,
-                "arrivals": float(self.total_arrivals),
-                "completed": float(self.total_completed),
-                "commits_per_sec": (
-                    self.total_completed / sim_seconds if sim_seconds else 0.0
-                ),
-                "journal_events": float(len(self.journal)) if self.journal else 0.0,
-                "wall_runtime_s": self.wall_runtime_s,
-            },
-        )
-
 
 class SoakHarness:
     """Runs the scripted phases and scrapes the stack each control period.
 
+    The ``soak_*`` gauges land in a private metrics registry, so soaks do
+    not pollute (or read stale values from) the process-wide one.
+
     Args:
         config: The run's knobs (use :meth:`SoakConfig.smoke` for CI).
-        registry: Metrics registry receiving the ``soak_*`` gauges; a
-            private one by default so soaks do not pollute (or read
-            stale values from) the process-wide registry.
         journal: Shared decision journal; defaults to a fresh in-memory
             journal.  Pass one with ``path=``/``max_sink_bytes=`` to
             leave a bounded JSONL operations log behind.
@@ -353,21 +297,13 @@ class SoakHarness:
     def __init__(
         self,
         config: Optional[SoakConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
         journal: Optional[DecisionJournal] = None,
     ):
         self.config = config if config is not None else SoakConfig()
-        if self.config.shards < 1:
-            raise ValueError("need at least one shard")
-        unknown = [p for p in self.config.phases if p not in DEFAULT_PHASES]
-        if unknown:
-            raise ValueError(
-                f"unknown phase(s) {unknown!r}; valid: {list(DEFAULT_PHASES)}"
-            )
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.journal = journal if journal is not None else DecisionJournal()
         self.slo = SloEngine(
-            soak_rules(self.config), registry=self.registry, journal=self.journal
+            soak_rules(), registry=self.registry, journal=self.journal
         )
         self.generator = UbuntuOneTraceGenerator(
             UB1Config(
@@ -388,18 +324,18 @@ class SoakHarness:
         """The per-second arrival trace driving *phase*."""
         config = self.config
         if phase == PHASE_DIURNAL:
-            return self.generator.arrivals(config.day_index)
+            return self.generator.arrivals(DAY_INDEX)
         if phase == PHASE_FLASH:
             return self.generator.flash_crowd_arrivals(
-                config.day_index + 1,
-                config.flash_hour,
+                DAY_INDEX + 1,
+                FLASH_HOUR,
                 config.flash_seconds,
-                multiplier=config.flash_multiplier,
+                multiplier=FLASH_MULTIPLIER,
             )
         if phase == PHASE_REBALANCE:
             return self.generator.steady_arrivals(
-                config.day_index + 1,
-                config.rebalance_hour,
+                DAY_INDEX + 1,
+                REBALANCE_HOUR,
                 config.rebalance_seconds,
             )
         raise ValueError(f"unknown phase {phase!r}")
@@ -427,7 +363,7 @@ class SoakHarness:
         targets = sorted(rng.sample(range(population), count)) if count else []
         migrating = [workspace_ids[i] for i in targets]
         for workspace_id in migrating:
-            for item_index in range(config.items_per_migrating_workspace):
+            for item_index in range(ITEMS_PER_MIGRATING_WORKSPACE):
                 item_id = f"{workspace_id}:f{item_index}"
                 backend.store_new_object(ItemMetadata(
                     item_id=item_id,
@@ -470,9 +406,7 @@ class SoakHarness:
         config = self.config
         started = time.perf_counter()
         backend, migrating = self._build_population()
-        result = SoakResult(
-            config=config, journal=self.journal, registry=self.registry
-        )
+        result = SoakResult(config=config, journal=self.journal)
         time_origin = 0.0
         try:
             for index, phase in enumerate(config.phases):
@@ -506,11 +440,11 @@ class SoakHarness:
             config.shards,
             config=SimConfig(
                 params=self.params,
-                control_interval=config.control_interval,
-                observation_window=config.observation_window,
-                min_instances=config.min_instances,
+                control_interval=CONTROL_INTERVAL_S,
+                observation_window=OBSERVATION_WINDOW_S,
+                min_instances=MIN_INSTANCES,
                 max_instances=config.max_instances_per_shard,
-                spawn_delay=config.spawn_delay,
+                spawn_delay=SPAWN_DELAY_S,
                 time_origin=time_origin,
                 # Phase-distinct seeds keep service processes independent
                 # across phases while staying a pure function of config.
@@ -559,7 +493,7 @@ class SoakHarness:
                 backend.shard_for_workspace(workspace_id) == target
                 and all(
                     len(backend.item_history(f"{workspace_id}:f{i}")) == 2
-                    for i in range(self.config.items_per_migrating_workspace)
+                    for i in range(ITEMS_PER_MIGRATING_WORKSPACE)
                 )
             )
             records.append(MigrationRecord(

@@ -18,8 +18,7 @@ Installed as ``stacksync-repro`` (see pyproject); also runnable as
   scaling-decision journal, and the SLO alert engine;
 * ``soak``        — run the scripted multi-phase soak (diurnal ramp,
   flash crowd, rebalance storm) at up to registered-million-user scale,
-  verify its operational contract, and record/compare the performance
-  trajectory (``BENCH_soak.json``);
+  print its per-phase figures and verify its operational contract;
 * ``top``         — live terminal view of a running ops endpoint;
 * ``timeline``    — render a Fig-8-style provisioning timeline from a
   decision-journal JSONL file.
@@ -373,7 +372,6 @@ def _cmd_ops(args: argparse.Namespace) -> int:
 
 def _cmd_soak(args: argparse.Namespace) -> int:
     from repro.bench.soak import SoakConfig, SoakVerificationError, run_soak
-    from repro.bench.trajectory import Trajectory, compare, current_git_sha
     from repro.telemetry import DecisionJournal
 
     overrides = {
@@ -389,7 +387,13 @@ def _cmd_soak(args: argparse.Namespace) -> int:
     }
     if args.phases:
         overrides["phases"] = tuple(p.strip() for p in args.phases.split(","))
-    config = SoakConfig.smoke(**overrides) if args.smoke else SoakConfig(**overrides)
+    try:
+        config = (
+            SoakConfig.smoke(**overrides) if args.smoke else SoakConfig(**overrides)
+        )
+    except ValueError as exc:
+        print(f"soak: {exc}", file=sys.stderr)
+        return 2
 
     journal = None
     if args.journal:
@@ -398,7 +402,7 @@ def _cmd_soak(args: argparse.Namespace) -> int:
         )
     print(
         f"soak: {config.users:,} users, {config.shards} shard(s), "
-        f"phases {', '.join(config.phases)}, fingerprint {config.fingerprint()}"
+        f"phases {', '.join(config.phases)}"
     )
     try:
         result = run_soak(config, journal=journal)
@@ -430,30 +434,11 @@ def _cmd_soak(args: argparse.Namespace) -> int:
 
     try:
         result.verify()
-        print("contract: OK (no alert flaps, every capacity action journaled)")
     except SoakVerificationError as exc:
         print(f"contract VIOLATED: {exc}", file=sys.stderr)
         return 1
-
-    entry = result.to_entry(label=args.label)
-    status = 0
-    if args.compare:
-        trajectory = Trajectory.load(args.compare)
-        previous = trajectory.latest()
-        if previous is None:
-            print(f"compare: {args.compare} has no entries; nothing to diff")
-        else:
-            report = compare(entry, previous)
-            print(report.render())
-            if not report.ok:
-                status = 1
-    if args.record:
-        trajectory = Trajectory.load(args.record)
-        trajectory.append(entry)
-        trajectory.save()
-        print(f"recorded entry {current_git_sha()} -> {args.record} "
-              f"({len(trajectory)} entries)")
-    return status
+    print("contract: OK (no alert flaps, every capacity action journaled)")
+    return 0
 
 
 def _fetch_json(url: str):
@@ -635,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     soak = sub.add_parser(
         "soak",
-        help="run the scripted soak and record/compare the perf trajectory",
+        help="run the scripted soak and verify its operational contract",
     )
     soak.add_argument(
         "--smoke", action="store_true",
@@ -653,16 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace seconds representing one day (86400 = real time)",
     )
     soak.add_argument("--migrations", type=int, default=None)
-    soak.add_argument("--label", default="", help="free-form tag on the entry")
-    soak.add_argument(
-        "--record", metavar="PATH",
-        help="append this run to the trajectory file (e.g. BENCH_soak.json)",
-    )
-    soak.add_argument(
-        "--compare", metavar="PATH",
-        help="diff this run against the trajectory's latest entry; "
-             "exit 1 on regression",
-    )
     soak.add_argument(
         "--journal", metavar="PATH",
         help="also append the decision journal to this JSONL file",

@@ -22,12 +22,12 @@ from repro.objectmq.annotations import (
 SYNC_SERVICE_OID = "syncservice"
 
 #: Prefetch window SyncService deployments bind with.  The service is
-#: stateless and commit handling is short, so letting the MOM park a
-#: run of requests in each instance's mailbox (filled in one batched
-#: dispatch cycle, settled with one batched ack) amortizes the queue
-#: lock without starving siblings.  A backlog (a replayed durable
-#: journal, a requeued window) moves broker → consumer in one dispatch
-#: round instead of dribbling through ack-at-a-time windows.
+#: stateless and commit handling is short, so the MOM may hand each
+#: instance up to this many unacked requests.  The dispatcher hands them
+#: over one at a time; a woken consumer drains whatever waits in its
+#: mailbox into one handler call settled with one ``ack_many``, so a
+#: backlog (a replayed durable journal, a requeued window) is worked off
+#: in runs instead of ack-at-a-time round trips.
 #: The cost is the standard AMQP trade — a wider redelivery window on
 #: crash — which at-least-once semantics absorb; elasticity experiments
 #: that depend on strict first-idle-instance balancing still pass

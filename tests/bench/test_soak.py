@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bench.soak import (
@@ -64,20 +66,26 @@ class TestConfig:
         assert SoakConfig(users=5_000_000).effective_population == 100_000
         assert SoakConfig(users=500, population=7).effective_population == 7
 
-    def test_fingerprint_sensitive_to_every_knob(self):
-        base = tiny_config().fingerprint()
-        assert tiny_config(users=30_000).fingerprint() != base
-        assert tiny_config(seed=99).fingerprint() != base
-        assert tiny_config(phases=(PHASE_DIURNAL,)).fingerprint() != base
-        assert tiny_config().fingerprint() == base
-
     def test_rejects_unknown_phase(self):
         with pytest.raises(ValueError, match="unknown phase"):
-            SoakHarness(tiny_config(phases=("diurnal-ramp", "chaos")))
+            SoakConfig(phases=("diurnal-ramp", "chaos"))
 
     def test_rejects_zero_shards(self):
         with pytest.raises(ValueError, match="shard"):
-            SoakHarness(tiny_config(shards=0))
+            SoakConfig(shards=0)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(users=0), "users"),
+            (dict(seconds_per_day=0), "seconds_per_day"),
+            (dict(migrations=-1), "migrations"),
+            (dict(phases=()), "phase"),
+        ],
+    )
+    def test_rejects_out_of_range(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            SoakConfig(**overrides)
 
 
 class TestRun:
@@ -169,14 +177,18 @@ class TestDeterministicReplay:
         assert [r.arrivals for r in first.records] == [
             r.arrivals for r in second.records
         ]
-        # ...identical trajectory metrics (modulo wall-clock readings)...
-        entry_a = first.to_entry(git_sha="x")
-        entry_b = second.to_entry(git_sha="x")
-        for phase, metrics in entry_a.phases.items():
-            for name, value in metrics.items():
-                if name.startswith("wall_"):
-                    continue
-                assert entry_b.phases[phase][name] == value, (phase, name)
+        # ...identical phase records (modulo wall-clock readings)...
+        def simulated(result):
+            return [
+                {
+                    name: value
+                    for name, value in dataclasses.asdict(record).items()
+                    if not name.startswith("wall_")
+                }
+                for record in result.records
+            ]
+
+        assert simulated(first) == simulated(second)
         # ...and an identical journal decision sequence.
         sequence_a = [
             (e.kind, e.timestamp, e.data.get("desired"), e.data.get("shard"))
@@ -198,18 +210,35 @@ class TestDeterministicReplay:
         ]
 
 
-class TestTrajectoryEntry:
-    def test_entry_carries_phases_and_fingerprint(self, soak_result):
-        entry = soak_result.to_entry(git_sha="deadbeef", label="unit")
-        assert entry.git_sha == "deadbeef"
-        assert entry.label == "unit"
-        assert entry.fingerprint == soak_result.config.fingerprint()
-        assert set(entry.phases) == set(DEFAULT_PHASES)
-        for metrics in entry.phases.values():
-            assert metrics["alert_flaps"] == 0.0
-            assert metrics["unjournaled_actions"] == 0.0
-        assert entry.totals["completed"] == float(soak_result.total_completed)
-        assert entry.totals["wall_runtime_s"] > 0
+#: The smoke preset's per-phase figures, unchanged since the soak first
+#: ran: ``(phase, arrivals = completed, decisions, spawns, shutdowns,
+#: max pool, max queue, alerts fired, migrations, p50 s, p99 s)``.  The
+#: DES is deterministic, so these hold to the digit on every machine and
+#: Python version; a deliberate control-plane change re-pins them in the
+#: same change that moves them.
+PINNED_SMOKE_PHASES = [
+    (PHASE_DIURNAL, 4923, 290, 22, 21, 14, 2, 0, 0,
+     0.3502928494456228, 0.7936790248223313),
+    (PHASE_FLASH, 3726, 74, 35, 31, 30, 14, 0, 0,
+     0.3510665665151649, 1.0292938309232262),
+    (PHASE_REBALANCE, 2530, 74, 20, 13, 15, 0, 0, 8,
+     0.34132985052727527, 0.6671277011085257),
+]
+
+
+def test_smoke_preset_reproduces_its_recorded_figures():
+    result = run_soak(SoakConfig.smoke())
+    result.verify()
+    measured = [
+        (r.name, r.arrivals, r.decisions, r.spawns, r.shutdowns,
+         r.max_pool_size, r.max_queue_depth, r.alerts_fired, r.migrations)
+        for r in result.records
+    ]
+    assert measured == [pin[:-2] for pin in PINNED_SMOKE_PHASES]
+    for record, pin in zip(result.records, PINNED_SMOKE_PHASES):
+        assert record.completed == record.arrivals
+        assert record.p50_latency_s == pytest.approx(pin[-2], rel=1e-9)
+        assert record.p99_latency_s == pytest.approx(pin[-1], rel=1e-9)
 
 
 class TestVerify:

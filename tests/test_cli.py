@@ -146,40 +146,41 @@ def test_parser_requires_subcommand():
         build_parser().parse_args([])
 
 
-def test_soak_command_records_then_compares(capsys, tmp_path):
-    """The CI loop in miniature: run, record, rerun, compare clean."""
-    trajectory = str(tmp_path / "BENCH_soak.json")
-    args = [
-        "soak", "--smoke", "--users", "20000", "--shards", "1",
-        "--seconds-per-day", "60", "--migrations", "0",
-        "--phases", "diurnal-ramp,flash-crowd",
-    ]
+def test_soak_command_checks_the_contract(capsys):
+    from repro.bench.soak import DEFAULT_PHASES
 
-    code, out = run_cli(capsys, *args, "--record", trajectory)
-    assert code == 0
-    assert "contract: OK" in out
-    assert "recorded entry" in out
-
-    code, out = run_cli(capsys, *args, "--compare", trajectory)
-    assert code == 0
-    assert "verdict: OK" in out
-
-
-def test_soak_command_compare_flags_config_change(capsys, tmp_path):
-    trajectory = str(tmp_path / "BENCH_soak.json")
-    base = ["soak", "--smoke", "--users", "20000", "--shards", "1",
-            "--seconds-per-day", "60", "--migrations", "0",
-            "--phases", "diurnal-ramp"]
-    code, _out = run_cli(capsys, *base, "--record", trajectory)
-    assert code == 0
-    # A different user count is a new baseline, not a regression.
     code, out = run_cli(
-        capsys, "soak", "--smoke", "--users", "40000", "--shards", "1",
+        capsys, "soak", "--smoke", "--users", "20000", "--shards", "1",
         "--seconds-per-day", "60", "--migrations", "0",
-        "--phases", "diurnal-ramp", "--compare", trajectory,
     )
     assert code == 0
-    assert "new baseline" in out
+    assert "contract: OK" in out
+    first_cells = [
+        line.strip("|").split("|")[0].strip()
+        for line in out.splitlines()
+        if line.startswith("|")
+    ]
+    for phase in DEFAULT_PHASES:
+        assert first_cells.count(phase) == 1
+
+
+@pytest.mark.parametrize(
+    "bad_args",
+    [
+        ["--phases", "chaos"],
+        ["--phases", ","],
+        ["--shards", "0"],
+        ["--seconds-per-day", "0"],
+        ["--migrations", "-1"],
+        ["--users", "0"],
+    ],
+)
+def test_soak_command_rejects_bad_arguments(capsys, bad_args):
+    code = main(["soak", "--smoke", *bad_args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("soak: ")
+    assert "Traceback" not in captured.err
 
 
 def test_soak_command_writes_bounded_journal(capsys, tmp_path):
