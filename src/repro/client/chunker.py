@@ -33,7 +33,7 @@ class Chunk:
 
     data: bytes
     offset: int
-    fingerprint: str
+    fingerprint: bytes
 
     @property
     def size(self) -> int:

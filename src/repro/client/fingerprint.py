@@ -10,18 +10,18 @@ from __future__ import annotations
 import hashlib
 from typing import Callable
 
-#: Fingerprint function type: bytes -> hex digest string.
-Fingerprinter = Callable[[bytes], str]
+#: Fingerprint function type: bytes -> digest bytes.
+Fingerprinter = Callable[[bytes], bytes]
 
 
-def sha1_fingerprint(data: bytes) -> str:
-    """The paper's default: 20-byte SHA-1, as lowercase hex."""
-    return hashlib.sha1(data).hexdigest()
+def sha1_fingerprint(data: bytes) -> bytes:
+    """The paper's default: the 20 bytes of the SHA-1 digest."""
+    return hashlib.sha1(data).digest()
 
 
-def sha256_fingerprint(data: bytes) -> str:
-    """Stronger alternative fingerprint."""
-    return hashlib.sha256(data).hexdigest()
+def sha256_fingerprint(data: bytes) -> bytes:
+    """Stronger alternative fingerprint (32 bytes)."""
+    return hashlib.sha256(data).digest()
 
 
 FINGERPRINTERS = {

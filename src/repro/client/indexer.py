@@ -37,7 +37,7 @@ class IndexResult:
     #: already compressed for transmission.
     uploads: List[tuple] = field(default_factory=list)  # (fingerprint, payload)
     #: Fingerprints that were deduplicated away.
-    deduplicated: List[str] = field(default_factory=list)
+    deduplicated: List[bytes] = field(default_factory=list)
     #: Raw (uncompressed) size of the uploads, for traffic accounting.
     upload_raw_bytes: int = 0
 
@@ -84,7 +84,7 @@ class Indexer:
 
         chunks: List[Chunk] = self.chunker.chunk(content)
         uploads: List[tuple] = []
-        deduplicated: List[str] = []
+        deduplicated: List[bytes] = []
         raw = 0
         seen_in_this_file = set()
         for chunk in chunks:
@@ -105,8 +105,8 @@ class Indexer:
             filename=path,
             status=status,
             size=len(content),
-            checksum=hashlib.sha1(content).hexdigest(),
-            chunks=[c.fingerprint for c in chunks],
+            checksum=hashlib.sha1(content).digest(),
+            chunks=tuple(c.fingerprint for c in chunks),
             modified_at=time.time(),
             device_id=device_id,
         )
@@ -133,8 +133,6 @@ class Indexer:
             filename=path,
             status=STATUS_DELETED,
             size=0,
-            checksum="",
-            chunks=[],
             modified_at=time.time(),
             device_id=device_id,
         )

@@ -10,8 +10,8 @@ chunk cache with the payloads needed to reconstruct remote changes.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set, Tuple
 
 
 @dataclass
@@ -21,8 +21,8 @@ class LocalFileRecord:
     item_id: str
     path: str
     version: int
-    chunks: List[str] = field(default_factory=list)
-    checksum: str = ""
+    chunks: Tuple[bytes, ...] = ()
+    checksum: bytes = b""
     size: int = 0
     #: Version currently proposed to the server but not yet confirmed.
     pending_version: Optional[int] = None
@@ -35,8 +35,8 @@ class LocalDatabase:
         self._lock = threading.RLock()
         self._files: Dict[str, LocalFileRecord] = {}  # item_id -> record
         self._by_path: Dict[str, str] = {}  # path -> item_id
-        self._fingerprints: Set[str] = set()  # per-user dedup index
-        self._chunk_cache: Dict[str, bytes] = {}  # fingerprint -> compressed payload
+        self._fingerprints: Set[bytes] = set()  # per-user dedup index
+        self._chunk_cache: Dict[bytes, bytes] = {}  # fingerprint -> compressed payload
 
     # -- file records -----------------------------------------------------------
 
@@ -66,7 +66,7 @@ class LocalDatabase:
 
     # -- dedup index ----------------------------------------------------------------
 
-    def knows_fingerprint(self, fingerprint: str) -> bool:
+    def knows_fingerprint(self, fingerprint: bytes) -> bool:
         with self._lock:
             return fingerprint in self._fingerprints
 
@@ -80,16 +80,16 @@ class LocalDatabase:
 
     # -- chunk cache ------------------------------------------------------------------
 
-    def cache_chunk(self, fingerprint: str, payload: bytes) -> None:
+    def cache_chunk(self, fingerprint: bytes, payload: bytes) -> None:
         with self._lock:
             self._chunk_cache[fingerprint] = payload
             self._fingerprints.add(fingerprint)
 
-    def cached_chunk(self, fingerprint: str) -> Optional[bytes]:
+    def cached_chunk(self, fingerprint: bytes) -> Optional[bytes]:
         with self._lock:
             return self._chunk_cache.get(fingerprint)
 
-    def evict_chunks(self, keep: Set[str]) -> int:
+    def evict_chunks(self, keep: Set[bytes]) -> int:
         """Drop cached payloads not in *keep*; returns number evicted."""
         with self._lock:
             victims = [fp for fp in self._chunk_cache if fp not in keep]

@@ -9,29 +9,29 @@ all survive process restarts.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import threading
 from typing import List, Optional, Set
 
 from repro.client.local_db import LocalFileRecord
+from repro.metadata.sqlite_backend import blob_digests, digests_blob, open_schema
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS files (
     item_id TEXT PRIMARY KEY,
     path TEXT NOT NULL,
     version INTEGER NOT NULL,
-    chunks TEXT NOT NULL,
-    checksum TEXT NOT NULL,
+    chunks BLOB NOT NULL,
+    checksum BLOB NOT NULL,
     size INTEGER NOT NULL,
     pending_version INTEGER
 );
 CREATE INDEX IF NOT EXISTS idx_files_path ON files(path);
 CREATE TABLE IF NOT EXISTS fingerprints (
-    fingerprint TEXT PRIMARY KEY
+    fingerprint BLOB PRIMARY KEY
 );
 CREATE TABLE IF NOT EXISTS chunk_cache (
-    fingerprint TEXT PRIMARY KEY,
+    fingerprint BLOB PRIMARY KEY,
     payload BLOB NOT NULL
 );
 """
@@ -46,7 +46,7 @@ class SqliteLocalDatabase:
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.isolation_level = None
         with self._lock:
-            self._conn.executescript(_SCHEMA)
+            open_schema(self._conn, _SCHEMA)
 
     # -- file records -----------------------------------------------------------
 
@@ -78,7 +78,7 @@ class SqliteLocalDatabase:
                     record.item_id,
                     record.path,
                     record.version,
-                    json.dumps(record.chunks),
+                    digests_blob(record.chunks),
                     record.checksum,
                     record.size,
                     record.pending_version,
@@ -98,7 +98,7 @@ class SqliteLocalDatabase:
 
     # -- dedup index ----------------------------------------------------------------
 
-    def knows_fingerprint(self, fingerprint: str) -> bool:
+    def knows_fingerprint(self, fingerprint: bytes) -> bool:
         with self._lock:
             row = self._conn.execute(
                 "SELECT 1 FROM fingerprints WHERE fingerprint = ?", (fingerprint,)
@@ -120,7 +120,7 @@ class SqliteLocalDatabase:
 
     # -- chunk cache ------------------------------------------------------------------
 
-    def cache_chunk(self, fingerprint: str, payload: bytes) -> None:
+    def cache_chunk(self, fingerprint: bytes, payload: bytes) -> None:
         with self._lock:
             self._conn.execute(
                 "INSERT OR REPLACE INTO chunk_cache(fingerprint, payload)"
@@ -132,7 +132,7 @@ class SqliteLocalDatabase:
                 (fingerprint,),
             )
 
-    def cached_chunk(self, fingerprint: str) -> Optional[bytes]:
+    def cached_chunk(self, fingerprint: bytes) -> Optional[bytes]:
         with self._lock:
             row = self._conn.execute(
                 "SELECT payload FROM chunk_cache WHERE fingerprint = ?",
@@ -140,7 +140,7 @@ class SqliteLocalDatabase:
             ).fetchone()
         return bytes(row[0]) if row else None
 
-    def evict_chunks(self, keep: Set[str]) -> int:
+    def evict_chunks(self, keep: Set[bytes]) -> int:
         with self._lock:
             rows = self._conn.execute(
                 "SELECT fingerprint FROM chunk_cache"
@@ -171,7 +171,7 @@ class SqliteLocalDatabase:
             item_id=row[0],
             path=row[1],
             version=row[2],
-            chunks=json.loads(row[3]),
+            chunks=blob_digests(row[3]),
             checksum=row[4],
             size=row[5],
             pending_version=row[6],

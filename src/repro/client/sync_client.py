@@ -107,6 +107,14 @@ class ClientTrafficStats:
         with self._lock:
             self.commits_sent += 1
 
+    def add_notification(self) -> None:
+        with self._lock:
+            self.notifications_received += 1
+
+    def add_conflict(self) -> None:
+        with self._lock:
+            self.conflicts += 1
+
     def record_transfer(self, record: TransferRecord) -> None:
         """Account one chunk transfer (called from pool worker threads)."""
         with self._lock:
@@ -340,10 +348,18 @@ class StackSyncClient:
         self.transfer.upload_chunks(
             self.storage,
             self.container,
-            result.uploads,
-            on_uploaded=self.local_db.cache_chunk,
+            [(fingerprint.hex(), payload) for fingerprint, payload in result.uploads],
+            on_uploaded=self._cache_chunk,
             record=self.stats.record_transfer,
         )
+
+    # The store names a chunk by the hex of its fingerprint, and so do the
+    # transfer pool and these two callbacks; the local database keeps bytes.
+    def _cache_chunk(self, name: str, payload: bytes) -> None:
+        self.local_db.cache_chunk(bytes.fromhex(name), payload)
+
+    def _cached_chunk(self, name: str) -> Optional[bytes]:
+        return self.local_db.cached_chunk(bytes.fromhex(name))
 
     def _send_commit(self, result: IndexResult) -> None:
         proposal = result.proposal
@@ -355,7 +371,7 @@ class StackSyncClient:
                 version=0,
             )
         record.pending_version = proposal.version
-        record.chunks = list(proposal.chunks)
+        record.chunks = proposal.chunks
         record.checksum = proposal.checksum
         record.size = proposal.size
         self.local_db.upsert(record)
@@ -386,7 +402,7 @@ class StackSyncClient:
     # -- internals: inbound ---------------------------------------------------------------
 
     def _on_notification(self, notification: CommitNotification) -> None:
-        self.stats.notifications_received += 1
+        self.stats.add_notification()
         for result in notification.results:
             try:
                 self._handle_result(result)
@@ -406,7 +422,7 @@ class StackSyncClient:
             self._mark_applied(metadata.item_id, metadata.version)
         else:
             if ours:
-                self.stats.conflicts += 1
+                self.stats.add_conflict()
                 self._resolve_conflict(result)
 
     def _confirm_own_commit(self, metadata: ItemMetadata) -> None:
@@ -439,7 +455,7 @@ class StackSyncClient:
                     item_id=metadata.item_id,
                     path=metadata.filename,
                     version=metadata.version,
-                    chunks=list(metadata.chunks),
+                    chunks=metadata.chunks,
                     checksum=metadata.checksum,
                     size=metadata.size,
                 )
@@ -466,12 +482,11 @@ class StackSyncClient:
     def _fetch_content_inner(self, metadata: ItemMetadata) -> bytes:
         fingerprinter = self.indexer.chunker.fingerprinter
 
-        def decode(fingerprint: str, payload: bytes) -> bytes:
+        def decode(name: str, payload: bytes) -> bytes:
             plain = self.indexer.compressor.decompress(payload)
-            if fingerprinter(plain) != fingerprint:
+            if fingerprinter(plain).hex() != name:
                 raise SyncError(
-                    f"integrity check failed for chunk {fingerprint} of "
-                    f"{metadata.filename!r}"
+                    f"integrity check failed for chunk {name} of {metadata.filename!r}"
                 )
             return plain
 
@@ -481,10 +496,10 @@ class StackSyncClient:
         pieces = self.transfer.fetch_chunks(
             self.storage,
             self.container,
-            metadata.chunks,
-            lookup=self.local_db.cached_chunk,
+            [fingerprint.hex() for fingerprint in metadata.chunks],
+            lookup=self._cached_chunk,
             decode=decode,
-            on_fetched=self.local_db.cache_chunk,
+            on_fetched=self._cache_chunk,
             record=self.stats.record_transfer,
         )
         return b"".join(pieces)

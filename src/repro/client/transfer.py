@@ -174,6 +174,8 @@ class ChunkTransferManager:
     ) -> List[TransferRecord]:
         """PUT every (fingerprint, payload) in parallel; block until done.
 
+        A fingerprint here is the chunk's store name, the hex of its digest.
+
         ``on_uploaded(fingerprint, payload)`` fires once per chunk that was
         actually stored (coalesced duplicates skip it).  Raises the first
         failure after all transfers settle.

@@ -13,10 +13,10 @@ many consumer threads of the MOM layer; WAL mode keeps readers cheap.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import threading
-from typing import Dict, List, Optional
+from struct import unpack
+from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MetadataError, UnknownWorkspace
 from repro.metadata.base import MetadataBackend, WorkspaceDump
@@ -52,14 +52,53 @@ CREATE TABLE IF NOT EXISTS item_versions (
     status TEXT NOT NULL,
     is_folder INTEGER NOT NULL,
     size INTEGER NOT NULL,
-    checksum TEXT NOT NULL,
-    chunks TEXT NOT NULL,
+    checksum BLOB NOT NULL,
+    chunks BLOB NOT NULL,
     modified_at REAL NOT NULL,
     device_id TEXT NOT NULL,
     PRIMARY KEY (item_id, version)
 );
 CREATE INDEX IF NOT EXISTS idx_item_ws ON item_versions(workspace_id, item_id);
 """
+
+
+#: ``PRAGMA user_version`` of a file in the current layout.  Version 1 holds
+#: digests as BLOBs; the unstamped layout before it held them as hex TEXT/JSON.
+SCHEMA_VERSION = 1
+
+
+def open_schema(conn: sqlite3.Connection, schema: str) -> None:
+    """Lay *schema* into a new database, or check an existing file is in it.
+
+    A file of another layout would be misread row by row, so it is refused.
+    """
+    found = conn.execute("PRAGMA user_version").fetchone()[0]
+    if found != SCHEMA_VERSION and (
+        found or conn.execute("SELECT 1 FROM sqlite_master").fetchone()
+    ):
+        conn.close()
+        raise MetadataError(
+            f"database is in schema version {found}; this build reads only {SCHEMA_VERSION}"
+        )
+    conn.executescript(schema)
+    conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+
+
+def digests_blob(digests: Tuple[bytes, ...]) -> bytes:
+    """*digests* as one BLOB: their common width in a byte, then each digest.
+
+    The sqlite engines store a chunk list so; a width is kept because a
+    fingerprinter other than SHA-1 (``sha256_fingerprint``) gives 32 bytes.
+    """
+    widths = set(map(len, digests))
+    if len(widths) > 1 or 0 in widths:
+        raise ValueError(f"digests of widths {sorted(widths)} share no one width")
+    return bytes(widths) + b"".join(digests)
+
+
+def blob_digests(blob: bytes) -> Tuple[bytes, ...]:
+    """The digests :func:`digests_blob` stored in *blob*."""
+    return unpack(f"{blob[0]}s" * ((len(blob) - 1) // blob[0]), blob[1:]) if blob else ()
 
 
 class SqliteMetadataBackend(MetadataBackend):
@@ -79,7 +118,7 @@ class SqliteMetadataBackend(MetadataBackend):
         with self._lock:
             if path != ":memory:":
                 self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.executescript(_SCHEMA)
+            open_schema(self._conn, _SCHEMA)
         HEALTH.register(
             probe_name or "metadata:sqlite", self, SqliteMetadataBackend._health_probe
         )
@@ -385,7 +424,7 @@ class SqliteMetadataBackend(MetadataBackend):
                 int(m.is_folder),
                 m.size,
                 m.checksum,
-                json.dumps(m.chunks),
+                digests_blob(m.chunks),
                 m.modified_at,
                 m.device_id,
             ),
@@ -402,7 +441,7 @@ class SqliteMetadataBackend(MetadataBackend):
             is_folder=bool(row[5]),
             size=row[6],
             checksum=row[7],
-            chunks=json.loads(row[8]),
+            chunks=blob_digests(row[8]),
             modified_at=row[9],
             device_id=row[10],
         )

@@ -71,13 +71,14 @@ class ChunkGarbageCollector:
     # -- mark ---------------------------------------------------------------------
 
     def live_fingerprints(self, workspace_ids: List[str]) -> Set[str]:
-        """Fingerprints referenced by retained versions of the workspaces."""
+        """Fingerprints referenced by retained versions of the workspaces, in
+        hex: the names the store files their chunks under."""
         live: Set[str] = set()
         for workspace_id in workspace_ids:
             for current in self.metadata.get_workspace_state(workspace_id):
                 history = self.metadata.item_history(current.item_id)
                 for version in history[-self.keep_versions :]:
-                    live.update(version.chunks)
+                    live.update(chunk.hex() for chunk in version.chunks)
         # Items whose *current* version is DELETED no longer appear in the
         # workspace state; their old chunks are garbage by definition
         # (unless keep_versions covers them via another item).

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import List, Optional
+from struct import unpack
+from sys import intern
+from typing import List, Optional, Tuple
 
 from repro.serialization.base import global_wire_registry
 
@@ -22,13 +24,40 @@ STATUS_DELETED = "DELETED"
 
 VALID_STATUSES = (STATUS_NEW, STATUS_CHANGED, STATUS_DELETED)
 
+#: Bytes in the paper's default fingerprint, a SHA-1 digest (§4.1).
+DIGEST_SIZE = 20
+
 
 def make_item_id(workspace_id: str, path: str) -> str:
     """Stable item identity shared by every device syncing the workspace."""
     return f"{workspace_id}:{path}"
 
 
-@dataclass(frozen=True)
+def _fields_of(dto) -> dict:
+    """``to_wire`` of a flat DTO: its fields by name."""
+    return {name: getattr(dto, name) for name in dto.__slots__}
+
+
+def _set_state(dto, state) -> None:
+    """``__setstate__`` of a DTO pickled by class name: its values in field order,
+    or by name from a peer whose DTOs had a ``__dict__``, go through the
+    constructor, and an item's chunks are checked as :func:`unpack_item` does."""
+    state = dict(state) if state.__class__ is dict else dict(zip(dto.__slots__, state))
+    if "chunks" in state:
+        state["chunks"] = _digests(state["chunks"])
+    dto.__init__(**state)
+
+
+def _digests(chunks) -> Tuple[bytes, ...]:
+    """*chunks* from outside the process as digests: each its bytes or their hex,
+    all of one non-zero width."""
+    digests = tuple([c if c.__class__ is bytes else bytes.fromhex(c) for c in chunks])
+    if len(set(map(len, digests))) > 1 or b"" in digests:
+        raise ValueError("chunk digests must share one non-zero width")
+    return digests
+
+
+@dataclass(frozen=True, slots=True)
 class Workspace:
     """A synced folder: the unit of sharing and of change notification."""
 
@@ -36,26 +65,23 @@ class Workspace:
     owner: str
     name: str = ""
 
-    def to_wire(self) -> dict:
-        return {
-            "workspace_id": self.workspace_id,
-            "owner": self.owner,
-            "name": self.name,
-        }
+    to_wire = _fields_of
+    __setstate__ = _set_state
 
     @classmethod
     def from_wire(cls, data: dict) -> "Workspace":
         return cls(**data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemMetadata:
     """One version of one item (file or folder) in a workspace.
 
     ``version`` is the server-side monotonically increasing version
     number; a client proposing a change sends ``current version + 1``.
-    ``chunks`` lists the SHA-1 fingerprints (hex) composing the file, in
-    order — the Storage back-end is addressed purely by fingerprint.
+    ``checksum`` and ``chunks`` (the file's fingerprints, in order) hold
+    digests as bytes; hex is converted, a ``chunks`` tuple trusted.  Decoding
+    interns the ids every version repeats, so stored versions share them.
     """
 
     item_id: str
@@ -65,8 +91,8 @@ class ItemMetadata:
     status: str = STATUS_NEW
     is_folder: bool = False
     size: int = 0
-    checksum: str = ""
-    chunks: List[str] = field(default_factory=list)
+    checksum: bytes = b""
+    chunks: Tuple[bytes, ...] = ()
     modified_at: float = 0.0
     device_id: str = ""
 
@@ -75,31 +101,28 @@ class ItemMetadata:
             raise ValueError(f"invalid status {self.status!r}")
         if self.version < 1:
             raise ValueError("version numbers start at 1")
+        if self.checksum.__class__ is not bytes:
+            object.__setattr__(self, "checksum", bytes.fromhex(self.checksum))
+        if self.chunks.__class__ is not tuple:
+            object.__setattr__(self, "chunks", _digests(self.chunks))
+
+    __setstate__ = _set_state
+
+    def __repr__(self) -> str:
+        digests = " ".join(digest.hex() for digest in (self.checksum, *self.chunks))
+        return f"ItemMetadata({self.item_id!r} v{self.version} {self.status} {digests})"
 
     def with_version(self, version: int, status: Optional[str] = None) -> "ItemMetadata":
         return replace(self, version=version, status=status or self.status)
 
-    def to_wire(self) -> dict:
-        return {
-            "item_id": self.item_id,
-            "workspace_id": self.workspace_id,
-            "version": self.version,
-            "filename": self.filename,
-            "status": self.status,
-            "is_folder": self.is_folder,
-            "size": self.size,
-            "checksum": self.checksum,
-            "chunks": list(self.chunks),
-            "modified_at": self.modified_at,
-            "device_id": self.device_id,
-        }
+    to_wire = _fields_of
 
     @classmethod
     def from_wire(cls, data: dict) -> "ItemMetadata":
         return cls(**data)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitResult:
     """Per-item outcome inside a CommitNotification (Algorithm 1).
 
@@ -112,23 +135,20 @@ class CommitResult:
     confirmed: bool
     current: Optional[ItemMetadata] = None
 
+    __setstate__ = _set_state
+
     def to_wire(self) -> dict:
-        return {
-            "metadata": self.metadata.to_wire(),
-            "confirmed": self.confirmed,
-            "current": self.current.to_wire() if self.current else None,
-        }
+        current = self.current and self.current.to_wire()
+        return {**_fields_of(self), "metadata": self.metadata.to_wire(), "current": current}
 
     @classmethod
     def from_wire(cls, data: dict) -> "CommitResult":
-        return cls(
-            metadata=_as_item(data["metadata"]),
-            confirmed=data["confirmed"],
-            current=_as_item(data["current"]) if data.get("current") else None,
-        )
+        current = data.get("current")
+        return cls(_as(ItemMetadata, data["metadata"]), data["confirmed"],
+                   current and _as(ItemMetadata, current))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommitNotification:
     """The multicast payload of ``notifyCommit`` (one per commitRequest)."""
 
@@ -137,6 +157,8 @@ class CommitNotification:
     results: List[CommitResult] = field(default_factory=list)
     committed_at: float = field(default_factory=time.time)
     request_id: str = ""
+
+    __setstate__ = _set_state
 
     @property
     def confirmed(self) -> List[CommitResult]:
@@ -147,58 +169,38 @@ class CommitNotification:
         return [r for r in self.results if not r.confirmed]
 
     def to_wire(self) -> dict:
-        return {
-            "workspace_id": self.workspace_id,
-            "source_device": self.source_device,
-            "results": [r.to_wire() for r in self.results],
-            "committed_at": self.committed_at,
-            "request_id": self.request_id,
-        }
+        return {**_fields_of(self), "results": [r.to_wire() for r in self.results]}
 
     @classmethod
     def from_wire(cls, data: dict) -> "CommitNotification":
-        return cls(
-            workspace_id=data["workspace_id"],
-            source_device=data["source_device"],
-            results=[_as_result(r) for r in data["results"]],
-            committed_at=data["committed_at"],
-            request_id=data.get("request_id", ""),
-        )
+        return cls(**{**data, "results": [_as(CommitResult, r) for r in data["results"]]})
 
 
-def _as_item(data) -> ItemMetadata:
-    return data if isinstance(data, ItemMetadata) else ItemMetadata.from_wire(data)
-
-
-def _as_result(data) -> CommitResult:
-    return data if isinstance(data, CommitResult) else CommitResult.from_wire(data)
+def _as(cls, data):
+    """*data* as a *cls*: json and binary raise a nested DTO first, or not."""
+    return data if isinstance(data, cls) else cls.from_wire(data)
 
 
 # -- packed pickle layouts (what ``register(pack=, unpack=)`` is given) -----------
+_PACKED_WIDTHS = {DIGEST_SIZE}
+_PACKED_FORMAT = f"{DIGEST_SIZE}s"
+
+
 def pack_item(item: ItemMetadata) -> tuple:
     """Field by field: ``workspace_id``, ``filename``, ``version``, ``status`` as
-    its index in :data:`VALID_STATUSES`, ``is_folder``, ``size``, ``checksum`` as
-    20 bytes, ``chunks`` as one blob of 20 bytes each, ``modified_at``, ``device_id``
-    and ``item_id`` — None when it is what :func:`make_item_id` would give.  For a
-    digest ``bytes`` on the wire is the packed form, ``str`` / ``list`` the literal:
-    only lower-case hex of the full width is packed, so "fp1" comes back as it went."""
-    workspace_id, filename, item_id = item.workspace_id, item.filename, item.item_id
-    checksum, chunks = item.checksum, item.chunks
-    try:
-        raw = bytes.fromhex(checksum)
-        if len(raw) == 20 and raw.hex() == checksum:
-            checksum = raw
-    except (TypeError, ValueError):
-        pass
-    try:
-        raw = bytes.fromhex("".join(chunks))
-        if chunks and not len(raw) % 20 and raw.hex(" ", 20).split() == chunks:
-            chunks = raw
-    except (TypeError, ValueError):
-        pass
+    its index in :data:`VALID_STATUSES`, ``is_folder``, ``size``, ``checksum``,
+    ``chunks`` as one blob when each is :data:`DIGEST_SIZE` bytes (else the
+    tuple), ``modified_at``, ``device_id`` and ``item_id`` — None when it is what
+    :func:`make_item_id` would give."""
+    workspace_id, filename, item_id, chunks = (
+        item.workspace_id, item.filename, item.item_id, item.chunks
+    )
+    if set(map(len, chunks)) == _PACKED_WIDTHS:
+        chunks = b"".join(chunks)
     return (
         workspace_id, filename, item.version, VALID_STATUSES.index(item.status),
-        item.is_folder, item.size, checksum, chunks, item.modified_at, item.device_id,
+        item.is_folder, item.size, item.checksum, chunks, item.modified_at,
+        item.device_id,
         None if item_id == make_item_id(workspace_id, filename) else item_id,
     )
 
@@ -207,30 +209,25 @@ def unpack_item(
     workspace_id, filename, version, status, is_folder, size, checksum, chunks,
     modified_at, device_id, item_id,
 ) -> ItemMetadata:
-    if checksum.__class__ is bytes:
-        if len(checksum) != 20:
-            raise ValueError(f"a checksum of {len(checksum)} bytes")
-        checksum = checksum.hex()
     if chunks.__class__ is bytes:
-        if len(chunks) % 20:
-            raise ValueError(f"{len(chunks)} bytes do not hold digests of 20")
-        chunks = chunks.hex(" ", 20).split()
+        if len(chunks) % DIGEST_SIZE:
+            raise ValueError(f"{len(chunks)} bytes do not hold digests of {DIGEST_SIZE}")
+        chunks = unpack(_PACKED_FORMAT * (len(chunks) // DIGEST_SIZE), chunks)
+    else:
+        chunks = _digests(chunks)
+    workspace_id, filename = intern(workspace_id), intern(filename)
     return ItemMetadata(
-        make_item_id(workspace_id, filename) if item_id is None else item_id,
+        intern(make_item_id(workspace_id, filename) if item_id is None else item_id),
         workspace_id, version, filename, VALID_STATUSES[status], is_folder, size,
-        checksum, chunks, modified_at, device_id,
+        checksum, chunks, modified_at, intern(device_id),
     )
 
 
 def pack_notification(msg: CommitNotification) -> tuple:
     """The fields in order, ``request_id`` (a ``uuid4().hex``) as 16 bytes."""
     request_id = msg.request_id
-    try:
-        raw = bytes.fromhex(request_id)
-        if len(raw) == 16 and raw.hex() == request_id:
-            request_id = raw
-    except (TypeError, ValueError):
-        pass
+    if len(request_id) == 32 and not request_id.strip("0123456789abcdef"):
+        request_id = bytes.fromhex(request_id)
     return msg.workspace_id, msg.source_device, msg.results, msg.committed_at, request_id
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import sys
 import threading
 import time
 import uuid
@@ -129,6 +130,9 @@ class SyncService(HasObjectInfo):
         attrs = None  # nothing is built for a tracer that is off
         if TRACER.enabled:
             attrs = {"workspace": workspace_id, "proposals": len(objects_changed)}
+        # The decoded items hold these ids interned; the notification must hold
+        # the same objects, or pickle's memo stops shortening its repeats.
+        workspace_id, device_id = sys.intern(workspace_id), sys.intern(device_id)
         with TRACER.span("sync.commit_request", layer="sync", attrs=attrs):
             if self.service_delay is not None:
                 delay = self.service_delay()

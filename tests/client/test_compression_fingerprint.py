@@ -56,13 +56,13 @@ def test_registry():
 
 def test_sha1_matches_hashlib():
     data = b"fingerprint me"
-    assert sha1_fingerprint(data) == hashlib.sha1(data).hexdigest()
-    assert len(bytes.fromhex(sha1_fingerprint(data))) == 20  # paper: 20 bytes
+    assert sha1_fingerprint(data) == hashlib.sha1(data).digest()
+    assert len(sha1_fingerprint(data)) == 20  # paper: "the 20 bytes of its SHA1 hash"
 
 
 def test_sha256_fingerprint():
     data = b"x"
-    assert sha256_fingerprint(data) == hashlib.sha256(data).hexdigest()
+    assert sha256_fingerprint(data) == hashlib.sha256(data).digest()
 
 
 def test_fingerprinter_registry():

@@ -28,7 +28,7 @@ def test_new_file_proposal(indexer):
     assert proposal.status == STATUS_NEW
     assert proposal.size == 16
     assert len(proposal.chunks) == 2
-    assert proposal.checksum == hashlib.sha1(content).hexdigest()
+    assert proposal.checksum == hashlib.sha1(content).digest()
     assert len(result.uploads) == 2
     assert result.upload_raw_bytes == 16
 
@@ -95,7 +95,7 @@ def test_delete_proposal(indexer):
     result = indexer.index_delete("ws", "dev", "a.txt")
     assert result.proposal.status == STATUS_DELETED
     assert result.proposal.version == 3
-    assert result.proposal.chunks == []
+    assert result.proposal.chunks == ()
     assert result.uploads == []
 
 

@@ -25,8 +25,8 @@ def record(item_id="ws:a.txt", path="a.txt", version=1, pending=None):
         item_id=item_id,
         path=path,
         version=version,
-        chunks=["f1", "f2"],
-        checksum="c",
+        chunks=(b"\xf1" * 20, b"\xf2" * 20),
+        checksum=b"\x0c" * 20,
         size=7,
         pending_version=pending,
     )
@@ -36,7 +36,8 @@ def test_contract_upsert_get(db):
     db.upsert(record())
     found = db.get("ws:a.txt")
     assert found.path == "a.txt"
-    assert found.chunks == ["f1", "f2"]
+    assert found.chunks == (b"\xf1" * 20, b"\xf2" * 20)
+    assert found.checksum == b"\x0c" * 20
     assert db.get_by_path("a.txt").item_id == "ws:a.txt"
 
 
@@ -56,32 +57,53 @@ def test_contract_remove(db):
 
 
 def test_contract_dedup_and_cache(db):
-    db.remember_fingerprints(["x", "y"])
-    assert db.knows_fingerprint("x")
+    x, y, z = (bytes([n]) * 20 for n in b"xyz")
+    db.remember_fingerprints([x, y])
+    assert db.knows_fingerprint(x)
+    assert not db.knows_fingerprint(x.hex().encode())
     assert db.fingerprint_count() == 2
-    db.cache_chunk("z", b"payload")
-    assert db.cached_chunk("z") == b"payload"
-    assert db.knows_fingerprint("z")
+    db.cache_chunk(z, b"payload")
+    assert db.cached_chunk(z) == b"payload"
+    assert db.knows_fingerprint(z)
     assert db.cache_size_bytes() == 7
-    assert db.evict_chunks(keep=set()) == 1
-    assert db.cached_chunk("z") is None
-    assert db.knows_fingerprint("z")  # dedup memory survives eviction
+    assert db.evict_chunks(keep={x}) == 1
+    assert db.cached_chunk(z) is None
+    assert db.knows_fingerprint(z)  # dedup memory survives eviction
 
 
 def test_sqlite_survives_reopen(tmp_path):
     path = str(tmp_path / "client.db")
     db = SqliteLocalDatabase(path)
     db.upsert(record(version=3, pending=4))
-    db.remember_fingerprints(["fp1"])
-    db.cache_chunk("fp2", b"\x00\x01")
+    db.remember_fingerprints([b"\x01" * 20])
+    db.cache_chunk(b"\x02" * 20, b"\x00\x01")
     db.close()
 
     reopened = SqliteLocalDatabase(path)
     found = reopened.get("ws:a.txt")
     assert found.version == 3 and found.pending_version == 4
-    assert reopened.knows_fingerprint("fp1")
-    assert reopened.cached_chunk("fp2") == b"\x00\x01"
+    assert reopened.knows_fingerprint(b"\x01" * 20)
+    assert reopened.cached_chunk(b"\x02" * 20) == b"\x00\x01"
+    assert found.chunks == record().chunks
     reopened.close()
+
+
+def test_sqlite_refuses_a_file_of_the_hex_layout(tmp_path):
+    """A file from before digests were BLOBs keeps hex fingerprints every bytes
+    lookup would miss: it is refused on open, not silently served."""
+    import sqlite3
+
+    from repro.errors import MetadataError
+
+    path = str(tmp_path / "hex.db")
+    old = sqlite3.connect(path)
+    old.executescript(
+        "CREATE TABLE fingerprints (fingerprint TEXT PRIMARY KEY);"
+        f"INSERT INTO fingerprints VALUES ('{'01' * 20}');"
+    )
+    old.close()
+    with pytest.raises(MetadataError, match="schema version 0"):
+        SqliteLocalDatabase(path)
 
 
 def test_client_restart_resumes_without_reupload(testbed, tmp_path):

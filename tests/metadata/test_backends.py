@@ -35,8 +35,8 @@ def item(version=1, item_id="ws1:a.txt", status="NEW", chunks=None, ws="ws1"):
         filename=item_id.split(":", 1)[1],
         status=status,
         size=10,
-        checksum="c",
-        chunks=chunks if chunks is not None else ["f1"],
+        checksum="c" * 40,
+        chunks=chunks if chunks is not None else ["f1" * 20],
         modified_at=1.0,
         device_id="dev",
     )
@@ -76,7 +76,7 @@ def test_store_and_get_current(metadata_backend):
     current = metadata_backend.get_current("ws1:a.txt")
     assert current is not None
     assert current.version == 1
-    assert current.chunks == ["f1"]
+    assert current.chunks == (b"\xf1" * 20,)
 
 
 def test_get_current_unknown_item(metadata_backend):
@@ -133,12 +133,12 @@ def test_workspace_state_latest_version_only(metadata_backend):
     setup_workspace(metadata_backend)
     metadata_backend.store_new_object(item(version=1))
     metadata_backend.store_new_version(
-        item(version=2, status=STATUS_CHANGED, chunks=["f2"])
+        item(version=2, status=STATUS_CHANGED, chunks=["f2" * 20])
     )
     state = metadata_backend.get_workspace_state("ws1")
     assert len(state) == 1
     assert state[0].version == 2
-    assert state[0].chunks == ["f2"]
+    assert state[0].chunks == (b"\xf2" * 20,)
 
 
 def test_item_history_ordered(metadata_backend):
@@ -250,6 +250,52 @@ def test_sqlite_persists_to_disk(tmp_path):
     assert reopened.get_current("ws1:a.txt").version == 1
     assert reopened.workspace_exists("ws1")
     reopened.close()
+
+
+def test_sqlite_refuses_a_file_of_the_hex_layout(tmp_path):
+    """A file from before digests were BLOBs (unstamped, hex TEXT and JSON) would
+    be misread row by row: it is refused on open, not served."""
+    import sqlite3
+
+    from repro.metadata import SqliteMetadataBackend
+
+    path = str(tmp_path / "hex.db")
+    old = sqlite3.connect(path)
+    old.executescript(
+        "CREATE TABLE item_versions (item_id TEXT, version INTEGER, workspace_id TEXT,"
+        " filename TEXT, status TEXT, is_folder INTEGER, size INTEGER,"
+        " checksum TEXT, chunks TEXT, modified_at REAL, device_id TEXT);"
+    )
+    old.execute(
+        "INSERT INTO item_versions VALUES (?, 1, 'ws1', 'a.txt', 'NEW', 0, 1, ?, ?, 0, 'd')",
+        ("ws1:a.txt", "cc" * 20, f'["{"f1" * 20}"]'),
+    )
+    old.commit()
+    old.close()
+    with pytest.raises(MetadataError, match="schema version 0"):
+        SqliteMetadataBackend(path)
+
+
+def test_digests_of_any_one_width_round_trip(metadata_backend):
+    """SHA-256 chunk lists (32-byte digests) come back as stored, not cut at 20."""
+    setup_workspace(metadata_backend)
+    sha256 = (b"\x01" * 32, b"\x02" * 32)
+    metadata_backend.store_new_object(item(version=1, chunks=sha256))
+    metadata_backend.store_new_version(item(version=2, status=STATUS_CHANGED, chunks=()))
+    first, second = metadata_backend.item_history("ws1:a.txt")
+    assert (first.chunks, first.checksum) == (sha256, b"\xcc" * 20)
+    assert second.chunks == ()
+
+
+def test_sqlite_refuses_chunks_of_mixed_widths():
+    from repro.metadata import SqliteMetadataBackend
+
+    backend = SqliteMetadataBackend(":memory:")
+    setup_workspace(backend)
+    with pytest.raises(ValueError, match="share no one width"):
+        backend.store_new_object(item(version=1, chunks=(b"\x01" * 20, b"\x02" * 32)))
+    assert backend.get_current("ws1:a.txt") is None
+    backend.close()
 
 
 def test_closed_backend_is_not_scraped(metadata_backend):

@@ -15,8 +15,8 @@ def item(name, version, status=STATUS_NEW, device="dev-1"):
         filename=name,
         status=status,
         size=4,
-        checksum="c",
-        chunks=["f1"],
+        checksum="c" * 40,
+        chunks=["f1" * 20],
         modified_at=1.0,
         device_id=device,
     )

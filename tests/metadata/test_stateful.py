@@ -41,8 +41,8 @@ def proposal(item_id: str, version: int, status: str, marker: int) -> ItemMetada
         filename=item_id.split(":")[-1],
         status="NEW" if version == 1 else status,
         size=marker,
-        checksum=str(marker),
-        chunks=[f"fp-{marker}"],
+        checksum=f"{marker:040x}",
+        chunks=[f"{marker + 1:040x}"],
         device_id="d",
     )
 

@@ -11,13 +11,16 @@ from __future__ import annotations
 import copy
 import copyreg
 import dataclasses
+import io
 import pickle
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.client.fingerprint import sha1_fingerprint, sha256_fingerprint
 from repro.errors import SerializationError
+from repro.metadata import MemoryMetadataBackend
 from repro.objectmq.envelope import make_request
 from repro.serialization import (
     BinarySerializer,
@@ -25,6 +28,7 @@ from repro.serialization import (
     PickleSerializer,
     global_wire_registry,
 )
+from repro.sync import SyncService
 from repro.sync.models import (
     CommitNotification,
     CommitResult,
@@ -108,8 +112,8 @@ def test_dto_travels_as_class_code_and_values_only():
     assert not re.search(rb"[0-9a-f]{40}", body)
     assert item.item_id.encode() not in body
     assert body.count(WORKSPACE.encode()) == 1
-    assert bytes.fromhex(item.checksum) in body
-    assert bytes.fromhex(item.chunks[0]) in body
+    assert item.checksum in body
+    assert item.chunks[0] in body
 
 
 @pytest.mark.parametrize(
@@ -175,6 +179,38 @@ def test_body_pickled_by_class_name_still_decodes():
     assert PickleSerializer().decode(legacy)["args"] == [Workspace("ws", "alice")]
 
 
+def _by_class_name(cls, state) -> bytes:
+    """*cls* pickled by name with *state* for BUILD, as a peer sends it."""
+    return (
+        b"\x80\x04\x8c\x11repro.sync.models" + pickle.dumps(cls.__name__, 3)[2:-1]
+        + b"\x93)\x81" + pickle.dumps(state, 3)[2:-1] + b"b."
+    )
+
+
+def test_item_pickled_by_class_name_with_hex_digests_decodes_to_bytes():
+    """A peer whose DTOs had a ``__dict__`` sends the fields by name, digests in
+    hex: they go through the constructor, never zipped with the field names."""
+    item = proposal(0)
+    state = {**item.to_wire(), "checksum": item.checksum.hex(),
+             "chunks": [chunk.hex() for chunk in item.chunks]}
+    assert PickleSerializer().decode(_by_class_name(ItemMetadata, state)) == item
+    mixed = {**state, "chunks": (b"\x01" * 20, b"\x02" * 32)}
+    with pytest.raises(SerializationError, match="one non-zero width"):
+        PickleSerializer().decode(_by_class_name(ItemMetadata, mixed))
+
+
+def test_body_pickled_by_class_name_from_a_slotted_peer_decodes():
+    """A peer without the class codes but with these slotted DTOs sends each
+    one's values in field order."""
+    out = io.BytesIO()
+    peer = pickle.Pickler(out, 4)
+    peer.dispatch_table = {}  # no copyreg reducers: every DTO by class name
+    peer.dump({"method": "m", "args": [Workspace("ws", "alice"), proposal(0)]})
+    body = out.getvalue()
+    assert b"ItemMetadata" in body
+    assert PickleSerializer().decode(body)["args"] == [Workspace("ws", "alice"), proposal(0)]
+
+
 # -- the trust boundary -----------------------------------------------------------
 
 
@@ -228,7 +264,13 @@ def _recoded(dto, old: int, new: int) -> bytes:
 #: by ``tests/objectmq/test_wire_boundary.py``.
 CRAFTED = {
     "blob-not-20n": (_crafted(chunks=b"\x01" * 30), "do not hold digests"),
-    "checksum-of-40-bytes": (_crafted(checksum=b"\x01" * 40), "checksum of 40 bytes"),
+    "checksum-not-hex": (_crafted(checksum="c0ffee-beef"), "non-hexadecimal"),
+    "chunks-tuple-of-str": (_crafted(chunks=("zz",)), "non-hexadecimal"),
+    "chunks-tuple-of-int": (_crafted(chunks=(1,)), "must be str, not int"),
+    "chunks-of-two-widths": (
+        _crafted(chunks=(b"\x01" * 20, b"\x02" * 32)), "one non-zero width"
+    ),
+    "chunk-of-no-bytes": (_crafted(chunks=(b"",)), "one non-zero width"),
     "request-id-of-8-bytes": (
         _body(245, (WORKSPACE, DEVICE, [], 1_400_000_002.5, b"\x01" * 8)),
         "request id of 8 bytes",
@@ -273,14 +315,19 @@ def test_crafted_body_is_refused(name):
 # -- the packed layout round-trips anything -------------------------------------
 
 _HEX = "0123456789abcdef"
-_digest = st.text(_HEX, min_size=40, max_size=40)
-_fingerprint = st.one_of(
-    _digest,
-    _digest.map(str.upper),
-    st.text("ghijk :", min_size=40, max_size=40),
-    st.text(_HEX + " ", min_size=38, max_size=42),
-    st.sampled_from(["fp1", "", "da39a3ee5e6b4b0d3255bfef95601890afd80709"]),
+def _digests_of_width(width):
+    """A chunk list of one width, each digest as bytes or as its hex."""
+    digest = st.binary(min_size=width, max_size=width)
+    return st.lists(
+        st.one_of(digest, digest.map(bytes.hex), digest.map(lambda raw: raw.hex().upper())),
+        max_size=4,
+    )
+
+
+_chunk_lists = st.one_of(
+    _digests_of_width(20), _digests_of_width(32), st.integers(1, 40).flatmap(_digests_of_width)
 )
+_checksum = st.one_of(st.binary(max_size=40), st.binary(max_size=40).map(bytes.hex))
 _name = st.text("abc:/. é", min_size=0, max_size=12)
 
 
@@ -295,8 +342,8 @@ def _items(draw):
         status=draw(st.sampled_from(VALID_STATUSES)),
         is_folder=draw(st.booleans()),
         size=draw(st.integers(0, 2**40)),
-        checksum=draw(_fingerprint),
-        chunks=draw(st.lists(_fingerprint, max_size=4)),
+        checksum=draw(_checksum),
+        chunks=draw(_chunk_lists),
         modified_at=draw(st.floats(0, 2e9)),
         device_id=draw(_name),
     )
@@ -332,19 +379,62 @@ def test_any_item_and_notification_round_trips(dto):
 
 
 def test_canonical_digests_travel_packed_and_anything_else_literally():
+    """SHA-1 chunk digests travel as one blob; chunks of any other width travel
+    as the tuple, so 32-byte (SHA-256) digests are never cut at 20, and a
+    peer's tuple is refused unless its digests share one width."""
     packed = copyreg.dispatch_table[ItemMetadata]
-    digest = "da39a3ee5e6b4b0d3255bfef95601890afd80709"
-    for checksum, chunks, wire_checksum, wire_chunks in (
-        (digest, [digest, digest], bytes.fromhex(digest), bytes.fromhex(digest) * 2),
-        (digest.upper(), [digest, digest.upper()], digest.upper(), [digest, digest.upper()]),
-        ("fp1", ["fp1"], "fp1", ["fp1"]),
-        ("", [], "", []),
-        (digest[:-2], [digest[:20], digest[20:] + digest], digest[:-2],
-         [digest[:20], digest[20:] + digest]),
+    sha1, sha256 = sha1_fingerprint(b"x"), sha256_fingerprint(b"x")
+    for chunks, wire_chunks in (
+        ((sha1, sha1), sha1 * 2),
+        ((sha256, sha256), (sha256, sha256)),
+        ((sha1[:19], sha256[:19]), (sha1[:19], sha256[:19])),
+        ((), ()),
     ):
-        item = dataclasses.replace(proposal(0), checksum=checksum, chunks=chunks)
+        item = dataclasses.replace(proposal(0), checksum=sha256, chunks=chunks)
         values = packed(item)[1]
-        assert (values[6], values[7]) == (wire_checksum, wire_chunks)
+        assert (values[6], values[7]) == (sha256, wire_chunks)
         assert values[3] == VALID_STATUSES.index(item.status) and values[10] is None
+        assert PickleSerializer().decode(PickleSerializer().encode(item)) == item
+    mixed = dataclasses.replace(proposal(0), chunks=(sha1, sha256))
+    with pytest.raises(SerializationError, match="one non-zero width"):
+        PickleSerializer().decode(PickleSerializer().encode(mixed))
     moved = dataclasses.replace(proposal(0), item_id="ws:kept-across-a-rename")
     assert packed(moved)[1][10] == "ws:kept-across-a-rename"
+
+
+# -- identity within a message ------------------------------------------------------
+
+
+class _Fanout:
+    """The broker surface ``SyncService`` notifies through, keeping what it sends."""
+
+    def __init__(self):
+        self.sent = []
+
+    def multicast_has_listeners(self, oid):
+        return True
+
+    def lookup(self, oid, interface):
+        return self
+
+    def notify_commit(self, notification):
+        self.sent.append(notification)
+
+
+def test_decoded_commit_request_notifies_at_the_pinned_size():
+    """Pickle's memo shortens a repeated string only if it is one object.  The
+    decoded items hold their ids interned, so the service interns the ids it is
+    called with, or the notification names the workspace and device twice."""
+    metadata, fanout = MemoryMetadataBackend(), _Fanout()
+    metadata.create_user("alice")
+    metadata.create_workspace(Workspace(workspace_id=WORKSPACE, owner="alice"))
+    metadata.store_new_object(dataclasses.replace(proposal(0), version=1, status="NEW"))
+    codec, service = PickleSerializer(), SyncService(metadata, fanout)
+    for version in (2, 3):  # the second decode finds the ids interned already
+        item = dataclasses.replace(proposal(0), version=version)
+        request = codec.decode(codec.encode(commit_request([item])))
+        service.commit_request(*request["args"], **request["kwargs"])
+        notification = fanout.sent[-1]
+        assert notification.results[0].confirmed
+        sent = make_request("notify_commit", [notification], {}, call="async", multi=True)
+        assert len(codec.encode(sent)) == len(codec.encode(notify_commit([item]))) == 234

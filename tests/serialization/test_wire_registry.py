@@ -66,8 +66,8 @@ def test_stacksync_models_round_trip_via_json():
         filename="one.txt",
         status="CHANGED",
         size=100,
-        checksum="abc",
-        chunks=["f1", "f2"],
+        checksum="abc" * 8 + "abcdef01",
+        chunks=["f1" * 20, "f2" * 20],
         modified_at=1.5,
         device_id="dev",
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import pytest
@@ -12,9 +13,7 @@ from repro.storage.gc import ChunkGarbageCollector
 from repro.sync.models import STATUS_CHANGED, STATUS_DELETED, ItemMetadata, Workspace
 
 
-@pytest.fixture
-def world():
-    metadata = MemoryMetadataBackend()
+def furnish(metadata):
     storage = SwiftLikeStore(node_count=2, replicas=1)
     metadata.create_user("u")
     metadata.create_workspace(Workspace(workspace_id="ws", owner="u"))
@@ -22,9 +21,19 @@ def world():
     return metadata, storage
 
 
-def put_chunks(storage, *names):
-    for name in names:
-        storage.put_object("u-u", name, b"x" * 100)
+@pytest.fixture
+def world():
+    return furnish(MemoryMetadataBackend())
+
+
+def name(label):
+    """The store name of chunk *label*: the hex of its fingerprint."""
+    return hashlib.sha1(label.encode()).hexdigest()
+
+
+def put_chunks(storage, *labels):
+    for label in labels:
+        storage.put_object("u-u", name(label), b"x" * 100)
 
 
 def commit(metadata, item_id, version, chunks, status="NEW"):
@@ -34,7 +43,7 @@ def commit(metadata, item_id, version, chunks, status="NEW"):
         version=version,
         filename=item_id.split(":")[-1],
         status=status,
-        chunks=list(chunks),
+        chunks=[hashlib.sha1(label.encode()).digest() for label in chunks],
         device_id="d",
     )
     if version == 1:
@@ -50,7 +59,7 @@ def test_live_chunks_survive(world):
     gc = ChunkGarbageCollector(metadata, storage, grace_seconds=0.0)
     report = gc.collect("u-u", ["ws"])
     assert report.swept_chunks == 0
-    assert storage.head_object("u-u", "f1")
+    assert storage.head_object("u-u", name("f1"))
     assert report.live_chunks == 2
 
 
@@ -60,10 +69,10 @@ def test_orphaned_chunks_swept(world):
     commit(metadata, "ws:a", 1, ["live"])
     gc = ChunkGarbageCollector(metadata, storage, grace_seconds=0.0)
     report = gc.collect("u-u", ["ws"])
-    assert report.swept == ["orphan"]
+    assert report.swept == [name("orphan")]
     assert report.swept_bytes == 100
-    assert not storage.head_object("u-u", "orphan")
-    assert storage.head_object("u-u", "live")
+    assert not storage.head_object("u-u", name("orphan"))
+    assert storage.head_object("u-u", name("live"))
 
 
 def test_old_versions_collected_with_keep_versions_one(world):
@@ -73,8 +82,8 @@ def test_old_versions_collected_with_keep_versions_one(world):
     commit(metadata, "ws:a", 2, ["v2chunk"], status=STATUS_CHANGED)
     gc = ChunkGarbageCollector(metadata, storage, keep_versions=1, grace_seconds=0.0)
     report = gc.collect("u-u", ["ws"])
-    assert report.swept == ["v1chunk"]
-    assert storage.head_object("u-u", "v2chunk")
+    assert report.swept == [name("v1chunk")]
+    assert storage.head_object("u-u", name("v2chunk"))
 
 
 def test_keep_versions_two_preserves_history(world):
@@ -93,7 +102,7 @@ def test_deleted_items_chunks_collected(world):
     commit(metadata, "ws:a", 2, [], status=STATUS_DELETED)
     gc = ChunkGarbageCollector(metadata, storage, grace_seconds=0.0)
     report = gc.collect("u-u", ["ws"])
-    assert report.swept == ["gone"]
+    assert report.swept == [name("gone")]
 
 
 def test_grace_window_protects_in_flight_uploads(world):
@@ -105,7 +114,7 @@ def test_grace_window_protects_in_flight_uploads(world):
     assert report.kept_recent == 1
     # Once the grace window passes (simulated via now), it is swept.
     report = gc.collect("u-u", ["ws"], now=time.time() + 7200.0)
-    assert report.swept == ["just-uploaded"]
+    assert report.swept == [name("just-uploaded")]
 
 
 def test_dry_run_reports_without_deleting(world):
@@ -113,8 +122,8 @@ def test_dry_run_reports_without_deleting(world):
     put_chunks(storage, "orphan")
     gc = ChunkGarbageCollector(metadata, storage, grace_seconds=0.0)
     report = gc.collect("u-u", ["ws"], dry_run=True)
-    assert report.swept == ["orphan"]
-    assert storage.head_object("u-u", "orphan")
+    assert report.swept == [name("orphan")]
+    assert storage.head_object("u-u", name("orphan"))
 
 
 def test_shared_chunks_across_items_kept(world):
@@ -151,3 +160,18 @@ def test_end_to_end_with_real_client(testbed):
     # keep.txt still fully reconstructable.
     late = testbed.client(device_id="dev-2")
     assert late.fs.read("keep.txt") == b"K" * 1000
+
+
+def test_sweep_spares_every_chunk_a_live_version_references(metadata_backend):
+    """The store names chunks in hex and the engines hold digests as bytes:
+    a sweep comparing the two unconverted would delete every live chunk."""
+    metadata, storage = furnish(metadata_backend)
+    labels = [f"chunk-{n}" for n in range(8)]
+    put_chunks(storage, *labels)
+    commit(metadata, "ws:a", 1, labels[:5])
+    commit(metadata, "ws:b", 1, labels[5:])
+    report = ChunkGarbageCollector(metadata, storage, grace_seconds=0.0).collect(
+        "u-u", ["ws"]
+    )
+    assert (report.live_chunks, report.swept_chunks) == (8, 0)
+    assert all(storage.head_object("u-u", name(label)) for label in labels)

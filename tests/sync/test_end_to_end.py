@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
 from repro.client import conflicted_copy_name
 from repro.client.chunker import FixedChunker
+from repro.sync.models import CommitNotification, CommitResult, ItemMetadata
 
 
 def test_add_propagates_to_all_devices(testbed):
@@ -163,3 +165,31 @@ def test_batched_commits(testbed):
     for meta in metas:
         assert other.wait_for_version(meta.item_id, meta.version, timeout=10)
     assert client.stats.commits_sent == 1
+
+
+def test_consumer_threads_count_under_the_stats_lock(testbed):
+    """Notifications and conflicts are counted on consumer threads; a scrape
+    holding the stats lock sees neither counter move until it lets go."""
+    client = testbed.client(device_id="dev-1")
+    workspace_id = testbed.workspaces["alice"].workspace_id
+    lost = ItemMetadata(
+        f"{workspace_id}:gone.txt", workspace_id, 2, "gone.txt",
+        status="CHANGED", device_id="dev-1",
+    )
+    notification = CommitNotification(
+        workspace_id, "dev-1", [CommitResult(metadata=lost, confirmed=False)]
+    )
+    workers = [
+        threading.Thread(target=client._on_notification, args=(notification,))
+        for _ in range(4)
+    ]
+    with client.stats._lock:
+        for worker in workers:
+            worker.start()
+        time.sleep(0.2)
+        assert all(worker.is_alive() for worker in workers)
+        assert (client.stats.notifications_received, client.stats.conflicts) == (0, 0)
+    for worker in workers:
+        worker.join(5)
+    scraped = client.stats.scrape()
+    assert (scraped["notifications_received"], scraped["conflicts"]) == (4, 4)

@@ -13,8 +13,9 @@ from repro.errors import SyncError
 def corrupt_object(storage, container, name, data):
     """Overwrite an object on every replica, bypassing the client."""
     key = f"{container}/{name}"
-    for device in storage.ring.devices_for(key):
-        node = storage.nodes[device]
+    replicas = [storage.nodes[device] for device in storage.ring.devices_for(key)]
+    assert any(key in node.objects for node in replicas), f"no object {key}"
+    for node in replicas:
         if key in node.objects:
             node.objects[key] = data
 
@@ -27,7 +28,7 @@ def test_corrupted_chunk_detected_on_download(testbed):
     # Corrupt the stored chunk with *valid gzip* of different content, so
     # only the fingerprint check can catch it.
     evil = zlib.compress(b"evil " * 100, 1)
-    corrupt_object(testbed.storage, "u-alice", meta.chunks[0], evil)
+    corrupt_object(testbed.storage, "u-alice", meta.chunks[0].hex(), evil)
 
     from repro.client import StackSyncClient
 
@@ -54,7 +55,7 @@ def test_corruption_during_notification_does_not_crash_client(testbed):
     meta = c1.put_file("b.txt", b"B" * 500)
     # c1 has it cached; corrupt the store before c2 fetches.
     evil = zlib.compress(b"X" * 500, 1)
-    corrupt_object(testbed.storage, "u-alice", meta.chunks[0], evil)
+    corrupt_object(testbed.storage, "u-alice", meta.chunks[0].hex(), evil)
     time.sleep(0.5)
     # c2 failed to apply (integrity), but keeps running and can sync
     # other files afterwards.

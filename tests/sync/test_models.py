@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import random
+import tracemalloc
+
 import pytest
 
+from repro.metadata import MemoryMetadataBackend
+from repro.objectmq.envelope import make_request
+from repro.serialization import PickleSerializer
 from repro.sync.models import (
     STATUS_CHANGED,
     STATUS_DELETED,
@@ -23,8 +30,8 @@ def make_item(**overrides):
         filename="a.txt",
         status=STATUS_NEW,
         size=5,
-        checksum="c",
-        chunks=["f1"],
+        checksum="c" * 40,
+        chunks=["f1" * 20],
         modified_at=1.0,
         device_id="dev",
     )
@@ -50,7 +57,7 @@ def test_with_version_bumps_immutably():
 
 
 def test_item_wire_round_trip():
-    item = make_item(chunks=["a", "b"])
+    item = make_item(chunks=["a" * 40, "b" * 40])
     assert ItemMetadata.from_wire(item.to_wire()) == item
 
 
@@ -90,3 +97,63 @@ def test_notification_wire_round_trip():
     )
     decoded = CommitNotification.from_wire(notification.to_wire())
     assert decoded == notification
+
+
+def test_item_holds_digests_as_bytes_and_converts_hex():
+    item = make_item(checksum="AB" * 20, chunks=["f1" * 20, b"\x02" * 20])
+    assert item.checksum == b"\xab" * 20
+    assert item.chunks == (b"\xf1" * 20, b"\x02" * 20)
+    assert item == make_item(checksum=b"\xab" * 20, chunks=(b"\xf1" * 20, b"\x02" * 20))
+    assert "ab" * 20 in repr(item) and "f1" * 20 in repr(item)
+    with pytest.raises(ValueError):
+        make_item(chunks=["fp1"])  # neither bytes nor hex
+    with pytest.raises(ValueError, match="one non-zero width"):
+        make_item(chunks=["f1" * 20, b"\x02" * 32])
+
+
+def test_a_decoded_version_keeps_under_400_bytes():
+    """What the metadata back-end holds per version, decoded from the wire.
+
+    The items are shaped like the repo benchmark's commit workloads (16
+    workspaces, fixed-width ids, one 20-byte checksum and chunk, several
+    versions per item).  A per-instance ``__dict__``, hex digests and a copy
+    of each id per version made this about 850 bytes.
+    """
+    rng = random.Random(1)
+    codec = PickleSerializer()
+    backend = MemoryMetadataBackend()
+    backend.create_user("u")
+    workspaces = [f"ws-52e6b438-{w:02d}" for w in range(16)]
+    for workspace_id in workspaces:
+        backend.create_workspace(Workspace(workspace_id=workspace_id, owner="u"))
+
+    def request(workspace_id, item, version):
+        path = f"dir-{item % 16:02d}/file-{item:08d}.dat"
+        proposal = ItemMetadata(
+            f"{workspace_id}:{path}", workspace_id, version, path,
+            STATUS_NEW if version == 1 else STATUS_CHANGED, False, 512 * 1024,
+            rng.randbytes(20), (rng.randbytes(20),), 1_400_000_000.0 + version,
+            "dev-generator",
+        )
+        return codec.encode(make_request(
+            "commit_request", [workspace_id, "dev-generator", [proposal]],
+            {"request_id": "0" * 32}, call="async", multi=False,
+        ))
+
+    bodies = [
+        request(workspace_id, item, version)
+        for version in range(1, 17) for workspace_id in workspaces for item in range(8)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for body in bodies:
+            _workspace, _device, items = codec.decode(body)["args"]
+            assert backend.store_versions_bulk(items) == [(True, None)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert backend.counts()["versions"] == len(bodies)
+    assert retained / len(bodies) <= 400

@@ -54,8 +54,8 @@ def proposal(version=1, status="NEW", device="dev-1", chunks=None):
         filename="a.txt",
         status=status,
         size=4,
-        checksum="c",
-        chunks=chunks if chunks is not None else ["f1"],
+        checksum="c" * 40,
+        chunks=chunks if chunks is not None else ["f1" * 20],
         modified_at=1.0,
         device_id=device,
     )
@@ -91,7 +91,7 @@ def test_commit_successor_version_confirmed(rig):
 def test_stale_version_conflicts_with_piggybacked_current(rig):
     metadata, service, sink = rig
     service.commit_request("ws", "dev-1", [proposal(1)])
-    service.commit_request("ws", "dev-1", [proposal(2, STATUS_CHANGED, chunks=["f2"])])
+    service.commit_request("ws", "dev-1", [proposal(2, STATUS_CHANGED, chunks=["f2" * 20])])
     # dev-2 proposes v2 again (stale base): conflict.
     service.commit_request("ws", "dev-2", [proposal(2, STATUS_CHANGED, device="dev-2")])
     assert wait_for(lambda: len(sink.notifications) == 3)
@@ -99,7 +99,7 @@ def test_stale_version_conflicts_with_piggybacked_current(rig):
     assert not conflict.confirmed
     assert conflict.current is not None
     assert conflict.current.version == 2
-    assert conflict.current.chunks == ["f2"]  # losing client can reconstruct
+    assert conflict.current.chunks == (b"\xf2" * 20,)  # losing client can reconstruct
     # First-writer-wins: the metadata back-end was never rolled back.
     assert metadata.get_current("ws:a.txt").version == 2
     assert service.conflict_count == 1
