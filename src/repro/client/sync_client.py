@@ -233,6 +233,7 @@ class StackSyncClient:
     def start(self) -> List[ItemMetadata]:
         """Startup protocol: getWorkspaces, getChanges, subscribe to pushes.
 
+        Two round trips; the device registration before them is a cast.
         Returns the workspace state that was applied locally.
         """
         self.sync_service.register_device(self.user_id, self.device_id)

@@ -13,10 +13,11 @@ is :meth:`MessageQueue.put_many`, settling is :meth:`MessageQueue.ack_many`
 and a consumer's handler is handed lists of deliveries; ``put`` and
 ``ack`` are the same code called with a run of one.  The dispatcher hands
 over single deliveries; a run is what a woken consumer finds waiting in
-its mailbox (:meth:`Consumer._run`), which for an acking consumer is at
-most ``prefetch``.  Pull-mode waiters are woken with *targeted* notifies —
-exactly as many waiters as there are messages to take — never a
-``notify_all`` stampede.
+its mailbox (:meth:`Consumer._run`), which is at most ``prefetch``.  An
+``auto_ack`` consumer has neither thread nor mailbox: the thread that
+dispatched its delivery runs the handler, once the queue lock is released.
+Pull-mode waiters are woken with *targeted* notifies — exactly as many
+waiters as there are messages to take — never a ``notify_all`` stampede.
 
 Reliability: a delivery stays in the consumer's unacked set until it is
 acked.  If the consumer is cancelled or its owner crashes, every unacked
@@ -34,7 +35,7 @@ import queue as stdlib_queue
 import threading
 import time
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DuplicateConsumer
 from repro.mom.message import Delivery, Message
@@ -45,6 +46,15 @@ logger = logging.getLogger(__name__)
 
 #: Sentinel pushed into a consumer mailbox to terminate its worker thread.
 _STOP = object()
+
+#: Auto-ack deliveries a dispatch pass made, to run once the lock is free.
+_Inline = List[Tuple["Consumer", Delivery]]
+
+
+def _run_inline(inline: _Inline) -> None:
+    """Run auto-ack handlers on this thread; the queue lock is not held."""
+    for consumer, delivery in inline:
+        consumer.handle([delivery])
 
 
 def _each(
@@ -63,23 +73,25 @@ def _each(
 
 
 class Consumer:
-    """A registered consumer: a handler plus its delivery worker thread.
+    """A registered consumer: a handler plus, if it acks, a worker thread.
 
-    Deliveries are executed on a dedicated thread (started with the first
-    delivery, see :meth:`deliver`) so that one slow consumer never blocks
-    the queue's dispatch path or its sibling consumers.  Acking is the
-    responsibility of the subscriber (normally the ObjectMQ skeleton) via
-    :meth:`MessageQueue.ack_many`.
+    An acking consumer's deliveries are executed on a dedicated thread
+    (started with the first delivery, see :meth:`deliver`) so that one slow
+    consumer never blocks the queue's dispatch path or its sibling
+    consumers.  Acking is the responsibility of the subscriber (normally
+    the ObjectMQ skeleton) via :meth:`MessageQueue.ack_many`.
 
     The mailbox carries single deliveries; the thread, woken by one, takes
     every other already waiting and hands the handler the lot as one list.
     An acking consumer holds at most ``prefetch`` deliveries, mailbox and
-    handler together, which bounds its runs; nothing bounds an auto-ack
-    consumer's.  The handler is chosen once, at registration: a
-    *batch_callback* receives each list whole and owns per-delivery error
-    handling; a per-delivery *callback* is wrapped into a list handler
-    that isolates each delivery, so one bad delivery never drops its
-    siblings.
+    handler together, which bounds its runs.  An ``auto_ack`` consumer has
+    no thread and no mailbox: whoever dispatched the delivery runs
+    :meth:`handle` on its own thread, after releasing the queue lock, so
+    the handler must be short and thread-safe.  The handler is chosen once,
+    at registration: a *batch_callback* receives each list whole and owns
+    per-delivery error handling; a per-delivery *callback* is wrapped into
+    a list handler that isolates each delivery, so one bad delivery never
+    drops its siblings.
     """
 
     def __init__(
@@ -97,14 +109,23 @@ class Consumer:
         self.prefetch = max(1, prefetch)
         self.auto_ack = auto_ack
         self.unacked: Dict[int, Delivery] = {}
-        self._mailbox: "stdlib_queue.SimpleQueue" = stdlib_queue.SimpleQueue()
+        self._mailbox: Optional["stdlib_queue.SimpleQueue"] = (
+            None if auto_ack else stdlib_queue.SimpleQueue()
+        )
         # Started by the first delivery: a consumer that never gets a
-        # message (a listener's unicast queue, the reply queue of a
-        # broker that only casts) never costs a thread.
+        # message (a listener's unicast queue, an instance's private
+        # fanout queue) never costs a thread.
         self._thread: Optional[threading.Thread] = None
 
+    def handle(self, run: List[Delivery]) -> None:
+        """Call the handler on *run*; what it raises is logged, not passed on."""
+        try:
+            self._handler(run)
+        except Exception:  # noqa: BLE001 - consumer bugs must not kill dispatch
+            logger.exception("consumer %s raised while handling run", self.tag)
+
     def deliver(self, delivery: Delivery) -> None:
-        """Put one delivery in the mailbox.
+        """Put one delivery in an acking consumer's mailbox.
 
         Called under the queue lock (``_dispatch_locked`` is the only
         caller), so the first-delivery thread start cannot race itself.
@@ -135,10 +156,7 @@ class Consumer:
             except stdlib_queue.Empty:
                 pass
             if run:
-                try:
-                    self._handler(run)
-                except Exception:  # noqa: BLE001 - consumer bugs must not kill dispatch
-                    logger.exception("consumer %s raised while handling run", self.tag)
+                self.handle(run)
             if item is _STOP:
                 return  # after the run that was queued ahead of it
 
@@ -219,8 +237,10 @@ class MessageQueue:
             self.published_count += count
             if len(self._ready) > self.depth_high_water:
                 self.depth_high_water = len(self._ready)
-            self._dispatch_locked()
+            inline = self._dispatch_locked()
             self._notify_pull_waiters_locked()
+        if inline:
+            _run_inline(inline)
         return count
 
     def _notify_pull_waiters_locked(self) -> None:
@@ -239,8 +259,8 @@ class MessageQueue:
         """Synchronously pop one message, waiting up to *timeout* seconds.
 
         Pull mode auto-acks: the message is not tracked for redelivery.
-        Used by ObjectMQ proxies to wait for replies on their private
-        response queues.
+        This is ``MomTransport.get``; ObjectMQ never calls it, since its
+        replies reach each ``Broker``'s auto-ack reply consumer.
         """
         with self._not_empty:
             if not self._ready:
@@ -293,7 +313,9 @@ class MessageQueue:
                 batch_callback=batch_callback,
             )
             self._consumers.append(consumer)
-            self._dispatch_locked()
+            inline = self._dispatch_locked()
+        if inline:
+            _run_inline(inline)
         return consumer
 
     def cancel_consumer(self, tag: str) -> None:
@@ -315,19 +337,23 @@ class MessageQueue:
             consumer.stop()
             window = sorted(consumer.unacked.values(), key=lambda d: d.delivery_tag)
             consumer.unacked.clear()
-            self._requeue_locked(window)
+            inline = self._requeue_locked(window)
+        if inline:
+            _run_inline(inline)
 
-    def _requeue_locked(self, deliveries: List[Delivery]) -> None:
+    def _requeue_locked(self, deliveries: List[Delivery]) -> Optional[_Inline]:
         """Splice *deliveries*' messages back head-of-queue, oldest first,
-        flagged ``redelivered``, then dispatch.  Queue lock held."""
+        flagged ``redelivered``, then dispatch.  Queue lock held; returns
+        what :meth:`_dispatch_locked` does."""
         for delivery in deliveries:
             delivery.message.redelivered = True
         # extendleft reverses, so feed it newest-first to land the run
         # ahead of the ready buffer in original (oldest-first) order.
         self._ready.extendleft(d.message for d in reversed(deliveries))
         self.redelivered_count += len(deliveries)
-        self._dispatch_locked()
+        inline = self._dispatch_locked()
         self._notify_pull_waiters_locked()
+        return inline
 
     def _pop_consumer_locked(self, tag: str) -> Optional[Consumer]:
         for i, consumer in enumerate(self._consumers):
@@ -350,6 +376,7 @@ class MessageQueue:
         triggers one drain, not N.
         """
         acked: List[int] = []
+        inline: Optional[_Inline] = None
         with self._lock:
             for delivery_tag in delivery_tags:
                 for consumer in self._consumers:
@@ -359,7 +386,9 @@ class MessageQueue:
                         break
             if acked:
                 self.acked_count += len(acked)
-                self._dispatch_locked()
+                inline = self._dispatch_locked()
+        if inline:
+            _run_inline(inline)
         return acked
 
     def nack(self, delivery_tag: int, requeue: bool = True) -> bool:
@@ -368,13 +397,17 @@ class MessageQueue:
             for consumer in self._consumers:
                 delivery = consumer.unacked.pop(delivery_tag, None)
                 if delivery is not None:
-                    self._requeue_locked([delivery] if requeue else [])
-                    return True
-        return False
+                    inline = self._requeue_locked([delivery] if requeue else [])
+                    break
+            else:
+                return False
+        if inline:
+            _run_inline(inline)
+        return True
 
     # -- dispatch -------------------------------------------------------------
 
-    def _dispatch_locked(self) -> None:
+    def _dispatch_locked(self) -> Optional[_Inline]:
         """Hand ready messages to eligible consumers, one delivery each.
 
         Must be called with ``self._lock`` held.  A consumer is eligible
@@ -382,14 +415,20 @@ class MessageQueue:
         default prefetch of 1 this selects only idle consumers, which is
         the transparent load balancing the paper credits the MOM layer
         with.  An ``auto_ack`` consumer has no window and is always
-        eligible.
+        eligible; its deliveries are not put anywhere but returned (None
+        when there are none, so the usual pass allocates nothing), and the
+        caller hands them to :func:`_run_inline` after releasing the lock.
+        A handler that publishes (``LeaderElector`` joins an election from
+        inside its election handler) would otherwise re-enter a lock its
+        own thread holds.
         """
         self.dispatch_cycles += 1
         stamp = time.time() if TRACER.enabled else None
+        inline: Optional[_Inline] = None
         while self._ready:
             consumer = self._next_eligible_locked()
             if consumer is None:
-                return
+                break
             message = self._ready.popleft()
             if stamp is not None:
                 message.headers[DEQUEUED_AT_KEY] = stamp
@@ -399,12 +438,16 @@ class MessageQueue:
                 consumer_tag=consumer.tag,
                 message=message,
             )
-            if not consumer.auto_ack:
-                consumer.unacked[delivery.delivery_tag] = delivery
-            else:
-                self.acked_count += 1
             self.delivered_count += 1
-            consumer.deliver(delivery)
+            if consumer.auto_ack:
+                self.acked_count += 1
+                if inline is None:
+                    inline = []
+                inline.append((consumer, delivery))
+            else:
+                consumer.unacked[delivery.delivery_tag] = delivery
+                consumer.deliver(delivery)
+        return inline
 
     def _next_eligible_locked(self) -> Optional[Consumer]:
         n = len(self._consumers)

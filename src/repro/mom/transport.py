@@ -84,7 +84,13 @@ class MomTransport(Protocol):
     ) -> Any:
         """Subscribe one handler: *batch_callback*, when given, receives
         each run of deliveries as a list and *callback* is not used;
-        otherwise *callback* receives them one at a time."""
+        otherwise *callback* receives them one at a time.
+
+        An *auto_ack* handler may run on the publishing thread, and on two
+        threads at once, so it must be thread-safe and must not block;
+        it may publish.  (``MessageBroker`` runs it on the publisher's
+        thread; ``SqsBrokerAdapter`` on a poller thread, which the
+        contract also allows.)"""
         ...
 
     def cancel(self, queue_name: str, consumer_tag: str) -> None:

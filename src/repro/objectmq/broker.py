@@ -45,7 +45,10 @@ class _ReplyRouter:
     Every Broker (client side) owns exactly one response queue — "every
     stub has its own queue to receive responses" in the paper maps to one
     queue per connected Broker, shared by all its proxies and keyed by
-    correlation id.
+    correlation id.  It consumes with ``auto_ack``, so on a
+    ``MessageBroker`` :meth:`on_delivery` runs on the replying skeleton's
+    thread: it decodes, finds the waiter under a short lock and wakes it,
+    never blocking.
     """
 
     def __init__(self, codec: Serializer):
@@ -146,7 +149,6 @@ class Broker:
             self.response_queue_name,
             self._reply_router.on_delivery,
             consumer_tag=self._reply_consumer_tag,
-            prefetch=64,
             auto_ack=True,
         )
 

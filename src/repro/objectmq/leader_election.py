@@ -105,6 +105,10 @@ class LeaderElector:
         mom.declare_queue(self._el_queue, exclusive=True)
         mom.bind_queue(HEARTBEAT_EXCHANGE, self._hb_queue)
         mom.bind_queue(ELECTION_EXCHANGE, self._el_queue)
+        # Auto-ack: both handlers may run on the publishing thread (a
+        # heartbeat emitter, a peer's elector, this elector's own
+        # announcement), so they hold self._lock only briefly and publish
+        # outside it.
         mom.consume(self._hb_queue, self._on_heartbeat, f"hbc.{self.participant_id}", auto_ack=True)
         mom.consume(self._el_queue, self._on_candidate, f"elc.{self.participant_id}", auto_ack=True)
 

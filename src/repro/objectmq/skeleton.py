@@ -195,6 +195,14 @@ class Skeleton:
             self._send_reply(envelope, result, error)
 
     def _send_reply(self, envelope: dict, result: Any, error: str) -> None:
+        reply_to = envelope["reply_to"]
+        mom = self.broker.mom
+        if not mom.queue_exists(reply_to):
+            # The caller's Broker closed, typically after its call timed
+            # out.  The default exchange would declare the queue again —
+            # shared, with nobody to read or delete it.
+            logger.debug("dropping reply for closed queue %s", reply_to)
+            return
         reply = make_reply(
             correlation_id=envelope.get("correlation_id") or "",
             result=result if not error else None,
@@ -204,11 +212,11 @@ class Skeleton:
         body = self.broker.codec.encode(reply)
         message = Message(
             body=body,
-            routing_key=envelope["reply_to"],
+            routing_key=reply_to,
             correlation_id=envelope.get("correlation_id"),
             delivery_mode=PERSISTENT,
         )
         try:
-            self.broker.mom.publish("", envelope["reply_to"], message)
+            mom.publish("", reply_to, message)
         except Exception:  # noqa: BLE001 - the caller may be gone; that is fine
-            logger.debug("reply queue %s vanished", envelope["reply_to"])
+            logger.debug("reply queue %s vanished", reply_to)

@@ -75,9 +75,13 @@ class SyncServiceApi(Remote):
         """Grant *user_id* access to the workspace (the sharing service)."""
         raise NotImplementedError
 
-    @sync_method(retry=5, timeout=1.5)
-    def register_device(self, user_id: str, device_id: str, name: str = "") -> bool:
-        """Record the calling device; invoked once at client startup."""
+    @async_method
+    def register_device(self, user_id: str, device_id: str, name: str = "") -> None:
+        """Record the calling device; cast once at client startup.
+
+        Nothing waits on it: a user the service does not know gets no
+        workspaces from the ``get_workspaces`` call that follows.
+        """
         raise NotImplementedError
 
 

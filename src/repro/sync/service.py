@@ -203,10 +203,9 @@ class SyncService(HasObjectInfo):
         self.metadata.grant_access(workspace_id, user_id)
         return True
 
-    def register_device(self, user_id: str, device_id: str, name: str = "") -> bool:
-        """Record a device in the user's device registry (idempotent)."""
+    def register_device(self, user_id: str, device_id: str, name: str = "") -> None:
+        """Record a device in the user's device registry (idempotent; a cast)."""
         self.metadata.register_device(user_id, device_id, name)
-        return True
 
     # -- internals -------------------------------------------------------------------
 

@@ -220,6 +220,44 @@ def test_auto_ack_consumer_never_tracks_unacked(queue):
     assert queue.acked_count == 1
 
 
+def test_auto_ack_handler_runs_on_the_publishing_thread_without_the_lock(queue):
+    """No thread, no mailbox: ``put`` returns after the handler has run,
+    and the handler may use the queue it is consuming from."""
+    seen = []
+
+    def handler(delivery):
+        lock_free = queue._lock.acquire(timeout=1.0)
+        if lock_free:
+            queue._lock.release()
+        seen.append((delivery.message.body, threading.current_thread(), lock_free))
+
+    consumer = queue.add_consumer("c", handler, auto_ack=True)
+    before = {t.name for t in threading.enumerate()}
+    queue.put(Message(b"a"))
+    queue.put(Message(b"b"))
+    me = threading.current_thread()
+    assert seen == [(b"a", me, True), (b"b", me, True)]
+    assert {t.name for t in threading.enumerate()} == before
+    assert consumer._mailbox is None
+
+
+def test_auto_ack_backlog_runs_on_the_subscribing_thread(queue):
+    queue.put(Message(b"1"))
+    queue.put(Message(b"2"))
+    got = []
+    queue.add_consumer("c", lambda d: got.append(d.message.body), auto_ack=True)
+    assert got == [b"1", b"2"] and len(queue) == 0
+
+
+def test_auto_ack_handler_error_is_not_the_publishers(queue):
+    def handler(delivery):
+        raise RuntimeError("handler bug")
+
+    queue.add_consumer("c", handler, auto_ack=True)
+    queue.put(Message(b"x"))  # logged, not raised
+    assert queue.acked_count == 1
+
+
 def test_close_stops_consumers(queue):
     collector = Collector(queue)
     queue.add_consumer("c", collector)
@@ -329,9 +367,8 @@ def test_slow_acking_consumer_holds_at_most_its_prefetch(queue):
 
     Its mailbox and its handler together hold 8; the other 9,992 messages
     of the burst wait in the queue's ready buffer, where ``len(queue)`` and
-    ``depth_high_water`` can see them.  An *auto-ack* consumer has no such
-    bound — everything published goes straight to its mailbox (ROADMAP
-    4(d), still open).
+    ``depth_high_water`` can see them.  (An *auto-ack* consumer holds
+    nothing: its handler runs on the publishing thread.)
     """
     handler = BlockingRunHandler(queue)
     consumer = queue.add_consumer("c1", None, prefetch=8, batch_callback=handler)

@@ -176,6 +176,41 @@ def test_cancel_redelivers_unacked_to_a_sibling(transport):
     assert not transport.ack(crashed.calls[0])
 
 
+def test_auto_ack_handler_may_publish_to_its_own_fanout_in_order(transport):
+    """The ``LeaderElector`` pattern: an auto-ack handler answers on a
+    fanout its own queue is bound to.  Nothing deadlocks, and each
+    publisher's messages arrive in the order it sent them."""
+    transport.declare_exchange("fan", "fanout")
+    transport.declare_queue("own")
+    transport.bind_queue("fan", "own")
+    inbox = Inbox()
+
+    def handler(delivery):
+        inbox(delivery)
+        body = delivery.message.body
+        if body.startswith(b"ping"):
+            transport.publish("fan", "", Message(b"echo" + body[4:]))
+
+    transport.consume("own", handler, consumer_tag="c1", auto_ack=True)
+    pings = [f"ping{i}".encode() for i in range(10)]
+    echoes = [f"echo{i}".encode() for i in range(10)]
+
+    def publish_pings():
+        for body in pings:
+            transport.publish("fan", "", Message(body))
+
+    publisher = threading.Thread(target=publish_pings, daemon=True)
+    publisher.start()
+    publisher.join(timeout=5.0)
+    assert not publisher.is_alive(), "publishing to an auto-ack consumer deadlocked"
+    assert wait_for(lambda: len(inbox.calls) == 20, timeout=5.0)
+    bodies = inbox.bodies()
+    assert [b for b in bodies if b.startswith(b"ping")] == pings
+    assert [b for b in bodies if b.startswith(b"echo")] == echoes
+    assert all(bodies.index(p) < bodies.index(e) for p, e in zip(pings, echoes))
+    assert wait_for(lambda: transport.queue_stats("own")["unacked"] == 0)
+
+
 def test_get_returns_none_after_the_timeout(transport):
     transport.declare_queue("empty")
     started = time.monotonic()

@@ -6,6 +6,7 @@ error propagation, timeouts/retries and multicast collection.
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -21,6 +22,7 @@ from repro.objectmq import (
     remote_interface,
     sync_method,
 )
+from repro.telemetry.registry import get_registry
 
 
 @remote_interface
@@ -139,6 +141,79 @@ def test_sync_timeout_raises_after_retries(rig):
     # 2 attempts x 0.3s timeout
     assert 0.5 <= elapsed < 3.0
     assert proxy.call_stats.timeouts == 1
+
+
+def test_late_reply_does_not_revive_a_closed_brokers_response_queue():
+    """A reply landing after its caller's Broker closed is dropped.
+
+    Published on the default exchange it would declare ``replies.<id>``
+    again: a shared queue nobody reads or deletes, holding the replies,
+    with a registry source nobody unregisters.
+    """
+
+    @remote_interface
+    class ImpatientApi(Remote):
+        @sync_method(timeout=0.05, retry=1)
+        def slow(self, seconds):
+            ...
+
+    release = threading.Event()
+
+    class Parked(Calculator):
+        def slow(self, seconds):
+            assert release.wait(timeout=5.0)
+            return "late"
+
+    mom = MessageBroker()
+    server, client = Broker(mom), Broker(mom)
+    try:
+        server.bind("calc", Parked())
+        proxy = client.lookup("calc", ImpatientApi)
+        with pytest.raises(RemoteTimeout):
+            proxy.slow(0)
+        client.close()
+        sources = get_registry().source_count()
+        release.set()
+        # Both attempts are served, one after the other, and acked after
+        # their replies were sent (or dropped).
+        assert wait_for(lambda: mom.queue_stats("calc")["acked"] == 2)
+        assert not mom.queue_exists(client.response_queue_name)
+        assert get_registry().source_count() == sources
+    finally:
+        release.set()
+        server.close()
+        mom.close()
+
+
+def test_concurrent_replies_each_reach_their_own_caller(rig):
+    """The reply router runs on the replying skeletons' threads, several at
+    once: under a short switch interval every call still gets its own
+    answer, and a multicast gets one reply from each instance."""
+    _mom, server, client = rig
+    for name in "0123":
+        server.bind("calc", Calculator(name))
+    proxy = client.lookup("calc", CalculatorApi)
+    wrong = []
+
+    def caller(base):
+        for i in range(40):
+            if proxy.add(base, i) != base + i:
+                wrong.append((base, i))
+        if sorted(proxy.who()) != list("0123"):
+            wrong.append((base, "who"))
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=caller, args=(n * 1000,)) for n in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(previous)
+    assert wrong == []
 
 
 def test_slow_call_succeeds_within_timeout(rig):

@@ -1,18 +1,23 @@
-"""A consumer costs a thread only once a message reaches it.
+"""A consumer costs a thread only once a message reaches it, and a reply
+consumer never does.
 
-Half the consumers of a deployment never receive one — a listener's
+Half the consumers of a deployment never receive a message — a listener's
 unicast queue (its interface has only a multicast method), an instance's
-private fanout queue, the reply queue of a broker that only casts — so
-binding must start no thread, and traffic exactly the threads it reaches.
+private fanout queue — so binding must start no thread, and traffic
+exactly the threads it reaches.  A broker's reply consumer is auto-ack:
+its handler runs on the replying thread, so sync calls start no thread on
+the caller's side.
 """
 
 from __future__ import annotations
 
 import threading
 
+from repro.client import StackSyncClient
 from repro.metadata import MemoryMetadataBackend
 from repro.mom import MessageBroker
 from repro.objectmq import Broker, Remote, async_method, remote_interface
+from repro.storage import SwiftLikeStore
 from repro.sync import SYNC_SERVICE_OID, SyncService, SyncServiceApi, Workspace
 from repro.sync.interface import SYNC_SERVICE_PREFETCH, workspace_oid
 
@@ -76,6 +81,35 @@ def test_commit_deployment_closed_without_traffic_started_no_thread():
     finally:
         client.close()
         receiver.close()
+        server.close()
+        mom.close()
+        metadata.close()
+
+
+def test_two_device_starts_run_on_one_consumer_thread():
+    """The shape of the repo benchmark's ``file_sync.deploy``: two devices
+    ``start()`` (a cast and two sync calls each) on one stack.  Only the
+    SyncService's unicast consumer gets a thread; the replies run on it."""
+    mom = MessageBroker()
+    metadata = MemoryMetadataBackend()
+    server = Broker(mom)
+    devices = []
+    try:
+        skeleton = server.bind(
+            SYNC_SERVICE_OID, SyncService(metadata, server), prefetch=SYNC_SERVICE_PREFETCH
+        )
+        metadata.create_user("alice")
+        workspace = Workspace(workspace_id="ws-1", owner="alice")
+        metadata.create_workspace(workspace)
+        storage = SwiftLikeStore()
+        for name in ("a", "b"):
+            device = StackSyncClient("alice", workspace, mom, storage, device_id=name)
+            devices.append(device)
+            device.start()
+        assert consumer_threads() == [f"consumer-{skeleton.instance_id}.uni"]
+    finally:
+        for device in devices:
+            device.stop()
         server.close()
         mom.close()
         metadata.close()

@@ -7,9 +7,25 @@ import time
 
 import pytest
 
-from repro.client import conflicted_copy_name
+from repro.client import StackSyncClient, conflicted_copy_name
 from repro.client.chunker import FixedChunker
+from repro.errors import SyncError
 from repro.sync.models import CommitNotification, CommitResult, ItemMetadata
+
+
+@pytest.mark.parametrize("user", ["bob", "ghost"], ids=["no-access", "unknown-user"])
+def test_start_without_the_workspace_raises_sync_error(testbed, user):
+    """``register_device`` is a cast, so nothing waits on its failure for
+    an unknown user; ``get_workspaces`` returning nothing stops ``start``."""
+    if user == "bob":
+        testbed.metadata.create_user("bob")
+    client = StackSyncClient(user, testbed.workspaces["alice"], testbed.mom, testbed.storage)
+    try:
+        with pytest.raises(SyncError, match="no access"):
+            client.start()
+        assert not client.started
+    finally:
+        client.stop()
 
 
 def test_add_propagates_to_all_devices(testbed):
