@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import threading
 from operator import attrgetter
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 
 from repro.errors import BrokerClosed, DeliveryError, ExchangeNotFound, QueueNotFound
 from repro.mom.exchange import EXCHANGE_TYPES, DirectExchange, Exchange
@@ -91,6 +91,10 @@ class MessageBroker:
         self._lock = threading.Lock()
         self._queues: Dict[str, MessageQueue] = {}
         self._exchanges: Dict[str, Exchange] = {DEFAULT_EXCHANGE: DirectExchange("")}
+        # queue name -> exchanges it was bound to (a superset: an unbind
+        # under one key may leave others), so deleting a queue visits only
+        # those, not every exchange.
+        self._bound_to: Dict[str, Set[str]] = {}
         self._closed = False
         self.stats = BrokerStats()
         # Scrape-time wiring into the unified registry: evaluated only on
@@ -130,8 +134,10 @@ class MessageBroker:
     def delete_queue(self, name: str) -> None:
         with self._lock:
             queue = self._queues.pop(name, None)
-            for exchange in self._exchanges.values():
-                exchange.unbind_queue_everywhere(name)
+            for exchange_name in self._bound_to.pop(name, ()):
+                exchange = self._exchanges.get(exchange_name)
+                if exchange is not None:
+                    exchange.unbind_queue_everywhere(name)
         if queue is not None:
             queue.close()
 
@@ -149,7 +155,9 @@ class MessageBroker:
     def bind_queue(self, exchange_name: str, queue_name: str, binding_key: str = "") -> None:
         exchange = self._get_exchange(exchange_name)
         self._get_queue(queue_name)  # existence check
-        exchange.bind(queue_name, binding_key)
+        with self._lock:
+            exchange.bind(queue_name, binding_key)
+            self._bound_to.setdefault(queue_name, set()).add(exchange_name)
 
     def unbind_queue(self, exchange_name: str, queue_name: str, binding_key: str = "") -> None:
         exchange = self._get_exchange(exchange_name)
@@ -317,6 +325,7 @@ class MessageBroker:
             durable_names = [q.name for q in queues if q.durable]
             self._queues.clear()
             self._exchanges = {DEFAULT_EXCHANGE: DirectExchange("")}
+            self._bound_to.clear()
         for queue in queues:
             queue.close()
         for name in durable_names:

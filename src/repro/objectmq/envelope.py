@@ -1,22 +1,50 @@
 """Wire envelopes for ObjectMQ requests and replies.
 
-Envelopes are plain dicts (so every codec can carry them) with a small
-schema; a request carries only what its receiver reads::
+Envelopes are dicts (so every codec can carry them) with a small schema; a
+request carries only what its receiver reads::
 
     request:  {"method": str, "args": list,
                "kwargs": dict,                  # only when non-empty
                "reply_to": str,                 # sync calls only: the
                "correlation_id": str,           #   skeleton replies iff set
                "context": dict, <trace key>}    # added by the proxy, if any
-    reply:    {"correlation_id": str, "ok": bool,
+    reply:    {"correlation_id": str, "ok": bool,   # ok is error is None
                "result": any | None, "error": str | None,
-               "responder": str}
+               "responder": str}                # never read; "" unless given
+
+json and binary spell the keys out.  Pickle sends each envelope by position
+under its own extension code (registered below, with no json/binary tag, so
+those two codecs' bytes do not change)::
+
+    request:  (method, args, kwargs?, reply_to?, correlation_id?, context?, trace?)
+    reply:    (correlation_id, result, error?, responder?)
+
+A request field that is absent or None is sent as None and rebuilt as
+absent, and trailing ones are left off.  A reply's ``error`` and
+``responder`` travel only when set, and ``ok`` never does.  A key outside
+the schema has no position, so pickle refuses to encode it.  Codes 246 and
+247 are wire format (see :class:`~repro.serialization.base.WireRegistry`).
 """
 
 from __future__ import annotations
 
 import uuid
 from typing import Any, Dict, List, Optional
+
+from repro.serialization.base import global_wire_registry
+from repro.telemetry.trace import TRACE_KEY
+
+
+class Request(dict):
+    """A request envelope: a dict that pickle sends by position."""
+
+    __slots__ = ()
+
+
+class Reply(dict):
+    """A reply envelope: a dict that pickle sends by position."""
+
+    __slots__ = ()
 
 
 def new_correlation_id() -> str:
@@ -32,14 +60,14 @@ def make_request(
     reply_to: Optional[str] = None,
     correlation_id: Optional[str] = None,
     clock: Optional[float] = None,
-) -> Dict[str, Any]:
+) -> Request:
     """Build a request envelope.
 
     *call* decides whether the reply address travels; *multi* and *clock*
     no longer reach the wire (no receiver read them) and are kept only for
     the signature the benchmark harness calls.
     """
-    envelope: Dict[str, Any] = {"method": method, "args": list(args)}
+    envelope = Request(method=method, args=list(args))
     if kwargs:
         envelope["kwargs"] = dict(kwargs)
     if call == "sync":
@@ -53,19 +81,73 @@ def make_reply(
     result: Any = None,
     error: Optional[str] = None,
     responder: str = "",
-) -> Dict[str, Any]:
-    return {
-        "correlation_id": correlation_id,
-        "ok": error is None,
-        "result": result,
-        "error": error,
-        "responder": responder,
-    }
+) -> Reply:
+    return Reply(
+        correlation_id=correlation_id,
+        ok=error is None,
+        result=result,
+        error=error,
+        responder=responder,
+    )
 
 
-def is_request(envelope: Dict[str, Any]) -> bool:
-    return "method" in envelope
+# -- pickle layouts ------------------------------------------------------------
+
+_REQUEST_KEYS = frozenset(("method", "args", "kwargs", "reply_to", "correlation_id",
+                           "context", TRACE_KEY))
+_REPLY_KEYS = frozenset(("correlation_id", "ok", "result", "error", "responder"))
 
 
-def is_reply(envelope: Dict[str, Any]) -> bool:
-    return "ok" in envelope and "method" not in envelope
+def pack_request(request: Request) -> tuple:
+    """``(unpack_request, values)``: the fields in schema order, None for a
+    missing one, trailing Nones left off."""
+    if not _REQUEST_KEYS.issuperset(request):
+        raise ValueError(f"request keys {sorted(request.keys() - _REQUEST_KEYS)} "
+                         "have no place in its layout")
+    get = request.get
+    values = (request["method"], request["args"], get("kwargs"), get("reply_to"),
+              get("correlation_id"), get("context"), get(TRACE_KEY))
+    size = 7
+    while size > 2 and values[size - 1] is None:
+        size -= 1
+    return unpack_request, values[:size]
+
+
+def unpack_request(method, args, kwargs=None, reply_to=None, correlation_id=None,
+                   context=None, trace=None) -> Request:
+    request = Request(method=method, args=args)
+    if kwargs is not None:
+        request["kwargs"] = kwargs
+    if reply_to is not None:
+        request["reply_to"] = reply_to
+    if correlation_id is not None:
+        request["correlation_id"] = correlation_id
+    if context is not None:
+        request["context"] = context
+    if trace is not None:
+        request[TRACE_KEY] = trace
+    return request
+
+
+def pack_reply(reply: Reply) -> tuple:
+    """``(unpack_reply, values)``: ``ok`` is left to the receiver, and an error
+    and a responder travel only when there is one."""
+    if not _REPLY_KEYS.issuperset(reply):
+        raise ValueError(f"reply keys {sorted(reply.keys() - _REPLY_KEYS)} "
+                         "have no place in its layout")
+    correlation_id, result = reply["correlation_id"], reply["result"]
+    error, responder = reply.get("error"), reply.get("responder")
+    if responder:
+        return unpack_reply, (correlation_id, result, error, responder)
+    if error is not None:
+        return unpack_reply, (correlation_id, result, error)
+    return unpack_reply, (correlation_id, result)
+
+
+def unpack_reply(correlation_id, result, error=None, responder="") -> Reply:
+    return Reply(correlation_id=correlation_id, ok=error is None, result=result,
+                 error=error, responder=responder)
+
+
+global_wire_registry.register(Request, code=246, pack=pack_request, unpack=unpack_request)
+global_wire_registry.register(Reply, code=247, pack=pack_reply, unpack=unpack_reply)

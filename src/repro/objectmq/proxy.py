@@ -291,6 +291,7 @@ class Proxy:
 
     @staticmethod
     def _unwrap(method: str, reply: dict) -> Any:
-        if reply.get("ok"):
+        error = reply.get("error")
+        if error is None:
             return reply.get("result")
-        raise RemoteInvocationError(method, reply.get("error") or "unknown error")
+        raise RemoteInvocationError(method, error or "unknown error")

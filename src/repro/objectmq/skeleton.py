@@ -207,7 +207,6 @@ class Skeleton:
             correlation_id=envelope.get("correlation_id") or "",
             result=result if not error else None,
             error=error or None,
-            responder=self.instance_id,
         )
         body = self.broker.codec.encode(reply)
         message = Message(

@@ -6,15 +6,16 @@ protocol: JSON (readable, interoperable), pickle (the Python analogue of
 Java serialization), and a compact binary codec (the Kryo analogue).
 
 A codec maps between Python objects and bytes.  The RPC layer keeps its
-envelope (method name, args, reply address) as plain dict/list/str/int/float
-structures so any codec can carry it; rich domain objects register
-``to_wire``/``from_wire`` hooks via :class:`WireRegistry`.
+envelope (method name, args, reply address) as dicts of plain
+dict/list/str/int/float structures so any codec can carry it; rich domain
+objects register ``to_wire``/``from_wire`` hooks via :class:`WireRegistry`.
 
 One :meth:`WireRegistry.register` call per DTO fixes everything the wire
 knows about it: the string *tag* json and binary spell it with, and the
 *code* (with the dataclass field order, or a packed layout) pickle spells
-it with.  All three codecs therefore admit the same surface — primitives,
-containers and the registered DTOs — and nothing else.
+it with.  The envelopes register a code and no tag.  All three codecs
+therefore admit the same surface — primitives, containers and the
+registered DTOs — and nothing else.
 """
 
 from __future__ import annotations
@@ -55,16 +56,19 @@ class WireRegistry:
     followed by the field values in declaration order — never a field
     name — and is rebuilt through ``cls(*values)``, so ``__post_init__``
     validates what a peer sent.  With *pack* / *unpack* the type has a
-    **packed layout** instead: ``pack(obj)`` returns the values that travel
-    (a digest as raw bytes, a derivable field left out) and the module-level
+    **packed layout** instead: ``pack(obj)`` is its ``copyreg`` reducer and
+    returns ``(unpack, values)``, the values that travel (a digest as raw
+    bytes, a derivable field left out), and the module-level
     ``unpack(*values)`` rebuilds the instance; the code then names *unpack*,
     which the unpickler admits like a class (by name or code, through
     :attr:`pickle_classes`) and which must end in ``cls(...)`` so that
-    ``__post_init__`` still runs.  json and binary keep ``to_wire``.  Codes
-    are wire format: use the private range 240-255, never reuse one, and
-    give a changed layout a new code — a retired one has no decoder and is
-    refused like any unregistered name.  ``copyreg`` is process-wide, so only
-    types of the :data:`global_wire_registry` should be given one.
+    ``__post_init__`` still runs.  json and binary keep ``to_wire``; a type
+    registered without a *tag* (an RPC envelope, a ``dict`` to them) has a
+    pickle layout only.  Codes are wire format: use the private range
+    240-255, never reuse one, and give a changed layout a new code — a
+    retired one has no decoder and is refused like any unregistered name.
+    ``copyreg`` is process-wide, so only types of the
+    :data:`global_wire_registry` should be given one.
     """
 
     def __init__(self) -> None:
@@ -77,21 +81,23 @@ class WireRegistry:
     def register(
         self,
         cls: Type,
-        tag: str,
-        to_wire: Callable[[Any], dict],
-        from_wire: Callable[[dict], Any],
+        tag: Optional[str] = None,
+        to_wire: Optional[Callable[[Any], dict]] = None,
+        from_wire: Optional[Callable[[dict], Any]] = None,
         code: Optional[int] = None,
         pack: Optional[Callable[[Any], tuple]] = None,
         unpack: Optional[Callable[..., Any]] = None,
     ) -> None:
-        self._by_type[cls] = (tag, to_wire)
-        self._by_tag[tag] = from_wire
+        if tag is not None:
+            self._by_type[cls] = (tag, to_wire)
+            self._by_tag[tag] = from_wire
         if code is not None:
             if unpack is None:
-                pack = attrgetter(*(f.name for f in dataclasses.fields(cls)))
+                values = attrgetter(*(f.name for f in dataclasses.fields(cls)))
                 unpack = cls
+                pack = lambda obj: (cls, values(obj))  # noqa: E731
             copyreg.add_extension(unpack.__module__, unpack.__qualname__, code)
-            copyreg.pickle(cls, lambda obj: (unpack, pack(obj)))
+            copyreg.pickle(cls, pack)
             for admitted in (cls, unpack):
                 self.pickle_classes[admitted.__module__, admitted.__qualname__] = admitted
 

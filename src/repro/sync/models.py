@@ -187,19 +187,23 @@ _PACKED_FORMAT = f"{DIGEST_SIZE}s"
 
 
 def pack_item(item: ItemMetadata) -> tuple:
-    """Field by field: ``workspace_id``, ``filename``, ``version``, ``status`` as
-    its index in :data:`VALID_STATUSES`, ``is_folder``, ``size``, ``checksum``,
+    """``(unpack_item, values)``, field by field: ``workspace_id``, ``filename``,
+    ``version``, ``status`` as its index in :data:`VALID_STATUSES`,
+    ``is_folder``, ``size``, ``checksum`` (None when it is the item's only
+    chunk, as in every single-chunk file: both digest the same bytes),
     ``chunks`` as one blob when each is :data:`DIGEST_SIZE` bytes (else the
     tuple), ``modified_at``, ``device_id`` and ``item_id`` — None when it is what
     :func:`make_item_id` would give."""
-    workspace_id, filename, item_id, chunks = (
-        item.workspace_id, item.filename, item.item_id, item.chunks
+    workspace_id, filename, item_id, checksum, chunks = (
+        item.workspace_id, item.filename, item.item_id, item.checksum, item.chunks
     )
+    if len(chunks) == 1 and checksum == chunks[0]:
+        checksum = None
     if set(map(len, chunks)) == _PACKED_WIDTHS:
         chunks = b"".join(chunks)
-    return (
+    return unpack_item, (
         workspace_id, filename, item.version, VALID_STATUSES.index(item.status),
-        item.is_folder, item.size, item.checksum, chunks, item.modified_at,
+        item.is_folder, item.size, checksum, chunks, item.modified_at,
         item.device_id,
         None if item_id == make_item_id(workspace_id, filename) else item_id,
     )
@@ -215,6 +219,10 @@ def unpack_item(
         chunks = unpack(_PACKED_FORMAT * (len(chunks) // DIGEST_SIZE), chunks)
     else:
         chunks = _digests(chunks)
+    if checksum is None:
+        if len(chunks) != 1:
+            raise ValueError(f"a checksum left out beside {len(chunks)} chunks")
+        checksum = chunks[0]
     workspace_id, filename = intern(workspace_id), intern(filename)
     return ItemMetadata(
         intern(make_item_id(workspace_id, filename) if item_id is None else item_id),
@@ -224,11 +232,19 @@ def unpack_item(
 
 
 def pack_notification(msg: CommitNotification) -> tuple:
-    """The fields in order, ``request_id`` (a ``uuid4().hex``) as 16 bytes."""
+    """``(unpack_notification, values)``: the fields in order, ``request_id`` (a
+    ``uuid4().hex``) as 16 bytes, and a confirmed result with no ``current`` as
+    just its item."""
     request_id = msg.request_id
     if len(request_id) == 32 and not request_id.strip("0123456789abcdef"):
         request_id = bytes.fromhex(request_id)
-    return msg.workspace_id, msg.source_device, msg.results, msg.committed_at, request_id
+    results = [
+        result.metadata if result.confirmed and result.current is None else result
+        for result in msg.results
+    ]
+    return unpack_notification, (
+        msg.workspace_id, msg.source_device, results, msg.committed_at, request_id
+    )
 
 
 def unpack_notification(workspace_id, source_device, results, committed_at, request_id):
@@ -236,6 +252,9 @@ def unpack_notification(workspace_id, source_device, results, committed_at, requ
         if len(request_id) != 16:
             raise ValueError(f"a request id of {len(request_id)} bytes")
         request_id = request_id.hex()
+    for index, result in enumerate(results):
+        if result.__class__ is ItemMetadata:
+            results[index] = CommitResult(result, True)
     return CommitNotification(
         workspace_id, source_device, results, committed_at, request_id
     )
@@ -244,13 +263,15 @@ def unpack_notification(workspace_id, source_device, results, committed_at, requ
 # Register each DTO once: the tag json/binary spell it with and the code pickle
 # does (the class's, then its field values in the order declared above; or its
 # unpack function's, then the packed layout).  All of it is wire format — never
-# renumber, reorder or reuse: 241 and 243, the unpacked layouts, are retired.
+# renumber, reorder or reuse.  Retired: 241 and 243 (the unpacked layouts), 244
+# (an item that always sent its checksum), 245 (a notification that always sent
+# each CommitResult whole).  246 and 247 are the envelopes (repro.objectmq).
 global_wire_registry.register(
     Workspace, "stacksync.Workspace", Workspace.to_wire, Workspace.from_wire, code=240
 )
 global_wire_registry.register(
     ItemMetadata, "stacksync.ItemMetadata", ItemMetadata.to_wire,
-    ItemMetadata.from_wire, code=244, pack=pack_item, unpack=unpack_item,
+    ItemMetadata.from_wire, code=248, pack=pack_item, unpack=unpack_item,
 )
 global_wire_registry.register(
     CommitResult, "stacksync.CommitResult", CommitResult.to_wire,
@@ -258,6 +279,6 @@ global_wire_registry.register(
 )
 global_wire_registry.register(
     CommitNotification, "stacksync.CommitNotification", CommitNotification.to_wire,
-    CommitNotification.from_wire, code=245, pack=pack_notification,
+    CommitNotification.from_wire, code=249, pack=pack_notification,
     unpack=unpack_notification,
 )

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import BrokerClosed, DeliveryError, ExchangeNotFound, QueueNotFound
 from repro.mom import Message, MessageBroker, PERSISTENT
+from repro.mom.exchange import Exchange
 
 
 def wait_for(predicate, timeout=2.0):
@@ -115,11 +116,41 @@ def test_cancel_requeues_unacked(mom):
 
 def test_delete_queue_removes_bindings(mom):
     mom.declare_exchange("fan", "fanout")
+    mom.declare_exchange("keys", "direct")
     mom.declare_queue("a")
     mom.bind_queue("fan", "a")
+    mom.bind_queue("keys", "a", "k1")
+    mom.bind_queue("keys", "a", "k2")
+    mom.unbind_queue("keys", "a", "k1")  # still bound under k2
     mom.delete_queue("a")
-    with pytest.raises(DeliveryError):
-        mom.publish("fan", "", Message(b"x"))
+    mom.declare_queue("a")  # a new queue of that name inherits no binding
+    for exchange, key in (("fan", ""), ("keys", "k2")):
+        with pytest.raises(DeliveryError):
+            mom.publish(exchange, key, Message(b"x"))
+
+
+def test_deleting_a_queue_visits_only_the_exchanges_it_was_bound_to(mom, monkeypatch):
+    """Tearing down n bound listeners (an exchange and a queue each, as a
+    skeleton has) unbinds n times, not once per exchange per queue: n²."""
+    visits = []
+    unbind = Exchange.unbind_queue_everywhere
+
+    def counted(exchange, queue_name):
+        visits.append((exchange.name, queue_name))
+        unbind(exchange, queue_name)
+
+    monkeypatch.setattr(Exchange, "unbind_queue_everywhere", counted)
+    listeners = [(f"ws{i}.multi", f"ws{i}.inst") for i in range(64)]
+    for exchange, queue in listeners:
+        mom.declare_exchange(exchange, "fanout")
+        mom.declare_queue(queue)
+        mom.bind_queue(exchange, queue)
+    mom.declare_queue("never-bound")
+    for exchange, queue in listeners:
+        mom.unbind_queue(exchange, queue)
+        mom.delete_queue(queue)
+    mom.delete_queue("never-bound")
+    assert visits == listeners
 
 
 def test_restart_recovers_persistent_messages_on_durable_queues(mom):

@@ -4,37 +4,43 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import RemoteInvocationError
 from repro.objectmq.envelope import (
-    is_reply,
-    is_request,
+    Reply,
+    Request,
     make_reply,
     make_request,
     new_correlation_id,
 )
 from repro.objectmq.naming import multi_exchange_name, response_queue_name
+from repro.objectmq.proxy import Proxy
 from repro.objectmq.supervisor import ArrivalMonitor
 
 
 def test_request_envelope_shape():
-    """A request carries only what its receiver reads."""
+    """A request carries only what its receiver reads, and is still a dict."""
     sync = make_request("m", [1], {"k": 2}, call="sync", multi=False,
                         reply_to="rq", correlation_id="c1", clock=5.0)
+    assert type(sync) is Request and isinstance(sync, dict)
     assert sync == {"method": "m", "args": [1], "kwargs": {"k": 2},
                     "reply_to": "rq", "correlation_id": "c1"}
-    assert is_request(sync)
-    assert not is_reply(sync)
+    assert (sync["method"], sync["args"], sync["kwargs"]) == ("m", [1], {"k": 2})
     # A cast has no reply address, and empty kwargs do not travel.
     cast = make_request("m", (1,), {}, call="async", multi=True)
     assert cast == {"method": "m", "args": [1]}
-    assert is_request(cast)
 
 
 def test_reply_envelope_shape():
-    ok = make_reply("c1", result=42, responder="inst")
-    assert ok["ok"] is True and ok["result"] == 42 and ok["error"] is None
+    """``ok`` is ``error is None``, which is what the proxy reads."""
+    ok = make_reply("c1", result=42)
+    assert type(ok) is Reply
+    assert ok == {"correlation_id": "c1", "ok": True, "result": 42, "error": None,
+                  "responder": ""}
+    assert Proxy._unwrap("m", ok) == 42
     bad = make_reply("c1", error="ValueError: x")
     assert bad["ok"] is False and bad["error"] == "ValueError: x"
-    assert is_reply(ok) and not is_request(ok)
+    with pytest.raises(RemoteInvocationError, match="ValueError: x"):
+        Proxy._unwrap("m", bad)
 
 
 def test_correlation_ids_unique():
