@@ -95,14 +95,6 @@ class ClientTrafficStats:
         self.transfer_retries = 0
         self.transfers_coalesced = 0
 
-    def add_up(self, nbytes: int) -> None:
-        with self._lock:
-            self.storage_up += nbytes
-
-    def add_down(self, nbytes: int) -> None:
-        with self._lock:
-            self.storage_down += nbytes
-
     def add_commit(self) -> None:
         with self._lock:
             self.commits_sent += 1

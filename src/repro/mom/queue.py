@@ -418,9 +418,8 @@ class MessageQueue:
         eligible; its deliveries are not put anywhere but returned (None
         when there are none, so the usual pass allocates nothing), and the
         caller hands them to :func:`_run_inline` after releasing the lock.
-        A handler that publishes (``LeaderElector`` joins an election from
-        inside its election handler) would otherwise re-enter a lock its
-        own thread holds.
+        The transport contract lets such a handler publish, which would
+        otherwise re-enter a lock its own thread holds.
         """
         self.dispatch_cycles += 1
         stamp = time.time() if TRACER.enabled else None
@@ -474,10 +473,6 @@ class MessageQueue:
     def unacked_count(self) -> int:
         with self._lock:
             return sum(len(c.unacked) for c in self._consumers)
-
-    def consumer_tags(self) -> List[str]:
-        with self._lock:
-            return [c.tag for c in self._consumers]
 
     def purge(self) -> int:
         with self._lock:

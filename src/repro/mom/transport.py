@@ -37,6 +37,10 @@ class MomTransport(Protocol):
       was nacked with ``requeue=True`` — is delivered again, flagged
       ``message.redelivered``; acking an unknown or already settled
       delivery is a harmless no-op;
+    * while its consumer lives, an unacked delivery goes to no other
+      consumer: the supervisor lease (:mod:`repro.objectmq.ha`) is held
+      this way.  ``SqsBrokerAdapter`` keeps the promise only for its
+      visibility timeout, after which the message is visible again;
     * messages of one publisher to one queue are delivered in publish
       order (redeliveries excepted).
     """

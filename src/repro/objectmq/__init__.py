@@ -47,11 +47,8 @@ from repro.objectmq.introspection import (
     ObjectInfoSnapshot,
     PoolObservation,
 )
-from repro.objectmq.leader_election import HeartbeatEmitter, LeaderElector
 from repro.objectmq.provisioner import (
-    BoundedProvisioner,
     FixedProvisioner,
-    MaxOfProvisioners,
     Provisioner,
     QueueDepthProvisioner,
     UtilizationProvisioner,
@@ -69,15 +66,11 @@ from repro.objectmq.supervisor import (
 __all__ = [
     "REMOTE_BROKER_OID",
     "ArrivalMonitor",
-    "BoundedProvisioner",
     "Broker",
     "CallSpec",
     "CrashInjector",
     "FixedProvisioner",
     "HasObjectInfo",
-    "HeartbeatEmitter",
-    "LeaderElector",
-    "MaxOfProvisioners",
     "ObjectInfo",
     "ObjectInfoSnapshot",
     "PoolObservation",

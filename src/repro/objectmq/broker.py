@@ -190,14 +190,6 @@ class Broker:
             self._skeletons.pop(skeleton.instance_id, None)
         skeleton.stop()
 
-    def bound_instances(self, oid: Optional[str] = None) -> Dict[str, Skeleton]:
-        with self._lock:
-            return {
-                iid: sk
-                for iid, sk in self._skeletons.items()
-                if oid is None or sk.oid == oid
-            }
-
     # -- client side -------------------------------------------------------------
 
     def lookup(self, oid: str, interface: Type) -> Any:

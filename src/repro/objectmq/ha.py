@@ -1,12 +1,20 @@
-"""Supervisor high availability: election-driven failover (§3.4).
+"""Supervisor high availability: leadership is one unacked message (§3.4).
 
-Ties the pieces together: a :class:`SupervisorNode` participates in the
-heartbeat/election protocol of :mod:`repro.objectmq.leader_election` and,
-when elected, builds and runs a fresh :class:`Supervisor` from a factory.
-The active node heartbeats on every control step, so standbys detect its
-death and the lowest-id survivor takes over — "whenever the actual
-Supervisor crashes, a leader-election algorithm will be called using the
-unique identifier of the Brokers".
+A deployment has one *lease*, a persistent message on the durable queue
+``omq.supervisor.lease``.  Every :class:`SupervisorNode` consumes it with
+prefetch 1 and never acks: the node the MOM hands the lease to builds
+its Supervisor and leads, the others receive nothing.  When the leader
+stops or crashes its consumer goes, and the MOM redelivers the unacked
+lease to one standby, as a dead SyncService instance's requests go to
+one survivor (Fig 8(f)).  Two Supervisors never step at once.
+
+Failure detection is the MOM's: a standby takes over when the leader's
+consumer goes, not after a heartbeat silence.  A leader that hangs but
+lives keeps the lease, as a hung SyncService instance keeps its delivery
+(the Supervisor's health probe reports "control loop stalled").  The
+lease needs AMQP hold-until-ack: ``MessageBroker`` and ``BrokerCluster``
+give it, ``SqsBrokerAdapter`` redelivers after its visibility timeout
+even to a live consumer, so HA over SQS is unsupported.
 """
 
 from __future__ import annotations
@@ -14,8 +22,10 @@ from __future__ import annotations
 import threading
 from typing import Callable, Optional
 
-from repro.objectmq.leader_election import HeartbeatEmitter, LeaderElector
+from repro.mom.message import PERSISTENT, Delivery, Message
 from repro.objectmq.supervisor import Supervisor
+
+LEASE_QUEUE = "omq.supervisor.lease"
 
 
 class SupervisorNode:
@@ -24,95 +34,47 @@ class SupervisorNode:
     Args:
         mom: The shared MOM system.
         supervisor_factory: Builds a fresh, unstarted Supervisor when
-            this node becomes leader.
-        node_id: Stable unique identifier; the *smallest* id among the
-            election participants wins.
-        heartbeat_timeout: Seconds of heartbeat silence before standbys
-            start an election.
-        settle_window: Candidate-collection window of the election.
+            this node receives the lease.
+        node_id: Unique identifier; it names the node's lease consumer.
     """
 
-    def __init__(
-        self,
-        mom,
-        supervisor_factory: Callable[[], Supervisor],
-        node_id: str,
-        heartbeat_timeout: float = 3.0,
-        settle_window: float = 0.5,
-        clock=None,
-    ):
+    def __init__(self, mom, supervisor_factory: Callable[[], Supervisor], node_id: str):
         self.mom = mom
         self.supervisor_factory = supervisor_factory
         self.node_id = node_id
-        self._lock = threading.Lock()
         self.supervisor: Optional[Supervisor] = None
-        self._heartbeat: Optional[HeartbeatEmitter] = None
-        self._background = False
-        kwargs = {"clock": clock} if clock is not None else {}
-        self.elector = LeaderElector(
-            mom,
-            participant_id=node_id,
-            heartbeat_timeout=heartbeat_timeout,
-            settle_window=settle_window,
-            on_elected=self._promote,
-            **kwargs,
-        )
-
-    # -- leadership ----------------------------------------------------------------
+        self._lock = threading.Lock()
+        self._stopped = False
 
     @property
     def is_leader(self) -> bool:
-        return self.elector.is_leader
+        return self.supervisor is not None
 
-    def lead(self) -> Supervisor:
-        """Become the initial leader explicitly (bootstrap path)."""
-        self.elector.is_leader = True
-        self._promote()
-        return self.supervisor
+    def lead(self) -> None:
+        """Bootstrap a deployment: join, then publish its lease unless one exists."""
+        self.start()
+        stats = self.mom.queue_stats(LEASE_QUEUE)
+        if stats["ready"] + stats["unacked"] == 0:
+            self.mom.publish("", LEASE_QUEUE, Message(b"lease", delivery_mode=PERSISTENT))
 
-    def _promote(self) -> None:
-        with self._lock:
-            if self.supervisor is not None:
-                return
-            supervisor = self.supervisor_factory()
-            heartbeat = HeartbeatEmitter(self.mom, supervisor_id=self.node_id)
-            supervisor.set_heartbeat_callback(heartbeat.beat)
-            self.supervisor = supervisor
-            self._heartbeat = heartbeat
-            background = self._background
-        if background:
-            supervisor.start()
+    def start(self) -> None:
+        """Join as a standby: lead whenever the MOM hands this node the lease."""
+        self.mom.declare_queue(LEASE_QUEUE, durable=True)
+        self.mom.consume(LEASE_QUEUE, self._on_lease, f"lease.{self.node_id}", prefetch=1)
 
-    # -- operation -------------------------------------------------------------------
-
-    def tick(self, now: Optional[float] = None) -> None:
-        """Deterministic single step (tests): election tick + one control
-        period when leading."""
-        self.elector.tick(now)
-        with self._lock:
-            supervisor = self.supervisor
-        if supervisor is not None:
-            supervisor.step()
-
-    def start(self, poll_interval: float = 0.2) -> None:
-        """Run in the background: elector always, supervisor when leading."""
-        with self._lock:
-            self._background = True
-            supervisor = self.supervisor
-        self.elector.start(poll_interval)
-        if supervisor is not None:
-            supervisor.start()
-
-    def crash(self) -> None:
-        """Simulate the node dying: supervisor and heartbeats stop."""
-        self.stop()
+    def _on_lease(self, delivery: Delivery) -> None:
+        with self._lock:  # never acked: holding the delivery is leading
+            if not self._stopped:
+                self.supervisor = self.supervisor_factory()
+                self.supervisor.start()
 
     def stop(self) -> None:
-        self.elector.stop()
+        """Stop the Supervisor first, then release the lease to a standby."""
         with self._lock:
+            self._stopped = True
             supervisor, self.supervisor = self.supervisor, None
-            heartbeat, self._heartbeat = self._heartbeat, None
         if supervisor is not None:
             supervisor.stop()
-        if heartbeat is not None:
-            heartbeat.stop()
+        self.mom.cancel(LEASE_QUEUE, f"lease.{self.node_id}")
+
+    crash = stop  # a dying node's consumer goes too: the lease moves on alike

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, List, Optional
+from typing import Any, Optional
 
 from repro.objectmq.introspection import PoolObservation
 from repro.objectmq.naming import parse_shard_oid
@@ -255,56 +255,3 @@ class QueueDepthProvisioner(Provisioner):
         )
         return proposal
 
-
-class MaxOfProvisioners(Provisioner):
-    """Combine policies by taking the maximum proposal.
-
-    The paper's deployment runs the predictive policy for the long time
-    scale and lets the reactive policy override it upward on short time
-    scales — which is exactly max-composition.
-    """
-
-    name = "max-of"
-
-    def __init__(self, provisioners: List[Provisioner]):
-        if not provisioners:
-            raise ValueError("need at least one provisioner")
-        self.provisioners = list(provisioners)
-        self.name = "max(" + ",".join(p.name for p in self.provisioners) + ")"
-
-    def propose(self, observation: PoolObservation) -> int:
-        proposals = [(p.propose(observation), p) for p in self.provisioners]
-        winning, winner = max(proposals, key=lambda pair: pair[0])
-        self.last_reason = f"max-of winner {winner.name}: {winner.last_reason}"
-        self.last_threshold = winner.last_threshold
-        return winning
-
-    def reset(self) -> None:
-        for provisioner in self.provisioners:
-            provisioner.reset()
-
-
-class BoundedProvisioner(Provisioner):
-    """Clamp another policy's proposal into ``[minimum, maximum]``."""
-
-    def __init__(self, inner: Provisioner, minimum: int = 1, maximum: Optional[int] = None):
-        if maximum is not None and maximum < minimum:
-            raise ValueError("maximum must be >= minimum")
-        self.inner = inner
-        self.minimum = minimum
-        self.maximum = maximum
-        self.name = f"bounded({inner.name})"
-
-    def propose(self, observation: PoolObservation) -> int:
-        raw = self.inner.propose(observation)
-        proposal = max(self.minimum, raw)
-        if self.maximum is not None:
-            proposal = min(self.maximum, proposal)
-        self.last_reason = self.inner.last_reason
-        if proposal != raw:
-            self.last_reason += f" (clamped {raw} -> {proposal})"
-        self.last_threshold = self.inner.last_threshold
-        return proposal
-
-    def reset(self) -> None:
-        self.inner.reset()

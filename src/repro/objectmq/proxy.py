@@ -77,12 +77,6 @@ class CallStats:
             return self.calls - self.timeouts
 
     @property
-    def mean_time(self) -> float:
-        with self._lock:
-            completed = self.calls - self.timeouts
-            return self.total_time / completed if completed else 0.0
-
-    @property
     def response_times(self) -> List[float]:
         """Recent response-time samples (newest last, bounded)."""
         with self._lock:

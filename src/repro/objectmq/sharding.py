@@ -82,10 +82,6 @@ class ShardedProxy:
         """Shard index that calls keyed by *key* are routed to."""
         return self.router.shard_for(str(key))
 
-    def shard_proxy(self, shard: int):
-        """The plain per-shard :class:`Proxy` (for tests and tooling)."""
-        return self._proxies[shard]
-
     def route_counts(self) -> List[int]:
         """Calls routed per shard since construction (index = shard)."""
         with self._lock:

@@ -125,9 +125,6 @@ class SupervisorHistory:
     def append(self, record: SupervisorRecord) -> None:
         self.records.append(record)
 
-    def instance_series(self) -> List[int]:
-        return [r.pool_size for r in self.records]
-
 
 class Supervisor:
     """Centralized enforcement of a provisioning policy over one oid pool."""
@@ -324,7 +321,7 @@ class Supervisor:
             self._thread = None
 
     def set_heartbeat_callback(self, callback) -> None:
-        """Called after every control step (used by the leader-election layer)."""
+        """Called after every control step (``cli ops`` evaluates its SLOs)."""
         self._heartbeat_cb = callback
 
     def _run(self) -> None:

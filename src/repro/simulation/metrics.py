@@ -35,11 +35,6 @@ class BoxplotStats:
         return self.q3 - self.q1
 
     @property
-    def upper_whisker(self) -> float:
-        """Tukey whisker: largest value within Q3 + 1.5·IQR."""
-        return self.q3 + 1.5 * self.iqr
-
-    @property
     def skewness(self) -> float:
         """Bowley (quartile) skewness in [-1, 1]; >0 = right-skewed."""
         if self.iqr == 0:

@@ -156,6 +156,8 @@ def test_nack_with_requeue_redelivers_flagged(transport):
 
 
 def test_cancel_redelivers_unacked_to_a_sibling(transport):
+    """An unacked delivery is held while its consumer lives and goes to
+    a sibling once it is cancelled: the supervisor lease rests on this."""
     transport.declare_queue("work")
     crashed, survivor = Inbox(), Inbox()
     transport.consume("work", crashed, consumer_tag="never-acks")
@@ -167,6 +169,8 @@ def test_cancel_redelivers_unacked_to_a_sibling(transport):
         transport.ack(delivery)
 
     transport.consume("work", handler, consumer_tag="sibling")
+    time.sleep(0.3)  # under the SQS visibility timeout
+    assert survivor.calls == []
     transport.cancel("work", "never-acks")
     assert wait_for(lambda: len(survivor.calls) == 1, timeout=5.0)
     redelivered = survivor.calls[0]
@@ -177,9 +181,9 @@ def test_cancel_redelivers_unacked_to_a_sibling(transport):
 
 
 def test_auto_ack_handler_may_publish_to_its_own_fanout_in_order(transport):
-    """The ``LeaderElector`` pattern: an auto-ack handler answers on a
-    fanout its own queue is bound to.  Nothing deadlocks, and each
-    publisher's messages arrive in the order it sent them."""
+    """The contract lets an auto-ack handler publish, even to a fanout
+    its own queue is bound to.  Nothing deadlocks, and each publisher's
+    messages arrive in the order it sent them."""
     transport.declare_exchange("fan", "fanout")
     transport.declare_queue("own")
     transport.bind_queue("fan", "own")

@@ -1,4 +1,4 @@
-"""Tests for the base provisioning policies (fixed / utilization / combinators)."""
+"""Tests for the base provisioning policies (fixed / utilization / queue depth)."""
 
 from __future__ import annotations
 
@@ -6,9 +6,7 @@ import pytest
 
 from repro.objectmq.introspection import PoolObservation
 from repro.objectmq.provisioner import (
-    BoundedProvisioner,
     FixedProvisioner,
-    MaxOfProvisioners,
     QueueDepthProvisioner,
     UtilizationProvisioner,
 )
@@ -64,28 +62,6 @@ def test_utilization_never_below_one():
 def test_utilization_validates_thresholds():
     with pytest.raises(ValueError):
         UtilizationProvisioner(high=0.2, low=0.5)
-
-
-def test_max_of_takes_maximum():
-    policy = MaxOfProvisioners([FixedProvisioner(2), FixedProvisioner(5)])
-    assert policy.propose(obs()) == 5
-
-
-def test_max_of_requires_members():
-    with pytest.raises(ValueError):
-        MaxOfProvisioners([])
-
-
-def test_bounded_clamps_both_ends():
-    policy = BoundedProvisioner(FixedProvisioner(100), minimum=2, maximum=8)
-    assert policy.propose(obs()) == 8
-    low = BoundedProvisioner(FixedProvisioner(0), minimum=2, maximum=8)
-    assert low.propose(obs()) == 2
-
-
-def test_bounded_validates_range():
-    with pytest.raises(ValueError):
-        BoundedProvisioner(FixedProvisioner(1), minimum=5, maximum=2)
 
 
 def test_queue_depth_scales_with_backlog():

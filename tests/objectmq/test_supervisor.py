@@ -110,6 +110,16 @@ def test_supervisor_clamps_to_max(fleet):
     assert total_instances(rbrokers) == 5
 
 
+def test_supervisor_clamps_to_min(fleet):
+    _mom, rbrokers, sup_broker = fleet
+    supervisor = Supervisor(
+        sup_broker, "worker", FixedProvisioner(0), min_instances=3
+    )
+    record = supervisor.step()
+    assert record.desired == 3
+    assert total_instances(rbrokers) == 3
+
+
 def test_supervisor_history_records(fleet):
     _mom, _rbrokers, sup_broker = fleet
     supervisor = Supervisor(sup_broker, "worker", FixedProvisioner(1))
