@@ -36,6 +36,9 @@ CREATE TABLE IF NOT EXISTS chunk_cache (
 );
 """
 
+#: ``PRAGMA user_version`` of a client file in the current layout (digests as BLOBs).
+SCHEMA_VERSION = 1
+
 
 class SqliteLocalDatabase:
     """Durable drop-in replacement for the in-memory LocalDatabase."""
@@ -46,7 +49,7 @@ class SqliteLocalDatabase:
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.isolation_level = None
         with self._lock:
-            open_schema(self._conn, _SCHEMA)
+            open_schema(self._conn, _SCHEMA, SCHEMA_VERSION)
 
     # -- file records -----------------------------------------------------------
 

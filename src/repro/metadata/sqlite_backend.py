@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MetadataError, UnknownWorkspace
 from repro.metadata.base import MetadataBackend, WorkspaceDump
-from repro.sync.models import STATUS_DELETED, ItemMetadata, Workspace
+from repro.sync.models import STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace
 from repro.telemetry.control import HEALTH
 
 _SCHEMA = """
@@ -44,44 +44,73 @@ CREATE TABLE IF NOT EXISTS workspace_users (
     user_id TEXT NOT NULL REFERENCES users(user_id),
     PRIMARY KEY (workspace_id, user_id)
 );
-CREATE TABLE IF NOT EXISTS item_versions (
-    item_id TEXT NOT NULL,
-    version INTEGER NOT NULL,
+CREATE TABLE IF NOT EXISTS items (
+    id INTEGER PRIMARY KEY,
+    item_id TEXT NOT NULL UNIQUE,
     workspace_id TEXT NOT NULL REFERENCES workspaces(workspace_id),
-    filename TEXT NOT NULL,
-    status TEXT NOT NULL,
+    filename TEXT NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_items_ws ON items(workspace_id, item_id);
+CREATE TABLE IF NOT EXISTS versions (
+    item INTEGER NOT NULL REFERENCES items(id),
+    version INTEGER NOT NULL,
+    status INTEGER NOT NULL,
     is_folder INTEGER NOT NULL,
     size INTEGER NOT NULL,
     checksum BLOB NOT NULL,
     chunks BLOB NOT NULL,
     modified_at REAL NOT NULL,
     device_id TEXT NOT NULL,
-    PRIMARY KEY (item_id, version)
-);
-CREATE INDEX IF NOT EXISTS idx_item_ws ON item_versions(workspace_id, item_id);
+    workspace_id TEXT,
+    filename TEXT,
+    PRIMARY KEY (item, version)
+) WITHOUT ROWID;
 """
 
 
-#: ``PRAGMA user_version`` of a file in the current layout.  Version 1 holds
-#: digests as BLOBs; the unstamped layout before it held them as hex TEXT/JSON.
-SCHEMA_VERSION = 1
+#: ``PRAGMA user_version`` of a metadata file in the current layout.  Version 2
+#: keeps each item's identity once, apart from its versions; version 1 repeated
+#: it in every version row, and the unstamped layout held digests as hex.
+SCHEMA_VERSION = 2
+
+#: One empty database per schema, built once and copied into each new file.
+_TEMPLATES: Dict[str, sqlite3.Connection] = {}
+_TEMPLATES_LOCK = threading.Lock()
 
 
-def open_schema(conn: sqlite3.Connection, schema: str) -> None:
-    """Lay *schema* into a new database, or check an existing file is in it.
+def open_schema(conn: sqlite3.Connection, schema: str, version: int) -> None:
+    """Lay *schema* at *version* into a new database, or check a file is in it.
 
     A file of another layout would be misread row by row, so it is refused.
+    A new database is a page copy of a prebuilt empty one, which is cheaper
+    than running the schema's statements again.
     """
     found = conn.execute("PRAGMA user_version").fetchone()[0]
-    if found != SCHEMA_VERSION and (
-        found or conn.execute("SELECT 1 FROM sqlite_master").fetchone()
-    ):
+    if found == version:
+        return
+    if found or conn.execute("SELECT 1 FROM sqlite_master").fetchone():
         conn.close()
         raise MetadataError(
-            f"database is in schema version {found}; this build reads only {SCHEMA_VERSION}"
+            f"database is in schema version {found}; this build reads only {version}"
         )
-    conn.executescript(schema)
-    conn.execute(f"PRAGMA user_version = {SCHEMA_VERSION}")
+    with _TEMPLATES_LOCK:
+        template = _TEMPLATES.get(schema)
+        if template is None:
+            template = sqlite3.connect(":memory:", check_same_thread=False)
+            template.executescript(schema)
+            template.execute(f"PRAGMA user_version = {version}")
+            _TEMPLATES[schema] = template
+        template.backup(conn)
+
+
+#: Columns and joined tables that every reader of a stored version selects, in
+#: :meth:`SqliteMetadataBackend._row_to_item` order.
+_ITEM = (
+    "i.item_id, v.version, COALESCE(v.workspace_id, i.workspace_id),"
+    " COALESCE(v.filename, i.filename), v.status, v.is_folder, v.size,"
+    " v.checksum, v.chunks, v.modified_at, v.device_id"
+    " FROM items i JOIN versions v ON v.item = i.id"
+)
 
 
 def digests_blob(digests: Tuple[bytes, ...]) -> bytes:
@@ -116,9 +145,9 @@ class SqliteMetadataBackend(MetadataBackend):
         self._conn = sqlite3.connect(path, check_same_thread=False)
         self._conn.isolation_level = None  # manual transaction control
         with self._lock:
-            if path != ":memory:":
+            open_schema(self._conn, _SCHEMA, SCHEMA_VERSION)
+            if path != ":memory:":  # after the copy (WAL refuses other page sizes)
                 self._conn.execute("PRAGMA journal_mode=WAL")
-            open_schema(self._conn, _SCHEMA)
         HEALTH.register(
             probe_name or "metadata:sqlite", self, SqliteMetadataBackend._health_probe
         )
@@ -218,8 +247,7 @@ class SqliteMetadataBackend(MetadataBackend):
     def get_current(self, item_id: str) -> Optional[ItemMetadata]:
         with self._lock:
             row = self._conn.execute(
-                "SELECT * FROM item_versions WHERE item_id = ? "
-                "ORDER BY version DESC LIMIT 1",
+                f"SELECT {_ITEM} WHERE i.item_id = ? ORDER BY v.version DESC LIMIT 1",
                 (item_id,),
             ).fetchone()
         return self._row_to_item(row) if row else None
@@ -242,22 +270,24 @@ class SqliteMetadataBackend(MetadataBackend):
             try:
                 self._conn.execute("BEGIN IMMEDIATE")
                 for proposal in proposals:
-                    current_version = self._conn.execute(
-                        "SELECT MAX(version) FROM item_versions WHERE item_id = ?",
+                    item = self._conn.execute(
+                        "SELECT id, workspace_id, filename,"
+                        " (SELECT MAX(version) FROM versions WHERE item = items.id)"
+                        " FROM items WHERE item_id = ?",
                         (proposal.item_id,),
-                    ).fetchone()[0]
-                    expected = 1 if current_version is None else current_version + 1
+                    ).fetchone()
+                    expected = 1 if item is None or item[3] is None else item[3] + 1
                     if proposal.version != expected:
-                        current = self._conn.execute(
-                            "SELECT * FROM item_versions WHERE item_id = ? "
-                            "ORDER BY version DESC LIMIT 1",
-                            (proposal.item_id,),
+                        current = item and self._conn.execute(
+                            f"SELECT {_ITEM} WHERE v.item = ? AND v.version = ?",
+                            (item[0], item[3]),
                         ).fetchone()
                         outcomes.append(
                             (False, self._row_to_item(current) if current else None)
                         )
                         continue
-                    self._insert(proposal)
+                    item = item or (None, proposal.workspace_id, proposal.filename)
+                    self._insert(proposal, item)
                     outcomes.append((True, None))
                 self._conn.execute("COMMIT")
             except BaseException:
@@ -269,20 +299,17 @@ class SqliteMetadataBackend(MetadataBackend):
         with self._lock:
             self._require_workspace(workspace_id)
             rows = self._conn.execute(
-                "SELECT iv.* FROM item_versions iv JOIN ("
-                "  SELECT item_id, MAX(version) AS v FROM item_versions "
-                "  WHERE workspace_id = ? GROUP BY item_id"
-                ") latest ON iv.item_id = latest.item_id AND iv.version = latest.v "
-                "WHERE iv.status != ? ORDER BY iv.item_id",
-                (workspace_id, STATUS_DELETED),
+                f"SELECT {_ITEM} WHERE i.workspace_id = ? AND v.version ="
+                " (SELECT MAX(version) FROM versions WHERE item = i.id)"
+                " AND v.status != ? ORDER BY i.item_id",
+                (workspace_id, VALID_STATUSES.index(STATUS_DELETED)),
             ).fetchall()
         return [self._row_to_item(r) for r in rows]
 
     def item_history(self, item_id: str) -> List[ItemMetadata]:
         with self._lock:
             rows = self._conn.execute(
-                "SELECT * FROM item_versions WHERE item_id = ? ORDER BY version",
-                (item_id,),
+                f"SELECT {_ITEM} WHERE i.item_id = ? ORDER BY v.version", (item_id,)
             ).fetchall()
         return [self._row_to_item(r) for r in rows]
 
@@ -303,8 +330,8 @@ class SqliteMetadataBackend(MetadataBackend):
                 (workspace_id,),
             ).fetchall()
             version_rows = self._conn.execute(
-                "SELECT * FROM item_versions WHERE workspace_id = ? "
-                "ORDER BY item_id, version",
+                f"SELECT {_ITEM} WHERE i.workspace_id = ?"
+                " ORDER BY i.item_id, v.version",
                 (workspace_id,),
             ).fetchall()
         versions: Dict[str, List[ItemMetadata]] = {}
@@ -354,8 +381,9 @@ class SqliteMetadataBackend(MetadataBackend):
                         (workspace_id, user_id),
                     )
                 for chain in dump.versions.values():
-                    for metadata in chain:
-                        self._insert(metadata)
+                    item = None
+                    for m in chain:
+                        item = self._insert(m, item or (None, workspace_id, m.filename))
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._conn.execute("ROLLBACK")
@@ -367,8 +395,12 @@ class SqliteMetadataBackend(MetadataBackend):
             try:
                 self._conn.execute("BEGIN IMMEDIATE")
                 self._conn.execute(
-                    "DELETE FROM item_versions WHERE workspace_id = ?",
+                    "DELETE FROM versions WHERE item IN"
+                    " (SELECT id FROM items WHERE workspace_id = ?)",
                     (workspace_id,),
+                )
+                self._conn.execute(
+                    "DELETE FROM items WHERE workspace_id = ?", (workspace_id,)
                 )
                 self._conn.execute(
                     "DELETE FROM workspace_users WHERE workspace_id = ?",
@@ -391,12 +423,8 @@ class SqliteMetadataBackend(MetadataBackend):
             workspaces = self._conn.execute(
                 "SELECT COUNT(*) FROM workspaces"
             ).fetchone()[0]
-            items = self._conn.execute(
-                "SELECT COUNT(DISTINCT item_id) FROM item_versions"
-            ).fetchone()[0]
-            versions = self._conn.execute(
-                "SELECT COUNT(*) FROM item_versions"
-            ).fetchone()[0]
+            items = self._conn.execute("SELECT COUNT(*) FROM items").fetchone()[0]
+            versions = self._conn.execute("SELECT COUNT(*) FROM versions").fetchone()[0]
         return {
             "users": users,
             "workspaces": workspaces,
@@ -410,25 +438,33 @@ class SqliteMetadataBackend(MetadataBackend):
 
     # -- helpers --------------------------------------------------------------------
 
-    def _insert(self, m: ItemMetadata) -> None:
+    def _insert(self, m: ItemMetadata, item: tuple) -> tuple:
+        """Store *m* as a version of *item*, an ``(id, workspace_id, filename)``
+        row whose id is None when it is yet to be inserted; returns that row.
+        A version's workspace or filename is kept only where it differs."""
+        if item[0] is None:
+            cursor = self._conn.execute(
+                "INSERT INTO items(item_id, workspace_id, filename) VALUES (?, ?, ?)",
+                (m.item_id, *item[1:]),
+            )
+            item = (cursor.lastrowid, *item[1:])
         self._conn.execute(
-            "INSERT INTO item_versions(item_id, version, workspace_id, filename,"
-            " status, is_folder, size, checksum, chunks, modified_at, device_id)"
-            " VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "INSERT INTO versions VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
-                m.item_id,
+                item[0],
                 m.version,
-                m.workspace_id,
-                m.filename,
-                m.status,
+                VALID_STATUSES.index(m.status),
                 int(m.is_folder),
                 m.size,
                 m.checksum,
                 digests_blob(m.chunks),
                 m.modified_at,
                 m.device_id,
+                None if m.workspace_id == item[1] else m.workspace_id,
+                None if m.filename == item[2] else m.filename,
             ),
         )
+        return item
 
     @staticmethod
     def _row_to_item(row) -> ItemMetadata:
@@ -437,7 +473,7 @@ class SqliteMetadataBackend(MetadataBackend):
             version=row[1],
             workspace_id=row[2],
             filename=row[3],
-            status=row[4],
+            status=VALID_STATUSES[row[4]],
             is_folder=bool(row[5]),
             size=row[6],
             checksum=row[7],

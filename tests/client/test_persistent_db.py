@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import sqlite3
+from contextlib import closing
 
 import pytest
 
@@ -86,6 +88,9 @@ def test_sqlite_survives_reopen(tmp_path):
     assert reopened.cached_chunk(b"\x02" * 20) == b"\x00\x01"
     assert found.chunks == record().chunks
     reopened.close()
+    # The client layout did not change with the metadata one: still version 1.
+    with closing(sqlite3.connect(path)) as raw:
+        assert raw.execute("PRAGMA user_version").fetchone()[0] == 1
 
 
 def test_sqlite_refuses_a_file_of_the_hex_layout(tmp_path):

@@ -7,7 +7,11 @@ shared ACID contract Algorithm 1 relies on.
 
 from __future__ import annotations
 
+import random
+import sqlite3
 import threading
+from contextlib import closing
+from dataclasses import replace
 
 import pytest
 
@@ -150,6 +154,50 @@ def test_item_history_ordered(metadata_backend):
     assert [m.version for m in history] == [1, 2, 3]
 
 
+def test_renamed_and_moved_versions_round_trip(metadata_backend):
+    """A version may name another file or workspace than its item's first version
+    does: every engine returns it as stored, keeps the item in the workspace of
+    its first version, and carries it through export and import."""
+    setup_workspace(metadata_backend)
+    other = "ws2"
+    sharded = hasattr(metadata_backend, "migrate_workspace")
+    if sharded:  # an item's history lives on one shard: put both there
+        home = metadata_backend.shard_for_workspace("ws1")
+        other = next(
+            w
+            for w in (f"ws{n}" for n in range(2, 100))
+            if metadata_backend.shard_for_workspace(w) == home
+        )
+    metadata_backend.create_workspace(Workspace(workspace_id=other, owner="alice"))
+    chain = [
+        item(version=1),
+        replace(item(version=2, status=STATUS_CHANGED), filename="b.txt"),
+        item(version=3, status=STATUS_CHANGED, ws=other),
+    ]
+    metadata_backend.store_versions_bulk(chain)
+
+    def check(engine):
+        assert engine.item_history("ws1:a.txt") == chain
+        assert engine.get_current("ws1:a.txt") == chain[-1]
+        assert engine.get_workspace_state("ws1") == [chain[-1]]
+
+    check(metadata_backend)
+    assert metadata_backend.get_workspace_state(other) == []
+    if sharded:
+        metadata_backend.migrate_workspace("ws1", (home + 1) % metadata_backend.num_shards)
+        check(metadata_backend)
+        return
+    dump = metadata_backend.export_workspace("ws1")
+    assert dump.versions == {"ws1:a.txt": chain}
+    copy = type(metadata_backend)()
+    try:
+        copy.import_workspace(dump)
+        check(copy)
+        assert copy.export_workspace("ws1") == dump
+    finally:
+        copy.close()
+
+
 def test_counts(metadata_backend):
     setup_workspace(metadata_backend)
     metadata_backend.store_new_object(item(version=1))
@@ -250,13 +298,14 @@ def test_sqlite_persists_to_disk(tmp_path):
     assert reopened.get_current("ws1:a.txt").version == 1
     assert reopened.workspace_exists("ws1")
     reopened.close()
+    with closing(sqlite3.connect(path)) as raw:  # the file keeps WAL and its stamp
+        assert raw.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
+        assert raw.execute("PRAGMA user_version").fetchone()[0] == 2
 
 
 def test_sqlite_refuses_a_file_of_the_hex_layout(tmp_path):
     """A file from before digests were BLOBs (unstamped, hex TEXT and JSON) would
     be misread row by row: it is refused on open, not served."""
-    import sqlite3
-
     from repro.metadata import SqliteMetadataBackend
 
     path = str(tmp_path / "hex.db")
@@ -274,6 +323,82 @@ def test_sqlite_refuses_a_file_of_the_hex_layout(tmp_path):
     old.close()
     with pytest.raises(MetadataError, match="schema version 0"):
         SqliteMetadataBackend(path)
+
+
+def test_sqlite_refuses_a_file_of_the_flat_layout(tmp_path):
+    """A version-1 file keeps every version in one flat ``item_versions`` table,
+    which this build no longer reads: it is refused on open, not served."""
+    from repro.metadata import SqliteMetadataBackend
+
+    path = str(tmp_path / "flat.db")
+    old = sqlite3.connect(path)
+    old.executescript(
+        "CREATE TABLE item_versions (item_id TEXT, version INTEGER, workspace_id TEXT,"
+        " filename TEXT, status TEXT, is_folder INTEGER, size INTEGER,"
+        " checksum BLOB, chunks BLOB, modified_at REAL, device_id TEXT,"
+        " PRIMARY KEY (item_id, version));"
+        "PRAGMA user_version = 1;"
+    )
+    old.close()
+    with pytest.raises(MetadataError, match="schema version 1"):
+        SqliteMetadataBackend(path)
+
+
+def test_sqlite_stores_an_update_in_under_100_bytes():
+    """The commit-bundle shape: 16 workspaces of 512 items at version 1, then
+    8-item update bundles.  Each stored update grows the database by at most
+    100 B (about 86 B; a layout that repeats the item's identity in every
+    version row takes about 300 B)."""
+    from repro.metadata import SqliteMetadataBackend
+
+    rng = random.Random(5)
+    workspaces = [f"ws-{rng.getrandbits(32):08x}-{w:02d}" for w in range(16)]
+
+    def proposal(workspace, index, version):
+        path = f"dir-{index % 16:02d}/file-{index:08d}.dat"
+        return ItemMetadata(
+            item_id=f"{workspace}:{path}",
+            workspace_id=workspace,
+            version=version,
+            filename=path,
+            status="NEW" if version == 1 else STATUS_CHANGED,
+            size=512 * 1024,
+            checksum=rng.randbytes(20),
+            chunks=(rng.randbytes(20),),
+            modified_at=1_400_000_000.0 + version,
+            device_id="dev-generator",
+        )
+
+    backend = SqliteMetadataBackend(":memory:")
+    backend.create_user("alice")
+
+    def size():
+        pragma = backend._conn.execute
+        return (
+            pragma("PRAGMA page_count").fetchone()[0]
+            * pragma("PRAGMA page_size").fetchone()[0]
+        )
+
+    try:
+        for workspace in workspaces:
+            backend.create_workspace(Workspace(workspace_id=workspace, owner="alice"))
+            for first in range(0, 512, 8):
+                backend.store_versions_bulk(
+                    [proposal(workspace, first + r, 1) for r in range(8)]
+                )
+        before, bundles = size(), 1024
+        for n in range(bundles):
+            touched = (n // 16) * 8
+            outcomes = backend.store_versions_bulk(
+                [
+                    proposal(workspaces[n % 16], (touched + r) % 512, 2 + touched // 512)
+                    for r in range(8)
+                ]
+            )
+            assert all(committed for committed, _ in outcomes)
+        assert (size() - before) / (8 * bundles) <= 100
+    finally:
+        backend.close()
 
 
 def test_digests_of_any_one_width_round_trip(metadata_backend):
