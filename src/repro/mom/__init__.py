@@ -12,11 +12,10 @@ Public surface::
 
 from repro.mom.broker_server import DEFAULT_EXCHANGE, BrokerStats, MessageBroker
 from repro.mom.cluster import BrokerCluster
-from repro.mom.exchange import DirectExchange, Exchange, FanoutExchange, TopicExchange
+from repro.mom.exchange import DirectExchange, Exchange, FanoutExchange
 from repro.mom.message import PERSISTENT, TRANSIENT, Delivery, Message
 from repro.mom.persistence import FileMessageStore, InMemoryMessageStore
 from repro.mom.queue import Consumer, MessageQueue
-from repro.mom.sqs import SqsBrokerAdapter, SqsQueue, SqsService
 from repro.mom.transport import MomTransport
 
 __all__ = [
@@ -36,8 +35,4 @@ __all__ = [
     "MessageBroker",
     "MessageQueue",
     "MomTransport",
-    "SqsBrokerAdapter",
-    "SqsQueue",
-    "SqsService",
-    "TopicExchange",
 ]

@@ -8,9 +8,10 @@ standby nodes.  When the primary fails, the next standby is promoted and
 re-hydrates every durable queue from the shared journal, so no persistent
 message that was published-but-unacked is lost across the failover.
 
-Consumers must re-subscribe after failover (as with real AMQP clients); the
-cluster exposes ``generation`` so ObjectMQ brokers can detect that and
-re-bind their remote objects.
+Consumers must re-subscribe after failover, as with real AMQP clients.
+ObjectMQ does not re-subscribe after a failover today: nothing in it
+listens to ``on_failover``, so a ``Broker``'s consumers go with the failed
+node and are not re-created (ROADMAP item 4(c)).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""AMQP-style exchanges: direct, fanout, and topic routing.
+"""AMQP-style exchanges: direct and fanout routing.
 
 The paper's ObjectMQ uses two routing behaviours (§3):
 
@@ -7,20 +7,14 @@ The paper's ObjectMQ uses two routing behaviours (§3):
 * multicast RPCs go through a *fanout exchange* named after the ``oid``,
   which copies the message to every bound private queue.
 
-A topic exchange is included because it falls out of the same structure and
-is convenient for tests and extensions (e.g. routing notifications by
-workspace hierarchy), though the core protocol does not need it.
-
 Routing is memoized: bindings change rarely (instance churn) while
 publishes are the hot path, so every exchange caches
 ``routing_key → destination list`` and invalidates the memo on
-bind/unbind.  The topic exchange additionally compiles each binding
-pattern once at bind time instead of per publish.
+bind/unbind.
 """
 
 from __future__ import annotations
 
-import re
 import threading
 from typing import Dict, List, Set
 
@@ -43,7 +37,7 @@ class Exchange:
     def bind(self, queue_name: str, binding_key: str = "") -> None:
         with self._lock:
             self._bindings.setdefault(binding_key, set()).add(queue_name)
-            self._on_bindings_changed_locked()
+            self._route_cache.clear()
 
     def unbind(self, queue_name: str, binding_key: str = "") -> None:
         with self._lock:
@@ -52,7 +46,7 @@ class Exchange:
                 queues.discard(queue_name)
                 if not queues:
                     del self._bindings[binding_key]
-                self._on_bindings_changed_locked()
+                self._route_cache.clear()
 
     def unbind_queue_everywhere(self, queue_name: str) -> None:
         """Drop *queue_name* from every binding (queue deletion path)."""
@@ -64,11 +58,7 @@ class Exchange:
                     empty_keys.append(key)
             for key in empty_keys:
                 del self._bindings[key]
-            self._on_bindings_changed_locked()
-
-    def _on_bindings_changed_locked(self) -> None:
-        """Invalidate memoized routing state; subclasses may extend."""
-        self._route_cache.clear()
+            self._route_cache.clear()
 
     def route(self, routing_key: str) -> List[str]:
         """Return destination queue names for *routing_key* (memoized)."""
@@ -136,58 +126,7 @@ class FanoutExchange(Exchange):
         return sorted(result)
 
 
-class TopicExchange(Exchange):
-    """Route on dotted patterns with AMQP wildcards.
-
-    ``*`` matches exactly one word; ``#`` matches zero or more words.
-    Patterns are compiled once per binding key (at bind time), and match
-    results are memoized per routing key by the base class.
-    """
-
-    type_name = "topic"
-
-    def __init__(self, name: str):
-        super().__init__(name)
-        self._compiled: Dict[str, "re.Pattern[str]"] = {}
-
-    @staticmethod
-    def _pattern_to_regex(pattern: str) -> "re.Pattern[str]":
-        parts = []
-        for token in pattern.split("."):
-            if token == "*":
-                parts.append(r"[^.]+")
-            elif token == "#":
-                parts.append(r".*")
-            else:
-                parts.append(re.escape(token))
-        # '#' may legitimately match an empty segment sequence; collapsing
-        # the resulting empty-separator cases keeps the regex simple.
-        regex = r"\.".join(parts)
-        regex = regex.replace(r"\..*", r"(?:\..*)?").replace(r".*\.", r"(?:.*\.)?")
-        return re.compile(f"^{regex}$")
-
-    def _on_bindings_changed_locked(self) -> None:
-        super()._on_bindings_changed_locked()
-        # Drop compilations for vanished patterns; keep live ones (their
-        # regex is immutable, only the queue sets behind them change).
-        for pattern in list(self._compiled):
-            if pattern not in self._bindings:
-                del self._compiled[pattern]
-
-    def _route_locked(self, routing_key: str) -> List[str]:
-        result: Set[str] = set()
-        for pattern, queues in self._bindings.items():
-            compiled = self._compiled.get(pattern)
-            if compiled is None:
-                compiled = self._pattern_to_regex(pattern)
-                self._compiled[pattern] = compiled
-            if compiled.match(routing_key):
-                result |= queues
-        return sorted(result)
-
-
 EXCHANGE_TYPES = {
     "direct": DirectExchange,
     "fanout": FanoutExchange,
-    "topic": TopicExchange,
 }

@@ -3,11 +3,12 @@
 The paper's ObjectMQ (§3, §3.4) leans on exactly three MOM guarantees —
 work-queue balancing among the consumers of one queue, fanout multicast,
 and at-least-once delivery with ack-after-invoke — and claims to be
-MOM-agnostic.  :class:`MomTransport` lists every call ObjectMQ
-(``Broker``, ``Skeleton``, ``Proxy``) makes, so that claim is a
-checkable one: :class:`~repro.mom.broker_server.MessageBroker`,
-:class:`~repro.mom.cluster.BrokerCluster` and
-:class:`~repro.mom.sqs.SqsBrokerAdapter` all satisfy it and all pass
+MOM-agnostic.  :class:`MomTransport` declares the calls ObjectMQ
+(``Broker``, ``Skeleton``, ``Proxy``, ``SupervisorNode``) makes, and
+under a heading of their own the few that only the conformance suite and
+operators use, so that claim is a checkable one:
+:class:`~repro.mom.broker_server.MessageBroker` and
+:class:`~repro.mom.cluster.BrokerCluster` satisfy it and pass
 ``tests/mom/test_transport_conformance.py``.  A new transport (a socket
 client to a broker in another process, say) implements these members and
 runs that suite.
@@ -26,23 +27,34 @@ from repro.mom.message import Delivery, Message
 class MomTransport(Protocol):
     """What ObjectMQ requires of the messaging system underneath it.
 
-    Delivery guarantees every implementation gives:
+    One delivery model, store-and-forward, which every implementation
+    gives:
 
-    * a queue hands each message to **one** of its consumers, and to one
-      whose unacked count is below its prefetch window where the backend
-      has push delivery;
-    * a message published to a fanout exchange reaches **every** queue
-      bound to it at that moment;
-    * a delivery that is never acked — its consumer was cancelled, or it
-      was nacked with ``requeue=True`` — is delivered again, flagged
-      ``message.redelivered``; acking an unknown or already settled
-      delivery is a harmless no-op;
-    * while its consumer lives, an unacked delivery goes to no other
-      consumer: the supervisor lease (:mod:`repro.objectmq.ha`) is held
-      this way.  ``SqsBrokerAdapter`` keeps the promise only for its
-      visibility timeout, after which the message is visible again;
-    * messages of one publisher to one queue are delivered in publish
-      order (redeliveries excepted).
+    * **one consumer per message**: a queue hands each message to one of
+      its consumers, and only to one whose unacked count is below its
+      prefetch window;
+    * **fanout**: a message published to a fanout exchange reaches every
+      queue bound to it at that moment;
+    * **hold until settled**: an unacked delivery is held until it is
+      acked (or nacked) or its consumer is cancelled, and goes to no
+      other consumer meanwhile.  The supervisor lease (:mod:`repro.objectmq.ha`) is
+      held this way;
+    * **at least once**: a delivery whose consumer was cancelled, or that
+      was nacked with ``requeue=True``, goes back to the head of its
+      queue and is delivered again, flagged ``message.redelivered``, so a
+      handler may see a message twice.  Acking an unknown or already
+      settled delivery is a harmless no-op; a nack with ``requeue=False``
+      drops the message (there is no dead-letter queue, and no expiry);
+    * **order**: messages of one publisher to one queue are delivered in
+      publish order, redeliveries excepted;
+    * **durability**: a persistent message on a durable queue is
+      journaled until it is acked, so a broker node that takes over the
+      queue delivers it again; anything else is lost with its node;
+    * **auto-ack on the dispatching thread**: an ``auto_ack=True``
+      handler has no thread of its own.  It runs on the thread whose call
+      dispatched the delivery — for a message published while the
+      consumer exists, the thread that called :meth:`publish` — and the
+      delivery counts as settled once handed over.
     """
 
     # -- topology (all idempotent) --------------------------------------------
@@ -90,34 +102,22 @@ class MomTransport(Protocol):
         each run of deliveries as a list and *callback* is not used;
         otherwise *callback* receives them one at a time.
 
-        An *auto_ack* handler may run on the publishing thread, and on two
-        threads at once, so it must be thread-safe and must not block;
-        it may publish.  (``MessageBroker`` runs it on the publisher's
-        thread; ``SqsBrokerAdapter`` on a poller thread, which the
-        contract also allows.)"""
+        An *auto_ack* handler runs on the publishing thread, and so on two
+        threads at once when two threads publish: it must be thread-safe
+        and must not block; it may publish."""
         ...
 
     def cancel(self, queue_name: str, consumer_tag: str) -> None:
         """Unsubscribe; the consumer's unacked deliveries are redelivered."""
         ...
 
-    def get(self, queue_name: str, timeout: Optional[float] = None) -> Optional[Message]:
-        """Pull one message (auto-acked), or None after *timeout* seconds."""
-        ...
-
     # -- settling -------------------------------------------------------------
-
-    def ack(self, delivery: Delivery) -> bool: ...
 
     def ack_many(self, deliveries: Sequence[Delivery]) -> int:
         """Settle a run of deliveries; returns how many were still live."""
         ...
 
-    def nack(self, delivery: Delivery, requeue: bool = True) -> None: ...
-
     # -- introspection / lifecycle --------------------------------------------
-
-    def queue_depth(self, name: str) -> int: ...
 
     def queue_stats(self, name: str) -> Dict[str, int]:
         """Keys: ready, unacked, consumers, published, delivered, acked,
@@ -125,3 +125,18 @@ class MomTransport(Protocol):
         ...
 
     def close(self) -> None: ...
+
+    # -- not called by ObjectMQ -----------------------------------------------
+    # ObjectMQ settles only through ack_many and reads depth from
+    # queue_stats.  These singular and pull-mode calls are for the
+    # conformance suite and for operators poking at a live transport.
+
+    def get(self, queue_name: str, timeout: Optional[float] = None) -> Optional[Message]:
+        """Pull one message (auto-acked), or None after *timeout* seconds."""
+        ...
+
+    def ack(self, delivery: Delivery) -> bool: ...
+
+    def nack(self, delivery: Delivery, requeue: bool = True) -> None: ...
+
+    def queue_depth(self, name: str) -> int: ...

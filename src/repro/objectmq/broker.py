@@ -2,8 +2,8 @@
 
 This is the ``omq.Broker`` of the paper.  It connects to a message broker
 — anything that satisfies :class:`repro.mom.transport.MomTransport`: a
-:class:`repro.mom.MessageBroker`, a :class:`repro.mom.BrokerCluster`, the
-:class:`repro.mom.SqsBrokerAdapter` — and exposes two primitives:
+:class:`repro.mom.MessageBroker` or a :class:`repro.mom.BrokerCluster` —
+and exposes two primitives:
 
 * :meth:`Broker.bind(oid, remote_object)` — bind an object instance under
   the identifier *oid*.  Creates (idempotently) the shared unicast queue

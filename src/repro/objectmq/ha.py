@@ -12,9 +12,9 @@ Failure detection is the MOM's: a standby takes over when the leader's
 consumer goes, not after a heartbeat silence.  A leader that hangs but
 lives keeps the lease, as a hung SyncService instance keeps its delivery
 (the Supervisor's health probe reports "control loop stalled").  The
-lease needs AMQP hold-until-ack: ``MessageBroker`` and ``BrokerCluster``
-give it, ``SqsBrokerAdapter`` redelivers after its visibility timeout
-even to a live consumer, so HA over SQS is unsupported.
+lease rests on the :class:`~repro.mom.transport.MomTransport` rule that
+an unacked delivery is held until it is acked or its consumer is
+cancelled.
 """
 
 from __future__ import annotations

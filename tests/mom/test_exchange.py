@@ -1,8 +1,8 @@
-"""Unit tests for direct / fanout / topic exchanges."""
+"""Unit tests for direct and fanout exchanges."""
 
 from __future__ import annotations
 
-from repro.mom.exchange import DirectExchange, FanoutExchange, TopicExchange
+from repro.mom.exchange import DirectExchange, FanoutExchange
 
 
 def test_direct_exact_match_only():
@@ -59,38 +59,16 @@ def test_bound_queues_and_binding_count():
     assert exchange.binding_count() == 3
 
 
-def test_topic_star_matches_one_word():
-    exchange = TopicExchange("x")
-    exchange.bind("q", "workspace.*.commits")
-    assert exchange.route("workspace.ws1.commits") == ["q"]
-    assert exchange.route("workspace.ws1.extra.commits") == []
-
-
-def test_topic_hash_matches_zero_or_more():
-    exchange = TopicExchange("x")
-    exchange.bind("q", "events.#")
-    assert exchange.route("events.a") == ["q"]
-    assert exchange.route("events.a.b.c") == ["q"]
-    assert exchange.route("other.a") == []
-
-
-def test_topic_literal():
-    exchange = TopicExchange("x")
-    exchange.bind("q", "exact.key")
-    assert exchange.route("exact.key") == ["q"]
-    assert exchange.route("exact.other") == []
-
-
 # -- route memoization --------------------------------------------------------
 
 
 def test_route_results_are_memoized_per_key():
-    exchange = TopicExchange("x")
-    exchange.bind("q", "workspace.*.commits")
+    exchange = DirectExchange("x")
+    exchange.bind("q", "k1")
     assert exchange.route_cache_size() == 0
-    exchange.route("workspace.ws1.commits")
-    exchange.route("workspace.ws2.commits")
-    exchange.route("workspace.ws1.commits")  # hit, no new entry
+    exchange.route("k1")
+    exchange.route("k2")
+    exchange.route("k1")  # hit, no new entry
     assert exchange.route_cache_size() == 2
 
 
@@ -120,14 +98,3 @@ def test_cached_route_lists_are_safe_to_mutate():
     first = exchange.route("k")
     first.append("tampered")
     assert exchange.route("k") == ["q1"]
-
-
-def test_topic_patterns_compiled_once_and_pruned():
-    exchange = TopicExchange("x")
-    exchange.bind("q", "a.*")
-    exchange.route("a.b")
-    compiled = exchange._compiled["a.*"]
-    exchange.route("a.c")
-    assert exchange._compiled["a.*"] is compiled  # reused, not recompiled
-    exchange.unbind("q", "a.*")
-    assert "a.*" not in exchange._compiled  # pruned with its binding

@@ -3,9 +3,10 @@
 ObjectMQ is written against the ``MomTransport`` contract and never asks
 which implementation it was given, so every implementation has to behave
 the same where ObjectMQ can see it.  Each case below runs against the
-in-process :class:`MessageBroker`, a two-node :class:`BrokerCluster` and
-the :class:`SqsBrokerAdapter`; a new transport joins by adding one entry
-to ``TRANSPORTS``.
+in-process :class:`MessageBroker` and a two-node :class:`BrokerCluster`,
+with no per-transport branch.  A new transport joins by adding one entry
+to ``TRANSPORTS``; the next one planned is a socket client to a broker
+in another process (ROADMAP item 8).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import time
 import pytest
 
 from repro.errors import DeliveryError
-from repro.mom import BrokerCluster, Message, MessageBroker, SqsBrokerAdapter
+from repro.mom import BrokerCluster, Message, MessageBroker
 from repro.objectmq import (
     Broker,
     Remote,
@@ -31,9 +32,6 @@ from tests.mom.test_broker_server import wait_for
 TRANSPORTS = {
     "broker": MessageBroker,
     "cluster": lambda: BrokerCluster(size=2),
-    # Short visibility: an unacked SQS message reappears on its own clock,
-    # which is what the cancel case waits for.
-    "sqs": lambda: SqsBrokerAdapter(visibility_timeout=0.5),
 }
 
 
@@ -169,7 +167,9 @@ def test_cancel_redelivers_unacked_to_a_sibling(transport):
         transport.ack(delivery)
 
     transport.consume("work", handler, consumer_tag="sibling")
-    time.sleep(0.3)  # under the SQS visibility timeout
+    # Hold until ack or cancel: a live consumer's unacked delivery goes
+    # to no sibling, however long it is held.
+    time.sleep(0.3)
     assert survivor.calls == []
     transport.cancel("work", "never-acks")
     assert wait_for(lambda: len(survivor.calls) == 1, timeout=5.0)
@@ -178,6 +178,33 @@ def test_cancel_redelivers_unacked_to_a_sibling(transport):
     assert redelivered.consumer_tag == "sibling"
     # The cancelled consumer's late ack must not settle anything.
     assert not transport.ack(crashed.calls[0])
+
+
+def test_auto_ack_handler_runs_on_the_publishing_thread(transport):
+    """An auto-ack handler has no thread of its own: it has run, on the
+    publisher's thread, by the time ``publish`` returns."""
+    transport.declare_queue("own")
+    ran_on = []
+    transport.consume(
+        "own",
+        lambda delivery: ran_on.append(threading.current_thread()),
+        consumer_tag="c1",
+        auto_ack=True,
+    )
+    seen_at_return = []
+
+    def publish():
+        transport.publish("", "own", Message(b"x"))
+        seen_at_return.append(list(ran_on))
+
+    publish()
+    worker = threading.Thread(target=publish, daemon=True)
+    worker.start()
+    worker.join(timeout=5.0)
+    assert not worker.is_alive()
+    here = threading.current_thread()
+    assert seen_at_return == [[here], [here, worker]]
+    assert transport.queue_stats("own")["unacked"] == 0
 
 
 def test_auto_ack_handler_may_publish_to_its_own_fanout_in_order(transport):

@@ -9,7 +9,6 @@ import pytest
 
 from repro.client import ContentDefinedChunker, conflicted_copy_name, make_chunker
 from repro.mom import BrokerCluster, FileMessageStore, Message, PERSISTENT
-from repro.mom.sqs import SqsBrokerAdapter
 from repro.storage import LatencyModel, LatencyProfile
 from repro.workload import Trace, TraceGenerator, TraceReplayer
 
@@ -58,55 +57,6 @@ def test_file_store_compacts_on_reload(tmp_path):
     assert len(reloaded) == 5
     raw_lines_after = sum(1 for _ in open(path))
     assert raw_lines_after == 5  # compacted to live entries only
-
-
-# -- SQS adapter edges ---------------------------------------------------------------
-
-
-def test_sqs_adapter_delete_queue_stops_pollers():
-    adapter = SqsBrokerAdapter(visibility_timeout=0.5)
-    adapter.declare_queue("q")
-    seen = []
-    adapter.consume("q", seen.append, consumer_tag="c", auto_ack=True)
-    adapter.publish("", "q", Message(b"one"))
-    deadline = time.monotonic() + 2.0
-    while not seen and time.monotonic() < deadline:
-        time.sleep(0.02)
-    assert seen
-    adapter.delete_queue("q")
-    assert not adapter.queue_exists("q")
-    adapter.close()
-
-
-def test_sqs_adapter_nack_requeues_immediately():
-    adapter = SqsBrokerAdapter(visibility_timeout=30.0)
-    adapter.declare_queue("q")
-    held = []
-    adapter.consume("q", held.append, consumer_tag="c")
-    adapter.publish("", "q", Message(b"retry"))
-    deadline = time.monotonic() + 2.0
-    while len(held) < 1 and time.monotonic() < deadline:
-        time.sleep(0.02)
-    adapter.nack(held[0], requeue=True)
-    while len(held) < 2 and time.monotonic() < deadline:
-        time.sleep(0.02)
-    assert len(held) >= 2  # reappeared despite the 30s visibility timeout
-    adapter.close()
-
-
-def test_sqs_adapter_nack_without_requeue_deletes():
-    adapter = SqsBrokerAdapter(visibility_timeout=0.3)
-    adapter.declare_queue("q")
-    held = []
-    adapter.consume("q", held.append, consumer_tag="c")
-    adapter.publish("", "q", Message(b"drop"))
-    deadline = time.monotonic() + 2.0
-    while not held and time.monotonic() < deadline:
-        time.sleep(0.02)
-    adapter.nack(held[0], requeue=False)
-    time.sleep(0.6)  # past the visibility timeout
-    assert len(held) == 1  # never redelivered
-    adapter.close()
 
 
 # -- latency model -----------------------------------------------------------------------
