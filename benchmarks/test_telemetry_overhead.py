@@ -13,7 +13,8 @@ Two guarantees back the "zero-cost when disabled" claim:
    as raw bytes and a conventional item id is not sent; 58,898 B since a
    deletion's empty chunk list is an empty tuple, one byte shorter; 48,434 B
    since envelopes and confirmed results travel by position and a
-   single-chunk file's checksum is sent once).
+   single-chunk file's checksum is sent once; 48,186 B since an item's
+   layout has no slot for its id, which the model derives).
 2. **Time overhead < 2 %** — the disabled path adds one attribute check
    per instrumentation site.  Wall-clock A/B runs of the replay are too
    noisy at smoke scale, so the bound is asserted by projection: measure
@@ -38,7 +39,7 @@ from repro.workload import TraceGenerator
 #: off.  Ops and storage: captured on the seed tree before any telemetry
 #: code existed.  Control: this wire format (see the module docstring).
 PINNED_OPS = 124
-PINNED_CONTROL_BYTES = 48434
+PINNED_CONTROL_BYTES = 48186
 PINNED_STORAGE_BYTES = 52006508
 
 #: Instrumentation sites a single replayed op can cross (bench, client,

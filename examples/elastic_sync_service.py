@@ -74,7 +74,6 @@ def main() -> None:
         while not stop.is_set():
             counter += 1
             item = ItemMetadata(
-                item_id=f"ws-load:f{counter}",
                 workspace_id="ws-load",
                 version=1,
                 filename=f"f{counter}",

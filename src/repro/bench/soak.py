@@ -364,16 +364,13 @@ class SoakHarness:
         migrating = [workspace_ids[i] for i in targets]
         for workspace_id in migrating:
             for item_index in range(ITEMS_PER_MIGRATING_WORKSPACE):
-                item_id = f"{workspace_id}:f{item_index}"
                 backend.store_new_object(ItemMetadata(
-                    item_id=item_id,
                     workspace_id=workspace_id,
                     version=1,
                     filename=f"f{item_index}",
                     device_id="soak",
                 ))
                 backend.store_new_version(ItemMetadata(
-                    item_id=item_id,
                     workspace_id=workspace_id,
                     version=2,
                     filename=f"f{item_index}",

@@ -328,7 +328,6 @@ def _cmd_ops(args: argparse.Namespace) -> int:
             counter += 1
             workspace_id = rng.choice(workspace_ids)
             item = ItemMetadata(
-                item_id=f"{workspace_id}:f{counter}",
                 workspace_id=workspace_id,
                 version=1,
                 filename=f"f{counter}",

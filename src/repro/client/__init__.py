@@ -23,7 +23,7 @@ from repro.client.fingerprint import (
 )
 from repro.client.device import StackSyncDevice
 from repro.client.fs import DirectoryFilesystem, Filesystem, VirtualFilesystem
-from repro.client.indexer import Indexer, IndexResult, make_item_id
+from repro.client.indexer import Indexer, IndexResult
 from repro.client.local_db import LocalDatabase, LocalFileRecord
 from repro.client.sync_client import (
     ClientTrafficStats,
@@ -45,6 +45,7 @@ from repro.client.watcher import (
     FileEvent,
     PollingWatcher,
 )
+from repro.sync.models import make_item_id
 
 __all__ = [
     "COMPRESSORS",

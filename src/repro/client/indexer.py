@@ -24,7 +24,6 @@ from repro.sync.models import (
     STATUS_DELETED,
     STATUS_NEW,
     ItemMetadata,
-    make_item_id,
 )
 
 
@@ -72,7 +71,6 @@ class Indexer:
         database's fingerprint index decides whether a chunk is uploaded,
         never another user's data.
         """
-        item_id = make_item_id(workspace_id, path)
         record = self.local_db.get_by_path(path)
         if record is None:
             version = 1
@@ -99,7 +97,6 @@ class Indexer:
             raw += chunk.size
 
         proposal = ItemMetadata(
-            item_id=item_id,
             workspace_id=workspace_id,
             version=version,
             filename=path,
@@ -122,12 +119,10 @@ class Indexer:
     ) -> IndexResult:
         """Index a removal: a DELETED version with no chunks."""
         record = self.local_db.get_by_path(path)
-        item_id = record.item_id if record else make_item_id(workspace_id, path)
         base = 0
         if record is not None:
             base = record.pending_version or record.version
         proposal = ItemMetadata(
-            item_id=item_id,
             workspace_id=workspace_id,
             version=base + 1,
             filename=path,

@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.client.chunker import FixedChunker
 from repro.client.compression import Compressor, GzipCompressor
 from repro.client.fs import Filesystem, VirtualFilesystem
-from repro.client.indexer import Indexer, IndexResult, make_item_id
+from repro.client.indexer import Indexer, IndexResult
 from repro.client.local_db import LocalDatabase, LocalFileRecord
 from repro.client.transfer import (
     DEFAULT_POOL_SIZE,

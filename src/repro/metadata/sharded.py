@@ -27,10 +27,9 @@ transactions:
   transaction per involved shard with per-item outcomes reassembled in
   input order.
 
-Item routing rides on the repo-wide item-id convention
-``"{workspace_id}:{filename}"``: reads that carry a prefixed id go
-straight to the owning shard; opaque ids fall back to scanning all
-shards (correct, just slower — the miss path of monitoring tools).
+Item reads route by the item id itself: the model derives every id as
+``"{workspace_id}:{filename}"`` and no workspace id holds a ``:``, so the
+id's first ``:`` ends the owning workspace.
 
 Rebalancing: :meth:`migrate_workspace` moves one workspace between
 shards under a write fence — wait out the writes already admitted,
@@ -57,15 +56,15 @@ from repro.telemetry.registry import REGISTRY
 
 
 def workspace_of_item(item_id: str) -> Optional[str]:
-    """Routing key embedded in an item id, or None for opaque ids.
+    """The workspace of an item id, or None for an id no item can have.
 
-    Item ids follow the ``"{workspace_id}:{filename}"`` convention
-    throughout the repo; ids without a separator cannot be routed and
-    force a scan of all shards.
+    :class:`~repro.sync.models.ItemMetadata` derives every id as
+    :func:`~repro.sync.models.make_item_id` of its workspace and filename, and
+    :class:`~repro.sync.models.Workspace` refuses a ``:`` in its id, so the
+    workspace is everything before the id's first ``:``.
     """
-    if ":" in item_id:
-        return item_id.split(":", 1)[0]
-    return None
+    workspace_id, colon, _filename = item_id.partition(":")
+    return workspace_id if colon else None
 
 
 class ShardedMetadataBackend(MetadataBackend):
@@ -242,13 +241,7 @@ class ShardedMetadataBackend(MetadataBackend):
 
     def get_current(self, item_id: str) -> Optional[ItemMetadata]:
         engine = self._engine_for_item(item_id)
-        if engine is not None:
-            return engine.get_current(item_id)
-        for candidate in self.engines:
-            current = candidate.get_current(item_id)
-            if current is not None:
-                return current
-        return None
+        return engine.get_current(item_id) if engine else None
 
     def store_versions_bulk(
         self, proposals: List[ItemMetadata]
@@ -285,13 +278,7 @@ class ShardedMetadataBackend(MetadataBackend):
 
     def item_history(self, item_id: str) -> List[ItemMetadata]:
         engine = self._engine_for_item(item_id)
-        if engine is not None:
-            return engine.item_history(item_id)
-        for candidate in self.engines:
-            history = candidate.item_history(item_id)
-            if history:
-                return history
-        return []
+        return engine.item_history(item_id) if engine else []
 
     # -- rebalancing -----------------------------------------------------------------
 

@@ -61,17 +61,16 @@ CREATE TABLE IF NOT EXISTS versions (
     chunks BLOB NOT NULL,
     modified_at REAL NOT NULL,
     device_id TEXT NOT NULL,
-    workspace_id TEXT,
-    filename TEXT,
     PRIMARY KEY (item, version)
 ) WITHOUT ROWID;
 """
 
 
-#: ``PRAGMA user_version`` of a metadata file in the current layout.  Version 2
-#: keeps each item's identity once, apart from its versions; version 1 repeated
-#: it in every version row, and the unstamped layout held digests as hex.
-SCHEMA_VERSION = 2
+#: ``PRAGMA user_version`` of a metadata file in the current layout.  Version 3
+#: keeps an item's workspace and filename in its ``items`` row alone; version 2
+#: let a version name others, version 1 repeated the item's identity in every
+#: version row, and the unstamped layout held digests as hex.
+SCHEMA_VERSION = 3
 
 #: One empty database per schema, built once and copied into each new file.
 _TEMPLATES: Dict[str, sqlite3.Connection] = {}
@@ -106,8 +105,7 @@ def open_schema(conn: sqlite3.Connection, schema: str, version: int) -> None:
 #: Columns and joined tables that every reader of a stored version selects, in
 #: :meth:`SqliteMetadataBackend._row_to_item` order.
 _ITEM = (
-    "i.item_id, v.version, COALESCE(v.workspace_id, i.workspace_id),"
-    " COALESCE(v.filename, i.filename), v.status, v.is_folder, v.size,"
+    "i.workspace_id, v.version, i.filename, v.status, v.is_folder, v.size,"
     " v.checksum, v.chunks, v.modified_at, v.device_id"
     " FROM items i JOIN versions v ON v.item = i.id"
 )
@@ -271,23 +269,21 @@ class SqliteMetadataBackend(MetadataBackend):
                 self._conn.execute("BEGIN IMMEDIATE")
                 for proposal in proposals:
                     item = self._conn.execute(
-                        "SELECT id, workspace_id, filename,"
+                        "SELECT id,"
                         " (SELECT MAX(version) FROM versions WHERE item = items.id)"
                         " FROM items WHERE item_id = ?",
                         (proposal.item_id,),
                     ).fetchone()
-                    expected = 1 if item is None or item[3] is None else item[3] + 1
+                    expected = 1 if item is None or item[1] is None else item[1] + 1
                     if proposal.version != expected:
                         current = item and self._conn.execute(
-                            f"SELECT {_ITEM} WHERE v.item = ? AND v.version = ?",
-                            (item[0], item[3]),
+                            f"SELECT {_ITEM} WHERE v.item = ? AND v.version = ?", item
                         ).fetchone()
                         outcomes.append(
                             (False, self._row_to_item(current) if current else None)
                         )
                         continue
-                    item = item or (None, proposal.workspace_id, proposal.filename)
-                    self._insert(proposal, item)
+                    self._insert(proposal, item and item[0])
                     outcomes.append((True, None))
                 self._conn.execute("COMMIT")
             except BaseException:
@@ -336,7 +332,8 @@ class SqliteMetadataBackend(MetadataBackend):
             ).fetchall()
         versions: Dict[str, List[ItemMetadata]] = {}
         for row in version_rows:
-            versions.setdefault(row[0], []).append(self._row_to_item(row))
+            version = self._row_to_item(row)
+            versions.setdefault(version.item_id, []).append(version)
         return WorkspaceDump(
             workspace=Workspace(
                 workspace_id=ws_row[0], owner=ws_row[1], name=ws_row[2]
@@ -383,7 +380,7 @@ class SqliteMetadataBackend(MetadataBackend):
                 for chain in dump.versions.values():
                     item = None
                     for m in chain:
-                        item = self._insert(m, item or (None, workspace_id, m.filename))
+                        item = self._insert(m, item)
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._conn.execute("ROLLBACK")
@@ -438,20 +435,18 @@ class SqliteMetadataBackend(MetadataBackend):
 
     # -- helpers --------------------------------------------------------------------
 
-    def _insert(self, m: ItemMetadata, item: tuple) -> tuple:
-        """Store *m* as a version of *item*, an ``(id, workspace_id, filename)``
-        row whose id is None when it is yet to be inserted; returns that row.
-        A version's workspace or filename is kept only where it differs."""
-        if item[0] is None:
-            cursor = self._conn.execute(
+    def _insert(self, m: ItemMetadata, item: Optional[int]) -> int:
+        """Store *m* as a version of the ``items`` row *item*, inserting that row
+        first when *item* is None; returns its id."""
+        if item is None:
+            item = self._conn.execute(
                 "INSERT INTO items(item_id, workspace_id, filename) VALUES (?, ?, ?)",
-                (m.item_id, *item[1:]),
-            )
-            item = (cursor.lastrowid, *item[1:])
+                (m.item_id, m.workspace_id, m.filename),
+            ).lastrowid
         self._conn.execute(
-            "INSERT INTO versions VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            "INSERT INTO versions VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
-                item[0],
+                item,
                 m.version,
                 VALID_STATUSES.index(m.status),
                 int(m.is_folder),
@@ -460,8 +455,6 @@ class SqliteMetadataBackend(MetadataBackend):
                 digests_blob(m.chunks),
                 m.modified_at,
                 m.device_id,
-                None if m.workspace_id == item[1] else m.workspace_id,
-                None if m.filename == item[2] else m.filename,
             ),
         )
         return item
@@ -469,17 +462,16 @@ class SqliteMetadataBackend(MetadataBackend):
     @staticmethod
     def _row_to_item(row) -> ItemMetadata:
         return ItemMetadata(
-            item_id=row[0],
+            workspace_id=row[0],
             version=row[1],
-            workspace_id=row[2],
-            filename=row[3],
-            status=VALID_STATUSES[row[4]],
-            is_folder=bool(row[5]),
-            size=row[6],
-            checksum=row[7],
-            chunks=blob_digests(row[8]),
-            modified_at=row[9],
-            device_id=row[10],
+            filename=row[2],
+            status=VALID_STATUSES[row[3]],
+            is_folder=bool(row[4]),
+            size=row[5],
+            checksum=row[6],
+            chunks=blob_digests(row[7]),
+            modified_at=row[8],
+            device_id=row[9],
         )
 
     def _require_workspace(self, workspace_id: str) -> None:

@@ -37,6 +37,10 @@ from repro.telemetry.registry import REGISTRY
 
 logger = logging.getLogger(__name__)
 
+#: Seconds after which an ObjectInfo snapshot is discarded.  A stale snapshot,
+#: e.g. replayed by a hiccuping broker, must not steer scaling.
+SNAPSHOT_HORIZON = 30.0
+
 
 class ArrivalMonitor:
     """Estimates arrival rate and interarrival variance from queue counters.
@@ -137,7 +141,6 @@ class Supervisor:
         control_interval: float = 1.0,
         min_instances: int = 1,
         max_instances: int = 64,
-        snapshot_horizon: Optional[float] = 30.0,
         journal: Optional[DecisionJournal] = None,
     ):
         self.broker = broker
@@ -151,10 +154,6 @@ class Supervisor:
         self.control_interval = control_interval
         self.min_instances = min_instances
         self.max_instances = max_instances
-        #: Discard ObjectInfo snapshots captured more than this many
-        #: seconds ago (None disables the check).  A stale snapshot —
-        #: e.g. replayed by a hiccuping broker — must not steer scaling.
-        self.snapshot_horizon = snapshot_horizon
         #: Structured control-plane log; None keeps the loop journal-free.
         self.journal = journal
         self.fleet = broker.lookup(REMOTE_BROKER_OID, RemoteBrokerApi)
@@ -185,15 +184,13 @@ class Supervisor:
         snapshots: List[ObjectInfoSnapshot] = []
         for chunk in self.fleet.get_object_info(self.oid):
             snapshots.extend(ObjectInfoSnapshot.from_wire(item) for item in chunk)
-        if self.snapshot_horizon is not None:
-            fresh = [s for s in snapshots if not s.is_stale(self.snapshot_horizon)]
-            if len(fresh) < len(snapshots):
-                logger.debug(
-                    "discarding %d stale ObjectInfo snapshot(s) for %s "
-                    "(horizon %.1fs)",
-                    len(snapshots) - len(fresh), self.oid, self.snapshot_horizon,
-                )
-            snapshots = fresh
+        fresh = [s for s in snapshots if not s.is_stale(SNAPSHOT_HORIZON)]
+        if len(fresh) < len(snapshots):
+            logger.debug(
+                "discarding %d stale ObjectInfo snapshot(s) for %s (horizon %.1fs)",
+                len(snapshots) - len(fresh), self.oid, SNAPSHOT_HORIZON,
+            )
+        snapshots = fresh
 
         service_times = [s.mean_service_time for s in snapshots if s.processed > 0]
         service_vars = [s.service_time_variance for s in snapshots if s.processed > 1]

@@ -10,7 +10,7 @@ JSON and binary; a code and the field order, or a packed layout, for pickle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from struct import unpack
 from sys import intern
 from typing import List, Optional, Tuple
@@ -65,6 +65,12 @@ class Workspace:
     owner: str
     name: str = ""
 
+    def __post_init__(self) -> None:
+        if ":" in self.workspace_id:
+            raise ValueError(
+                f"workspace id {self.workspace_id!r} holds ':', which ends it in an item id"
+            )
+
     to_wire = _fields_of
     __setstate__ = _set_state
 
@@ -73,38 +79,60 @@ class Workspace:
         return cls(**data)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ItemMetadata:
     """One version of one item (file or folder) in a workspace.
 
     ``version`` is the server-side monotonically increasing version
     number; a client proposing a change sends ``current version + 1``.
     ``checksum`` and ``chunks`` (the file's fingerprints, in order) hold
-    digests as bytes; hex is converted, a ``chunks`` tuple trusted.  Decoding
-    interns the ids every version repeats, so stored versions share them.
+    digests as bytes; hex is converted, a ``chunks`` tuple trusted.
+    ``item_id`` is :func:`make_item_id` of the workspace and filename, derived
+    and interned here (an id given that differs is refused), so stored versions
+    share it.  A rename or a move is a delete and an add: another item.
     """
 
-    item_id: str
     workspace_id: str
     version: int
     filename: str
-    status: str = STATUS_NEW
-    is_folder: bool = False
-    size: int = 0
-    checksum: bytes = b""
-    chunks: Tuple[bytes, ...] = ()
-    modified_at: float = 0.0
-    device_id: str = ""
+    status: str
+    is_folder: bool
+    size: int
+    checksum: bytes
+    chunks: Tuple[bytes, ...]
+    modified_at: float
+    device_id: str
+    item_id: str = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.status not in VALID_STATUSES:
-            raise ValueError(f"invalid status {self.status!r}")
-        if self.version < 1:
+    def __init__(
+        self, workspace_id: str, version: int, filename: str,
+        status: str = STATUS_NEW, is_folder: bool = False, size: int = 0,
+        checksum: bytes = b"", chunks: Tuple[bytes, ...] = (),
+        modified_at: float = 0.0, device_id: str = "", item_id: Optional[str] = None,
+    ) -> None:
+        derived = intern(make_item_id(workspace_id, filename))
+        if item_id is not None and item_id != derived:
+            raise ValueError(f"item id {item_id!r} is not its workspace and path")
+        if status not in VALID_STATUSES:
+            raise ValueError(f"invalid status {status!r}")
+        if version < 1:
             raise ValueError("version numbers start at 1")
-        if self.checksum.__class__ is not bytes:
-            object.__setattr__(self, "checksum", bytes.fromhex(self.checksum))
-        if self.chunks.__class__ is not tuple:
-            object.__setattr__(self, "chunks", _digests(self.chunks))
+        if checksum.__class__ is not bytes:
+            checksum = bytes.fromhex(checksum)
+        if chunks.__class__ is not tuple:
+            chunks = _digests(chunks)
+        assign = object.__setattr__
+        assign(self, "workspace_id", workspace_id)
+        assign(self, "version", version)
+        assign(self, "filename", filename)
+        assign(self, "status", status)
+        assign(self, "is_folder", is_folder)
+        assign(self, "size", size)
+        assign(self, "checksum", checksum)
+        assign(self, "chunks", chunks)
+        assign(self, "modified_at", modified_at)
+        assign(self, "device_id", device_id)
+        assign(self, "item_id", derived)
 
     __setstate__ = _set_state
 
@@ -112,10 +140,9 @@ class ItemMetadata:
         digests = " ".join(digest.hex() for digest in (self.checksum, *self.chunks))
         return f"ItemMetadata({self.item_id!r} v{self.version} {self.status} {digests})"
 
-    def with_version(self, version: int, status: Optional[str] = None) -> "ItemMetadata":
-        return replace(self, version=version, status=status or self.status)
-
-    to_wire = _fields_of
+    def to_wire(self) -> dict:
+        """The fields by name, but not ``item_id``: the receiver derives it."""
+        return {name: getattr(self, name) for name in self.__slots__ if name != "item_id"}
 
     @classmethod
     def from_wire(cls, data: dict) -> "ItemMetadata":
@@ -192,26 +219,21 @@ def pack_item(item: ItemMetadata) -> tuple:
     ``is_folder``, ``size``, ``checksum`` (None when it is the item's only
     chunk, as in every single-chunk file: both digest the same bytes),
     ``chunks`` as one blob when each is :data:`DIGEST_SIZE` bytes (else the
-    tuple), ``modified_at``, ``device_id`` and ``item_id`` — None when it is what
-    :func:`make_item_id` would give."""
-    workspace_id, filename, item_id, checksum, chunks = (
-        item.workspace_id, item.filename, item.item_id, item.checksum, item.chunks
-    )
+    tuple), ``modified_at`` and ``device_id``.  ``item_id`` is derived."""
+    checksum, chunks = item.checksum, item.chunks
     if len(chunks) == 1 and checksum == chunks[0]:
         checksum = None
     if set(map(len, chunks)) == _PACKED_WIDTHS:
         chunks = b"".join(chunks)
     return unpack_item, (
-        workspace_id, filename, item.version, VALID_STATUSES.index(item.status),
-        item.is_folder, item.size, checksum, chunks, item.modified_at,
-        item.device_id,
-        None if item_id == make_item_id(workspace_id, filename) else item_id,
+        item.workspace_id, item.filename, item.version, VALID_STATUSES.index(item.status),
+        item.is_folder, item.size, checksum, chunks, item.modified_at, item.device_id,
     )
 
 
 def unpack_item(
     workspace_id, filename, version, status, is_folder, size, checksum, chunks,
-    modified_at, device_id, item_id,
+    modified_at, device_id,
 ) -> ItemMetadata:
     if chunks.__class__ is bytes:
         if len(chunks) % DIGEST_SIZE:
@@ -223,11 +245,9 @@ def unpack_item(
         if len(chunks) != 1:
             raise ValueError(f"a checksum left out beside {len(chunks)} chunks")
         checksum = chunks[0]
-    workspace_id, filename = intern(workspace_id), intern(filename)
     return ItemMetadata(
-        intern(make_item_id(workspace_id, filename) if item_id is None else item_id),
-        workspace_id, version, filename, VALID_STATUSES[status], is_folder, size,
-        checksum, chunks, modified_at, intern(device_id),
+        intern(workspace_id), version, intern(filename), VALID_STATUSES[status],
+        is_folder, size, checksum, chunks, modified_at, intern(device_id),
     )
 
 
@@ -265,13 +285,14 @@ def unpack_notification(workspace_id, source_device, results, committed_at, requ
 # unpack function's, then the packed layout).  All of it is wire format — never
 # renumber, reorder or reuse.  Retired: 241 and 243 (the unpacked layouts), 244
 # (an item that always sent its checksum), 245 (a notification that always sent
-# each CommitResult whole).  246 and 247 are the envelopes (repro.objectmq).
+# each CommitResult whole), 248 (an item with a slot for its id).  246 and 247
+# are the envelopes (repro.objectmq).
 global_wire_registry.register(
     Workspace, "stacksync.Workspace", Workspace.to_wire, Workspace.from_wire, code=240
 )
 global_wire_registry.register(
     ItemMetadata, "stacksync.ItemMetadata", ItemMetadata.to_wire,
-    ItemMetadata.from_wire, code=248, pack=pack_item, unpack=unpack_item,
+    ItemMetadata.from_wire, code=250, pack=pack_item, unpack=unpack_item,
 )
 global_wire_registry.register(
     CommitResult, "stacksync.CommitResult", CommitResult.to_wire,

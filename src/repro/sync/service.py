@@ -40,6 +40,11 @@ from repro.sync.models import (
 
 logger = logging.getLogger(__name__)
 
+#: Notification proxies an instance keeps alive; least-recently-used entries are
+#: evicted beyond it.  An instance commits for every workspace hashed to its
+#: queue, so the cache must not grow with the workspace population.
+WORKSPACE_PROXY_CACHE_SIZE = 1024
+
 
 class SyncService(HasObjectInfo):
     """One SyncService instance (bind many of these under one oid).
@@ -50,11 +55,6 @@ class SyncService(HasObjectInfo):
         service_delay: Optional callable returning seconds of artificial
             processing time per commit — used by elasticity experiments to
             impose the paper's measured 50 ms mean service time.
-        workspace_proxy_cache_size: Maximum notification proxies kept
-            alive; least-recently-used entries are evicted beyond it.
-            A service instance commits for every workspace hashed to its
-            queue, so the cache must not grow with the workspace
-            population.
     """
 
     #: Monotonic source for health-probe names.  ``id(self)`` is NOT a
@@ -68,15 +68,11 @@ class SyncService(HasObjectInfo):
         metadata: "MetadataBackend",
         broker: Broker,
         service_delay: Optional[Callable[[], float]] = None,
-        workspace_proxy_cache_size: int = 1024,
     ):
         self.metadata = metadata
         self.broker = broker
         self.service_delay = service_delay
         self._lock = threading.Lock()
-        if workspace_proxy_cache_size < 1:
-            raise ValueError("workspace_proxy_cache_size must be >= 1")
-        self._workspace_proxy_cache_size = workspace_proxy_cache_size
         self._workspace_proxies: "OrderedDict[str, object]" = OrderedDict()
         self._proxy_cache_hits = 0
         self._proxy_cache_misses = 0
@@ -105,7 +101,7 @@ class SyncService(HasObjectInfo):
         with self._lock:
             return {
                 "size": float(len(self._workspace_proxies)),
-                "capacity": float(self._workspace_proxy_cache_size),
+                "capacity": float(WORKSPACE_PROXY_CACHE_SIZE),
                 "hits": float(self._proxy_cache_hits),
                 "misses": float(self._proxy_cache_misses),
                 "evictions": float(self._proxy_cache_evictions),
@@ -226,7 +222,7 @@ class SyncService(HasObjectInfo):
             if existing is not None:
                 return existing
             self._workspace_proxies[workspace_id] = proxy
-            while len(self._workspace_proxies) > self._workspace_proxy_cache_size:
+            while len(self._workspace_proxies) > WORKSPACE_PROXY_CACHE_SIZE:
                 self._workspace_proxies.popitem(last=False)
                 self._proxy_cache_evictions += 1
             return proxy

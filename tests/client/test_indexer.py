@@ -8,8 +8,7 @@ import pytest
 
 from repro.client import FixedChunker, Indexer, LocalDatabase, LocalFileRecord
 from repro.client.compression import NullCompressor
-from repro.client.indexer import make_item_id
-from repro.sync.models import STATUS_CHANGED, STATUS_DELETED, STATUS_NEW
+from repro.sync.models import STATUS_CHANGED, STATUS_DELETED, STATUS_NEW, make_item_id
 
 
 @pytest.fixture

@@ -11,7 +11,6 @@ import random
 import sqlite3
 import threading
 from contextlib import closing
-from dataclasses import replace
 
 import pytest
 
@@ -154,50 +153,6 @@ def test_item_history_ordered(metadata_backend):
     assert [m.version for m in history] == [1, 2, 3]
 
 
-def test_renamed_and_moved_versions_round_trip(metadata_backend):
-    """A version may name another file or workspace than its item's first version
-    does: every engine returns it as stored, keeps the item in the workspace of
-    its first version, and carries it through export and import."""
-    setup_workspace(metadata_backend)
-    other = "ws2"
-    sharded = hasattr(metadata_backend, "migrate_workspace")
-    if sharded:  # an item's history lives on one shard: put both there
-        home = metadata_backend.shard_for_workspace("ws1")
-        other = next(
-            w
-            for w in (f"ws{n}" for n in range(2, 100))
-            if metadata_backend.shard_for_workspace(w) == home
-        )
-    metadata_backend.create_workspace(Workspace(workspace_id=other, owner="alice"))
-    chain = [
-        item(version=1),
-        replace(item(version=2, status=STATUS_CHANGED), filename="b.txt"),
-        item(version=3, status=STATUS_CHANGED, ws=other),
-    ]
-    metadata_backend.store_versions_bulk(chain)
-
-    def check(engine):
-        assert engine.item_history("ws1:a.txt") == chain
-        assert engine.get_current("ws1:a.txt") == chain[-1]
-        assert engine.get_workspace_state("ws1") == [chain[-1]]
-
-    check(metadata_backend)
-    assert metadata_backend.get_workspace_state(other) == []
-    if sharded:
-        metadata_backend.migrate_workspace("ws1", (home + 1) % metadata_backend.num_shards)
-        check(metadata_backend)
-        return
-    dump = metadata_backend.export_workspace("ws1")
-    assert dump.versions == {"ws1:a.txt": chain}
-    copy = type(metadata_backend)()
-    try:
-        copy.import_workspace(dump)
-        check(copy)
-        assert copy.export_workspace("ws1") == dump
-    finally:
-        copy.close()
-
-
 def test_counts(metadata_backend):
     setup_workspace(metadata_backend)
     metadata_backend.store_new_object(item(version=1))
@@ -300,7 +255,7 @@ def test_sqlite_persists_to_disk(tmp_path):
     reopened.close()
     with closing(sqlite3.connect(path)) as raw:  # the file keeps WAL and its stamp
         assert raw.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
-        assert raw.execute("PRAGMA user_version").fetchone()[0] == 2
+        assert raw.execute("PRAGMA user_version").fetchone()[0] == 3
 
 
 def test_sqlite_refuses_a_file_of_the_hex_layout(tmp_path):
@@ -341,6 +296,28 @@ def test_sqlite_refuses_a_file_of_the_flat_layout(tmp_path):
     )
     old.close()
     with pytest.raises(MetadataError, match="schema version 1"):
+        SqliteMetadataBackend(path)
+
+
+def test_sqlite_refuses_a_file_of_the_version_2_layout(tmp_path):
+    """A version-2 file may hold a version naming another workspace or filename
+    than its item's, which this build cannot return: it is refused on open."""
+    from repro.metadata import SqliteMetadataBackend
+
+    path = str(tmp_path / "v2.db")
+    old = sqlite3.connect(path)
+    old.executescript(
+        "CREATE TABLE items (id INTEGER PRIMARY KEY, item_id TEXT NOT NULL UNIQUE,"
+        " workspace_id TEXT NOT NULL, filename TEXT NOT NULL);"
+        "CREATE TABLE versions (item INTEGER NOT NULL, version INTEGER NOT NULL,"
+        " status INTEGER NOT NULL, is_folder INTEGER NOT NULL, size INTEGER NOT NULL,"
+        " checksum BLOB NOT NULL, chunks BLOB NOT NULL, modified_at REAL NOT NULL,"
+        " device_id TEXT NOT NULL, workspace_id TEXT, filename TEXT,"
+        " PRIMARY KEY (item, version)) WITHOUT ROWID;"
+        "PRAGMA user_version = 2;"
+    )
+    old.close()
+    with pytest.raises(MetadataError, match="schema version 2"):
         SqliteMetadataBackend(path)
 
 

@@ -24,7 +24,6 @@ from repro.sync.models import ItemMetadata, Workspace
 
 def make_item(workspace_id: str, filename: str, version: int = 1) -> ItemMetadata:
     return ItemMetadata(
-        item_id=f"{workspace_id}:{filename}",
         workspace_id=workspace_id,
         version=version,
         filename=filename,
@@ -142,19 +141,23 @@ def test_bulk_outcomes_preserve_input_order_across_shards():
     assert outcomes[3][1] is None  # version 7 of a brand-new item: no winner
 
 
-def test_opaque_item_ids_fall_back_to_scanning():
-    backend, ids = seeded_backend()
-    item = ItemMetadata(
-        item_id="no-separator-id",
-        workspace_id=ids[0],
-        version=1,
-        filename="x",
-        device_id="dev-test",
-    )
+def test_an_item_routes_by_its_id_alone():
+    """The first ``:`` of an item id ends its workspace: a workspace id that
+    held one would route its items' reads to the shard of its prefix, so such
+    a workspace is refused, and a ``:`` in a filename routes as any other."""
+    backend = ShardedMetadataBackend([MemoryMetadataBackend() for _ in range(4)])
+    assert backend.shard_for_workspace("team:0") != backend.shard_for_workspace("team")
+    backend.create_user("alice")
+    with pytest.raises(ValueError, match="holds ':'"):
+        backend.create_workspace(Workspace(workspace_id="team:0", owner="alice"))
+    backend.create_workspace(Workspace(workspace_id="team", owner="alice"))
+    item = make_item("team", "0:a.txt")
     backend.store_new_object(item)
-    assert backend.get_current("no-separator-id").item_id == "no-separator-id"
-    assert len(backend.item_history("no-separator-id")) == 1
+    assert item.item_id == "team:0:a.txt"
+    assert backend.get_current("team:0:a.txt") == item
+    assert backend.item_history("team:0:a.txt") == [item]
     assert backend.get_current("missing-everywhere") is None
+    assert backend.item_history("missing-everywhere") == []
 
 
 def test_counts_sum_partitioned_tables():

@@ -318,9 +318,7 @@ def _snapshot(instance, captured_at):
 
 def test_supervisor_ignores_stale_snapshots(fleet):
     _mom, _rbrokers, sup_broker = fleet
-    supervisor = Supervisor(
-        sup_broker, "worker", FixedProvisioner(1), snapshot_horizon=5.0
-    )
+    supervisor = Supervisor(sup_broker, "worker", FixedProvisioner(1))
     now = time.monotonic()
     supervisor.fleet = _StubFleet([
         _snapshot("fresh", captured_at=now),
@@ -330,20 +328,6 @@ def test_supervisor_ignores_stale_snapshots(fleet):
     observation = supervisor.observe()
     assert observation.instance_count == 1
     assert [s.instance_id for s in observation.instances] == ["fresh"]
-
-
-def test_supervisor_horizon_none_disables_filtering(fleet):
-    _mom, _rbrokers, sup_broker = fleet
-    supervisor = Supervisor(
-        sup_broker, "worker", FixedProvisioner(1), snapshot_horizon=None
-    )
-    now = time.monotonic()
-    supervisor.fleet = _StubFleet([
-        _snapshot("fresh", captured_at=now),
-        _snapshot("stale", captured_at=now - 3600.0),
-    ])
-    observation = supervisor.observe()
-    assert observation.instance_count == 2
 
 
 def test_supervisor_live_snapshots_are_fresh(fleet):

@@ -112,11 +112,11 @@ def test_pickle_wire_budget(items, request_budget, notify_budget):
 def test_dto_travels_as_class_code_and_values_only():
     item = proposal(0)
     body = PickleSerializer().encode(item)
-    assert bytes((pickle.EXT1[0], 248)) in body
+    assert bytes((pickle.EXT1[0], 250)) in body
     for spelled_out in (b"repro.sync.models", b"ItemMetadata", b"unpack_item",
                         b"item_id", b"chunks", b"CHANGED"):
         assert spelled_out not in body
-    # A digest is its 20 bytes, and the conventional item id is not sent.
+    # A digest is its 20 bytes, and the item id, derived, is not sent.
     assert not re.search(rb"[0-9a-f]{40}", body)
     assert item.item_id.encode() not in body
     assert body.count(WORKSPACE.encode()) == 1
@@ -186,10 +186,11 @@ def test_class_codes_are_pinned():
 
     A packed layout's code names its unpack function; 241 and 243 (the
     unpacked ``ItemMetadata`` / ``CommitNotification`` layouts), 244 and 245
-    (their first packed layouts) are retired for good.
+    (their first packed layouts) and 248 (an item layout with an id slot) are
+    retired for good.
     """
     expected = {Workspace: 240, CommitResult: 242, unpack_request: 246,
-                unpack_reply: 247, unpack_item: 248, unpack_notification: 249}
+                unpack_reply: 247, unpack_notification: 249, unpack_item: 250}
     for admitted, code in expected.items():
         key = (admitted.__module__, admitted.__qualname__)
         assert copyreg._extension_registry[key] == code
@@ -199,7 +200,7 @@ def test_class_codes_are_pinned():
         assert cls in copyreg.dispatch_table
     assert len(global_wire_registry.pickle_classes) == 10
     ours = {code for code in copyreg._inverted_registry if 240 <= code <= 255}
-    assert ours == {240, 242, 246, 247, 248, 249}
+    assert ours == {240, 242, 246, 247, 249, 250}
 
 
 @pytest.mark.parametrize("dto", DTOS, ids=lambda d: type(d).__name__)
@@ -300,11 +301,11 @@ def _body(code: int, values: tuple) -> bytes:
 def _crafted(**changed):
     """The body of ``proposal(0)`` with some wire values replaced."""
     layout = ("workspace_id", "filename", "version", "status", "is_folder", "size",
-              "checksum", "chunks", "modified_at", "device_id", "item_id")
+              "checksum", "chunks", "modified_at", "device_id")
     values = dict(zip(layout, copyreg.dispatch_table[ItemMetadata](proposal(0))[1]))
     assert set(changed) <= set(values)
     values.update(changed)
-    return _body(248, tuple(values.values()))
+    return _body(250, tuple(values.values()))
 
 
 def _recoded(dto, old: int, new: int) -> bytes:
@@ -339,13 +340,14 @@ CRAFTED = {
     "status-code-7": (_crafted(status=7), "out of range"),
     "status-spelled-out": (_crafted(status="CHANGED"), "indices must be integers"),
     "version-0": (_crafted(version=0), "version numbers start at 1"),
-    "retired-code-241": (_recoded(proposal(0), 248, 241), "unregistered extension code 241"),
+    "retired-code-241": (_recoded(proposal(0), 250, 241), "unregistered extension code 241"),
     "retired-code-243": (_recoded(DTOS[3], 249, 243), "unregistered extension code 243"),
-    "retired-code-244": (_recoded(proposal(0), 248, 244), "unregistered extension code 244"),
+    "retired-code-244": (_recoded(proposal(0), 250, 244), "unregistered extension code 244"),
     "retired-code-245": (_recoded(DTOS[3], 249, 245), "unregistered extension code 245"),
+    "retired-code-248": (_recoded(proposal(0), 250, 248), "unregistered extension code 248"),
     "code-nobody-registered": (
-        pickle.PROTO + b"\x05" + pickle.EXT1 + bytes([250]) + b")R.",
-        "unregistered extension code 250",
+        pickle.PROTO + b"\x05" + pickle.EXT1 + bytes([251]) + b")R.",
+        "unregistered extension code 251",
     ),
     "os-system": (
         pickle.dumps({"method": "m", "args": [_Exploit()]}),
@@ -375,6 +377,40 @@ def test_crafted_body_is_refused(name):
         PickleSerializer().decode(body)
 
 
+def _as_peers_send(tag, cls, wire):
+    """``(codec, body)`` for each way a peer sends a *cls* of fields *wire*,
+    besides pickle's packed layouts."""
+    tagged = {"__wire__": tag, **wire}
+    return [(PickleSerializer(), _by_class_name(cls, wire)),
+            (JsonSerializer(), JsonSerializer().encode(tagged)),
+            (BinarySerializer(), BinarySerializer().encode(tagged))]
+
+
+def test_an_item_id_that_disagrees_is_refused_on_every_decode_path():
+    item, renamed = proposal(0), f"{WORKSPACE}:renamed.dat"
+    with pytest.raises(ValueError, match="is not its workspace and path"):
+        ItemMetadata(**item.to_wire(), item_id=renamed)
+    values = copyreg.dispatch_table[ItemMetadata](item)[1]
+    with pytest.raises(SerializationError, match="positional argument"):
+        PickleSerializer().decode(_body(250, (*values, renamed)))
+    agreeing = {**item.to_wire(), "item_id": item.item_id}
+    for codec, body in _as_peers_send("stacksync.ItemMetadata", ItemMetadata, agreeing):
+        assert codec.decode(body) == item
+    dissenting = {**agreeing, "item_id": renamed}
+    for codec, body in _as_peers_send("stacksync.ItemMetadata", ItemMetadata, dissenting):
+        with pytest.raises((SerializationError, ValueError),
+                           match="is not its workspace and path"):
+            codec.decode(body)
+
+
+def test_a_workspace_id_holding_a_colon_is_refused_on_every_decode_path():
+    wire = {"workspace_id": "team:0", "owner": "alice", "name": ""}
+    bodies = [(PickleSerializer(), _body(240, tuple(wire.values())))]
+    for codec, body in bodies + _as_peers_send("stacksync.Workspace", Workspace, wire):
+        with pytest.raises((SerializationError, ValueError), match="holds ':'"):
+            codec.decode(body)
+
+
 # -- the packed layout round-trips anything -------------------------------------
 
 _HEX = "0123456789abcdef"
@@ -401,7 +437,7 @@ def _items(draw):
     chunks = draw(_chunk_lists)
     checksum = _checksum if len(chunks) != 1 else st.one_of(_checksum, st.just(chunks[0]))
     return ItemMetadata(
-        item_id=draw(st.one_of(st.just(make_item_id(workspace_id, filename)), _name)),
+        item_id=draw(st.sampled_from([None, make_item_id(workspace_id, filename)])),
         workspace_id=workspace_id,
         version=draw(st.integers(1, 2**40)),
         filename=filename,
@@ -495,13 +531,11 @@ def test_canonical_digests_travel_packed_and_anything_else_literally():
         item = dataclasses.replace(proposal(0), checksum=checksum, chunks=chunks)
         values = packed(item)[1]
         assert (values[6], values[7]) == (wire_checksum, wire_chunks)
-        assert values[3] == VALID_STATUSES.index(item.status) and values[10] is None
+        assert values[3] == VALID_STATUSES.index(item.status) and len(values) == 10
         assert PickleSerializer().decode(PickleSerializer().encode(item)) == item
     mixed = dataclasses.replace(proposal(0), chunks=(sha1, sha256))
     with pytest.raises(SerializationError, match="one non-zero width"):
         PickleSerializer().decode(PickleSerializer().encode(mixed))
-    moved = dataclasses.replace(proposal(0), item_id="ws:kept-across-a-rename")
-    assert packed(moved)[1][10] == "ws:kept-across-a-rename"
 
 
 # -- identity within a message ------------------------------------------------------
@@ -539,4 +573,4 @@ def test_decoded_commit_request_notifies_at_the_pinned_size():
         notification = fanout.sent[-1]
         assert notification.results[0].confirmed
         sent = make_request("notify_commit", [notification], {}, call="async", multi=True)
-        assert len(codec.encode(sent)) == len(codec.encode(notify_commit([item]))) == 212
+        assert len(codec.encode(sent)) == len(codec.encode(notify_commit([item]))) == 211

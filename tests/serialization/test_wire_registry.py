@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -76,7 +76,7 @@ def test_stacksync_models_round_trip_via_json():
         source_device="dev",
         results=[
             CommitResult(metadata=item, confirmed=True),
-            CommitResult(metadata=item, confirmed=False, current=item.with_version(3)),
+            CommitResult(metadata=item, confirmed=False, current=replace(item, version=3)),
         ],
         committed_at=2.0,
         request_id="r1",

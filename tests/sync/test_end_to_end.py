@@ -189,7 +189,7 @@ def test_consumer_threads_count_under_the_stats_lock(testbed):
     client = testbed.client(device_id="dev-1")
     workspace_id = testbed.workspaces["alice"].workspace_id
     lost = ItemMetadata(
-        f"{workspace_id}:gone.txt", workspace_id, 2, "gone.txt",
+        workspace_id, 2, "gone.txt",
         status="CHANGED", device_id="dev-1",
     )
     notification = CommitNotification(

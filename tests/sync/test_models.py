@@ -49,11 +49,20 @@ def test_item_validates_version():
         make_item(version=0)
 
 
-def test_with_version_bumps_immutably():
-    item = make_item()
-    bumped = item.with_version(2, status=STATUS_CHANGED)
-    assert bumped.version == 2 and bumped.status == STATUS_CHANGED
-    assert item.version == 1
+def test_item_id_is_derived_and_one_that_disagrees_is_refused():
+    assert ItemMetadata("ws", 1, "a.txt").item_id == "ws:a.txt" == make_item().item_id
+    for wrong in ("ws:b.txt", "other:a.txt", "a.txt"):
+        with pytest.raises(ValueError, match="is not its workspace and path"):
+            make_item(item_id=wrong)
+
+
+def test_workspace_id_holding_a_colon_is_refused():
+    """The first ``:`` of an item id ends its workspace, so no workspace id
+    may hold one."""
+    with pytest.raises(ValueError, match="holds ':'"):
+        Workspace(workspace_id="team:0", owner="alice")
+    with pytest.raises(ValueError, match="holds ':'"):
+        Workspace.from_wire({"workspace_id": "team:0", "owner": "alice", "name": ""})
 
 
 def test_item_wire_round_trip():
@@ -130,7 +139,7 @@ def test_a_decoded_version_keeps_under_400_bytes():
     def request(workspace_id, item, version):
         path = f"dir-{item % 16:02d}/file-{item:08d}.dat"
         proposal = ItemMetadata(
-            f"{workspace_id}:{path}", workspace_id, version, path,
+            workspace_id, version, path,
             STATUS_NEW if version == 1 else STATUS_CHANGED, False, 512 * 1024,
             rng.randbytes(20), (rng.randbytes(20),), 1_400_000_000.0 + version,
             "dev-generator",

@@ -7,7 +7,7 @@ import gc
 from repro.metadata import MemoryMetadataBackend
 from repro.mom import MessageBroker
 from repro.objectmq import Broker
-from repro.sync import SyncService
+from repro.sync import SyncService, service as sync_service
 from repro.telemetry.control import HEALTH
 from repro.telemetry.registry import REGISTRY
 
@@ -64,8 +64,9 @@ def test_two_live_services_report_independently():
         mom_b.close()
 
 
-def test_workspace_proxy_cache_is_lru_bounded():
-    service, broker, mom = make_service(workspace_proxy_cache_size=3)
+def test_workspace_proxy_cache_is_lru_bounded(monkeypatch):
+    monkeypatch.setattr(sync_service, "WORKSPACE_PROXY_CACHE_SIZE", 3)
+    service, broker, mom = make_service()
     try:
         proxies = {wid: service._workspace(wid) for wid in ("w1", "w2", "w3")}
         assert len(service._workspace_proxies) == 3
@@ -83,8 +84,9 @@ def test_workspace_proxy_cache_is_lru_bounded():
         mom.close()
 
 
-def test_workspace_proxy_cache_metrics_exported():
-    service, broker, mom = make_service(workspace_proxy_cache_size=2)
+def test_workspace_proxy_cache_metrics_exported(monkeypatch):
+    monkeypatch.setattr(sync_service, "WORKSPACE_PROXY_CACHE_SIZE", 2)
+    service, broker, mom = make_service()
     try:
         service._workspace("w1")
         service._workspace("w1")
@@ -99,14 +101,3 @@ def test_workspace_proxy_cache_metrics_exported():
     finally:
         broker.close()
         mom.close()
-
-
-def test_cache_size_must_be_positive():
-    import pytest
-
-    mom = MessageBroker()
-    broker = Broker(mom)
-    with pytest.raises(ValueError):
-        SyncService(MemoryMetadataBackend(), broker, workspace_proxy_cache_size=0)
-    broker.close()
-    mom.close()
