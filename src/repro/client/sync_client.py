@@ -154,8 +154,6 @@ class StackSyncClient:
         fs: Optional[Filesystem] = None,
         chunker=None,
         compressor: Optional[Compressor] = None,
-        codec: str = "pickle",
-        sync_oid: str = SYNC_SERVICE_OID,
         shards: int = 1,
         batch_size: int = 1,
         local_db: Optional[LocalDatabase] = None,
@@ -177,17 +175,17 @@ class StackSyncClient:
             compressor=compressor or GzipCompressor(),
         )
         self.watcher = PollingWatcher(self.fs, on_event=self._on_watch_event)
-        self.broker = Broker(mom, environment={"codec": codec, "client_id": self.device_id})
+        self.broker = Broker(mom, environment={"client_id": self.device_id})
         # shards > 1 selects the partitioned commit path: every
         # SyncServiceApi method leads with its routing key (workspace or
         # user id), so a ShardedProxy drops in transparently.  The count
         # must match the server deployment; 1 is the paper's layout.
         if shards > 1:
             self.sync_service = self.broker.lookup_sharded(
-                sync_oid, SyncServiceApi, shards
+                SYNC_SERVICE_OID, SyncServiceApi, shards
             )
         else:
-            self.sync_service = self.broker.lookup(sync_oid, SyncServiceApi)
+            self.sync_service = self.broker.lookup(SYNC_SERVICE_OID, SyncServiceApi)
         self.stats = ClientTrafficStats()
         self._metrics_token = REGISTRY.register_source(
             "client_traffic",

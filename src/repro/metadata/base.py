@@ -18,6 +18,7 @@ bundle of one.
 
 from __future__ import annotations
 
+import itertools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
@@ -31,6 +32,11 @@ from repro.telemetry.trace import TRACER
 #: metadata when the proposal lost its first-writer-wins race (None when
 #: the proposal committed, or when the item does not exist at all).
 BulkOutcome = Tuple[bool, Optional[ItemMetadata]]
+
+#: Numbers engines for the ``instance`` label of their registry source, so
+#: two engines of one kind (the shards of one deployment) stay distinct
+#: ``/health`` components.
+engine_instances = itertools.count(1)
 
 
 @dataclass

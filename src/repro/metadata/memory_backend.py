@@ -8,23 +8,18 @@ irrelevant but speed matters.
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Set
 
 from repro.errors import MetadataError, UnknownWorkspace
-from repro.metadata.base import MetadataBackend, WorkspaceDump
+from repro.metadata.base import MetadataBackend, WorkspaceDump, engine_instances
 from repro.sync.models import STATUS_DELETED, ItemMetadata, Workspace
-from repro.telemetry.control import HEALTH
+from repro.telemetry.registry import REGISTRY
 
 
 class MemoryMetadataBackend(MetadataBackend):
-    """Dictionary-backed implementation guarded by one re-entrant lock.
+    """Dictionary-backed implementation guarded by one re-entrant lock."""
 
-    Args:
-        probe_name: Health-registry component name; shard deployments pass
-            distinct names so ``/health`` tells the engines apart.
-    """
-
-    def __init__(self, probe_name: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._lock = threading.RLock()
         self._users: Dict[str, str] = {}
         self._workspaces: Dict[str, Workspace] = {}
@@ -32,15 +27,18 @@ class MemoryMetadataBackend(MetadataBackend):
         self._versions: Dict[str, List[ItemMetadata]] = {}  # item -> versions
         self._workspace_items: Dict[str, Set[str]] = {}
         self._devices: Dict[str, Dict[str, str]] = {}  # user -> {device: name}
-        HEALTH.register(
-            probe_name or "metadata:memory", self, MemoryMetadataBackend._health_probe
+        REGISTRY.register_source(
+            "metadata_memory",
+            self,
+            MemoryMetadataBackend._scrape,
+            instance=next(engine_instances),
         )
 
-    def _health_probe(self) -> Dict[str, object]:
-        """Ops-endpoint probe: the engine answers a trivial read."""
+    def _scrape(self) -> Dict[str, float]:
+        """Registry source: the engine answers a trivial read."""
         with self._lock:
             return {
-                "ok": True,
+                "up": 1.0,
                 "users": len(self._users),
                 "workspaces": len(self._workspaces),
             }

@@ -46,12 +46,11 @@ from contextlib import contextmanager
 from typing import Collection, Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import MetadataError
-from repro.metadata.base import BulkOutcome, MetadataBackend
+from repro.metadata.base import BulkOutcome, MetadataBackend, engine_instances
 from repro.metadata.memory_backend import MemoryMetadataBackend
 from repro.metadata.sqlite_backend import SqliteMetadataBackend
 from repro.routing.shard import ShardRouter
 from repro.sync.models import ItemMetadata, Workspace
-from repro.telemetry.control import HEALTH
 from repro.telemetry.registry import REGISTRY
 
 
@@ -73,14 +72,12 @@ class ShardedMetadataBackend(MetadataBackend):
     Args:
         engines: One :class:`MetadataBackend` per shard, index = shard id.
         router: Optional pre-built router; must agree on the shard count.
-        probe_name: Health-registry component name for the composite.
     """
 
     def __init__(
         self,
         engines: Sequence[MetadataBackend],
         router: Optional[ShardRouter] = None,
-        probe_name: str = "metadata:sharded",
     ) -> None:
         if not engines:
             raise ValueError("need at least one engine")
@@ -111,19 +108,19 @@ class ShardedMetadataBackend(MetadataBackend):
             )
             for shard, engine in enumerate(self.engines)
         ]
-        HEALTH.register(probe_name, self, ShardedMetadataBackend._health_probe)
+        REGISTRY.register_source(
+            "metadata_sharded",
+            self,
+            ShardedMetadataBackend._scrape,
+            instance=next(engine_instances),
+        )
 
     # -- constructors ----------------------------------------------------------------
 
     @classmethod
     def memory(cls, shards: int) -> "ShardedMetadataBackend":
-        """*shards* in-memory engines with distinct health probes."""
-        return cls(
-            [
-                MemoryMetadataBackend(probe_name=f"metadata:memory:shard{k}")
-                for k in range(shards)
-            ]
-        )
+        """*shards* in-memory engines."""
+        return cls([MemoryMetadataBackend() for _ in range(shards)])
 
     @classmethod
     def sqlite(cls, path_prefix: str, shards: int) -> "ShardedMetadataBackend":
@@ -133,19 +130,12 @@ class ShardedMetadataBackend(MetadataBackend):
         databases; otherwise shard *k* lives at
         ``{path_prefix}.shard{k}.db``.
         """
-        engines = []
-        for k in range(shards):
-            path = (
-                ":memory:"
-                if path_prefix == ":memory:"
-                else f"{path_prefix}.shard{k}.db"
+        return cls([
+            SqliteMetadataBackend(
+                path_prefix if path_prefix == ":memory:" else f"{path_prefix}.shard{k}.db"
             )
-            engines.append(
-                SqliteMetadataBackend(
-                    path, probe_name=f"metadata:sqlite:shard{k}"
-                )
-            )
-        return cls(engines)
+            for k in range(shards)
+        ])
 
     # -- routing ---------------------------------------------------------------------
 
@@ -190,9 +180,10 @@ class ShardedMetadataBackend(MetadataBackend):
                 if self._fenced:
                     self._fence.notify_all()
 
-    def _health_probe(self) -> Dict[str, object]:
+    def _scrape(self) -> Dict[str, float]:
+        """Registry source: the composite's routing state (always up)."""
         return {
-            "ok": True,
+            "up": 1.0,
             "shards": self.num_shards,
             "overrides": len(self._overrides),
             "fenced": len(self._fenced),

@@ -19,9 +19,9 @@ from struct import unpack
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import MetadataError, UnknownWorkspace
-from repro.metadata.base import MetadataBackend, WorkspaceDump
+from repro.metadata.base import MetadataBackend, WorkspaceDump, engine_instances
 from repro.sync.models import STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace
-from repro.telemetry.control import HEALTH
+from repro.telemetry.registry import REGISTRY
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS users (
@@ -133,11 +133,9 @@ class SqliteMetadataBackend(MetadataBackend):
 
     Args:
         path: Database file (``:memory:`` for an ephemeral engine).
-        probe_name: Health-registry component name; shard deployments pass
-            distinct names so ``/health`` tells the engines apart.
     """
 
-    def __init__(self, path: str = ":memory:", probe_name: Optional[str] = None):
+    def __init__(self, path: str = ":memory:"):
         self.path = path
         self._lock = threading.RLock()
         self._conn = sqlite3.connect(path, check_same_thread=False)
@@ -146,18 +144,19 @@ class SqliteMetadataBackend(MetadataBackend):
             open_schema(self._conn, _SCHEMA, SCHEMA_VERSION)
             if path != ":memory:":  # after the copy (WAL refuses other page sizes)
                 self._conn.execute("PRAGMA journal_mode=WAL")
-        HEALTH.register(
-            probe_name or "metadata:sqlite", self, SqliteMetadataBackend._health_probe
+        REGISTRY.register_source(
+            "metadata_sqlite",
+            self,
+            SqliteMetadataBackend._scrape,
+            instance=next(engine_instances),
         )
 
-    def _health_probe(self) -> Dict[str, object]:
-        """Ops-endpoint probe: the database answers ``SELECT 1``."""
-        try:
-            with self._lock:
-                self._conn.execute("SELECT 1").fetchone()
-        except sqlite3.Error as exc:
-            return {"ok": False, "error": str(exc)}
-        return {"ok": True, "path": self.path}
+    def _scrape(self) -> Dict[str, float]:
+        """Registry source: ``up`` once the database answers ``SELECT 1``
+        (a database error raises, which the registry reports as down)."""
+        with self._lock:
+            self._conn.execute("SELECT 1").fetchone()
+        return {"up": 1.0}
 
     # -- accounts & workspaces ---------------------------------------------------
 

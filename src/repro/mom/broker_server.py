@@ -30,7 +30,6 @@ from repro.mom.exchange import EXCHANGE_TYPES, DirectExchange, Exchange
 from repro.mom.message import Delivery, Message
 from repro.mom.persistence import InMemoryMessageStore
 from repro.mom.queue import Consumer, MessageQueue
-from repro.telemetry.control import HEALTH
 from repro.telemetry.registry import REGISTRY
 
 #: Name of the implicit default exchange (direct; routing key == queue name).
@@ -99,21 +98,13 @@ class MessageBroker:
         self.stats = BrokerStats()
         # Scrape-time wiring into the unified registry: evaluated only on
         # snapshot, weakly held, so the publish hot path is untouched.
-        REGISTRY.register_source(
-            "mom_broker", self.stats, BrokerStats.snapshot, broker=name
-        )
-        self._health_token = HEALTH.register(
-            f"mom:{name}", self, MessageBroker._health_probe
+        self._source_token = REGISTRY.register_source(
+            "mom_broker", self, MessageBroker._scrape, broker=name
         )
 
-    def _health_probe(self) -> Dict[str, object]:
-        """Ops-endpoint probe: the broker accepts publishes."""
-        with self._lock:
-            return {
-                "ok": not self._closed,
-                "queues": len(self._queues),
-                "exchanges": len(self._exchanges),
-            }
+    def _scrape(self) -> Dict[str, float]:
+        """Registry source: the traffic counters, and ``up`` until closed."""
+        return {**self.stats.snapshot(), "up": float(not self._closed)}
 
     # -- topology -------------------------------------------------------------
 
@@ -340,10 +331,10 @@ class MessageBroker:
             self._queues.clear()
         for queue in queues:
             queue.close()
-        # A deliberately closed broker is decommissioned, not unhealthy:
-        # leaving the probe registered would poison /health for the rest
-        # of the process (the owner may stay referenced long after close).
-        HEALTH.unregister(self._health_token)
+        # A deliberately closed broker is decommissioned, not down: left
+        # registered it would fail /health for as long as anything still
+        # references it (a reference cycle can hold it until a gc pass).
+        REGISTRY.unregister_source(self._source_token)
 
     # -- helpers --------------------------------------------------------------------
 

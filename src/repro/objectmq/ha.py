@@ -11,7 +11,7 @@ one survivor (Fig 8(f)).  Two Supervisors never step at once.
 Failure detection is the MOM's: a standby takes over when the leader's
 consumer goes, not after a heartbeat silence.  A leader that hangs but
 lives keeps the lease, as a hung SyncService instance keeps its delivery
-(the Supervisor's health probe reports "control loop stalled").  The
+(the Supervisor's registry source reports ``supervisor_up`` 0).  The
 lease rests on the :class:`~repro.mom.transport.MomTransport` rule that
 an unacked delivery is held until it is acked or its consumer is
 cancelled.

@@ -32,7 +32,7 @@ from repro.objectmq.introspection import ObjectInfoSnapshot, PoolObservation
 from repro.objectmq.naming import parse_shard_oid, shard_oid
 from repro.objectmq.provisioner import ControlDecision, Provisioner, decide
 from repro.objectmq.remote_broker import REMOTE_BROKER_OID, RemoteBrokerApi
-from repro.telemetry.control import HEALTH, DecisionJournal
+from repro.telemetry.control import DecisionJournal
 from repro.telemetry.registry import REGISTRY
 
 logger = logging.getLogger(__name__)
@@ -166,9 +166,7 @@ class Supervisor:
         #: The pool size enforced by the previous step (None until a step
         #: reached the fleet); ``decide`` measures the census against it.
         self._enforced_target: Optional[int] = None
-        HEALTH.register(
-            f"supervisor:{oid}", self, Supervisor._health_probe, required=True
-        )
+        REGISTRY.register_source("supervisor", self, Supervisor._scrape, oid=oid)
 
     # -- observation -------------------------------------------------------------
 
@@ -275,19 +273,20 @@ class Supervisor:
                 stats["redelivered"]
             )
 
-    def _health_probe(self) -> dict:
-        """Liveness: the control loop stepped recently (or hasn't started)."""
-        detail = {
-            "oid": self.oid,
-            "steps": len(self.history.records),
-            "running": self._thread is not None,
+    def _scrape(self) -> dict:
+        """Registry source: ``up`` unless the running control loop has not
+        stepped for five control periods."""
+        running = self._thread is not None
+        stalled = (
+            running
+            and self.last_step_at is not None
+            and time.monotonic() - self.last_step_at > 5 * self.control_interval
+        )
+        return {
+            "up": float(not stalled),
+            "steps": float(len(self.history.records)),
+            "running": float(running),
         }
-        if self._thread is not None and self.last_step_at is not None:
-            stalled = time.monotonic() - self.last_step_at > 5 * self.control_interval
-            detail["ok"] = not stalled
-            if stalled:
-                detail["error"] = "control loop stalled"
-        return detail
 
     def _remove_surplus(self, decision: ControlDecision, surplus: int) -> int:
         """Shut down the most idle instances first; returns how many went."""

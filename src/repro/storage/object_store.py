@@ -22,7 +22,6 @@ from typing import Dict, List, Optional, Set
 from repro.errors import ObjectNotFound, StorageError
 from repro.routing import HashRing
 from repro.storage.latency import LatencyModel, LatencyProfile, ZERO_PROFILE
-from repro.telemetry.control import HEALTH
 from repro.telemetry.registry import REGISTRY
 
 
@@ -121,18 +120,15 @@ class SwiftLikeStore:
             nodes=node_count,
             replicas=replicas,
         )
-        HEALTH.register("storage:proxy", self, SwiftLikeStore._health_probe)
-
-    def _health_probe(self) -> Dict[str, object]:
-        """Ops-endpoint probe: at least one storage node is reachable."""
-        failed = sum(1 for node in self.nodes.values() if node.failed)
-        total = len(self.nodes)
-        return {"ok": failed < total, "nodes": total, "failed_nodes": failed}
 
     def scrape(self) -> Dict[str, int]:
-        """Registry-source view of the proxy's traffic accounting."""
+        """Registry-source view of the proxy's traffic accounting; ``up``
+        while at least one storage node is reachable."""
+        failed = sum(1 for node in self.nodes.values() if node.failed)
         with self._lock:
             return {
+                "up": int(failed < len(self.nodes)),
+                "failed_nodes": failed,
                 "bytes_in": self.bytes_in,
                 "bytes_out": self.bytes_out,
                 "put_count": self.put_count,

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
 from repro.errors import UnknownWorkspace
 from repro.objectmq.broker import Broker
-from repro.telemetry.control import HEALTH
 from repro.telemetry.registry import REGISTRY
 from repro.telemetry.trace import TRACER
 
@@ -57,11 +56,11 @@ class SyncService(HasObjectInfo):
             impose the paper's measured 50 ms mean service time.
     """
 
-    #: Monotonic source for health-probe names.  ``id(self)`` is NOT a
-    #: stable identity: CPython reuses addresses after garbage collection,
-    #: so a respawned instance could silently replace the registry entry
-    #: of a dead sibling that had not been swept yet.
-    _probe_seq = itertools.count(1)
+    #: Monotonic source for the registry ``instance`` label.  ``id(self)``
+    #: is NOT a stable identity: CPython reuses addresses after garbage
+    #: collection, so a respawned instance could take the label of a dead
+    #: sibling that had not been swept yet.
+    _instance_seq = itertools.count(1)
 
     def __init__(
         self,
@@ -79,32 +78,23 @@ class SyncService(HasObjectInfo):
         self._proxy_cache_evictions = 0
         self.commit_count = 0
         self.conflict_count = 0
-        self.health_probe_name = f"sync:{next(SyncService._probe_seq)}"
-        HEALTH.register(self.health_probe_name, self, SyncService._health_probe)
+        self.instance = str(next(SyncService._instance_seq))
         REGISTRY.register_source(
-            "sync_workspace_proxy_cache",
-            self,
-            SyncService._proxy_cache_scrape,
-            instance=self.health_probe_name,
+            "sync", self, SyncService._scrape, instance=self.instance
         )
 
-    def _health_probe(self) -> Dict[str, object]:
-        """Ops-endpoint probe: the service is wired and processing commits."""
-        return {
-            "ok": True,
-            "commits": self.commit_count,
-            "conflicts": self.conflict_count,
-        }
-
-    def _proxy_cache_scrape(self) -> Dict[str, float]:
-        """Registry-source view of the notification-proxy cache."""
+    def _scrape(self) -> Dict[str, float]:
+        """Registry source: commit counts and the notification-proxy cache."""
         with self._lock:
             return {
-                "size": float(len(self._workspace_proxies)),
-                "capacity": float(WORKSPACE_PROXY_CACHE_SIZE),
-                "hits": float(self._proxy_cache_hits),
-                "misses": float(self._proxy_cache_misses),
-                "evictions": float(self._proxy_cache_evictions),
+                "up": 1.0,
+                "commits": float(self.commit_count),
+                "conflicts": float(self.conflict_count),
+                "workspace_proxy_cache_size": float(len(self._workspace_proxies)),
+                "workspace_proxy_cache_capacity": float(WORKSPACE_PROXY_CACHE_SIZE),
+                "workspace_proxy_cache_hits": float(self._proxy_cache_hits),
+                "workspace_proxy_cache_misses": float(self._proxy_cache_misses),
+                "workspace_proxy_cache_evictions": float(self._proxy_cache_evictions),
             }
 
     # -- SyncServiceApi implementation --------------------------------------------

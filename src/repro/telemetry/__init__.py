@@ -15,10 +15,11 @@ The control plane has its own observability on top
 (:mod:`repro.telemetry.control`, :mod:`repro.telemetry.slo`,
 :mod:`repro.telemetry.http`): an append-only :class:`DecisionJournal`
 recording every Supervisor scaling decision with its policy reason, a
-weakref :class:`HealthRegistry` of per-component liveness probes, a
 declarative :class:`SloEngine` alerting on registry gauges, and an
 :class:`OpsServer` serving all of it over plain HTTP (routes:
-:data:`repro.telemetry.http.ROUTES`).
+:data:`repro.telemetry.http.ROUTES`).  Component health is part of the
+one registry: a source whose read reports ``up`` is a component of
+``/health``, and a read that raises reports it down.
 
 :mod:`repro.telemetry.profiling` answers *where the wall-clock goes*
 from the spans alone: per-segment self time, and tail-based
@@ -40,7 +41,6 @@ Typical use::
 """
 
 from repro.telemetry.control import (
-    HEALTH,
     KIND_ALERT_FIRED,
     KIND_ALERT_RESOLVED,
     KIND_DECISION,
@@ -50,10 +50,7 @@ from repro.telemetry.control import (
     REASON_SCALE_DOWN,
     REASON_SCALE_UP,
     DecisionJournal,
-    HealthRegistry,
     JournalEvent,
-    ProbeResult,
-    get_health_registry,
     load_journal_lines,
 )
 from repro.telemetry.export import (
@@ -107,7 +104,6 @@ __all__ = [
     "DEFAULT_RULES_TEXT",
     "DEQUEUED_AT_KEY",
     "ENQUEUED_AT_KEY",
-    "HEALTH",
     "KIND_ALERT_FIRED",
     "KIND_ALERT_RESOLVED",
     "KIND_DECISION",
@@ -124,12 +120,10 @@ __all__ = [
     "Exemplar",
     "ExemplarReservoir",
     "Gauge",
-    "HealthRegistry",
     "Histogram",
     "JournalEvent",
     "MetricsRegistry",
     "OpsServer",
-    "ProbeResult",
     "SloEngine",
     "SloRule",
     "Span",
@@ -143,7 +137,6 @@ __all__ = [
     "enable_exemplars",
     "enabled",
     "segment_breakdown",
-    "get_health_registry",
     "get_registry",
     "get_tracer",
     "load_journal_lines",

@@ -1,32 +1,25 @@
-"""Control-plane observability: the scaling-decision journal + health probes.
+"""Control-plane observability: the scaling-decision journal.
 
 PR 2's telemetry made the *data* plane visible (commit/chunk spans, the
 unified :class:`~repro.telemetry.registry.MetricsRegistry`); this module
 does the same for the *control* plane the paper's elasticity loop runs on
-(§3.3-3.4, Fig 8).  Two pieces:
+(§3.3-3.4, Fig 8).
 
-* :class:`DecisionJournal` — a structured, append-only log of every
-  Supervisor control period: the observation (λ_obs, λ_pred, interarrival
-  variance, queue depth, census), which reactive threshold (τ₁/τ₂) fired,
-  the active policy's proposal with its human-readable *reason*, and the
-  spawn/shutdown actions taken — including crash-repair replacements (the
-  Fig 8(f) behaviour).  Alert transitions from the
-  :mod:`~repro.telemetry.slo` engine land in the same journal, so one
-  file tells the whole story of a run.  Journals serialize to JSONL and
-  load back, which is what lets ``bench/reporting`` and the
-  ``stacksync-repro timeline`` command regenerate a Fig-8-style
-  provisioning timeline after the fact.
+:class:`DecisionJournal` is a structured, append-only log of every
+Supervisor control period: the observation (λ_obs, λ_pred, interarrival
+variance, queue depth, census), which reactive threshold (τ₁/τ₂) fired,
+the active policy's proposal with its human-readable *reason*, and the
+spawn/shutdown actions taken — including crash-repair replacements (the
+Fig 8(f) behaviour).  Alert transitions from the
+:mod:`~repro.telemetry.slo` engine land in the same journal, so one file
+tells the whole story of a run.  Journals serialize to JSONL and load
+back, which is what lets ``bench/reporting`` and the ``stacksync-repro
+timeline`` command regenerate a Fig-8-style provisioning timeline after
+the fact.  The journal is only written by the control loop (once per
+control period), never on a hot path.
 
-* :class:`HealthRegistry` — per-component liveness/readiness probes
-  (broker, metadata back-end, object store, SyncService, Supervisor)
-  behind the same weakref discipline as metric sources: a component
-  registers a probe at construction, a dead component silently drops out
-  of the next check.  The ops endpoint's ``/health`` and ``/ready``
-  routes evaluate these.
-
-Everything here is pull-based and allocation-free on hot paths: the
-journal is only written by the control loop (once per control period) and
-probes run only when someone asks.
+Component health is not here: each component reports an ``up`` value
+from its :class:`~repro.telemetry.registry.MetricsRegistry` source.
 """
 
 from __future__ import annotations
@@ -35,10 +28,9 @@ import itertools
 import json
 import threading
 import time
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional
+from typing import Any, Deque, Dict, Iterable, List, Optional
 
 #: Event kinds written by the Supervisor / simulation control loop.
 KIND_DECISION = "decision"
@@ -256,125 +248,3 @@ def load_journal_lines(lines: Iterable[str]) -> List[JournalEvent]:
         events.append(JournalEvent.from_dict(json.loads(line)))
     return events
 
-
-# -- health probes -----------------------------------------------------------------
-
-
-@dataclass
-class ProbeResult:
-    """Outcome of one component probe."""
-
-    component: str
-    ok: bool
-    detail: Dict[str, Any] = field(default_factory=dict)
-    #: Only required probes gate readiness (/ready); all gate /health.
-    required: bool = True
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "component": self.component,
-            "ok": self.ok,
-            "required": self.required,
-            "detail": self.detail,
-        }
-
-
-class _Probe:
-    """A registered probe, weakly bound to its owning component."""
-
-    def __init__(
-        self,
-        component: str,
-        owner: Any,
-        check: Callable[[Any], Dict[str, Any]],
-        required: bool,
-    ):
-        self.component = component
-        self.ref = weakref.ref(owner)
-        self.check = check
-        self.required = required
-
-
-class HealthRegistry:
-    """Process-wide store of component health probes.
-
-    A probe is ``check(owner) -> detail dict``; the probe passes when it
-    returns without raising and its detail has no ``{"ok": False}`` entry.
-    Owners are weakly held — garbage-collected components disappear from
-    the next :meth:`check` instead of reporting as dead forever.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._probes: Dict[int, _Probe] = {}
-        self._ids = itertools.count(1)
-
-    def register(
-        self,
-        component: str,
-        owner: Any,
-        check: Callable[[Any], Dict[str, Any]],
-        required: bool = True,
-    ) -> int:
-        """Register ``check(owner)`` under *component*; returns a token."""
-        probe = _Probe(component, owner, check, required)
-        with self._lock:
-            token = next(self._ids)
-            self._probes[token] = probe
-        return token
-
-    def unregister(self, token: int) -> None:
-        with self._lock:
-            self._probes.pop(token, None)
-
-    def check(self) -> List[ProbeResult]:
-        """Run every live probe; prune the dead ones."""
-        with self._lock:
-            probes = list(self._probes.items())
-        results: List[ProbeResult] = []
-        dead: List[int] = []
-        for token, probe in probes:
-            owner = probe.ref()
-            if owner is None:
-                dead.append(token)
-                continue
-            try:
-                detail = probe.check(owner) or {}
-                ok = bool(detail.pop("ok", True))
-            except Exception as exc:  # noqa: BLE001 - a probe must never kill /health
-                detail = {"error": f"{type(exc).__name__}: {exc}"}
-                ok = False
-            results.append(
-                ProbeResult(
-                    component=probe.component,
-                    ok=ok,
-                    detail=detail,
-                    required=probe.required,
-                )
-            )
-        if dead:
-            with self._lock:
-                for token in dead:
-                    self._probes.pop(token, None)
-        return results
-
-    def healthy(self) -> bool:
-        """True when every live probe passes."""
-        return all(r.ok for r in self.check())
-
-    def ready(self) -> bool:
-        """True when every *required* live probe passes."""
-        return all(r.ok for r in self.check() if r.required)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._probes.clear()
-
-
-#: The process-wide health registry components wire themselves into,
-#: mirroring :data:`repro.telemetry.registry.REGISTRY`.
-HEALTH = HealthRegistry()
-
-
-def get_health_registry() -> HealthRegistry:
-    return HEALTH

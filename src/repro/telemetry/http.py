@@ -1,7 +1,7 @@
 """The ops endpoint: stdlib-``http.server`` scrape/health/alert surface.
 
 Real deployments judge a sync middleware by its operational surfaces —
-a Prometheus scrape target, liveness/readiness probes for the scheduler,
+a Prometheus scrape target, a health probe for the scheduler,
 and a way to ask "what did the autoscaler just do, and why".  This
 module serves all of them from one tiny threaded HTTP server with zero
 dependencies:
@@ -10,8 +10,8 @@ dependencies:
 Route          Payload
 =============  ==================================================================
 ``/metrics``   Prometheus text exposition of the unified MetricsRegistry
-``/health``    JSON per-component probe results (200 all-pass / 503 otherwise)
-``/ready``     JSON readiness (required probes only; 200 / 503)
+``/health``    JSON ``up`` of every registry source that reports one (200
+               all up / 503 otherwise)
 ``/events``    JSON tail of the scaling-decision journal (``?n=``, ``?kind=``)
 ``/slo``       JSON SLO rule status from the alert engine
 ``/profile``   JSON tail-exemplar summaries and reservoir counters (empty
@@ -39,11 +39,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
-from repro.telemetry.control import (
-    HEALTH,
-    DecisionJournal,
-    HealthRegistry,
-)
+from repro.telemetry.control import DecisionJournal
 from repro.telemetry.registry import MetricsRegistry, get_registry
 from repro.telemetry.slo import SloEngine
 from repro.telemetry.trace import TRACER
@@ -52,7 +48,7 @@ from repro.telemetry.trace import TRACER
 #: Every route `_OpsHandler` serves besides the ``/`` index; the index
 #: and the ``ops`` CLI banner both print this.
 ROUTES = (
-    "/metrics", "/health", "/ready", "/events", "/slo", "/profile",
+    "/metrics", "/health", "/events", "/slo", "/profile",
 )
 
 
@@ -76,9 +72,6 @@ class _OpsHandler(BaseHTTPRequestHandler):
                 self._send_text(200, ops.registry.render_prometheus())
             elif route == "/health":
                 status, payload = ops.health_payload()
-                self._send_json(status, payload)
-            elif route == "/ready":
-                status, payload = ops.ready_payload()
                 self._send_json(status, payload)
             elif route == "/events":
                 n = query.get("n", ["100"])[0]
@@ -134,12 +127,10 @@ class OpsServer:
     """Serves the ops routes for one process on a background thread.
 
     Args:
-        registry: Metrics registry backing ``/metrics`` (default: the
-            process-wide one).
+        registry: Metrics registry backing ``/metrics`` and ``/health``
+            (default: the process-wide one).
         journal: Decision journal backing ``/events`` (optional — the
             route serves an empty list without one).
-        health: Health registry backing ``/health``/``/ready`` (default:
-            the process-wide one).
         slo: Alert engine backing ``/slo`` (optional).
         port: TCP port; 0 picks an ephemeral port (read it back from
             :attr:`port` after :meth:`start`).
@@ -149,14 +140,12 @@ class OpsServer:
         self,
         registry: Optional[MetricsRegistry] = None,
         journal: Optional[DecisionJournal] = None,
-        health: Optional[HealthRegistry] = None,
         slo: Optional[SloEngine] = None,
         host: str = "127.0.0.1",
         port: int = 0,
     ):
         self.registry = registry if registry is not None else get_registry()
         self.journal = journal
-        self.health = health if health is not None else HEALTH
         self.slo = slo
         self.host = host
         self._requested_port = port
@@ -198,25 +187,11 @@ class OpsServer:
     # -- payload builders (shared with tests and the CLI) -------------------------
 
     def health_payload(self) -> Tuple[int, Dict[str, Any]]:
-        results = self.health.check()
-        all_ok = all(r.ok for r in results)
+        components = self.registry.health()
+        all_ok = all(c["ok"] for c in components)
         return (
             200 if all_ok else 503,
-            {
-                "status": "ok" if all_ok else "degraded",
-                "components": [r.to_dict() for r in results],
-            },
-        )
-
-    def ready_payload(self) -> Tuple[int, Dict[str, Any]]:
-        results = self.health.check()
-        ready = all(r.ok for r in results if r.required)
-        return (
-            200 if ready else 503,
-            {
-                "ready": ready,
-                "required": [r.to_dict() for r in results if r.required],
-            },
+            {"status": "ok" if all_ok else "degraded", "components": components},
         )
 
     def events_payload(self, n: int = 100, kind: Optional[str] = None) -> Dict[str, Any]:

@@ -9,6 +9,12 @@ register a *source* — a callback evaluated only when someone snapshots
 the registry — holding the owner through a weak reference so a dead
 client/broker/pool silently drops out of the scrape.
 
+A source is also how a component reports its health: a read that
+returns an ``up`` key (1 or 0) makes the component one entry of
+:meth:`MetricsRegistry.health`, which backs the ops endpoint's
+``/health``.  A read that raises reports ``up`` 0 with the error rather
+than failing the scrape.
+
 Direct instruments (:class:`Counter`, :class:`Gauge`, :class:`Histogram`)
 are also available for code that wants to record into the registry
 itself; histograms reuse the bounded-reservoir + shared-percentile scheme
@@ -201,8 +207,9 @@ class MetricsRegistry:
         """Register ``read(owner) -> {metric: value}`` scraped lazily.
 
         The owner is held weakly: when it is garbage-collected the source
-        disappears from future snapshots.  Returns a token usable with
-        :meth:`unregister_source`.
+        disappears from future snapshots.  A read that reports ``up``
+        makes the owner a component of :meth:`health`.  Returns a token
+        usable with :meth:`unregister_source`.
         """
         source = _Source(name, owner, read, _labels_key(labels))
         with self._lock:
@@ -214,28 +221,36 @@ class MetricsRegistry:
         with self._lock:
             self._sources.pop(token, None)
 
-    def prune_dead_sources(self) -> int:
-        """Drop sources whose owners were garbage-collected.
-
-        :meth:`snapshot` already prunes as a side effect of scraping; this
-        is the explicit form for callers that want to reclaim the slots
-        (and verify there are no tombstones) without paying for a scrape.
-        Returns the number of sources removed.
-        """
-        with self._lock:
-            dead = [
-                token
-                for token, source in self._sources.items()
-                if source.ref() is None
-            ]
-            for token in dead:
-                self._sources.pop(token)
-        return len(dead)
-
     def source_count(self) -> int:
         """Number of registered sources, including not-yet-pruned dead ones."""
         with self._lock:
             return len(self._sources)
+
+    def _read_sources(self) -> List[Tuple[_Source, Dict[str, float], Optional[str]]]:
+        """Read every live source once: ``(source, values, error)``.
+
+        A read that raises gives ``{"up": 0.0}`` and its error text — a
+        failing component is down, it does not fail the scrape.  Sources
+        whose owners were garbage-collected are pruned.
+        """
+        with self._lock:
+            sources = list(self._sources.items())
+        out: List[Tuple[_Source, Dict[str, float], Optional[str]]] = []
+        dead: List[int] = []
+        for token, source in sources:
+            owner = source.ref()
+            if owner is None:
+                dead.append(token)
+                continue
+            try:
+                out.append((source, source.read(owner), None))
+            except Exception as exc:  # noqa: BLE001 - reported as down
+                out.append((source, {"up": 0.0}, f"{type(exc).__name__}: {exc}"))
+        if dead:
+            with self._lock:
+                for token in dead:
+                    self._sources.pop(token, None)
+        return out
 
     # -- output --------------------------------------------------------------
 
@@ -246,7 +261,6 @@ class MetricsRegistry:
             counters = list(self._counters.values())
             gauges = list(self._gauges.values())
             histograms = list(self._histograms.values())
-            sources = list(self._sources.items())
         for counter in counters:
             result[counter.name + _render_labels(counter.labels)] = counter.value
         for gauge in gauges:
@@ -255,20 +269,31 @@ class MetricsRegistry:
             rendered = _render_labels(histogram.labels)
             for stat, value in histogram.summary().items():
                 result[f"{histogram.name}_{stat}{rendered}"] = value
-        dead: List[int] = []
-        for token, source in sources:
-            owner = source.ref()
-            if owner is None:
-                dead.append(token)
-                continue
+        for source, values, _error in self._read_sources():
             rendered = _render_labels(source.labels)
-            for stat, value in source.read(owner).items():
+            for stat, value in values.items():
                 result[f"{source.name}_{stat}{rendered}"] = value
-        if dead:
-            with self._lock:
-                for token in dead:
-                    self._sources.pop(token, None)
         return result
+
+    def health(self) -> List[Dict[str, Any]]:
+        """One ``{"component", "ok", "detail"}`` per source reporting ``up``.
+
+        The component is the source's name and labels; the detail is the
+        rest of its read, plus the error of a read that raised.
+        """
+        components: List[Dict[str, Any]] = []
+        for source, values, error in self._read_sources():
+            if "up" not in values:
+                continue
+            detail: Dict[str, Any] = {k: v for k, v in values.items() if k != "up"}
+            if error is not None:
+                detail["error"] = error
+            components.append({
+                "component": source.name + _render_labels(source.labels),
+                "ok": bool(values["up"]),
+                "detail": detail,
+            })
+        return components
 
     def render_prometheus(self) -> str:
         """Prometheus text-exposition-style snapshot (one line per series)."""

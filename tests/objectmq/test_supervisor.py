@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -14,8 +15,8 @@ from repro.objectmq import (
     RemoteBroker,
     Supervisor,
 )
+from repro.objectmq.provisioner import Provisioner
 from repro.telemetry.control import (
-    HEALTH,
     KIND_DECISION,
     KIND_SHUTDOWN,
     KIND_SPAWN,
@@ -24,6 +25,8 @@ from repro.telemetry.control import (
     REASON_SCALE_UP,
     DecisionJournal,
 )
+from repro.telemetry.http import OpsServer
+from repro.telemetry.registry import REGISTRY
 
 
 class Worker:
@@ -267,14 +270,53 @@ def test_journal_growth_beyond_repair_splits_reasons(fleet):
     assert reasons == [REASON_CRASH_REPAIR, REASON_SCALE_UP, REASON_SCALE_UP]
 
 
+def _supervisor_health(components):
+    # Sources are listed in registration order: the newest is this test's.
+    return [c for c in components if c["component"] == 'supervisor{oid="worker"}'][-1]
+
+
 def test_supervisor_registers_health_probe(fleet):
     _mom, _rbrokers, sup_broker = fleet
     supervisor = Supervisor(sup_broker, "worker", FixedProvisioner(1))
     supervisor.step()
-    results = {r.component: r for r in HEALTH.check()}
-    probe = results["supervisor:worker"]
-    assert probe.ok and probe.required
-    assert probe.detail["steps"] == 1
+    probe = _supervisor_health(REGISTRY.health())
+    assert probe["ok"]
+    assert probe["detail"] == {"steps": 1.0, "running": 0.0}
+
+
+class _BlockingProvisioner(Provisioner):
+    """Blocks every proposal until released: a control loop that hangs."""
+
+    name = "blocking"
+
+    def __init__(self):
+        self.release = threading.Event()
+
+    def propose(self, observation):
+        self.release.wait(10.0)
+        return 1
+
+
+def test_stalled_supervisor_is_down(fleet):
+    _mom, _rbrokers, sup_broker = fleet
+    provisioner = _BlockingProvisioner()
+    supervisor = Supervisor(sup_broker, "worker", provisioner, control_interval=0.02)
+    provisioner.release.set()
+    supervisor.step()
+    provisioner.release.clear()
+    supervisor.start()  # the loop's next step blocks in propose
+    try:
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            status, payload = OpsServer().health_payload()
+            if not _supervisor_health(payload["components"])["ok"]:
+                break
+            time.sleep(0.02)
+        assert status == 503
+        assert _supervisor_health(payload["components"])["detail"]["running"] == 1.0
+    finally:
+        provisioner.release.set()
+        supervisor.stop()
 
 
 def test_supervisor_without_journal_unchanged(fleet):

@@ -1,4 +1,4 @@
-"""SyncService registry hygiene: stable probe names, bounded proxy cache."""
+"""SyncService registry hygiene: stable instance labels, bounded proxy cache."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.metadata import MemoryMetadataBackend
 from repro.mom import MessageBroker
 from repro.objectmq import Broker
 from repro.sync import SyncService, service as sync_service
-from repro.telemetry.control import HEALTH
 from repro.telemetry.registry import REGISTRY
 
 
@@ -19,19 +18,24 @@ def make_service(**kwargs):
     return service, broker, mom
 
 
-def test_probe_names_are_unique_across_instance_lifetimes():
-    """A respawned instance must never reuse a dead sibling's probe name.
+def _component(service):
+    return f'sync{{instance="{service.instance}"}}'
 
-    The old scheme derived the name from ``id(self)``; CPython reuses
-    addresses after garbage collection, so a new instance could silently
-    replace the registry entry of a dead one that had not been swept yet.
-    The monotonic counter cannot collide.
+
+def test_probe_names_are_unique_across_instance_lifetimes():
+    """A respawned instance must never reuse a dead sibling's ``instance``
+    label.
+
+    Deriving it from ``id(self)`` would not do: CPython reuses addresses
+    after garbage collection, so a new instance could take the label of a
+    dead one that had not been swept yet.  The monotonic counter cannot
+    collide.
     """
     seen = set()
     for _round in range(5):
         service, broker, mom = make_service()
-        assert service.health_probe_name not in seen
-        seen.add(service.health_probe_name)
+        assert service.instance not in seen
+        seen.add(service.instance)
         broker.close()
         mom.close()
         del service
@@ -41,10 +45,10 @@ def test_probe_names_are_unique_across_instance_lifetimes():
 def test_probe_is_registered_and_reports():
     service, broker, mom = make_service()
     try:
-        results = HEALTH.check()
-        mine = [r for r in results if r.component == service.health_probe_name]
+        mine = [c for c in REGISTRY.health() if c["component"] == _component(service)]
         assert len(mine) == 1
-        assert mine[0].ok
+        assert mine[0]["ok"]
+        assert mine[0]["detail"]["commits"] == 0.0
     finally:
         broker.close()
         mom.close()
@@ -54,9 +58,9 @@ def test_two_live_services_report_independently():
     a, broker_a, mom_a = make_service()
     b, broker_b, mom_b = make_service()
     try:
-        assert a.health_probe_name != b.health_probe_name
-        components = {r.component for r in HEALTH.check()}
-        assert {a.health_probe_name, b.health_probe_name} <= components
+        assert a.instance != b.instance
+        components = {c["component"] for c in REGISTRY.health()}
+        assert {_component(a), _component(b)} <= components
     finally:
         broker_a.close()
         mom_a.close()
@@ -93,7 +97,7 @@ def test_workspace_proxy_cache_metrics_exported(monkeypatch):
         service._workspace("w2")
         service._workspace("w3")  # evicts w1
         text = REGISTRY.render_prometheus()
-        label = f'instance="{service.health_probe_name}"'
+        label = f'instance="{service.instance}"'
         assert f"sync_workspace_proxy_cache_size{{{label}}} 2.0" in text
         assert f"sync_workspace_proxy_cache_hits{{{label}}} 1.0" in text
         assert f"sync_workspace_proxy_cache_misses{{{label}}} 3.0" in text

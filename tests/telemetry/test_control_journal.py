@@ -1,4 +1,8 @@
-"""DecisionJournal + HealthRegistry: the control-plane observability core."""
+"""DecisionJournal + component health: the control-plane observability core.
+
+Health has no registry of its own: a :class:`MetricsRegistry` source whose
+read reports ``up`` is a component of :meth:`MetricsRegistry.health`.
+"""
 
 from __future__ import annotations
 
@@ -8,17 +12,15 @@ import json
 import pytest
 
 from repro.telemetry.control import (
-    HEALTH,
     KIND_DECISION,
     KIND_SPAWN,
     REASON_CRASH_REPAIR,
     REASON_SCALE_UP,
     DecisionJournal,
-    HealthRegistry,
     JournalEvent,
-    get_health_registry,
     load_journal_lines,
 )
+from repro.telemetry.registry import MetricsRegistry
 
 
 class TestDecisionJournal:
@@ -105,55 +107,56 @@ class _Component:
         self.ok = ok
 
     def probe(self):
-        return {"ok": self.ok, "detail_key": 42}
+        return {"up": float(self.ok), "detail_key": 42}
 
 
 class TestHealthRegistry:
+    """The health view of :class:`MetricsRegistry` sources."""
+
     def test_probe_pass_and_fail(self):
-        registry = HealthRegistry()
+        registry = MetricsRegistry()
         good = _Component(ok=True)
         bad = _Component(ok=False)
-        registry.register("good", good, _Component.probe)
-        registry.register("bad", bad, _Component.probe, required=False)
+        registry.register_source("good", good, _Component.probe)
+        registry.register_source("bad", bad, _Component.probe, shard=1)
+        registry.register_source("counts", good, lambda owner: {"n": 3})
 
-        results = {r.component: r for r in registry.check()}
-        assert results["good"].ok and results["good"].detail == {"detail_key": 42}
-        assert not results["bad"].ok
-        assert not registry.healthy()
-        # The failing probe is optional, so readiness still holds.
-        assert registry.ready()
+        results = {c["component"]: c for c in registry.health()}
+        # Only sources that report ``up`` are components.
+        assert set(results) == {"good", 'bad{shard="1"}'}
+        assert results["good"]["ok"] and results["good"]["detail"] == {"detail_key": 42}
+        assert not results['bad{shard="1"}']["ok"]
+        assert registry.snapshot()['bad_up{shard="1"}'] == 0.0
 
     def test_raising_probe_reports_failure_not_crash(self):
-        registry = HealthRegistry()
+        registry = MetricsRegistry()
         component = _Component()
-        registry.register(
+        registry.register_source(
             "boom", component, lambda owner: (_ for _ in ()).throw(RuntimeError("x"))
         )
-        (result,) = registry.check()
-        assert not result.ok
-        assert "RuntimeError" in result.detail["error"]
+        (result,) = registry.health()
+        assert not result["ok"]
+        assert "RuntimeError" in result["detail"]["error"]
+        assert registry.snapshot() == {"boom_up": 0.0}
 
     def test_dead_owner_pruned(self):
-        registry = HealthRegistry()
+        registry = MetricsRegistry()
         component = _Component()
-        registry.register("ephemeral", component, _Component.probe)
-        assert len(registry.check()) == 1
+        registry.register_source("ephemeral", component, _Component.probe)
+        assert len(registry.health()) == 1
 
         del component
         gc.collect()
-        assert registry.check() == []
+        assert registry.health() == []
         # and it stays pruned (no tombstone accumulates)
-        assert registry.check() == []
+        assert registry.source_count() == 0
 
     def test_unregister(self):
-        registry = HealthRegistry()
+        registry = MetricsRegistry()
         component = _Component()
-        token = registry.register("c", component, _Component.probe)
-        registry.unregister(token)
-        assert registry.check() == []
-
-    def test_global_registry_exists(self):
-        assert get_health_registry() is HEALTH
+        token = registry.register_source("c", component, _Component.probe)
+        registry.unregister_source(token)
+        assert registry.health() == []
 
 
 class TestSinkRotation:

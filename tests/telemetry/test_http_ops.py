@@ -8,12 +8,7 @@ import urllib.request
 
 import pytest
 
-from repro.telemetry.control import (
-    KIND_DECISION,
-    KIND_SPAWN,
-    DecisionJournal,
-    HealthRegistry,
-)
+from repro.telemetry.control import KIND_DECISION, KIND_SPAWN, DecisionJournal
 from repro.telemetry.http import OpsServer
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.slo import SloEngine, SloRule
@@ -24,24 +19,21 @@ class _Component:
         self.ok = ok
 
     def probe(self):
-        return {"ok": self.ok}
+        return {"up": float(self.ok)}
 
 
 @pytest.fixture
 def stack():
     registry = MetricsRegistry()
     journal = DecisionJournal()
-    health = HealthRegistry()
     slo = SloEngine(
         [SloRule.parse("backlog: depth > 10 for 1")],
         registry=registry,
         journal=journal,
     )
-    ops = OpsServer(
-        registry=registry, journal=journal, health=health, slo=slo
-    ).start()
+    ops = OpsServer(registry=registry, journal=journal, slo=slo).start()
     try:
-        yield registry, journal, health, slo, ops
+        yield registry, journal, slo, ops
     finally:
         ops.stop()
 
@@ -59,7 +51,7 @@ def test_index_lists_routes(stack):
     status, body = _get(ops.url + "/")
     assert status == 200
     assert set(json.loads(body)["routes"]) == {
-        "/metrics", "/health", "/ready", "/events", "/slo", "/profile",
+        "/metrics", "/health", "/events", "/slo", "/profile",
     }
 
 
@@ -72,15 +64,17 @@ def test_metrics_prometheus_text(stack):
 
 
 def test_health_ok_then_degraded(stack):
-    _registry, _journal, health, _slo, ops = stack
+    registry, *_rest, ops = stack
     component = _Component(ok=True)
-    health.register("comp", component, _Component.probe)
+    registry.register_source("comp", component, _Component.probe)
 
     status, body = _get(ops.url + "/health")
     assert status == 200
     payload = json.loads(body)
     assert payload["status"] == "ok"
-    assert payload["components"][0]["component"] == "comp"
+    assert payload["components"] == [
+        {"component": "comp", "ok": True, "detail": {}},
+    ]
 
     component.ok = False
     status, body = _get(ops.url + "/health")
@@ -88,21 +82,30 @@ def test_health_ok_then_degraded(stack):
     assert json.loads(body)["status"] == "degraded"
 
 
-def test_ready_ignores_optional_probes(stack):
-    _registry, _journal, health, _slo, ops = stack
-    required = _Component(ok=True)
-    optional = _Component(ok=False)
-    health.register("required", required, _Component.probe, required=True)
-    health.register("optional", optional, _Component.probe, required=False)
+def test_raising_source_is_down_not_a_failed_scrape(stack):
+    """A source whose read raises reports ``up`` 0: ``/metrics`` still
+    answers, ``/health`` names the source, and SLO evaluation goes on."""
+    registry, _journal, slo, ops = stack
+    registry.gauge("depth").set(99)
+    component = _Component()
+    registry.register_source(
+        "flaky", component,
+        lambda owner: (_ for _ in ()).throw(RuntimeError("disk gone")),
+        node="a",
+    )
 
-    status, body = _get(ops.url + "/ready")
+    status, body = _get(ops.url + "/metrics")
     assert status == 200
-    payload = json.loads(body)
-    assert payload["ready"] is True
-    assert [c["component"] for c in payload["required"]] == ["required"]
+    assert 'flaky_up{node="a"} 0.0' in body
+    assert "depth 99" in body
 
-    status, _body = _get(ops.url + "/health")
-    assert status == 503  # /health still reports the optional failure
+    status, body = _get(ops.url + "/health")
+    assert status == 503
+    (entry,) = json.loads(body)["components"]
+    assert entry["component"] == 'flaky{node="a"}' and entry["ok"] is False
+    assert entry["detail"]["error"] == "RuntimeError: disk gone"
+
+    assert [t["rule"] for t in slo.evaluate(now=1.0)] == ["backlog"]
 
 
 def test_events_tail_and_kind_filter(stack):
@@ -134,7 +137,7 @@ def test_events_tail_and_kind_filter(stack):
 
 
 def test_slo_route_reflects_engine_state(stack):
-    registry, journal, _health, slo, ops = stack
+    registry, journal, slo, ops = stack
     registry.gauge("depth").set(99)
     slo.evaluate(now=1.0)
 
@@ -156,9 +159,7 @@ def test_unknown_route_404(stack):
 
 
 def test_without_journal_or_slo_routes_still_serve():
-    ops = OpsServer(
-        registry=MetricsRegistry(), health=HealthRegistry()
-    ).start()
+    ops = OpsServer(registry=MetricsRegistry()).start()
     try:
         status, body = _get(ops.url + "/events")
         assert status == 200 and json.loads(body) == {"events": [], "total": 0}

@@ -117,23 +117,9 @@ def test_dead_source_slot_reclaimed_not_just_hidden(registry):
     # The first scrape reclaimed the dead slot...
     assert registry.source_count() == 1
     # ...so a second scrape has nothing left to prune.
-    assert registry.prune_dead_sources() == 0
     second = registry.snapshot()
     assert second == first
-
-
-def test_prune_dead_sources_without_scrape(registry):
-    class Meter:
-        def scrape(self):
-            return {"value": 1}
-
-    meter = Meter()
-    registry.register_source("meter", meter, Meter.scrape)
-    assert registry.prune_dead_sources() == 0
-    del meter
-    gc.collect()
-    assert registry.prune_dead_sources() == 1
-    assert registry.source_count() == 0
+    assert registry.source_count() == 1
 
 
 def test_unregister_source(registry):
