@@ -14,7 +14,8 @@ import threading
 from typing import List, Optional, Set
 
 from repro.client.local_db import LocalFileRecord
-from repro.metadata.sqlite_backend import blob_digests, digests_blob, open_schema
+from repro.metadata.base import blob_digests, digests_blob
+from repro.metadata.sqlite_backend import open_schema
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS files (

@@ -3,17 +3,31 @@
 A lock-serialized engine with the same atomicity contract as the SQLite
 back-end, used by large simulations and most tests where durability is
 irrelevant but speed matters.
+
+An item is one list: each version a commit superseded as a ``bytes`` record,
+then the current :class:`ItemMetadata`, which reads return as stored.  A record
+is :data:`_HEADER` (status index, is_folder, size, modified_at, device index,
+checksum length), the checksum, then :func:`digests_blob` of the chunks; its
+position is its version, and its workspace and filename are the current one's.
+Only :meth:`item_history` and :meth:`export_workspace` unpack records, which
+the garbage collector does not track.
 """
 
 from __future__ import annotations
 
 import threading
+from struct import Struct
 from typing import Dict, List, Set
 
 from repro.errors import MetadataError, UnknownWorkspace
-from repro.metadata.base import MetadataBackend, WorkspaceDump, engine_instances
-from repro.sync.models import STATUS_DELETED, ItemMetadata, Workspace
+from repro.metadata.base import (
+    MetadataBackend, WorkspaceDump, blob_digests, digests_blob, engine_instances,
+)
+from repro.sync.models import STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace
 from repro.telemetry.registry import REGISTRY
+from repro.telemetry.trace import TRACER
+
+_HEADER = Struct("<B?qdIB")
 
 
 class MemoryMetadataBackend(MetadataBackend):
@@ -24,7 +38,9 @@ class MemoryMetadataBackend(MetadataBackend):
         self._users: Dict[str, str] = {}
         self._workspaces: Dict[str, Workspace] = {}
         self._acl: Dict[str, Set[str]] = {}  # workspace_id -> user ids
-        self._versions: Dict[str, List[ItemMetadata]] = {}  # item -> versions
+        self._versions: Dict[str, list] = {}  # item -> records, then current
+        self._device_ids: List[str] = []  # a record's device -> its id
+        self._device_codes: Dict[str, int] = {}  # and back
         self._workspace_items: Dict[str, Set[str]] = {}
         self._devices: Dict[str, Dict[str, str]] = {}  # user -> {device: name}
         REGISTRY.register_source(
@@ -101,10 +117,11 @@ class MemoryMetadataBackend(MetadataBackend):
     def store_versions_bulk(self, proposals):
         """Algorithm 1 for this engine: the bundle under one lock cycle."""
         outcomes = []
-        with self.transaction_span(len(proposals)), self._lock:
+        with self.traced_transaction(proposals) if TRACER.enabled else self._lock:
             for proposal in proposals:  # before anything is stored
                 if proposal.workspace_id not in self._workspaces:
                     self._require_workspace(proposal.workspace_id)  # raises
+                self._pack(proposal)  # raises what a record cannot hold
             for proposal in proposals:
                 versions = self._versions.get(proposal.item_id)
                 current = versions[-1] if versions else None
@@ -118,6 +135,7 @@ class MemoryMetadataBackend(MetadataBackend):
                         proposal.item_id
                     )
                 else:
+                    versions[-1] = self._pack(current)
                     versions.append(proposal)
                 outcomes.append((True, None))
         return outcomes
@@ -134,7 +152,8 @@ class MemoryMetadataBackend(MetadataBackend):
 
     def item_history(self, item_id: str) -> List[ItemMetadata]:
         with self._lock:
-            return list(self._versions.get(item_id, ()))
+            versions = self._versions.get(item_id)
+            return self._unpack(versions) if versions else []
 
     # -- migration -------------------------------------------------------------------
 
@@ -147,7 +166,7 @@ class MemoryMetadataBackend(MetadataBackend):
                 users=[(u, self._users.get(u, u)) for u in acl],
                 acl=acl,
                 versions={
-                    item_id: list(self._versions[item_id])
+                    item_id: self._unpack(self._versions[item_id])
                     for item_id in sorted(self._workspace_items.get(workspace_id, ()))
                 },
             )
@@ -160,13 +179,18 @@ class MemoryMetadataBackend(MetadataBackend):
                     f"workspace {workspace_id!r} already exists here; "
                     "refusing to merge histories"
                 )
+            items = {}  # packed before anything is stored
+            for item_id, chain in dump.versions.items():
+                if not chain or [m.version for m in chain] != [*range(1, len(chain) + 1)]:
+                    raise MetadataError(f"the versions of {item_id!r} are not 1..n")
+                items[item_id] = [self._pack(m) for m in chain]
+                items[item_id][-1] = chain[-1]
             for user_id, name in dump.users:
                 self._users.setdefault(user_id, name or user_id)
             self._workspaces[workspace_id] = dump.workspace
             self._acl[workspace_id] = set(dump.acl) | {dump.workspace.owner}
             self._workspace_items[workspace_id] = set(dump.versions)
-            for item_id, chain in dump.versions.items():
-                self._versions[item_id] = list(chain)
+            self._versions.update(items)
 
     def drop_workspace(self, workspace_id: str) -> None:
         with self._lock:
@@ -186,6 +210,28 @@ class MemoryMetadataBackend(MetadataBackend):
                 "items": len(self._versions),
                 "versions": sum(len(v) for v in self._versions.values()),
             }
+
+    def _pack(self, m: ItemMetadata) -> bytes:
+        """*m* as a superseded version's record (see the module docstring)."""
+        device = self._device_codes.setdefault(m.device_id, len(self._device_ids))
+        if device == len(self._device_ids):
+            self._device_ids.append(m.device_id)
+        status = VALID_STATUSES.index(m.status)
+        header = (status, m.is_folder, m.size, m.modified_at, device, len(m.checksum))
+        return _HEADER.pack(*header) + m.checksum + digests_blob(m.chunks)
+
+    def _unpack(self, versions: list) -> List[ItemMetadata]:
+        """An item's stored *versions* as objects, oldest first."""
+        current, history = versions[-1], []
+        for number, record in enumerate(versions[:-1], 1):
+            status, folder, size, modified, device, length = _HEADER.unpack_from(record)
+            end = _HEADER.size + length
+            history.append(ItemMetadata(
+                current.workspace_id, number, current.filename, VALID_STATUSES[status],
+                folder, size, record[_HEADER.size:end], blob_digests(record[end:]),
+                modified, self._device_ids[device],
+            ))
+        return history + [current]
 
     def _require_workspace(self, workspace_id: str) -> None:
         if workspace_id not in self._workspaces:

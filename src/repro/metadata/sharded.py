@@ -91,10 +91,12 @@ class ShardedMetadataBackend(MetadataBackend):
         # Post-migration routing exceptions: workspace_id -> shard index.
         self._overrides: Dict[str, int] = {}
         # Write fence, guarded by one condition: the workspaces migrating,
-        # and per workspace its admitted, unfinished writes (zeros stay).
+        # and per workspace its admitted, unfinished writes and the writes
+        # a fence holds (zeros stay).
         self._fence = threading.Condition()
         self._fenced: set = set()
         self._inflight: Counter = Counter()
+        self._held: Counter = Counter()
         self._migrations = REGISTRY.counter(
             "metadata_workspace_migrations_total"
         )
@@ -170,7 +172,11 @@ class ShardedMetadataBackend(MetadataBackend):
         the body) to the new shard.
         """
         with self._fence:
-            self._fence.wait_for(lambda: self._fenced.isdisjoint(workspace_ids))
+            if not self._fenced.isdisjoint(workspace_ids):
+                self._held.update(workspace_ids)
+                self._fence.wait_for(lambda: self._fenced.isdisjoint(workspace_ids))
+                self._held.subtract(workspace_ids)
+                self._fence.notify_all()  # a migration may wait for the held
             self._inflight.update(workspace_ids)
         try:
             yield
@@ -289,6 +295,11 @@ class ShardedMetadataBackend(MetadataBackend):
         if not 0 <= target_shard < self.num_shards:
             raise ValueError(f"no shard {target_shard}")
         with self._fence:
+            # The writes the last fence held go first: back to back, migrations
+            # would otherwise re-fence before a woken writer runs, and starve it.
+            self._fence.wait_for(
+                lambda: workspace_id in self._fenced or not self._held[workspace_id]
+            )
             if workspace_id in self._fenced:
                 raise MetadataError(
                     f"workspace {workspace_id!r} is already migrating"

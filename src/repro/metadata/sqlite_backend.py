@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from struct import unpack
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import MetadataError, UnknownWorkspace
-from repro.metadata.base import MetadataBackend, WorkspaceDump, engine_instances
+from repro.metadata.base import (
+    MetadataBackend, WorkspaceDump, blob_digests, digests_blob, engine_instances,
+)
 from repro.sync.models import STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace
 from repro.telemetry.registry import REGISTRY
+from repro.telemetry.trace import TRACER
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS users (
@@ -109,23 +111,6 @@ _ITEM = (
     " v.checksum, v.chunks, v.modified_at, v.device_id"
     " FROM items i JOIN versions v ON v.item = i.id"
 )
-
-
-def digests_blob(digests: Tuple[bytes, ...]) -> bytes:
-    """*digests* as one BLOB: their common width in a byte, then each digest.
-
-    The sqlite engines store a chunk list so; a width is kept because a
-    fingerprinter other than SHA-1 (``sha256_fingerprint``) gives 32 bytes.
-    """
-    widths = set(map(len, digests))
-    if len(widths) > 1 or 0 in widths:
-        raise ValueError(f"digests of widths {sorted(widths)} share no one width")
-    return bytes(widths) + b"".join(digests)
-
-
-def blob_digests(blob: bytes) -> Tuple[bytes, ...]:
-    """The digests :func:`digests_blob` stored in *blob*."""
-    return unpack(f"{blob[0]}s" * ((len(blob) - 1) // blob[0]), blob[1:]) if blob else ()
 
 
 class SqliteMetadataBackend(MetadataBackend):
@@ -258,7 +243,7 @@ class SqliteMetadataBackend(MetadataBackend):
         transaction.  Later proposals in the bundle see earlier inserts.
         """
         outcomes = []
-        with self.transaction_span(len(proposals)), self._lock:
+        with self.traced_transaction(proposals) if TRACER.enabled else self._lock:
             checked = set()
             for proposal in proposals:
                 if proposal.workspace_id not in checked:
@@ -390,22 +375,14 @@ class SqliteMetadataBackend(MetadataBackend):
             self._require_workspace(workspace_id)
             try:
                 self._conn.execute("BEGIN IMMEDIATE")
-                self._conn.execute(
+                for statement in (
                     "DELETE FROM versions WHERE item IN"
                     " (SELECT id FROM items WHERE workspace_id = ?)",
-                    (workspace_id,),
-                )
-                self._conn.execute(
-                    "DELETE FROM items WHERE workspace_id = ?", (workspace_id,)
-                )
-                self._conn.execute(
+                    "DELETE FROM items WHERE workspace_id = ?",
                     "DELETE FROM workspace_users WHERE workspace_id = ?",
-                    (workspace_id,),
-                )
-                self._conn.execute(
                     "DELETE FROM workspaces WHERE workspace_id = ?",
-                    (workspace_id,),
-                )
+                ):
+                    self._conn.execute(statement, (workspace_id,))
                 self._conn.execute("COMMIT")
             except BaseException:
                 self._conn.execute("ROLLBACK")
@@ -414,19 +391,12 @@ class SqliteMetadataBackend(MetadataBackend):
     # -- introspection ---------------------------------------------------------------
 
     def counts(self) -> Dict[str, int]:
+        tables = ("users", "workspaces", "items", "versions")
         with self._lock:
-            users = self._conn.execute("SELECT COUNT(*) FROM users").fetchone()[0]
-            workspaces = self._conn.execute(
-                "SELECT COUNT(*) FROM workspaces"
-            ).fetchone()[0]
-            items = self._conn.execute("SELECT COUNT(*) FROM items").fetchone()[0]
-            versions = self._conn.execute("SELECT COUNT(*) FROM versions").fetchone()[0]
-        return {
-            "users": users,
-            "workspaces": workspaces,
-            "items": items,
-            "versions": versions,
-        }
+            row = self._conn.execute(
+                "SELECT " + ", ".join(f"(SELECT COUNT(*) FROM {t})" for t in tables)
+            ).fetchone()
+        return dict(zip(tables, row))
 
     def close(self) -> None:
         with self._lock:
@@ -460,18 +430,9 @@ class SqliteMetadataBackend(MetadataBackend):
 
     @staticmethod
     def _row_to_item(row) -> ItemMetadata:
-        return ItemMetadata(
-            workspace_id=row[0],
-            version=row[1],
-            filename=row[2],
-            status=VALID_STATUSES[row[3]],
-            is_folder=bool(row[4]),
-            size=row[5],
-            checksum=row[6],
-            chunks=blob_digests(row[7]),
-            modified_at=row[8],
-            device_id=row[9],
-        )
+        workspace, version, filename, status, folder, size, checksum, chunks, *rest = row
+        return ItemMetadata(workspace, version, filename, VALID_STATUSES[status],
+                            bool(folder), size, checksum, blob_digests(chunks), *rest)
 
     def _require_workspace(self, workspace_id: str) -> None:
         if not self.workspace_exists(workspace_id):

@@ -113,63 +113,62 @@ class SyncService(HasObjectInfo):
         request_id: str = "",
     ) -> None:
         """Algorithm 1 of the paper, one list of proposed changes."""
-        attrs = None  # nothing is built for a tracer that is off
-        if TRACER.enabled:
-            attrs = {"workspace": workspace_id, "proposals": len(objects_changed)}
         # The decoded items hold these ids interned; the notification must hold
         # the same objects, or pickle's memo stops shortening its repeats.
         workspace_id, device_id = sys.intern(workspace_id), sys.intern(device_id)
+        if not TRACER.enabled:  # no span is asked for, not even a no-op one
+            return self._commit(workspace_id, device_id, objects_changed, request_id)
+        attrs = {"workspace": workspace_id, "proposals": len(objects_changed)}
         with TRACER.span("sync.commit_request", layer="sync", attrs=attrs):
-            if self.service_delay is not None:
-                delay = self.service_delay()
-                if delay > 0:
-                    time.sleep(delay)
-            # The engines refuse an unknown workspace before storing anything: ask
-            # only if no item vouches for this one (empty bundle, filed elsewhere).
-            vouched = {item.workspace_id for item in objects_changed} == {workspace_id}
-            if not vouched and not self.metadata.workspace_exists(workspace_id):
-                raise UnknownWorkspace(f"workspace {workspace_id!r} is not registered")
+            self._commit(workspace_id, device_id, objects_changed, request_id)
 
-            # The whole bundle commits in one back-end transaction; conflicts
-            # stay per item (first-writer-wins, winner piggybacked).
-            outcomes = self.metadata.store_versions_bulk(objects_changed)
-            conflicts = 0
-            for new_object, (confirmed, current) in zip(objects_changed, outcomes):
-                if not confirmed:
-                    conflicts += 1
-                    logger.debug(
-                        "conflict on %s: proposed v%d, current v%s",
-                        new_object.item_id,
-                        new_object.version,
-                        getattr(current, "version", None),
-                    )
+    def _commit(self, workspace_id, device_id, objects_changed, request_id) -> None:
+        if self.service_delay is not None:
+            delay = self.service_delay()
+            if delay > 0:
+                time.sleep(delay)
+        # The engines refuse an unknown workspace before storing anything: ask
+        # only if no item vouches for this one (empty bundle, filed elsewhere).
+        vouched = {item.workspace_id for item in objects_changed} == {workspace_id}
+        if not vouched and not self.metadata.workspace_exists(workspace_id):
+            raise UnknownWorkspace(f"workspace {workspace_id!r} is not registered")
 
-            with self._lock:
-                self.commit_count += 1
-                self.conflict_count += conflicts
+        # The whole bundle commits in one back-end transaction; conflicts
+        # stay per item (first-writer-wins, winner piggybacked).
+        outcomes = self.metadata.store_versions_bulk(objects_changed)
+        conflicts = 0
+        for new_object, (confirmed, current) in zip(objects_changed, outcomes):
+            if not confirmed:
+                conflicts += 1
+                logger.debug("conflict on %s: proposed v%d, current v%s", new_object.item_id,
+                             new_object.version, getattr(current, "version", None))
 
-            if not self.broker.multicast_has_listeners(workspace_oid(workspace_id)):
-                # No device is bound to the workspace fanout: skip the
-                # notification proxy, the per-item CommitResult envelopes,
-                # and the notification itself (the multicast would be a
-                # no-op anyway).  The probe is a lock-free exchange
-                # lookup, so quiet workspaces never pay notification
-                # plumbing at all.
-                return
-            results: List[CommitResult] = [
-                CommitResult(metadata=new_object, confirmed=confirmed, current=current)
-                for new_object, (confirmed, current) in zip(objects_changed, outcomes)
-            ]
-            workspace_proxy = self._workspace(workspace_id)
-            notification = CommitNotification(
-                workspace_id=workspace_id,
-                source_device=device_id,
-                results=results,
-                committed_at=time.time(),
-                request_id=request_id or uuid.uuid4().hex,
-            )
+        with self._lock:
+            self.commit_count += 1
+            self.conflict_count += conflicts
+
+        if not self.broker.multicast_has_listeners(workspace_oid(workspace_id)):
+            # No device is bound to the workspace fanout, so the multicast would
+            # be a no-op: skip its proxy, the results and the notification (the
+            # probe is a lock-free exchange lookup).
+            return
+        results: List[CommitResult] = [
+            CommitResult(metadata=new_object, confirmed=confirmed, current=current)
+            for new_object, (confirmed, current) in zip(objects_changed, outcomes)
+        ]
+        workspace_proxy = self._workspace(workspace_id)
+        notification = CommitNotification(
+            workspace_id=workspace_id,
+            source_device=device_id,
+            results=results,
+            committed_at=time.time(),
+            request_id=request_id or uuid.uuid4().hex,
+        )
+        if TRACER.enabled:
             with TRACER.span("sync.notify_commit", layer="sync"):
                 workspace_proxy.notify_commit(notification)
+        else:
+            workspace_proxy.notify_commit(notification)
 
     def create_workspace(
         self, workspace_id: str, owner: str, name: str = ""

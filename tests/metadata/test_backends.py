@@ -7,14 +7,17 @@ shared ACID contract Algorithm 1 relies on.
 
 from __future__ import annotations
 
+import gc
 import random
 import sqlite3
 import threading
+import tracemalloc
 from contextlib import closing
 
 import pytest
 
 from repro.errors import MetadataError, TransactionAborted, UnknownWorkspace
+from repro.metadata import MemoryMetadataBackend
 from repro.sync.models import (
     STATUS_CHANGED,
     STATUS_DELETED,
@@ -321,14 +324,9 @@ def test_sqlite_refuses_a_file_of_the_version_2_layout(tmp_path):
         SqliteMetadataBackend(path)
 
 
-def test_sqlite_stores_an_update_in_under_100_bytes():
-    """The commit-bundle shape: 16 workspaces of 512 items at version 1, then
-    8-item update bundles.  Each stored update grows the database by at most
-    100 B (about 86 B; a layout that repeats the item's identity in every
-    version row takes about 300 B)."""
-    from repro.metadata import SqliteMetadataBackend
-
-    rng = random.Random(5)
+def commit_load(rng):
+    """The commit workloads' shape: 16 workspaces, and a maker of the version
+    of one of their items that declares one 512 KiB chunk."""
     workspaces = [f"ws-{rng.getrandbits(32):08x}-{w:02d}" for w in range(16)]
 
     def proposal(workspace, index, version):
@@ -346,6 +344,17 @@ def test_sqlite_stores_an_update_in_under_100_bytes():
             device_id="dev-generator",
         )
 
+    return workspaces, proposal
+
+
+def test_sqlite_stores_an_update_in_under_100_bytes():
+    """The commit-bundle shape: 16 workspaces of 512 items at version 1, then
+    8-item update bundles.  Each stored update grows the database by at most
+    100 B (about 86 B; a layout that repeats the item's identity in every
+    version row takes about 300 B)."""
+    from repro.metadata import SqliteMetadataBackend
+
+    workspaces, proposal = commit_load(random.Random(5))
     backend = SqliteMetadataBackend(":memory:")
     backend.create_user("alice")
 
@@ -378,6 +387,34 @@ def test_sqlite_stores_an_update_in_under_100_bytes():
         backend.close()
 
 
+def test_memory_stores_an_update_in_under_128_bytes():
+    """The commit_storm shape: 16 workspaces of 512 items at version 1, then 8
+    updates of each item.  Each stored update grows the engine's heap by at most
+    128 B (about 112 B: the version it supersedes becomes one packed record; a
+    layout that keeps every version as an ItemMetadata takes about 390 B)."""
+    workspaces, proposal = commit_load(random.Random(5))
+    backend = MemoryMetadataBackend()
+    backend.create_user("alice")
+    tracemalloc.start()
+    try:
+        for workspace in workspaces:
+            backend.create_workspace(Workspace(workspace_id=workspace, owner="alice"))
+            for index in range(512):
+                backend.store_new_object(proposal(workspace, index, 1))
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for version in range(2, 10):
+            for workspace in workspaces:
+                for index in range(512):
+                    backend.store_new_version(proposal(workspace, index, version))
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert backend.counts()["versions"] == 9 * 16 * 512
+    assert grown / (8 * 16 * 512) <= 128
+
+
 def test_digests_of_any_one_width_round_trip(metadata_backend):
     """SHA-256 chunk lists (32-byte digests) come back as stored, not cut at 20."""
     setup_workspace(metadata_backend)
@@ -389,15 +426,19 @@ def test_digests_of_any_one_width_round_trip(metadata_backend):
     assert second.chunks == ()
 
 
-def test_sqlite_refuses_chunks_of_mixed_widths():
-    from repro.metadata import SqliteMetadataBackend
-
-    backend = SqliteMetadataBackend(":memory:")
-    setup_workspace(backend)
+def test_chunks_of_mixed_widths_are_refused(metadata_backend):
+    """A chunk list of two widths fails its whole bundle, before anything of it
+    is stored, on every engine (a tuple of digests is trusted by ItemMetadata)."""
+    setup_workspace(metadata_backend)
+    metadata_backend.store_new_object(item(version=1))
+    mixed = item(version=1, item_id="ws1:b.txt", chunks=(b"\x01" * 20, b"\x02" * 32))
     with pytest.raises(ValueError, match="share no one width"):
-        backend.store_new_object(item(version=1, chunks=(b"\x01" * 20, b"\x02" * 32)))
-    assert backend.get_current("ws1:a.txt") is None
-    backend.close()
+        metadata_backend.store_versions_bulk(
+            [item(version=2, status=STATUS_CHANGED), mixed]
+        )
+    assert metadata_backend.get_current("ws1:a.txt").version == 1
+    assert metadata_backend.get_current("ws1:b.txt") is None
+    assert metadata_backend.counts()["versions"] == 1
 
 
 def test_closed_backend_is_not_scraped(metadata_backend):

@@ -228,6 +228,21 @@ def test_import_refuses_to_merge_existing_workspace():
         engine.import_workspace(dump)
 
 
+@pytest.mark.parametrize("chain", [[], [1, 3], [2], [1, 1]])
+def test_memory_import_refuses_a_chain_that_is_not_versions_1_to_n(chain):
+    """A packed history keeps no version numbers: its positions are them."""
+    source, target = MemoryMetadataBackend(), MemoryMetadataBackend()
+    source.create_user("owner")
+    source.create_workspace(Workspace(workspace_id="ws-x", owner="owner"))
+    source.store_new_object(make_item("ws-x", "f.txt", 1))
+    dump = source.export_workspace("ws-x")
+    dump.versions["ws-x:g.txt"] = [make_item("ws-x", "g.txt", v) for v in chain]
+    with pytest.raises(MetadataError, match="not 1..n"):
+        target.import_workspace(dump)
+    assert not target.workspace_exists("ws-x")
+    assert target.counts()["versions"] == 0
+
+
 @pytest.mark.parametrize("engine_cls", [MemoryMetadataBackend, SqliteMetadataBackend])
 def test_export_import_drop_round_trip(engine_cls):
     source = engine_cls()

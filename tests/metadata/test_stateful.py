@@ -31,19 +31,38 @@ from tests.conftest import make_metadata_backend
 
 ITEMS = [f"ws:item{i}" for i in range(4)]
 STATUSES = [STATUS_CHANGED, STATUS_DELETED]
+#: What a proposal holds besides its marker, so that every field a stored
+#: version keeps is round-tripped: the number of chunks, the digests' width,
+#: is_folder, the device, what is added to the size and to modified_at.
+SHAPES = st.tuples(
+    st.sampled_from([0, 1, 3]),
+    st.sampled_from([20, 32]),
+    st.booleans(),
+    st.sampled_from(["d", "laptop-2"]),
+    st.sampled_from([0, 2**32, 2**40 + 7]),
+    st.sampled_from([0.0, 0.25, 0.123456789]),
+)
+PLAIN = (1, 20, False, "d", 0, 0.0)
 
 
-def proposal(item_id: str, version: int, status: str, marker: int) -> ItemMetadata:
+def proposal(
+    item_id: str, version: int, status: str, marker: int, shape=PLAIN
+) -> ItemMetadata:
+    """A version unique to *marker*; a DELETED one has an empty checksum."""
+    chunks, width, is_folder, device, more_size, fraction = shape
+    status = "NEW" if version == 1 else status
     return ItemMetadata(
         item_id=item_id,
         workspace_id="ws",
         version=version,
         filename=item_id.split(":")[-1],
-        status="NEW" if version == 1 else status,
-        size=marker,
-        checksum=f"{marker:040x}",
-        chunks=[f"{marker + 1:040x}"],
-        device_id="d",
+        status=status,
+        is_folder=is_folder,
+        size=marker + more_size,
+        checksum=b"" if status == STATUS_DELETED else marker.to_bytes(width, "big"),
+        chunks=tuple((marker * 4 + c).to_bytes(width, "big") for c in range(chunks)),
+        modified_at=marker + fraction,
+        device_id=device,
     )
 
 
@@ -63,7 +82,7 @@ class MetadataMachine(RuleBasedStateMachine):
         self.engine = make_metadata_backend(self.kind)
         self.engine.create_user("u")
         self.engine.create_workspace(Workspace(workspace_id="ws", owner="u"))
-        self.model = {}  # item_id -> list of versions (marker ints)
+        self.model = {}  # item_id -> list of the versions committed
         self.marker = 0
 
     def teardown(self):
@@ -71,24 +90,25 @@ class MetadataMachine(RuleBasedStateMachine):
 
     def _check_loser(self, meta, current):
         """A losing outcome carries the model's winner (None: no item)."""
-        markers = self.model.get(meta.item_id)
-        if not markers:
+        versions = self.model.get(meta.item_id)
+        if not versions:
             assert current is None
         else:
-            assert (current.version, current.size) == (len(markers), markers[-1])
+            assert current == versions[-1]
 
     @rule(
         item=st.sampled_from(ITEMS),
         version_offset=st.integers(min_value=0, max_value=2),  # only 1 is legal
         status=st.sampled_from(STATUSES),
         via=st.sampled_from(["bulk", "store_new_object", "store_new_version"]),
+        shape=SHAPES,
     )
-    def propose(self, item, version_offset, status, via):
+    def propose(self, item, version_offset, status, via, shape):
         version = len(self.model.get(item, [])) + version_offset
         if version < 1:  # not a constructible ItemMetadata
             return
         self.marker += 1
-        meta = proposal(item, version, status, self.marker)
+        meta = proposal(item, version, status, self.marker, shape)
         wins = version_offset == 1
         if via == "bulk":
             ((committed, current),) = self.engine.store_versions_bulk([meta])
@@ -107,12 +127,15 @@ class MetadataMachine(RuleBasedStateMachine):
             except TransactionAborted:
                 assert not wins
         if wins:
-            self.model.setdefault(item, []).append(meta.size)
+            self.model.setdefault(item, []).append(meta)
 
     @rule(
         steps=st.lists(
             st.tuples(
-                st.sampled_from(ITEMS), st.integers(min_value=0, max_value=2)
+                st.sampled_from(ITEMS),
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from(STATUSES),
+                SHAPES,
             ),
             min_size=2,
             max_size=4,
@@ -121,16 +144,16 @@ class MetadataMachine(RuleBasedStateMachine):
     def propose_bundle(self, steps):
         """Later proposals of a bundle see the earlier ones' effects."""
         bundle, expected = [], []
-        staged = {item: list(markers) for item, markers in self.model.items()}
-        for item, version_offset in steps:
+        staged = {item: list(versions) for item, versions in self.model.items()}
+        for item, version_offset, status, shape in steps:
             version = len(staged.get(item, [])) + version_offset
             if version < 1:
                 continue
             self.marker += 1
-            bundle.append(proposal(item, version, STATUS_CHANGED, self.marker))
+            bundle.append(proposal(item, version, status, self.marker, shape))
             expected.append(version_offset == 1)
             if version_offset == 1:
-                staged.setdefault(item, []).append(self.marker)
+                staged.setdefault(item, []).append(bundle[-1])
         outcomes = self.engine.store_versions_bulk(bundle)
         assert [committed for committed, _ in outcomes] == expected
         self.model = staged
@@ -142,16 +165,13 @@ class MetadataMachine(RuleBasedStateMachine):
             if item not in self.model:
                 assert current is None
             else:
-                assert current is not None
-                assert current.version == len(self.model[item])
-                assert current.size == self.model[item][-1]
+                assert current == self.model[item][-1]
 
     @invariant()
     def histories_match(self):
-        for item, markers in self.model.items():
-            history = self.engine.item_history(item)
-            assert [m.version for m in history] == list(range(1, len(markers) + 1))
-            assert [m.size for m in history] == markers
+        """Every field of every version, superseded ones too, comes back."""
+        for item, versions in self.model.items():
+            assert self.engine.item_history(item) == versions
 
 
 def _machine_case(kind: str):

@@ -1,10 +1,11 @@
 """Nothing is formatted for a tracer that is off.
 
 The proxy's four invocation paths ask ``TRACER.enabled`` before they build
-a span name; ``SyncService.commit_request``, the metadata engines, the
-chunk transfers and the client's ``put_file`` / ``delete_file`` / flush /
-fetch ask it before they build an attrs dict.  With the tracer on, the
-spans are what they always were.
+a span name; the chunk transfers and the client's ``put_file`` /
+``delete_file`` / flush / fetch ask it before they build an attrs dict; and
+the commit path (``SyncService.commit_request``, its notification, the
+metadata engines' transaction) asks it before it asks for a span at all.
+With the tracer on, the spans are what they always were.
 """
 
 from __future__ import annotations
@@ -73,10 +74,12 @@ def test_no_span_is_asked_for_while_the_tracer_is_off(rig, asked):
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
 def test_no_attrs_are_built_while_the_tracer_is_off(asked, backend):
     sync_one_file(backend)
-    assert {name for name, _ in asked} >= {
-        "client.put_file", "storage.put_chunk", "client.flush", "sync.commit_request",
-        "metadata.txn", "client.fetch_content", "storage.get_chunk",
+    names = {name for name, _ in asked}
+    assert names >= {
+        "client.put_file", "storage.put_chunk", "client.flush",
+        "client.fetch_content", "storage.get_chunk",
     }
+    assert not names & {"sync.commit_request", "sync.notify_commit", "metadata.txn"}
     assert [(name, attrs) for name, attrs in asked if attrs is not None] == []
 
 
