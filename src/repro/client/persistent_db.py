@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from typing import List, Optional, Set
+from struct import unpack
+from typing import List, Optional, Set, Tuple
 
 from repro.client.local_db import LocalFileRecord
-from repro.metadata.base import blob_digests, digests_blob
 from repro.metadata.sqlite_backend import open_schema
 
 _SCHEMA = """
@@ -36,6 +36,24 @@ CREATE TABLE IF NOT EXISTS chunk_cache (
     payload BLOB NOT NULL
 );
 """
+
+
+def digests_blob(digests: Tuple[bytes, ...]) -> bytes:
+    """*digests* as one blob: their common width in a byte, then each digest.
+
+    A client file stores a chunk list so; a width is kept because a
+    fingerprinter other than SHA-1 (``sha256_fingerprint``) gives 32 bytes.
+    """
+    widths = set(map(len, digests))
+    if len(widths) > 1 or 0 in widths:
+        raise ValueError(f"digests of widths {sorted(widths)} share no one width")
+    return bytes(widths) + b"".join(digests)
+
+
+def blob_digests(blob: bytes) -> Tuple[bytes, ...]:
+    """The digests :func:`digests_blob` stored in *blob*."""
+    return unpack(f"{blob[0]}s" * ((len(blob) - 1) // blob[0]), blob[1:]) if blob else ()
+
 
 #: ``PRAGMA user_version`` of a client file in the current layout (digests as BLOBs).
 SCHEMA_VERSION = 1

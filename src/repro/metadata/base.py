@@ -22,7 +22,6 @@ import itertools
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from struct import unpack
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TransactionAborted
@@ -39,23 +38,6 @@ BulkOutcome = Tuple[bool, Optional[ItemMetadata]]
 #: two engines of one kind (the shards of one deployment) stay distinct
 #: ``/health`` components.
 engine_instances = itertools.count(1)
-
-
-def digests_blob(digests: Tuple[bytes, ...]) -> bytes:
-    """*digests* as one blob: their common width in a byte, then each digest.
-
-    The engines store a chunk list so; a width is kept because a
-    fingerprinter other than SHA-1 (``sha256_fingerprint``) gives 32 bytes.
-    """
-    widths = set(map(len, digests))
-    if len(widths) > 1 or 0 in widths:
-        raise ValueError(f"digests of widths {sorted(widths)} share no one width")
-    return bytes(widths) + b"".join(digests)
-
-
-def blob_digests(blob: bytes) -> Tuple[bytes, ...]:
-    """The digests :func:`digests_blob` stored in *blob*."""
-    return unpack(f"{blob[0]}s" * ((len(blob) - 1) // blob[0]), blob[1:]) if blob else ()
 
 
 @dataclass

@@ -6,11 +6,11 @@ irrelevant but speed matters.
 
 An item is one list: each version a commit superseded as a ``bytes`` record,
 then the current :class:`ItemMetadata`, which reads return as stored.  A record
-is :data:`_HEADER` (status index, is_folder, size, modified_at, device index,
-checksum length), the checksum, then :func:`digests_blob` of the chunks; its
-position is its version, and its workspace and filename are the current one's.
-Only :meth:`item_history` and :meth:`export_workspace` unpack records, which
-the garbage collector does not track.
+is :data:`_HEADER` (status index, is_folder, size, modified_at, device index),
+then the version's ``digests`` blob (its checksum and chunks); its position is
+its version, and its workspace and filename are the current one's.  Only
+:meth:`item_history` and :meth:`export_workspace` unpack records, which the
+garbage collector does not track.
 """
 
 from __future__ import annotations
@@ -20,14 +20,12 @@ from struct import Struct
 from typing import Dict, List, Set
 
 from repro.errors import MetadataError, UnknownWorkspace
-from repro.metadata.base import (
-    MetadataBackend, WorkspaceDump, blob_digests, digests_blob, engine_instances,
-)
+from repro.metadata.base import MetadataBackend, WorkspaceDump, engine_instances
 from repro.sync.models import STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace
 from repro.telemetry.registry import REGISTRY
 from repro.telemetry.trace import TRACER
 
-_HEADER = Struct("<B?qdIB")
+_HEADER = Struct("<B?qdI")
 
 
 class MemoryMetadataBackend(MetadataBackend):
@@ -118,10 +116,10 @@ class MemoryMetadataBackend(MetadataBackend):
         """Algorithm 1 for this engine: the bundle under one lock cycle."""
         outcomes = []
         with self.traced_transaction(proposals) if TRACER.enabled else self._lock:
-            for proposal in proposals:  # before anything is stored
+            for proposal in proposals:  # refuse what no record holds before storing any
                 if proposal.workspace_id not in self._workspaces:
                     self._require_workspace(proposal.workspace_id)  # raises
-                self._pack(proposal)  # raises what a record cannot hold
+                _HEADER.pack(0, proposal.is_folder, proposal.size, proposal.modified_at, 0)
             for proposal in proposals:
                 versions = self._versions.get(proposal.item_id)
                 current = versions[-1] if versions else None
@@ -217,18 +215,17 @@ class MemoryMetadataBackend(MetadataBackend):
         if device == len(self._device_ids):
             self._device_ids.append(m.device_id)
         status = VALID_STATUSES.index(m.status)
-        header = (status, m.is_folder, m.size, m.modified_at, device, len(m.checksum))
-        return _HEADER.pack(*header) + m.checksum + digests_blob(m.chunks)
+        return _HEADER.pack(status, m.is_folder, m.size, m.modified_at, device) + m.digests
 
     def _unpack(self, versions: list) -> List[ItemMetadata]:
         """An item's stored *versions* as objects, oldest first."""
-        current, history = versions[-1], []
+        current, history, start = versions[-1], [], _HEADER.size + 2  # the blob's checksum
         for number, record in enumerate(versions[:-1], 1):
-            status, folder, size, modified, device, length = _HEADER.unpack_from(record)
-            end = _HEADER.size + length
-            history.append(ItemMetadata(
+            status, folder, size, modified, device = _HEADER.unpack_from(record)
+            end = start + record[start - 2]
+            history.append(ItemMetadata.from_digests(
                 current.workspace_id, number, current.filename, VALID_STATUSES[status],
-                folder, size, record[_HEADER.size:end], blob_digests(record[end:]),
+                folder, size, record[start:end], record[start - 1], record[end:],
                 modified, self._device_ids[device],
             ))
         return history + [current]

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import MetadataError, UnknownWorkspace
 from repro.metadata.base import (
-    MetadataBackend, WorkspaceDump, blob_digests, digests_blob, engine_instances,
+    MetadataBackend, WorkspaceDump, engine_instances,
 )
 from repro.sync.models import STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace
 from repro.telemetry.registry import REGISTRY
@@ -406,12 +406,16 @@ class SqliteMetadataBackend(MetadataBackend):
 
     def _insert(self, m: ItemMetadata, item: Optional[int]) -> int:
         """Store *m* as a version of the ``items`` row *item*, inserting that row
-        first when *item* is None; returns its id."""
+        first when *item* is None; returns its id.  Its ``digests`` are cut into
+        the checksum and the chunks column: the width in a byte, then each
+        digest (or nothing, for no chunks)."""
         if item is None:
             item = self._conn.execute(
                 "INSERT INTO items(item_id, workspace_id, filename) VALUES (?, ?, ?)",
                 (m.item_id, m.workspace_id, m.filename),
             ).lastrowid
+        blob = m.digests
+        end = 2 + blob[0]
         self._conn.execute(
             "INSERT INTO versions VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
@@ -420,8 +424,8 @@ class SqliteMetadataBackend(MetadataBackend):
                 VALID_STATUSES.index(m.status),
                 int(m.is_folder),
                 m.size,
-                m.checksum,
-                digests_blob(m.chunks),
+                blob[2:end],
+                blob[1:2] + (blob[end:] or blob[2:end]) if blob[1] else b"",
                 m.modified_at,
                 m.device_id,
             ),
@@ -431,8 +435,10 @@ class SqliteMetadataBackend(MetadataBackend):
     @staticmethod
     def _row_to_item(row) -> ItemMetadata:
         workspace, version, filename, status, folder, size, checksum, chunks, *rest = row
-        return ItemMetadata(workspace, version, filename, VALID_STATUSES[status],
-                            bool(folder), size, checksum, blob_digests(chunks), *rest)
+        return ItemMetadata.from_digests(
+            workspace, version, filename, VALID_STATUSES[status], bool(folder), size,
+            checksum, chunks[0] if chunks else 0, chunks[1:], *rest,
+        )
 
     def _require_workspace(self, workspace_id: str) -> None:
         if not self.workspace_exists(workspace_id):

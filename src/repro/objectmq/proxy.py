@@ -17,7 +17,6 @@ sync      yes    fanout publish + collect replies until timeout
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import threading
 import time
@@ -34,8 +33,6 @@ from repro.telemetry.stats import percentile as _shared_percentile
 from repro.telemetry.trace import TRACE_KEY, TRACER
 
 logger = logging.getLogger(__name__)
-
-_UNTRACED = contextlib.nullcontext()  # tracer off: no span name is formatted
 
 
 class CallStats:
@@ -69,18 +66,6 @@ class CallStats:
         with self._lock:
             self.calls += 1
             self.timeouts += 1
-
-    @property
-    def completed(self) -> int:
-        """Calls that got a reply (every one contributes to the mean)."""
-        with self._lock:
-            return self.calls - self.timeouts
-
-    @property
-    def response_times(self) -> List[float]:
-        """Recent response-time samples (newest last, bounded)."""
-        with self._lock:
-            return list(self._recent)
 
     def percentile(self, fraction: float) -> float:
         """Percentile over the recent-sample reservoir.
@@ -138,17 +123,20 @@ class Proxy:
 
     def _make_method(self, method_name: str, spec: CallSpec):
         if spec.multi and spec.kind == "sync":
-            def call(*args: Any, **kwargs: Any) -> List[Any]:
-                return self._invoke_multi_sync(method_name, spec, args, kwargs)
+            invoke, kind = self._invoke_multi_sync, "multicall"
         elif spec.multi:
-            def call(*args: Any, **kwargs: Any) -> int:
-                return self._invoke_multi_async(method_name, spec, args, kwargs)
+            invoke, kind = self._invoke_multi_async, "multicast"
         elif spec.kind == "sync":
-            def call(*args: Any, **kwargs: Any) -> Any:
-                return self._invoke_sync(method_name, spec, args, kwargs)
+            invoke, kind = self._invoke_sync, "call"
         else:
-            def call(*args: Any, **kwargs: Any) -> None:
-                self._invoke_async(method_name, spec, args, kwargs)
+            invoke, kind = self._invoke_async, "cast"
+        span_name = f"proxy.{kind}:{method_name}"
+
+        def call(*args: Any, **kwargs: Any) -> Any:
+            if TRACER.enabled:  # else no span and no context manager at all
+                with TRACER.span(span_name, layer="proxy"):
+                    return invoke(method_name, spec, args, kwargs)
+            return invoke(method_name, spec, args, kwargs)
 
         call.__name__ = method_name
         call.__qualname__ = f"{self._interface_name}.{method_name}"
@@ -182,10 +170,8 @@ class Proxy:
         return self._broker.mom.publish(exchange, routing_key, message)
 
     def _invoke_async(self, method: str, spec: CallSpec, args, kwargs) -> None:
-        traced = TRACER.enabled and TRACER.span(f"proxy.cast:{method}", layer="proxy")
-        with traced or _UNTRACED:
-            envelope = make_request(method, list(args), kwargs, call="async", multi=False)
-            self._publish("", self._oid, envelope)
+        envelope = make_request(method, list(args), kwargs, call="async", multi=False)
+        self._publish("", self._oid, envelope)
 
     def _invoke_sync(self, method: str, spec: CallSpec, args, kwargs) -> Any:
         correlation_id = new_correlation_id()
@@ -200,43 +186,39 @@ class Proxy:
         )
         waiter = self._broker.register_waiter(correlation_id)
         started = time.perf_counter()
-        traced = TRACER.enabled and TRACER.span(f"proxy.call:{method}", layer="proxy")
         try:
-            with traced or _UNTRACED:
-                attempts = 1 + max(0, spec.retry)
-                for attempt in range(attempts):
-                    self._publish("", self._oid, envelope)
-                    reply = waiter.take(spec.timeout)
-                    if reply is not None:
-                        self.call_stats.record(time.perf_counter() - started)
-                        return self._unwrap(method, reply)
-                    logger.debug(
-                        "sync call %s.%s attempt %d/%d timed out",
-                        self._oid, method, attempt + 1, attempts,
-                    )
-                self.call_stats.record_timeout()
-                raise RemoteTimeout(
-                    f"{self._interface_name}.{method} on {self._oid!r}: no reply after "
-                    f"{attempts} attempt(s) x {spec.timeout}s"
+            attempts = 1 + max(0, spec.retry)
+            for attempt in range(attempts):
+                self._publish("", self._oid, envelope)
+                reply = waiter.take(spec.timeout)
+                if reply is not None:
+                    self.call_stats.record(time.perf_counter() - started)
+                    return self._unwrap(method, reply)
+                logger.debug(
+                    "sync call %s.%s attempt %d/%d timed out",
+                    self._oid, method, attempt + 1, attempts,
                 )
+            self.call_stats.record_timeout()
+            raise RemoteTimeout(
+                f"{self._interface_name}.{method} on {self._oid!r}: no reply after "
+                f"{attempts} attempt(s) x {spec.timeout}s"
+            )
         finally:
             self._broker.unregister_waiter(correlation_id)
 
     def _invoke_multi_async(self, method: str, spec: CallSpec, args, kwargs) -> int:
-        traced = TRACER.enabled and TRACER.span(f"proxy.multicast:{method}", layer="proxy")
-        with traced or _UNTRACED:
-            exchange = self._multi_exchange()
-            if not self._broker.mom.exchange_has_bindings(exchange):
-                # Nobody is bound to the fanout: a multicast to an empty
-                # group is a no-op by contract, so skip serialization and
-                # the broker round trip entirely.
-                return 0
-            envelope = make_request(method, list(args), kwargs, call="async", multi=True)
-            try:
-                return self._publish(exchange, self._oid, envelope)
-            except DeliveryError:
-                # Raced the last unbind: same no-op.
-                return 0
+        exchange = self._multi_exchange()
+        if not self._broker.mom.exchange_has_bindings(exchange):
+            # Nobody is bound to the fanout: a multicast to an empty group is
+            # a no-op by contract, so skip serialization and the broker round
+            # trip entirely.
+            return 0
+        envelope = make_request(method, list(args), kwargs, call="async", multi=True)
+        try:
+            return self._publish(exchange, self._oid, envelope)
+        except DeliveryError:
+            # Raced the last unbind: same no-op.
+            return 0
 
     def _invoke_multi_sync(self, method: str, spec: CallSpec, args, kwargs) -> List[Any]:
         correlation_id = new_correlation_id()
@@ -252,25 +234,23 @@ class Proxy:
         waiter = self._broker.register_waiter(correlation_id)
         results: List[Any] = []
         started = time.perf_counter()
-        traced = TRACER.enabled and TRACER.span(f"proxy.multicall:{method}", layer="proxy")
         try:
-            with traced or _UNTRACED:
-                try:
-                    fanout = self._publish(self._multi_exchange(), self._oid, envelope)
-                except DeliveryError:
-                    return []
-                needed = fanout if spec.quorum is None else min(spec.quorum, fanout)
-                deadline = time.monotonic() + spec.timeout
-                while len(results) < needed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    reply = waiter.take(remaining)
-                    if reply is None:
-                        break
-                    results.append(self._unwrap(method, reply))
-                self.call_stats.record(time.perf_counter() - started)
-                return results
+            try:
+                fanout = self._publish(self._multi_exchange(), self._oid, envelope)
+            except DeliveryError:
+                return []
+            needed = fanout if spec.quorum is None else min(spec.quorum, fanout)
+            deadline = time.monotonic() + spec.timeout
+            while len(results) < needed:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                reply = waiter.take(remaining)
+                if reply is None:
+                    break
+                results.append(self._unwrap(method, reply))
+            self.call_stats.record(time.perf_counter() - started)
+            return results
         finally:
             self._broker.unregister_waiter(correlation_id)
 

@@ -61,8 +61,8 @@ class WireRegistry:
     bytes, a derivable field left out), and the module-level
     ``unpack(*values)`` rebuilds the instance; the code then names *unpack*,
     which the unpickler admits like a class (by name or code, through
-    :attr:`pickle_classes`) and which must end in ``cls(...)`` so that
-    ``__post_init__`` still runs.  json and binary keep ``to_wire``; a type
+    :attr:`pickle_classes`) and which must build through the class's own
+    checks, as its constructor does.  json and binary keep ``to_wire``; a type
     registered without a *tag* (an RPC envelope, a ``dict`` to them) has a
     pickle layout only.  Codes are wire format: use the private range
     240-255, never reuse one, and give a changed layout a new code — a

@@ -10,8 +10,7 @@ JSON and binary; a code and the field order, or a packed layout, for pickle.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from struct import unpack
+from dataclasses import dataclass, field, fields
 from sys import intern
 from typing import List, Optional, Tuple
 
@@ -41,20 +40,20 @@ def _fields_of(dto) -> dict:
 def _set_state(dto, state) -> None:
     """``__setstate__`` of a DTO pickled by class name: its values in field order,
     or by name from a peer whose DTOs had a ``__dict__``, go through the
-    constructor, and an item's chunks are checked as :func:`unpack_item` does."""
-    state = dict(state) if state.__class__ is dict else dict(zip(dto.__slots__, state))
-    if "chunks" in state:
-        state["chunks"] = _digests(state["chunks"])
-    dto.__init__(**state)
+    constructor."""
+    if state.__class__ is not dict:
+        state = zip([f.name for f in fields(dto)], state)
+    dto.__init__(**dict(state))
 
 
-def _digests(chunks) -> Tuple[bytes, ...]:
-    """*chunks* from outside the process as digests: each its bytes or their hex,
-    all of one non-zero width."""
-    digests = tuple([c if c.__class__ is bytes else bytes.fromhex(c) for c in chunks])
-    if len(set(map(len, digests))) > 1 or b"" in digests:
+def _joined(chunks) -> Tuple[int, bytes]:
+    """*chunks*, each a digest's bytes or hex, as their one width (0 for none)
+    and the digests end to end."""
+    digests = [c if c.__class__ is bytes else bytes.fromhex(c) for c in chunks]
+    widths = set(map(len, digests))
+    if len(widths) > 1 or 0 in widths:
         raise ValueError("chunk digests must share one non-zero width")
-    return digests
+    return (widths.pop() if widths else 0), b"".join(digests)
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,18 +78,43 @@ class Workspace:
         return cls(**data)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class ItemMetadata:
+class _ItemSlots:
+    """An :class:`ItemMetadata`'s storage: ``checksum`` and ``chunks`` read ``digests``."""
+
+    __slots__ = ("workspace_id", "version", "filename", "status", "is_folder", "size",
+                 "digests", "modified_at", "device_id", "item_id")
+
+    @property
+    def checksum(self) -> bytes:
+        return self.digests[2:2 + self.digests[0]]
+
+    @property
+    def chunks(self) -> Tuple[bytes, ...]:
+        blob = self.digests
+        width, start = blob[1], 2 + blob[0]
+        if start == len(blob):  # no digests: no chunks, or the checksum alone
+            return (blob[2:],) if width else ()
+        return tuple([blob[i:i + width] for i in range(start, len(blob), width)])
+
+
+@dataclass(frozen=True, init=False)
+class ItemMetadata(_ItemSlots):
     """One version of one item (file or folder) in a workspace.
 
     ``version`` is the server-side monotonically increasing version
     number; a client proposing a change sends ``current version + 1``.
-    ``checksum`` and ``chunks`` (the file's fingerprints, in order) hold
-    digests as bytes; hex is converted, a ``chunks`` tuple trusted.
+    ``checksum`` and ``chunks`` (the file's fingerprints, in order) are given
+    as bytes or hex, the chunks all of one width, and read back as bytes and
+    a tuple of bytes.  They are stored as one ``digests`` blob: the checksum's
+    length and the chunks' width (0 for none) in a byte each, the checksum,
+    then the chunk digests end to end, or none when the checksum is the sole
+    chunk, as in every single-chunk file.  Each of the two is under 256 bytes.
     ``item_id`` is :func:`make_item_id` of the workspace and filename, derived
     and interned here (an id given that differs is refused), so stored versions
     share it.  A rename or a move is a delete and an add: another item.
     """
+
+    __slots__ = ()
 
     workspace_id: str
     version: int
@@ -98,8 +122,8 @@ class ItemMetadata:
     status: str
     is_folder: bool
     size: int
-    checksum: bytes
-    chunks: Tuple[bytes, ...]
+    checksum: bytes = field()  # field(): no default, though _ItemSlots reads both
+    chunks: Tuple[bytes, ...] = field()
     modified_at: float
     device_id: str
     item_id: str = field(init=False)
@@ -110,6 +134,15 @@ class ItemMetadata:
         checksum: bytes = b"", chunks: Tuple[bytes, ...] = (),
         modified_at: float = 0.0, device_id: str = "", item_id: Optional[str] = None,
     ) -> None:
+        self._assign(workspace_id, version, filename, status, is_folder, size, checksum,
+                     *_joined(chunks), modified_at, device_id, item_id)
+
+    def _assign(self, workspace_id, version, filename, status, is_folder, size, checksum,
+                width, digests, modified_at, device_id, item_id=None) -> "ItemMetadata":
+        """Check and store the fields; *digests* are the chunks end to end,
+        each *width* bytes, or none when the checksum is the sole chunk."""
+        if checksum.__class__ is not bytes:
+            checksum = bytes.fromhex(checksum)
         derived = intern(make_item_id(workspace_id, filename))
         if item_id is not None and item_id != derived:
             raise ValueError(f"item id {item_id!r} is not its workspace and path")
@@ -117,10 +150,8 @@ class ItemMetadata:
             raise ValueError(f"invalid status {status!r}")
         if version < 1:
             raise ValueError("version numbers start at 1")
-        if checksum.__class__ is not bytes:
-            checksum = bytes.fromhex(checksum)
-        if chunks.__class__ is not tuple:
-            chunks = _digests(chunks)
+        if digests == checksum and len(digests) == width:
+            digests = b""  # the checksum is the sole chunk
         assign = object.__setattr__
         assign(self, "workspace_id", workspace_id)
         assign(self, "version", version)
@@ -128,13 +159,22 @@ class ItemMetadata:
         assign(self, "status", status)
         assign(self, "is_folder", is_folder)
         assign(self, "size", size)
-        assign(self, "checksum", checksum)
-        assign(self, "chunks", chunks)
+        assign(self, "digests", bytes((len(checksum), width)) + checksum + digests)
         assign(self, "modified_at", modified_at)
         assign(self, "device_id", device_id)
         assign(self, "item_id", derived)
+        return self
+
+    @classmethod
+    def from_digests(cls, *values) -> "ItemMetadata":
+        """An item of the fields :meth:`_assign` takes, in its order."""
+        return object.__new__(cls)._assign(*values)
 
     __setstate__ = _set_state
+
+    def __getstate__(self) -> list:
+        """The values in field order, as a slotted dataclass pickles them."""
+        return [getattr(self, f.name) for f in fields(self)]
 
     def __repr__(self) -> str:
         digests = " ".join(digest.hex() for digest in (self.checksum, *self.chunks))
@@ -142,7 +182,7 @@ class ItemMetadata:
 
     def to_wire(self) -> dict:
         """The fields by name, but not ``item_id``: the receiver derives it."""
-        return {name: getattr(self, name) for name in self.__slots__ if name != "item_id"}
+        return {name: getattr(self, name) for name in self.__match_args__}
 
     @classmethod
     def from_wire(cls, data: dict) -> "ItemMetadata":
@@ -209,8 +249,6 @@ def _as(cls, data):
 
 
 # -- packed pickle layouts (what ``register(pack=, unpack=)`` is given) -----------
-_PACKED_WIDTHS = {DIGEST_SIZE}
-_PACKED_FORMAT = f"{DIGEST_SIZE}s"
 
 
 def pack_item(item: ItemMetadata) -> tuple:
@@ -220,11 +258,13 @@ def pack_item(item: ItemMetadata) -> tuple:
     chunk, as in every single-chunk file: both digest the same bytes),
     ``chunks`` as one blob when each is :data:`DIGEST_SIZE` bytes (else the
     tuple), ``modified_at`` and ``device_id``.  ``item_id`` is derived."""
-    checksum, chunks = item.checksum, item.chunks
-    if len(chunks) == 1 and checksum == chunks[0]:
-        checksum = None
-    if set(map(len, chunks)) == _PACKED_WIDTHS:
-        chunks = b"".join(chunks)
+    blob = item.digests
+    end = 2 + blob[0]
+    checksum, chunks = blob[2:end], blob[end:]
+    if blob[1] and not chunks:
+        checksum, chunks = None, checksum
+    if blob[1] != DIGEST_SIZE:
+        chunks = item.chunks
     return unpack_item, (
         item.workspace_id, item.filename, item.version, VALID_STATUSES.index(item.status),
         item.is_folder, item.size, checksum, chunks, item.modified_at, item.device_id,
@@ -238,16 +278,16 @@ def unpack_item(
     if chunks.__class__ is bytes:
         if len(chunks) % DIGEST_SIZE:
             raise ValueError(f"{len(chunks)} bytes do not hold digests of {DIGEST_SIZE}")
-        chunks = unpack(_PACKED_FORMAT * (len(chunks) // DIGEST_SIZE), chunks)
+        width = DIGEST_SIZE if chunks else 0
     else:
-        chunks = _digests(chunks)
+        width, chunks = _joined(chunks)
     if checksum is None:
-        if len(chunks) != 1:
-            raise ValueError(f"a checksum left out beside {len(chunks)} chunks")
-        checksum = chunks[0]
-    return ItemMetadata(
-        intern(workspace_id), version, intern(filename), VALID_STATUSES[status],
-        is_folder, size, checksum, chunks, modified_at, intern(device_id),
+        if not width or len(chunks) != width:
+            raise ValueError(f"a checksum left out beside {len(chunks) // (width or 1)} chunks")
+        checksum = chunks
+    return object.__new__(ItemMetadata)._assign(
+        intern(workspace_id), version, intern(filename), VALID_STATUSES[status], is_folder,
+        size, checksum, width, chunks, modified_at, intern(device_id),
     )
 
 

@@ -7,6 +7,7 @@ shared ACID contract Algorithm 1 relies on.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import random
 import sqlite3
@@ -387,6 +388,33 @@ def test_sqlite_stores_an_update_in_under_100_bytes():
         backend.close()
 
 
+def test_sqlite_cuts_an_items_digests_into_the_columns_files_hold():
+    """``checksum`` holds the checksum; ``chunks`` a width byte, then each
+    digest, the sole chunk included: the layout every schema-3 file holds."""
+    from repro.metadata import SqliteMetadataBackend
+
+    sha1, sha256 = b"\x01" * 20, b"\x02" * 32
+    stored = {
+        "ws1:a.txt": (b"\xcc" * 20, (sha1,), b"\x14" + sha1),
+        "ws1:b.txt": (sha1, (sha1,), b"\x14" + sha1),
+        "ws1:c.txt": (b"", (), b""),
+        "ws1:d.txt": (b"\xcc" * 20, (sha256, sha256), b"\x20" + sha256 * 2),
+    }
+    with closing(SqliteMetadataBackend(":memory:")) as backend:
+        setup_workspace(backend)
+        for item_id, (checksum, chunks, _column) in stored.items():
+            proposal = item(item_id=item_id, chunks=chunks)
+            backend.store_new_object(dataclasses.replace(proposal, checksum=checksum))
+        rows = backend._conn.execute(
+            "SELECT i.item_id, v.checksum, v.chunks FROM items i"
+            " JOIN versions v ON v.item = i.id ORDER BY i.item_id"
+        ).fetchall()
+        assert rows == [(item_id, c, column) for item_id, (c, _, column) in stored.items()]
+        assert [backend.get_current(i).chunks for i in stored] == [
+            chunks for _, chunks, _ in stored.values()
+        ]
+
+
 def test_memory_stores_an_update_in_under_128_bytes():
     """The commit_storm shape: 16 workspaces of 512 items at version 1, then 8
     updates of each item.  Each stored update grows the engine's heap by at most
@@ -427,15 +455,16 @@ def test_digests_of_any_one_width_round_trip(metadata_backend):
 
 
 def test_chunks_of_mixed_widths_are_refused(metadata_backend):
-    """A chunk list of two widths fails its whole bundle, before anything of it
-    is stored, on every engine (a tuple of digests is trusted by ItemMetadata)."""
+    """A chunk list of two widths is refused when its item is built (an item
+    holds its digests in one blob of one width), so no engine is handed any
+    of a bundle that would hold one."""
     setup_workspace(metadata_backend)
     metadata_backend.store_new_object(item(version=1))
-    mixed = item(version=1, item_id="ws1:b.txt", chunks=(b"\x01" * 20, b"\x02" * 32))
-    with pytest.raises(ValueError, match="share no one width"):
-        metadata_backend.store_versions_bulk(
-            [item(version=2, status=STATUS_CHANGED), mixed]
-        )
+    with pytest.raises(ValueError, match="one non-zero width"):
+        metadata_backend.store_versions_bulk([
+            item(version=2, status=STATUS_CHANGED),
+            item(version=1, item_id="ws1:b.txt", chunks=(b"\x01" * 20, b"\x02" * 32)),
+        ])
     assert metadata_backend.get_current("ws1:a.txt").version == 1
     assert metadata_backend.get_current("ws1:b.txt") is None
     assert metadata_backend.counts()["versions"] == 1

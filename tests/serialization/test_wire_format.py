@@ -47,6 +47,7 @@ from repro.sync.models import (
     unpack_notification,
 )
 from repro.telemetry.trace import TRACE_KEY
+from tests.conftest import make_metadata_backend
 
 WORKSPACE = "ws-52e6b438-00"
 DEVICE = "dev-generator"
@@ -129,7 +130,8 @@ def test_a_single_chunk_file_sends_its_digest_once():
     body = PickleSerializer().encode(item)
     assert body.count(item.checksum) == 1
     decoded = PickleSerializer().decode(body)
-    assert decoded == item and decoded.checksum is decoded.chunks[0]
+    assert decoded == item and decoded.chunks == (item.checksum,)
+    assert decoded.digests == bytes((20, 20)) + item.checksum  # held once
 
 
 def test_envelopes_and_confirmed_results_travel_by_position():
@@ -241,6 +243,16 @@ def _by_class_name(cls, state) -> bytes:
     )
 
 
+def _slotted_peer_body(dto) -> bytes:
+    """*dto* pickled by class name with its values in field order, as a peer
+    with slotted DTOs and no class codes sends it."""
+    out = io.BytesIO()
+    peer = pickle.Pickler(out, 4)
+    peer.dispatch_table = {}  # no copyreg reducers: every DTO by class name
+    peer.dump(dto)
+    return out.getvalue()
+
+
 def test_item_pickled_by_class_name_with_hex_digests_decodes_to_bytes():
     """A peer whose DTOs had a ``__dict__`` sends the fields by name, digests in
     hex: they go through the constructor, never zipped with the field names."""
@@ -256,11 +268,7 @@ def test_item_pickled_by_class_name_with_hex_digests_decodes_to_bytes():
 def test_body_pickled_by_class_name_from_a_slotted_peer_decodes():
     """A peer without the class codes but with these slotted DTOs sends each
     one's values in field order."""
-    out = io.BytesIO()
-    peer = pickle.Pickler(out, 4)
-    peer.dispatch_table = {}  # no copyreg reducers: every DTO by class name
-    peer.dump({"method": "m", "args": [Workspace("ws", "alice"), proposal(0)]})
-    body = out.getvalue()
+    body = _slotted_peer_body({"method": "m", "args": [Workspace("ws", "alice"), proposal(0)]})
     assert b"ItemMetadata" in body
     assert PickleSerializer().decode(body)["args"] == [Workspace("ws", "alice"), proposal(0)]
 
@@ -414,25 +422,31 @@ def test_a_workspace_id_holding_a_colon_is_refused_on_every_decode_path():
 # -- the packed layout round-trips anything -------------------------------------
 
 _HEX = "0123456789abcdef"
-def _digests_of_width(width):
+
+
+def _digests_of_width(width, counts=st.sampled_from([0, 1, 3])):
     """A chunk list of one width, each digest as bytes or as its hex."""
     digest = st.binary(min_size=width, max_size=width)
-    return st.lists(
-        st.one_of(digest, digest.map(bytes.hex), digest.map(lambda raw: raw.hex().upper())),
-        max_size=4,
-    )
+    given = st.one_of(digest, digest.map(bytes.hex), digest.map(lambda raw: raw.hex().upper()))
+    return counts.flatmap(lambda count: st.lists(given, min_size=count, max_size=count))
 
 
 _chunk_lists = st.one_of(
-    _digests_of_width(20), _digests_of_width(32), st.integers(1, 40).flatmap(_digests_of_width)
+    _digests_of_width(20), _digests_of_width(32),
+    st.integers(1, 40).flatmap(lambda width: _digests_of_width(width, st.integers(0, 4))),
 )
-_checksum = st.one_of(st.binary(max_size=40), st.binary(max_size=40).map(bytes.hex))
+_checksum = st.one_of(
+    st.just(b""), st.binary(min_size=20, max_size=20), st.binary(min_size=32, max_size=32),
+    st.binary(max_size=40), st.binary(max_size=40).map(bytes.hex),
+)
 _name = st.text("abc:/. é", min_size=0, max_size=12)
 
 
 @st.composite
 def _items(draw):
-    """0 to 4 chunks; one chunk is often also the checksum, as in a file of one."""
+    """0, 1 or 3 chunks of 20 or 32 bytes (or 0 to 4 of any width); one chunk
+    is often also the checksum, as in a file of one, and a checksum may be
+    empty."""
     workspace_id, filename = draw(_name), draw(_name)
     chunks = draw(_chunk_lists)
     checksum = _checksum if len(chunks) != 1 else st.one_of(_checksum, st.just(chunks[0]))
@@ -476,11 +490,31 @@ _notifications = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(dto=st.one_of(_items(), _notifications))
 def test_any_item_and_notification_round_trips(dto):
+    """Each codec, deepcopy and replace; and for an item, both class-name peer
+    forms and the version history of every engine, where an older version is
+    stored in the engine's own form."""
     for codec in (PickleSerializer(), JsonSerializer(), BinarySerializer()):
         assert codec.decode(codec.encode(dto)) == dto
     assert copy.deepcopy(dto) == dto
     assert dataclasses.replace(dto, workspace_id="other").workspace_id == "other"
     assert dataclasses.replace(dto) == dto
+    if dto.__class__ is not ItemMetadata:
+        return
+    by_name = {**dto.to_wire(), "item_id": dto.item_id}
+    for body in (_by_class_name(ItemMetadata, by_name), _slotted_peer_body(dto)):
+        assert PickleSerializer().decode(body) == dto
+    older = dataclasses.replace(dto, workspace_id="ws", version=1)
+    newer = dataclasses.replace(older, version=2, chunks=older.chunks[::-1])
+    for kind in ("memory", "sqlite", "sharded", "sharded-sqlite"):
+        engine = make_metadata_backend(kind)
+        try:
+            engine.create_user("alice")
+            engine.create_workspace(Workspace(workspace_id="ws", owner="alice"))
+            engine.store_new_object(older)
+            engine.store_new_version(newer)
+            assert engine.item_history(older.item_id) == [older, newer], kind
+        finally:
+            engine.close()
 
 
 _scalars = st.one_of(st.none(), st.booleans(), st.integers(), _name, st.binary(max_size=8))
@@ -533,9 +567,8 @@ def test_canonical_digests_travel_packed_and_anything_else_literally():
         assert (values[6], values[7]) == (wire_checksum, wire_chunks)
         assert values[3] == VALID_STATUSES.index(item.status) and len(values) == 10
         assert PickleSerializer().decode(PickleSerializer().encode(item)) == item
-    mixed = dataclasses.replace(proposal(0), chunks=(sha1, sha256))
-    with pytest.raises(SerializationError, match="one non-zero width"):
-        PickleSerializer().decode(PickleSerializer().encode(mixed))
+    with pytest.raises(ValueError, match="one non-zero width"):
+        dataclasses.replace(proposal(0), chunks=(sha1, sha256))  # one blob, one width
 
 
 # -- identity within a message ------------------------------------------------------

@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 
 from repro.metadata import MemoryMetadataBackend
-from repro.objectmq.envelope import make_request
+from repro.objectmq.envelope import make_reply, make_request
 from repro.serialization import PickleSerializer
 from repro.sync.models import (
     STATUS_CHANGED,
@@ -166,3 +166,48 @@ def test_a_decoded_version_keeps_under_400_bytes():
         tracemalloc.stop()
     assert backend.counts()["versions"] == len(bodies)
     assert retained / len(bodies) <= 400
+
+
+@pytest.mark.parametrize(
+    "sole_chunk, budget", [(False, 264), (True, 240)],
+    ids=["checksum-and-chunk", "checksum-is-the-sole-chunk"],
+)
+def test_a_decoded_item_keeps_its_digests_in_one_blob(sole_chunk, budget):
+    """What a joining device holds per live item after ``get_changes``.
+
+    Four replies of 512 items shaped like the repo benchmark's commit
+    workloads, each decoded ten times and kept.  The server's copies stay
+    alive, as in the benchmark's one process, so the decoded items share their
+    interned ids and names.  With a checksum bytes object, a chunks tuple and
+    a bytes object per chunk, an item kept about 338 bytes, or 285 when its
+    checksum was its only chunk.
+    """
+    rng = random.Random(2)
+    codec = PickleSerializer()
+
+    def reply(w):
+        workspace_id = f"ws-52e6b438-{w:02d}"
+        items = []
+        for item in range(512):
+            chunk = rng.randbytes(20)
+            items.append(ItemMetadata(
+                workspace_id, 2, f"dir-{item % 16:02d}/file-{item:08d}.dat",
+                STATUS_CHANGED, False, 512 * 1024, chunk if sole_chunk else rng.randbytes(20),
+                (chunk,), 1_400_000_002.0, "dev-generator",
+            ))
+        return codec.encode(make_reply("0" * 32, result=items))
+
+    bodies = [reply(w) for w in range(4)]
+    served = [codec.decode(body)["result"] for body in bodies]  # noqa: F841
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = [codec.decode(body)["result"] for body in bodies for _ in range(10)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    decoded = sum(map(len, kept))
+    assert decoded == 4 * 512 * 10
+    assert retained / decoded <= budget

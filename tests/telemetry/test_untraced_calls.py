@@ -1,7 +1,7 @@
 """Nothing is formatted for a tracer that is off.
 
-The proxy's four invocation paths ask ``TRACER.enabled`` before they build
-a span name; the chunk transfers and the client's ``put_file`` /
+The proxy's stubs ask ``TRACER.enabled`` before they enter a span, and enter
+no context manager at all while it is off; the chunk transfers and the client's ``put_file`` /
 ``delete_file`` / flush / fetch ask it before they build an attrs dict; and
 the commit path (``SyncService.commit_request``, its notification, the
 metadata engines' transaction) asks it before it asks for a span at all.
@@ -10,9 +10,12 @@ With the tracer on, the spans are what they always were.
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.metadata import MemoryMetadataBackend
+from repro.objectmq import proxy as proxy_module
 from repro.sync import SyncService, Workspace
 from repro.telemetry import TRACER, Tracer, disable, enable
 from tests.conftest import SyncTestbed
@@ -69,6 +72,50 @@ def test_no_span_is_asked_for_while_the_tracer_is_off(rig, asked):
     finally:
         disable()
     assert [name for name, _ in asked[:2]] == ["proxy.cast:add", "proxy.serialize:add"]
+
+
+def test_a_cast_calls_nothing_for_tracing_while_the_tracer_is_off(rig):
+    """No Python call goes to a context manager or the tracer on the caller's
+    thread for a cast and a multicast: a ``nullcontext`` cost two per call."""
+    mom, server, client = rig
+    counter = Counter()
+    server.bind("counter", counter)
+    proxy = client.lookup("counter", CounterApi)
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.append(frame.f_code.co_filename)
+
+    sys.setprofile(profile)
+    try:
+        proxy.add(5)
+        proxy.reset()
+    finally:
+        sys.setprofile(None)
+    assert any(name.endswith("proxy.py") for name in called)
+    assert [name for name in called if name.endswith(("contextlib.py", "trace.py"))] == []
+    assert wait_for(lambda: counter.value == 0)
+
+
+def test_each_request_is_built_inside_its_proxy_span(rig, monkeypatch):
+    built, real = [], proxy_module.make_request
+
+    def spying(*args, **kwargs):
+        built.append(TRACER.current())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(proxy_module, "make_request", spying)
+    enable()
+    try:
+        drive(rig)
+    finally:
+        disable()
+    names = {span.span_id: span.name for span in TRACER.spans()}
+    assert [names[context.span_id] for context in built] == [
+        "proxy.cast:add", "proxy.call:total", "proxy.multicast:reset",
+        "proxy.multicall:totals",
+    ]
 
 
 @pytest.mark.parametrize("backend", ["memory", "sqlite"])
