@@ -20,7 +20,6 @@ from repro.bench.soak import (
     DEFAULT_PHASES,
     PHASE_DIURNAL,
     PHASE_FLASH,
-    PHASE_REBALANCE,
     SoakConfig,
     SoakHarness,
     SoakPhaseRecord,
@@ -37,7 +36,6 @@ __all__ = [
     "HTTP_STORAGE_OVERHEAD",
     "PHASE_DIURNAL",
     "PHASE_FLASH",
-    "PHASE_REBALANCE",
     "SoakConfig",
     "SoakHarness",
     "SoakPhaseRecord",

@@ -1,4 +1,4 @@
-"""Million-user soak harness: scripted load phases over the sharded stack.
+"""Million-user soak harness: scripted load phases over the sharded control plane.
 
 The paper's elasticity claim (§5-§6) is about *sustained* Ubuntu One-scale
 load, but every benchmark in this repo runs for seconds.  This harness
@@ -10,18 +10,14 @@ configured registered-user count — through scripted phases:
 * ``diurnal-ramp`` — one full compressed day: night trough, morning ramp,
   noon peak, evening decay (the Fig 8a/8b scenario);
 * ``flash-crowd`` — a steady segment whose middle third surges to a
-  multiple of the diurnal rate (the Fig 8c/8d/8e misprediction stressor);
-* ``rebalance-storm`` — steady traffic while a burst of live
-  :meth:`~repro.metadata.sharded.ShardedMetadataBackend.migrate_workspace`
-  calls rebalances real workspaces between real metadata shards (the
-  operation PR 4 made write-fenced; here it runs under load observation).
+  multiple of the diurnal rate (the Fig 8c/8d/8e misprediction stressor).
 
 Each control period of every shard's simulated Supervisor is a *scrape
 point*: the harness updates ``soak_*`` gauges in a
 :class:`~repro.telemetry.registry.MetricsRegistry`, evaluates an
 :class:`~repro.telemetry.slo.SloEngine` rule set against the snapshot,
-and lets every decision, capacity action, alert edge and migration land
-in one shared :class:`~repro.telemetry.control.DecisionJournal`.  Phase
+and lets every decision, capacity action and alert edge land in one
+shared :class:`~repro.telemetry.control.DecisionJournal`.  Phase
 records aggregate what the paper plots (commits/sec, p50/p99 sync
 latency, queue depth, pool size) plus the control-plane counts PR 3
 introduced (decisions, actions, alert edges).
@@ -29,20 +25,17 @@ introduced (decisions, actions, alert edges).
 The DES core is deterministic: identical ``(config, seed)`` reproduce
 identical per-phase figures and journal decision sequences on every
 machine, so ``tests/bench/test_soak.py`` pins the smoke preset's figures
-exactly; a control-plane change that moves them re-pins them.
-Wall-clock readings (migration latencies, total runtime) carry the
-``wall_`` prefix and are never pinned.
+exactly; a control-plane change that moves them re-pins them.  The
+wall-clock runtime carries the ``wall_`` prefix and is never pinned.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.elasticity import ReactiveProvisioner, SlaParameters
-from repro.metadata.sharded import ShardedMetadataBackend
 from repro.objectmq.introspection import PoolObservation
 from repro.objectmq.naming import parse_shard_oid
 from repro.simulation.autoscale import (
@@ -50,7 +43,6 @@ from repro.simulation.autoscale import (
     ShardedSimResult,
     SimConfig,
 )
-from repro.sync.models import ItemMetadata, Workspace
 from repro.telemetry.control import (
     KIND_ALERT_FIRED,
     KIND_ALERT_RESOLVED,
@@ -71,27 +63,19 @@ from repro.workload.ubuntuone import (
 #: Phase names understood by :meth:`SoakHarness.run`.
 PHASE_DIURNAL = "diurnal-ramp"
 PHASE_FLASH = "flash-crowd"
-PHASE_REBALANCE = "rebalance-storm"
-DEFAULT_PHASES: Tuple[str, ...] = (PHASE_DIURNAL, PHASE_FLASH, PHASE_REBALANCE)
+DEFAULT_PHASES: Tuple[str, ...] = (PHASE_DIURNAL, PHASE_FLASH)
 
 #: The user count the paper's trace corresponds to: Ubuntu One served
 #: on the order of a million registered users at its day-8 peak of
 #: 8,514 commit requests per minute.  Arrival rates scale linearly.
 REFERENCE_USERS = 1_000_000
 
-#: Journal event kind written for each live workspace migration.
-KIND_MIGRATE = "migrate"
-
-#: Day of the synthetic UB1 history replayed by ``diurnal-ramp``; the
-#: other two phases replay the day after it.
+#: Day of the synthetic UB1 history replayed by ``diurnal-ramp``;
+#: ``flash-crowd`` replays the day after it.
 DAY_INDEX = 8
 FLASH_HOUR = 15.0
 #: Surge over the diurnal rate in the flash crowd's middle third.
 FLASH_MULTIPLIER = 3.0
-REBALANCE_HOUR = 12.0
-#: Items (two versions each) seeded into each workspace picked for
-#: migration.
-ITEMS_PER_MIGRATING_WORKSPACE = 8
 #: The simulated Supervisor of every shard.
 CONTROL_INTERVAL_S = 5.0
 OBSERVATION_WINDOW_S = 30.0
@@ -120,14 +104,6 @@ class SoakConfig:
     #: real time; the default compresses 30x without changing rates).
     seconds_per_day: int = 2880
     flash_seconds: int = 600
-    rebalance_seconds: int = 600
-    #: Live workspace migrations fired during ``rebalance-storm``.
-    migrations: int = 16
-    #: Registered rows actually materialized in the metadata backend.
-    #: ``None`` materializes ``min(users, 100_000)`` — the arrival scale
-    #: always tracks ``users``; the materialization cap only bounds setup
-    #: memory for the 10^6 presets.
-    population: Optional[int] = None
     max_instances_per_shard: int = 64
     #: Mean commit service time (paper: 50 ms).  Reduced-scale presets
     #: raise it so per-instance load — and therefore the provisioner's
@@ -137,9 +113,7 @@ class SoakConfig:
     service_time_variance_s2: float = 200e-6
 
     def __post_init__(self) -> None:
-        for name, floor in (
-            ("users", 1), ("shards", 1), ("seconds_per_day", 1), ("migrations", 0)
-        ):
+        for name, floor in (("users", 1), ("shards", 1), ("seconds_per_day", 1)):
             if getattr(self, name) < floor:
                 raise ValueError(f"{name} must be at least {floor}")
         if not self.phases:
@@ -149,12 +123,6 @@ class SoakConfig:
             raise ValueError(
                 f"unknown phase(s) {unknown!r}; valid: {list(DEFAULT_PHASES)}"
             )
-
-    @property
-    def effective_population(self) -> int:
-        if self.population is not None:
-            return self.population
-        return min(self.users, 100_000)
 
     @property
     def rate_scale(self) -> float:
@@ -168,8 +136,6 @@ class SoakConfig:
             shards=2,
             seconds_per_day=720,
             flash_seconds=180,
-            rebalance_seconds=180,
-            migrations=8,
             max_instances_per_shard=16,
             # 10x the users' share of load per commit: at 1/10th the
             # arrival scale this keeps per-instance utilization — and the
@@ -198,19 +164,6 @@ def soak_rules() -> List[SloRule]:
 
 
 @dataclass
-class MigrationRecord:
-    """One live ``migrate_workspace`` call made during the storm."""
-
-    workspace_id: str
-    source: int
-    target: int
-    items: int
-    versions: int
-    wall_seconds: float
-    verified: bool
-
-
-@dataclass
 class SoakPhaseRecord:
     """What one phase measured: paper figures plus control-plane counts."""
 
@@ -234,10 +187,6 @@ class SoakPhaseRecord:
     #: journal (must be 0: every action is journaled).
     unjournaled_actions: int
     scrapes: int
-    migrations: int = 0
-    migration_failures: int = 0
-    wall_migration_p50_s: Optional[float] = None
-    wall_migration_p99_s: Optional[float] = None
 
 
 @dataclass
@@ -246,7 +195,6 @@ class SoakResult:
 
     config: SoakConfig
     records: List[SoakPhaseRecord] = field(default_factory=list)
-    migrations: List[MigrationRecord] = field(default_factory=list)
     journal: Optional[DecisionJournal] = None
     wall_runtime_s: float = 0.0
 
@@ -262,7 +210,6 @@ class SoakResult:
         * No phase flapped an alert (fired the same rule twice).
         * Every capacity action implied by a control decision appears in
           the journal, back-referenced to its decision.
-        * Every migration moved its workspace intact.
         """
         problems: List[str] = []
         flaps = self.alert_flap_count()
@@ -271,12 +218,6 @@ class SoakResult:
         unjournaled = self.unjournaled_action_count()
         if unjournaled:
             problems.append(f"{unjournaled} capacity action(s) not journaled")
-        failed = [m for m in self.migrations if not m.verified]
-        if failed:
-            problems.append(
-                f"{len(failed)} migration(s) failed verification: "
-                + ", ".join(m.workspace_id for m in failed[:5])
-            )
         if problems:
             raise SoakVerificationError("; ".join(problems))
 
@@ -332,51 +273,7 @@ class SoakHarness:
                 config.flash_seconds,
                 multiplier=FLASH_MULTIPLIER,
             )
-        if phase == PHASE_REBALANCE:
-            return self.generator.steady_arrivals(
-                DAY_INDEX + 1,
-                REBALANCE_HOUR,
-                config.rebalance_seconds,
-            )
         raise ValueError(f"unknown phase {phase!r}")
-
-    # -- population ------------------------------------------------------------------
-
-    def _build_population(self) -> Tuple[ShardedMetadataBackend, List[str]]:
-        """Materialize registered users/workspaces; seed migration targets.
-
-        Returns the backend and the workspace ids selected for the
-        rebalance storm (already populated with versioned items so a
-        migration moves real history).
-        """
-        config = self.config
-        backend = ShardedMetadataBackend.memory(config.shards)
-        population = config.effective_population
-        backend.create_user("soak")
-        workspace_ids = [f"ws-soak-{i:06d}" for i in range(population)]
-        for workspace_id in workspace_ids:
-            backend.create_workspace(
-                Workspace(workspace_id=workspace_id, owner="soak")
-            )
-        rng = random.Random(f"{config.seed}:migrations")
-        count = min(config.migrations, population)
-        targets = sorted(rng.sample(range(population), count)) if count else []
-        migrating = [workspace_ids[i] for i in targets]
-        for workspace_id in migrating:
-            for item_index in range(ITEMS_PER_MIGRATING_WORKSPACE):
-                backend.store_new_object(ItemMetadata(
-                    workspace_id=workspace_id,
-                    version=1,
-                    filename=f"f{item_index}",
-                    device_id="soak",
-                ))
-                backend.store_new_version(ItemMetadata(
-                    workspace_id=workspace_id,
-                    version=2,
-                    filename=f"f{item_index}",
-                    device_id="soak",
-                ))
-        return backend, migrating
 
     # -- scraping --------------------------------------------------------------------
 
@@ -402,28 +299,17 @@ class SoakHarness:
     def run(self) -> SoakResult:
         config = self.config
         started = time.perf_counter()
-        backend, migrating = self._build_population()
         result = SoakResult(config=config, journal=self.journal)
         time_origin = 0.0
-        try:
-            for index, phase in enumerate(config.phases):
-                record = self._run_phase(index, phase, time_origin, backend,
-                                         migrating, result)
-                result.records.append(record)
-                time_origin += record.sim_seconds
-        finally:
-            backend.close()
+        for index, phase in enumerate(config.phases):
+            record = self._run_phase(index, phase, time_origin)
+            result.records.append(record)
+            time_origin += record.sim_seconds
         result.wall_runtime_s = time.perf_counter() - started
         return result
 
     def _run_phase(
-        self,
-        index: int,
-        phase: str,
-        time_origin: float,
-        backend: ShardedMetadataBackend,
-        migrating: List[str],
-        result: SoakResult,
+        self, index: int, phase: str, time_origin: float
     ) -> SoakPhaseRecord:
         config = self.config
         arrivals = self.phase_arrivals(phase)
@@ -451,69 +337,9 @@ class SoakHarness:
             on_control_period=self._scrape,
         )
         sharded = sim.run()
-
-        migration_records: List[MigrationRecord] = []
-        if phase == PHASE_REBALANCE and config.shards > 1:
-            migration_records = self._run_migrations(
-                backend, migrating, time_origin, duration
-            )
-            result.migrations.extend(migration_records)
-
         return self._phase_record(
-            phase, sharded, duration, seq_before, scrapes_before,
-            migration_records,
+            phase, sharded, duration, seq_before, scrapes_before
         )
-
-    def _run_migrations(
-        self,
-        backend: ShardedMetadataBackend,
-        migrating: List[str],
-        time_origin: float,
-        duration: float,
-    ) -> List[MigrationRecord]:
-        """The storm: move every selected workspace to its next shard.
-
-        Wall-clock latencies are real (`migrate_workspace` exports,
-        imports and verifies actual rows under its write fence); journal
-        timestamps spread the storm across the phase window so the
-        timeline interleaves migrations with scaling decisions.
-        """
-        records: List[MigrationRecord] = []
-        step = duration / (len(migrating) + 1) if migrating else duration
-        for index, workspace_id in enumerate(migrating):
-            source = backend.shard_for_workspace(workspace_id)
-            target = (source + 1) % backend.num_shards
-            t0 = time.perf_counter()
-            summary = backend.migrate_workspace(workspace_id, target)
-            wall = time.perf_counter() - t0
-            verified = (
-                backend.shard_for_workspace(workspace_id) == target
-                and all(
-                    len(backend.item_history(f"{workspace_id}:f{i}")) == 2
-                    for i in range(ITEMS_PER_MIGRATING_WORKSPACE)
-                )
-            )
-            records.append(MigrationRecord(
-                workspace_id=workspace_id,
-                source=summary["source"],
-                target=summary["target"],
-                items=summary["items"],
-                versions=summary["versions"],
-                wall_seconds=wall,
-                verified=verified,
-            ))
-            self.journal.append(
-                KIND_MIGRATE,
-                time_origin + (index + 1) * step,
-                workspace_id=workspace_id,
-                source=summary["source"],
-                target=summary["target"],
-                items=summary["items"],
-                versions=summary["versions"],
-                wall_ms=round(wall * 1000.0, 3),
-                verified=verified,
-            )
-        return records
 
     # -- record building -------------------------------------------------------------
 
@@ -528,7 +354,6 @@ class SoakHarness:
         duration: float,
         seq_before: int,
         scrapes_before: int,
-        migration_records: List[MigrationRecord],
     ) -> SoakPhaseRecord:
         events = [e for e in self.journal.events() if e.seq > seq_before]
         decisions = [e for e in events if e.kind == KIND_DECISION]
@@ -569,7 +394,6 @@ class SoakHarness:
             ),
             default=0,
         )
-        migration_walls = [m.wall_seconds for m in migration_records]
         return SoakPhaseRecord(
             name=phase,
             sim_seconds=duration,
@@ -593,12 +417,6 @@ class SoakHarness:
             alert_flaps=flaps,
             unjournaled_actions=unjournaled,
             scrapes=self._scrapes - scrapes_before,
-            migrations=len(migration_records),
-            migration_failures=sum(
-                1 for m in migration_records if not m.verified
-            ),
-            wall_migration_p50_s=safe_percentile(migration_walls, 0.50),
-            wall_migration_p99_s=safe_percentile(migration_walls, 0.99),
         )
 
 

@@ -16,8 +16,8 @@ Installed as ``stacksync-repro`` (see pyproject); also runnable as
 * ``ops``         — boot the elastic SyncService demo stack with the ops
   endpoint (routes: :data:`repro.telemetry.http.ROUTES`), a
   scaling-decision journal, and the SLO alert engine;
-* ``soak``        — run the scripted multi-phase soak (diurnal ramp,
-  flash crowd, rebalance storm) at up to registered-million-user scale,
+* ``soak``        — run the scripted two-phase soak (diurnal ramp, flash
+  crowd) at up to registered-million-user scale,
   print its per-phase figures and verify its operational contract;
 * ``top``         — live terminal view of a running ops endpoint;
 * ``timeline``    — render a Fig-8-style provisioning timeline from a
@@ -380,7 +380,6 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             ("shards", args.shards),
             ("seed", args.seed),
             ("seconds_per_day", args.seconds_per_day),
-            ("migrations", args.migrations),
         )
         if value is not None
     }
@@ -419,13 +418,12 @@ def _cmd_soak(args: argparse.Namespace) -> int:
             f"{record.mean_pool_size:.1f}/{record.max_pool_size}",
             record.spawns + record.shutdowns,
             record.alerts_fired,
-            record.migrations,
         ]
         for record in result.records
     ]
     print(render_table(
         ["phase", "commits", "commits/s", "p50 s", "p99 s",
-         "pool avg/max", "actions", "alerts", "migrations"],
+         "pool avg/max", "actions", "alerts"],
         rows,
     ))
     print(f"wall runtime: {result.wall_runtime_s:.1f}s; "
@@ -630,13 +628,12 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--seed", type=int, default=None)
     soak.add_argument(
         "--phases", default=None,
-        help="comma-separated subset of: diurnal-ramp,flash-crowd,rebalance-storm",
+        help="comma-separated subset of: diurnal-ramp,flash-crowd",
     )
     soak.add_argument(
         "--seconds-per-day", type=int, default=None,
         help="trace seconds representing one day (86400 = real time)",
     )
-    soak.add_argument("--migrations", type=int, default=None)
     soak.add_argument(
         "--journal", metavar="PATH",
         help="also append the decision journal to this JSONL file",

@@ -1,6 +1,6 @@
 """Metadata back-ends (the PostgreSQL role of the paper's architecture)."""
 
-from repro.metadata.base import MetadataBackend, WorkspaceDump
+from repro.metadata.base import MetadataBackend
 from repro.metadata.memory_backend import MemoryMetadataBackend
 from repro.metadata.sharded import ShardedMetadataBackend
 from repro.metadata.sqlite_backend import SqliteMetadataBackend
@@ -10,5 +10,4 @@ __all__ = [
     "MetadataBackend",
     "ShardedMetadataBackend",
     "SqliteMetadataBackend",
-    "WorkspaceDump",
 ]

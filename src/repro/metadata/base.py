@@ -21,11 +21,11 @@ from __future__ import annotations
 import itertools
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import TransactionAborted
 from repro.sync.models import ItemMetadata, Workspace
+from repro.telemetry.registry import REGISTRY
 from repro.telemetry.trace import TRACER
 
 #: Per-proposal outcome of :meth:`MetadataBackend.store_versions_bulk`:
@@ -40,32 +40,10 @@ BulkOutcome = Tuple[bool, Optional[ItemMetadata]]
 engine_instances = itertools.count(1)
 
 
-@dataclass
-class WorkspaceDump:
-    """A self-contained export of one workspace, for shard migration.
-
-    ``users`` carries ``(user_id, name)`` for every user on the ACL so an
-    import can recreate missing accounts; ``versions`` maps each item to
-    its complete version chain, oldest first, including deleted items —
-    a migrated workspace must replay byte-identical histories.
-    """
-
-    workspace: Workspace
-    users: List[Tuple[str, str]] = field(default_factory=list)
-    acl: List[str] = field(default_factory=list)
-    versions: Dict[str, List[ItemMetadata]] = field(default_factory=dict)
-
-    @property
-    def item_count(self) -> int:
-        return len(self.versions)
-
-    @property
-    def version_count(self) -> int:
-        return sum(len(chain) for chain in self.versions.values())
-
-
 class MetadataBackend(ABC):
     """Abstract DAO over users, workspaces and versioned item metadata."""
+
+    _source_token: Optional[int] = None  # the engine's ``/health`` source
 
     @contextmanager
     def traced_transaction(self, proposals: List[ItemMetadata]):
@@ -167,47 +145,18 @@ class MetadataBackend(ABC):
     def item_history(self, item_id: str) -> List[ItemMetadata]:
         """All committed versions of *item_id*, oldest first."""
 
-    # -- migration (optional capability) -------------------------------------------
-
-    def export_workspace(self, workspace_id: str) -> "WorkspaceDump":
-        """Full dump of one workspace: record, ACL, every item version.
-
-        The migration primitive of the sharded metadata plane
-        (:meth:`repro.metadata.sharded.ShardedMetadataBackend.migrate_workspace`)
-        moves a workspace between shards via export → import → drop.
-        Engines that do not support migration may leave these three
-        methods unimplemented; everything else works without them.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support workspace export"
-        )
-
-    def import_workspace(self, dump: "WorkspaceDump") -> None:
-        """Load an :meth:`export_workspace` dump into this engine.
-
-        Users referenced by the ACL are created idempotently; importing a
-        workspace that already exists here raises
-        :class:`~repro.errors.MetadataError` (a migration must never
-        silently merge histories).
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support workspace import"
-        )
-
-    def drop_workspace(self, workspace_id: str) -> None:
-        """Remove a workspace, its ACL and all its item versions.
-
-        Users and devices are global (not workspace-scoped) and stay.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not support workspace drop"
-        )
-
     # -- introspection ---------------------------------------------------------------
 
     @abstractmethod
     def counts(self) -> Dict[str, int]:
         """Row counts per logical table, for tests and monitoring."""
 
+    def _register_source(self, name: str) -> None:
+        """List this engine in ``/health`` as *name* until :meth:`close`."""
+        self._source_token = REGISTRY.register_source(
+            name, self, type(self)._scrape, instance=next(engine_instances)
+        )
+
     def close(self) -> None:
-        """Release resources; default no-op."""
+        """Leave ``/health``; an engine with resources releases them too."""
+        REGISTRY.unregister_source(self._source_token)

@@ -9,8 +9,8 @@ then the current :class:`ItemMetadata`, which reads return as stored.  A record
 is :data:`_HEADER` (status index, is_folder, size, modified_at, device index),
 then the version's ``digests`` blob (its checksum and chunks); its position is
 its version, and its workspace and filename are the current one's.  Only
-:meth:`item_history` and :meth:`export_workspace` unpack records, which the
-garbage collector does not track.
+:meth:`item_history` unpacks records, which the garbage collector does not
+track.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from struct import Struct
 from typing import Dict, List, Set
 
 from repro.errors import MetadataError, UnknownWorkspace
-from repro.metadata.base import MetadataBackend, WorkspaceDump, engine_instances
+from repro.metadata.base import MetadataBackend
 from repro.sync.models import STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace
-from repro.telemetry.registry import REGISTRY
 from repro.telemetry.trace import TRACER
 
 _HEADER = Struct("<B?qdI")
@@ -41,12 +40,7 @@ class MemoryMetadataBackend(MetadataBackend):
         self._device_codes: Dict[str, int] = {}  # and back
         self._workspace_items: Dict[str, Set[str]] = {}
         self._devices: Dict[str, Dict[str, str]] = {}  # user -> {device: name}
-        REGISTRY.register_source(
-            "metadata_memory",
-            self,
-            MemoryMetadataBackend._scrape,
-            instance=next(engine_instances),
-        )
+        self._register_source("metadata_memory")
 
     def _scrape(self) -> Dict[str, float]:
         """Registry source: the engine answers a trivial read."""
@@ -152,51 +146,6 @@ class MemoryMetadataBackend(MetadataBackend):
         with self._lock:
             versions = self._versions.get(item_id)
             return self._unpack(versions) if versions else []
-
-    # -- migration -------------------------------------------------------------------
-
-    def export_workspace(self, workspace_id: str) -> WorkspaceDump:
-        with self._lock:
-            self._require_workspace(workspace_id)
-            acl = sorted(self._acl.get(workspace_id, ()))
-            return WorkspaceDump(
-                workspace=self._workspaces[workspace_id],
-                users=[(u, self._users.get(u, u)) for u in acl],
-                acl=acl,
-                versions={
-                    item_id: self._unpack(self._versions[item_id])
-                    for item_id in sorted(self._workspace_items.get(workspace_id, ()))
-                },
-            )
-
-    def import_workspace(self, dump: WorkspaceDump) -> None:
-        workspace_id = dump.workspace.workspace_id
-        with self._lock:
-            if workspace_id in self._workspaces:
-                raise MetadataError(
-                    f"workspace {workspace_id!r} already exists here; "
-                    "refusing to merge histories"
-                )
-            items = {}  # packed before anything is stored
-            for item_id, chain in dump.versions.items():
-                if not chain or [m.version for m in chain] != [*range(1, len(chain) + 1)]:
-                    raise MetadataError(f"the versions of {item_id!r} are not 1..n")
-                items[item_id] = [self._pack(m) for m in chain]
-                items[item_id][-1] = chain[-1]
-            for user_id, name in dump.users:
-                self._users.setdefault(user_id, name or user_id)
-            self._workspaces[workspace_id] = dump.workspace
-            self._acl[workspace_id] = set(dump.acl) | {dump.workspace.owner}
-            self._workspace_items[workspace_id] = set(dump.versions)
-            self._versions.update(items)
-
-    def drop_workspace(self, workspace_id: str) -> None:
-        with self._lock:
-            self._require_workspace(workspace_id)
-            for item_id in self._workspace_items.pop(workspace_id, set()):
-                self._versions.pop(item_id, None)
-            self._acl.pop(workspace_id, None)
-            self._workspaces.pop(workspace_id, None)
 
     # -- introspection ---------------------------------------------------------------
 

@@ -31,22 +31,15 @@ Item reads route by the item id itself: the model derives every id as
 ``"{workspace_id}:{filename}"`` and no workspace id holds a ``:``, so the
 id's first ``:`` ends the owning workspace.
 
-Rebalancing: :meth:`migrate_workspace` moves one workspace between
-shards under a write fence — wait out the writes already admitted,
-export, import, verify per-item history lengths, flip a routing
-override, drop the source copy.  The fence blocks writes for that
-workspace only; all other workspaces commit concurrently throughout.
+The router is fixed at construction and a workspace never moves between
+shards, so routing takes no lock and a write pays only the hash lookup.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import Counter
-from contextlib import contextmanager
-from typing import Collection, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from repro.errors import MetadataError
-from repro.metadata.base import BulkOutcome, MetadataBackend, engine_instances
+from repro.metadata.base import BulkOutcome, MetadataBackend
 from repro.metadata.memory_backend import MemoryMetadataBackend
 from repro.metadata.sqlite_backend import SqliteMetadataBackend
 from repro.routing.shard import ShardRouter
@@ -88,18 +81,8 @@ class ShardedMetadataBackend(MetadataBackend):
             )
         self.engines: List[MetadataBackend] = list(engines)
         self.router = router or ShardRouter(len(engines))
-        # Post-migration routing exceptions: workspace_id -> shard index.
-        self._overrides: Dict[str, int] = {}
-        # Write fence, guarded by one condition: the workspaces migrating,
-        # and per workspace its admitted, unfinished writes and the writes
-        # a fence holds (zeros stay).
-        self._fence = threading.Condition()
-        self._fenced: set = set()
-        self._inflight: Counter = Counter()
-        self._held: Counter = Counter()
-        self._migrations = REGISTRY.counter(
-            "metadata_workspace_migrations_total"
-        )
+        # A workspace never moves, so its shard is the router's answer.
+        self.shard_for_workspace = self.router.shard_for
         self._source_tokens = [
             REGISTRY.register_source(
                 "metadata_shard",
@@ -110,12 +93,7 @@ class ShardedMetadataBackend(MetadataBackend):
             )
             for shard, engine in enumerate(self.engines)
         ]
-        REGISTRY.register_source(
-            "metadata_sharded",
-            self,
-            ShardedMetadataBackend._scrape,
-            instance=next(engine_instances),
-        )
+        self._register_source("metadata_sharded")
 
     # -- constructors ----------------------------------------------------------------
 
@@ -145,13 +123,6 @@ class ShardedMetadataBackend(MetadataBackend):
     def num_shards(self) -> int:
         return len(self.engines)
 
-    def shard_for_workspace(self, workspace_id: str) -> int:
-        """Owning shard: migration overrides win over the hash ring."""
-        override = self._overrides.get(workspace_id)
-        if override is not None:
-            return override
-        return self.router.shard_for(workspace_id)
-
     def engine_for_workspace(self, workspace_id: str) -> MetadataBackend:
         return self.engines[self.shard_for_workspace(workspace_id)]
 
@@ -161,39 +132,9 @@ class ShardedMetadataBackend(MetadataBackend):
             return None
         return self.engine_for_workspace(workspace_id)
 
-    @contextmanager
-    def _writing(self, workspace_ids: Collection[str]) -> Iterator[None]:
-        """Admit one write to *workspace_ids* for the ``with`` body.
-
-        Waiting out fences and counting the write in flight happen under
-        the one fence condition, so either the write is admitted first
-        and :meth:`migrate_workspace` waits for it before exporting, or
-        the fence lands first and the write waits, then routes (inside
-        the body) to the new shard.
-        """
-        with self._fence:
-            if not self._fenced.isdisjoint(workspace_ids):
-                self._held.update(workspace_ids)
-                self._fence.wait_for(lambda: self._fenced.isdisjoint(workspace_ids))
-                self._held.subtract(workspace_ids)
-                self._fence.notify_all()  # a migration may wait for the held
-            self._inflight.update(workspace_ids)
-        try:
-            yield
-        finally:
-            with self._fence:
-                self._inflight.subtract(workspace_ids)
-                if self._fenced:
-                    self._fence.notify_all()
-
     def _scrape(self) -> Dict[str, float]:
-        """Registry source: the composite's routing state (always up)."""
-        return {
-            "up": 1.0,
-            "shards": self.num_shards,
-            "overrides": len(self._overrides),
-            "fenced": len(self._fenced),
-        }
+        """Registry source: the composite's shard count (always up)."""
+        return {"up": 1.0, "shards": self.num_shards}
 
     # -- accounts & workspaces (users/devices broadcast, workspaces routed) ----------
 
@@ -202,16 +143,10 @@ class ShardedMetadataBackend(MetadataBackend):
             engine.create_user(user_id, name)
 
     def create_workspace(self, workspace: Workspace) -> None:
-        with self._writing((workspace.workspace_id,)):
-            self.engine_for_workspace(workspace.workspace_id).create_workspace(
-                workspace
-            )
+        self.engine_for_workspace(workspace.workspace_id).create_workspace(workspace)
 
     def grant_access(self, workspace_id: str, user_id: str) -> None:
-        with self._writing((workspace_id,)):
-            self.engine_for_workspace(workspace_id).grant_access(
-                workspace_id, user_id
-            )
+        self.engine_for_workspace(workspace_id).grant_access(workspace_id, user_id)
 
     def workspaces_for(self, user_id: str) -> List[Workspace]:
         merged: Dict[str, Workspace] = {}
@@ -251,22 +186,21 @@ class ShardedMetadataBackend(MetadataBackend):
         per-item first-writer-wins semantics are unchanged because each
         item's whole history lives on its own shard.
         """
-        with self._writing({p.workspace_id for p in proposals}):
-            groups: Dict[int, List[int]] = {}
-            for index, proposal in enumerate(proposals):
-                shard = self.shard_for_workspace(proposal.workspace_id)
-                groups.setdefault(shard, []).append(index)
-            if len(groups) == 1:
-                shard = next(iter(groups))
-                return self.engines[shard].store_versions_bulk(proposals)
-            outcomes: List[Optional[BulkOutcome]] = [None] * len(proposals)
-            for shard, indices in groups.items():
-                shard_outcomes = self.engines[shard].store_versions_bulk(
-                    [proposals[i] for i in indices]
-                )
-                for i, outcome in zip(indices, shard_outcomes):
-                    outcomes[i] = outcome
-            return outcomes  # type: ignore[return-value]
+        groups: Dict[int, List[int]] = {}
+        for index, proposal in enumerate(proposals):
+            shard = self.shard_for_workspace(proposal.workspace_id)
+            groups.setdefault(shard, []).append(index)
+        if len(groups) == 1:
+            shard = next(iter(groups))
+            return self.engines[shard].store_versions_bulk(proposals)
+        outcomes: List[Optional[BulkOutcome]] = [None] * len(proposals)
+        for shard, indices in groups.items():
+            shard_outcomes = self.engines[shard].store_versions_bulk(
+                [proposals[i] for i in indices]
+            )
+            for i, outcome in zip(indices, shard_outcomes):
+                outcomes[i] = outcome
+        return outcomes  # type: ignore[return-value]
 
     def get_workspace_state(self, workspace_id: str) -> List[ItemMetadata]:
         return self.engine_for_workspace(workspace_id).get_workspace_state(
@@ -276,71 +210,6 @@ class ShardedMetadataBackend(MetadataBackend):
     def item_history(self, item_id: str) -> List[ItemMetadata]:
         engine = self._engine_for_item(item_id)
         return engine.item_history(item_id) if engine else []
-
-    # -- rebalancing -----------------------------------------------------------------
-
-    def migrate_workspace(self, workspace_id: str, target_shard: int) -> Dict[str, int]:
-        """Move one workspace to *target_shard* under a write fence.
-
-        Sequence: fence writes for this workspace → wait for the writes
-        already admitted to finish → export from the source engine →
-        import into the target → verify every item's history length
-        survived the copy → flip the routing override → drop the source
-        copy → lift the fence.  On verification failure
-        the half-imported copy is dropped from the target and routing is
-        untouched, so the source remains authoritative.
-
-        Returns a summary dict (source/target shard, items, versions).
-        """
-        if not 0 <= target_shard < self.num_shards:
-            raise ValueError(f"no shard {target_shard}")
-        with self._fence:
-            # The writes the last fence held go first: back to back, migrations
-            # would otherwise re-fence before a woken writer runs, and starve it.
-            self._fence.wait_for(
-                lambda: workspace_id in self._fenced or not self._held[workspace_id]
-            )
-            if workspace_id in self._fenced:
-                raise MetadataError(
-                    f"workspace {workspace_id!r} is already migrating"
-                )
-            source_shard = self.shard_for_workspace(workspace_id)
-            if source_shard == target_shard:
-                return {
-                    "source": source_shard,
-                    "target": target_shard,
-                    "items": 0,
-                    "versions": 0,
-                }
-            self._fenced.add(workspace_id)
-        try:
-            with self._fence:
-                self._fence.wait_for(lambda: not self._inflight[workspace_id])
-            source = self.engines[source_shard]
-            target = self.engines[target_shard]
-            dump = source.export_workspace(workspace_id)
-            target.import_workspace(dump)
-            for item_id, chain in dump.versions.items():
-                moved = target.item_history(item_id)
-                if len(moved) != len(chain):
-                    target.drop_workspace(workspace_id)
-                    raise MetadataError(
-                        f"migration verification failed for {item_id!r}: "
-                        f"{len(moved)} != {len(chain)} versions"
-                    )
-            self._overrides[workspace_id] = target_shard
-            source.drop_workspace(workspace_id)
-            self._migrations.inc()
-            return {
-                "source": source_shard,
-                "target": target_shard,
-                "items": dump.item_count,
-                "versions": dump.version_count,
-            }
-        finally:
-            with self._fence:
-                self._fenced.discard(workspace_id)
-                self._fence.notify_all()
 
     # -- introspection ---------------------------------------------------------------
 
@@ -359,6 +228,7 @@ class ShardedMetadataBackend(MetadataBackend):
         }
 
     def close(self) -> None:
+        super().close()
         for token in self._source_tokens:  # a closed engine cannot be scraped
             REGISTRY.unregister_source(token)
         for engine in self.engines:

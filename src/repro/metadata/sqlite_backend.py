@@ -18,11 +18,8 @@ import threading
 from typing import Dict, List, Optional
 
 from repro.errors import MetadataError, UnknownWorkspace
-from repro.metadata.base import (
-    MetadataBackend, WorkspaceDump, engine_instances,
-)
+from repro.metadata.base import MetadataBackend
 from repro.sync.models import STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace
-from repro.telemetry.registry import REGISTRY
 from repro.telemetry.trace import TRACER
 
 _SCHEMA = """
@@ -129,12 +126,7 @@ class SqliteMetadataBackend(MetadataBackend):
             open_schema(self._conn, _SCHEMA, SCHEMA_VERSION)
             if path != ":memory:":  # after the copy (WAL refuses other page sizes)
                 self._conn.execute("PRAGMA journal_mode=WAL")
-        REGISTRY.register_source(
-            "metadata_sqlite",
-            self,
-            SqliteMetadataBackend._scrape,
-            instance=next(engine_instances),
-        )
+        self._register_source("metadata_sqlite")
 
     def _scrape(self) -> Dict[str, float]:
         """Registry source: ``up`` once the database answers ``SELECT 1``
@@ -293,101 +285,6 @@ class SqliteMetadataBackend(MetadataBackend):
             ).fetchall()
         return [self._row_to_item(r) for r in rows]
 
-    # -- migration -------------------------------------------------------------------
-
-    def export_workspace(self, workspace_id: str) -> WorkspaceDump:
-        with self._lock:
-            self._require_workspace(workspace_id)
-            ws_row = self._conn.execute(
-                "SELECT workspace_id, owner, name FROM workspaces "
-                "WHERE workspace_id = ?",
-                (workspace_id,),
-            ).fetchone()
-            acl_rows = self._conn.execute(
-                "SELECT wu.user_id, u.name FROM workspace_users wu "
-                "JOIN users u ON u.user_id = wu.user_id "
-                "WHERE wu.workspace_id = ? ORDER BY wu.user_id",
-                (workspace_id,),
-            ).fetchall()
-            version_rows = self._conn.execute(
-                f"SELECT {_ITEM} WHERE i.workspace_id = ?"
-                " ORDER BY i.item_id, v.version",
-                (workspace_id,),
-            ).fetchall()
-        versions: Dict[str, List[ItemMetadata]] = {}
-        for row in version_rows:
-            version = self._row_to_item(row)
-            versions.setdefault(version.item_id, []).append(version)
-        return WorkspaceDump(
-            workspace=Workspace(
-                workspace_id=ws_row[0], owner=ws_row[1], name=ws_row[2]
-            ),
-            users=[(r[0], r[1]) for r in acl_rows],
-            acl=[r[0] for r in acl_rows],
-            versions=versions,
-        )
-
-    def import_workspace(self, dump: WorkspaceDump) -> None:
-        workspace_id = dump.workspace.workspace_id
-        with self._lock:
-            try:
-                self._conn.execute("BEGIN IMMEDIATE")
-                existing = self._conn.execute(
-                    "SELECT 1 FROM workspaces WHERE workspace_id = ?",
-                    (workspace_id,),
-                ).fetchone()
-                if existing is not None:
-                    raise MetadataError(
-                        f"workspace {workspace_id!r} already exists here; "
-                        "refusing to merge histories"
-                    )
-                for user_id, name in dump.users:
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO users(user_id, name) VALUES (?, ?)",
-                        (user_id, name or user_id),
-                    )
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO users(user_id, name) VALUES (?, ?)",
-                    (dump.workspace.owner, dump.workspace.owner),
-                )
-                self._conn.execute(
-                    "INSERT INTO workspaces(workspace_id, owner, name) "
-                    "VALUES (?, ?, ?)",
-                    (workspace_id, dump.workspace.owner, dump.workspace.name),
-                )
-                for user_id in set(dump.acl) | {dump.workspace.owner}:
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO workspace_users(workspace_id, user_id)"
-                        " VALUES (?, ?)",
-                        (workspace_id, user_id),
-                    )
-                for chain in dump.versions.values():
-                    item = None
-                    for m in chain:
-                        item = self._insert(m, item)
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-
-    def drop_workspace(self, workspace_id: str) -> None:
-        with self._lock:
-            self._require_workspace(workspace_id)
-            try:
-                self._conn.execute("BEGIN IMMEDIATE")
-                for statement in (
-                    "DELETE FROM versions WHERE item IN"
-                    " (SELECT id FROM items WHERE workspace_id = ?)",
-                    "DELETE FROM items WHERE workspace_id = ?",
-                    "DELETE FROM workspace_users WHERE workspace_id = ?",
-                    "DELETE FROM workspaces WHERE workspace_id = ?",
-                ):
-                    self._conn.execute(statement, (workspace_id,))
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-
     # -- introspection ---------------------------------------------------------------
 
     def counts(self) -> Dict[str, int]:
@@ -399,14 +296,15 @@ class SqliteMetadataBackend(MetadataBackend):
         return dict(zip(tables, row))
 
     def close(self) -> None:
+        super().close()
         with self._lock:
             self._conn.close()
 
     # -- helpers --------------------------------------------------------------------
 
-    def _insert(self, m: ItemMetadata, item: Optional[int]) -> int:
+    def _insert(self, m: ItemMetadata, item: Optional[int]) -> None:
         """Store *m* as a version of the ``items`` row *item*, inserting that row
-        first when *item* is None; returns its id.  Its ``digests`` are cut into
+        first when *item* is None.  Its ``digests`` are cut into
         the checksum and the chunks column: the width in a byte, then each
         digest (or nothing, for no chunks)."""
         if item is None:
@@ -430,7 +328,6 @@ class SqliteMetadataBackend(MetadataBackend):
                 m.device_id,
             ),
         )
-        return item
 
     @staticmethod
     def _row_to_item(row) -> ItemMetadata:

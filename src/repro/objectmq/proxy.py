@@ -23,7 +23,9 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List
 
-from repro.errors import DeliveryError, RemoteInvocationError, RemoteTimeout
+from repro.errors import (
+    DeliveryError, ExchangeNotFound, RemoteInvocationError, RemoteTimeout,
+)
 from repro.mom.message import Message, PERSISTENT
 from repro.objectmq.annotations import CallSpec
 from repro.objectmq.naming import multi_exchange_name
@@ -207,17 +209,20 @@ class Proxy:
             self._broker.unregister_waiter(correlation_id)
 
     def _invoke_multi_async(self, method: str, spec: CallSpec, args, kwargs) -> int:
-        exchange = self._multi_exchange()
-        if not self._broker.mom.exchange_has_bindings(exchange):
-            # Nobody is bound to the fanout: a multicast to an empty group is
-            # a no-op by contract, so skip serialization and the broker round
-            # trip entirely.
-            return 0
+        """Publish to the group's fanout; return how many members it reached.
+
+        A multicast to an empty group is a no-op by contract: a publish that
+        no binding takes raises :class:`DeliveryError`, and one to a fanout
+        a broker restart dropped raises :class:`ExchangeNotFound`; both read
+        as 0.  The broker's stats count the first as one unroutable publish,
+        as they count a publish that raced the last unbind.  Callers on a
+        hot path ask
+        :meth:`~repro.objectmq.broker.Broker.multicast_has_listeners` first.
+        """
         envelope = make_request(method, list(args), kwargs, call="async", multi=True)
         try:
-            return self._publish(exchange, self._oid, envelope)
-        except DeliveryError:
-            # Raced the last unbind: same no-op.
+            return self._publish(self._multi_exchange(), self._oid, envelope)
+        except (DeliveryError, ExchangeNotFound):
             return 0
 
     def _invoke_multi_sync(self, method: str, spec: CallSpec, args, kwargs) -> List[Any]:

@@ -10,9 +10,8 @@ count and therefore computes the same shard for the same key, with no
 coordination and no registry lookups (the ring hash is deterministic
 across processes).
 
-Keys hash uniformly, so adding shards re-routes only ~1/N of the key
-space (the ring's minimal-movement property) — the lever a live
-rebalance (:meth:`ShardedMetadataBackend.migrate_workspace`) exploits.
+Keys hash uniformly over the shards.  A router's shard count is fixed
+at construction, so a key's shard never changes while the router lives.
 """
 
 from __future__ import annotations

@@ -150,23 +150,6 @@ class UbuntuOneTraceGenerator:
 
     # -- soak-phase segments ---------------------------------------------------------
 
-    def steady_arrivals(
-        self, day_index: int, hour: float, seconds: int
-    ) -> List[int]:
-        """Per-second arrivals for a *seconds*-long segment starting at *hour*.
-
-        The segment follows the day's actual rate profile (wrapping past
-        midnight), so a "steady" phase still carries the trace's noise —
-        it is a window of the day, not a flat synthetic rate.  Seeded
-        independently of :meth:`arrivals`, so soak phases drawn from the
-        same day as a full-day replay do not reuse its samples.
-        """
-        rates = self.rate_profile(day_index)
-        start = int((hour / 24.0) * len(rates)) % len(rates)
-        segment = [rates[(start + i) % len(rates)] for i in range(seconds)]
-        rng = random.Random(f"{self.seed}:{day_index}:steady:{hour}:{seconds}")
-        return [_poisson(rng, rate) for rate in segment]
-
     def flash_crowd_arrivals(
         self,
         day_index: int,

@@ -10,7 +10,6 @@ from repro.bench.soak import (
     DEFAULT_PHASES,
     PHASE_DIURNAL,
     PHASE_FLASH,
-    PHASE_REBALANCE,
     SoakConfig,
     SoakHarness,
     SoakPhaseRecord,
@@ -31,9 +30,6 @@ TINY = dict(
     users=20_000,
     seconds_per_day=120,
     flash_seconds=60,
-    rebalance_seconds=60,
-    migrations=2,
-    population=64,
 )
 
 
@@ -62,10 +58,6 @@ class TestConfig:
         assert SoakConfig(users=1_000_000).rate_scale == 1.0
         assert SoakConfig(users=100_000).rate_scale == pytest.approx(0.1)
 
-    def test_population_capped_independent_of_users(self):
-        assert SoakConfig(users=5_000_000).effective_population == 100_000
-        assert SoakConfig(users=500, population=7).effective_population == 7
-
     def test_rejects_unknown_phase(self):
         with pytest.raises(ValueError, match="unknown phase"):
             SoakConfig(phases=("diurnal-ramp", "chaos"))
@@ -79,7 +71,6 @@ class TestConfig:
         [
             (dict(users=0), "users"),
             (dict(seconds_per_day=0), "seconds_per_day"),
-            (dict(migrations=-1), "migrations"),
             (dict(phases=()), "phase"),
         ],
     )
@@ -113,25 +104,6 @@ class TestRun:
         decision_seqs = {e.seq for e in journal.events(KIND_DECISION)}
         for action in actions:
             assert action.data["decision_seq"] in decision_seqs
-
-    def test_rebalance_storm_migrates_real_workspaces(self, soak_result):
-        assert len(soak_result.migrations) == 2
-        for migration in soak_result.migrations:
-            assert migration.verified
-            assert migration.source != migration.target
-            # 8 items x 2 versions seeded per migrating workspace.
-            assert migration.items == 8
-            assert migration.versions == 16
-        migrate_events = soak_result.journal.events("migrate")
-        assert len(migrate_events) == 2
-        for event in migrate_events:
-            assert event.data["verified"] is True
-            assert event.data["wall_ms"] >= 0
-
-    def test_single_shard_skips_migrations(self):
-        result = run_soak(tiny_config(shards=1, phases=(PHASE_REBALANCE,)))
-        result.verify()
-        assert result.migrations == []
 
     def test_phase_subset_runs_only_that_phase(self):
         result = run_soak(tiny_config(shards=1, phases=(PHASE_FLASH,)))
@@ -212,17 +184,15 @@ class TestDeterministicReplay:
 
 #: The smoke preset's per-phase figures, unchanged since the soak first
 #: ran: ``(phase, arrivals = completed, decisions, spawns, shutdowns,
-#: max pool, max queue, alerts fired, migrations, p50 s, p99 s)``.  The
+#: max pool, max queue, alerts fired, p50 s, p99 s)``.  The
 #: DES is deterministic, so these hold to the digit on every machine and
 #: Python version; a deliberate control-plane change re-pins them in the
 #: same change that moves them.
 PINNED_SMOKE_PHASES = [
-    (PHASE_DIURNAL, 4923, 290, 22, 21, 14, 2, 0, 0,
+    (PHASE_DIURNAL, 4923, 290, 22, 21, 14, 2, 0,
      0.3502928494456228, 0.7936790248223313),
-    (PHASE_FLASH, 3726, 74, 35, 31, 30, 14, 0, 0,
+    (PHASE_FLASH, 3726, 74, 35, 31, 30, 14, 0,
      0.3510665665151649, 1.0292938309232262),
-    (PHASE_REBALANCE, 2530, 74, 20, 13, 15, 0, 0, 8,
-     0.34132985052727527, 0.6671277011085257),
 ]
 
 
@@ -231,7 +201,7 @@ def test_smoke_preset_reproduces_its_recorded_figures():
     result.verify()
     measured = [
         (r.name, r.arrivals, r.decisions, r.spawns, r.shutdowns,
-         r.max_pool_size, r.max_queue_depth, r.alerts_fired, r.migrations)
+         r.max_pool_size, r.max_queue_depth, r.alerts_fired)
         for r in result.records
     ]
     assert measured == [pin[:-2] for pin in PINNED_SMOKE_PHASES]

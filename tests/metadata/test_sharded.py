@@ -4,16 +4,16 @@ The generic DAO contract is covered by test_backends.py /
 test_bulk_commits.py (the ``metadata_backend`` fixture includes the
 sharded composites); these tests pin down what only a sharded back-end
 must guarantee: routing, cross-shard isolation, input-order bulk
-outcomes, aggregate counts, and the migrate-under-fence primitive.
+outcomes, aggregate counts, and a commit cost close to its engine's.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 
 import pytest
 
-from repro.errors import MetadataError
 from repro.metadata import (
     MemoryMetadataBackend,
     ShardedMetadataBackend,
@@ -170,156 +170,31 @@ def test_counts_sum_partitioned_tables():
     assert sum(c["items"] for c in backend.shard_counts()) == len(ids)
 
 
-@pytest.mark.parametrize("engine_kind", ["memory", "sqlite"])
-def test_migrate_workspace_moves_history_verbatim(engine_kind):
-    if engine_kind == "memory":
-        backend = ShardedMetadataBackend.memory(3)
-    else:
-        backend = ShardedMetadataBackend.sqlite(":memory:", 3)
+def _commit_calls(backend) -> int:
+    """Python calls made by one 1-item ``store_versions_bulk``, after a warm one."""
     backend.create_user("u1")
-    workspace_id = "ws-migrate"
-    backend.create_workspace(Workspace(workspace_id=workspace_id, owner="u1"))
-    for version in range(1, 4):
-        if version == 1:
-            backend.store_new_object(make_item(workspace_id, "doc.txt", version))
-        else:
-            backend.store_new_version(make_item(workspace_id, "doc.txt", version))
-    before = backend.item_history(f"{workspace_id}:doc.txt")
+    backend.create_workspace(Workspace(workspace_id="ws-calls", owner="u1"))
+    backend.store_versions_bulk([make_item("ws-calls", "warm.txt")])
+    proposals = [make_item("ws-calls", "f.txt")]
+    calls = 0
 
-    source = backend.shard_for_workspace(workspace_id)
-    target = (source + 1) % backend.num_shards
-    summary = backend.migrate_workspace(workspace_id, target)
-    assert summary == {"source": source, "target": target, "items": 1, "versions": 3}
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
 
-    # Routing now honors the override; the source shard holds nothing.
-    assert backend.shard_for_workspace(workspace_id) == target
-    assert not backend.engines[source].workspace_exists(workspace_id)
-    assert backend.engines[target].workspace_exists(workspace_id)
-    assert backend.item_history(f"{workspace_id}:doc.txt") == before
-
-    # The workspace keeps committing after the move.
-    backend.store_new_version(make_item(workspace_id, "doc.txt", 4))
-    assert backend.get_current(f"{workspace_id}:doc.txt").version == 4
+    sys.setprofile(count)
+    try:
+        backend.store_versions_bulk(proposals)
+    finally:
+        sys.setprofile(None)
     backend.close()
-
-
-def test_migrate_to_current_shard_is_a_noop():
-    backend, ids = seeded_backend()
-    workspace_id = ids[0]
-    shard = backend.shard_for_workspace(workspace_id)
-    summary = backend.migrate_workspace(workspace_id, shard)
-    assert summary["items"] == 0 and summary["versions"] == 0
-    assert backend.shard_for_workspace(workspace_id) == shard
-
-
-def test_migrate_rejects_bad_shard():
-    backend, ids = seeded_backend()
-    with pytest.raises(ValueError):
-        backend.migrate_workspace(ids[0], 99)
-
-
-def test_import_refuses_to_merge_existing_workspace():
-    backend, ids = seeded_backend()
-    workspace_id = ids[0]
-    backend.store_new_object(make_item(workspace_id, "a.txt"))
-    engine = backend.engine_for_workspace(workspace_id)
-    dump = engine.export_workspace(workspace_id)
-    with pytest.raises(MetadataError):
-        engine.import_workspace(dump)
-
-
-@pytest.mark.parametrize("chain", [[], [1, 3], [2], [1, 1]])
-def test_memory_import_refuses_a_chain_that_is_not_versions_1_to_n(chain):
-    """A packed history keeps no version numbers: its positions are them."""
-    source, target = MemoryMetadataBackend(), MemoryMetadataBackend()
-    source.create_user("owner")
-    source.create_workspace(Workspace(workspace_id="ws-x", owner="owner"))
-    source.store_new_object(make_item("ws-x", "f.txt", 1))
-    dump = source.export_workspace("ws-x")
-    dump.versions["ws-x:g.txt"] = [make_item("ws-x", "g.txt", v) for v in chain]
-    with pytest.raises(MetadataError, match="not 1..n"):
-        target.import_workspace(dump)
-    assert not target.workspace_exists("ws-x")
-    assert target.counts()["versions"] == 0
+    return calls
 
 
 @pytest.mark.parametrize("engine_cls", [MemoryMetadataBackend, SqliteMetadataBackend])
-def test_export_import_drop_round_trip(engine_cls):
-    source = engine_cls()
-    target = engine_cls()
-    source.create_user("owner", "The Owner")
-    source.create_user("guest")
-    source.create_workspace(Workspace(workspace_id="ws-x", owner="owner"))
-    source.grant_access("ws-x", "guest")
-    source.store_new_object(make_item("ws-x", "f.txt", 1))
-    source.store_new_version(make_item("ws-x", "f.txt", 2))
-
-    dump = source.export_workspace("ws-x")
-    assert dump.item_count == 1 and dump.version_count == 2
-    target.import_workspace(dump)
-    assert target.item_history("ws-x:f.txt") == source.item_history("ws-x:f.txt")
-    assert [w.workspace_id for w in target.workspaces_for("guest")] == ["ws-x"]
-
-    source.drop_workspace("ws-x")
-    assert not source.workspace_exists("ws-x")
-    assert source.counts()["versions"] == 0
-    # Users are global and survive the drop.
-    assert source.counts()["users"] == 2
-    source.close()
-    target.close()
-
-
-def test_write_fence_blocks_commits_during_migration():
-    backend, ids = seeded_backend()
-    workspace_id = ids[0]
-    backend.store_new_object(make_item(workspace_id, "doc.txt", 1))
-    source = backend.engine_for_workspace(workspace_id)
-    target_shard = (backend.shard_for_workspace(workspace_id) + 1) % 3
-
-    export_entered = threading.Event()
-    release_export = threading.Event()
-    real_export = source.export_workspace
-
-    def slow_export(wid):
-        export_entered.set()
-        assert release_export.wait(5.0)
-        return real_export(wid)
-
-    source.export_workspace = slow_export  # type: ignore[method-assign]
-    migration = threading.Thread(
-        target=backend.migrate_workspace, args=(workspace_id, target_shard)
-    )
-    migration.start()
-    assert export_entered.wait(5.0)
-
-    committed = threading.Event()
-    writer = threading.Thread(
-        target=lambda: (
-            backend.store_new_version(make_item(workspace_id, "doc.txt", 2)),
-            committed.set(),
-        )
-    )
-    writer.start()
-    # The write must be fenced while the migration is in flight...
-    assert not committed.wait(0.3)
-    release_export.set()
-    # ...and land on the *target* shard once the fence lifts.
-    assert committed.wait(5.0)
-    migration.join(timeout=5.0)
-    writer.join(timeout=5.0)
-    assert backend.shard_for_workspace(workspace_id) == target_shard
-    history = backend.item_history(f"{workspace_id}:doc.txt")
-    assert [m.version for m in history] == [1, 2]
-
-
-def test_concurrent_migration_of_same_workspace_rejected():
-    backend, ids = seeded_backend()
-    workspace_id = ids[0]
-    with backend._fence:  # noqa: SLF001 - simulate an in-flight migration
-        backend._fenced.add(workspace_id)
-    try:
-        with pytest.raises(MetadataError):
-            backend.migrate_workspace(workspace_id, 1)
-    finally:
-        with backend._fence:  # noqa: SLF001
-            backend._fenced.discard(workspace_id)
+def test_routing_a_commit_adds_few_calls_to_its_engine(engine_cls):
+    """The router is fixed, so a sharded commit is a hash lookup and a
+    hand-off: no lock, no context manager, no wait of its own."""
+    alone = _commit_calls(engine_cls())
+    sharded = _commit_calls(ShardedMetadataBackend([engine_cls() for _ in range(4)]))
+    assert sharded - alone <= 4, (alone, sharded)

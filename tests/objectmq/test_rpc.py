@@ -264,6 +264,14 @@ def test_multicast_to_empty_group_is_noop(rig):
     assert proxy.who() == []
 
 
+def test_multicast_after_restart_dropped_its_fanout_is_noop(rig):
+    mom, _server, client = rig
+    proxy = client.lookup("ghost", CalculatorApi)
+    assert proxy.broadcast("before") == 0
+    mom.restart()  # drops every exchange, the declared fanout too
+    assert proxy.broadcast("after") == 0
+
+
 def test_new_instance_joins_multicast_group(rig):
     _mom, server, client = rig
     server.bind("calc", Calculator("one"))

@@ -8,7 +8,13 @@ a storage proxy whose nodes have all failed (the stalled Supervisor is in
 
 from __future__ import annotations
 
-from repro.metadata import ShardedMetadataBackend, SqliteMetadataBackend
+import pytest
+
+from repro.metadata import (
+    MemoryMetadataBackend,
+    ShardedMetadataBackend,
+    SqliteMetadataBackend,
+)
 from repro.mom import MessageBroker
 from repro.storage import SwiftLikeStore
 from repro.telemetry.http import OpsServer
@@ -51,9 +57,27 @@ def test_sqlite_error_is_down():
     engine, (name,) = _built(SqliteMetadataBackend)
     assert name.startswith("metadata_sqlite{instance=")
     assert _components()[name]["ok"]
-    engine.close()  # SELECT 1 now raises sqlite3.ProgrammingError
+    engine._conn.close()  # a broken connection: SELECT 1 raises ProgrammingError
     entry = _degraded(name)
     assert "ProgrammingError" in entry["detail"]["error"]
+    engine.close()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        MemoryMetadataBackend,
+        SqliteMetadataBackend,
+        lambda: ShardedMetadataBackend.memory(2),
+        lambda: ShardedMetadataBackend.sqlite(":memory:", 2),
+    ],
+    ids=["memory", "sqlite", "sharded-memory", "sharded-sqlite"],
+)
+def test_a_closed_metadata_engine_leaves_health(build):
+    engine, names = _built(build)
+    assert names and all(_components()[name]["ok"] for name in names)
+    engine.close()
+    assert not set(names) & set(_components())
 
 
 def test_storage_down_only_when_every_node_failed():
