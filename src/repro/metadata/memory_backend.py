@@ -5,10 +5,10 @@ back-end, used by large simulations and most tests where durability is
 irrelevant but speed matters.
 
 An item is one list: each version a commit superseded as a ``bytes`` record,
-then the current :class:`ItemMetadata`, which reads return as stored.  A record
-is :data:`_HEADER` (status index, is_folder, size, modified_at, device index),
-then the version's ``digests`` blob (its checksum and chunks); its position is
-its version, and its workspace and filename are the current one's.  Only
+then the current :class:`ItemMetadata`, which reads return as stored.  A
+superseded version is its item's ``record`` (see :class:`ItemMetadata`) and its
+device's index in the engine's device table, in 4 bytes; its position is its
+version, and its workspace and filename are the current one's.  Only
 :meth:`item_history` unpacks records, which the garbage collector does not
 track.
 """
@@ -16,15 +16,12 @@ track.
 from __future__ import annotations
 
 import threading
-from struct import Struct
 from typing import Dict, List, Set
 
 from repro.errors import MetadataError, UnknownWorkspace
 from repro.metadata.base import MetadataBackend
-from repro.sync.models import STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace
+from repro.sync.models import STATUS_DELETED, ItemMetadata, Workspace
 from repro.telemetry.trace import TRACER
-
-_HEADER = Struct("<B?qdI")
 
 
 class MemoryMetadataBackend(MetadataBackend):
@@ -110,10 +107,9 @@ class MemoryMetadataBackend(MetadataBackend):
         """Algorithm 1 for this engine: the bundle under one lock cycle."""
         outcomes = []
         with self.traced_transaction(proposals) if TRACER.enabled else self._lock:
-            for proposal in proposals:  # refuse what no record holds before storing any
+            for proposal in proposals:  # refuse an unknown workspace before storing any
                 if proposal.workspace_id not in self._workspaces:
                     self._require_workspace(proposal.workspace_id)  # raises
-                _HEADER.pack(0, proposal.is_folder, proposal.size, proposal.modified_at, 0)
             for proposal in proposals:
                 versions = self._versions.get(proposal.item_id)
                 current = versions[-1] if versions else None
@@ -144,8 +140,14 @@ class MemoryMetadataBackend(MetadataBackend):
 
     def item_history(self, item_id: str) -> List[ItemMetadata]:
         with self._lock:
-            versions = self._versions.get(item_id)
-            return self._unpack(versions) if versions else []
+            versions = self._versions.get(item_id, [])
+            return [
+                ItemMetadata.from_record(
+                    versions[-1].workspace_id, number, versions[-1].filename, record[:-4],
+                    self._device_ids[int.from_bytes(record[-4:], "little")],
+                )
+                for number, record in enumerate(versions[:-1], 1)
+            ] + versions[-1:]
 
     # -- introspection ---------------------------------------------------------------
 
@@ -163,21 +165,7 @@ class MemoryMetadataBackend(MetadataBackend):
         device = self._device_codes.setdefault(m.device_id, len(self._device_ids))
         if device == len(self._device_ids):
             self._device_ids.append(m.device_id)
-        status = VALID_STATUSES.index(m.status)
-        return _HEADER.pack(status, m.is_folder, m.size, m.modified_at, device) + m.digests
-
-    def _unpack(self, versions: list) -> List[ItemMetadata]:
-        """An item's stored *versions* as objects, oldest first."""
-        current, history, start = versions[-1], [], _HEADER.size + 2  # the blob's checksum
-        for number, record in enumerate(versions[:-1], 1):
-            status, folder, size, modified, device = _HEADER.unpack_from(record)
-            end = start + record[start - 2]
-            history.append(ItemMetadata.from_digests(
-                current.workspace_id, number, current.filename, VALID_STATUSES[status],
-                folder, size, record[start:end], record[start - 1], record[end:],
-                modified, self._device_ids[device],
-            ))
-        return history + [current]
+        return m.record + device.to_bytes(4, "little")
 
     def _require_workspace(self, workspace_id: str) -> None:
         if workspace_id not in self._workspaces:

@@ -19,7 +19,9 @@ from typing import Dict, List, Optional
 
 from repro.errors import MetadataError, UnknownWorkspace
 from repro.metadata.base import MetadataBackend
-from repro.sync.models import STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace
+from repro.sync.models import (
+    RECORD_HEAD, STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace, item_record,
+)
 from repro.telemetry.trace import TRACER
 
 _SCHEMA = """
@@ -304,38 +306,30 @@ class SqliteMetadataBackend(MetadataBackend):
 
     def _insert(self, m: ItemMetadata, item: Optional[int]) -> None:
         """Store *m* as a version of the ``items`` row *item*, inserting that row
-        first when *item* is None.  Its ``digests`` are cut into
-        the checksum and the chunks column: the width in a byte, then each
-        digest (or nothing, for no chunks)."""
+        first when *item* is None.  Its ``record`` is cut into the columns, the
+        chunks column the width in a byte, then each digest (or nothing, for no
+        chunks)."""
         if item is None:
             item = self._conn.execute(
                 "INSERT INTO items(item_id, workspace_id, filename) VALUES (?, ?, ?)",
                 (m.item_id, m.workspace_id, m.filename),
             ).lastrowid
-        blob = m.digests
-        end = 2 + blob[0]
+        record = m.record
+        status, folder, size, modified_at = RECORD_HEAD.unpack_from(record)
+        end = 20 + record[18]
+        chunks = record[19:20] + (record[end:] or record[20:end]) if record[19] else b""
         self._conn.execute(
             "INSERT INTO versions VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                item,
-                m.version,
-                VALID_STATUSES.index(m.status),
-                int(m.is_folder),
-                m.size,
-                blob[2:end],
-                blob[1:2] + (blob[end:] or blob[2:end]) if blob[1] else b"",
-                m.modified_at,
-                m.device_id,
-            ),
+            (item, m.version, status, folder, size, record[20:end], chunks, modified_at,
+             m.device_id),
         )
 
     @staticmethod
     def _row_to_item(row) -> ItemMetadata:
-        workspace, version, filename, status, folder, size, checksum, chunks, *rest = row
-        return ItemMetadata.from_digests(
-            workspace, version, filename, VALID_STATUSES[status], bool(folder), size,
-            checksum, chunks[0] if chunks else 0, chunks[1:], *rest,
-        )
+        workspace, version, filename, status, folder, size, checksum, chunks, modified, device = row
+        record = item_record(VALID_STATUSES[status], folder, size, modified, checksum,
+                             chunks[0] if chunks else 0, chunks[1:])
+        return ItemMetadata.from_record(workspace, version, filename, record, device)
 
     def _require_workspace(self, workspace_id: str) -> None:
         if not self.workspace_exists(workspace_id):

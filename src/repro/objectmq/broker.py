@@ -201,6 +201,7 @@ class Broker:
         """
         self._check_open()
         specs = interface_specs(interface)
+        self.mom.declare_queue(oid, durable=True)  # as bind does: a cast before it is journaled
         return Proxy(broker=self, oid=oid, specs=specs, interface_name=interface.__name__)
 
     def lookup_sharded(self, oid: str, interface: Type, shards: int, route_arg: int = 0):

@@ -9,8 +9,10 @@ JSON and binary; a code and the field order, or a packed layout, for pickle.
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from sys import intern
 from typing import List, Optional, Tuple
 
@@ -25,6 +27,9 @@ VALID_STATUSES = (STATUS_NEW, STATUS_CHANGED, STATUS_DELETED)
 
 #: Bytes in the paper's default fingerprint, a SHA-1 digest (§4.1).
 DIGEST_SIZE = 20
+
+#: The first 18 bytes of an item's ``record`` (see :class:`ItemMetadata`).
+RECORD_HEAD = struct.Struct("<B?qd")
 
 
 def make_item_id(workspace_id: str, path: str) -> str:
@@ -79,22 +84,42 @@ class Workspace:
 
 
 class _ItemSlots:
-    """An :class:`ItemMetadata`'s storage: ``checksum`` and ``chunks`` read ``digests``."""
+    """An :class:`ItemMetadata`'s six slots; its other fields read ``record``."""
 
-    __slots__ = ("workspace_id", "version", "filename", "status", "is_folder", "size",
-                 "digests", "modified_at", "device_id", "item_id")
+    __slots__ = ("workspace_id", "version", "filename", "record", "device_id", "item_id")
 
-    @property
-    def checksum(self) -> bytes:
-        return self.digests[2:2 + self.digests[0]]
+    status = property(lambda self: VALID_STATUSES[self.record[0]])
+    is_folder = property(lambda self: bool(self.record[1]))
+    size = property(lambda self: RECORD_HEAD.unpack_from(self.record)[2])
+    modified_at = property(lambda self: RECORD_HEAD.unpack_from(self.record)[3])
+    checksum = property(lambda self: self.record[20:20 + self.record[18]])
 
     @property
     def chunks(self) -> Tuple[bytes, ...]:
-        blob = self.digests
-        width, start = blob[1], 2 + blob[0]
-        if start == len(blob):  # no digests: no chunks, or the checksum alone
-            return (blob[2:],) if width else ()
-        return tuple([blob[i:i + width] for i in range(start, len(blob), width)])
+        record = self.record
+        width, start = record[19], 20 + record[18]
+        if start == len(record):  # no digests: no chunks, or the checksum alone
+            return (record[20:],) if width else ()
+        return tuple([record[i:i + width] for i in range(start, len(record), width)])
+
+
+#: What an item stores: its ``item_id`` is derived from the workspace and filename.
+_stored = attrgetter("workspace_id", "version", "filename", "record", "device_id")
+
+
+def item_record(status, is_folder, size, modified_at, checksum, width, digests) -> bytes:
+    """An :class:`ItemMetadata`'s checked ``record``; *digests* are its chunks end to end."""
+    if checksum.__class__ is not bytes:
+        checksum = bytes.fromhex(checksum)
+    if status not in VALID_STATUSES:
+        raise ValueError(f"invalid status {status!r}")
+    if digests == checksum and len(digests) == width:
+        digests = b""  # the checksum is the sole chunk
+    try:
+        head = RECORD_HEAD.pack(VALID_STATUSES.index(status), is_folder, size, modified_at)
+    except struct.error:
+        raise ValueError(f"size {size!r} or modified_at {modified_at!r} fits no record") from None
+    return head + bytes((len(checksum), width)) + checksum + digests
 
 
 @dataclass(frozen=True, init=False)
@@ -105,13 +130,16 @@ class ItemMetadata(_ItemSlots):
     number; a client proposing a change sends ``current version + 1``.
     ``checksum`` and ``chunks`` (the file's fingerprints, in order) are given
     as bytes or hex, the chunks all of one width, and read back as bytes and
-    a tuple of bytes.  They are stored as one ``digests`` blob: the checksum's
-    length and the chunks' width (0 for none) in a byte each, the checksum,
-    then the chunk digests end to end, or none when the checksum is the sole
-    chunk, as in every single-chunk file.  Each of the two is under 256 bytes.
-    ``item_id`` is :func:`make_item_id` of the workspace and filename, derived
-    and interned here (an id given that differs is refused), so stored versions
-    share it.  A rename or a move is a delete and an add: another item.
+    a tuple of bytes.  An item keeps the other fields in one bytes ``record``:
+    :data:`RECORD_HEAD` (the status's index in :data:`VALID_STATUSES`,
+    ``is_folder``, ``size`` as a signed 64-bit integer, ``modified_at`` as a
+    double), the checksum's length and the chunks' width (0 for none) in a byte
+    each, the checksum, then the chunk digests end to end, or none when the
+    checksum is the sole chunk, as in every single-chunk file.  An item the
+    record cannot hold is refused when it is built.  ``item_id`` is
+    :func:`make_item_id` of the workspace and filename, derived and interned here
+    (an id given that differs is refused), so stored versions share it.  A
+    rename or a move is a delete and an add: another item.
     """
 
     __slots__ = ()
@@ -119,12 +147,12 @@ class ItemMetadata(_ItemSlots):
     workspace_id: str
     version: int
     filename: str
-    status: str
-    is_folder: bool
-    size: int
-    checksum: bytes = field()  # field(): no default, though _ItemSlots reads both
+    status: str = field()  # field(): no default, though _ItemSlots reads these six
+    is_folder: bool = field()
+    size: int = field()
+    checksum: bytes = field()
     chunks: Tuple[bytes, ...] = field()
-    modified_at: float
+    modified_at: float = field()
     device_id: str
     item_id: str = field(init=False)
 
@@ -134,41 +162,35 @@ class ItemMetadata(_ItemSlots):
         checksum: bytes = b"", chunks: Tuple[bytes, ...] = (),
         modified_at: float = 0.0, device_id: str = "", item_id: Optional[str] = None,
     ) -> None:
-        self._assign(workspace_id, version, filename, status, is_folder, size, checksum,
-                     *_joined(chunks), modified_at, device_id, item_id)
+        record = item_record(status, is_folder, size, modified_at, checksum, *_joined(chunks))
+        self._assign(workspace_id, version, filename, record, device_id, item_id)
 
-    def _assign(self, workspace_id, version, filename, status, is_folder, size, checksum,
-                width, digests, modified_at, device_id, item_id=None) -> "ItemMetadata":
-        """Check and store the fields; *digests* are the chunks end to end,
-        each *width* bytes, or none when the checksum is the sole chunk."""
-        if checksum.__class__ is not bytes:
-            checksum = bytes.fromhex(checksum)
+    def _assign(self, workspace_id, version, filename, record, device_id, item_id=None):
         derived = intern(make_item_id(workspace_id, filename))
         if item_id is not None and item_id != derived:
             raise ValueError(f"item id {item_id!r} is not its workspace and path")
-        if status not in VALID_STATUSES:
-            raise ValueError(f"invalid status {status!r}")
         if version < 1:
             raise ValueError("version numbers start at 1")
-        if digests == checksum and len(digests) == width:
-            digests = b""  # the checksum is the sole chunk
         assign = object.__setattr__
         assign(self, "workspace_id", workspace_id)
         assign(self, "version", version)
         assign(self, "filename", filename)
-        assign(self, "status", status)
-        assign(self, "is_folder", is_folder)
-        assign(self, "size", size)
-        assign(self, "digests", bytes((len(checksum), width)) + checksum + digests)
-        assign(self, "modified_at", modified_at)
+        assign(self, "record", record)
         assign(self, "device_id", device_id)
         assign(self, "item_id", derived)
         return self
 
     @classmethod
-    def from_digests(cls, *values) -> "ItemMetadata":
-        """An item of the fields :meth:`_assign` takes, in its order."""
-        return object.__new__(cls)._assign(*values)
+    def from_record(cls, workspace_id, version, filename, record, device_id) -> "ItemMetadata":
+        """An item of its slots, *record* made by :func:`item_record`."""
+        return object.__new__(cls)._assign(workspace_id, version, filename, record, device_id)
+
+    def __eq__(self, other) -> bool:
+        same = other.__class__ is self.__class__
+        return _stored(self) == _stored(other) if same else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(_stored(self))
 
     __setstate__ = _set_state
 
@@ -258,16 +280,17 @@ def pack_item(item: ItemMetadata) -> tuple:
     chunk, as in every single-chunk file: both digest the same bytes),
     ``chunks`` as one blob when each is :data:`DIGEST_SIZE` bytes (else the
     tuple), ``modified_at`` and ``device_id``.  ``item_id`` is derived."""
-    blob = item.digests
-    end = 2 + blob[0]
-    checksum, chunks = blob[2:end], blob[end:]
-    if blob[1] and not chunks:
+    record = item.record
+    status, is_folder, size, modified_at = RECORD_HEAD.unpack_from(record)
+    end = 20 + record[18]
+    checksum, chunks = record[20:end], record[end:]
+    if record[19] and not chunks:
         checksum, chunks = None, checksum
-    if blob[1] != DIGEST_SIZE:
+    if record[19] != DIGEST_SIZE:
         chunks = item.chunks
     return unpack_item, (
-        item.workspace_id, item.filename, item.version, VALID_STATUSES.index(item.status),
-        item.is_folder, item.size, checksum, chunks, item.modified_at, item.device_id,
+        item.workspace_id, item.filename, item.version, status, is_folder, size,
+        checksum, chunks, modified_at, item.device_id,
     )
 
 
@@ -285,10 +308,10 @@ def unpack_item(
         if not width or len(chunks) != width:
             raise ValueError(f"a checksum left out beside {len(chunks) // (width or 1)} chunks")
         checksum = chunks
-    return object.__new__(ItemMetadata)._assign(
-        intern(workspace_id), version, intern(filename), VALID_STATUSES[status], is_folder,
-        size, checksum, width, chunks, modified_at, intern(device_id),
-    )
+    record = item_record(VALID_STATUSES[status], is_folder, size, modified_at, checksum,
+                         width, chunks)
+    return ItemMetadata.from_record(intern(workspace_id), version, intern(filename), record,
+                                    intern(device_id))
 
 
 def pack_notification(msg: CommitNotification) -> tuple:

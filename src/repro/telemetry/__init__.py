@@ -70,7 +70,6 @@ from repro.telemetry.registry import (
     MetricsRegistry,
     get_registry,
 )
-from repro.telemetry.http import OpsServer
 from repro.telemetry.profiling import (
     Exemplar,
     ExemplarReservoir,
@@ -99,6 +98,16 @@ from repro.telemetry.trace import (
     enabled,
     get_tracer,
 )
+
+
+def __getattr__(name: str):
+    """``OpsServer`` on first use, so that ``http.server`` loads only then."""
+    if name != "OpsServer":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from repro.telemetry.http import OpsServer
+
+    return OpsServer
+
 
 __all__ = [
     "DEFAULT_RULES_TEXT",

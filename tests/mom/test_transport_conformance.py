@@ -328,6 +328,17 @@ def test_objectmq_multicast_reaches_every_instance(omq_pair):
     assert sorted(client.lookup("echo", EchoApi).ident()) == ["one", "two"]
 
 
+def test_objectmq_cast_before_the_first_bind_survives_a_restart(omq_pair, transport):
+    """``lookup`` declares the oid's queue durable, as a bound instance does: a
+    cast made before any instance binds is journaled, not lost to a restart."""
+    server, client = omq_pair
+    client.lookup("echo", EchoApi).note(7)
+    transport.restart()
+    echo = EchoServer()
+    server.bind("echo", echo)
+    assert wait_for(lambda: echo.notes == [7])
+
+
 def test_objectmq_casts_precede_a_later_sync_call(omq_pair):
     server, client = omq_pair
     echo = EchoServer()

@@ -131,7 +131,7 @@ def test_a_single_chunk_file_sends_its_digest_once():
     assert body.count(item.checksum) == 1
     decoded = PickleSerializer().decode(body)
     assert decoded == item and decoded.chunks == (item.checksum,)
-    assert decoded.digests == bytes((20, 20)) + item.checksum  # held once
+    assert decoded.record[18:] == bytes((20, 20)) + item.checksum  # held once
 
 
 def test_envelopes_and_confirmed_results_travel_by_position():
@@ -346,6 +346,7 @@ CRAFTED = {
         "request id of 8 bytes",
     ),
     "status-code-7": (_crafted(status=7), "out of range"),
+    "size-2**63": (_crafted(size=2**63), "fits no record"),
     "status-spelled-out": (_crafted(status="CHANGED"), "indices must be integers"),
     "version-0": (_crafted(version=0), "version numbers start at 1"),
     "retired-code-241": (_recoded(proposal(0), 250, 241), "unregistered extension code 241"),

@@ -19,6 +19,8 @@ from repro.sync.models import (
     CommitResult,
     ItemMetadata,
     Workspace,
+    pack_item,
+    unpack_item,
 )
 
 
@@ -47,6 +49,29 @@ def test_item_validates_status():
 def test_item_validates_version():
     with pytest.raises(ValueError):
         make_item(version=0)
+
+
+@pytest.mark.parametrize(
+    "field, built, sent",
+    [("size", 2**63, 2**63), ("size", -(2**63) - 1, -(2**63) - 1), ("status", "BOGUS", 3)],
+    ids=["size-2**63", "size-below-int64", "status-unknown"],
+)
+def test_an_item_its_record_cannot_hold_is_refused_when_built_and_unpacked(
+    field, built, sent
+):
+    """A size outside signed 64-bit (sqlite's INTEGER range) or an unknown
+    status is refused by the constructor and by the pickle layout's
+    ``unpack_item`` alike, so every engine can store any item that is built."""
+    assert make_item(size=2**63 - 1).size == 2**63 - 1
+    assert make_item(size=-(2**63)).size == -(2**63)
+    with pytest.raises(ValueError, match="fits no record|invalid status"):
+        make_item(**{field: built})
+    layout = ("workspace_id", "filename", "version", "status", "is_folder", "size",
+              "checksum", "chunks", "modified_at", "device_id")
+    values = dict(zip(layout, pack_item(make_item())[1]))
+    values[field] = sent
+    with pytest.raises((ValueError, IndexError), match="fits no record|out of range"):
+        unpack_item(**values)
 
 
 def test_item_id_is_derived_and_one_that_disagrees_is_refused():
@@ -169,7 +194,7 @@ def test_a_decoded_version_keeps_under_400_bytes():
 
 
 @pytest.mark.parametrize(
-    "sole_chunk, budget", [(False, 264), (True, 240)],
+    "sole_chunk, budget", [(False, 192), (True, 176)],
     ids=["checksum-and-chunk", "checksum-is-the-sole-chunk"],
 )
 def test_a_decoded_item_keeps_its_digests_in_one_blob(sole_chunk, budget):
@@ -178,9 +203,10 @@ def test_a_decoded_item_keeps_its_digests_in_one_blob(sole_chunk, budget):
     Four replies of 512 items shaped like the repo benchmark's commit
     workloads, each decoded ten times and kept.  The server's copies stay
     alive, as in the benchmark's one process, so the decoded items share their
-    interned ids and names.  With a checksum bytes object, a chunks tuple and
-    a bytes object per chunk, an item kept about 338 bytes, or 285 when its
-    checksum was its only chunk.
+    interned ids and names.  An item keeps about 181 bytes, or 161 when its
+    checksum is its only chunk.  With ten slots and one digests blob it kept
+    251 (231); with a checksum bytes object, a chunks tuple and a bytes object
+    per chunk, about 338 (285).
     """
     rng = random.Random(2)
     codec = PickleSerializer()

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
 import pytest
 
+import repro
 from repro.telemetry.control import KIND_DECISION, KIND_SPAWN, DecisionJournal
 from repro.telemetry.http import OpsServer
 from repro.telemetry.registry import MetricsRegistry
@@ -20,6 +24,24 @@ class _Component:
 
     def probe(self):
         return {"up": float(self.ok)}
+
+
+def test_the_stack_imports_no_http_server_until_ops_server_is_used():
+    """``OpsServer`` resolves on first use, so a process that imports every
+    layer but serves no HTTP never loads ``http.server``, ``ssl`` or ``email``."""
+    script = (
+        "import sys\n"
+        "import repro.client, repro.metadata, repro.objectmq, repro.storage, repro.sync\n"
+        "import repro.telemetry\n"
+        "print(sorted({'http.server', 'ssl', 'email'} & set(sys.modules)))\n"
+        "from repro.telemetry import OpsServer\n"
+        "print(OpsServer.__module__, 'http.server' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.splitlines() == ["[]", "repro.telemetry.http True"]
 
 
 @pytest.fixture
