@@ -14,7 +14,7 @@ from repro.mom.broker_server import DEFAULT_EXCHANGE, BrokerStats, MessageBroker
 from repro.mom.cluster import BrokerCluster
 from repro.mom.exchange import DirectExchange, Exchange, FanoutExchange
 from repro.mom.message import PERSISTENT, TRANSIENT, Delivery, Message
-from repro.mom.persistence import FileMessageStore, InMemoryMessageStore
+from repro.mom.persistence import InMemoryMessageStore
 from repro.mom.queue import Consumer, MessageQueue
 from repro.mom.transport import MomTransport
 
@@ -29,7 +29,6 @@ __all__ = [
     "DirectExchange",
     "Exchange",
     "FanoutExchange",
-    "FileMessageStore",
     "InMemoryMessageStore",
     "Message",
     "MessageBroker",

@@ -10,8 +10,9 @@ narrow AMQP-shaped surface ObjectMQ needs:
 * ``ack`` / ``ack_many`` / ``nack``
 
 That surface is written down as :class:`repro.mom.transport.MomTransport`.
-A publish is one message; settling has one body that works on a run of
-deliveries, and ``ack`` calls it with a run of one.
+A publish is one message, and it reaches only queues that were declared:
+only ``declare_queue`` creates a queue, as in AMQP.  Settling has one body
+that works on a run of deliveries, and ``ack`` calls it with a run of one.
 
 It also implements the reliability behaviours the paper leans on:
 unacked messages are redelivered when a consumer is cancelled
@@ -182,10 +183,11 @@ class MessageBroker:
     ) -> int:
         """Route *message* and return the number of queues it reached.
 
-        The default exchange routes to the queue named exactly like the
-        routing key, declaring it lazily — this matches the paper's model
-        where ``bind(oid, obj)`` creates the ``oid`` queue and clients
-        simply publish to it by name.
+        A publish reaches declared queues only: the default exchange
+        routes to the queue named exactly like the routing key, if it has
+        been declared, and any other exchange to its bound queues.  A
+        publish that reaches no queue raises :class:`DeliveryError` and
+        creates nothing.
 
         Zero-copy contract: delivered to a single queue (the unicast RPC
         hot path), the message object — and therefore its payload buffer,
@@ -196,8 +198,21 @@ class MessageBroker:
         journal snapshots the payload: bytes are forced exactly once here
         so memoryview publishers stay copy-free elsewhere.
         """
-        self._check_open()
-        queues = self._resolve_queues(exchange_name, routing_key)
+        if self._closed:
+            raise BrokerClosed(f"broker {self.name!r} is closed")
+        with self._lock:
+            if exchange_name == DEFAULT_EXCHANGE:
+                queue = self._queues.get(routing_key)
+                queues = [] if queue is None else [queue]
+            else:
+                exchange = self._exchanges.get(exchange_name)
+                if exchange is None:
+                    raise ExchangeNotFound(f"exchange {exchange_name!r} has not been declared")
+                queues = [
+                    queue
+                    for queue in map(self._queues.get, exchange.route(routing_key))
+                    if queue is not None
+                ]
         copies = [message]
         while len(copies) < len(queues):
             copies.append(message.copy_for_queue())
@@ -205,28 +220,14 @@ class MessageBroker:
             if queue.durable:
                 copy.materialize()
                 self.store.record_publish(queue.name, copy)
-            queue.put(copy)
-        self.stats.on_publish(len(queues), message.size)
-        if not queues and exchange_name != DEFAULT_EXCHANGE:
+            queue.put_many((copy,))
+        self.stats.on_publish(len(queues), len(message.body))
+        if not queues:
             raise DeliveryError(
                 f"message with key {routing_key!r} matched no queue on "
                 f"exchange {exchange_name!r}"
             )
         return len(queues)
-
-    def _resolve_queues(
-        self, exchange_name: str, routing_key: str
-    ) -> List[MessageQueue]:
-        """Live destination queues for one (exchange, routing key) pair."""
-        if exchange_name == DEFAULT_EXCHANGE:
-            return [self.declare_queue(routing_key)]
-        destinations = self._get_exchange(exchange_name).route(routing_key)
-        with self._lock:
-            return [
-                queue
-                for queue in (self._queues.get(name) for name in destinations)
-                if queue is not None
-            ]
 
     def consume(
         self,

@@ -90,11 +90,6 @@ class Message:
             self.body = bytes(self.body)
         return self.body
 
-    @property
-    def size(self) -> int:
-        """Payload size in bytes (used by traffic meters)."""
-        return len(self.body)
-
 
 @dataclass(frozen=True)
 class Delivery:

@@ -11,13 +11,20 @@ SyncService instance immediately absorb load.
 There is one delivery path and it works on *runs* of messages: publishing
 is :meth:`MessageQueue.put_many`, settling is :meth:`MessageQueue.ack_many`
 and a consumer's handler is handed lists of deliveries; ``put`` and
-``ack`` are the same code called with a run of one.  The dispatcher hands
-over single deliveries; a run is what a woken consumer finds waiting in
-its mailbox (:meth:`Consumer._run`), which is at most ``prefetch``.  An
-``auto_ack`` consumer has neither thread nor mailbox: the thread that
-dispatched its delivery runs the handler, once the queue lock is released.
-Pull-mode waiters are woken with *targeted* notifies — exactly as many
-waiters as there are messages to take — never a ``notify_all`` stampede.
+``ack`` are the same code called with a run of one.  The broker enqueues
+each copy of a publish with one ``put_many``: one queue-lock cycle and one
+dispatch pass (:meth:`MessageQueue._dispatch_locked`), which picks the
+consumers, fills their mailboxes and wakes pull-mode waiters.  A queue
+comes into being only through the broker's ``declare_queue``; a publish
+never creates one.
+
+The dispatcher hands over single deliveries; a run is what a woken
+consumer finds waiting in its mailbox (:meth:`Consumer._run`), which is at
+most ``prefetch``.  An ``auto_ack`` consumer has neither thread nor
+mailbox: the thread that dispatched its delivery runs the handler, once
+the queue lock is released.  Pull-mode waiters are woken with *targeted*
+notifies — exactly as many waiters as there are messages to take — never
+a ``notify_all`` stampede.
 
 Reliability: a delivery stays in the consumer's unacked set until it is
 acked.  If the consumer is cancelled or its owner crashes, every unacked
@@ -76,10 +83,10 @@ class Consumer:
     """A registered consumer: a handler plus, if it acks, a worker thread.
 
     An acking consumer's deliveries are executed on a dedicated thread
-    (started with the first delivery, see :meth:`deliver`) so that one slow
-    consumer never blocks the queue's dispatch path or its sibling
-    consumers.  Acking is the responsibility of the subscriber (normally
-    the ObjectMQ skeleton) via :meth:`MessageQueue.ack_many`.
+    (started by the dispatch pass that hands it its first delivery) so
+    that one slow consumer never blocks the queue's dispatch path or its
+    sibling consumers.  Acking is the responsibility of the subscriber
+    (normally the ObjectMQ skeleton) via :meth:`MessageQueue.ack_many`.
 
     The mailbox carries single deliveries; the thread, woken by one, takes
     every other already waiting and hands the handler the lot as one list.
@@ -123,19 +130,6 @@ class Consumer:
             self._handler(run)
         except Exception:  # noqa: BLE001 - consumer bugs must not kill dispatch
             logger.exception("consumer %s raised while handling run", self.tag)
-
-    def deliver(self, delivery: Delivery) -> None:
-        """Put one delivery in an acking consumer's mailbox.
-
-        Called under the queue lock (``_dispatch_locked`` is the only
-        caller), so the first-delivery thread start cannot race itself.
-        """
-        if self._thread is None:
-            self._thread = threading.Thread(
-                target=self._run, name=f"consumer-{self.tag}", daemon=True
-            )
-            self._thread.start()
-        self._mailbox.put(delivery)
 
     def stop(self) -> None:
         if self._thread is not None:
@@ -238,20 +232,9 @@ class MessageQueue:
             if len(self._ready) > self.depth_high_water:
                 self.depth_high_water = len(self._ready)
             inline = self._dispatch_locked()
-            self._notify_pull_waiters_locked()
         if inline:
             _run_inline(inline)
         return count
-
-    def _notify_pull_waiters_locked(self) -> None:
-        """Wake exactly as many pull-mode getters as can make progress.
-
-        Replaces the ``notify_all`` stampede: each ready message wakes at
-        most one waiter, and waiters that cannot take a message are left
-        asleep instead of burning a wakeup/re-wait cycle.
-        """
-        if self._pull_waiters and self._ready:
-            self._not_empty.notify(min(len(self._ready), self._pull_waiters))
 
     # -- pull-mode (basic.get) ---------------------------------------------
 
@@ -286,10 +269,11 @@ class MessageQueue:
             message = self._ready.popleft()
             if TRACER.enabled:
                 message.headers[DEQUEUED_AT_KEY] = time.time()
-            # Cascade: if messages remain and siblings still wait, pass
-            # exactly one wakeup on (covers a racing publisher whose
-            # notify landed on this getter for a different message).
-            self._notify_pull_waiters_locked()
+            # Cascade: if messages remain and siblings still wait, pass the
+            # wakeups on (covers a racing publisher whose notify landed on
+            # this getter for a different message).
+            if self._pull_waiters and self._ready:
+                self._not_empty.notify(min(len(self._ready), self._pull_waiters))
             return message
 
     # -- push-mode (basic.consume) -------------------------------------------
@@ -351,9 +335,7 @@ class MessageQueue:
         # ahead of the ready buffer in original (oldest-first) order.
         self._ready.extendleft(d.message for d in reversed(deliveries))
         self.redelivered_count += len(deliveries)
-        inline = self._dispatch_locked()
-        self._notify_pull_waiters_locked()
-        return inline
+        return self._dispatch_locked()
 
     def _pop_consumer_locked(self, tag: str) -> Optional[Consumer]:
         for i, consumer in enumerate(self._consumers):
@@ -408,26 +390,37 @@ class MessageQueue:
     # -- dispatch -------------------------------------------------------------
 
     def _dispatch_locked(self) -> Optional[_Inline]:
-        """Hand ready messages to eligible consumers, one delivery each.
+        """Hand ready messages to eligible consumers, one delivery each,
+        then wake the pull-mode getters the rest can serve.
 
-        Must be called with ``self._lock`` held.  A consumer is eligible
-        while its unacked window is below its prefetch limit; with the
-        default prefetch of 1 this selects only idle consumers, which is
+        Must be called with ``self._lock`` held.  Consumers are tried
+        round-robin, starting after the last one served.  A consumer is
+        eligible while its unacked window is below its prefetch limit; with
+        the default prefetch of 1 this selects only idle consumers, which is
         the transparent load balancing the paper credits the MOM layer
-        with.  An ``auto_ack`` consumer has no window and is always
+        with.  An acking consumer's delivery goes to its mailbox, and the
+        first one starts its thread (under the lock, so the start cannot
+        race itself).  An ``auto_ack`` consumer has no window and is always
         eligible; its deliveries are not put anywhere but returned (None
         when there are none, so the usual pass allocates nothing), and the
         caller hands them to :func:`_run_inline` after releasing the lock.
         The transport contract lets such a handler publish, which would
-        otherwise re-enter a lock its own thread holds.
+        otherwise re-enter a lock its own thread holds.  Messages left
+        ready wake at most one pull-mode getter each.
         """
         self.dispatch_cycles += 1
         stamp = time.time() if TRACER.enabled else None
         inline: Optional[_Inline] = None
-        while self._ready:
-            consumer = self._next_eligible_locked()
-            if consumer is None:
-                break
+        consumers = self._consumers
+        n = len(consumers)
+        while self._ready and n:
+            for offset in range(n):
+                consumer = consumers[(self._rr_index + offset) % n]
+                if len(consumer.unacked) < consumer.prefetch:
+                    break
+            else:
+                break  # every window is full
+            self._rr_index = (self._rr_index + offset + 1) % n
             message = self._ready.popleft()
             if stamp is not None:
                 message.headers[DEQUEUED_AT_KEY] = stamp
@@ -445,18 +438,15 @@ class MessageQueue:
                 inline.append((consumer, delivery))
             else:
                 consumer.unacked[delivery.delivery_tag] = delivery
-                consumer.deliver(delivery)
+                if consumer._thread is None:
+                    consumer._thread = threading.Thread(
+                        target=consumer._run, name=f"consumer-{consumer.tag}", daemon=True
+                    )
+                    consumer._thread.start()
+                consumer._mailbox.put(delivery)
+        if self._pull_waiters and self._ready:
+            self._not_empty.notify(min(len(self._ready), self._pull_waiters))
         return inline
-
-    def _next_eligible_locked(self) -> Optional[Consumer]:
-        n = len(self._consumers)
-        for offset in range(n):
-            candidate = self._consumers[(self._rr_index + offset) % n]
-            if len(candidate.unacked) >= candidate.prefetch:
-                continue
-            self._rr_index = (self._rr_index + offset + 1) % n
-            return candidate
-        return None
 
     # -- introspection ----------------------------------------------------------
 

@@ -30,6 +30,9 @@ class MomTransport(Protocol):
     One delivery model, store-and-forward, which every implementation
     gives:
 
+    * **queues exist only when declared**: :meth:`declare_queue` is the
+      one call that creates a queue.  A publish never does, so a publish
+      to a queue that was never declared, or was deleted, reaches nothing;
     * **one consumer per message**: a queue hands each message to one of
       its consumers, and only to one whose unacked count is below its
       prefetch window;
@@ -81,9 +84,11 @@ class MomTransport(Protocol):
     def publish(self, exchange_name: str, routing_key: str, message: Message) -> int:
         """Route one message; returns the number of queues it reached.
 
-        The default exchange ``""`` routes to the queue named
-        *routing_key*, declaring it if need be.  Any other exchange that
-        matches no queue raises :class:`~repro.errors.DeliveryError`.
+        A publish reaches declared queues only.  The default exchange
+        ``""`` routes to the declared queue named *routing_key*; any other
+        exchange routes to the declared queues bound to it.  A publish
+        that reaches no queue, on any exchange, raises
+        :class:`~repro.errors.DeliveryError` and creates nothing.
         """
         ...
 

@@ -196,13 +196,6 @@ class Skeleton:
 
     def _send_reply(self, envelope: dict, result: Any, error: str) -> None:
         reply_to = envelope["reply_to"]
-        mom = self.broker.mom
-        if not mom.queue_exists(reply_to):
-            # The caller's Broker closed, typically after its call timed
-            # out.  The default exchange would declare the queue again —
-            # shared, with nobody to read or delete it.
-            logger.debug("dropping reply for closed queue %s", reply_to)
-            return
         reply = make_reply(
             correlation_id=envelope.get("correlation_id") or "",
             result=result if not error else None,
@@ -216,6 +209,9 @@ class Skeleton:
             delivery_mode=PERSISTENT,
         )
         try:
-            mom.publish("", reply_to, message)
+            self.broker.mom.publish("", reply_to, message)
         except Exception:  # noqa: BLE001 - the caller may be gone; that is fine
-            logger.debug("reply queue %s vanished", reply_to)
+            # A publish creates no queue: a caller that closed (typically
+            # after its call timed out) took its reply queue with it, and
+            # the reply is dropped.
+            logger.debug("dropping reply for vanished queue %s", reply_to)

@@ -1,11 +1,9 @@
-"""Unit tests for the durable message stores."""
+"""Unit tests for the durable message store."""
 
 from __future__ import annotations
 
-import os
-
 from repro.mom.message import Message, PERSISTENT, TRANSIENT
-from repro.mom.persistence import FileMessageStore, InMemoryMessageStore
+from repro.mom.persistence import InMemoryMessageStore
 
 
 def test_transient_messages_not_journalled():
@@ -19,7 +17,7 @@ def test_persistent_publish_then_ack_clears():
     message = Message(b"x", delivery_mode=PERSISTENT)
     store.record_publish("q", message)
     assert len(store) == 1
-    store.record_ack("q", message)
+    store.record_ack_many("q", [message])
     assert len(store) == 0
 
 
@@ -41,26 +39,3 @@ def test_pending_is_per_queue():
     store.record_publish("b", Message(b"y", delivery_mode=PERSISTENT))
     assert [m.body for m in store.pending_for("a")] == [b"x"]
     assert store.queue_names() == ["a", "b"]
-
-
-def test_file_store_survives_reload(tmp_path):
-    path = os.path.join(tmp_path, "journal.jsonl")
-    store = FileMessageStore(path)
-    kept = Message(b"\x00\xffbinary", delivery_mode=PERSISTENT, headers={"k": 1})
-    acked = Message(b"gone", delivery_mode=PERSISTENT)
-    store.record_publish("q", kept)
-    store.record_publish("q", acked)
-    store.record_ack("q", acked)
-
-    reloaded = FileMessageStore(path)
-    pending = reloaded.pending_for("q")
-    assert len(pending) == 1
-    assert pending[0].body == b"\x00\xffbinary"
-    assert pending[0].headers == {"k": 1}
-
-
-def test_file_store_empty_file(tmp_path):
-    path = os.path.join(tmp_path, "journal.jsonl")
-    store = FileMessageStore(path)
-    assert len(store) == 0
-    assert store.pending_for("q") == []

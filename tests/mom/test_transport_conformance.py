@@ -68,10 +68,19 @@ class Inbox:
 # -- publishing -----------------------------------------------------------------
 
 
-def test_default_exchange_declares_the_queue_and_delivers(transport):
-    assert transport.publish("", "lazy", Message(b"x")) == 1
-    assert transport.queue_exists("lazy")
-    assert transport.get("lazy", timeout=0.5).body == b"x"
+def test_default_exchange_refuses_an_undeclared_queue(transport):
+    with pytest.raises(DeliveryError):
+        transport.publish("", "undeclared", Message(b"x"))
+    assert not transport.queue_exists("undeclared")
+
+
+def test_default_exchange_refuses_a_deleted_queue(transport):
+    transport.declare_queue("gone")
+    assert transport.publish("", "gone", Message(b"x")) == 1
+    transport.delete_queue("gone")
+    with pytest.raises(DeliveryError):
+        transport.publish("", "gone", Message(b"y"))
+    assert not transport.queue_exists("gone")
 
 
 def test_fanout_reaches_every_bound_queue_with_independent_envelopes(transport):

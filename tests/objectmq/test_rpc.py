@@ -185,6 +185,41 @@ def test_late_reply_does_not_revive_a_closed_brokers_response_queue():
         mom.close()
 
 
+def test_a_reply_to_a_caller_that_closed_meanwhile_creates_no_queue():
+    """The caller's reply queue goes between the invocation and the reply
+    (a caller that timed out and closed in that window): the reply is
+    dropped and no queue named after the reply queue is left behind."""
+
+    @remote_interface
+    class OnceApi(Remote):
+        @sync_method(timeout=0.2, retry=0)
+        def add(self, a, b):
+            ...
+
+    mom = MessageBroker()
+    server, client = Broker(mom), Broker(mom)
+    reply_queue = client.response_queue_name
+    publish = mom.publish
+
+    def caller_closes_before_the_reply(exchange_name, routing_key, message):
+        if routing_key == reply_queue:
+            mom.delete_queue(reply_queue)
+        return publish(exchange_name, routing_key, message)
+
+    mom.publish = caller_closes_before_the_reply
+    try:
+        server.bind("calc", Calculator())
+        proxy = client.lookup("calc", OnceApi)
+        with pytest.raises(RemoteTimeout):
+            proxy.add(1, 2)
+        assert wait_for(lambda: mom.queue_stats("calc")["acked"] == 1)
+        assert not mom.queue_exists(reply_queue)
+    finally:
+        client.close()
+        server.close()
+        mom.close()
+
+
 def test_concurrent_replies_each_reach_their_own_caller(rig):
     """The reply router runs on the replying skeletons' threads, several at
     once: under a short switch interval every call still gets its own

@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.client import ContentDefinedChunker, conflicted_copy_name, make_chunker
-from repro.mom import BrokerCluster, FileMessageStore, Message, PERSISTENT
+from repro.mom import BrokerCluster, Message
 from repro.storage import LatencyModel, LatencyProfile
 from repro.workload import Trace, TraceGenerator, TraceReplayer
 
@@ -38,25 +38,6 @@ def test_cluster_facade_exchange_and_nack():
     assert stats["redelivered"] >= 1
     assert cluster.size == 2
     cluster.close()
-
-
-# -- file store compaction -----------------------------------------------------------
-
-
-def test_file_store_compacts_on_reload(tmp_path):
-    path = str(tmp_path / "journal.jsonl")
-    store = FileMessageStore(path)
-    messages = [Message(bytes([i]), delivery_mode=PERSISTENT) for i in range(20)]
-    for message in messages:
-        store.record_publish("q", message)
-    for message in messages[:15]:
-        store.record_ack("q", message)
-    raw_lines_before = sum(1 for _ in open(path))
-    assert raw_lines_before == 35  # 20 pubs + 15 acks
-    reloaded = FileMessageStore(path)
-    assert len(reloaded) == 5
-    raw_lines_after = sum(1 for _ in open(path))
-    assert raw_lines_after == 5  # compacted to live entries only
 
 
 # -- latency model -----------------------------------------------------------------------
