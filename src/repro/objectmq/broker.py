@@ -7,10 +7,9 @@ and exposes two primitives:
 
 * :meth:`Broker.bind(oid, remote_object)` — bind an object instance under
   the identifier *oid*.  Creates (idempotently) the shared unicast queue
-  named ``oid``, a fanout exchange ``oid.multi`` for multicast, and a
-  private per-instance queue bound to that exchange.  Binding several
-  objects under one *oid* yields transparent load balancing: the MOM
-  delivers each unicast RPC to the first idle instance.
+  named ``oid`` and a fanout exchange ``oid.multi`` for multicast.  Binding
+  several objects under one *oid* yields transparent load balancing: the
+  MOM delivers each unicast RPC to the first idle instance.
 
 * :meth:`Broker.lookup(oid, interface)` — return a dynamic client stub
   (:class:`~repro.objectmq.proxy.Proxy`) for a @remote_interface class.
@@ -18,6 +17,13 @@ and exposes two primitives:
 
 There is no stub compilation step and no client-side server list: scaling
 the server pool up or down never touches clients.
+
+Multicast is per connection, not per instance (Fig 1): a Broker's first
+``bind`` declares one private multicast queue, bound to ``oid.multi`` while
+it hosts an instance of *oid*, and one consumer thread runs it.  Each
+delivery is decoded once and invoked on every local instance of the oid
+in bind order, one after another, then acked: a notification crosses the
+MOM once per receiving Broker however many listeners it hosts.
 """
 
 from __future__ import annotations
@@ -25,18 +31,24 @@ from __future__ import annotations
 import logging
 import threading
 import uuid
-from typing import Any, Dict, Optional, Type
+from typing import Any, Dict, List, Optional, Tuple, Type
 
 from repro.errors import BindingError, ObjectMqError
 from repro.mom.message import Delivery
 from repro.mom.transport import MomTransport
 from repro.objectmq.annotations import interface_specs
-from repro.objectmq.naming import multi_exchange_name, response_queue_name
+from repro.objectmq.naming import (
+    multi_exchange_name, multicast_queue_name, response_queue_name,
+)
 from repro.objectmq.proxy import Proxy
 from repro.objectmq.skeleton import Skeleton
 from repro.serialization import Serializer, make_serializer
 
 logger = logging.getLogger(__name__)
+
+#: Multicast deliveries a Broker's dispatch thread may hold unacked: deep
+#: enough that a closed loop of 16 commits in flight never waits on it.
+MULTICAST_WINDOW = 64
 
 
 class _ReplyRouter:
@@ -135,6 +147,11 @@ class Broker:
         self.codec: Serializer = make_serializer(environment.get("codec", "pickle"))
         self._lock = threading.Lock()
         self._skeletons: Dict[str, Skeleton] = {}
+        # oid -> its local instances in bind order; replaced, never mutated,
+        # so the dispatch thread reads it without the lock.
+        self._groups: Dict[str, Tuple[Skeleton, ...]] = {}
+        self.multicast_queue_name = multicast_queue_name(self.client_id)
+        self._multicast_declared = False
         self._closed = False
         # Call context: headers attached to every outgoing request from
         # this Broker's proxies (auth tokens, tracing ids, ...).  Server
@@ -235,6 +252,68 @@ class Broker:
         """
         return self.mom.exchange_has_bindings(multi_exchange_name(oid))
 
+    # -- multicast: one queue and one dispatch thread per Broker -----------------
+
+    def _join_group(self, skeleton: Skeleton) -> None:
+        """Add a started instance to its oid's multicast group.
+
+        The first instance of the Broker declares its multicast queue and
+        subscribes the dispatch consumer; the first of an oid binds that
+        queue to the oid's fanout.
+        """
+        oid = skeleton.oid
+        with self._lock:
+            if not self._multicast_declared:
+                self.mom.declare_queue(self.multicast_queue_name, exclusive=True)
+                self.mom.consume(
+                    self.multicast_queue_name, None,
+                    consumer_tag=self.multicast_queue_name,
+                    prefetch=MULTICAST_WINDOW, batch_callback=self._on_multicasts,
+                )
+                self._multicast_declared = True
+            group = self._groups.get(oid, ())
+            if not group:
+                exchange = multi_exchange_name(oid)
+                self.mom.declare_exchange(exchange, "fanout")
+                self.mom.bind_queue(exchange, self.multicast_queue_name)
+            self._groups[oid] = group + (skeleton,)
+
+    def _leave_group(self, skeleton: Skeleton) -> None:
+        """Drop a stopped instance; the last of an oid unbinds the fanout."""
+        oid = skeleton.oid
+        with self._lock:
+            group = self._groups.get(oid, ())
+            if skeleton not in group:
+                return
+            rest = tuple(member for member in group if member is not skeleton)
+            if rest:
+                self._groups[oid] = rest
+                return
+            del self._groups[oid]
+            self.mom.unbind_queue(multi_exchange_name(oid), self.multicast_queue_name)
+
+    def _on_multicasts(self, deliveries: List[Delivery]) -> None:
+        """Run each delivery on every local instance of its oid, then ack.
+
+        The proxy publishes a multicast with the oid as routing key.  Each
+        body is decoded once and every instance gets the same envelope, so
+        its arguments are shared and must be treated as read-only.  The
+        run is acked only after every instance has returned: at least once
+        per instance, as with a queue of its own.
+        """
+        for delivery in deliveries:
+            group = self._groups.get(delivery.message.routing_key)
+            if not group:
+                continue  # the last instance left after the publish
+            try:
+                envelope = self.codec.decode(delivery.message.body)
+            except Exception as exc:  # noqa: BLE001 - a body from outside; the run must be acked
+                logger.warning("dropping undecodable multicast on %s: %s", delivery.queue_name, exc)
+                continue
+            for skeleton in group:
+                skeleton.invoke(delivery, envelope, len(group))
+        self.mom.ack_many(deliveries)
+
     # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
@@ -247,6 +326,9 @@ class Broker:
         for skeleton in skeletons:
             skeleton.stop()
         try:
+            if self._multicast_declared:
+                self.mom.cancel(self.multicast_queue_name, self.multicast_queue_name)
+                self.mom.delete_queue(self.multicast_queue_name)
             self.mom.cancel(self.response_queue_name, self._reply_consumer_tag)
             self.mom.delete_queue(self.response_queue_name)
         except ObjectMqError:

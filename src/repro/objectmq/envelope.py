@@ -10,18 +10,22 @@ request carries only what its receiver reads::
                "context": dict, <trace key>}    # added by the proxy, if any
     reply:    {"correlation_id": str, "ok": bool,   # ok is error is None
                "result": any | None, "error": str | None,
-               "responder": str}                # never read; "" unless given
+               "responder": str,                # "" unless a multicast reply:
+               "reached": int}                  #   then its Broker and how many
+                                                #   instances the call ran on there
 
 json and binary spell the keys out.  Pickle sends each envelope by position
 under its own extension code (registered below, with no json/binary tag, so
 those two codecs' bytes do not change)::
 
     request:  (method, args, kwargs?, reply_to?, correlation_id?, context?, trace?)
-    reply:    (correlation_id, result, error?, responder?)
+    reply:    (correlation_id, result, error?, responder?, reached?)
 
 A request field that is absent or None is sent as None and rebuilt as
-absent, and trailing ones are left off.  A reply's ``error`` and
-``responder`` travel only when set, and ``ok`` never does.  A key outside
+absent, and trailing ones are left off.  A reply's ``error``,
+``responder`` and ``reached`` travel only when set, and ``ok`` never does;
+``reached`` is a key of a multicast reply only, so a unicast reply's bytes
+are the same in every codec.  A key outside
 the schema has no position, so pickle refuses to encode it.  Codes 246 and
 247 are wire format (see :class:`~repro.serialization.base.WireRegistry`).
 """
@@ -81,21 +85,25 @@ def make_reply(
     result: Any = None,
     error: Optional[str] = None,
     responder: str = "",
+    reached: int = 0,
 ) -> Reply:
-    return Reply(
+    reply = Reply(
         correlation_id=correlation_id,
         ok=error is None,
         result=result,
         error=error,
         responder=responder,
     )
+    if reached:
+        reply["reached"] = reached
+    return reply
 
 
 # -- pickle layouts ------------------------------------------------------------
 
 _REQUEST_KEYS = frozenset(("method", "args", "kwargs", "reply_to", "correlation_id",
                            "context", TRACE_KEY))
-_REPLY_KEYS = frozenset(("correlation_id", "ok", "result", "error", "responder"))
+_REPLY_KEYS = frozenset(("correlation_id", "ok", "result", "error", "responder", "reached"))
 
 
 def pack_request(request: Request) -> tuple:
@@ -130,13 +138,15 @@ def unpack_request(method, args, kwargs=None, reply_to=None, correlation_id=None
 
 
 def pack_reply(reply: Reply) -> tuple:
-    """``(unpack_reply, values)``: ``ok`` is left to the receiver, and an error
-    and a responder travel only when there is one."""
+    """``(unpack_reply, values)``: ``ok`` is left to the receiver, and an error,
+    a responder and a reach travel only when there is one."""
     if not _REPLY_KEYS.issuperset(reply):
         raise ValueError(f"reply keys {sorted(reply.keys() - _REPLY_KEYS)} "
                          "have no place in its layout")
     correlation_id, result = reply["correlation_id"], reply["result"]
-    error, responder = reply.get("error"), reply.get("responder")
+    error, responder, reached = reply.get("error"), reply.get("responder"), reply.get("reached")
+    if reached:
+        return unpack_reply, (correlation_id, result, error, responder, reached)
     if responder:
         return unpack_reply, (correlation_id, result, error, responder)
     if error is not None:
@@ -144,9 +154,8 @@ def pack_reply(reply: Reply) -> tuple:
     return unpack_reply, (correlation_id, result)
 
 
-def unpack_reply(correlation_id, result, error=None, responder="") -> Reply:
-    return Reply(correlation_id=correlation_id, ok=error is None, result=result,
-                 error=error, responder=responder)
+def unpack_reply(correlation_id, result, error=None, responder="", reached=0) -> Reply:
+    return make_reply(correlation_id, result, error, responder, reached)
 
 
 global_wire_registry.register(Request, code=246, pack=pack_request, unpack=unpack_request)

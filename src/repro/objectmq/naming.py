@@ -22,6 +22,12 @@ def response_queue_name(client_id: str) -> str:
     return f"response.{client_id}"
 
 
+def multicast_queue_name(client_id: str) -> str:
+    """Name of a serving Broker's private multicast queue: one per Broker,
+    bound to the ``.multi`` exchange of every oid it hosts an instance of."""
+    return f"multi.{client_id}"
+
+
 def shard_oid(oid: str, shard: int) -> str:
     """The partitioned oid serving shard *shard* of the *oid* pool.
 

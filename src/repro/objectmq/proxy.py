@@ -13,6 +13,10 @@ sync      no     publish + block on the reply (timeout × retries)
 async     yes    publish to the ``oid.multi`` fanout, return count
 sync      yes    fanout publish + collect replies until timeout
 ========  =====  ==============================================
+
+A fanout reaches one queue per serving Broker, which runs the call on each
+of its local instances; so a multicast's count is of Brokers, while a sync
+multicast still collects one reply per instance.
 """
 
 from __future__ import annotations
@@ -209,7 +213,7 @@ class Proxy:
             self._broker.unregister_waiter(correlation_id)
 
     def _invoke_multi_async(self, method: str, spec: CallSpec, args, kwargs) -> int:
-        """Publish to the group's fanout; return how many members it reached.
+        """Publish to the group's fanout; return how many Brokers it reached.
 
         A multicast to an empty group is a no-op by contract: a publish that
         no binding takes raises :class:`DeliveryError`, and one to a fanout
@@ -241,18 +245,26 @@ class Proxy:
         started = time.perf_counter()
         try:
             try:
-                fanout = self._publish(self._multi_exchange(), self._oid, envelope)
+                brokers = self._publish(self._multi_exchange(), self._oid, envelope)
             except DeliveryError:
                 return []
-            needed = fanout if spec.quorum is None else min(spec.quorum, fanout)
+            # Each reply names its Broker and how many local instances the
+            # call ran on there; a Broker not yet heard from counts as one,
+            # so *expected* is exact once every Broker has answered.
+            reached: Dict[str, int] = {}
             deadline = time.monotonic() + spec.timeout
-            while len(results) < needed:
+            while True:
+                expected = sum(reached.values()) + brokers - len(reached)
+                needed = expected if spec.quorum is None else min(spec.quorum, expected)
+                if len(results) >= needed:
+                    break
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break
                 reply = waiter.take(remaining)
                 if reply is None:
                     break
+                reached[reply.get("responder")] = reply.get("reached", 1)
                 results.append(self._unwrap(method, reply))
             self.call_stats.record(time.perf_counter() - started)
             return results

@@ -1,12 +1,14 @@
 """Server-side dispatcher for one bound remote object instance.
 
-A :class:`Skeleton` subscribes the instance to two queues (Fig 1):
+An instance is reached two ways (Fig 1):
 
-* the shared **unicast queue** named ``oid`` — the MOM round-robins each
-  message to one idle instance (prefetch 1), which is ObjectMQ's
-  transparent load balancing;
-* the instance's **private queue** ``oid.inst.<id>``, bound to the fanout
-  exchange ``oid.multi`` — every @MultiMethod call reaches every instance.
+* the shared **unicast queue** named ``oid``, which the :class:`Skeleton`
+  consumes itself — the MOM round-robins each message to one idle instance
+  (prefetch 1), which is ObjectMQ's transparent load balancing;
+* the fanout exchange ``oid.multi`` for every @MultiMethod call.  The
+  instance has no queue of its own there: its :class:`~repro.objectmq.broker.Broker`
+  binds one multicast queue per connection and runs each delivery on every
+  local instance of the oid, through :meth:`Skeleton.invoke`.
 
 Deliveries are acked only after the invocation finishes, so a crash while
 processing re-queues the message for another instance (§3.4).
@@ -20,7 +22,6 @@ import uuid
 from typing import Any
 
 from repro.mom.message import Delivery, Message, PERSISTENT
-from repro.objectmq.naming import multi_exchange_name
 from repro.objectmq.envelope import make_reply
 from repro.objectmq.introspection import ObjectInfo
 from repro.telemetry.registry import REGISTRY
@@ -56,7 +57,6 @@ class Skeleton:
         except AttributeError:
             pass
         self._unicast_tag = f"{self.instance_id}.uni"
-        self._multi_tag = f"{self.instance_id}.multi"
         self._running = False
         self._metrics_token = None
 
@@ -65,9 +65,6 @@ class Skeleton:
     def start(self) -> None:
         mom = self.broker.mom
         mom.declare_queue(self.oid, durable=True)
-        mom.declare_exchange(multi_exchange_name(self.oid), "fanout")
-        mom.declare_queue(self.instance_id, exclusive=True)
-        mom.bind_queue(multi_exchange_name(self.oid), self.instance_id)
         # Flip the flag *before* subscribing: queued messages are delivered
         # synchronously with consume(), and a delivery observed while
         # _running is False is treated as arriving into a crashed instance
@@ -79,10 +76,7 @@ class Skeleton:
             self.oid, None, consumer_tag=self._unicast_tag,
             prefetch=self.prefetch, batch_callback=self._on_deliveries,
         )
-        mom.consume(
-            self.instance_id, None, consumer_tag=self._multi_tag,
-            prefetch=max(self.prefetch, 8), batch_callback=self._on_deliveries,
-        )
+        self.broker._join_group(self)
         self._metrics_token = REGISTRY.register_source(
             "omq_instance",
             self.object_info,
@@ -99,11 +93,8 @@ class Skeleton:
         if self._metrics_token is not None:
             REGISTRY.unregister_source(self._metrics_token)
             self._metrics_token = None
-        mom = self.broker.mom
-        mom.cancel(self.oid, self._unicast_tag)
-        mom.cancel(self.instance_id, self._multi_tag)
-        mom.unbind_queue(multi_exchange_name(self.oid), self.instance_id)
-        mom.delete_queue(self.instance_id)
+        self.broker.mom.cancel(self.oid, self._unicast_tag)
+        self.broker._leave_group(self)
 
     def kill(self) -> None:
         """Simulate a crash: identical to :meth:`stop` at the MOM level.
@@ -131,20 +122,30 @@ class Skeleton:
                 # never processed and never acked, so they are requeued
                 # when the consumer is cancelled.
                 break
-            self._process_delivery(delivery)
+            self.invoke(delivery)
             processed.append(delivery)
         if processed:
             # Ack last: a crash before this point re-queues the requests.
             self.broker.mom.ack_many(processed)
 
-    def _process_delivery(self, delivery: Delivery) -> None:
-        envelope = None
+    def invoke(self, delivery: Delivery, envelope: Any = None, reached: int = 0) -> None:
+        """Run one request on this instance and reply if it asks.
+
+        A unicast delivery is decoded here.  A multicast one comes with the
+        *envelope* its Broker decoded for all its local instances, and with
+        *reached*, how many they are; the reply carries that number, so a
+        caller counting replies knows how many to expect from this Broker.
+        A stopped instance does nothing: its caller sees it as crashed.
+        """
+        if not self._running:
+            return
         error: str = ""
         result = None
         self.object_info.invocation_started()
         started = time.perf_counter()
         try:
-            envelope = self.broker.codec.decode(delivery.message.body)
+            if envelope is None:
+                envelope = self.broker.codec.decode(delivery.message.body)
             method_name = envelope["method"]
             method = getattr(self.target, method_name, None)
             if method is None or not callable(method):
@@ -192,14 +193,16 @@ class Skeleton:
 
         # A reply address is what asks for a reply: only sync calls carry one.
         if isinstance(envelope, dict) and envelope.get("reply_to"):
-            self._send_reply(envelope, result, error)
+            self._send_reply(envelope, result, error, reached)
 
-    def _send_reply(self, envelope: dict, result: Any, error: str) -> None:
+    def _send_reply(self, envelope: dict, result: Any, error: str, reached: int) -> None:
         reply_to = envelope["reply_to"]
         reply = make_reply(
             correlation_id=envelope.get("correlation_id") or "",
             result=result if not error else None,
             error=error or None,
+            responder=self.broker.client_id if reached else "",
+            reached=reached,
         )
         body = self.broker.codec.encode(reply)
         message = Message(

@@ -239,15 +239,24 @@ class CommitResult:
 
 @dataclass(frozen=True, slots=True)
 class CommitNotification:
-    """The multicast payload of ``notifyCommit`` (one per commitRequest)."""
+    """The multicast payload of ``notifyCommit`` (one per commitRequest).
+
+    Immutable, ``results`` included (a list given is kept as a tuple): a
+    receiving Broker decodes a notification once and hands the same object
+    to every listener it hosts.
+    """
 
     workspace_id: str
     source_device: str
-    results: List[CommitResult] = field(default_factory=list)
+    results: Tuple[CommitResult, ...] = ()
     committed_at: float = field(default_factory=time.time)
     request_id: str = ""
 
     __setstate__ = _set_state
+
+    def __post_init__(self) -> None:
+        if self.results.__class__ is not tuple:
+            object.__setattr__(self, "results", tuple(self.results))
 
     @property
     def confirmed(self) -> List[CommitResult]:
@@ -262,7 +271,7 @@ class CommitNotification:
 
     @classmethod
     def from_wire(cls, data: dict) -> "CommitNotification":
-        return cls(**{**data, "results": [_as(CommitResult, r) for r in data["results"]]})
+        return cls(**{**data, "results": tuple([_as(CommitResult, r) for r in data["results"]])})
 
 
 def _as(cls, data):
@@ -335,9 +344,10 @@ def unpack_notification(workspace_id, source_device, results, committed_at, requ
         if len(request_id) != 16:
             raise ValueError(f"a request id of {len(request_id)} bytes")
         request_id = request_id.hex()
-    for index, result in enumerate(results):
-        if result.__class__ is ItemMetadata:
-            results[index] = CommitResult(result, True)
+    results = tuple([
+        CommitResult(result, True) if result.__class__ is ItemMetadata else result
+        for result in results
+    ])
     return CommitNotification(
         workspace_id, source_device, results, committed_at, request_id
     )

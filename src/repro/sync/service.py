@@ -152,10 +152,10 @@ class SyncService(HasObjectInfo):
             # be a no-op: skip its proxy, the results and the notification (the
             # probe is a lock-free exchange lookup).
             return
-        results: List[CommitResult] = [
+        results = tuple([
             CommitResult(metadata=new_object, confirmed=confirmed, current=current)
             for new_object, (confirmed, current) in zip(objects_changed, outcomes)
-        ]
+        ])
         workspace_proxy = self._workspace(workspace_id)
         notification = CommitNotification(
             workspace_id=workspace_id,

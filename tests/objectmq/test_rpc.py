@@ -282,14 +282,21 @@ def test_multicast_sync_collects_all_replies(rig):
 
 
 def test_multicast_async_reaches_every_instance(rig):
-    _mom, server, client = rig
-    instances = [Calculator(str(i)) for i in range(3)]
-    for calc in instances:
-        server.bind("calc", calc)
-    proxy = client.lookup("calc", CalculatorApi)
-    count = proxy.broadcast("hello")
-    assert count == 3
-    assert wait_for(lambda: all(c.broadcasts == ["hello"] for c in instances))
+    """The count is of Brokers reached: one queue per connection carries
+    the call to all of its local instances."""
+    mom, server, client = rig
+    instances = [Calculator(str(i)) for i in range(4)]
+    other = Broker(mom)
+    try:
+        for calc in instances[:3]:
+            server.bind("calc", calc)
+        other.bind("calc", instances[3])
+        proxy = client.lookup("calc", CalculatorApi)
+        count = proxy.broadcast("hello")
+        assert count == 2
+        assert wait_for(lambda: all(c.broadcasts == ["hello"] for c in instances))
+    finally:
+        other.close()
 
 
 def test_multicast_to_empty_group_is_noop(rig):

@@ -340,7 +340,7 @@ CRAFTED = {
         _body(246, ("total", [], None, None, None, None, None, "extra")),
         "from 2 to 7 positional arguments",
     ),
-    "reply-of-5-fields": (_body(247, ("c1", 1, None, "", "extra")), "positional argument"),
+    "reply-of-6-fields": (_body(247, ("c1", 1, None, "", 2, "extra")), "positional argument"),
     "request-id-of-8-bytes": (
         _body(249, (WORKSPACE, DEVICE, [], 1_400_000_002.5, b"\x01" * 8)),
         "request id of 8 bytes",
@@ -536,6 +536,7 @@ _replies = st.builds(
     result=_values,
     error=st.none() | _name,
     responder=st.just("") | _name,
+    reached=st.just(0) | st.integers(1, 64),
 )
 
 
