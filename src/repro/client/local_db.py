@@ -2,16 +2,18 @@
 
 "Every desktop client has a local database ... The local database maps the
 fingerprints to the corresponding files."  It holds, per synced item, the
-last server-acknowledged version and its chunk list, plus the per-user
+last server-acknowledged version and the one proposed, plus the per-user
 deduplication index (every fingerprint this user has ever stored) and a
-chunk cache with the payloads needed to reconstruct remote changes.
+chunk cache with the payloads needed to reconstruct remote changes.  An
+item's chunks, checksum and size are the server's to keep: nothing here
+reads them back.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 
 @dataclass
@@ -21,9 +23,6 @@ class LocalFileRecord:
     item_id: str
     path: str
     version: int
-    chunks: Tuple[bytes, ...] = ()
-    checksum: bytes = b""
-    size: int = 0
     #: Version currently proposed to the server but not yet confirmed.
     pending_version: Optional[int] = None
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from struct import unpack
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 from repro.client.local_db import LocalFileRecord
 from repro.metadata.sqlite_backend import open_schema
@@ -22,9 +21,6 @@ CREATE TABLE IF NOT EXISTS files (
     item_id TEXT PRIMARY KEY,
     path TEXT NOT NULL,
     version INTEGER NOT NULL,
-    chunks BLOB NOT NULL,
-    checksum BLOB NOT NULL,
-    size INTEGER NOT NULL,
     pending_version INTEGER
 );
 CREATE INDEX IF NOT EXISTS idx_files_path ON files(path);
@@ -38,25 +34,10 @@ CREATE TABLE IF NOT EXISTS chunk_cache (
 """
 
 
-def digests_blob(digests: Tuple[bytes, ...]) -> bytes:
-    """*digests* as one blob: their common width in a byte, then each digest.
-
-    A client file stores a chunk list so; a width is kept because a
-    fingerprinter other than SHA-1 (``sha256_fingerprint``) gives 32 bytes.
-    """
-    widths = set(map(len, digests))
-    if len(widths) > 1 or 0 in widths:
-        raise ValueError(f"digests of widths {sorted(widths)} share no one width")
-    return bytes(widths) + b"".join(digests)
-
-
-def blob_digests(blob: bytes) -> Tuple[bytes, ...]:
-    """The digests :func:`digests_blob` stored in *blob*."""
-    return unpack(f"{blob[0]}s" * ((len(blob) - 1) // blob[0]), blob[1:]) if blob else ()
-
-
-#: ``PRAGMA user_version`` of a client file in the current layout (digests as BLOBs).
-SCHEMA_VERSION = 1
+#: ``PRAGMA user_version`` of a client file in the current layout.  Version 2
+#: keeps no chunks, checksum or size per file; version 1 did, and the unstamped
+#: layout held fingerprints as hex.
+SCHEMA_VERSION = 2
 
 
 class SqliteLocalDatabase:
@@ -90,21 +71,11 @@ class SqliteLocalDatabase:
     def upsert(self, record: LocalFileRecord) -> None:
         with self._lock:
             self._conn.execute(
-                "INSERT INTO files(item_id, path, version, chunks, checksum,"
-                " size, pending_version) VALUES (?, ?, ?, ?, ?, ?, ?)"
-                " ON CONFLICT(item_id) DO UPDATE SET path=excluded.path,"
-                " version=excluded.version, chunks=excluded.chunks,"
-                " checksum=excluded.checksum, size=excluded.size,"
+                "INSERT INTO files(item_id, path, version, pending_version)"
+                " VALUES (?, ?, ?, ?) ON CONFLICT(item_id) DO UPDATE SET"
+                " path=excluded.path, version=excluded.version,"
                 " pending_version=excluded.pending_version",
-                (
-                    record.item_id,
-                    record.path,
-                    record.version,
-                    digests_blob(record.chunks),
-                    record.checksum,
-                    record.size,
-                    record.pending_version,
-                ),
+                (record.item_id, record.path, record.version, record.pending_version),
             )
 
     def remove(self, item_id: str) -> None:
@@ -189,12 +160,4 @@ class SqliteLocalDatabase:
 
     @staticmethod
     def _row_to_record(row) -> LocalFileRecord:
-        return LocalFileRecord(
-            item_id=row[0],
-            path=row[1],
-            version=row[2],
-            chunks=blob_digests(row[3]),
-            checksum=row[4],
-            size=row[5],
-            pending_version=row[6],
-        )
+        return LocalFileRecord(*row)

@@ -362,9 +362,6 @@ class StackSyncClient:
                 version=0,
             )
         record.pending_version = proposal.version
-        record.chunks = proposal.chunks
-        record.checksum = proposal.checksum
-        record.size = proposal.size
         self.local_db.upsert(record)
         with self._lock:
             self._pending_proposals.append(proposal)
@@ -446,9 +443,6 @@ class StackSyncClient:
                     item_id=metadata.item_id,
                     path=metadata.filename,
                     version=metadata.version,
-                    chunks=metadata.chunks,
-                    checksum=metadata.checksum,
-                    size=metadata.size,
                 )
             )
 

@@ -19,9 +19,7 @@ from typing import Dict, List, Optional
 
 from repro.errors import MetadataError, UnknownWorkspace
 from repro.metadata.base import MetadataBackend
-from repro.sync.models import (
-    RECORD_HEAD, STATUS_DELETED, VALID_STATUSES, ItemMetadata, Workspace, item_record,
-)
+from repro.sync.models import STATUS_DELETED, ItemMetadata, Workspace
 from repro.telemetry.trace import TRACER
 
 _SCHEMA = """
@@ -55,23 +53,19 @@ CREATE INDEX IF NOT EXISTS idx_items_ws ON items(workspace_id, item_id);
 CREATE TABLE IF NOT EXISTS versions (
     item INTEGER NOT NULL REFERENCES items(id),
     version INTEGER NOT NULL,
-    status INTEGER NOT NULL,
-    is_folder INTEGER NOT NULL,
-    size INTEGER NOT NULL,
-    checksum BLOB NOT NULL,
-    chunks BLOB NOT NULL,
-    modified_at REAL NOT NULL,
+    record BLOB NOT NULL,
     device_id TEXT NOT NULL,
     PRIMARY KEY (item, version)
 ) WITHOUT ROWID;
 """
 
 
-#: ``PRAGMA user_version`` of a metadata file in the current layout.  Version 3
-#: keeps an item's workspace and filename in its ``items`` row alone; version 2
-#: let a version name others, version 1 repeated the item's identity in every
-#: version row, and the unstamped layout held digests as hex.
-SCHEMA_VERSION = 3
+#: ``PRAGMA user_version`` of a metadata file in the current layout.  Version 4
+#: keeps a version's ``ItemMetadata.record`` whole in one column; version 3 cut
+#: it into six, version 2 let a version name another workspace or filename than
+#: its item's, version 1 repeated the item's identity in every version row, and
+#: the unstamped layout held digests as hex.
+SCHEMA_VERSION = 4
 
 #: One empty database per schema, built once and copied into each new file.
 _TEMPLATES: Dict[str, sqlite3.Connection] = {}
@@ -106,8 +100,7 @@ def open_schema(conn: sqlite3.Connection, schema: str, version: int) -> None:
 #: Columns and joined tables that every reader of a stored version selects, in
 #: :meth:`SqliteMetadataBackend._row_to_item` order.
 _ITEM = (
-    "i.workspace_id, v.version, i.filename, v.status, v.is_folder, v.size,"
-    " v.checksum, v.chunks, v.modified_at, v.device_id"
+    "i.workspace_id, v.version, i.filename, v.record, v.device_id"
     " FROM items i JOIN versions v ON v.item = i.id"
 )
 
@@ -275,10 +268,11 @@ class SqliteMetadataBackend(MetadataBackend):
             rows = self._conn.execute(
                 f"SELECT {_ITEM} WHERE i.workspace_id = ? AND v.version ="
                 " (SELECT MAX(version) FROM versions WHERE item = i.id)"
-                " AND v.status != ? ORDER BY i.item_id",
-                (workspace_id, VALID_STATUSES.index(STATUS_DELETED)),
+                " ORDER BY i.item_id",
+                (workspace_id,),
             ).fetchall()
-        return [self._row_to_item(r) for r in rows]
+        items = map(self._row_to_item, rows)
+        return [m for m in items if m.status != STATUS_DELETED]
 
     def item_history(self, item_id: str) -> List[ItemMetadata]:
         with self._lock:
@@ -306,30 +300,22 @@ class SqliteMetadataBackend(MetadataBackend):
 
     def _insert(self, m: ItemMetadata, item: Optional[int]) -> None:
         """Store *m* as a version of the ``items`` row *item*, inserting that row
-        first when *item* is None.  Its ``record`` is cut into the columns, the
-        chunks column the width in a byte, then each digest (or nothing, for no
-        chunks)."""
+        first when *item* is None.  Its ``record`` is stored as it is."""
         if item is None:
             item = self._conn.execute(
                 "INSERT INTO items(item_id, workspace_id, filename) VALUES (?, ?, ?)",
                 (m.item_id, m.workspace_id, m.filename),
             ).lastrowid
-        record = m.record
-        status, folder, size, modified_at = RECORD_HEAD.unpack_from(record)
-        end = 20 + record[18]
-        chunks = record[19:20] + (record[end:] or record[20:end]) if record[19] else b""
         self._conn.execute(
-            "INSERT INTO versions VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (item, m.version, status, folder, size, record[20:end], chunks, modified_at,
-             m.device_id),
+            "INSERT INTO versions VALUES (?, ?, ?, ?)",
+            (item, m.version, m.record, m.device_id),
         )
 
     @staticmethod
     def _row_to_item(row) -> ItemMetadata:
-        workspace, version, filename, status, folder, size, checksum, chunks, modified, device = row
-        record = item_record(VALID_STATUSES[status], folder, size, modified, checksum,
-                             chunks[0] if chunks else 0, chunks[1:])
-        return ItemMetadata.from_record(workspace, version, filename, record, device)
+        """A stored version as an item.  Its record was checked when the item
+        was built, before it reached the engine, so it is not checked again."""
+        return ItemMetadata.from_record(*row)
 
     def _require_workspace(self, workspace_id: str) -> None:
         if not self.workspace_exists(workspace_id):

@@ -4,8 +4,10 @@ The paper's ObjectMQ uses two routing behaviours (§3):
 
 * unicast RPCs go through the *default direct exchange* — routing key equals
   the target queue name (the remote object's ``oid`` queue);
-* multicast RPCs go through a *fanout exchange* named after the ``oid``,
-  which copies the message to every bound private queue.
+* multicast RPCs go through a *fanout exchange* named ``<oid>.multi``, to
+  which each receiving ObjectMQ ``Broker`` binds its one multicast queue
+  while it hosts an instance of the oid, so a message is copied once per
+  receiving Broker, not once per instance.
 
 Routing is memoized: bindings change rarely (instance churn) while
 publishes are the hot path, so every exchange caches
@@ -112,9 +114,10 @@ class DirectExchange(Exchange):
 class FanoutExchange(Exchange):
     """Route every message to every bound queue, ignoring the routing key.
 
-    This is the primitive behind ObjectMQ's @MultiMethod: each remote object
-    instance binds its private queue to the fanout exchange named after the
-    shared ``oid``, so one publish reaches all instances (Fig 1 / Fig 5).
+    This is the primitive behind ObjectMQ's @MultiMethod: each ``Broker``
+    hosting an instance of an ``oid`` binds its one multicast queue to the
+    ``<oid>.multi`` exchange, so one publish reaches every receiving Broker,
+    which runs it on each of its local instances (Fig 1 / Fig 5).
     """
 
     type_name = "fanout"

@@ -27,9 +27,6 @@ def record(item_id="ws:a.txt", path="a.txt", version=1, pending=None):
         item_id=item_id,
         path=path,
         version=version,
-        chunks=(b"\xf1" * 20, b"\xf2" * 20),
-        checksum=b"\x0c" * 20,
-        size=7,
         pending_version=pending,
     )
 
@@ -37,9 +34,7 @@ def record(item_id="ws:a.txt", path="a.txt", version=1, pending=None):
 def test_contract_upsert_get(db):
     db.upsert(record())
     found = db.get("ws:a.txt")
-    assert found.path == "a.txt"
-    assert found.chunks == (b"\xf1" * 20, b"\xf2" * 20)
-    assert found.checksum == b"\x0c" * 20
+    assert found == record()
     assert db.get_by_path("a.txt").item_id == "ws:a.txt"
 
 
@@ -86,11 +81,10 @@ def test_sqlite_survives_reopen(tmp_path):
     assert found.version == 3 and found.pending_version == 4
     assert reopened.knows_fingerprint(b"\x01" * 20)
     assert reopened.cached_chunk(b"\x02" * 20) == b"\x00\x01"
-    assert found.chunks == record().chunks
+    assert found == record(version=3, pending=4)
     reopened.close()
-    # The client layout did not change with the metadata one: still version 1.
     with closing(sqlite3.connect(path)) as raw:
-        assert raw.execute("PRAGMA user_version").fetchone()[0] == 1
+        assert raw.execute("PRAGMA user_version").fetchone()[0] == 2
 
 
 def test_sqlite_refuses_a_file_of_the_hex_layout(tmp_path):
@@ -108,6 +102,24 @@ def test_sqlite_refuses_a_file_of_the_hex_layout(tmp_path):
     )
     old.close()
     with pytest.raises(MetadataError, match="schema version 0"):
+        SqliteLocalDatabase(path)
+
+
+def test_sqlite_refuses_a_file_of_the_version_1_layout(tmp_path):
+    """A version-1 file keeps each file's chunks, checksum and size in columns
+    this build no longer has: it is refused on open, not served."""
+    from repro.errors import MetadataError
+
+    path = str(tmp_path / "v1.db")
+    old = sqlite3.connect(path)
+    old.executescript(
+        "CREATE TABLE files (item_id TEXT PRIMARY KEY, path TEXT NOT NULL,"
+        " version INTEGER NOT NULL, chunks BLOB NOT NULL, checksum BLOB NOT NULL,"
+        " size INTEGER NOT NULL, pending_version INTEGER);"
+        "PRAGMA user_version = 1;"
+    )
+    old.close()
+    with pytest.raises(MetadataError, match="schema version 1"):
         SqliteLocalDatabase(path)
 
 

@@ -259,7 +259,7 @@ def test_sqlite_persists_to_disk(tmp_path):
     reopened.close()
     with closing(sqlite3.connect(path)) as raw:  # the file keeps WAL and its stamp
         assert raw.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
-        assert raw.execute("PRAGMA user_version").fetchone()[0] == 3
+        assert raw.execute("PRAGMA user_version").fetchone()[0] == 4
 
 
 def test_sqlite_refuses_a_file_of_the_hex_layout(tmp_path):
@@ -325,6 +325,27 @@ def test_sqlite_refuses_a_file_of_the_version_2_layout(tmp_path):
         SqliteMetadataBackend(path)
 
 
+def test_sqlite_refuses_a_file_of_the_version_3_layout(tmp_path):
+    """A version-3 file cuts each version's record into six columns, which this
+    build no longer reads: it is refused on open, not served."""
+    from repro.metadata import SqliteMetadataBackend
+
+    path = str(tmp_path / "v3.db")
+    old = sqlite3.connect(path)
+    old.executescript(
+        "CREATE TABLE items (id INTEGER PRIMARY KEY, item_id TEXT NOT NULL UNIQUE,"
+        " workspace_id TEXT NOT NULL, filename TEXT NOT NULL);"
+        "CREATE TABLE versions (item INTEGER NOT NULL, version INTEGER NOT NULL,"
+        " status INTEGER NOT NULL, is_folder INTEGER NOT NULL, size INTEGER NOT NULL,"
+        " checksum BLOB NOT NULL, chunks BLOB NOT NULL, modified_at REAL NOT NULL,"
+        " device_id TEXT NOT NULL, PRIMARY KEY (item, version)) WITHOUT ROWID;"
+        "PRAGMA user_version = 3;"
+    )
+    old.close()
+    with pytest.raises(MetadataError, match="schema version 3"):
+        SqliteMetadataBackend(path)
+
+
 def commit_load(rng):
     """The commit workloads' shape: 16 workspaces, and a maker of the version
     of one of their items that declares one 512 KiB chunk."""
@@ -351,7 +372,7 @@ def commit_load(rng):
 def test_sqlite_stores_an_update_in_under_100_bytes():
     """The commit-bundle shape: 16 workspaces of 512 items at version 1, then
     8-item update bundles.  Each stored update grows the database by at most
-    100 B (about 86 B; a layout that repeats the item's identity in every
+    100 B (about 95.5 B; a layout that repeats the item's identity in every
     version row takes about 300 B)."""
     from repro.metadata import SqliteMetadataBackend
 
@@ -388,31 +409,37 @@ def test_sqlite_stores_an_update_in_under_100_bytes():
         backend.close()
 
 
-def test_sqlite_cuts_an_items_digests_into_the_columns_files_hold():
-    """``checksum`` holds the checksum; ``chunks`` a width byte, then each
-    digest, the sole chunk included: the layout every schema-3 file holds."""
+def test_sqlite_stores_an_items_record_whole():
+    """A ``versions`` row holds the item's ``record`` byte for byte, whatever its
+    digests (a separate checksum, a sole chunk, none, 32-byte ones) or status,
+    and the item read back equals the one stored."""
     from repro.metadata import SqliteMetadataBackend
 
     sha1, sha256 = b"\x01" * 20, b"\x02" * 32
-    stored = {
-        "ws1:a.txt": (b"\xcc" * 20, (sha1,), b"\x14" + sha1),
-        "ws1:b.txt": (sha1, (sha1,), b"\x14" + sha1),
-        "ws1:c.txt": (b"", (), b""),
-        "ws1:d.txt": (b"\xcc" * 20, (sha256, sha256), b"\x20" + sha256 * 2),
+    digests = {
+        "ws1:a.txt": (b"\xcc" * 20, (sha1,)),
+        "ws1:b.txt": (sha1, (sha1,)),
+        "ws1:c.txt": (b"", ()),
+        "ws1:d.txt": (b"\xcc" * 20, (sha256, sha256)),
     }
     with closing(SqliteMetadataBackend(":memory:")) as backend:
         setup_workspace(backend)
-        for item_id, (checksum, chunks, _column) in stored.items():
-            proposal = item(item_id=item_id, chunks=chunks)
-            backend.store_new_object(dataclasses.replace(proposal, checksum=checksum))
-        rows = backend._conn.execute(
-            "SELECT i.item_id, v.checksum, v.chunks FROM items i"
-            " JOIN versions v ON v.item = i.id ORDER BY i.item_id"
-        ).fetchall()
-        assert rows == [(item_id, c, column) for item_id, (c, _, column) in stored.items()]
-        assert [backend.get_current(i).chunks for i in stored] == [
-            chunks for _, chunks, _ in stored.values()
+        stored = [
+            dataclasses.replace(item(item_id=item_id, chunks=chunks), checksum=checksum)
+            for item_id, (checksum, chunks) in digests.items()
         ]
+        for proposal in stored:
+            backend.store_new_object(proposal)
+        deleted = item(version=2, status=STATUS_DELETED, chunks=())
+        backend.store_new_version(deleted)
+        stored[0] = deleted
+        rows = backend._conn.execute(
+            "SELECT i.item_id, v.record FROM items i JOIN versions v ON v.item = i.id"
+            " WHERE v.version = (SELECT MAX(version) FROM versions WHERE item = i.id)"
+            " ORDER BY i.item_id"
+        ).fetchall()
+        assert rows == [(m.item_id, m.record) for m in stored]
+        assert [backend.get_current(m.item_id) for m in stored] == stored
 
 
 def test_memory_stores_an_update_in_under_128_bytes():
