@@ -13,7 +13,7 @@ configured registered-user count — through scripted phases:
   multiple of the diurnal rate (the Fig 8c/8d/8e misprediction stressor).
 
 Each control period of every shard's simulated Supervisor is a *scrape
-point*: the harness updates ``soak_*`` gauges in a
+point*: the harness updates the ``soak_*`` series of a
 :class:`~repro.telemetry.registry.MetricsRegistry`, evaluates an
 :class:`~repro.telemetry.slo.SloEngine` rule set against the snapshot,
 and lets every decision, capacity action and alert edge land in one
@@ -149,7 +149,7 @@ class SoakConfig:
 
 
 def soak_rules() -> List[SloRule]:
-    """The soak's operational contract, as SLO rules over ``soak_*`` gauges.
+    """The soak's operational contract, as SLO rules over ``soak_*`` series.
 
     A healthy soak never trips these: queue depth stays under the backlog
     budget for every shard (worst-case across ``shard=`` labels) and no
@@ -225,7 +225,7 @@ class SoakResult:
 class SoakHarness:
     """Runs the scripted phases and scrapes the stack each control period.
 
-    The ``soak_*`` gauges land in a private metrics registry, so soaks do
+    The ``soak_*`` series land in a private metrics registry, so soaks do
     not pollute (or read stale values from) the process-wide one.
 
     Args:
@@ -257,6 +257,9 @@ class SoakHarness:
             s=self.config.service_time_s,
             sigma_b2=self.config.service_time_variance_s2,
         )
+        #: The latest ``soak_*`` readings per shard label, read by the
+        #: shard's registry source.
+        self._readings: Dict[str, Dict[str, float]] = {}
         self._scrapes = 0
 
     # -- phase traces ----------------------------------------------------------------
@@ -278,19 +281,20 @@ class SoakHarness:
     # -- scraping --------------------------------------------------------------------
 
     def _scrape(self, observation: PoolObservation, desired: int) -> None:
-        """One control period: gauges + SLO evaluation at simulated time."""
+        """One control period: the shard's readings + SLO evaluation at
+        simulated time.  A shard's first period registers its source."""
         shard = parse_shard_oid(observation.oid)[1]
-        labels = {"shard": str(shard if shard is not None else 0)}
-        self.registry.gauge("soak_queue_depth", **labels).set(
-            observation.queue_depth
-        )
-        self.registry.gauge("soak_pool_size", **labels).set(
-            observation.instance_count
-        )
-        self.registry.gauge("soak_lambda_obs", **labels).set(
-            observation.arrival_rate
-        )
-        self.registry.gauge("soak_pool_desired", **labels).set(desired)
+        label = str(shard if shard is not None else 0)
+        if label not in self._readings:
+            self.registry.register_source(
+                "soak", self, lambda harness: harness._readings[label], shard=label
+            )
+        self._readings[label] = {
+            "queue_depth": float(observation.queue_depth),
+            "pool_size": float(observation.instance_count),
+            "lambda_obs": float(observation.arrival_rate),
+            "pool_desired": float(desired),
+        }
         self.slo.evaluate(now=observation.timestamp)
         self._scrapes += 1
 

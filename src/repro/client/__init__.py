@@ -35,7 +35,6 @@ from repro.client.transfer import (
     ChunkTransferManager,
     DEFAULT_POOL_SIZE,
     TransferRecord,
-    TransferStats,
 )
 from repro.client.watcher import (
     DEFAULT_EXCLUDES,
@@ -77,7 +76,6 @@ __all__ = [
     "StackSyncClient",
     "StackSyncDevice",
     "TransferRecord",
-    "TransferStats",
     "VirtualFilesystem",
     "conflicted_copy_name",
     "make_chunker",

@@ -75,9 +75,9 @@ class ClientTrafficStats:
     """Per-client control/storage traffic accounting (thread-safe).
 
     Inspection happens through the unified metrics registry (the client
-    registers :meth:`scrape` as a source labeled by device); per-transfer
-    latency distributions live on the manager's ``TransferStats`` and in
-    trace spans, so no transfer history is retained here.
+    registers :meth:`scrape` as a source labeled by device).  Every chunk
+    transfer is counted here and nowhere else; per-transfer latency lives
+    in trace spans, so no transfer history is retained.
     """
 
     def __init__(self) -> None:

@@ -18,8 +18,10 @@ is the client-side data plane that makes this happen:
 * **ordered reassembly**: :meth:`fetch_chunks` returns results in input
   order regardless of completion order, so file reconstruction and the
   integrity check are unchanged;
-* **per-transfer metrics** (:class:`TransferRecord`) fed back to the
-  caller's :class:`~repro.client.sync_client.ClientTrafficStats`.
+* **per-transfer metrics** (:class:`TransferRecord`) handed only to the
+  caller's ``record`` callback — the client's
+  :class:`~repro.client.sync_client.ClientTrafficStats` — so each chunk
+  transfer is counted once.
 
 Parallelism changes *when* bytes move, never *what* moves: traffic
 counters under the manager are byte-identical to the serial client's
@@ -28,7 +30,6 @@ counters under the manager are byte-identical to the serial client's
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -36,7 +37,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ObjectNotFound, StorageError
-from repro.telemetry.registry import REGISTRY
 from repro.telemetry.trace import TRACER, TraceContext
 
 #: Default worker-pool width; 1 degenerates to the serial data plane.
@@ -65,53 +65,6 @@ class TransferRecord:
     coalesced: bool = False
 
 
-class TransferStats:
-    """Aggregate counters across everything a manager moved (thread-safe)."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.chunks_up = 0
-        self.chunks_down = 0
-        self.bytes_up = 0
-        self.bytes_down = 0
-        self.seconds_up = 0.0
-        self.seconds_down = 0.0
-        self.retries = 0
-        self.coalesced = 0
-
-    def record(self, record: TransferRecord) -> None:
-        with self._lock:
-            if record.coalesced:
-                self.coalesced += 1
-                return
-            self.retries += record.attempts - 1
-            if record.direction == UP:
-                self.chunks_up += 1
-                self.bytes_up += record.nbytes
-                self.seconds_up += record.elapsed
-            else:
-                self.chunks_down += 1
-                self.bytes_down += record.nbytes
-                self.seconds_down += record.elapsed
-
-    def snapshot(self) -> Dict[str, float]:
-        with self._lock:
-            return {
-                "chunks_up": self.chunks_up,
-                "chunks_down": self.chunks_down,
-                "bytes_up": self.bytes_up,
-                "bytes_down": self.bytes_down,
-                "seconds_up": self.seconds_up,
-                "seconds_down": self.seconds_down,
-                "retries": self.retries,
-                "coalesced": self.coalesced,
-            }
-
-
-#: Distinguishes the registry series of coexisting managers.
-_POOL_SEQ = itertools.count(1)
-
-
 class ChunkTransferManager:
     """Shared bounded worker pool for chunk uploads and downloads."""
 
@@ -119,8 +72,6 @@ class ChunkTransferManager:
         self,
         pool_size: int = DEFAULT_POOL_SIZE,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff: float = DEFAULT_BACKOFF,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
         sleep: Callable[[float], None] = time.sleep,
     ):
         if pool_size < 1:
@@ -129,17 +80,7 @@ class ChunkTransferManager:
             raise ValueError("max_attempts must be >= 1")
         self.pool_size = pool_size
         self.max_attempts = max_attempts
-        self.backoff = backoff
-        self.backoff_cap = backoff_cap
         self._sleep = sleep
-        self.stats = TransferStats()
-        self._metrics_token = REGISTRY.register_source(
-            "transfer_pool",
-            self.stats,
-            TransferStats.snapshot,
-            pool=f"ctm-{next(_POOL_SEQ)}",
-            size=pool_size,
-        )
         self._executor = ThreadPoolExecutor(
             max_workers=pool_size, thread_name_prefix="chunk-transfer"
         )
@@ -154,7 +95,6 @@ class ChunkTransferManager:
         with self._lock:
             self._closed = True
         self._executor.shutdown(wait=True)
-        REGISTRY.unregister_source(self._metrics_token)
 
     def __enter__(self) -> "ChunkTransferManager":
         return self
@@ -315,9 +255,8 @@ class ChunkTransferManager:
             except StorageError:
                 if attempt == self.max_attempts:
                     raise
-                delay = min(self.backoff * (2 ** (attempt - 1)), self.backoff_cap)
-                if delay > 0:
-                    self._sleep(delay)
+                delay = DEFAULT_BACKOFF * 2 ** (attempt - 1)
+                self._sleep(min(delay, DEFAULT_BACKOFF_CAP))
         raise AssertionError("unreachable")
 
     # -- pool + coalescing machinery ----------------------------------------------
@@ -386,8 +325,7 @@ class ChunkTransferManager:
         record: Optional[Callable[[TransferRecord], None]],
     ) -> List[TransferRecord]:
         records = [rec for rec, _value in outcomes]
-        for rec in records:
-            self.stats.record(rec)
-            if record is not None:
+        if record is not None:
+            for rec in records:
                 record(rec)
         return records

@@ -147,7 +147,9 @@ class Skeleton:
             if envelope is None:
                 envelope = self.broker.codec.decode(delivery.message.body)
             method_name = envelope["method"]
-            method = getattr(self.target, method_name, None)
+            method = None
+            if not method_name.startswith("_"):  # never a dunder or a private helper
+                method = getattr(self.target, method_name, None)
             if method is None or not callable(method):
                 raise AttributeError(
                     f"{type(self.target).__name__} has no method {method_name!r}"

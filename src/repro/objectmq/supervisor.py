@@ -147,7 +147,7 @@ class Supervisor:
         self.oid = oid
         # A Supervisor over a partitioned oid (``sync.shard.3``) is just a
         # plain Supervisor — per-shard queues are real queues — but it
-        # labels its journal entries and gauges with the shard so the
+        # labels its journal entries and series with the shard so the
         # control planes of N shards stay distinguishable.
         self.base_oid, self.shard = parse_shard_oid(oid)
         self.provisioner = provisioner
@@ -166,7 +166,10 @@ class Supervisor:
         #: The pool size enforced by the previous step (None until a step
         #: reached the fleet); ``decide`` measures the census against it.
         self._enforced_target: Optional[int] = None
-        REGISTRY.register_source("supervisor", self, Supervisor._scrape, oid=oid)
+        labels = {"oid": oid}
+        if self.shard is not None:
+            labels["shard"] = str(self.shard)
+        REGISTRY.register_source("supervisor", self, Supervisor._scrape, **labels)
 
     # -- observation -------------------------------------------------------------
 
@@ -250,43 +253,40 @@ class Supervisor:
         )
         self.history.append(record)
         self.last_step_at = time.monotonic()
-        self._export_gauges(record)
         if self._heartbeat_cb is not None:
             self._heartbeat_cb()
         return record
 
-    def _export_gauges(self, record: SupervisorRecord) -> None:
-        """Publish control-plane gauges for SLO rules / the ops endpoint."""
-        labels = {"oid": self.oid}
-        if self.shard is not None:
-            labels["shard"] = str(self.shard)
-        REGISTRY.gauge("supervisor_pool_size", **labels).set(record.pool_size)
-        REGISTRY.gauge("supervisor_desired", **labels).set(record.desired)
-        REGISTRY.gauge("supervisor_queue_depth", **labels).set(record.queue_depth)
-        REGISTRY.gauge("supervisor_lambda_obs", **labels).set(record.arrival_rate)
-        try:
-            stats = self.broker.mom.queue_stats(self.oid)
-        except Exception:
-            stats = {}
-        if "redelivered" in stats:
-            REGISTRY.gauge("supervisor_queue_redelivered", **labels).set(
-                stats["redelivered"]
-            )
-
     def _scrape(self) -> dict:
         """Registry source: ``up`` unless the running control loop has not
-        stepped for five control periods."""
+        stepped for five control periods, then the last step's view of the
+        pool and its queue (the series the SLO rules read)."""
         running = self._thread is not None
         stalled = (
             running
             and self.last_step_at is not None
             and time.monotonic() - self.last_step_at > 5 * self.control_interval
         )
-        return {
+        values = {
             "up": float(not stalled),
             "steps": float(len(self.history.records)),
             "running": float(running),
         }
+        if self.history.records:
+            record = self.history.records[-1]
+            values.update(
+                pool_size=float(record.pool_size),
+                desired=float(record.desired),
+                queue_depth=float(record.queue_depth),
+                lambda_obs=record.arrival_rate,
+            )
+            try:
+                stats = self.broker.mom.queue_stats(self.oid)
+            except Exception:  # queue not declared yet: nothing bound
+                stats = {}
+            if "redelivered" in stats:
+                values["queue_redelivered"] = float(stats["redelivered"])
+        return values
 
     def _remove_surplus(self, decision: ControlDecision, surplus: int) -> int:
         """Shut down the most idle instances first; returns how many went."""

@@ -135,7 +135,7 @@ class AutoscaleSimulation:
         #: Optional per-control-period hook ``(observation, desired)``,
         #: invoked after the decision is journaled and before capacity is
         #: applied.  This is the scrape point the soak harness hangs
-        #: metrics-registry gauges and SLO evaluation off — the DES
+        #: metrics-registry readings and SLO evaluation off — the DES
         #: equivalent of a Supervisor heartbeat callback.
         self.on_control_period = on_control_period
 

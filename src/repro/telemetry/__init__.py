@@ -15,7 +15,7 @@ The control plane has its own observability on top
 (:mod:`repro.telemetry.control`, :mod:`repro.telemetry.slo`,
 :mod:`repro.telemetry.http`): an append-only :class:`DecisionJournal`
 recording every Supervisor scaling decision with its policy reason, a
-declarative :class:`SloEngine` alerting on registry gauges, and an
+declarative :class:`SloEngine` alerting on registry series, and an
 :class:`OpsServer` serving all of it over plain HTTP (routes:
 :data:`repro.telemetry.http.ROUTES`).  Component health is part of the
 one registry: a source whose read reports ``up`` is a component of
@@ -64,9 +64,6 @@ from repro.telemetry.export import (
 )
 from repro.telemetry.registry import (
     REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     get_registry,
 )
@@ -124,12 +121,9 @@ __all__ = [
     "REGISTRY",
     "TRACE_KEY",
     "TRACER",
-    "Counter",
     "DecisionJournal",
     "Exemplar",
     "ExemplarReservoir",
-    "Gauge",
-    "Histogram",
     "JournalEvent",
     "MetricsRegistry",
     "OpsServer",

@@ -12,7 +12,7 @@ signals.  This module turns those into data:
   one-line declarative syntax (see :meth:`SloRule.parse`)::
 
       queue-backlog: supervisor_queue_depth > 50 for 3
-      commit-p99:    omq_proxy_call_seconds_p99 > 0.45 for 2 severity=page
+      commit-p95:    omq_proxy_p95_seconds > 0.45 for 2 severity=page
 
 * :class:`SloEngine` — evaluates every rule against a
   :class:`~repro.telemetry.registry.MetricsRegistry` snapshot once per

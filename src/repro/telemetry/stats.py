@@ -1,11 +1,11 @@
 """Shared statistical primitives for every meter in the repo.
 
 One percentile implementation — numpy-style linear interpolation — used
-by :class:`repro.objectmq.proxy.CallStats`, :mod:`repro.simulation.metrics`
-and the telemetry :class:`~repro.telemetry.registry.Histogram`.  Before
-this module existed the proxy used nearest-rank and the simulation used
-linear interpolation, so the two disagreed at small n (e.g. the median of
-``[1, 2]`` was 2.0 on one side and 1.5 on the other).
+by :class:`repro.objectmq.proxy.CallStats` and
+:mod:`repro.simulation.metrics`.  Before this module existed the proxy
+used nearest-rank and the simulation used linear interpolation, so the
+two disagreed at small n (e.g. the median of ``[1, 2]`` was 2.0 on one
+side and 1.5 on the other).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def safe_percentile(values: Sequence[float], fraction: float) -> Optional[float]
     """Percentile that degrades explicitly on degenerate samples.
 
     :func:`percentile` maps an empty series to ``0.0``, which is the right
-    convention for a histogram summary but poisonous for scrape-time
+    convention for a latency summary but poisonous for scrape-time
     reporting: a soak phase that saw no completions would record a
     "p99 latency" of zero and look infinitely fast.  This variant keeps
     the degenerate cases honest — ``None`` for an empty series, the lone

@@ -64,9 +64,10 @@ def store():
     return s
 
 
-def manager(**kwargs):
-    kwargs.setdefault("backoff", 0.0)
-    return ChunkTransferManager(**kwargs)
+def manager(delays=None, **kwargs):
+    """A manager whose retry backoffs are recorded in *delays*, not slept."""
+    recorder = [] if delays is None else delays
+    return ChunkTransferManager(sleep=recorder.append, **kwargs)
 
 
 def test_upload_retries_transient_storage_error(store):
@@ -76,7 +77,15 @@ def test_upload_retries_transient_storage_error(store):
     assert records[0].attempts == 3
     assert flaky.put_attempts == 3
     assert store.get_object("c", "fp1") == b"payload"
-    assert tm.stats.retries == 2
+    assert sum(rec.attempts - 1 for rec in records) == 2
+
+
+def test_retry_delays_double_from_the_first_backoff(store):
+    flaky = FlakyStore(store, put_failures=2)
+    delays = []
+    with manager(delays, pool_size=1, max_attempts=3) as tm:
+        tm.upload_chunks(flaky, "c", [("fp1", b"payload")])
+    assert delays == [pytest.approx(0.02), pytest.approx(0.04)]
 
 
 def test_upload_raises_after_exhausting_attempts(store):
@@ -146,13 +155,14 @@ def test_in_flight_download_coalescing(store):
     gate = threading.Event()
     gated = GatedStore(store, gate)
     threading.Timer(0.05, gate.set).start()
+    records = []
     with manager(pool_size=4) as tm:
         # The same fingerprint five times: all coalesce onto one GET.
-        pieces = tm.fetch_chunks(gated, "c", ["shared"] * 5)
+        pieces = tm.fetch_chunks(gated, "c", ["shared"] * 5, record=records.append)
     assert pieces == [b"S" * 64] * 5
     assert gated.get_count == 1
-    assert tm.stats.chunks_down == 1
-    assert tm.stats.coalesced == 4
+    assert sum(not rec.coalesced for rec in records) == 1
+    assert sum(rec.coalesced for rec in records) == 4
 
 
 def test_cache_lookup_skips_download(store):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import threading
 import time
 
@@ -15,6 +16,7 @@ from repro.objectmq import (
     RemoteBroker,
     Supervisor,
 )
+from repro.objectmq.naming import shard_oid
 from repro.objectmq.provisioner import Provisioner
 from repro.telemetry.control import (
     KIND_DECISION,
@@ -281,7 +283,53 @@ def test_supervisor_registers_health_probe(fleet):
     supervisor.step()
     probe = _supervisor_health(REGISTRY.health())
     assert probe["ok"]
-    assert probe["detail"] == {"steps": 1.0, "running": 0.0}
+    assert probe["detail"] == {
+        "steps": 1.0,
+        "running": 0.0,
+        "pool_size": 1.0,
+        "desired": 1.0,
+        "queue_depth": 0.0,
+        "lambda_obs": 0.0,
+        "queue_redelivered": 0.0,
+    }
+
+
+def _series(labels):
+    return {
+        key for key in REGISTRY.snapshot()
+        if key.startswith("supervisor_") and key.endswith(labels)
+    }
+
+
+_STEPPED = ("pool_size", "desired", "queue_depth", "lambda_obs", "queue_redelivered")
+
+
+def test_a_collected_supervisor_leaves_no_series(fleet):
+    """The control-plane series come from the Supervisor's registry source,
+    so none outlives a Supervisor that was stopped and collected."""
+    _mom, rbrokers, sup_broker = fleet
+    for rbroker in rbrokers:
+        rbroker.register_factory("collected", Worker)
+    supervisor = Supervisor(sup_broker, "collected", FixedProvisioner(1))
+    supervisor.step()
+    assert len(_series('{oid="collected"}')) == 3 + len(_STEPPED)
+    supervisor.stop()
+    del supervisor
+    gc.collect()
+    assert _series('{oid="collected"}') == set()
+
+
+def test_shard_supervisor_series_carry_the_shard_after_a_step(fleet):
+    _mom, rbrokers, sup_broker = fleet
+    oid = shard_oid("sharded", 1)
+    for rbroker in rbrokers:
+        rbroker.register_factory(oid, Worker)
+    labels = f'{{oid="{oid}",shard="1"}}'
+    supervisor = Supervisor(sup_broker, oid, FixedProvisioner(1))
+    before = {f"supervisor_{name}{labels}" for name in ("up", "steps", "running")}
+    assert _series(labels) == before
+    supervisor.step()
+    assert _series(labels) == before | {f"supervisor_{name}{labels}" for name in _STEPPED}
 
 
 class _BlockingProvisioner(Provisioner):

@@ -22,6 +22,7 @@ from repro.objectmq import (
     remote_interface,
     sync_method,
 )
+from repro.objectmq.naming import multi_exchange_name
 from tests.serialization.test_wire_format import CRAFTED
 
 
@@ -155,3 +156,33 @@ def test_refused_body_is_acked_dropped_and_the_next_request_served(rig, body):
     proxy = client.lookup("counter", CounterApi)
     proxy.add(3)
     assert proxy.total() == 3
+
+
+def test_a_method_name_starting_with_underscore_is_refused(rig):
+    """A peer names the method to run; a crafted ``__setattr__`` must not
+    reach the bound object, by unicast or by multicast."""
+    mom, server, client = rig
+    counter = Counter()
+    counter.secret = "kept"
+    skeleton = server.bind("counter", counter)
+    mom.declare_queue("answers")
+    crafted = {
+        "method": "__setattr__",
+        "args": ["secret", "overwritten"],
+        "reply_to": "answers",
+        "correlation_id": "c1",
+    }
+    mom.publish("", "counter", Message(client.codec.encode(crafted)))
+    reply = mom.get("answers", timeout=2.0)
+    assert reply is not None
+    decoded = client.codec.decode(reply.body)
+    assert not decoded["ok"] and "__setattr__" in decoded["error"]
+
+    cast = {"method": "__setattr__", "args": ["secret", "overwritten"]}
+    # The fanout's Broker finds the group by the message's routing key.
+    body = client.codec.encode(cast)
+    mom.publish(multi_exchange_name("counter"), "counter", Message(body, routing_key="counter"))
+    assert wait_for(lambda: skeleton.object_info.snapshot().errors == 2)
+    assert counter.secret == "kept"
+    proxy = client.lookup("counter", CounterApi)
+    assert proxy.totals() == [0]

@@ -16,6 +16,7 @@ from repro.telemetry.control import KIND_DECISION, KIND_SPAWN, DecisionJournal
 from repro.telemetry.http import OpsServer
 from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.slo import SloEngine, SloRule
+from tests.telemetry.test_slo import QueueReading
 
 
 class _Component:
@@ -49,7 +50,7 @@ def stack():
     registry = MetricsRegistry()
     journal = DecisionJournal()
     slo = SloEngine(
-        [SloRule.parse("backlog: depth > 10 for 1")],
+        [SloRule.parse("backlog: queue_depth > 10 for 1")],
         registry=registry,
         journal=journal,
     )
@@ -79,7 +80,8 @@ def test_index_lists_routes(stack):
 
 def test_metrics_prometheus_text(stack):
     registry, *_rest, ops = stack
-    registry.gauge("depth", oid="q").set(7)
+    queue = QueueReading(registry, oid="q")
+    queue.depth = 7
     status, body = _get(ops.url + "/metrics")
     assert status == 200
     assert 'depth{oid="q"} 7' in body
@@ -108,7 +110,8 @@ def test_raising_source_is_down_not_a_failed_scrape(stack):
     """A source whose read raises reports ``up`` 0: ``/metrics`` still
     answers, ``/health`` names the source, and SLO evaluation goes on."""
     registry, _journal, slo, ops = stack
-    registry.gauge("depth").set(99)
+    queue = QueueReading(registry)
+    queue.depth = 99
     component = _Component()
     registry.register_source(
         "flaky", component,
@@ -160,7 +163,8 @@ def test_events_tail_and_kind_filter(stack):
 
 def test_slo_route_reflects_engine_state(stack):
     registry, journal, slo, ops = stack
-    registry.gauge("depth").set(99)
+    queue = QueueReading(registry)
+    queue.depth = 99
     slo.evaluate(now=1.0)
 
     status, body = _get(ops.url + "/slo")

@@ -1,4 +1,4 @@
-"""MetricsRegistry: instruments, labeled series, weakref sources."""
+"""MetricsRegistry: labeled series from weakref sources."""
 
 from __future__ import annotations
 
@@ -12,55 +12,6 @@ from repro.telemetry.registry import MetricsRegistry
 @pytest.fixture
 def registry():
     return MetricsRegistry()
-
-
-def test_counter_get_or_create_and_labels(registry):
-    a = registry.counter("requests", oid="svc")
-    b = registry.counter("requests", oid="svc")
-    c = registry.counter("requests", oid="other")
-    assert a is b and a is not c
-    a.inc()
-    a.inc(2)
-    snap = registry.snapshot()
-    assert snap['requests{oid="svc"}'] == 3
-    assert snap['requests{oid="other"}'] == 0
-
-
-def test_counter_rejects_negative(registry):
-    with pytest.raises(ValueError):
-        registry.counter("c").inc(-1)
-
-
-def test_gauge_set_inc_dec(registry):
-    gauge = registry.gauge("depth", queue="q")
-    gauge.set(5)
-    gauge.inc()
-    gauge.dec(2)
-    assert registry.snapshot()['depth{queue="q"}'] == 4
-
-
-def test_histogram_summary(registry):
-    histogram = registry.histogram("latency")
-    for value in (0.1, 0.2, 0.3, 0.4):
-        histogram.observe(value)
-    summary = histogram.summary()
-    assert summary["count"] == 4
-    assert summary["sum"] == pytest.approx(1.0)
-    assert summary["max"] == 0.4
-    assert summary["mean"] == pytest.approx(0.25)
-    assert summary["p50"] == pytest.approx(0.25)
-    snap = registry.snapshot()
-    assert snap["latency_count"] == 4
-    assert snap["latency_p95"] == pytest.approx(histogram.percentile(0.95))
-
-
-def test_histogram_reservoir_is_bounded(registry):
-    histogram = registry.histogram("h")
-    for i in range(histogram.RESERVOIR_SIZE + 100):
-        histogram.observe(float(i))
-    # Exact aggregates over everything; percentiles over the window.
-    assert histogram.count == histogram.RESERVOIR_SIZE + 100
-    assert histogram.percentile(0.0) == 100.0
 
 
 def test_source_scraped_lazily(registry):
@@ -133,17 +84,30 @@ def test_unregister_source(registry):
     assert registry.snapshot() == {}
 
 
+class _Values:
+    """A source owner that reports fixed values."""
+
+    def __init__(self, **values):
+        self.values = values
+
+    def read(self):
+        return self.values
+
+
 def test_render_prometheus_sorted_lines(registry):
-    registry.counter("b").inc()
-    registry.counter("a", x="1").inc(2)
+    b, a = _Values(value=1.0), _Values(value=2.0)
+    registry.register_source("b", b, _Values.read)
+    registry.register_source("a", a, _Values.read, x="1")
     text = registry.render_prometheus()
-    assert text == 'a{x="1"} 2.0\nb 1.0\n'
+    assert text == 'a_value{x="1"} 2.0\nb_value 1.0\n'
 
 
 def test_clear(registry):
-    registry.counter("c").inc()
+    meter = _Values(value=1.0)
+    registry.register_source("c", meter, _Values.read)
     registry.clear()
     assert registry.snapshot() == {}
+    assert registry.source_count() == 0
 
 
 def test_components_register_into_global_registry(testbed):
@@ -156,5 +120,5 @@ def test_components_register_into_global_registry(testbed):
     assert snap['mom_broker_publishes{broker="broker"}'] > 0
     assert any(key.startswith("storage_proxy_bytes_in") for key in snap)
     assert any(key.startswith("omq_instance_processed") for key in snap)
-    assert any(key.startswith("transfer_pool_chunks_up") for key in snap)
+    assert snap['client_traffic_chunk_uploads{device="metered"}'] >= 1
     assert any(key.startswith("omq_proxy_calls") for key in snap)

@@ -13,6 +13,15 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.slo import DEFAULT_RULES_TEXT, SloEngine, SloRule, default_rules
 
 
+class QueueReading:
+    """A small registry source: its owner's ``depth`` is the series
+    ``queue_depth`` (plus the owner's labels)."""
+
+    def __init__(self, registry, **labels):
+        self.depth = 0.0
+        registry.register_source("queue", self, lambda q: {"depth": q.depth}, **labels)
+
+
 class TestSloRuleParsing:
     def test_parse_full_form(self):
         rule = SloRule.parse(
@@ -65,10 +74,10 @@ class TestSloEngine:
         return registry, engine
 
     def test_fires_only_after_sustained_breach(self):
-        registry, engine = self._engine("backlog: depth > 10 for 3")
-        gauge = registry.gauge("depth")
+        registry, engine = self._engine("backlog: queue_depth > 10 for 3")
+        queue = QueueReading(registry)
 
-        gauge.set(50)
+        queue.depth = 50
         assert engine.evaluate(now=1.0) == []
         assert engine.evaluate(now=2.0) == []
         (fired,) = engine.evaluate(now=3.0)
@@ -78,16 +87,16 @@ class TestSloEngine:
         assert engine.active_alerts() == ["backlog"]
 
         # A blip below the threshold resolves it.
-        gauge.set(5)
+        queue.depth = 5
         (resolved,) = engine.evaluate(now=4.0)
         assert resolved["kind"] == KIND_ALERT_RESOLVED
         assert engine.active_alerts() == []
 
     def test_single_blip_never_fires(self):
-        registry, engine = self._engine("backlog: depth > 10 for 3")
-        gauge = registry.gauge("depth")
+        registry, engine = self._engine("backlog: queue_depth > 10 for 3")
+        queue = QueueReading(registry)
         for now in range(10):
-            gauge.set(50 if now % 2 == 0 else 0)
+            queue.depth = 50 if now % 2 == 0 else 0
             engine.evaluate(now=float(now))
         assert engine.active_alerts() == []
 
@@ -97,20 +106,20 @@ class TestSloEngine:
         assert engine.status()[0]["last_value"] is None
 
     def test_labeled_series_worst_case(self):
-        registry, engine = self._engine("backlog: depth > 10 for 1")
-        registry.gauge("depth", oid="a").set(3)
-        registry.gauge("depth", oid="b").set(30)
+        registry, engine = self._engine("backlog: queue_depth > 10 for 1")
+        a, b = QueueReading(registry, oid="a"), QueueReading(registry, oid="b")
+        a.depth, b.depth = 3, 30
         (fired,) = engine.evaluate(now=1.0)
         # max across labeled variants for a ">" rule
         assert fired["value"] == 30.0
 
     def test_transitions_land_in_journal(self):
         journal = DecisionJournal()
-        registry, engine = self._engine("backlog: depth > 10 for 1", journal=journal)
-        gauge = registry.gauge("depth")
-        gauge.set(99)
+        registry, engine = self._engine("backlog: queue_depth > 10 for 1", journal=journal)
+        queue = QueueReading(registry)
+        queue.depth = 99
         engine.evaluate(now=7.0)
-        gauge.set(0)
+        queue.depth = 0
         engine.evaluate(now=8.0)
 
         alerts = journal.alerts()
@@ -120,8 +129,9 @@ class TestSloEngine:
         assert alerts[0].data["threshold"] == 10.0
 
     def test_status_and_reset(self):
-        registry, engine = self._engine("backlog: depth > 10 for 1")
-        registry.gauge("depth").set(99)
+        registry, engine = self._engine("backlog: queue_depth > 10 for 1")
+        queue = QueueReading(registry)
+        queue.depth = 99
         engine.evaluate(now=1.0)
         (status,) = engine.status()
         assert status["active"] and status["since"] == 1.0

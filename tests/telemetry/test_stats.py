@@ -50,6 +50,15 @@ def test_call_stats_delegates_to_shared_percentile(values, fraction):
     assert stats.percentile(fraction) == percentile(values, fraction)
 
 
+def test_call_stats_reservoir_is_bounded():
+    stats = CallStats()
+    for i in range(stats.RESERVOIR_SIZE + 100):
+        stats.record(float(i))
+    # Exact aggregates over everything; percentiles over the window.
+    assert stats.calls == stats.RESERVOIR_SIZE + 100
+    assert stats.percentile(0.0) == 100.0
+
+
 def test_edge_cases():
     assert percentile([], 0.5) == 0.0
     assert percentile([3.0], 0.99) == 3.0
