@@ -97,7 +97,7 @@ def main() -> None:
     for _ in range(4):
         time.sleep(2)
         print(f"  instances: {pool_size()}  queue depth: "
-              f"{mom.queue_depth(SYNC_SERVICE_OID)}")
+              f"{mom.queue_stats(SYNC_SERVICE_OID)['ready']}")
 
     print("phase 3: crash an instance — the Supervisor heals it")
     for machine in machines:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 
 @dataclass
@@ -59,10 +59,6 @@ class LocalDatabase:
             if record is not None and self._by_path.get(record.path) == item_id:
                 del self._by_path[record.path]
 
-    def list_records(self) -> List[LocalFileRecord]:
-        with self._lock:
-            return sorted(self._files.values(), key=lambda r: r.item_id)
-
     # -- dedup index ----------------------------------------------------------------
 
     def knows_fingerprint(self, fingerprint: bytes) -> bool:
@@ -72,10 +68,6 @@ class LocalDatabase:
     def remember_fingerprints(self, fingerprints) -> None:
         with self._lock:
             self._fingerprints.update(fingerprints)
-
-    def fingerprint_count(self) -> int:
-        with self._lock:
-            return len(self._fingerprints)
 
     # -- chunk cache ------------------------------------------------------------------
 
@@ -87,15 +79,3 @@ class LocalDatabase:
     def cached_chunk(self, fingerprint: bytes) -> Optional[bytes]:
         with self._lock:
             return self._chunk_cache.get(fingerprint)
-
-    def evict_chunks(self, keep: Set[bytes]) -> int:
-        """Drop cached payloads not in *keep*; returns number evicted."""
-        with self._lock:
-            victims = [fp for fp in self._chunk_cache if fp not in keep]
-            for fp in victims:
-                del self._chunk_cache[fp]
-            return len(victims)
-
-    def cache_size_bytes(self) -> int:
-        with self._lock:
-            return sum(len(p) for p in self._chunk_cache.values())

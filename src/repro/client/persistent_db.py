@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import sqlite3
 import threading
-from typing import List, Optional, Set
+from typing import Optional
 
 from repro.client.local_db import LocalFileRecord
 from repro.metadata.sqlite_backend import open_schema
@@ -82,13 +82,6 @@ class SqliteLocalDatabase:
         with self._lock:
             self._conn.execute("DELETE FROM files WHERE item_id = ?", (item_id,))
 
-    def list_records(self) -> List[LocalFileRecord]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT * FROM files ORDER BY item_id"
-            ).fetchall()
-        return [self._row_to_record(r) for r in rows]
-
     # -- dedup index ----------------------------------------------------------------
 
     def knows_fingerprint(self, fingerprint: bytes) -> bool:
@@ -104,12 +97,6 @@ class SqliteLocalDatabase:
                 "INSERT OR IGNORE INTO fingerprints(fingerprint) VALUES (?)",
                 ((fp,) for fp in fingerprints),
             )
-
-    def fingerprint_count(self) -> int:
-        with self._lock:
-            return self._conn.execute(
-                "SELECT COUNT(*) FROM fingerprints"
-            ).fetchone()[0]
 
     # -- chunk cache ------------------------------------------------------------------
 
@@ -132,25 +119,6 @@ class SqliteLocalDatabase:
                 (fingerprint,),
             ).fetchone()
         return bytes(row[0]) if row else None
-
-    def evict_chunks(self, keep: Set[bytes]) -> int:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT fingerprint FROM chunk_cache"
-            ).fetchall()
-            victims = [r[0] for r in rows if r[0] not in keep]
-            self._conn.executemany(
-                "DELETE FROM chunk_cache WHERE fingerprint = ?",
-                ((fp,) for fp in victims),
-            )
-            return len(victims)
-
-    def cache_size_bytes(self) -> int:
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT COALESCE(SUM(LENGTH(payload)), 0) FROM chunk_cache"
-            ).fetchone()
-        return row[0]
 
     def close(self) -> None:
         with self._lock:

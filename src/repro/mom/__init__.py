@@ -6,8 +6,9 @@ Public surface::
 
     broker = MessageBroker()
     broker.declare_queue("work")
-    broker.publish("", "work", Message(b"payload"))
-    msg = broker.get("work", timeout=1.0)
+    broker.consume("work", lambda delivery: print(delivery.message.body),
+                   consumer_tag="printer", auto_ack=True)
+    broker.publish("", "work", Message(b"payload"))  # printed before it returns
 """
 
 from repro.mom.broker_server import DEFAULT_EXCHANGE, BrokerStats, MessageBroker

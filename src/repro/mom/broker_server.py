@@ -6,13 +6,14 @@ narrow AMQP-shaped surface ObjectMQ needs:
 * ``declare_queue`` / ``delete_queue`` / ``declare_exchange``
 * ``bind_queue(exchange, queue, key)``
 * ``publish(exchange, routing_key, message)``
-* ``consume`` / ``cancel`` (push) and ``get`` (pull)
-* ``ack`` / ``ack_many`` / ``nack``
+* ``consume`` / ``cancel``
+* ``ack_many``
 
 That surface is written down as :class:`repro.mom.transport.MomTransport`.
 A publish is one message, and it reaches only queues that were declared:
-only ``declare_queue`` creates a queue, as in AMQP.  Settling has one body
-that works on a run of deliveries, and ``ack`` calls it with a run of one.
+only ``declare_queue`` creates a queue, as in AMQP.  Delivery is push
+only, and settling is one call that acks a run of deliveries; a
+cancelled consumer's unacked deliveries are the only ones requeued.
 
 It also implements the reliability behaviours the paper leans on:
 unacked messages are redelivered when a consumer is cancelled
@@ -155,10 +156,6 @@ class MessageBroker:
         exchange = self._get_exchange(exchange_name)
         exchange.unbind(queue_name, binding_key)
 
-    def queue_exists(self, name: str) -> bool:
-        with self._lock:
-            return name in self._queues
-
     def exchange_has_bindings(self, name: str) -> bool:
         """True when exchange *name* exists and has at least one binding.
 
@@ -253,14 +250,6 @@ class MessageBroker:
         if queue is not None:
             queue.cancel_consumer(consumer_tag)
 
-    def get(self, queue_name: str, timeout: Optional[float] = None) -> Optional[Message]:
-        queue = self._get_queue(queue_name)
-        return queue.get(timeout=timeout)
-
-    def ack(self, delivery: Delivery) -> bool:
-        """Acknowledge one delivery; False when its tag was not live."""
-        return bool(self._ack_run((delivery,)))
-
     def ack_many(self, deliveries: Iterable[Delivery]) -> int:
         """Acknowledge a run of deliveries; returns how many were acked.
 
@@ -296,11 +285,6 @@ class MessageBroker:
                 run = [d for d in run if d.delivery_tag in settled]
             self.store.record_ack_many(queue.name, map(_MESSAGE, run))
         return acked
-
-    def nack(self, delivery: Delivery, requeue: bool = True) -> None:
-        queue = self._find_queue(delivery.queue_name)
-        if queue is not None:
-            queue.nack(delivery.delivery_tag, requeue=requeue)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -359,10 +343,6 @@ class MessageBroker:
         if exchange is None:
             raise ExchangeNotFound(f"exchange {name!r} has not been declared")
         return exchange
-
-    def queue_depth(self, name: str) -> int:
-        """Number of ready (undelivered) messages in *name*."""
-        return len(self._get_queue(name))
 
     def queue_stats(self, name: str) -> Dict[str, int]:
         queue = self._get_queue(name)

@@ -83,9 +83,9 @@ class BrokerCluster:
         dead.close()
         # Re-hydrate durable queues on the promoted node: queue definitions
         # from the cluster-side registry, contents from the shared journal.
+        # A declare is idempotent, so a queue the node already has is kept.
         for queue_name in sorted(self._durable_queues | set(self._store.queue_names())):
-            if not promoted.queue_exists(queue_name):
-                promoted.declare_queue(queue_name, durable=True)
+            promoted.declare_queue(queue_name, durable=True)
         for listener in list(self._failover_listeners):
             listener(generation)
         return promoted

@@ -14,22 +14,22 @@ and a consumer's handler is handed lists of deliveries; ``put`` and
 ``ack`` are the same code called with a run of one.  The broker enqueues
 each copy of a publish with one ``put_many``: one queue-lock cycle and one
 dispatch pass (:meth:`MessageQueue._dispatch_locked`), which picks the
-consumers, fills their mailboxes and wakes pull-mode waiters.  A queue
-comes into being only through the broker's ``declare_queue``; a publish
-never creates one.
+consumers and fills their mailboxes.  A queue comes into being only
+through the broker's ``declare_queue``; a publish never creates one.
+There is no pull mode: a message leaves the queue only by dispatch to a
+consumer.
 
 The dispatcher hands over single deliveries; a run is what a woken
 consumer finds waiting in its mailbox (:meth:`Consumer._run`), which is at
 most ``prefetch``.  An ``auto_ack`` consumer has neither thread nor
 mailbox: the thread that dispatched its delivery runs the handler, once
-the queue lock is released.  Pull-mode waiters are woken with *targeted*
-notifies — exactly as many waiters as there are messages to take — never
-a ``notify_all`` stampede.
+the queue lock is released.
 
 Reliability: a delivery stays in the consumer's unacked set until it is
 acked.  If the consumer is cancelled or its owner crashes, every unacked
 message is put back at the head of the queue with ``redelivered=True`` —
-the at-least-once guarantee of §3.4.  Requeue re-enqueues the *same*
+the at-least-once guarantee of §3.4.  Cancel is the only requeue path;
+there is no negative acknowledgement.  Requeue re-enqueues the *same*
 message object (payload untouched, same ``message_id`` so the durable
 journal's ack bookkeeping still matches) in one batched splice.
 """
@@ -175,11 +175,7 @@ class MessageQueue:
         # one out is a plain next() under the queue lock, not a trip
         # through a process-wide counter lock.
         self._delivery_tags = itertools.count(1)
-        # Pull-mode waiters currently blocked in get(); the publish path
-        # wakes at most this many — and at most one per ready message.
-        self._pull_waiters = 0
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
         # Counters for introspection (HasObjectInfo, paper §3.3).
         self.published_count = 0
         self.delivered_count = 0
@@ -214,7 +210,7 @@ class MessageQueue:
 
         The whole run lands through a single lock cycle and a single
         dispatch pass, in order — a replayed durable journal pays the
-        acquire/dispatch/notify cost once, not per message.  Returns the
+        acquire/dispatch cost once, not per message.  Returns the
         number of messages enqueued.
         """
         if not messages:
@@ -236,47 +232,7 @@ class MessageQueue:
             _run_inline(inline)
         return count
 
-    # -- pull-mode (basic.get) ---------------------------------------------
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Message]:
-        """Synchronously pop one message, waiting up to *timeout* seconds.
-
-        Pull mode auto-acks: the message is not tracked for redelivery.
-        This is ``MomTransport.get``; ObjectMQ never calls it, since its
-        replies reach each ``Broker``'s auto-ack reply consumer.
-        """
-        with self._not_empty:
-            if not self._ready:
-                self._pull_waiters += 1
-                try:
-                    if timeout is None:
-                        while not self._ready:
-                            self._not_empty.wait()
-                    else:
-                        # Loop on a monotonic deadline: a single wait() can
-                        # return early on a spurious wakeup, or after a racing
-                        # getter stole the message that triggered the notify.
-                        deadline = time.monotonic() + timeout
-                        while not self._ready:
-                            remaining = deadline - time.monotonic()
-                            if remaining <= 0:
-                                return None
-                            self._not_empty.wait(remaining)
-                finally:
-                    self._pull_waiters -= 1
-            self.delivered_count += 1
-            self.acked_count += 1
-            message = self._ready.popleft()
-            if TRACER.enabled:
-                message.headers[DEQUEUED_AT_KEY] = time.time()
-            # Cascade: if messages remain and siblings still wait, pass the
-            # wakeups on (covers a racing publisher whose notify landed on
-            # this getter for a different message).
-            if self._pull_waiters and self._ready:
-                self._not_empty.notify(min(len(self._ready), self._pull_waiters))
-            return message
-
-    # -- push-mode (basic.consume) -------------------------------------------
+    # -- consumers (basic.consume) -------------------------------------------
 
     def add_consumer(
         self,
@@ -321,21 +277,15 @@ class MessageQueue:
             consumer.stop()
             window = sorted(consumer.unacked.values(), key=lambda d: d.delivery_tag)
             consumer.unacked.clear()
-            inline = self._requeue_locked(window)
+            for delivery in window:
+                delivery.message.redelivered = True
+            # extendleft reverses, so feed it newest-first to land the run
+            # ahead of the ready buffer in original (oldest-first) order.
+            self._ready.extendleft(d.message for d in reversed(window))
+            self.redelivered_count += len(window)
+            inline = self._dispatch_locked()
         if inline:
             _run_inline(inline)
-
-    def _requeue_locked(self, deliveries: List[Delivery]) -> Optional[_Inline]:
-        """Splice *deliveries*' messages back head-of-queue, oldest first,
-        flagged ``redelivered``, then dispatch.  Queue lock held; returns
-        what :meth:`_dispatch_locked` does."""
-        for delivery in deliveries:
-            delivery.message.redelivered = True
-        # extendleft reverses, so feed it newest-first to land the run
-        # ahead of the ready buffer in original (oldest-first) order.
-        self._ready.extendleft(d.message for d in reversed(deliveries))
-        self.redelivered_count += len(deliveries)
-        return self._dispatch_locked()
 
     def _pop_consumer_locked(self, tag: str) -> Optional[Consumer]:
         for i, consumer in enumerate(self._consumers):
@@ -373,25 +323,10 @@ class MessageQueue:
             _run_inline(inline)
         return acked
 
-    def nack(self, delivery_tag: int, requeue: bool = True) -> bool:
-        """Negatively acknowledge; optionally requeue at the head."""
-        with self._lock:
-            for consumer in self._consumers:
-                delivery = consumer.unacked.pop(delivery_tag, None)
-                if delivery is not None:
-                    inline = self._requeue_locked([delivery] if requeue else [])
-                    break
-            else:
-                return False
-        if inline:
-            _run_inline(inline)
-        return True
-
     # -- dispatch -------------------------------------------------------------
 
     def _dispatch_locked(self) -> Optional[_Inline]:
-        """Hand ready messages to eligible consumers, one delivery each,
-        then wake the pull-mode getters the rest can serve.
+        """Hand ready messages to eligible consumers, one delivery each.
 
         Must be called with ``self._lock`` held.  Consumers are tried
         round-robin, starting after the last one served.  A consumer is
@@ -405,8 +340,7 @@ class MessageQueue:
         when there are none, so the usual pass allocates nothing), and the
         caller hands them to :func:`_run_inline` after releasing the lock.
         The transport contract lets such a handler publish, which would
-        otherwise re-enter a lock its own thread holds.  Messages left
-        ready wake at most one pull-mode getter each.
+        otherwise re-enter a lock its own thread holds.
         """
         self.dispatch_cycles += 1
         stamp = time.time() if TRACER.enabled else None
@@ -444,8 +378,6 @@ class MessageQueue:
                     )
                     consumer._thread.start()
                 consumer._mailbox.put(delivery)
-        if self._pull_waiters and self._ready:
-            self._not_empty.notify(min(len(self._ready), self._pull_waiters))
         return inline
 
     # -- introspection ----------------------------------------------------------
@@ -463,19 +395,6 @@ class MessageQueue:
     def unacked_count(self) -> int:
         with self._lock:
             return sum(len(c.unacked) for c in self._consumers)
-
-    def purge(self) -> int:
-        with self._lock:
-            n = len(self._ready)
-            self._ready.clear()
-            return n
-
-    def drain_messages(self) -> List[Message]:
-        """Remove and return all ready messages (used by persistence/HA)."""
-        with self._lock:
-            messages = list(self._ready)
-            self._ready.clear()
-            return messages
 
     def close(self) -> None:
         if self._source_token is not None:

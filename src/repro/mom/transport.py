@@ -3,10 +3,9 @@
 The paper's ObjectMQ (§3, §3.4) leans on exactly three MOM guarantees —
 work-queue balancing among the consumers of one queue, fanout multicast,
 and at-least-once delivery with ack-after-invoke — and claims to be
-MOM-agnostic.  :class:`MomTransport` declares the calls ObjectMQ
-(``Broker``, ``Skeleton``, ``Proxy``, ``SupervisorNode``) makes, and
-under a heading of their own the few that only the conformance suite and
-operators use, so that claim is a checkable one:
+MOM-agnostic.  :class:`MomTransport` declares exactly the calls ObjectMQ
+(``Broker``, ``Skeleton``, ``Proxy``, ``Supervisor``, ``SupervisorNode``)
+makes, and nothing else, so that claim is a checkable one:
 :class:`~repro.mom.broker_server.MessageBroker` and
 :class:`~repro.mom.cluster.BrokerCluster` satisfy it and pass
 ``tests/mom/test_transport_conformance.py``.  A new transport (a socket
@@ -14,7 +13,9 @@ client to a broker in another process, say) implements these members and
 runs that suite.
 
 Declaration only: nothing checks it at run time, ObjectMQ never branches
-on which transport it was given.
+on which transport it was given.  ``tests/mom/test_transport_seam.py``
+keeps the list honest: it fails when ObjectMQ calls a member not declared
+here, or when a member is declared that ObjectMQ no longer calls.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from repro.mom.message import Delivery, Message
 class MomTransport(Protocol):
     """What ObjectMQ requires of the messaging system underneath it.
 
-    One delivery model, store-and-forward, which every implementation
-    gives:
+    One delivery model, store-and-forward and push only, which every
+    implementation gives:
 
     * **queues exist only when declared**: :meth:`declare_queue` is the
       one call that creates a queue.  A publish never does, so a publish
@@ -39,15 +40,15 @@ class MomTransport(Protocol):
     * **fanout**: a message published to a fanout exchange reaches every
       queue bound to it at that moment;
     * **hold until settled**: an unacked delivery is held until it is
-      acked (or nacked) or its consumer is cancelled, and goes to no
-      other consumer meanwhile.  The supervisor lease (:mod:`repro.objectmq.ha`) is
-      held this way;
-    * **at least once**: a delivery whose consumer was cancelled, or that
-      was nacked with ``requeue=True``, goes back to the head of its
-      queue and is delivered again, flagged ``message.redelivered``, so a
-      handler may see a message twice.  Acking an unknown or already
-      settled delivery is a harmless no-op; a nack with ``requeue=False``
-      drops the message (there is no dead-letter queue, and no expiry);
+      acked or its consumer is cancelled, and goes to no other consumer
+      meanwhile.  The supervisor lease (:mod:`repro.objectmq.ha`) is held
+      this way;
+    * **at least once**: cancelling a consumer is the one requeue path.
+      Its unacked deliveries go back to the head of their queue and are
+      delivered again, flagged ``message.redelivered``, so a handler may
+      see a message twice.  Acking an unknown or already settled delivery
+      is a harmless no-op (there is no negative acknowledgement, no
+      dead-letter queue and no expiry);
     * **order**: messages of one publisher to one queue are delivered in
       publish order, redeliveries excepted;
     * **durability**: a persistent message on a durable queue is
@@ -71,8 +72,6 @@ class MomTransport(Protocol):
     def bind_queue(self, exchange_name: str, queue_name: str, binding_key: str = "") -> None: ...
 
     def unbind_queue(self, exchange_name: str, queue_name: str, binding_key: str = "") -> None: ...
-
-    def queue_exists(self, name: str) -> bool: ...
 
     def exchange_has_bindings(self, name: str) -> bool:
         """True when exchange *name* exists and a publish to it would
@@ -130,18 +129,3 @@ class MomTransport(Protocol):
         ...
 
     def close(self) -> None: ...
-
-    # -- not called by ObjectMQ -----------------------------------------------
-    # ObjectMQ settles only through ack_many and reads depth from
-    # queue_stats.  These singular and pull-mode calls are for the
-    # conformance suite and for operators poking at a live transport.
-
-    def get(self, queue_name: str, timeout: Optional[float] = None) -> Optional[Message]:
-        """Pull one message (auto-acked), or None after *timeout* seconds."""
-        ...
-
-    def ack(self, delivery: Delivery) -> bool: ...
-
-    def nack(self, delivery: Delivery, requeue: bool = True) -> None: ...
-
-    def queue_depth(self, name: str) -> int: ...

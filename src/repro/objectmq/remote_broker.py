@@ -11,6 +11,11 @@ Supervisor can reach the whole fleet with @MultiMethod calls:
 * ``spawn(oid)`` (sync, unicast) — the MOM's work-queue balancing picks a
   broker, which instantiates and binds a new instance;
 * ``shutdown(oid, instance_id)`` (multi+sync) — only the owner acts.
+
+A skeleton runs whatever public method of its bound object a peer names,
+so the node binds a :class:`_FleetEndpoint` that holds those four and
+nothing else: ``stop``, ``serve``, ``crash_instance``, ``register_factory``
+and ``instances_for`` stay local calls.
 """
 
 from __future__ import annotations
@@ -63,6 +68,25 @@ class RemoteBrokerApi(Remote):
         raise NotImplementedError
 
 
+class _FleetEndpoint:
+    """The remote object bound under the fleet oid (RemoteBrokerApi)."""
+
+    def __init__(self, node: "RemoteBroker"):
+        self._node = node
+
+    def ping(self) -> dict:
+        return self._node.ping()
+
+    def get_object_info(self, oid: str) -> List[dict]:
+        return self._node.get_object_info(oid)
+
+    def spawn(self, oid: str) -> str:
+        return self._node.spawn(oid)
+
+    def shutdown(self, oid: str, instance_id: str) -> bool:
+        return self._node.shutdown(oid, instance_id)
+
+
 class RemoteBroker:
     """Concrete slave node hosting dynamically spawned server objects."""
 
@@ -84,7 +108,7 @@ class RemoteBroker:
     def serve(self) -> None:
         """Bind this RemoteBroker under the well-known fleet oid."""
         if self._self_skeleton is None:
-            self._self_skeleton = self.broker.bind(REMOTE_BROKER_OID, self)
+            self._self_skeleton = self.broker.bind(REMOTE_BROKER_OID, _FleetEndpoint(self))
 
     def stop(self) -> None:
         """Shut down every hosted instance and leave the fleet."""

@@ -70,7 +70,8 @@ class SyncService(HasObjectInfo):
     ):
         self.metadata = metadata
         self.broker = broker
-        self.service_delay = service_delay
+        # Private: a skeleton would run a public callable a peer names.
+        self._service_delay = service_delay
         self._lock = threading.Lock()
         self._workspace_proxies: "OrderedDict[str, object]" = OrderedDict()
         self._proxy_cache_hits = 0
@@ -123,8 +124,8 @@ class SyncService(HasObjectInfo):
             self._commit(workspace_id, device_id, objects_changed, request_id)
 
     def _commit(self, workspace_id, device_id, objects_changed, request_id) -> None:
-        if self.service_delay is not None:
-            delay = self.service_delay()
+        if self._service_delay is not None:
+            delay = self._service_delay()
             if delay > 0:
                 time.sleep(delay)
         # The engines refuse an unknown workspace before storing anything: ask

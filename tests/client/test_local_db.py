@@ -23,7 +23,7 @@ def test_upsert_replaces():
     db.upsert(record(version=1))
     db.upsert(record(version=2))
     assert db.get("ws:a.txt").version == 2
-    assert len(db.list_records()) == 1
+    assert db.get_by_path("a.txt").version == 2
 
 
 def test_remove_clears_both_indexes():
@@ -46,8 +46,8 @@ def test_dedup_index():
     db = LocalDatabase()
     assert not db.knows_fingerprint("f1")
     db.remember_fingerprints(["f1", "f2"])
-    assert db.knows_fingerprint("f1")
-    assert db.fingerprint_count() == 2
+    assert db.knows_fingerprint("f1") and db.knows_fingerprint("f2")
+    assert not db.knows_fingerprint("f3")
 
 
 def test_chunk_cache_also_feeds_dedup():
@@ -57,28 +57,3 @@ def test_chunk_cache_also_feeds_dedup():
     assert db.knows_fingerprint("f1")
     assert db.cached_chunk("ghost") is None
 
-
-def test_cache_eviction():
-    db = LocalDatabase()
-    db.cache_chunk("keep", b"k")
-    db.cache_chunk("drop", b"d")
-    assert db.evict_chunks(keep={"keep"}) == 1
-    assert db.cached_chunk("keep") == b"k"
-    assert db.cached_chunk("drop") is None
-    # Dedup memory survives eviction (the user still *has* the chunk
-    # server-side; only the local payload copy is gone).
-    assert db.knows_fingerprint("drop")
-
-
-def test_cache_size():
-    db = LocalDatabase()
-    db.cache_chunk("a", b"123")
-    db.cache_chunk("b", b"4567")
-    assert db.cache_size_bytes() == 7
-
-
-def test_list_records_sorted():
-    db = LocalDatabase()
-    db.upsert(record(item_id="z", path="z.txt"))
-    db.upsert(record(item_id="a", path="a.txt"))
-    assert [r.item_id for r in db.list_records()] == ["a", "z"]

@@ -1,10 +1,9 @@
-"""Runs of deliveries: where they form, requeue ordering, targeted wakeups.
+"""Runs of deliveries: where they form, and requeue ordering.
 
 These tests pin the dispatch core: one lock cycle fills every open
 prefetch window, a consumer's run is whatever its mailbox held when it
-woke, delivery tags are queue-scoped, requeue-on-cancel splices the whole
-unacked window back head-of-queue in original order, and pull-mode
-publishes wake exactly as many waiters as there are messages.
+woke, delivery tags are queue-scoped, and requeue-on-cancel splices the
+whole unacked window back head-of-queue in original order.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from repro.mom.broker_server import MessageBroker
 from repro.mom.message import PERSISTENT, Message
 from repro.mom.queue import MessageQueue
 
-from tests.mom.test_queue import BlockingRunHandler, Collector, drain_wait
+from tests.mom.test_queue import BlockingRunHandler, Collector, drain_queue, drain_wait
 
 
 def test_wide_prefetch_window_filled_in_one_cycle(queue):
@@ -70,7 +69,7 @@ def test_put_many_preserves_fifo_and_counts(queue):
     queue.put_many([])
     queue.put_many([Message(b"c")])
     assert queue.published_count == 3
-    assert [queue.get(timeout=0.2).body for _ in range(3)] == [b"a", b"b", b"c"]
+    assert [m.body for m in drain_queue(queue)] == [b"a", b"b", b"c"]
 
 
 def test_delivery_tags_are_queue_scoped(request):
@@ -120,7 +119,7 @@ def test_cancel_mid_batch_requeues_unacked_ahead_of_ready(queue):
     # Crash with the batch half-processed: the 4 in-flight messages land
     # ahead of the untouched ready tail, and only they carry the flag.
     queue.cancel_consumer("c1")
-    drained = queue.drain_messages()
+    drained = drain_queue(queue)
     assert [m.body for m in drained] == [b"m0", b"m1", b"m2", b"m3", b"m4", b"m5"]
     assert [m.redelivered for m in drained] == [True] * 4 + [False] * 2
     assert queue.redelivered_count == 4
@@ -221,68 +220,6 @@ def test_broker_ack_many_clears_durable_journal_per_settled_tag():
     broker.close()
 
 
-def test_publish_wakes_exactly_as_many_getters_as_messages(queue):
-    notify_counts = []
-    original_notify = queue._not_empty.notify
-
-    def counting_notify(n=1):
-        notify_counts.append(n)
-        original_notify(n)
-
-    queue._not_empty.notify = counting_notify
-
-    results = []
-    results_lock = threading.Lock()
-
-    def getter():
-        message = queue.get(timeout=1.5)
-        with results_lock:
-            results.append(message)
-
-    threads = [threading.Thread(target=getter) for _ in range(3)]
-    for thread in threads:
-        thread.start()
-    assert drain_wait(lambda: queue._pull_waiters == 3)
-
-    queue.put(Message(b"only"))
-    assert drain_wait(lambda: len(results) == 1)
-    # One message, three sleepers: exactly one targeted wakeup, and no
-    # cascade (nothing left to take).  A notify_all here would show 3.
-    assert notify_counts == [1]
-
-    queue.put_many([Message(b"x"), Message(b"y")])
-    for thread in threads:
-        thread.join(timeout=2.0)
-    with results_lock:
-        assert sorted(m.body for m in results) == [b"only", b"x", b"y"]
-    assert sum(notify_counts) <= 3 + 2  # publish notifies + bounded cascades
-
-
-def test_getter_timeouts_unaffected_by_targeted_wakeups(queue):
-    results = []
-    results_lock = threading.Lock()
-
-    def getter():
-        message = queue.get(timeout=0.6)
-        with results_lock:
-            results.append(message)
-
-    threads = [threading.Thread(target=getter) for _ in range(4)]
-    for thread in threads:
-        thread.start()
-    assert drain_wait(lambda: queue._pull_waiters == 4)
-    queue.put_many([Message(b"a"), Message(b"b")])
-    for thread in threads:
-        thread.join(timeout=2.0)
-    with results_lock:
-        taken = [m for m in results if m is not None]
-        misses = [m for m in results if m is None]
-    # Exactly the published messages are taken; the other waiters still
-    # time out cleanly (they are simply never woken needlessly).
-    assert sorted(m.body for m in taken) == [b"a", b"b"]
-    assert len(misses) == 2
-
-
 def test_redelivered_message_keeps_flag_through_second_cancel(queue):
     first = Collector()
     queue.add_consumer("c1", first, prefetch=2)
@@ -293,7 +230,7 @@ def test_redelivered_message_keeps_flag_through_second_cancel(queue):
     queue.add_consumer("c2", second, prefetch=2)
     assert drain_wait(lambda: second.count() == 2)
     queue.cancel_consumer("c2")
-    messages = queue.drain_messages()
+    messages = drain_queue(queue)
     assert [m.body for m in messages] == [b"a", b"b"]
     assert all(m.redelivered for m in messages)
     assert queue.redelivered_count == 4

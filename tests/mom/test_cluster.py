@@ -7,6 +7,8 @@ import pytest
 from repro.errors import BrokerClosed
 from repro.mom import BrokerCluster, Message, PERSISTENT
 
+from tests.mom.test_broker_server import drain, wait_for
+
 
 def test_failover_promotes_standby_and_recovers_persistent_messages():
     cluster = BrokerCluster(size=2)
@@ -17,8 +19,7 @@ def test_failover_promotes_standby_and_recovers_persistent_messages():
     promoted = cluster.fail_primary()
     assert promoted is not old
     assert cluster.generation == 1
-    recovered = cluster.get("q", timeout=0.2)
-    assert recovered is not None and recovered.body == b"keep"
+    assert [m.body for m in drain(cluster, "q")] == [b"keep"]
     cluster.close()
 
 
@@ -44,7 +45,7 @@ def test_add_standby_extends_failover_chain():
     cluster.declare_queue("q", durable=True)
     cluster.publish("", "q", Message(b"m", delivery_mode=PERSISTENT))
     cluster.fail_primary()
-    assert cluster.get("q", timeout=0.2).body == b"m"
+    assert [m.body for m in drain(cluster, "q")] == [b"m"]
     cluster.close()
 
 
@@ -52,21 +53,14 @@ def test_acked_messages_not_replayed_after_failover():
     cluster = BrokerCluster(size=2)
     cluster.declare_queue("q", durable=True)
     cluster.publish("", "q", Message(b"m", delivery_mode=PERSISTENT))
-    # Pull-mode get() auto-acks at the queue level but not in the store;
-    # explicitly ack via consume path instead.
-    import time
-
     got = []
 
     def handler(delivery):
-        cluster.ack(delivery)  # ack first: the test polls `got`, then reads the ack
+        cluster.ack_many([delivery])  # ack first: the test polls `got`, then reads the ack
         got.append(delivery)
 
     cluster.consume("q", handler, consumer_tag="c")
-    deadline = time.monotonic() + 2.0
-    while not got and time.monotonic() < deadline:
-        time.sleep(0.01)
-    assert got
+    assert wait_for(lambda: got)
     cluster.fail_primary()
-    assert cluster.get("q", timeout=0.1) is None
+    assert drain(cluster, "q") == []
     cluster.close()

@@ -21,6 +21,18 @@ def drain_wait(predicate, timeout=2.0, interval=0.01):
     return predicate()
 
 
+def drain_queue(queue):
+    """Take every ready message off *queue*, in order.
+
+    A passing auto-ack consumer is handed the backlog on this thread
+    before ``add_consumer`` returns, and is cancelled at once.
+    """
+    taken = []
+    queue.add_consumer("drain", lambda d: taken.append(d.message), auto_ack=True)
+    queue.cancel_consumer("drain")
+    return taken
+
+
 class Collector:
     """Test consumer callback collecting deliveries thread-safely."""
 
@@ -58,28 +70,6 @@ class BlockingRunHandler:
         self.entered.set()
         assert self.release.wait(timeout=5.0)
         self.queue.ack_many([d.delivery_tag for d in deliveries])
-
-
-def test_pull_mode_get_returns_fifo(queue):
-    queue.put(Message(b"one"))
-    queue.put(Message(b"two"))
-    assert queue.get(timeout=0.1).body == b"one"
-    assert queue.get(timeout=0.1).body == b"two"
-    assert queue.get(timeout=0.05) is None
-
-
-def test_get_blocks_until_publish(queue):
-    results = []
-
-    def reader():
-        results.append(queue.get(timeout=2.0))
-
-    thread = threading.Thread(target=reader)
-    thread.start()
-    time.sleep(0.05)
-    queue.put(Message(b"late"))
-    thread.join(timeout=2.0)
-    assert results and results[0].body == b"late"
 
 
 def test_push_mode_delivers_to_consumer(queue):
@@ -140,32 +130,10 @@ def test_unacked_requeued_on_cancel_with_redelivered_flag(queue):
     queue.cancel_consumer("c1")
     assert queue.unacked_count == 0
     assert len(queue) == 1
-    requeued = queue.get(timeout=0.1)
+    (requeued,) = drain_queue(queue)
     assert requeued.body == b"payload"
     assert requeued.redelivered is True
     assert queue.redelivered_count == 1
-
-
-def test_nack_requeues_at_head(queue):
-    held = []
-    queue.add_consumer("c1", lambda d: held.append(d), prefetch=10)
-    queue.put(Message(b"a"))
-    queue.put(Message(b"b"))
-    assert drain_wait(lambda: len(held) == 2)
-    queue.cancel_consumer("c1")
-    # Requeue order preserves original ordering (a before b).
-    assert queue.get(timeout=0.1).body == b"a"
-    assert queue.get(timeout=0.1).body == b"b"
-
-
-def test_explicit_nack(queue):
-    held = []
-    queue.add_consumer("c1", lambda d: held.append(d), prefetch=1)
-    queue.put(Message(b"x"))
-    assert drain_wait(lambda: len(held) == 1)
-    assert queue.nack(held[0].delivery_tag, requeue=False) is True
-    assert len(queue) == 0
-    assert queue.unacked_count == 0
 
 
 def test_ack_unknown_tag_returns_false(queue):
@@ -191,14 +159,6 @@ def test_consumer_exception_does_not_kill_dispatch(queue):
     queue.put(Message(b"1"))
     queue.put(Message(b"2"))
     assert drain_wait(lambda: len(seen) == 2)
-
-
-def test_purge_and_len(queue):
-    for _ in range(5):
-        queue.put(Message(b"x"))
-    assert len(queue) == 5
-    assert queue.purge() == 5
-    assert len(queue) == 0
 
 
 def test_counters(queue):
@@ -279,40 +239,9 @@ def test_cancel_requeues_unacked_ahead_of_ready_in_original_order(queue):
 
     queue.cancel_consumer("c1")
     assert queue.redelivered_count == 3
-    drained = [queue.get(timeout=0.1) for _ in range(4)]
+    drained = drain_queue(queue)
     assert [m.body for m in drained] == [b"m1", b"m2", b"m3", b"m4"]
     assert [m.redelivered for m in drained] == [True, True, True, False]
-
-
-def test_get_survives_racing_getter_stealing_the_message(queue):
-    """A notified getter that loses the race must keep waiting (bounded by
-    its deadline) instead of returning None early."""
-    results = []
-    started = threading.Barrier(3)
-
-    def getter():
-        started.wait(timeout=2)
-        results.append(queue.get(timeout=1.0))
-
-    threads = [threading.Thread(target=getter) for _ in range(2)]
-    for t in threads:
-        t.start()
-    started.wait(timeout=2)
-    time.sleep(0.05)  # both getters are now blocked in wait()
-    # Two messages staggered: notify_all wakes both getters for the first
-    # message; the loser must loop and pick up the second.
-    queue.put(Message(b"first"))
-    time.sleep(0.05)
-    queue.put(Message(b"second"))
-    for t in threads:
-        t.join(timeout=3)
-    assert sorted(m.body for m in results) == [b"first", b"second"]
-
-
-def test_get_timeout_holds_under_spurious_conditions(queue):
-    t0 = time.monotonic()
-    assert queue.get(timeout=0.2) is None
-    assert time.monotonic() - t0 >= 0.2
 
 
 class TestQueueMetricsSource:
@@ -334,13 +263,13 @@ class TestQueueMetricsSource:
                 queue.put(Message(f"m{i}".encode()))
             assert queue.depth_high_water == 5
             assert queue.dispatch_cycles == 5
-            # Draining does not lower the high-water mark.
-            while queue.get(timeout=0.1) is not None and len(queue):
-                pass
+            # Draining does not lower the high-water mark; the drain's
+            # subscribe and cancel are one dispatch cycle each.
+            assert len(drain_queue(queue)) == 5
             assert queue.depth_high_water == 5
             series = self._series("hwm-q")
             assert series['mom_queue_depth_high_water{queue="hwm-q"}'] == 5.0
-            assert series['mom_queue_dispatch_cycles{queue="hwm-q"}'] == 5.0
+            assert series['mom_queue_dispatch_cycles{queue="hwm-q"}'] == 7.0
         finally:
             queue.close()
 

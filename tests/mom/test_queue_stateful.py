@@ -1,8 +1,8 @@
 """Stateful property test: :class:`MessageQueue` against a plain-list model.
 
-Hypothesis interleaves ``put`` / ``put_many`` / ``get`` / consumers with
-prefetch 1 and N / ``ack`` / ``ack_many`` / ``nack`` / ``cancel_consumer``
-and settles with live, stale, duplicate and never-issued tags.  After
+Hypothesis interleaves ``put`` / ``put_many`` / consumers with prefetch 1
+and N / ``ack`` / ``ack_many`` / ``cancel_consumer`` and settles with live,
+stale, duplicate and never-issued tags.  After
 every step the queue must agree with a model that is nothing but a list of
 ready message numbers and one dict of unacked deliveries per consumer:
 
@@ -16,8 +16,7 @@ ready message numbers and one dict of unacked deliveries per consumer:
 * **runs in tag order, within prefetch** — what a consumer's handler has
   been handed so far, run after run, is the front of its delivery-tag
   order, and no run is longer than its prefetch;
-* ``published = acked + ready + unacked`` (+ dropped by
-  ``nack(requeue=False)``).
+* ``published = acked + ready + unacked``.
 
 Only the test thread mutates the queue (consumer handlers just record what
 they are handed), so each consumer's ``unacked`` window can be read
@@ -84,7 +83,7 @@ class QueueMachine(RuleBasedStateMachine):
         self.next_message = 0
         self.next_consumer = 0
         self.last_tag = 0
-        self.published = self.acked = self.dropped = self.pulled = 0
+        self.published = self.acked = 0
         self.requeued = 0
 
     def teardown(self):
@@ -133,7 +132,7 @@ class QueueMachine(RuleBasedStateMachine):
             self.consumers[name].unacked[tag] = number
             self.consumers[name].assigned.append(tag)
 
-    # -- publishing and pulling ---------------------------------------------------
+    # -- publishing -----------------------------------------------------------------
 
     @rule()
     def put(self):
@@ -145,17 +144,6 @@ class QueueMachine(RuleBasedStateMachine):
     def put_many(self, count):
         assert self.queue.put_many(self._messages(count)) == count
         self._absorb_dispatch()
-
-    @rule()
-    def get(self):
-        message = self.queue.get(timeout=0)
-        if not self.ready:
-            assert message is None
-            return
-        number = self.ready.pop(0)
-        assert int(message.body) == number
-        assert message.redelivered == (number in self.flagged)
-        self.pulled += 1
 
     # -- consumers ------------------------------------------------------------------
 
@@ -229,22 +217,7 @@ class QueueMachine(RuleBasedStateMachine):
     def settle_with_a_dead_tag(self, data):
         tag = data.draw(st.sampled_from(self.stale_tags[-4:] + [NEVER_ISSUED]))
         assert self.queue.ack(tag) is False
-        assert self.queue.nack(tag) is False
         self._absorb_dispatch()  # nothing may have moved
-
-    @precondition(lambda self: self._live())
-    @rule(data=st.data(), requeue=st.booleans())
-    def nack(self, data, requeue):
-        tag, name = data.draw(st.sampled_from(self._live()))
-        self.consumers[name].await_handed(tag)
-        assert self.queue.nack(tag, requeue=requeue) is True
-        number = self.consumers[name].unacked.pop(tag)
-        self.stale_tags.append(tag)
-        if requeue:
-            self._requeue([number])
-        else:
-            self.dropped += 1
-        self._absorb_dispatch()
 
     # -- invariants --------------------------------------------------------------------
 
@@ -273,7 +246,7 @@ class QueueMachine(RuleBasedStateMachine):
             number for c in self.consumers.values() for number in c.unacked.values()
         ]
         assert len(set(held)) == len(held)
-        assert len(held) + self.acked + self.dropped + self.pulled == self.published
+        assert len(held) + self.acked == self.published
         assert [int(m.body) for m in self.queue._ready] == self.ready
 
     @invariant()
@@ -283,10 +256,10 @@ class QueueMachine(RuleBasedStateMachine):
         assert queue.published_count == self.published
         assert len(queue) == len(self.ready)
         assert queue.unacked_count == unacked
-        assert queue.acked_count == self.acked + self.pulled  # get() auto-acks
+        assert queue.acked_count == self.acked
         assert queue.redelivered_count == self.requeued
         assert queue.published_count == (
-            queue.acked_count + len(queue) + queue.unacked_count + self.dropped
+            queue.acked_count + len(queue) + queue.unacked_count
         )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.mom.broker_server import MessageBroker
 from repro.mom.message import Message
 
+from tests.mom.test_broker_server import drain
 from tests.mom.test_queue import Collector, drain_wait
 
 
@@ -19,7 +20,7 @@ def test_single_queue_publish_hands_over_the_same_object():
     payload = memoryview(b"chunk-bytes" * 64)
     message = Message(payload)
     broker.publish("", "q", message)
-    delivered = broker.get("q", timeout=0.5)
+    (delivered,) = drain(broker, "q")
     # Same envelope, same buffer: no copy anywhere on the unicast path.
     assert delivered is message
     assert delivered.body is payload
@@ -49,7 +50,7 @@ def test_fanout_copies_envelopes_but_shares_the_buffer():
     payload = memoryview(b"shared-payload")
     original = Message(payload)
     assert broker.publish("fan", "", original) == 3
-    delivered = [broker.get(name, timeout=0.5) for name in ("q1", "q2", "q3")]
+    delivered = [m for name in ("q1", "q2", "q3") for m in drain(broker, name)]
     # One destination gets the original, the siblings fresh envelopes —
     # per-queue delivery state must be independent.
     assert sum(1 for m in delivered if m is original) == 1
@@ -69,7 +70,7 @@ def test_durable_queue_materializes_payload_to_bytes():
     # The journal needs a stable snapshot: the body was forced to bytes
     # exactly once, so recycling the publisher's buffer is now safe.
     buffer[:1] = b"X"
-    delivered = broker.get("d", timeout=0.5)
+    (delivered,) = drain(broker, "d")
     assert isinstance(delivered.body, bytes)
     assert delivered.body == b"recyclable buffer"
     broker.close()
@@ -104,6 +105,6 @@ def test_requeue_keeps_message_id_so_durable_acks_still_match():
         redelivery = survivor.deliveries[0]
     assert redelivery.message.message_id == message.message_id
     assert redelivery.message.redelivered
-    broker.ack(redelivery)
+    broker.ack_many([redelivery])
     assert not broker.store.pending_for("d")
     broker.close()

@@ -5,9 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import RemoteInvocationError
-from repro.mom import MessageBroker
+from repro.mom import Message, MessageBroker
 from repro.objectmq import Broker, RemoteBroker, RemoteBrokerApi
+from repro.objectmq.naming import multi_exchange_name
 from repro.objectmq.remote_broker import REMOTE_BROKER_OID
+
+from tests.mom.test_broker_server import wait_for
 
 
 class Widget:
@@ -86,3 +89,33 @@ def test_stop_cleans_all_instances(rig):
     fleet.spawn("widget")
     rbroker.stop()
     assert rbroker.instances_for("widget") == {}
+
+
+def test_a_peer_reaches_only_the_fleet_interface(rig):
+    """A skeleton runs the public method a peer names.  A crafted multicast
+    ``stop`` and a crafted unicast ``register_factory`` must be refused:
+    they are the node's local administration, not RemoteBrokerApi."""
+    mom, rbroker, fleet = rig
+    fleet.spawn("widget")
+    codec = rbroker.broker.codec
+    stop = codec.encode({"method": "stop", "args": []})
+    mom.publish(
+        multi_exchange_name(REMOTE_BROKER_OID),
+        REMOTE_BROKER_OID,
+        Message(stop, routing_key=REMOTE_BROKER_OID),
+    )
+    answers = []
+    mom.declare_queue("answers")
+    mom.consume("answers", answers.append, "answers", auto_ack=True)
+    register = {
+        "method": "register_factory",
+        "args": ["gadget", None],
+        "reply_to": "answers",
+        "correlation_id": "c1",
+    }
+    mom.publish("", REMOTE_BROKER_OID, Message(codec.encode(register)))
+    assert wait_for(lambda: answers)
+    reply = codec.decode(answers[0].message.body)
+    assert not reply["ok"] and "register_factory" in reply["error"]
+    # The ping is multicast behind the crafted stop, so it is served after it.
+    assert fleet.ping() == [{"broker": "node-a", "instances": {"widget": 1}}]

@@ -184,7 +184,7 @@ def test_get_workspaces_and_changes(rig):
 
 def test_service_delay_hook(rig):
     metadata, service, _sink = rig
-    service.service_delay = lambda: 0.05
+    service = SyncService(metadata, service.broker, service_delay=lambda: 0.05)
     started = time.monotonic()
     service.commit_request("ws", "dev-1", [proposal(1)])
     assert time.monotonic() - started >= 0.05

@@ -16,7 +16,7 @@ from repro.workload import Trace, TraceGenerator, TraceReplayer
 # -- cluster facade ----------------------------------------------------------------
 
 
-def test_cluster_facade_exchange_and_nack():
+def test_cluster_facade_exchange_and_cancel():
     cluster = BrokerCluster(size=2)
     cluster.declare_exchange("fan", "fanout")
     cluster.declare_queue("a")
@@ -33,7 +33,7 @@ def test_cluster_facade_exchange_and_nack():
     deadline = time.monotonic() + 2.0
     while not held and time.monotonic() < deadline:
         time.sleep(0.01)
-    cluster.nack(held[0], requeue=True)
+    cluster.cancel("a", "c")
     stats = cluster.queue_stats("a")
     assert stats["redelivered"] >= 1
     assert cluster.size == 2
