@@ -93,7 +93,7 @@ class Message:
 
 @dataclass(frozen=True)
 class Delivery:
-    """A message handed to a specific consumer, awaiting ack/nack.
+    """A message handed to a specific consumer, awaiting ack (or requeue on cancel).
 
     The broker tracks deliveries per consumer so that, if the consumer is
     cancelled or crashes, unacked messages are re-queued — this is the
