@@ -223,10 +223,9 @@ class StackSyncClient:
     def start(self) -> List[ItemMetadata]:
         """Startup protocol: getWorkspaces, getChanges, subscribe to pushes.
 
-        Two round trips; the device registration before them is a cast.
-        Returns the workspace state that was applied locally.
+        Two round trips.  Returns the workspace state that was applied
+        locally.
         """
-        self.sync_service.register_device(self.user_id, self.device_id)
         workspaces = self.sync_service.get_workspaces(self.user_id)
         if not any(w.workspace_id == self.workspace.workspace_id for w in workspaces):
             raise SyncError(

@@ -101,10 +101,6 @@ class MetadataError(ReproError):
     """Base class for metadata back-end failures."""
 
 
-class TransactionAborted(MetadataError):
-    """An ACID transaction could not commit and was rolled back."""
-
-
 # ---------------------------------------------------------------------------
 # Security layer
 # ---------------------------------------------------------------------------

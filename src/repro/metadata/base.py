@@ -2,9 +2,14 @@
 
 The SyncService interacts with the back-end through this Data Access
 Object; the paper stresses that the implementation is "modular and may be
-replaced easily".  Two implementations ship: an in-memory engine
-(:mod:`repro.metadata.memory_backend`) and a SQLite engine with real ACID
-transactions (:mod:`repro.metadata.sqlite_backend`).
+replaced easily".  The contract is exactly what its callers use: users,
+workspaces and their sharing, the commit of a bundle of versions, the
+state and history reads, row counts and ``close``
+(``tests/metadata/test_dao_seam.py`` holds it to that).  Two engines
+ship: an in-memory one (:mod:`repro.metadata.memory_backend`) and a
+SQLite one with real ACID transactions
+(:mod:`repro.metadata.sqlite_backend`); :mod:`repro.metadata.sharded`
+routes workspaces over several of either.
 
 Consistency contract used by Algorithm 1 (§4.2): an engine decides a
 proposal in exactly one place, :meth:`MetadataBackend.store_versions_bulk`
@@ -12,8 +17,6 @@ proposal in exactly one place, :meth:`MetadataBackend.store_versions_bulk`
 so two SyncService instances racing on the same item serialize: the
 first commit wins and the second is reported as a conflict with the
 winner attached (first-writer-wins, no rollback ever needed).
-``store_new_object`` / ``store_new_version`` are that body called with a
-bundle of one.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import TransactionAborted
 from repro.sync.models import ItemMetadata, Workspace
 from repro.telemetry.registry import REGISTRY
 from repro.telemetry.trace import TRACER
@@ -46,7 +48,7 @@ class MetadataBackend(ABC):
     _source_token: Optional[int] = None  # the engine's ``/health`` source
 
     @contextmanager
-    def traced_transaction(self, proposals: List[ItemMetadata]):
+    def _traced_transaction(self, proposals: List[ItemMetadata]):
         """The engine's ``_lock`` held inside a ``metadata.txn`` span.
 
         Every engine's :meth:`store_versions_bulk` enters this in place of
@@ -62,7 +64,7 @@ class MetadataBackend(ABC):
     # -- accounts & workspaces ---------------------------------------------------
 
     @abstractmethod
-    def create_user(self, user_id: str, name: str = "") -> None:
+    def create_user(self, user_id: str) -> None:
         """Register a user (idempotent)."""
 
     @abstractmethod
@@ -81,21 +83,7 @@ class MetadataBackend(ABC):
     def workspace_exists(self, workspace_id: str) -> bool:
         """True when the workspace is registered."""
 
-    # -- devices ---------------------------------------------------------------------
-
-    @abstractmethod
-    def register_device(self, user_id: str, device_id: str, name: str = "") -> None:
-        """Record a device of *user_id* (idempotent; updates the name)."""
-
-    @abstractmethod
-    def devices_for(self, user_id: str) -> List[str]:
-        """Device ids registered by the user, sorted."""
-
     # -- item versions -------------------------------------------------------------
-
-    @abstractmethod
-    def get_current(self, item_id: str) -> Optional[ItemMetadata]:
-        """Latest committed version of *item_id*, or None."""
 
     @abstractmethod
     def store_versions_bulk(
@@ -114,28 +102,6 @@ class MetadataBackend(ABC):
         :class:`~repro.errors.UnknownWorkspace`, and chunks that share no one
         width raise ``ValueError``, before anything is stored.
         """
-
-    def store_new_object(self, metadata: ItemMetadata) -> None:
-        """Atomically insert the first version of a new item."""
-        self._store_one(metadata, first=True)
-
-    def store_new_version(self, metadata: ItemMetadata) -> None:
-        """Atomically append the next version of an existing item."""
-        self._store_one(metadata, first=False)
-
-    def _store_one(self, metadata: ItemMetadata, first: bool) -> None:
-        """Algorithm 1 on a bundle of one; a proposal that loses aborts."""
-        if (metadata.version == 1) != first:
-            raise TransactionAborted(
-                f"version {metadata.version} of {metadata.item_id!r} is not "
-                f"a {'first' if first else 'successor'} version"
-            )
-        ((committed, current),) = self.store_versions_bulk([metadata])
-        if not committed:
-            raise TransactionAborted(
-                f"version {metadata.version} of {metadata.item_id!r} lost; "
-                f"current version: {current and current.version}"
-            )
 
     @abstractmethod
     def get_workspace_state(self, workspace_id: str) -> List[ItemMetadata]:

@@ -29,14 +29,13 @@ class MemoryMetadataBackend(MetadataBackend):
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._users: Dict[str, str] = {}
+        self._users: Set[str] = set()
         self._workspaces: Dict[str, Workspace] = {}
         self._acl: Dict[str, Set[str]] = {}  # workspace_id -> user ids
         self._versions: Dict[str, list] = {}  # item -> records, then current
         self._device_ids: List[str] = []  # a record's device -> its id
         self._device_codes: Dict[str, int] = {}  # and back
         self._workspace_items: Dict[str, Set[str]] = {}
-        self._devices: Dict[str, Dict[str, str]] = {}  # user -> {device: name}
         self._register_source("metadata_memory")
 
     def _scrape(self) -> Dict[str, float]:
@@ -50,9 +49,9 @@ class MemoryMetadataBackend(MetadataBackend):
 
     # -- accounts & workspaces ---------------------------------------------------
 
-    def create_user(self, user_id: str, name: str = "") -> None:
+    def create_user(self, user_id: str) -> None:
         with self._lock:
-            self._users.setdefault(user_id, name or user_id)
+            self._users.add(user_id)
 
     def create_workspace(self, workspace: Workspace) -> None:
         with self._lock:
@@ -84,29 +83,12 @@ class MemoryMetadataBackend(MetadataBackend):
         with self._lock:
             return workspace_id in self._workspaces
 
-    # -- devices ---------------------------------------------------------------------
-
-    def register_device(self, user_id: str, device_id: str, name: str = "") -> None:
-        with self._lock:
-            if user_id not in self._users:
-                raise MetadataError(f"unknown user {user_id!r}")
-            self._devices.setdefault(user_id, {})[device_id] = name or device_id
-
-    def devices_for(self, user_id: str) -> List[str]:
-        with self._lock:
-            return sorted(self._devices.get(user_id, {}))
-
     # -- item versions -------------------------------------------------------------
-
-    def get_current(self, item_id: str) -> Optional[ItemMetadata]:
-        with self._lock:
-            versions = self._versions.get(item_id)
-            return versions[-1] if versions else None
 
     def store_versions_bulk(self, proposals):
         """Algorithm 1 for this engine: the bundle under one lock cycle."""
         outcomes = []
-        with self.traced_transaction(proposals) if TRACER.enabled else self._lock:
+        with self._traced_transaction(proposals) if TRACER.enabled else self._lock:
             for proposal in proposals:  # refuse an unknown workspace before storing any
                 if proposal.workspace_id not in self._workspaces:
                     self._require_workspace(proposal.workspace_id)  # raises

@@ -17,8 +17,8 @@ transactions:
   owned by a single ACID engine — first-writer-wins races between
   SyncService instances still serialize inside that engine exactly as
   before;
-* users and devices are *broadcast* to every shard (tiny, write-rarely
-  tables), so ``create_workspace``'s owner check and ``grant_access``'s
+* users are *broadcast* to every shard (a tiny, write-rarely table),
+  so ``create_workspace``'s owner check and ``grant_access``'s
   user check resolve locally on whichever shard owns the workspace;
 * a commitRequest bundle only ever carries items of one workspace
   (Algorithm 1 operates per workspace), so
@@ -136,11 +136,11 @@ class ShardedMetadataBackend(MetadataBackend):
         """Registry source: the composite's shard count (always up)."""
         return {"up": 1.0, "shards": self.num_shards}
 
-    # -- accounts & workspaces (users/devices broadcast, workspaces routed) ----------
+    # -- accounts & workspaces (users broadcast, workspaces routed) ------------------
 
-    def create_user(self, user_id: str, name: str = "") -> None:
+    def create_user(self, user_id: str) -> None:
         for engine in self.engines:
-            engine.create_user(user_id, name)
+            engine.create_user(user_id)
 
     def create_workspace(self, workspace: Workspace) -> None:
         self.engine_for_workspace(workspace.workspace_id).create_workspace(workspace)
@@ -160,20 +160,7 @@ class ShardedMetadataBackend(MetadataBackend):
             workspace_id
         )
 
-    # -- devices (broadcast like users) ----------------------------------------------
-
-    def register_device(self, user_id: str, device_id: str, name: str = "") -> None:
-        for engine in self.engines:
-            engine.register_device(user_id, device_id, name)
-
-    def devices_for(self, user_id: str) -> List[str]:
-        return self.engines[0].devices_for(user_id)
-
-    # -- item versions ---------------------------------------------------------------
-
-    def get_current(self, item_id: str) -> Optional[ItemMetadata]:
-        engine = self._engine_for_item(item_id)
-        return engine.get_current(item_id) if engine else None
+    # -- item versions -------------------------------------------------------------
 
     def store_versions_bulk(
         self, proposals: List[ItemMetadata]

@@ -24,19 +24,12 @@ from repro.telemetry.trace import TRACER
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS users (
-    user_id TEXT PRIMARY KEY,
-    name TEXT NOT NULL
+    user_id TEXT PRIMARY KEY
 );
 CREATE TABLE IF NOT EXISTS workspaces (
     workspace_id TEXT PRIMARY KEY,
     owner TEXT NOT NULL REFERENCES users(user_id),
     name TEXT NOT NULL
-);
-CREATE TABLE IF NOT EXISTS devices (
-    user_id TEXT NOT NULL REFERENCES users(user_id),
-    device_id TEXT NOT NULL,
-    name TEXT NOT NULL,
-    PRIMARY KEY (user_id, device_id)
 );
 CREATE TABLE IF NOT EXISTS workspace_users (
     workspace_id TEXT NOT NULL REFERENCES workspaces(workspace_id),
@@ -60,12 +53,14 @@ CREATE TABLE IF NOT EXISTS versions (
 """
 
 
-#: ``PRAGMA user_version`` of a metadata file in the current layout.  Version 4
-#: keeps a version's ``ItemMetadata.record`` whole in one column; version 3 cut
-#: it into six, version 2 let a version name another workspace or filename than
-#: its item's, version 1 repeated the item's identity in every version row, and
-#: the unstamped layout held digests as hex.
-SCHEMA_VERSION = 4
+#: ``PRAGMA user_version`` of a metadata file in the current layout.  Version 5
+#: keeps a user as its id alone and no device table; version 4 gave a user a
+#: name (``NOT NULL``, so its ``users`` refuses this build's insert), version 3
+#: cut a version's ``ItemMetadata.record`` into six columns, version 2 let a
+#: version name another workspace or filename than its item's, version 1
+#: repeated the item's identity in every version row, and the unstamped layout
+#: held digests as hex.
+SCHEMA_VERSION = 5
 
 #: One empty database per schema, built once and copied into each new file.
 _TEMPLATES: Dict[str, sqlite3.Connection] = {}
@@ -132,11 +127,10 @@ class SqliteMetadataBackend(MetadataBackend):
 
     # -- accounts & workspaces ---------------------------------------------------
 
-    def create_user(self, user_id: str, name: str = "") -> None:
+    def create_user(self, user_id: str) -> None:
         with self._lock:
             self._conn.execute(
-                "INSERT OR IGNORE INTO users(user_id, name) VALUES (?, ?)",
-                (user_id, name or user_id),
+                "INSERT OR IGNORE INTO users(user_id) VALUES (?)", (user_id,)
             )
 
     def create_workspace(self, workspace: Workspace) -> None:
@@ -188,38 +182,7 @@ class SqliteMetadataBackend(MetadataBackend):
             ).fetchone()
         return row is not None
 
-    # -- devices ---------------------------------------------------------------------
-
-    def register_device(self, user_id: str, device_id: str, name: str = "") -> None:
-        with self._lock:
-            user = self._conn.execute(
-                "SELECT 1 FROM users WHERE user_id = ?", (user_id,)
-            ).fetchone()
-            if user is None:
-                raise MetadataError(f"unknown user {user_id!r}")
-            self._conn.execute(
-                "INSERT INTO devices(user_id, device_id, name) VALUES (?, ?, ?)"
-                " ON CONFLICT(user_id, device_id) DO UPDATE SET name=excluded.name",
-                (user_id, device_id, name or device_id),
-            )
-
-    def devices_for(self, user_id: str) -> List[str]:
-        with self._lock:
-            rows = self._conn.execute(
-                "SELECT device_id FROM devices WHERE user_id = ? ORDER BY device_id",
-                (user_id,),
-            ).fetchall()
-        return [r[0] for r in rows]
-
     # -- item versions -------------------------------------------------------------
-
-    def get_current(self, item_id: str) -> Optional[ItemMetadata]:
-        with self._lock:
-            row = self._conn.execute(
-                f"SELECT {_ITEM} WHERE i.item_id = ? ORDER BY v.version DESC LIMIT 1",
-                (item_id,),
-            ).fetchone()
-        return self._row_to_item(row) if row else None
 
     def store_versions_bulk(self, proposals):
         """Algorithm 1 for this engine: one BEGIN IMMEDIATE per bundle.
@@ -230,7 +193,7 @@ class SqliteMetadataBackend(MetadataBackend):
         transaction.  Later proposals in the bundle see earlier inserts.
         """
         outcomes = []
-        with self.traced_transaction(proposals) if TRACER.enabled else self._lock:
+        with self._traced_transaction(proposals) if TRACER.enabled else self._lock:
             checked = set()
             for proposal in proposals:
                 if proposal.workspace_id not in checked:

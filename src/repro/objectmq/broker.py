@@ -99,8 +99,7 @@ class _Waiter:
     """A blocking mailbox collecting reply envelopes for one call."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._ready = threading.Condition(self._lock)
+        self._ready = threading.Condition(threading.Lock())
         self._replies: list = []
 
     def put(self, envelope: dict) -> None:
@@ -116,11 +115,6 @@ class _Waiter:
             if self._replies:
                 return self._replies.pop(0)
             return None
-
-    def drain(self) -> list:
-        with self._lock:
-            replies, self._replies = self._replies, []
-            return replies
 
 
 class Broker:

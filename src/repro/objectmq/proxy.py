@@ -246,7 +246,7 @@ class Proxy:
         try:
             try:
                 brokers = self._publish(self._multi_exchange(), self._oid, envelope)
-            except DeliveryError:
+            except (DeliveryError, ExchangeNotFound):  # an empty group, as async
                 return []
             # Each reply names its Broker and how many local instances the
             # call ran on there; a Broker not yet heard from counts as one,

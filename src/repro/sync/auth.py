@@ -155,7 +155,7 @@ def sync_auth_interceptor(auth: AuthService, metadata: "MetadataBackend"):
 
     def interceptor(method: str, args, kwargs, context: dict) -> None:
         user = auth.validate(context.get("auth_token"))
-        if method in ("get_workspaces", "register_device"):
+        if method == "get_workspaces":
             asked = args[0] if args else kwargs.get("user_id")
             if asked != user:
                 raise AuthorizationError(

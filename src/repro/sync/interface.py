@@ -1,9 +1,11 @@
 """Remote interfaces of the StackSync protocol — the paper's Fig 6.
 
-The SyncService interface exposes exactly the three operations of the
-paper (``getWorkspaces``, ``getChanges``, ``commitRequest``) with the same
-invocation semantics and the same retry/timeout configuration; the
-RemoteWorkspace interface carries the one-to-many ``notifyCommit`` push.
+The SyncService interface exposes the three operations of the paper
+(``getWorkspaces``, ``getChanges``, ``commitRequest``) with the same
+invocation semantics and the same retry/timeout configuration, plus the
+sharing pair (``create_workspace``, ``share_workspace``) that
+``examples/personal_cloud_portal.py`` drives; the RemoteWorkspace
+interface carries the one-to-many ``notifyCommit`` push.
 """
 
 from __future__ import annotations
@@ -73,15 +75,6 @@ class SyncServiceApi(Remote):
     @sync_method(retry=5, timeout=1.5)
     def share_workspace(self, workspace_id: str, user_id: str) -> bool:
         """Grant *user_id* access to the workspace (the sharing service)."""
-        raise NotImplementedError
-
-    @async_method
-    def register_device(self, user_id: str, device_id: str, name: str = "") -> None:
-        """Record the calling device; cast once at client startup.
-
-        Nothing waits on it: a user the service does not know gets no
-        workspaces from the ``get_workspaces`` call that follows.
-        """
         raise NotImplementedError
 
 

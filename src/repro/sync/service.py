@@ -189,10 +189,6 @@ class SyncService(HasObjectInfo):
         self.metadata.grant_access(workspace_id, user_id)
         return True
 
-    def register_device(self, user_id: str, device_id: str, name: str = "") -> None:
-        """Record a device in the user's device registry (idempotent; a cast)."""
-        self.metadata.register_device(user_id, device_id, name)
-
     # -- internals -------------------------------------------------------------------
 
     def _workspace(self, workspace_id: str):

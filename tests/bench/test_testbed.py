@@ -15,7 +15,7 @@ def test_build_testbed_is_functional():
     try:
         meta = testbed.client.put_file("x.txt", b"hello")
         assert testbed.client.wait_for_version(meta.item_id, meta.version, timeout=10)
-        assert testbed.metadata.get_current(meta.item_id).version == 1
+        assert testbed.metadata.item_history(meta.item_id)[-1].version == 1
     finally:
         testbed.close()
 

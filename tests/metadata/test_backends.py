@@ -17,7 +17,7 @@ from contextlib import closing
 
 import pytest
 
-from repro.errors import MetadataError, TransactionAborted, UnknownWorkspace
+from repro.errors import MetadataError, UnknownWorkspace
 from repro.metadata import MemoryMetadataBackend
 from repro.sync.models import (
     STATUS_CHANGED,
@@ -47,6 +47,12 @@ def item(version=1, item_id="ws1:a.txt", status="NEW", chunks=None, ws="ws1"):
         modified_at=1.0,
         device_id="dev",
     )
+
+
+def commit(backend, *proposals):
+    """Store *proposals* as one bundle, every one of which must win."""
+    outcomes = backend.store_versions_bulk(list(proposals))
+    assert outcomes == [(True, None)] * len(proposals)
 
 
 def test_user_and_workspace_lifecycle(metadata_backend):
@@ -79,69 +85,53 @@ def test_grant_access_validates_both_sides(metadata_backend):
 
 def test_store_and_get_current(metadata_backend):
     setup_workspace(metadata_backend)
-    metadata_backend.store_new_object(item(version=1))
-    current = metadata_backend.get_current("ws1:a.txt")
-    assert current is not None
+    commit(metadata_backend, item(version=1))
+    current = metadata_backend.item_history("ws1:a.txt")[-1]
     assert current.version == 1
     assert current.chunks == (b"\xf1" * 20,)
 
 
 def test_get_current_unknown_item(metadata_backend):
-    assert metadata_backend.get_current("nope") is None
+    assert metadata_backend.item_history("nope") == []
 
 
 def test_store_new_object_rejects_duplicates(metadata_backend):
+    """A second version 1 loses to the first, which comes back with it."""
     setup_workspace(metadata_backend)
-    metadata_backend.store_new_object(item(version=1))
-    with pytest.raises(TransactionAborted):
-        metadata_backend.store_new_object(item(version=1))
-
-
-def test_store_new_object_requires_version_one(metadata_backend):
-    setup_workspace(metadata_backend)
-    with pytest.raises(TransactionAborted):
-        metadata_backend.store_new_object(item(version=2))
+    commit(metadata_backend, item(version=1))
+    duplicate = dataclasses.replace(item(version=1), device_id="other")
+    assert metadata_backend.store_versions_bulk([duplicate]) == [(False, item(version=1))]
+    assert metadata_backend.item_history("ws1:a.txt") == [item(version=1)]
 
 
 def test_store_new_object_requires_workspace(metadata_backend):
     with pytest.raises(UnknownWorkspace):
-        metadata_backend.store_new_object(item(version=1))
+        metadata_backend.store_versions_bulk([item(version=1)])
 
 
 def test_version_chain_must_be_contiguous(metadata_backend):
     setup_workspace(metadata_backend)
-    metadata_backend.store_new_object(item(version=1))
-    metadata_backend.store_new_version(item(version=2, status=STATUS_CHANGED))
-    with pytest.raises(TransactionAborted):
-        metadata_backend.store_new_version(item(version=2, status=STATUS_CHANGED))
-    with pytest.raises(TransactionAborted):
-        metadata_backend.store_new_version(item(version=5, status=STATUS_CHANGED))
-    assert metadata_backend.get_current("ws1:a.txt").version == 2
-
-
-def test_store_new_version_requires_existing_item(metadata_backend):
-    setup_workspace(metadata_backend)
-    with pytest.raises(TransactionAborted):
-        metadata_backend.store_new_version(item(version=2, status=STATUS_CHANGED))
+    second = item(version=2, status=STATUS_CHANGED)
+    commit(metadata_backend, item(version=1), second)
+    for version in (2, 5):
+        proposal = item(version=version, status=STATUS_CHANGED)
+        assert metadata_backend.store_versions_bulk([proposal]) == [(False, second)]
+    assert metadata_backend.item_history("ws1:a.txt")[-1] == second
 
 
 def test_workspace_state_excludes_deleted(metadata_backend):
     setup_workspace(metadata_backend)
-    metadata_backend.store_new_object(item(version=1, item_id="ws1:a.txt"))
-    metadata_backend.store_new_object(item(version=1, item_id="ws1:b.txt"))
-    metadata_backend.store_new_version(
-        item(version=2, item_id="ws1:b.txt", status=STATUS_DELETED)
-    )
+    commit(metadata_backend, item(version=1, item_id="ws1:a.txt"))
+    commit(metadata_backend, item(version=1, item_id="ws1:b.txt"))
+    commit(metadata_backend, item(version=2, item_id="ws1:b.txt", status=STATUS_DELETED))
     state = metadata_backend.get_workspace_state("ws1")
     assert [m.item_id for m in state] == ["ws1:a.txt"]
 
 
 def test_workspace_state_latest_version_only(metadata_backend):
     setup_workspace(metadata_backend)
-    metadata_backend.store_new_object(item(version=1))
-    metadata_backend.store_new_version(
-        item(version=2, status=STATUS_CHANGED, chunks=["f2" * 20])
-    )
+    commit(metadata_backend, item(version=1))
+    commit(metadata_backend, item(version=2, status=STATUS_CHANGED, chunks=["f2" * 20]))
     state = metadata_backend.get_workspace_state("ws1")
     assert len(state) == 1
     assert state[0].version == 2
@@ -150,17 +140,17 @@ def test_workspace_state_latest_version_only(metadata_backend):
 
 def test_item_history_ordered(metadata_backend):
     setup_workspace(metadata_backend)
-    metadata_backend.store_new_object(item(version=1))
-    metadata_backend.store_new_version(item(version=2, status=STATUS_CHANGED))
-    metadata_backend.store_new_version(item(version=3, status=STATUS_CHANGED))
+    commit(metadata_backend, item(version=1))
+    commit(metadata_backend, item(version=2, status=STATUS_CHANGED))
+    commit(metadata_backend, item(version=3, status=STATUS_CHANGED))
     history = metadata_backend.item_history("ws1:a.txt")
     assert [m.version for m in history] == [1, 2, 3]
 
 
 def test_counts(metadata_backend):
     setup_workspace(metadata_backend)
-    metadata_backend.store_new_object(item(version=1))
-    metadata_backend.store_new_version(item(version=2, status=STATUS_CHANGED))
+    commit(metadata_backend, item(version=1))
+    commit(metadata_backend, item(version=2, status=STATUS_CHANGED))
     counts = metadata_backend.counts()
     assert counts["users"] == 1
     assert counts["workspaces"] == 1
@@ -168,29 +158,10 @@ def test_counts(metadata_backend):
     assert counts["versions"] == 2
 
 
-def test_device_registry(metadata_backend):
-    metadata_backend.create_user("alice")
-    metadata_backend.register_device("alice", "laptop", name="MacBook")
-    metadata_backend.register_device("alice", "phone")
-    metadata_backend.register_device("alice", "laptop")  # idempotent
-    assert metadata_backend.devices_for("alice") == ["laptop", "phone"]
-    assert metadata_backend.devices_for("nobody") == []
-
-
-def test_device_registry_requires_user(metadata_backend):
-    with pytest.raises(MetadataError):
-        metadata_backend.register_device("ghost", "dev")
-
-
-def test_client_startup_registers_device(testbed):
-    testbed.client(device_id="registered-dev")
-    assert "registered-dev" in testbed.metadata.devices_for("alice")
-
-
 def test_concurrent_commits_exactly_one_winner(metadata_backend):
     """The first-writer-wins race at the heart of conflict handling."""
     setup_workspace(metadata_backend)
-    metadata_backend.store_new_object(item(version=1))
+    commit(metadata_backend, item(version=1))
 
     outcomes = []
     barrier = threading.Barrier(2)
@@ -205,11 +176,8 @@ def test_concurrent_commits_exactly_one_winner(metadata_backend):
             device_id=device,
         )
         barrier.wait()
-        try:
-            metadata_backend.store_new_version(proposal)
-            outcomes.append((device, "ok"))
-        except TransactionAborted:
-            outcomes.append((device, "conflict"))
+        ((committed, _current),) = metadata_backend.store_versions_bulk([proposal])
+        outcomes.append((device, "ok" if committed else "conflict"))
 
     threads = [threading.Thread(target=racer, args=(d,)) for d in ("d1", "d2")]
     for thread in threads:
@@ -219,7 +187,7 @@ def test_concurrent_commits_exactly_one_winner(metadata_backend):
 
     results = sorted(o[1] for o in outcomes)
     assert results == ["conflict", "ok"]
-    assert metadata_backend.get_current("ws1:a.txt").version == 2
+    assert metadata_backend.item_history("ws1:a.txt")[-1].version == 2
 
 
 def test_concurrent_new_objects_exactly_one_winner(metadata_backend):
@@ -229,11 +197,8 @@ def test_concurrent_new_objects_exactly_one_winner(metadata_backend):
 
     def racer(i):
         barrier.wait()
-        try:
-            metadata_backend.store_new_object(item(version=1))
-            outcomes.append("ok")
-        except TransactionAborted:
-            outcomes.append("conflict")
+        ((committed, _current),) = metadata_backend.store_versions_bulk([item(version=1)])
+        outcomes.append("ok" if committed else "conflict")
 
     threads = [threading.Thread(target=racer, args=(i,)) for i in range(4)]
     for thread in threads:
@@ -250,16 +215,16 @@ def test_sqlite_persists_to_disk(tmp_path):
     path = str(tmp_path / "meta.db")
     backend = SqliteMetadataBackend(path)
     setup_workspace(backend)
-    backend.store_new_object(item(version=1))
+    commit(backend, item(version=1))
     backend.close()
 
     reopened = SqliteMetadataBackend(path)
-    assert reopened.get_current("ws1:a.txt").version == 1
+    assert reopened.item_history("ws1:a.txt")[-1].version == 1
     assert reopened.workspace_exists("ws1")
     reopened.close()
     with closing(sqlite3.connect(path)) as raw:  # the file keeps WAL and its stamp
         assert raw.execute("PRAGMA journal_mode").fetchone()[0] == "wal"
-        assert raw.execute("PRAGMA user_version").fetchone()[0] == 4
+        assert raw.execute("PRAGMA user_version").fetchone()[0] == 5
 
 
 def test_sqlite_refuses_a_file_of_the_hex_layout(tmp_path):
@@ -346,6 +311,24 @@ def test_sqlite_refuses_a_file_of_the_version_3_layout(tmp_path):
         SqliteMetadataBackend(path)
 
 
+def test_sqlite_refuses_a_file_of_the_version_4_layout(tmp_path):
+    """A version-4 file gives every user a ``NOT NULL`` name, which this
+    build's insert of a user leaves out: it is refused on open, not served."""
+    from repro.metadata import SqliteMetadataBackend
+
+    path = str(tmp_path / "v4.db")
+    old = sqlite3.connect(path)
+    old.executescript(
+        "CREATE TABLE users (user_id TEXT PRIMARY KEY, name TEXT NOT NULL);"
+        "CREATE TABLE devices (user_id TEXT NOT NULL, device_id TEXT NOT NULL,"
+        " name TEXT NOT NULL, PRIMARY KEY (user_id, device_id));"
+        "PRAGMA user_version = 4;"
+    )
+    old.close()
+    with pytest.raises(MetadataError, match="schema version 4"):
+        SqliteMetadataBackend(path)
+
+
 def commit_load(rng):
     """The commit workloads' shape: 16 workspaces, and a maker of the version
     of one of their items that declares one 512 KiB chunk."""
@@ -428,10 +411,9 @@ def test_sqlite_stores_an_items_record_whole():
             dataclasses.replace(item(item_id=item_id, chunks=chunks), checksum=checksum)
             for item_id, (checksum, chunks) in digests.items()
         ]
-        for proposal in stored:
-            backend.store_new_object(proposal)
+        commit(backend, *stored)
         deleted = item(version=2, status=STATUS_DELETED, chunks=())
-        backend.store_new_version(deleted)
+        commit(backend, deleted)
         stored[0] = deleted
         rows = backend._conn.execute(
             "SELECT i.item_id, v.record FROM items i JOIN versions v ON v.item = i.id"
@@ -439,7 +421,7 @@ def test_sqlite_stores_an_items_record_whole():
             " ORDER BY i.item_id"
         ).fetchall()
         assert rows == [(m.item_id, m.record) for m in stored]
-        assert [backend.get_current(m.item_id) for m in stored] == stored
+        assert [backend.item_history(m.item_id)[-1] for m in stored] == stored
 
 
 def test_memory_stores_an_update_in_under_128_bytes():
@@ -455,13 +437,13 @@ def test_memory_stores_an_update_in_under_128_bytes():
         for workspace in workspaces:
             backend.create_workspace(Workspace(workspace_id=workspace, owner="alice"))
             for index in range(512):
-                backend.store_new_object(proposal(workspace, index, 1))
+                commit(backend, proposal(workspace, index, 1))
         gc.collect()
         before = tracemalloc.get_traced_memory()[0]
         for version in range(2, 10):
             for workspace in workspaces:
                 for index in range(512):
-                    backend.store_new_version(proposal(workspace, index, version))
+                    commit(backend, proposal(workspace, index, version))
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -474,8 +456,8 @@ def test_digests_of_any_one_width_round_trip(metadata_backend):
     """SHA-256 chunk lists (32-byte digests) come back as stored, not cut at 20."""
     setup_workspace(metadata_backend)
     sha256 = (b"\x01" * 32, b"\x02" * 32)
-    metadata_backend.store_new_object(item(version=1, chunks=sha256))
-    metadata_backend.store_new_version(item(version=2, status=STATUS_CHANGED, chunks=()))
+    commit(metadata_backend, item(version=1, chunks=sha256))
+    commit(metadata_backend, item(version=2, status=STATUS_CHANGED, chunks=()))
     first, second = metadata_backend.item_history("ws1:a.txt")
     assert (first.chunks, first.checksum) == (sha256, b"\xcc" * 20)
     assert second.chunks == ()
@@ -486,14 +468,14 @@ def test_chunks_of_mixed_widths_are_refused(metadata_backend):
     holds its digests in one blob of one width), so no engine is handed any
     of a bundle that would hold one."""
     setup_workspace(metadata_backend)
-    metadata_backend.store_new_object(item(version=1))
+    commit(metadata_backend, item(version=1))
     with pytest.raises(ValueError, match="one non-zero width"):
         metadata_backend.store_versions_bulk([
             item(version=2, status=STATUS_CHANGED),
             item(version=1, item_id="ws1:b.txt", chunks=(b"\x01" * 20, b"\x02" * 32)),
         ])
-    assert metadata_backend.get_current("ws1:a.txt").version == 1
-    assert metadata_backend.get_current("ws1:b.txt") is None
+    assert metadata_backend.item_history("ws1:a.txt")[-1].version == 1
+    assert metadata_backend.item_history("ws1:b.txt") == []
     assert metadata_backend.counts()["versions"] == 1
 
 

@@ -38,7 +38,7 @@ def test_bulk_commits_whole_bundle(backend):
 
 
 def test_bulk_conflict_is_isolated_per_item(backend):
-    backend.store_new_object(item("a.txt", 1))
+    backend.store_versions_bulk([item("a.txt", 1)])
     # a.txt v1 again conflicts; its siblings must still commit.
     outcomes = backend.store_versions_bulk(
         [item("b.txt", 1), item("a.txt", 1, device="dev-2"), item("c.txt", 1)]
@@ -59,13 +59,11 @@ def test_bulk_sees_earlier_items_of_same_bundle(backend):
         [item("a.txt", 1), item("a.txt", 2, status=STATUS_CHANGED)]
     )
     assert outcomes == [(True, None)] * 2
-    assert backend.get_current("ws:a.txt").version == 2
+    assert backend.item_history("ws:a.txt")[-1].version == 2
 
 
 def test_bulk_stale_update_reports_winner(backend):
-    backend.store_new_object(item("a.txt", 1))
-    v2 = item("a.txt", 2, status=STATUS_CHANGED)
-    backend.store_new_version(v2)
+    backend.store_versions_bulk([item("a.txt", 1), item("a.txt", 2, status=STATUS_CHANGED)])
     # A proposal based on v1 (proposing v2) lost to the committed v2.
     committed, current = backend.store_versions_bulk(
         [item("a.txt", 2, status=STATUS_CHANGED, device="dev-9")]
@@ -81,5 +79,5 @@ def test_bulk_version_for_unknown_item_conflicts_with_no_winner(backend):
     )[0]
     assert not committed
     assert current is None
-    assert backend.get_current("ws:ghost.txt") is None
+    assert backend.item_history("ws:ghost.txt") == []
 

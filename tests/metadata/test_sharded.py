@@ -68,20 +68,18 @@ def test_router_engine_count_mismatch_rejected():
 def test_workspace_rows_live_on_exactly_one_shard():
     backend, ids = seeded_backend()
     for workspace_id in ids:
-        backend.store_new_object(make_item(workspace_id, "a.txt"))
+        backend.store_versions_bulk([make_item(workspace_id, "a.txt")])
     for workspace_id in ids:
         owner = backend.shard_for_workspace(workspace_id)
         for shard, engine in enumerate(backend.engines):
             assert engine.workspace_exists(workspace_id) == (shard == owner)
 
 
-def test_users_and_devices_broadcast_to_every_shard():
+def test_users_broadcast_to_every_shard():
     backend, _ids = seeded_backend()
-    backend.register_device("u1", "dev-a", "laptop")
     for engine in backend.engines:
         assert engine.counts()["users"] == 1
-        assert engine.devices_for("u1") == ["dev-a"]
-    # Aggregate counts must not multiply the replicated tables.
+    # Aggregate counts must not multiply the replicated table.
     assert backend.counts()["users"] == 1
 
 
@@ -114,20 +112,20 @@ def test_different_workspaces_commit_on_independent_engines():
     with engine_a._lock:  # noqa: SLF001 - deliberately pinning the shard lock
         worker = threading.Thread(
             target=lambda: (
-                backend.store_new_object(make_item(ws_b, "free.txt")),
+                backend.store_versions_bulk([make_item(ws_b, "free.txt")]),
                 done.set(),
             )
         )
         worker.start()
         assert done.wait(5.0), "commit to an unrelated shard blocked"
         worker.join()
-    assert backend.get_current(f"{ws_b}:free.txt") is not None
+    assert backend.item_history(f"{ws_b}:free.txt") != []
 
 
 def test_bulk_outcomes_preserve_input_order_across_shards():
     backend, ids = seeded_backend()
     ws_a, ws_b = find_workspaces_on_distinct_shards(backend, ids)
-    backend.store_new_object(make_item(ws_a, "old.txt", version=1))
+    backend.store_versions_bulk([make_item(ws_a, "old.txt", version=1)])
     proposals = [
         make_item(ws_b, "b1.txt", version=1),   # commits on shard B
         make_item(ws_a, "old.txt", version=1),  # conflicts on shard A
@@ -152,18 +150,16 @@ def test_an_item_routes_by_its_id_alone():
         backend.create_workspace(Workspace(workspace_id="team:0", owner="alice"))
     backend.create_workspace(Workspace(workspace_id="team", owner="alice"))
     item = make_item("team", "0:a.txt")
-    backend.store_new_object(item)
+    assert backend.store_versions_bulk([item]) == [(True, None)]
     assert item.item_id == "team:0:a.txt"
-    assert backend.get_current("team:0:a.txt") == item
     assert backend.item_history("team:0:a.txt") == [item]
-    assert backend.get_current("missing-everywhere") is None
     assert backend.item_history("missing-everywhere") == []
 
 
 def test_counts_sum_partitioned_tables():
     backend, ids = seeded_backend()
     for workspace_id in ids:
-        backend.store_new_object(make_item(workspace_id, "f.txt"))
+        backend.store_versions_bulk([make_item(workspace_id, "f.txt")])
     totals = backend.counts()
     assert totals["workspaces"] == len(ids)
     assert totals["items"] == len(ids)

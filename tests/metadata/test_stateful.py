@@ -19,7 +19,6 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.errors import TransactionAborted
 from repro.metadata import MemoryMetadataBackend, SqliteMetadataBackend
 from repro.sync.models import (
     STATUS_CHANGED,
@@ -69,10 +68,9 @@ def proposal(
 class MetadataMachine(RuleBasedStateMachine):
     """Engine under test vs reference model (dict of lists).
 
-    A proposal reaches the engine one of three ways — a bundle of one, or
-    either singular call — and all three must agree with Algorithm 1 as
-    the model states it: the proposal wins iff its version is
-    ``current + 1``.  Subclasses pick the engine.
+    A proposal reaches the engine as the service sends it, in a bundle, and
+    must agree with Algorithm 1 as the model states it: the proposal wins
+    iff its version is ``current + 1``.  Subclasses pick the engine.
     """
 
     kind = "sqlite"
@@ -100,34 +98,22 @@ class MetadataMachine(RuleBasedStateMachine):
         item=st.sampled_from(ITEMS),
         version_offset=st.integers(min_value=0, max_value=2),  # only 1 is legal
         status=st.sampled_from(STATUSES),
-        via=st.sampled_from(["bulk", "store_new_object", "store_new_version"]),
         shape=SHAPES,
     )
-    def propose(self, item, version_offset, status, via, shape):
+    def propose(self, item, version_offset, status, shape):
         version = len(self.model.get(item, [])) + version_offset
         if version < 1:  # not a constructible ItemMetadata
             return
         self.marker += 1
         meta = proposal(item, version, status, self.marker, shape)
         wins = version_offset == 1
-        if via == "bulk":
-            ((committed, current),) = self.engine.store_versions_bulk([meta])
-            assert committed == wins
-            if wins:
-                assert current is None
-            else:
-                self._check_loser(meta, current)
-        else:
-            # The singular calls are the bundle of one behind a guard on
-            # which of the two a version may go through.
-            wins = wins and (meta.version == 1) == (via == "store_new_object")
-            try:
-                getattr(self.engine, via)(meta)
-                assert wins
-            except TransactionAborted:
-                assert not wins
+        ((committed, current),) = self.engine.store_versions_bulk([meta])
+        assert committed == wins
         if wins:
+            assert current is None
             self.model.setdefault(item, []).append(meta)
+        else:
+            self._check_loser(meta, current)
 
     @rule(
         steps=st.lists(
@@ -161,11 +147,11 @@ class MetadataMachine(RuleBasedStateMachine):
     @invariant()
     def current_versions_match(self):
         for item in ITEMS:
-            current = self.engine.get_current(item)
+            history = self.engine.item_history(item)
             if item not in self.model:
-                assert current is None
+                assert history == []
             else:
-                assert current == self.model[item][-1]
+                assert history[-1] == self.model[item][-1]
 
     @invariant()
     def histories_match(self):
@@ -203,27 +189,12 @@ class EngineEquivalenceMachine(RuleBasedStateMachine):
         for engine in self.engines:
             engine.close()
 
-    def _both(self, operation):
-        outcomes = []
-        for engine in self.engines:
-            try:
-                operation(engine)
-                outcomes.append("ok")
-            except TransactionAborted:
-                outcomes.append("abort")
-        assert outcomes[0] == outcomes[1]
-
-    @rule(item=st.sampled_from(ITEMS))
-    def new_object(self, item):
-        self.marker += 1
-        meta = proposal(item, 1, STATUS_CHANGED, self.marker)
-        self._both(lambda e: e.store_new_object(meta))
-
     @rule(item=st.sampled_from(ITEMS), version=st.integers(min_value=1, max_value=6))
-    def new_version(self, item, version):
+    def propose(self, item, version):
         self.marker += 1
         meta = proposal(item, version, STATUS_CHANGED, self.marker)
-        self._both(lambda e: e.store_new_version(meta))
+        mem, sql = (engine.store_versions_bulk([meta]) for engine in self.engines)
+        assert mem == sql
 
     @invariant()
     def states_identical(self):

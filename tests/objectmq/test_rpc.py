@@ -314,6 +314,7 @@ def test_multicast_after_restart_dropped_its_fanout_is_noop(rig):
     assert proxy.broadcast("before") == 0
     mom.restart()  # drops every exchange, the declared fanout too
     assert proxy.broadcast("after") == 0
+    assert proxy.who() == []
 
 
 def test_new_instance_joins_multicast_group(rig):

@@ -511,8 +511,7 @@ def test_any_item_and_notification_round_trips(dto):
         try:
             engine.create_user("alice")
             engine.create_workspace(Workspace(workspace_id="ws", owner="alice"))
-            engine.store_new_object(older)
-            engine.store_new_version(newer)
+            assert engine.store_versions_bulk([older, newer]) == [(True, None)] * 2
             assert engine.item_history(older.item_id) == [older, newer], kind
         finally:
             engine.close()
@@ -599,7 +598,7 @@ def test_decoded_commit_request_notifies_at_the_pinned_size():
     metadata, fanout = MemoryMetadataBackend(), _Fanout()
     metadata.create_user("alice")
     metadata.create_workspace(Workspace(workspace_id=WORKSPACE, owner="alice"))
-    metadata.store_new_object(dataclasses.replace(proposal(0), version=1, status="NEW"))
+    metadata.store_versions_bulk([dataclasses.replace(proposal(0), version=1, status="NEW")])
     codec, service = PickleSerializer(), SyncService(metadata, fanout)
     for version in (2, 3):  # the second decode finds the ids interned already
         item = dataclasses.replace(proposal(0), version=version)

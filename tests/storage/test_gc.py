@@ -46,10 +46,7 @@ def commit(metadata, item_id, version, chunks, status="NEW"):
         chunks=[hashlib.sha1(label.encode()).digest() for label in chunks],
         device_id="d",
     )
-    if version == 1:
-        metadata.store_new_object(meta)
-    else:
-        metadata.store_new_version(meta)
+    assert metadata.store_versions_bulk([meta]) == [(True, None)]
 
 
 def test_live_chunks_survive(world):

@@ -15,8 +15,8 @@ from repro.sync.models import CommitNotification, CommitResult, ItemMetadata
 
 @pytest.mark.parametrize("user", ["bob", "ghost"], ids=["no-access", "unknown-user"])
 def test_start_without_the_workspace_raises_sync_error(testbed, user):
-    """``register_device`` is a cast, so nothing waits on its failure for
-    an unknown user; ``get_workspaces`` returning nothing stops ``start``."""
+    """A user without the workspace, known or not, gets no such workspace
+    from ``get_workspaces``, and that stops ``start`` before ``get_changes``."""
     if user == "bob":
         testbed.metadata.create_user("bob")
     client = StackSyncClient(user, testbed.workspaces["alice"], testbed.mom, testbed.storage)

@@ -45,7 +45,7 @@ def test_redelivered_commit_succeeds_on_surviving_instance():
     queue = mom.declare_queue(SYNC_SERVICE_OID, durable=True)
     assert wait_for(lambda: queue.unacked_count == 1)
     assert client.applied_at(meta.item_id, meta.version) is None
-    assert metadata.get_current(meta.item_id) is None
+    assert metadata.item_history(meta.item_id) == []
 
     # A survivor joins the pool; tearing down the crashed instance's
     # consumer requeues the commit at the head with redelivered=True.
@@ -57,7 +57,7 @@ def test_redelivered_commit_succeeds_on_surviving_instance():
 
     assert client.wait_for_version(meta.item_id, meta.version, timeout=10)
     assert queue.redelivered_count >= 1
-    assert metadata.get_current(meta.item_id).version == 1
+    assert metadata.item_history(meta.item_id)[-1].version == 1
     assert client.fs.read("crash.txt") == b"at least once"
 
     client.stop()

@@ -73,7 +73,7 @@ def wait_for(predicate, timeout=2.0):
 def test_commit_new_object_confirmed(rig):
     metadata, service, sink = rig
     service.commit_request("ws", "dev-1", [proposal()])
-    assert metadata.get_current("ws:a.txt").version == 1
+    assert metadata.item_history("ws:a.txt")[-1].version == 1
     assert wait_for(lambda: len(sink.notifications) == 1)
     notification = sink.notifications[0]
     assert notification.results[0].confirmed
@@ -84,7 +84,7 @@ def test_commit_successor_version_confirmed(rig):
     metadata, service, sink = rig
     service.commit_request("ws", "dev-1", [proposal(1)])
     service.commit_request("ws", "dev-1", [proposal(2, STATUS_CHANGED)])
-    assert metadata.get_current("ws:a.txt").version == 2
+    assert metadata.item_history("ws:a.txt")[-1].version == 2
     assert wait_for(lambda: len(sink.notifications) == 2)
 
 
@@ -101,7 +101,7 @@ def test_stale_version_conflicts_with_piggybacked_current(rig):
     assert conflict.current.version == 2
     assert conflict.current.chunks == (b"\xf2" * 20,)  # losing client can reconstruct
     # First-writer-wins: the metadata back-end was never rolled back.
-    assert metadata.get_current("ws:a.txt").version == 2
+    assert metadata.item_history("ws:a.txt")[-1].version == 2
     assert service.conflict_count == 1
 
 
@@ -134,7 +134,7 @@ def test_delete_version_recorded(rig):
     metadata, service, sink = rig
     service.commit_request("ws", "dev-1", [proposal(1)])
     service.commit_request("ws", "dev-1", [proposal(2, STATUS_DELETED, chunks=[])])
-    assert metadata.get_current("ws:a.txt").status == STATUS_DELETED
+    assert metadata.item_history("ws:a.txt")[-1].status == STATUS_DELETED
     assert metadata.get_workspace_state("ws") == []
 
 
@@ -162,7 +162,7 @@ def test_unknown_workspace_stores_and_notifies_nothing(kind, items):
     try:
         with pytest.raises(UnknownWorkspace):
             service.commit_request("ghost", "dev-1", bundle)
-        assert all(metadata.get_current(item.item_id) is None for item in bundle)
+        assert all(metadata.item_history(item.item_id) == [] for item in bundle)
         assert service.commit_count == 0
         time.sleep(0.05)
         assert sink.notifications == []
@@ -206,7 +206,7 @@ def test_bundle_commits_successive_versions_of_one_item(rig):
     )
     assert wait_for(lambda: len(sink.notifications) == 1)
     assert [r.confirmed for r in sink.notifications[0].results] == [True, True]
-    assert metadata.get_current("ws:a.txt").version == 2
+    assert metadata.item_history("ws:a.txt")[-1].version == 2
 
 
 def test_bundle_conflict_piggybacks_winner_to_loser(rig):

@@ -27,7 +27,6 @@ def test_layer_base_classes():
     assert issubclass(errors.RemoteTimeout, errors.ObjectMqError)
     assert issubclass(errors.CommitConflict, errors.SyncError)
     assert issubclass(errors.ObjectNotFound, errors.StorageError)
-    assert issubclass(errors.TransactionAborted, errors.MetadataError)
     assert issubclass(errors.AuthenticationError, errors.AuthError)
     assert issubclass(errors.AuthorizationError, errors.AuthError)
     assert issubclass(errors.NoCapacityModel, errors.ProvisioningError)
