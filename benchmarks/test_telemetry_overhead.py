@@ -14,7 +14,10 @@ Two guarantees back the "zero-cost when disabled" claim:
    deletion's empty chunk list is an empty tuple, one byte shorter; 48,434 B
    since envelopes and confirmed results travel by position and a
    single-chunk file's checksum is sent once; 48,186 B since an item's
-   layout has no slot for its id, which the model derives).
+   layout has no slot for its id, which the model derives; 39,878 B since
+   a body of one frame goes without its frame header, a request names its
+   method by its index in a table, and a keyword argument that fills a
+   position travels by position).
 2. **Time overhead < 2 %** — the disabled path adds one attribute check
    per instrumentation site.  Wall-clock A/B runs of the replay are too
    noisy at smoke scale, so the bound is asserted by projection: measure
@@ -39,7 +42,7 @@ from repro.workload import TraceGenerator
 #: off.  Ops and storage: captured on the seed tree before any telemetry
 #: code existed.  Control: this wire format (see the module docstring).
 PINNED_OPS = 124
-PINNED_CONTROL_BYTES = 48186
+PINNED_CONTROL_BYTES = 39878
 PINNED_STORAGE_BYTES = 52006508
 
 #: Instrumentation sites a single replayed op can cross (bench, client,

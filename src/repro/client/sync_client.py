@@ -40,7 +40,7 @@ from repro.client.watcher import (
     FileEvent,
     PollingWatcher,
 )
-from repro.errors import ObjectNotFound, SyncError
+from repro.errors import SyncError
 from repro.objectmq.broker import Broker
 from repro.storage.object_store import SwiftLikeStore
 from repro.telemetry.registry import REGISTRY

@@ -29,8 +29,9 @@ Example, mirroring Fig 6 of the paper::
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Type
+from dataclasses import dataclass, replace
+from itertools import islice, takewhile
+from typing import Callable, Dict, Optional, Tuple, Type
 
 from repro.errors import NotARemoteInterface
 
@@ -55,6 +56,9 @@ class CallSpec:
     #: For sync multicasts: return as soon as this many replies arrived
     #: (None = collect from every bound instance until the timeout).
     quorum: Optional[int] = None
+    #: The method's leading positional-or-keyword parameters, set by
+    #: :func:`remote_interface`: keyword arguments that fill them go by position.
+    params: Tuple[str, ...] = ()
 
     @property
     def expects_reply(self) -> bool:
@@ -160,7 +164,9 @@ def remote_interface(cls: Type) -> Type:
                 f"{cls.__name__}.{name} lacks an invocation decorator "
                 "(@async_method / @sync_method / @multi_method)"
             )
-        specs[name] = spec
+        parameters = islice(inspect.signature(member).parameters.values(), 1, None)
+        positional = takewhile(lambda p: p.kind is p.POSITIONAL_OR_KEYWORD, parameters)
+        specs[name] = replace(spec, params=tuple(p.name for p in positional))
     setattr(cls, _IFACE_ATTR, specs)
     return cls
 

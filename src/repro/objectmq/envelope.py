@@ -21,13 +21,15 @@ those two codecs' bytes do not change)::
     request:  (method, args, kwargs?, reply_to?, correlation_id?, context?, trace?)
     reply:    (correlation_id, result, error?, responder?, reached?)
 
-A request field that is absent or None is sent as None and rebuilt as
-absent, and trailing ones are left off.  A reply's ``error``,
-``responder`` and ``reached`` travel only when set, and ``ok`` never does;
-``reached`` is a key of a multicast reply only, so a unicast reply's bytes
-are the same in every codec.  A key outside
-the schema has no position, so pickle refuses to encode it.  Codes 246 and
-247 are wire format (see :class:`~repro.serialization.base.WireRegistry`).
+A method of :data:`METHODS` is sent as its index there, any other as its
+name.  A request field that is absent or None is sent as None and rebuilt as
+absent, and trailing ones are left off.  A reply's ``error``, ``responder``
+and ``reached`` travel only when set, and ``ok`` never does; ``reached`` is
+a key of a multicast reply only, so a unicast reply's bytes are the same in
+every codec.  A key outside the schema has no position, so pickle refuses to
+encode it.  Codes 251 and 247 are wire format (see
+:class:`~repro.serialization.base.WireRegistry`); 246, a request layout that
+spelled the method out, is retired.
 """
 
 from __future__ import annotations
@@ -101,6 +103,13 @@ def make_reply(
 
 # -- pickle layouts ------------------------------------------------------------
 
+#: The methods of the shipped remote interfaces; a request names one by its
+#: index here.  Wire format: append a new method, never reorder or remove one.
+METHODS = ("commit_request", "notify_commit", "get_changes", "get_workspaces", "create_workspace",
+           "share_workspace", "ping", "get_object_info", "spawn", "shutdown")
+_METHOD_CODES = {name: code for code, name in enumerate(METHODS)}
+_METHOD_COUNT = len(METHODS)
+
 _REQUEST_KEYS = frozenset(("method", "args", "kwargs", "reply_to", "correlation_id",
                            "context", TRACE_KEY))
 _REPLY_KEYS = frozenset(("correlation_id", "ok", "result", "error", "responder", "reached"))
@@ -113,7 +122,8 @@ def pack_request(request: Request) -> tuple:
         raise ValueError(f"request keys {sorted(request.keys() - _REQUEST_KEYS)} "
                          "have no place in its layout")
     get = request.get
-    values = (request["method"], request["args"], get("kwargs"), get("reply_to"),
+    method = request["method"]
+    values = (_METHOD_CODES.get(method, method), request["args"], get("kwargs"), get("reply_to"),
               get("correlation_id"), get("context"), get(TRACE_KEY))
     size = 7
     while size > 2 and values[size - 1] is None:
@@ -123,6 +133,10 @@ def pack_request(request: Request) -> tuple:
 
 def unpack_request(method, args, kwargs=None, reply_to=None, correlation_id=None,
                    context=None, trace=None) -> Request:
+    if type(method) is int and 0 <= method < _METHOD_COUNT:
+        method = METHODS[method]
+    elif type(method) is not str:
+        raise ValueError(f"method code {method!r} is not in the method table")
     request = Request(method=method, args=args)
     if kwargs is not None:
         request["kwargs"] = kwargs
@@ -158,5 +172,5 @@ def unpack_reply(correlation_id, result, error=None, responder="", reached=0) ->
     return make_reply(correlation_id, result, error, responder, reached)
 
 
-global_wire_registry.register(Request, code=246, pack=pack_request, unpack=unpack_request)
+global_wire_registry.register(Request, code=251, pack=pack_request, unpack=unpack_request)
 global_wire_registry.register(Reply, code=247, pack=pack_reply, unpack=unpack_reply)

@@ -137,8 +137,14 @@ class Proxy:
         else:
             invoke, kind = self._invoke_async, "cast"
         span_name = f"proxy.{kind}:{method_name}"
+        params = spec.params
 
         def call(*args: Any, **kwargs: Any) -> Any:
+            if kwargs:  # send the keyword arguments that fill positions as args
+                for name in params[len(args):]:
+                    if name not in kwargs:
+                        break
+                    args += (kwargs.pop(name),)
             if TRACER.enabled:  # else no span and no context manager at all
                 with TRACER.span(span_name, layer="proxy"):
                     return invoke(method_name, spec, args, kwargs)

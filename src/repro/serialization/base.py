@@ -27,6 +27,9 @@ from typing import Any, Callable, Dict, Optional, Protocol, Tuple, Type
 
 from repro.errors import SerializationError
 
+#: The tag of a plain dict escaped because it holds ``__wire__``; reserved.
+_ESCAPE = "dict"
+
 
 class Serializer(Protocol):
     """Encode/decode protocol implemented by all codecs."""
@@ -88,6 +91,8 @@ class WireRegistry:
         pack: Optional[Callable[[Any], tuple]] = None,
         unpack: Optional[Callable[..., Any]] = None,
     ) -> None:
+        if tag == _ESCAPE:
+            raise ValueError(f"wire tag {tag!r} is reserved")
         if tag is not None:
             self._by_type[cls] = (tag, to_wire)
             self._by_tag[tag] = from_wire
@@ -110,7 +115,8 @@ class WireRegistry:
             payload["__wire__"] = tag
             return payload
         if isinstance(obj, dict):
-            return {key: self.lower(value) for key, value in obj.items()}
+            lowered = {key: self.lower(value) for key, value in obj.items()}
+            return {"__wire__": _ESCAPE, _ESCAPE: lowered} if "__wire__" in obj else lowered
         if isinstance(obj, (list, tuple)):
             return [self.lower(item) for item in obj]
         return obj
@@ -125,6 +131,8 @@ class WireRegistry:
         if isinstance(obj, dict):
             tag = obj.get("__wire__")
             if isinstance(tag, str):
+                if tag == _ESCAPE:
+                    return {key: self.raise_(value) for key, value in obj[_ESCAPE].items()}
                 from_wire = self._by_tag.get(tag)
                 if from_wire is None:
                     raise SerializationError(f"unknown wire tag {tag!r}")

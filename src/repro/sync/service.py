@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # avoid a circular import: metadata.base imports sync.models
 from repro.objectmq.introspection import HasObjectInfo
 from repro.sync.interface import RemoteWorkspaceApi, workspace_oid
 from repro.sync.models import (
-    STATUS_NEW,
     CommitNotification,
     CommitResult,
     ItemMetadata,

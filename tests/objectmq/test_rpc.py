@@ -111,6 +111,57 @@ def test_hello_world_round_trip(rig):
     assert proxy.add(a=10, b=-4) == 6
 
 
+@remote_interface
+class ScaleApi(Remote):
+    @sync_method(timeout=2.0, retry=0)
+    def scale(self, value, factor=2, offset=0, *extra, unit=""):
+        ...
+
+
+class Scale:
+    def scale(self, value, factor=2, offset=0, *extra, unit=""):
+        return value * factor + offset + sum(extra), unit
+
+
+class _Recorded:
+    """A codec that keeps every envelope it decodes."""
+
+    def __init__(self, codec):
+        self.codec, self.decoded = codec, []
+
+    def encode(self, obj):
+        return self.codec.encode(obj)
+
+    def decode(self, data):
+        envelope = self.codec.decode(data)
+        self.decoded.append(envelope)
+        return envelope
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, sent_args, sent_kwargs",
+    [
+        ((), {"value": 3, "factor": 4}, [3, 4], None),
+        ((3,), {"offset": 1, "factor": 4}, [3, 4, 1], None),
+        ((3,), {"offset": 1}, [3], {"offset": 1}),  # a gap: factor is left out
+        ((3, 4, 1), {"unit": "m"}, [3, 4, 1], {"unit": "m"}),  # keyword-only
+        ((3,), {}, [3], None),
+    ],
+    ids=["all-keyword", "fills-in-order", "gap", "keyword-only", "positional"],
+)
+def test_keyword_arguments_that_fill_positions_travel_as_args(
+    rig, args, kwargs, sent_args, sent_kwargs
+):
+    _mom, server, client = rig
+    server.codec = _Recorded(server.codec)
+    server.bind("scale", Scale())
+    proxy = client.lookup("scale", ScaleApi)
+    assert proxy.scale(*args, **dict(kwargs)) == Scale().scale(*args, **kwargs)
+    (envelope,) = server.codec.decoded
+    assert envelope["args"] == sent_args
+    assert envelope.get("kwargs") == sent_kwargs
+
+
 def test_async_invocation_fire_and_forget(rig):
     _mom, server, client = rig
     calc = Calculator()

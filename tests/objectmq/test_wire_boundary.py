@@ -159,6 +159,29 @@ def test_refused_body_is_acked_dropped_and_the_next_request_served(rig, body):
     assert proxy.total() == 3
 
 
+class _Watched(Counter):
+    """A counter that records every attribute looked up on it."""
+
+    looked_up: list = []
+
+    def __getattribute__(self, name):
+        _Watched.looked_up.append(name)
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize("name", [name for name in CRAFTED if name.startswith("method-code")])
+def test_a_method_code_outside_the_table_reaches_no_attribute(rig, name):
+    mom, server, client = rig
+    skeleton = server.bind("counter", _Watched())
+    _Watched.looked_up.clear()
+    mom.publish("", "counter", Message(CRAFTED[name][0]))
+    assert wait_for(lambda: mom.queue_stats("counter")["acked"] == 1)
+    assert _Watched.looked_up == [] and skeleton.object_info.snapshot().errors == 1
+    client.lookup("counter", CounterApi).add(3)
+    assert wait_for(lambda: mom.queue_stats("counter")["acked"] == 2)
+    assert "add" in _Watched.looked_up
+
+
 def test_a_method_name_starting_with_underscore_is_refused(rig):
     """A peer names the method to run; a crafted ``__setattr__`` must not
     reach the bound object, by unicast or by multicast."""

@@ -42,6 +42,10 @@ SAMPLES = [
     [1, 2, 3],
     {"a": 1, "b": [True, None, "x"]},
     {"nested": {"deep": {"bytes": b"\xde\xad"}}},
+    # Plain data holding the wire tag key: json and binary escape it.
+    {"__wire__": ""},
+    {"__wire__": "x", "a": 1},
+    {"__wire__": "dict", "dict": [{"__wire__": "stacksync.Workspace"}]},
 ]
 
 

@@ -11,17 +11,22 @@ from __future__ import annotations
 import copy
 import copyreg
 import dataclasses
+import importlib
 import io
 import pickle
+import pkgutil
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro
 from repro.client.fingerprint import sha1_fingerprint, sha256_fingerprint
 from repro.errors import SerializationError
 from repro.metadata import MemoryMetadataBackend
+from repro.objectmq import interface_specs, is_remote_interface
 from repro.objectmq.envelope import (
+    METHODS,
     Reply,
     Request,
     make_reply,
@@ -33,6 +38,7 @@ from repro.serialization import (
     BinarySerializer,
     JsonSerializer,
     PickleSerializer,
+    WireRegistry,
     global_wire_registry,
 )
 from repro.sync import SyncService
@@ -100,7 +106,7 @@ DTOS = [
 
 
 @pytest.mark.parametrize(
-    "items, request_budget, notify_budget", [(1, 235, 215), (8, 965, 945)],
+    "items, request_budget, notify_budget", [(1, 205, 190), (8, 930, 910)],
     ids=["1-item", "8-items"],  # not the budgets: they fall, the test stays
 )
 def test_pickle_wire_budget(items, request_budget, notify_budget):
@@ -140,17 +146,18 @@ def test_envelopes_and_confirmed_results_travel_by_position():
     codec, layout = PickleSerializer(), copyreg.dispatch_table
     call = make_request("get_changes", ["ws"], {}, call="sync", multi=False,
                         reply_to="response.abc", correlation_id="c1")
-    assert layout[Request](call) == (unpack_request, ("get_changes", ["ws"], None,
+    assert layout[Request](call) == (unpack_request, (2, ["ws"], None,
                                                       "response.abc", "c1"))
     assert layout[Request](commit_request([]))[1] == (
-        "commit_request", [WORKSPACE, DEVICE, []], {"request_id": REQUEST_ID}
+        0, [WORKSPACE, DEVICE, []], {"request_id": REQUEST_ID}
     )
     assert layout[Reply](make_reply("c1", result=7)) == (unpack_reply, ("c1", 7))
     assert layout[Reply](make_reply("c1", error="E: x"))[1] == ("c1", None, "E: x")
-    for envelope, code in ((call, 246), (make_reply("c1", result=7), 247)):
+    for envelope, code in ((call, 251), (make_reply("c1", result=7), 247)):
         body = codec.encode(envelope)
-        assert bytes((pickle.EXT1[0], code)) in body
-        assert not re.search(rb"method|args|reply_to|correlation_id|ok|result|error", body)
+        assert body.startswith(pickle.EXT1 + bytes([code]))  # unframed: no PROTO, no FRAME
+        assert not re.search(rb"get_changes|method|args|reply_to|correlation_id|ok|result|error",
+                             body)
     conflict = CommitResult(proposal(1), False, current=proposal(2))
     notification = dataclasses.replace(
         notify_commit([proposal(0)])["args"][0],
@@ -188,10 +195,10 @@ def test_class_codes_are_pinned():
 
     A packed layout's code names its unpack function; 241 and 243 (the
     unpacked ``ItemMetadata`` / ``CommitNotification`` layouts), 244 and 245
-    (their first packed layouts) and 248 (an item layout with an id slot) are
-    retired for good.
+    (their first packed layouts), 246 (a request layout that spelled its method
+    out) and 248 (an item layout with an id slot) are retired for good.
     """
-    expected = {Workspace: 240, CommitResult: 242, unpack_request: 246,
+    expected = {Workspace: 240, CommitResult: 242, unpack_request: 251,
                 unpack_reply: 247, unpack_notification: 249, unpack_item: 250}
     for admitted, code in expected.items():
         key = (admitted.__module__, admitted.__qualname__)
@@ -202,7 +209,41 @@ def test_class_codes_are_pinned():
         assert cls in copyreg.dispatch_table
     assert len(global_wire_registry.pickle_classes) == 10
     ours = {code for code in copyreg._inverted_registry if 240 <= code <= 255}
-    assert ours == {240, 242, 246, 247, 249, 250}
+    assert ours == {240, 242, 247, 249, 250, 251}
+
+
+def test_method_codes_are_pinned():
+    """A method code is wire format like a class code: the table only grows."""
+    assert METHODS == (
+        "commit_request", "notify_commit", "get_changes", "get_workspaces",
+        "create_workspace", "share_workspace", "ping", "get_object_info", "spawn", "shutdown",
+    )
+    for code, name in enumerate(METHODS):
+        request = make_request(name, [], {}, call="async", multi=False)
+        assert copyreg.dispatch_table[Request](request)[1] == (code, [])
+        assert unpack_request(code, []) == request
+    outside = make_request("total", [1], {}, call="async", multi=False)
+    assert copyreg.dispatch_table[Request](outside)[1] == ("total", [1])
+    assert PickleSerializer().decode(PickleSerializer().encode(outside)) == outside
+
+
+def _shipped_remote_interfaces():
+    """Every ``@remote_interface`` class defined in the ``repro`` package."""
+    found = set()
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        for value in vars(importlib.import_module(module.name)).values():
+            if (isinstance(value, type) and is_remote_interface(value)
+                    and value.__module__.startswith("repro.")):
+                found.add(value)
+    return found
+
+
+def test_every_method_of_every_shipped_interface_has_a_code():
+    interfaces = _shipped_remote_interfaces()
+    assert {cls.__name__ for cls in interfaces} >= {
+        "SyncServiceApi", "RemoteWorkspaceApi", "RemoteBrokerApi"}
+    for cls in interfaces:
+        assert set(interface_specs(cls)) <= set(METHODS), cls.__name__
 
 
 @pytest.mark.parametrize("dto", DTOS, ids=lambda d: type(d).__name__)
@@ -219,6 +260,29 @@ def test_dto_copy_and_replace_still_work(dto):
 def test_registered_dto_round_trips_through_the_allow_list(dto):
     codec = PickleSerializer()
     assert codec.decode(codec.encode(dto)) == dto
+
+
+def test_a_body_of_one_frame_travels_unframed():
+    """``PROTO 5`` + ``FRAME n`` are cut off a body that one frame spans, and
+    a body framed as pickle writes it (what older peers send) still decodes."""
+    codec = PickleSerializer()
+    request = commit_request([proposal(0)])
+    framed = pickle.dumps(request, 5)
+    assert framed[:3] == pickle.PROTO + b"\x05" + pickle.FRAME
+    assert codec.encode(request) == framed[11:]
+    assert codec.decode(framed) == codec.decode(framed[11:]) == request
+    assert codec.decode(codec.encode(7)) == 7  # too short for a frame: sent as pickled
+
+
+def test_a_reply_of_several_frames_is_sent_framed_and_decodes():
+    """Past 64 KiB pickle writes several frames; such a body travels as it is."""
+    codec = PickleSerializer()
+    reply = make_reply("c1", result=[proposal(i) for i in range(1000)])
+    body = codec.encode(reply)
+    assert len(body) > 1 << 16 and body[:3] == pickle.PROTO + b"\x05" + pickle.FRAME
+    assert int.from_bytes(body[3:11], "little") < len(body) - 11  # the first of several
+    assert body == pickle.dumps(reply, 5)
+    assert codec.decode(body) == reply
 
 
 def test_body_pickled_by_class_name_still_decodes():
@@ -337,7 +401,7 @@ CRAFTED = {
         _crafted(checksum=None, chunks=b"\x01" * 40), "checksum left out beside 2 chunks"
     ),
     "request-of-8-fields": (
-        _body(246, ("total", [], None, None, None, None, None, "extra")),
+        _body(251, ("total", [], None, None, None, None, None, "extra")),
         "from 2 to 7 positional arguments",
     ),
     "reply-of-6-fields": (_body(247, ("c1", 1, None, "", 2, "extra")), "positional argument"),
@@ -354,9 +418,16 @@ CRAFTED = {
     "retired-code-244": (_recoded(proposal(0), 250, 244), "unregistered extension code 244"),
     "retired-code-245": (_recoded(DTOS[3], 249, 245), "unregistered extension code 245"),
     "retired-code-248": (_recoded(proposal(0), 250, 248), "unregistered extension code 248"),
+    "retired-code-246": (
+        _recoded(commit_request([proposal(0)]), 251, 246), "unregistered extension code 246"
+    ),
+    "method-code-10": (_body(251, (10, [])), "method code 10 is not in the method table"),
+    "method-code--1": (_body(251, (-1, [])), "method code -1 is not in the method table"),
+    "method-code-True": (_body(251, (True, [])), "method code True is not in the method table"),
+    "method-code-1.0": (_body(251, (1.0, [])), "method code 1.0 is not in the method table"),
     "code-nobody-registered": (
-        pickle.PROTO + b"\x05" + pickle.EXT1 + bytes([251]) + b")R.",
-        "unregistered extension code 251",
+        pickle.PROTO + b"\x05" + pickle.EXT1 + bytes([255]) + b")R.",
+        "unregistered extension code 255",
     ),
     "os-system": (
         pickle.dumps({"method": "m", "args": [_Exploit()]}),
@@ -388,11 +459,17 @@ def test_crafted_body_is_refused(name):
 
 def _as_peers_send(tag, cls, wire):
     """``(codec, body)`` for each way a peer sends a *cls* of fields *wire*,
-    besides pickle's packed layouts."""
-    tagged = {"__wire__": tag, **wire}
+    besides pickle's packed layouts.  The json and binary bodies come from a
+    peer registry whose *tag* lowers to *wire* as it stands: a plain dict
+    holding the tag key would be escaped, not sent as a tagged one."""
+    class Peer:
+        pass
+
+    peer = WireRegistry()
+    peer.register(Peer, tag, lambda _obj: wire, None)
     return [(PickleSerializer(), _by_class_name(cls, wire)),
-            (JsonSerializer(), JsonSerializer().encode(tagged)),
-            (BinarySerializer(), BinarySerializer().encode(tagged))]
+            (JsonSerializer(), JsonSerializer(peer).encode(Peer())),
+            (BinarySerializer(), BinarySerializer(peer).encode(Peer()))]
 
 
 def test_an_item_id_that_disagrees_is_refused_on_every_decode_path():
@@ -607,4 +684,4 @@ def test_decoded_commit_request_notifies_at_the_pinned_size():
         notification = fanout.sent[-1]
         assert notification.results[0].confirmed
         sent = make_request("notify_commit", [notification], {}, call="async", multi=True)
-        assert len(codec.encode(sent)) == len(codec.encode(notify_commit([item]))) == 211
+        assert len(codec.encode(sent)) == len(codec.encode(notify_commit([item]))) == 186

@@ -50,6 +50,16 @@ def test_unknown_tag_raises():
         registry.raise_({"__wire__": "nope", "x": 1})
 
 
+def test_a_plain_dict_holding_the_tag_key_is_escaped():
+    registry = make_registry()
+    for plain in ({"__wire__": ""}, {"__wire__": "test.Point", "x": 1, "y": 2}):
+        lowered = registry.lower({"p": plain})
+        assert lowered == {"p": {"__wire__": "dict", "dict": plain}}
+        assert registry.raise_(lowered) == {"p": plain}
+    with pytest.raises(ValueError, match="reserved"):
+        registry.register(Point, "dict", lambda p: {}, lambda d: Point(0, 0))
+
+
 def test_codecs_carry_registered_types():
     registry = make_registry()
     for codec in (JsonSerializer(registry), BinarySerializer(registry)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import pytest
@@ -11,7 +12,9 @@ from repro.metadata import MemoryMetadataBackend
 from repro.mom import MessageBroker
 from repro.objectmq import Broker
 from repro.sync import (
+    SYNC_SERVICE_OID,
     RemoteWorkspaceApi,
+    SyncServiceApi,
     SyncService,
     Workspace,
     workspace_oid,
@@ -219,3 +222,41 @@ def test_bundle_conflict_piggybacks_winner_to_loser(rig):
     assert result.current is not None
     assert result.current.device_id == "dev-1"
     assert service.conflict_count == 1
+
+
+def _commits_through_a_proxy(request_id_by_keyword):
+    """Three ``commit_request`` casts, the last one a conflict: the history
+    and the notifications they leave."""
+    mom = MessageBroker()
+    server, client = Broker(mom), Broker(mom)
+    metadata = MemoryMetadataBackend()
+    metadata.create_user("alice")
+    metadata.create_workspace(Workspace(workspace_id="ws", owner="alice"))
+    sink = NotificationSink()
+    try:
+        server.bind(SYNC_SERVICE_OID, SyncService(metadata, server))
+        server.bind(workspace_oid("ws"), sink)
+        proxy = client.lookup(SYNC_SERVICE_OID, SyncServiceApi)
+        casts = [(proposal(1), "r1"), (proposal(2, STATUS_CHANGED), "r2"),
+                 (proposal(2, STATUS_CHANGED, device="dev-2"), "r3")]
+        for item, request_id in casts:
+            if request_id_by_keyword:
+                proxy.commit_request("ws", item.device_id, [item], request_id=request_id)
+            else:
+                proxy.commit_request("ws", item.device_id, [item], request_id)
+        assert wait_for(lambda: len(sink.notifications) == 3)
+        # The commit time is the one field a rerun may change.
+        return metadata.item_history("ws:a.txt"), [
+            dataclasses.replace(n, committed_at=0.0) for n in sink.notifications]
+    finally:
+        client.close()
+        server.close()
+        mom.close()
+
+
+def test_a_keyword_commit_request_leaves_the_history_a_positional_one_does():
+    history, notifications = _commits_through_a_proxy(request_id_by_keyword=True)
+    assert (history, notifications) == _commits_through_a_proxy(request_id_by_keyword=False)
+    assert [n.request_id for n in notifications] == ["r1", "r2", "r3"]
+    assert [n.results[0].confirmed for n in notifications] == [True, True, False]
+    assert [item.version for item in history] == [1, 2]
