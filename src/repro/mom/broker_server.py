@@ -146,9 +146,12 @@ class MessageBroker:
             return exchange
 
     def bind_queue(self, exchange_name: str, queue_name: str, binding_key: str = "") -> None:
-        exchange = self._get_exchange(exchange_name)
-        self._get_queue(queue_name)  # existence check
         with self._lock:
+            exchange = self._exchanges.get(exchange_name)
+            if exchange is None:
+                raise ExchangeNotFound(f"exchange {exchange_name!r} has not been declared")
+            if queue_name not in self._queues:
+                raise QueueNotFound(f"queue {queue_name!r} has not been declared")
             exchange.bind(queue_name, binding_key)
             self._bound_to.setdefault(queue_name, set()).add(exchange_name)
 

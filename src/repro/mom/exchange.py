@@ -76,17 +76,6 @@ class Exchange:
         """Resolve *routing_key* with ``self._lock`` held (cache miss)."""
         raise NotImplementedError
 
-    def bound_queues(self) -> Set[str]:
-        with self._lock:
-            result: Set[str] = set()
-            for queues in self._bindings.values():
-                result |= queues
-            return result
-
-    def binding_count(self) -> int:
-        with self._lock:
-            return sum(len(queues) for queues in self._bindings.values())
-
     def has_bindings(self) -> bool:
         """Cheap emptiness probe — publishers use it to skip dead fanouts.
 
@@ -95,11 +84,6 @@ class Exchange:
         tolerates racing a concurrent (un)bind.
         """
         return bool(self._bindings)
-
-    def route_cache_size(self) -> int:
-        """Memoized routing-key entries (introspection/tests)."""
-        with self._lock:
-            return len(self._route_cache)
 
 
 class DirectExchange(Exchange):

@@ -41,6 +41,8 @@ class InMemoryMessageStore:
 
     def pending_for(self, queue_name: str) -> List[Message]:
         """Messages published to *queue_name* but never acked, in id order."""
+        if not self._entries:
+            return []  # the usual declare: nothing journaled to scan
         with self._lock:
             items = [
                 (mid, msg)

@@ -46,7 +46,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import DuplicateConsumer
 from repro.mom.message import Delivery, Message
-from repro.telemetry.registry import get_registry
+from repro.telemetry.registry import REGISTRY
 from repro.telemetry.trace import DEQUEUED_AT_KEY, ENQUEUED_AT_KEY, TRACER
 
 logger = logging.getLogger(__name__)
@@ -83,9 +83,9 @@ class Consumer:
     """A registered consumer: a handler plus, if it acks, a worker thread.
 
     An acking consumer's deliveries are executed on a dedicated thread
-    (started by the dispatch pass that hands it its first delivery) so
-    that one slow consumer never blocks the queue's dispatch path or its
-    sibling consumers.  Acking is the responsibility of the subscriber
+    (started, with its mailbox, by the dispatch pass that hands it its
+    first delivery) so that one slow consumer never blocks the queue's
+    dispatch path or its sibling consumers.  Acking is the responsibility of the subscriber
     (normally the ObjectMQ skeleton) via :meth:`MessageQueue.ack_many`.
 
     The mailbox carries single deliveries; the thread, woken by one, takes
@@ -116,12 +116,10 @@ class Consumer:
         self.prefetch = max(1, prefetch)
         self.auto_ack = auto_ack
         self.unacked: Dict[int, Delivery] = {}
-        self._mailbox: Optional["stdlib_queue.SimpleQueue"] = (
-            None if auto_ack else stdlib_queue.SimpleQueue()
-        )
-        # Started by the first delivery: a consumer that never gets a
-        # message (a listener's unicast queue, an instance's private
-        # fanout queue) never costs a thread.
+        # Both made by the first delivery: a consumer that never gets a
+        # message (a listener's unicast queue) never costs a thread or a
+        # mailbox.
+        self._mailbox: Optional["stdlib_queue.SimpleQueue"] = None
         self._thread: Optional[threading.Thread] = None
 
     def handle(self, run: List[Delivery]) -> None:
@@ -189,7 +187,7 @@ class MessageQueue:
         self.dispatch_cycles = 0
         self._source_token: Optional[int] = None
         if not exclusive:
-            self._source_token = get_registry().register_source(
+            self._source_token = REGISTRY.register_source(
                 "mom_queue",
                 self,
                 lambda q: {
@@ -334,11 +332,12 @@ class MessageQueue:
         the default prefetch of 1 this selects only idle consumers, which is
         the transparent load balancing the paper credits the MOM layer
         with.  An acking consumer's delivery goes to its mailbox, and the
-        first one starts its thread (under the lock, so the start cannot
-        race itself).  An ``auto_ack`` consumer has no window and is always
-        eligible; its deliveries are not put anywhere but returned (None
-        when there are none, so the usual pass allocates nothing), and the
-        caller hands them to :func:`_run_inline` after releasing the lock.
+        first one makes the mailbox and starts its thread (under the lock,
+        so the start cannot race itself).  An ``auto_ack`` consumer has no
+        window and is always eligible; its deliveries are not put anywhere
+        but returned (None when there are none, so the usual pass allocates
+        nothing), and the caller hands them to :func:`_run_inline` after
+        releasing the lock.
         The transport contract lets such a handler publish, which would
         otherwise re-enter a lock its own thread holds.
         """
@@ -373,6 +372,7 @@ class MessageQueue:
             else:
                 consumer.unacked[delivery.delivery_tag] = delivery
                 if consumer._thread is None:
+                    consumer._mailbox = stdlib_queue.SimpleQueue()
                     consumer._thread = threading.Thread(
                         target=consumer._run, name=f"consumer-{consumer.tag}", daemon=True
                     )
@@ -398,7 +398,7 @@ class MessageQueue:
 
     def close(self) -> None:
         if self._source_token is not None:
-            get_registry().unregister_source(self._source_token)
+            REGISTRY.unregister_source(self._source_token)
             self._source_token = None
         with self._lock:
             consumers = list(self._consumers)

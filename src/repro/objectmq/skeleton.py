@@ -16,9 +16,9 @@ processing re-queues the message for another instance (§3.4).
 
 from __future__ import annotations
 
+import itertools
 import logging
 import time
-import uuid
 from typing import Any
 
 from repro.mom.message import Delivery, Message, PERSISTENT
@@ -35,6 +35,11 @@ from repro.telemetry.trace import (
 
 logger = logging.getLogger(__name__)
 
+#: Numbers instance ids in this process.  With the Broker's ``client_id``,
+#: unique among live Brokers (its reply queue is named after it), an id
+#: is unique without a random draw.
+_instance_numbers = itertools.count(1)
+
 
 class Skeleton:
     """Dispatches decoded RPC envelopes onto a target object."""
@@ -47,7 +52,7 @@ class Skeleton:
         self.target = target
         self.prefetch = prefetch
         self.interceptors = list(interceptors or ())
-        self.instance_id = f"{oid}.inst.{uuid.uuid4().hex[:12]}"
+        self.instance_id = f"{oid}.inst.{broker.client_id}.{next(_instance_numbers)}"
         self.object_info = ObjectInfo(
             oid=oid, instance_id=self.instance_id, broker_id=broker.client_id
         )

@@ -6,7 +6,7 @@ import json
 from typing import Any, Optional
 
 from repro.errors import SerializationError
-from repro.serialization.base import WireRegistry, global_wire_registry
+from repro.serialization.base import _ESCAPE, WireRegistry, global_wire_registry
 
 #: Tag used to carry raw bytes through JSON (latin-1 escape).
 _BYTES_TAG = "__bytes__"
@@ -16,7 +16,9 @@ class JsonSerializer:
     """Encode/decode arbitrary envelope structures as UTF-8 JSON.
 
     Bytes values are transported latin-1-escaped under a reserved key, so
-    chunk fingerprints and small payloads survive the round trip.
+    chunk fingerprints and small payloads survive the round trip.  A plain
+    dict whose only key is that one is escaped the way the registry escapes
+    one holding ``__wire__``, so it cannot decode as bytes.
     """
 
     name = "json"
@@ -42,16 +44,24 @@ class JsonSerializer:
         if isinstance(obj, bytes):
             return {_BYTES_TAG: obj.decode("latin-1")}
         if isinstance(obj, dict):
-            return {key: self._lower_bytes(value) for key, value in obj.items()}
+            lowered = {key: self._lower_bytes(value) for key, value in obj.items()}
+            if obj.keys() == {_BYTES_TAG}:
+                return {"__wire__": _ESCAPE, _ESCAPE: lowered}
+            return lowered
         if isinstance(obj, (list, tuple)):
             return [self._lower_bytes(item) for item in obj]
         return obj
 
-    def _raise_bytes(self, obj: Any) -> Any:
+    def _raise_bytes(self, obj: Any, escaped: bool = False) -> Any:
+        """Decode bytes tags; *escaped* marks an escaped dict's own keys as data."""
         if isinstance(obj, dict):
-            if set(obj.keys()) == {_BYTES_TAG}:
+            if not escaped and obj.keys() == {_BYTES_TAG}:
                 return obj[_BYTES_TAG].encode("latin-1")
-            return {key: self._raise_bytes(value) for key, value in obj.items()}
+            wrapper = not escaped and obj.get("__wire__") == _ESCAPE
+            return {
+                key: self._raise_bytes(value, wrapper and key == _ESCAPE)
+                for key, value in obj.items()
+            }
         if isinstance(obj, list):
             return [self._raise_bytes(item) for item in obj]
         return obj

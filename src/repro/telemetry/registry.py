@@ -39,13 +39,22 @@ def _render_labels(labels: Labels) -> str:
 
 
 class _Source:
-    """A lazily-scraped metric producer tied to its owner's lifetime."""
+    """A lazily-scraped metric producer tied to its owner's lifetime.
 
-    def __init__(self, name: str, owner: Any, read: Callable[[Any], Dict[str, float]], labels: Labels):
+    Its labels are rendered by its first read: most are never scraped.
+    """
+
+    def __init__(self, name: str, owner: Any, read: Callable[[Any], Dict[str, float]], labels: Dict[str, Any]):
         self.name = name
         self.ref = weakref.ref(owner)
         self.read = read
         self.labels = labels
+        self._rendered: Optional[str] = None
+
+    def rendered_labels(self) -> str:
+        if self._rendered is None:
+            self._rendered = _render_labels(_labels_key(self.labels))
+        return self._rendered
 
 
 class MetricsRegistry:
@@ -72,7 +81,7 @@ class MetricsRegistry:
         makes the owner a component of :meth:`health`.  Returns a token
         usable with :meth:`unregister_source`.
         """
-        source = _Source(name, owner, read, _labels_key(labels))
+        source = _Source(name, owner, read, labels)
         with self._lock:
             token = next(self._source_ids)
             self._sources[token] = source
@@ -119,7 +128,7 @@ class MetricsRegistry:
         """Flatten every series into ``name{label="v"} -> value``."""
         result: Dict[str, float] = {}
         for source, values, _error in self._read_sources():
-            rendered = _render_labels(source.labels)
+            rendered = source.rendered_labels()
             for stat, value in values.items():
                 result[f"{source.name}_{stat}{rendered}"] = value
         return result
@@ -138,7 +147,7 @@ class MetricsRegistry:
             if error is not None:
                 detail["error"] = error
             components.append({
-                "component": source.name + _render_labels(source.labels),
+                "component": source.name + source.rendered_labels(),
                 "ok": bool(values["up"]),
                 "detail": detail,
             })

@@ -50,35 +50,52 @@ def test_unbind_queue_everywhere():
     assert exchange.route("b") == []
 
 
-def test_bound_queues_and_binding_count():
+def test_a_queue_bound_under_two_keys_routes_from_each():
     exchange = DirectExchange("x")
     exchange.bind("q1", "a")
     exchange.bind("q2", "a")
     exchange.bind("q1", "b")
-    assert exchange.bound_queues() == {"q1", "q2"}
-    assert exchange.binding_count() == 3
+    assert exchange.route("a") == ["q1", "q2"]
+    assert exchange.route("b") == ["q1"]
+
+
+def test_fanout_routes_a_queue_bound_twice_once():
+    exchange = FanoutExchange("x")
+    exchange.bind("q1", "a")
+    exchange.bind("q1", "b")
+    exchange.bind("q2", "a")
+    assert exchange.route("") == ["q1", "q2"]
 
 
 # -- route memoization --------------------------------------------------------
 
 
+class _CountingDirect(DirectExchange):
+    """Counts memo misses: each one resolves the key from the bindings."""
+
+    misses = 0
+
+    def _route_locked(self, routing_key):
+        self.misses += 1
+        return super()._route_locked(routing_key)
+
+
 def test_route_results_are_memoized_per_key():
-    exchange = DirectExchange("x")
+    exchange = _CountingDirect("x")
     exchange.bind("q", "k1")
-    assert exchange.route_cache_size() == 0
-    exchange.route("k1")
-    exchange.route("k2")
-    exchange.route("k1")  # hit, no new entry
-    assert exchange.route_cache_size() == 2
+    assert exchange.route("k1") == ["q"]
+    assert exchange.route("k2") == []
+    assert exchange.route("k1") == ["q"]  # hit: resolved once
+    assert exchange.misses == 2
 
 
 def test_bind_invalidates_route_cache():
-    exchange = DirectExchange("x")
+    exchange = _CountingDirect("x")
     exchange.bind("q1", "k")
     assert exchange.route("k") == ["q1"]
     exchange.bind("q2", "k")
-    assert exchange.route_cache_size() == 0
     assert exchange.route("k") == ["q1", "q2"]
+    assert exchange.misses == 2
 
 
 def test_unbind_invalidates_route_cache():

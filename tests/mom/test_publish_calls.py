@@ -15,8 +15,8 @@ from repro.mom import PERSISTENT, Message, MessageBroker
 
 
 @contextmanager
-def mom_calls():
-    """Count ``repro.mom`` calls on every thread while a switch is on.
+def repro_calls(prefix: str = "repro.mom"):
+    """Count calls of modules under *prefix* on every thread while a switch is on.
 
     The profile is installed on this thread and on every thread started
     inside the block.  Yields ``(counted, counting)``: a one-item list
@@ -30,7 +30,7 @@ def mom_calls():
         if (
             event == "call"
             and counting.is_set()
-            and frame.f_globals.get("__name__", "").startswith("repro.mom")
+            and frame.f_globals.get("__name__", "").startswith(prefix)
         ):
             counted[0] += 1
 
@@ -53,7 +53,7 @@ def test_a_durable_publish_delivery_and_ack_make_few_mom_calls():
         settled.set()
 
     try:
-        with mom_calls() as (counted, counting):
+        with repro_calls() as (counted, counting):
             # The consumer's thread starts with its first delivery, under
             # the profile: a warm round starts it before the count.
             broker.consume("work", None, "c", batch_callback=on_run)
@@ -78,7 +78,7 @@ def test_a_fanout_publish_to_one_bound_queue_makes_few_mom_calls():
     broker.bind_queue("fan", "a")
     broker.publish("fan", "", Message(b"warm"))  # fills the route memo
     try:
-        with mom_calls() as (counted, counting):
+        with repro_calls() as (counted, counting):
             counting.set()
             assert broker.publish("fan", "", Message(b"multi")) == 1
             counting.clear()

@@ -46,6 +46,9 @@ SAMPLES = [
     {"__wire__": ""},
     {"__wire__": "x", "a": 1},
     {"__wire__": "dict", "dict": [{"__wire__": "stacksync.Workspace"}]},
+    # Plain data shaped like json's bytes tag: json escapes it too.
+    {"__bytes__": "x"},
+    {"a": {"__bytes__": "y"}},
 ]
 
 

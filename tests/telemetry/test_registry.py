@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import threading
 
 import pytest
 
@@ -108,6 +109,57 @@ def test_clear(registry):
     registry.clear()
     assert registry.snapshot() == {}
     assert registry.source_count() == 0
+
+
+def test_label_order_does_not_change_series_or_component(registry):
+    forward, reverse = _Values(up=1.0, value=3.0), _Values(up=1.0, value=3.0)
+    registry.register_source("fwd", forward, _Values.read, oid="ws", instance="i-1")
+    registry.register_source("rev", reverse, _Values.read, instance="i-1", oid="ws")
+    snap = registry.snapshot()
+    assert snap['fwd_value{instance="i-1",oid="ws"}'] == 3.0
+    assert snap['rev_value{instance="i-1",oid="ws"}'] == 3.0
+    assert [c["component"] for c in registry.health()] == [
+        'fwd{instance="i-1",oid="ws"}',
+        'rev{instance="i-1",oid="ws"}',
+    ]
+
+
+def test_concurrent_register_and_unregister_keep_the_count_exact(registry):
+    owners = [_Values(value=1.0) for _ in range(8)]
+    kept = []
+    start = threading.Barrier(len(owners))
+
+    def churn(n, owner):
+        start.wait()
+        for i in range(200):
+            token = registry.register_source("s", owner, _Values.read, n=n, i=i)
+            if i % 2:
+                registry.unregister_source(token)
+        kept.append(n)
+
+    threads = [
+        threading.Thread(target=churn, args=(n, owner)) for n, owner in enumerate(owners)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert sorted(kept) == list(range(8))
+    assert registry.source_count() == 8 * 100
+    assert len(registry.snapshot()) == 8 * 100
+
+
+def test_a_collected_owners_labeled_series_drop_out_of_the_scrape(registry):
+    read_before, never_read, keeper = (_Values(up=1.0, value=1.0) for _ in range(3))
+    registry.register_source("a", read_before, _Values.read, oid="ws")
+    assert 'a_value{oid="ws"}' in registry.snapshot()
+    registry.register_source("b", never_read, _Values.read, oid="ws")
+    registry.register_source("c", keeper, _Values.read, oid="ws")
+    del read_before, never_read
+    gc.collect()
+    assert registry.snapshot() == {'c_up{oid="ws"}': 1.0, 'c_value{oid="ws"}': 1.0}
+    assert [c["component"] for c in registry.health()] == ['c{oid="ws"}']
+    assert registry.source_count() == 1
 
 
 def test_components_register_into_global_registry(testbed):
