@@ -30,7 +30,6 @@ from repro.client.sync_client import (
     StackSyncClient,
     conflicted_copy_name,
 )
-from repro.client.persistent_db import SqliteLocalDatabase
 from repro.client.transfer import (
     ChunkTransferManager,
     DEFAULT_POOL_SIZE,
@@ -72,7 +71,6 @@ __all__ = [
     "LocalFileRecord",
     "NullCompressor",
     "PollingWatcher",
-    "SqliteLocalDatabase",
     "StackSyncClient",
     "StackSyncDevice",
     "TransferRecord",

@@ -156,7 +156,6 @@ class StackSyncClient:
         compressor: Optional[Compressor] = None,
         shards: int = 1,
         batch_size: int = 1,
-        local_db: Optional[LocalDatabase] = None,
         transfer: Optional[ChunkTransferManager] = None,
         transfer_pool_size: int = DEFAULT_POOL_SIZE,
     ):
@@ -166,9 +165,7 @@ class StackSyncClient:
         self.fs = fs if fs is not None else VirtualFilesystem()
         self.storage = storage
         self.container = f"u-{workspace.owner}"
-        # Any object with the LocalDatabase surface works, notably the
-        # durable SqliteLocalDatabase (repro.client.persistent_db).
-        self.local_db = local_db if local_db is not None else LocalDatabase()
+        self.local_db = LocalDatabase()
         self.indexer = Indexer(
             self.local_db,
             chunker=chunker or FixedChunker(),

@@ -2,7 +2,7 @@
 
 Public surface::
 
-    from repro.mom import MessageBroker, Message, PERSISTENT
+    from repro.mom import MessageBroker, Message
 
     broker = MessageBroker()
     broker.declare_queue("work")
@@ -12,25 +12,19 @@ Public surface::
 """
 
 from repro.mom.broker_server import DEFAULT_EXCHANGE, BrokerStats, MessageBroker
-from repro.mom.cluster import BrokerCluster
 from repro.mom.exchange import DirectExchange, Exchange, FanoutExchange
-from repro.mom.message import PERSISTENT, TRANSIENT, Delivery, Message
-from repro.mom.persistence import InMemoryMessageStore
+from repro.mom.message import Delivery, Message
 from repro.mom.queue import Consumer, MessageQueue
 from repro.mom.transport import MomTransport
 
 __all__ = [
     "DEFAULT_EXCHANGE",
-    "PERSISTENT",
-    "TRANSIENT",
-    "BrokerCluster",
     "BrokerStats",
     "Consumer",
     "Delivery",
     "DirectExchange",
     "Exchange",
     "FanoutExchange",
-    "InMemoryMessageStore",
     "Message",
     "MessageBroker",
     "MessageQueue",

@@ -15,10 +15,10 @@ only ``declare_queue`` creates a queue, as in AMQP.  Delivery is push
 only, and settling is one call that acks a run of deliveries; a
 cancelled consumer's unacked deliveries are the only ones requeued.
 
-It also implements the reliability behaviours the paper leans on:
-unacked messages are redelivered when a consumer is cancelled
-(:meth:`MessageQueue.cancel_consumer`) and persistent messages on durable
-queues survive :meth:`restart`.
+It implements the one reliability behaviour the paper leans on
+(§3.4): unacked messages are redelivered when a consumer is cancelled
+(:meth:`MessageQueue.cancel_consumer`).  The broker itself keeps no
+journal and does not survive its own crash; no paper figure crashes it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set
 from repro.errors import BrokerClosed, DeliveryError, ExchangeNotFound, QueueNotFound
 from repro.mom.exchange import EXCHANGE_TYPES, DirectExchange, Exchange
 from repro.mom.message import Delivery, Message
-from repro.mom.persistence import InMemoryMessageStore
 from repro.mom.queue import Consumer, MessageQueue
 from repro.telemetry.registry import REGISTRY
 
@@ -38,7 +37,6 @@ from repro.telemetry.registry import REGISTRY
 DEFAULT_EXCHANGE = ""
 
 _DELIVERY_TAG = attrgetter("delivery_tag")
-_MESSAGE = attrgetter("message")
 
 
 class BrokerStats:
@@ -76,19 +74,10 @@ class BrokerStats:
 
 
 class MessageBroker:
-    """An AMQP-semantics message broker running inside the process.
+    """An AMQP-semantics message broker running inside the process."""
 
-    Args:
-        store: Durable message store; defaults to a fresh in-memory store.
-    """
-
-    def __init__(
-        self,
-        store: Optional[InMemoryMessageStore] = None,
-        name: str = "broker",
-    ):
+    def __init__(self, name: str = "broker"):
         self.name = name
-        self.store = store if store is not None else InMemoryMessageStore()
         self._lock = threading.Lock()
         self._queues: Dict[str, MessageQueue] = {}
         self._exchanges: Dict[str, Exchange] = {DEFAULT_EXCHANGE: DirectExchange("")}
@@ -110,18 +99,14 @@ class MessageBroker:
 
     # -- topology -------------------------------------------------------------
 
-    def declare_queue(
-        self, name: str, durable: bool = False, exclusive: bool = False
-    ) -> MessageQueue:
+    def declare_queue(self, name: str, exclusive: bool = False) -> MessageQueue:
         """Declare (idempotently) and return the queue called *name*."""
         self._check_open()
         with self._lock:
             queue = self._queues.get(name)
             if queue is None:
-                queue = MessageQueue(name, durable=durable, exclusive=exclusive)
+                queue = MessageQueue(name, exclusive=exclusive)
                 self._queues[name] = queue
-                if durable:
-                    queue.put_many(self.store.pending_for(name))
             return queue
 
     def delete_queue(self, name: str) -> None:
@@ -194,9 +179,7 @@ class MessageBroker:
         which may be a ``memoryview`` — is handed through untouched.
         Fanout siblings get envelope copies (per-queue delivery state),
         taken before anything is enqueued so no consumer has touched the
-        original yet.  Durable queues journal before they enqueue, and the
-        journal snapshots the payload: bytes are forced exactly once here
-        so memoryview publishers stay copy-free elsewhere.
+        original yet.
         """
         if self._closed:
             raise BrokerClosed(f"broker {self.name!r} is closed")
@@ -217,9 +200,6 @@ class MessageBroker:
         while len(copies) < len(queues):
             copies.append(message.copy_for_queue())
         for queue, copy in zip(queues, copies):
-            if queue.durable:
-                copy.materialize()
-                self.store.record_publish(queue.name, copy)
             queue.put_many((copy,))
         self.stats.on_publish(len(queues), len(message.body))
         if not queues:
@@ -271,44 +251,18 @@ class MessageBroker:
         return total
 
     def _ack_run(self, run: Sequence[Delivery]) -> int:
-        """Settle deliveries of one queue: one queue-lock cycle, one stats
-        update and one journal sweep if the queue is durable.  Unknown
-        tags (requeued by a crash, or acked twice) are skipped."""
+        """Settle deliveries of one queue: one queue-lock cycle and one
+        stats update.  Unknown tags (requeued by a crash, or acked twice)
+        are skipped."""
         queue = self._find_queue(run[0].queue_name)
         if queue is None:
             return 0
-        acked_tags = queue.ack_many(map(_DELIVERY_TAG, run))
-        acked = len(acked_tags)
-        if not acked:
-            return 0
-        self.stats.on_ack_many(acked)
-        if queue.durable:
-            if acked < len(run):
-                settled = set(acked_tags)
-                run = [d for d in run if d.delivery_tag in settled]
-            self.store.record_ack_many(queue.name, map(_MESSAGE, run))
+        acked = len(queue.ack_many(map(_DELIVERY_TAG, run)))
+        if acked:
+            self.stats.on_ack_many(acked)
         return acked
 
     # -- lifecycle -----------------------------------------------------------------
-
-    def restart(self) -> None:
-        """Simulate a broker crash + recovery.
-
-        All queues and consumers are destroyed; durable queues are then
-        re-declared and refilled with the persistent messages that were
-        never acked (§3.4).  Consumers must re-subscribe, exactly as real
-        AMQP clients must re-open channels after a broker restart.
-        """
-        with self._lock:
-            queues = list(self._queues.values())
-            durable_names = [q.name for q in queues if q.durable]
-            self._queues.clear()
-            self._exchanges = {DEFAULT_EXCHANGE: DirectExchange("")}
-            self._bound_to.clear()
-        for queue in queues:
-            queue.close()
-        for name in durable_names:
-            self.declare_queue(name, durable=True)
 
     def close(self) -> None:
         with self._lock:

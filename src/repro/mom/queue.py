@@ -30,8 +30,7 @@ acked.  If the consumer is cancelled or its owner crashes, every unacked
 message is put back at the head of the queue with ``redelivered=True`` —
 the at-least-once guarantee of §3.4.  Cancel is the only requeue path;
 there is no negative acknowledgement.  Requeue re-enqueues the *same*
-message object (payload untouched, same ``message_id`` so the durable
-journal's ack bookkeeping still matches) in one batched splice.
+message object (payload untouched) in one batched splice.
 """
 
 from __future__ import annotations
@@ -158,13 +157,11 @@ class MessageQueue:
 
     Args:
         name: Queue name (routing target on the default exchange).
-        durable: Survive broker restarts (persistent messages replayed).
         exclusive: Private single-owner queue (response/multicast queues).
     """
 
-    def __init__(self, name: str, durable: bool = False, exclusive: bool = False):
+    def __init__(self, name: str, exclusive: bool = False):
         self.name = name
-        self.durable = durable
         self.exclusive = exclusive
         self._ready: deque = deque()
         self._consumers: List[Consumer] = []
@@ -207,9 +204,8 @@ class MessageQueue:
         """Enqueue a run of messages under one lock acquisition.
 
         The whole run lands through a single lock cycle and a single
-        dispatch pass, in order — a replayed durable journal pays the
-        acquire/dispatch cost once, not per message.  Returns the
-        number of messages enqueued.
+        dispatch pass, in order: a run pays the acquire/dispatch cost
+        once, not per message.  Returns the number of messages enqueued.
         """
         if not messages:
             return 0

@@ -4,13 +4,14 @@ The paper's ObjectMQ (§3, §3.4) leans on exactly three MOM guarantees —
 work-queue balancing among the consumers of one queue, fanout multicast,
 and at-least-once delivery with ack-after-invoke — and claims to be
 MOM-agnostic.  :class:`MomTransport` declares exactly the calls ObjectMQ
-(``Broker``, ``Skeleton``, ``Proxy``, ``Supervisor``, ``SupervisorNode``)
-makes, and nothing else, so that claim is a checkable one:
-:class:`~repro.mom.broker_server.MessageBroker` and
-:class:`~repro.mom.cluster.BrokerCluster` satisfy it and pass
+(``Broker``, ``Skeleton``, ``Proxy``, ``Supervisor``) makes, and nothing
+else, so that claim is a checkable one:
+:class:`~repro.mom.broker_server.MessageBroker` satisfies it and passes
 ``tests/mom/test_transport_conformance.py``.  A new transport (a socket
 client to a broker in another process, say) implements these members and
-runs that suite.
+runs that suite.  The contract asks for no durability: a transport need
+not survive its own crash, because the fault tolerance of §3.4 is a dead
+consumer's messages going to a live one.
 
 Declaration only: nothing checks it at run time, ObjectMQ never branches
 on which transport it was given.  ``tests/mom/test_transport_seam.py``
@@ -41,8 +42,7 @@ class MomTransport(Protocol):
       queue bound to it at that moment;
     * **hold until settled**: an unacked delivery is held until it is
       acked or its consumer is cancelled, and goes to no other consumer
-      meanwhile.  The supervisor lease (:mod:`repro.objectmq.ha`) is held
-      this way;
+      meanwhile;
     * **at least once**: cancelling a consumer is the one requeue path.
       Its unacked deliveries go back to the head of their queue and are
       delivered again, flagged ``message.redelivered``, so a handler may
@@ -51,9 +51,6 @@ class MomTransport(Protocol):
       dead-letter queue and no expiry);
     * **order**: messages of one publisher to one queue are delivered in
       publish order, redeliveries excepted;
-    * **durability**: a persistent message on a durable queue is
-      journaled until it is acked, so a broker node that takes over the
-      queue delivers it again; anything else is lost with its node;
     * **auto-ack on the dispatching thread**: an ``auto_ack=True``
       handler has no thread of its own.  It runs on the thread whose call
       dispatched the delivery — for a message published while the
@@ -63,7 +60,7 @@ class MomTransport(Protocol):
 
     # -- topology (all idempotent) --------------------------------------------
 
-    def declare_queue(self, name: str, durable: bool = False, exclusive: bool = False) -> Any: ...
+    def declare_queue(self, name: str, exclusive: bool = False) -> Any: ...
 
     def delete_queue(self, name: str) -> None: ...
 

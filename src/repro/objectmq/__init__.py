@@ -40,7 +40,6 @@ from repro.objectmq.broker import Broker
 from repro.objectmq.naming import multi_exchange_name, parse_shard_oid, shard_oid
 from repro.objectmq.sharding import ShardedProxy
 from repro.objectmq.faults import CrashInjector
-from repro.objectmq.ha import SupervisorNode
 from repro.objectmq.introspection import (
     HasObjectInfo,
     ObjectInfo,
@@ -84,7 +83,6 @@ __all__ = [
     "ShardedSupervisor",
     "Skeleton",
     "Supervisor",
-    "SupervisorNode",
     "SupervisorRecord",
     "UtilizationProvisioner",
     "async_method",

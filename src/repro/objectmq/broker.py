@@ -1,9 +1,8 @@
 """The ObjectMQ Broker: ``bind`` / ``lookup`` over a MOM system (§3.1).
 
 This is the ``omq.Broker`` of the paper.  It connects to a message broker
-— anything that satisfies :class:`repro.mom.transport.MomTransport`: a
-:class:`repro.mom.MessageBroker` or a :class:`repro.mom.BrokerCluster` —
-and exposes two primitives:
+— anything that satisfies :class:`repro.mom.transport.MomTransport`, such
+as :class:`repro.mom.MessageBroker` — and exposes two primitives:
 
 * :meth:`Broker.bind(oid, remote_object)` — bind an object instance under
   the identifier *oid*.  Creates (idempotently) the shared unicast queue
@@ -212,7 +211,7 @@ class Broker:
         """
         self._check_open()
         specs = interface_specs(interface)
-        self.mom.declare_queue(oid, durable=True)  # as bind does: a cast before it is journaled
+        self.mom.declare_queue(oid)  # as bind does: a cast made before any bind waits in it
         return Proxy(broker=self, oid=oid, specs=specs, interface_name=interface.__name__)
 
     def lookup_sharded(self, oid: str, interface: Type, shards: int, route_arg: int = 0):

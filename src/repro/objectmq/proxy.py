@@ -27,10 +27,8 @@ import time
 from collections import deque
 from typing import Any, Deque, Dict, List
 
-from repro.errors import (
-    DeliveryError, ExchangeNotFound, RemoteInvocationError, RemoteTimeout,
-)
-from repro.mom.message import Message, PERSISTENT
+from repro.errors import DeliveryError, RemoteInvocationError, RemoteTimeout
+from repro.mom.message import Message
 from repro.objectmq.annotations import CallSpec
 from repro.objectmq.naming import multi_exchange_name
 from repro.objectmq.envelope import make_request, new_correlation_id
@@ -177,7 +175,6 @@ class Proxy:
             routing_key=routing_key,
             reply_to=envelope.get("reply_to"),
             correlation_id=envelope.get("correlation_id"),
-            delivery_mode=PERSISTENT,
         )
         return self._broker.mom.publish(exchange, routing_key, message)
 
@@ -222,17 +219,17 @@ class Proxy:
         """Publish to the group's fanout; return how many Brokers it reached.
 
         A multicast to an empty group is a no-op by contract: a publish that
-        no binding takes raises :class:`DeliveryError`, and one to a fanout
-        a broker restart dropped raises :class:`ExchangeNotFound`; both read
-        as 0.  The broker's stats count the first as one unroutable publish,
-        as they count a publish that raced the last unbind.  Callers on a
-        hot path ask
+        no binding takes raises :class:`DeliveryError`, which reads as 0.
+        The fanout itself is never missing: this proxy declared it, and the
+        MOM drops no exchange.  The broker's stats count the miss as one
+        unroutable publish, as they count a publish that raced the last
+        unbind.  Callers on a hot path ask
         :meth:`~repro.objectmq.broker.Broker.multicast_has_listeners` first.
         """
         envelope = make_request(method, list(args), kwargs, call="async", multi=True)
         try:
             return self._publish(self._multi_exchange(), self._oid, envelope)
-        except (DeliveryError, ExchangeNotFound):
+        except DeliveryError:
             return 0
 
     def _invoke_multi_sync(self, method: str, spec: CallSpec, args, kwargs) -> List[Any]:
@@ -252,7 +249,7 @@ class Proxy:
         try:
             try:
                 brokers = self._publish(self._multi_exchange(), self._oid, envelope)
-            except (DeliveryError, ExchangeNotFound):  # an empty group, as async
+            except DeliveryError:  # an empty group, as async
                 return []
             # Each reply names its Broker and how many local instances the
             # call ran on there; a Broker not yet heard from counts as one,

@@ -21,7 +21,7 @@ import logging
 import time
 from typing import Any
 
-from repro.mom.message import Delivery, Message, PERSISTENT
+from repro.mom.message import Delivery, Message
 from repro.objectmq.envelope import make_reply
 from repro.objectmq.introspection import ObjectInfo
 from repro.telemetry.registry import REGISTRY
@@ -69,7 +69,7 @@ class Skeleton:
 
     def start(self) -> None:
         mom = self.broker.mom
-        mom.declare_queue(self.oid, durable=True)
+        mom.declare_queue(self.oid)
         # Flip the flag *before* subscribing: queued messages are delivered
         # synchronously with consume(), and a delivery observed while
         # _running is False is treated as arriving into a crashed instance
@@ -216,7 +216,6 @@ class Skeleton:
             body=body,
             routing_key=reply_to,
             correlation_id=envelope.get("correlation_id"),
-            delivery_mode=PERSISTENT,
         )
         try:
             self.broker.mom.publish("", reply_to, message)

@@ -127,22 +127,30 @@ class WireRegistry:
         Only string-valued ``__wire__`` entries are wire tags (tags are
         strings by construction); a dict whose ``__wire__`` holds any
         other type is plain application data and passes through intact.
+        A tagged dict that cannot be what its tag says (an escaped dict
+        holding no dict, a DTO missing a field) raises
+        :class:`SerializationError`, as any other malformed body does.
         """
         if isinstance(obj, dict):
             tag = obj.get("__wire__")
             if isinstance(tag, str):
-                if tag == _ESCAPE:
-                    return {key: self.raise_(value) for key, value in obj[_ESCAPE].items()}
-                from_wire = self._by_tag.get(tag)
-                if from_wire is None:
-                    raise SerializationError(f"unknown wire tag {tag!r}")
-                return from_wire(
-                    {
-                        key: self.raise_(value)
-                        for key, value in obj.items()
-                        if key != "__wire__"
-                    }
-                )
+                try:
+                    if tag == _ESCAPE:
+                        return {
+                            key: self.raise_(value) for key, value in obj[_ESCAPE].items()
+                        }
+                    from_wire = self._by_tag.get(tag)
+                    if from_wire is None:
+                        raise SerializationError(f"unknown wire tag {tag!r}")
+                    return from_wire(
+                        {
+                            key: self.raise_(value)
+                            for key, value in obj.items()
+                            if key != "__wire__"
+                        }
+                    )
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise SerializationError(f"malformed {tag!r} value: {exc}") from exc
             return {key: self.raise_(value) for key, value in obj.items()}
         if isinstance(obj, list):
             return [self.raise_(item) for item in obj]

@@ -56,7 +56,10 @@ class JsonSerializer:
         """Decode bytes tags; *escaped* marks an escaped dict's own keys as data."""
         if isinstance(obj, dict):
             if not escaped and obj.keys() == {_BYTES_TAG}:
-                return obj[_BYTES_TAG].encode("latin-1")
+                try:
+                    return obj[_BYTES_TAG].encode("latin-1")
+                except (AttributeError, UnicodeEncodeError) as exc:
+                    raise SerializationError(f"malformed {_BYTES_TAG} value: {exc}") from exc
             wrapper = not escaped and obj.get("__wire__") == _ESCAPE
             return {
                 key: self._raise_bytes(value, wrapper and key == _ESCAPE)

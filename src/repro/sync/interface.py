@@ -28,7 +28,7 @@ SYNC_SERVICE_OID = "syncservice"
 #: instance up to this many unacked requests.  The dispatcher hands them
 #: over one at a time; a woken consumer drains whatever waits in its
 #: mailbox into one handler call settled with one ``ack_many``, so a
-#: backlog (a replayed durable journal, a requeued window) is worked off
+#: backlog (a burst of casts, a requeued window) is worked off
 #: in runs instead of ack-at-a-time round trips.
 #: The cost is the standard AMQP trade — a wider redelivery window on
 #: crash — which at-least-once semantics absorb; elasticity experiments

@@ -5,8 +5,10 @@ from __future__ import annotations
 from repro.client import LocalDatabase, LocalFileRecord
 
 
-def record(item_id="ws:a.txt", path="a.txt", version=1):
-    return LocalFileRecord(item_id=item_id, path=path, version=version)
+def record(item_id="ws:a.txt", path="a.txt", version=1, pending=None):
+    return LocalFileRecord(
+        item_id=item_id, path=path, version=version, pending_version=pending
+    )
 
 
 def test_upsert_and_get():
@@ -21,9 +23,10 @@ def test_upsert_and_get():
 def test_upsert_replaces():
     db = LocalDatabase()
     db.upsert(record(version=1))
-    db.upsert(record(version=2))
-    assert db.get("ws:a.txt").version == 2
-    assert db.get_by_path("a.txt").version == 2
+    db.upsert(record(version=2, pending=3))
+    found = db.get("ws:a.txt")
+    assert (found.version, found.pending_version) == (2, 3)
+    assert db.get_by_path("a.txt") == found
 
 
 def test_remove_clears_both_indexes():
@@ -56,4 +59,6 @@ def test_chunk_cache_also_feeds_dedup():
     assert db.cached_chunk("f1") == b"payload"
     assert db.knows_fingerprint("f1")
     assert db.cached_chunk("ghost") is None
+    db.remember_fingerprints(["f2"])
+    assert db.cached_chunk("f2") is None  # remembered, not cached
 

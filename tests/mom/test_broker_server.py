@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.errors import BrokerClosed, DeliveryError, ExchangeNotFound, QueueNotFound
-from repro.mom import Message, MessageBroker, PERSISTENT
+from repro.mom import Message, MessageBroker
 from repro.mom.exchange import Exchange
 
 
@@ -162,34 +162,6 @@ def test_deleting_a_queue_visits_only_the_exchanges_it_was_bound_to(mom, monkeyp
         mom.delete_queue(queue)
     mom.delete_queue("never-bound")
     assert visits == listeners
-
-
-def test_restart_recovers_persistent_messages_on_durable_queues(mom):
-    mom.declare_queue("durable", durable=True)
-    mom.declare_queue("transientq")
-    mom.publish("", "durable", Message(b"keep", delivery_mode=PERSISTENT))
-    mom.publish("", "transientq", Message(b"lose", delivery_mode=PERSISTENT))
-    # transient queue is not durable: its message journal is not replayed
-    mom.restart()
-    mom.queue_stats("durable")  # redeclared by the restart
-    with pytest.raises(QueueNotFound):
-        mom.queue_stats("transientq")
-    assert [m.body for m in drain(mom, "durable")] == [b"keep"]
-
-
-def test_restart_does_not_replay_acked_messages(mom):
-    mom.declare_queue("durable", durable=True)
-    got = []
-
-    def handler(delivery):
-        mom.ack_many([delivery])  # ack first: the test polls `got`, then reads the ack
-        got.append(delivery)
-
-    mom.consume("durable", handler, consumer_tag="c")
-    mom.publish("", "durable", Message(b"done", delivery_mode=PERSISTENT))
-    assert wait_for(lambda: len(got) == 1)
-    mom.restart()
-    assert drain(mom, "durable") == []
 
 
 def test_closed_broker_rejects_operations():

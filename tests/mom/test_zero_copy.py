@@ -1,8 +1,8 @@
 """Zero-copy payload handoff through broker → exchange → queue → consumer.
 
 The unicast RPC hot path must deliver the publisher's message object (and
-payload buffer) untouched; envelope copies happen only on true fanout and
-payload bytes are materialized only for the durable journal.
+payload buffer) untouched; envelope copies happen only on true fanout,
+and payload bytes are never copied.
 """
 
 from __future__ import annotations
@@ -61,50 +61,24 @@ def test_fanout_copies_envelopes_but_shares_the_buffer():
     broker.close()
 
 
-def test_durable_queue_materializes_payload_to_bytes():
+def test_requeue_redelivers_the_same_message_object():
     broker = MessageBroker()
-    broker.declare_queue("d", durable=True)
-    buffer = bytearray(b"recyclable buffer")
-    message = Message(memoryview(buffer))
-    broker.publish("", "d", message)
-    # The journal needs a stable snapshot: the body was forced to bytes
-    # exactly once, so recycling the publisher's buffer is now safe.
-    buffer[:1] = b"X"
-    (delivered,) = drain(broker, "d")
-    assert isinstance(delivered.body, bytes)
-    assert delivered.body == b"recyclable buffer"
-    broker.close()
-
-
-def test_materialize_is_idempotent_and_copy_free_for_bytes():
-    raw = b"already-bytes"
-    message = Message(raw)
-    assert message.materialize() is raw
-    view_backed = Message(memoryview(b"view"))
-    first = view_backed.materialize()
-    assert isinstance(first, bytes)
-    assert view_backed.materialize() is first
-
-
-def test_requeue_keeps_message_id_so_durable_acks_still_match():
-    broker = MessageBroker()
-    broker.declare_queue("d", durable=True)
+    broker.declare_queue("d")
     collector = Collector()  # holds the delivery unacked
     broker.consume("d", collector, consumer_tag="c1")
-    message = Message(b"commit", delivery_mode=2)
+    message = Message(memoryview(b"commit"))
     broker.publish("", "d", message)
     assert drain_wait(lambda: collector.count() == 1)
-    assert broker.store.pending_for("d")
-    # Crash before acking: the same message object (same id) is requeued,
-    # so when the survivor finally acks, the journal entry is cleared.
+    # Crash before acking: the same message object, payload buffer and
+    # all, is requeued and flagged, and the survivor's ack settles it.
     broker.cancel("d", "c1")
     survivor = Collector()
     broker.consume("d", survivor, consumer_tag="c2")
     assert drain_wait(lambda: survivor.count() == 1)
     with survivor.lock:
         redelivery = survivor.deliveries[0]
-    assert redelivery.message.message_id == message.message_id
+    assert redelivery.message is message
     assert redelivery.message.redelivered
-    broker.ack_many([redelivery])
-    assert not broker.store.pending_for("d")
+    assert broker.ack_many([redelivery]) == 1
+    assert broker.queue_stats("d")["unacked"] == 0
     broker.close()

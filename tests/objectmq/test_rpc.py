@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.errors import ObjectMqError, QueueNotFound, RemoteInvocationError, RemoteTimeout
-from repro.mom import MessageBroker
+from repro.mom import Message, MessageBroker
 from repro.objectmq import (
     Broker,
     Remote,
@@ -359,11 +359,15 @@ def test_multicast_to_empty_group_is_noop(rig):
     assert proxy.who() == []
 
 
-def test_multicast_after_restart_dropped_its_fanout_is_noop(rig):
-    mom, _server, client = rig
-    proxy = client.lookup("ghost", CalculatorApi)
-    assert proxy.broadcast("before") == 0
-    mom.restart()  # drops every exchange, the declared fanout too
+def test_multicast_after_the_last_instance_unbinds_is_noop(rig):
+    """The proxy's fanout outlives its group: with no binding left, a
+    multicast is the empty group's no-op, not an error."""
+    _mom, server, client = rig
+    skeleton = server.bind("calc", Calculator("one"))
+    proxy = client.lookup("calc", CalculatorApi)
+    assert proxy.broadcast("before") == 1
+    server.unbind(skeleton)
+    assert not client.multicast_has_listeners("calc")
     assert proxy.broadcast("after") == 0
     assert proxy.who() == []
 
@@ -397,6 +401,35 @@ def test_codec_configurable_per_broker():
     client.close()
     server.close()
     mom.close()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'{"__bytes__": 5}',
+        b'{"__bytes__": "\\u0100"}',
+        b'{"__wire__": "dict", "dict": 3}',
+        b'{"__wire__": "dict"}',
+        b'{"__wire__": "stacksync.CommitResult"}',
+    ],
+)
+def test_a_malformed_reply_is_dropped_and_the_next_call_answered(body, caplog):
+    """The reply router drops a body it cannot decode as an ObjectMQ
+    error, whatever tag is malformed, and keeps serving its caller."""
+    mom = MessageBroker()
+    server = Broker(mom, environment={"codec": "json"})
+    client = Broker(mom, environment={"codec": "json"})
+    try:
+        server.bind("calc", Calculator())
+        proxy = client.lookup("calc", CalculatorApi)
+        with caplog.at_level("WARNING", logger="repro.objectmq.broker"):
+            mom.publish("", client.response_queue_name, Message(body))
+        assert "dropping undecodable reply" in caplog.text
+        assert proxy.add(2, 3) == 5
+    finally:
+        client.close()
+        server.close()
+        mom.close()
 
 
 def test_unknown_environment_key_is_rejected():
@@ -442,6 +475,42 @@ def test_crash_mid_call_redelivers_to_survivor(rig):
     # The first delivery goes to one of the two instances; if it's the
     # crashy one, the reply comes from the survivor via redelivery.
     assert proxy.slow(0.01) == "done" or proxy.slow(0.01) == "done"
+
+
+@pytest.mark.parametrize("prefetch", [1, 4, 64])
+def test_casts_held_by_a_killed_instance_run_on_the_next_one(rig, prefetch):
+    """§3.4 with no broker journal: a killed instance's unacked casts, the
+    one it is running and those waiting in its window, go back to the
+    oid's queue, and the next instance runs every one, in order."""
+    mom, server, client = rig
+    entered, release = threading.Event(), threading.Event()
+
+    class Parked(Calculator):
+        def record(self, value):
+            entered.set()
+            assert release.wait(timeout=5.0)
+            super().record(value)
+
+    parked = Parked("parked")
+    doomed = server.bind("calc-ft", parked, prefetch=prefetch)
+    proxy = client.lookup("calc-ft", CalculatorApi)
+    for i in range(6):
+        proxy.record(i)
+    assert entered.wait(timeout=5.0)
+    held = min(prefetch, 6)
+    assert wait_for(lambda: mom.queue_stats("calc-ft")["unacked"] == held)
+    doomed.kill()
+    stats = mom.queue_stats("calc-ft")
+    assert (stats["ready"], stats["unacked"], stats["redelivered"]) == (6, 0, held)
+
+    survivor = Calculator("survivor")
+    server.bind("calc-ft", survivor)
+    assert wait_for(lambda: survivor.recorded == list(range(6)))
+    # The killed instance finishes the call it was in (at least once means
+    # cast 0 ran twice), and its late ack settles nothing.
+    release.set()
+    assert wait_for(lambda: parked.recorded == [0])
+    assert wait_for(lambda: mom.queue_stats("calc-ft")["acked"] == 6)
 
 
 class CountingAcks:

@@ -104,6 +104,39 @@ def test_json_decode_garbage():
         JsonSerializer().decode(b"\xff\xfe not json")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        b'{"__bytes__": 5}',
+        b'{"__bytes__": "\\u0100"}',
+        b'{"__wire__": "dict", "dict": 3}',
+        b'{"__wire__": "dict"}',
+        b'{"__wire__": "stacksync.CommitResult"}',
+    ],
+)
+def test_json_malformed_tags_raise_serialization_error(body):
+    # Not AttributeError or KeyError: callers catch ObjectMqError.
+    with pytest.raises(SerializationError):
+        JsonSerializer().decode(body)
+
+
+@pytest.mark.parametrize(
+    "tagged",
+    [
+        {"__wirX__": "dict", "dict": 3},
+        {"__wirX__": "dict"},
+        {"__wirX__": "stacksync.CommitResult"},
+    ],
+)
+def test_binary_malformed_tags_raise_serialization_error(tagged):
+    codec = BinarySerializer()
+    # The encoder escapes any dict holding "__wire__", so build the body
+    # from a same-length key and swap it in.
+    data = codec.encode(tagged).replace(b"__wirX__", b"__wire__")
+    with pytest.raises(SerializationError):
+        codec.decode(data)
+
+
 def test_binary_more_compact_than_json_on_rpc_envelope():
     envelope = {
         "method": "commit_request",

@@ -42,7 +42,7 @@ def test_redelivered_commit_succeeds_on_surviving_instance():
     doomed._running = False
     meta = client.put_file("crash.txt", b"at least once")
 
-    queue = mom.declare_queue(SYNC_SERVICE_OID, durable=True)
+    queue = mom.declare_queue(SYNC_SERVICE_OID)
     assert wait_for(lambda: queue.unacked_count == 1)
     assert client.applied_at(meta.item_id, meta.version) is None
     assert metadata.item_history(meta.item_id) == []

@@ -1,79 +1,16 @@
-"""Cross-subsystem resilience: broker failover and storage failures during sync."""
+"""Cross-subsystem resilience: storage failures and lost SyncService
+instances during sync."""
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from repro.client import StackSyncClient
 from repro.errors import StorageError
-from repro.metadata import MemoryMetadataBackend
-from repro.mom import BrokerCluster, MessageBroker
 from repro.objectmq import Broker
-from repro.storage import SwiftLikeStore
-from repro.sync import SYNC_SERVICE_OID, SyncService, Workspace
+from repro.sync import SYNC_SERVICE_OID
 
-
-def build_world(mom):
-    metadata = MemoryMetadataBackend()
-    storage = SwiftLikeStore(node_count=4, replicas=2)
-    metadata.create_user("alice")
-    workspace = Workspace(workspace_id="ws", owner="alice")
-    metadata.create_workspace(workspace)
-    server = Broker(mom)
-    service = SyncService(metadata, server)
-    server.bind(SYNC_SERVICE_OID, service)
-    return metadata, storage, workspace, server, service
-
-
-def test_full_sync_over_broker_cluster():
-    """The whole stack runs over the HA cluster facade unchanged."""
-    cluster = BrokerCluster(size=2)
-    _metadata, storage, workspace, server, _service = build_world(cluster)
-    c1 = StackSyncClient("alice", workspace, cluster, storage, device_id="d1")
-    c2 = StackSyncClient("alice", workspace, cluster, storage, device_id="d2")
-    c1.start()
-    c2.start()
-    meta = c1.put_file("ha.txt", b"over the cluster")
-    assert c2.wait_for_version(meta.item_id, meta.version, timeout=10)
-    assert c2.fs.read("ha.txt") == b"over the cluster"
-    for client in (c1, c2):
-        client.stop()
-    server.close()
-    cluster.close()
-
-
-def test_sync_continues_after_broker_failover():
-    """After the primary broker dies, re-connected components resume.
-
-    Consumers must re-subscribe after an AMQP failover; the test models a
-    deployment script doing exactly that, then verifies no durable state
-    was lost and traffic flows again.
-    """
-    cluster = BrokerCluster(size=2)
-    metadata, storage, workspace, server, service = build_world(cluster)
-    c1 = StackSyncClient("alice", workspace, cluster, storage, device_id="d1")
-    c1.start()
-    meta = c1.put_file("before.txt", b"pre-failover")
-    assert c1.wait_for_version(meta.item_id, meta.version, timeout=10)
-    c1.stop()
-    server.close()
-
-    cluster.fail_primary()
-
-    # Reconnect everything against the promoted node.
-    server2 = Broker(cluster)
-    server2.bind(SYNC_SERVICE_OID, service)
-    c2 = StackSyncClient("alice", workspace, cluster, storage, device_id="d2")
-    c2.start()
-    # Durable state (metadata + chunks) survived; new traffic works.
-    assert c2.fs.read("before.txt") == b"pre-failover"
-    meta2 = c2.put_file("after.txt", b"post-failover")
-    assert c2.wait_for_version(meta2.item_id, meta2.version, timeout=10)
-    c2.stop()
-    server2.close()
-    cluster.close()
+from tests.conftest import SyncTestbed
+from tests.mom.test_broker_server import wait_for
 
 
 def test_storage_node_failure_transparent_to_clients(testbed):
@@ -119,3 +56,47 @@ def test_notification_storm_many_devices(testbed):
     for reader in readers:
         assert reader.wait_for_version(meta.item_id, meta.version, timeout=15)
         assert reader.fs.read("broadcast.txt") == b"to everyone"
+
+
+def test_sync_continues_after_a_sync_service_instance_is_killed():
+    """Losing one of two instances costs capacity, never a commit."""
+    bed = SyncTestbed(instances=2)
+    try:
+        writer = bed.client(device_id="writer")
+        reader = bed.client(device_id="reader")
+        bed.skeletons[0].kill()
+        assert bed.mom.queue_stats(SYNC_SERVICE_OID)["consumers"] == 1
+        metas = [writer.put_file(f"f{i}.txt", f"after {i}".encode()) for i in range(3)]
+        for i, meta in enumerate(metas):
+            assert reader.wait_for_version(meta.item_id, meta.version, timeout=10)
+            assert reader.fs.read(f"f{i}.txt") == f"after {i}".encode()
+    finally:
+        bed.close()
+
+
+def test_a_commit_made_while_no_instance_is_bound_waits_for_the_next_one(testbed):
+    """The whole server side goes away and comes back on the same MOM: a
+    commit made in the gap waits in the SyncService queue, not lost."""
+    writer = testbed.client(device_id="writer")
+    reader = testbed.client(device_id="reader")
+    before = writer.put_file("before.txt", b"first server")
+    assert reader.wait_for_version(before.item_id, before.version, timeout=10)
+    # The notification goes out before the commit is acked; closing the
+    # server in between would (rightly) redeliver that commit as well.
+    queue = testbed.mom.declare_queue(SYNC_SERVICE_OID)
+    assert wait_for(lambda: queue.unacked_count == len(queue) == 0, timeout=5.0)
+    testbed.server_broker.close()
+
+    gap = writer.put_file("gap.txt", b"no server")
+    assert testbed.mom.queue_stats(SYNC_SERVICE_OID)["ready"] == 1
+    assert writer.applied_at(gap.item_id, gap.version) is None
+
+    server = Broker(testbed.mom)
+    try:
+        server.bind(SYNC_SERVICE_OID, testbed.service)
+        assert writer.wait_for_version(gap.item_id, gap.version, timeout=10)
+        assert reader.wait_for_version(gap.item_id, gap.version, timeout=10)
+        assert reader.fs.read("gap.txt") == b"no server"
+        assert reader.fs.read("before.txt") == b"first server"
+    finally:
+        server.close()

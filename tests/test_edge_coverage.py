@@ -8,36 +8,8 @@ import time
 import pytest
 
 from repro.client import ContentDefinedChunker, conflicted_copy_name, make_chunker
-from repro.mom import BrokerCluster, Message
 from repro.storage import LatencyModel, LatencyProfile
 from repro.workload import Trace, TraceGenerator, TraceReplayer
-
-
-# -- cluster facade ----------------------------------------------------------------
-
-
-def test_cluster_facade_exchange_and_cancel():
-    cluster = BrokerCluster(size=2)
-    cluster.declare_exchange("fan", "fanout")
-    cluster.declare_queue("a")
-    cluster.bind_queue("fan", "a")
-    assert cluster.publish("fan", "", Message(b"x")) == 1
-    cluster.unbind_queue("fan", "a")
-    from repro.errors import DeliveryError
-
-    with pytest.raises(DeliveryError):
-        cluster.publish("fan", "", Message(b"y"))
-
-    held = []
-    cluster.consume("a", held.append, consumer_tag="c")
-    deadline = time.monotonic() + 2.0
-    while not held and time.monotonic() < deadline:
-        time.sleep(0.01)
-    cluster.cancel("a", "c")
-    stats = cluster.queue_stats("a")
-    assert stats["redelivered"] >= 1
-    assert cluster.size == 2
-    cluster.close()
 
 
 # -- latency model -----------------------------------------------------------------------
