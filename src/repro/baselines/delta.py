@@ -68,14 +68,6 @@ class Delta:
     ops: Tuple[DeltaOp, ...]
 
     @property
-    def literal_bytes(self) -> int:
-        return sum(len(op[1]) for op in self.ops if op[0] == "literal")
-
-    @property
-    def copy_count(self) -> int:
-        return sum(1 for op in self.ops if op[0] == "copy")
-
-    @property
     def wire_size(self) -> int:
         """Bytes needed to ship this delta."""
         size = 4

@@ -1,6 +1,6 @@
 """Benchmark harness: trace replay, traffic metering, experiment registry."""
 
-from repro.bench.experiments import EXPERIMENTS, Experiment, experiment_index_markdown
+from repro.bench.experiments import EXPERIMENTS, Experiment
 from repro.bench.overhead import (
     HTTP_STORAGE_OVERHEAD,
     StackSyncTestbed,
@@ -43,7 +43,6 @@ __all__ = [
     "SoakVerificationError",
     "StackSyncTestbed",
     "build_testbed",
-    "experiment_index_markdown",
     "mb",
     "overhead_comparison",
     "render_boxplot_row",

@@ -158,17 +158,3 @@ EXPERIMENTS: Dict[str, Experiment] = {
         ),
     ]
 }
-
-
-def experiment_index_markdown() -> str:
-    """Markdown table of the registry (used to build EXPERIMENTS.md)."""
-    lines = [
-        "| Exp | Paper artifact | Bench target | Expectation |",
-        "|---|---|---|---|",
-    ]
-    for experiment in EXPERIMENTS.values():
-        lines.append(
-            f"| {experiment.exp_id} | {experiment.paper_artifact} | "
-            f"`{experiment.bench_file}` | {experiment.expectations} |"
-        )
-    return "\n".join(lines)

@@ -5,22 +5,14 @@ from repro.client.chunker import (
     ContentDefinedChunker,
     DEFAULT_CHUNK_SIZE,
     FixedChunker,
-    make_chunker,
 )
 from repro.client.compression import (
     Bzip2Compressor,
-    COMPRESSORS,
     Compressor,
     GzipCompressor,
     NullCompressor,
-    make_compressor,
 )
-from repro.client.fingerprint import (
-    FINGERPRINTERS,
-    make_fingerprinter,
-    sha1_fingerprint,
-    sha256_fingerprint,
-)
+from repro.client.fingerprint import sha1_fingerprint
 from repro.client.device import StackSyncDevice
 from repro.client.fs import DirectoryFilesystem, Filesystem, VirtualFilesystem
 from repro.client.indexer import Indexer, IndexResult
@@ -46,13 +38,11 @@ from repro.client.watcher import (
 from repro.sync.models import make_item_id
 
 __all__ = [
-    "COMPRESSORS",
     "DEFAULT_EXCLUDES",
     "DEFAULT_CHUNK_SIZE",
     "EVENT_ADD",
     "EVENT_REMOVE",
     "EVENT_UPDATE",
-    "FINGERPRINTERS",
     "Bzip2Compressor",
     "Chunk",
     "ChunkTransferManager",
@@ -76,10 +66,6 @@ __all__ = [
     "TransferRecord",
     "VirtualFilesystem",
     "conflicted_copy_name",
-    "make_chunker",
-    "make_compressor",
-    "make_fingerprinter",
     "make_item_id",
     "sha1_fingerprint",
-    "sha256_fingerprint",
 ]

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
-from repro.client.fingerprint import Fingerprinter, sha1_fingerprint
+from repro.client.fingerprint import sha1_fingerprint
 
 #: The paper's default chunk size.
 DEFAULT_CHUNK_SIZE = 512 * 1024
@@ -45,27 +45,22 @@ class FixedChunker:
 
     name = "fixed"
 
-    def __init__(
-        self,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        fingerprinter: Fingerprinter = sha1_fingerprint,
-    ):
+    def __init__(self, chunk_size: int = DEFAULT_CHUNK_SIZE):
         if chunk_size <= 0:
             raise ValueError("chunk_size must be positive")
         self.chunk_size = chunk_size
-        self.fingerprinter = fingerprinter
 
     def chunk(self, data: bytes) -> List[Chunk]:
         chunks = []
         for offset in range(0, len(data), self.chunk_size):
             payload = data[offset : offset + self.chunk_size]
             chunks.append(
-                Chunk(data=payload, offset=offset, fingerprint=self.fingerprinter(payload))
+                Chunk(data=payload, offset=offset, fingerprint=sha1_fingerprint(payload))
             )
         if not chunks:
             # An empty file is a single empty chunk, so it still has a
             # fingerprint and can round-trip through storage.
-            chunks.append(Chunk(data=b"", offset=0, fingerprint=self.fingerprinter(b"")))
+            chunks.append(Chunk(data=b"", offset=0, fingerprint=sha1_fingerprint(b"")))
         return chunks
 
 
@@ -100,7 +95,6 @@ class ContentDefinedChunker:
         target: int = 512 * 1024,
         maximum: int = 1024 * 1024,
         window: int = 48,
-        fingerprinter: Fingerprinter = sha1_fingerprint,
     ):
         if not 0 < minimum <= target <= maximum:
             raise ValueError("need 0 < minimum <= target <= maximum")
@@ -108,21 +102,20 @@ class ContentDefinedChunker:
         self.target = target
         self.maximum = maximum
         self.window = window
-        self.fingerprinter = fingerprinter
         # mask with log2(target) low bits set: boundary prob 1/target
         self._mask = (1 << max(1, target.bit_length() - 1)) - 1
         self._magic = 0x78 & self._mask
 
     def chunk(self, data: bytes) -> List[Chunk]:
         if not data:
-            return [Chunk(data=b"", offset=0, fingerprint=self.fingerprinter(b""))]
+            return [Chunk(data=b"", offset=0, fingerprint=sha1_fingerprint(b""))]
         boundaries = self._find_boundaries(data)
         chunks = []
         start = 0
         for end in boundaries:
             payload = data[start:end]
             chunks.append(
-                Chunk(data=payload, offset=start, fingerprint=self.fingerprinter(payload))
+                Chunk(data=payload, offset=start, fingerprint=sha1_fingerprint(payload))
             )
             start = end
         return chunks
@@ -155,20 +148,3 @@ class ContentDefinedChunker:
             boundaries.append(cut)
             start = cut
         return boundaries
-
-
-ChunkerFactory = Callable[[], object]
-
-CHUNKERS = {
-    "fixed": FixedChunker,
-    "cdc": ContentDefinedChunker,
-}
-
-
-def make_chunker(name: str, **kwargs):
-    try:
-        return CHUNKERS[name](**kwargs)
-    except KeyError:
-        raise ValueError(
-            f"unknown chunker {name!r}; available: {sorted(CHUNKERS)}"
-        ) from None

@@ -121,9 +121,3 @@ class StackSyncDevice:
 
     def fs_for(self, workspace_id: str) -> Filesystem:
         return self.client_for(workspace_id).fs
-
-    def scan_all(self) -> int:
-        """Run one watcher scan on every workspace; returns event count."""
-        with self._lock:
-            clients = list(self._clients.values())
-        return sum(len(client.scan()) for client in clients)

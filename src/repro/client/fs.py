@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Protocol, Tuple
+from typing import Dict, List, Protocol, Tuple
 
 
 class Filesystem(Protocol):
@@ -24,8 +24,6 @@ class Filesystem(Protocol):
     def read(self, path: str) -> bytes: ...
 
     def delete(self, path: str) -> None: ...
-
-    def exists(self, path: str) -> bool: ...
 
     def list_paths(self) -> List[str]: ...
 
@@ -59,10 +57,6 @@ class VirtualFilesystem:
             self._files.pop(path, None)
             self._mtimes.pop(path, None)
 
-    def exists(self, path: str) -> bool:
-        with self._lock:
-            return path in self._files
-
     def list_paths(self) -> List[str]:
         with self._lock:
             return sorted(self._files)
@@ -73,10 +67,6 @@ class VirtualFilesystem:
                 return len(self._files[path]), self._mtimes[path]
             except KeyError:
                 raise FileNotFoundError(path) from None
-
-    def total_bytes(self) -> int:
-        with self._lock:
-            return sum(len(d) for d in self._files.values())
 
 
 class DirectoryFilesystem:
@@ -106,9 +96,6 @@ class DirectoryFilesystem:
         full = self._full(path)
         if os.path.exists(full):
             os.remove(full)
-
-    def exists(self, path: str) -> bool:
-        return os.path.isfile(self._full(path))
 
     def list_paths(self) -> List[str]:
         paths = []

@@ -40,10 +40,6 @@ class IndexResult:
     #: Raw (uncompressed) size of the uploads, for traffic accounting.
     upload_raw_bytes: int = 0
 
-    @property
-    def upload_bytes(self) -> int:
-        return sum(len(payload) for _fp, payload in self.uploads)
-
 
 class Indexer:
     """Turns detected file changes into commit proposals + upload lists."""

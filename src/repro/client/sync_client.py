@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.client.chunker import FixedChunker
 from repro.client.compression import Compressor, GzipCompressor
+from repro.client.fingerprint import sha1_fingerprint
 from repro.client.fs import Filesystem, VirtualFilesystem
 from repro.client.indexer import Indexer, IndexResult
 from repro.client.local_db import LocalDatabase, LocalFileRecord
@@ -277,10 +278,6 @@ class StackSyncClient:
             self._send_commit(result)
             return result.proposal
 
-    def scan(self) -> List[FileEvent]:
-        """Run one watcher scan, indexing and committing what it finds."""
-        return self.watcher.scan_once()
-
     # -- sync-time instrumentation ------------------------------------------------------
 
     def wait_for_version(
@@ -296,10 +293,6 @@ class StackSyncClient:
                     return None
                 self._applied.wait(remaining)
             return self._applied_versions[key]
-
-    def applied_at(self, item_id: str, version: int) -> Optional[float]:
-        with self._lock:
-            return self._applied_versions.get((item_id, version))
 
     # -- internals: outbound -------------------------------------------------------------
 
@@ -398,16 +391,18 @@ class StackSyncClient:
     def _handle_result(self, result: CommitResult) -> None:
         metadata = result.metadata
         ours = metadata.device_id == self.device_id
-        if result.confirmed:
+        # A redelivered commit loses to the record it stored the first time
+        # (current == metadata): its writer takes that as the confirmation,
+        # and every other device ignores it, as it does any lost proposal.
+        if result.confirmed or (ours and result.current == metadata):
             if ours:
                 self._confirm_own_commit(metadata)
             else:
                 self._apply_remote_change(metadata)
             self._mark_applied(metadata.item_id, metadata.version)
-        else:
-            if ours:
-                self.stats.add_conflict()
-                self._resolve_conflict(result)
+        elif ours:
+            self.stats.add_conflict()
+            self._resolve_conflict(result)
 
     def _confirm_own_commit(self, metadata: ItemMetadata) -> None:
         with self._lock:
@@ -461,11 +456,9 @@ class StackSyncClient:
             return self._fetch_content_inner(metadata)
 
     def _fetch_content_inner(self, metadata: ItemMetadata) -> bytes:
-        fingerprinter = self.indexer.chunker.fingerprinter
-
         def decode(name: str, payload: bytes) -> bytes:
             plain = self.indexer.compressor.decompress(payload)
-            if fingerprinter(plain).hex() != name:
+            if sha1_fingerprint(plain).hex() != name:
                 raise SyncError(
                     f"integrity check failed for chunk {name} of {metadata.filename!r}"
                 )

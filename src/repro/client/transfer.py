@@ -96,12 +96,6 @@ class ChunkTransferManager:
             self._closed = True
         self._executor.shutdown(wait=True)
 
-    def __enter__(self) -> "ChunkTransferManager":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- public API ---------------------------------------------------------------
 
     def upload_chunks(

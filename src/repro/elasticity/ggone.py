@@ -124,30 +124,6 @@ class GG1CapacityModel:
         delta = self.per_server_rate(ca2=ca2, s=s, sigma_b2=sigma_b2)
         return max(1, math.ceil(lam / delta))
 
-    def plan_shards(
-        self,
-        shard_rates: "list[float]",
-        ca2: float = 1.0,
-        s: float | None = None,
-        sigma_b2: float | None = None,
-    ) -> "list[int]":
-        """Equation (2) applied per metadata shard.
-
-        When the commit path is partitioned by workspace, each shard
-        queue sees its own arrival stream λ_k with Σλ_k = λ.  Splitting a
-        renewal stream by an independent hash preserves the squared CV of
-        interarrival times, so the aggregate *ca2* can be reused for
-        every shard (same argument that lets equation (1) reuse the
-        global queue's ca2 per server).  Returns η_k = ⌈λ_k/δ⌉ per
-        shard — note Ση_k ≥ η(Σλ_k): partitioning never needs fewer
-        servers in total, it buys throughput, isolation and per-shard
-        headroom instead.
-        """
-        return [
-            self.instances_for(lam, ca2=ca2, s=s, sigma_b2=sigma_b2)
-            for lam in shard_rates
-        ]
-
     @staticmethod
     def ca2_from(sigma_a2: float, lam: float) -> float:
         """Squared CV of interarrival times from (variance, rate).

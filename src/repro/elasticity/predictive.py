@@ -123,9 +123,3 @@ class PredictiveProvisioner(Provisioner):
             f"eta={proposal} by eq. (2)"
         )
         return proposal
-
-    def reset(self) -> None:
-        self._history.clear()
-        self._monitored_s = None
-        self._monitored_sigma_b2 = None
-        self.last_prediction = 0.0

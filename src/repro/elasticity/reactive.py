@@ -105,12 +105,6 @@ class ReactiveProvisioner(Provisioner):
         )
         return proposal
 
-    def reset(self) -> None:
-        self._monitored_s = None
-        self._monitored_sigma_b2 = None
-        self.last_triggered = False
-        self.last_threshold = None
-
 
 class CombinedProvisioner(Provisioner):
     """Predictive baseline + reactive override, on their own cadences.
@@ -192,14 +186,3 @@ class CombinedProvisioner(Provisioner):
 
     def predicted_rate(self, timestamp: float) -> float:
         return self.predictive.predicted_rate(timestamp)
-
-    def reset(self) -> None:
-        self.predictive.reset()
-        self.reactive.reset()
-        self._last_predictive_at = None
-        self._last_reactive_at = None
-        self._predictive_proposal = 0
-        self._reactive_proposal = None
-        self._predictive_reason = ""
-        self._reactive_reason = ""
-        self._reactive_threshold = None

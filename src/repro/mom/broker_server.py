@@ -157,10 +157,6 @@ class MessageBroker:
         exchange = self._exchanges.get(name)
         return exchange is not None and exchange.has_bindings()
 
-    def queue_names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._queues)
-
     # -- publish / consume ------------------------------------------------------
 
     def publish(

@@ -31,7 +31,6 @@ from repro.objectmq.annotations import (
     Remote,
     async_method,
     interface_specs,
-    is_remote_interface,
     multi_method,
     remote_interface,
     sync_method,
@@ -87,7 +86,6 @@ __all__ = [
     "UtilizationProvisioner",
     "async_method",
     "interface_specs",
-    "is_remote_interface",
     "multi_exchange_name",
     "multi_method",
     "parse_shard_oid",

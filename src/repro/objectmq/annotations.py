@@ -60,10 +60,6 @@ class CallSpec:
     #: :func:`remote_interface`: keyword arguments that fill them go by position.
     params: Tuple[str, ...] = ()
 
-    @property
-    def expects_reply(self) -> bool:
-        return self.kind == "sync"
-
 
 class Remote:
     """Marker base class for remote interfaces (the paper's ``Remote``)."""
@@ -179,7 +175,3 @@ def interface_specs(cls: Type) -> Dict[str, CallSpec]:
             f"{cls.__name__} is not decorated with @remote_interface"
         )
     return specs
-
-
-def is_remote_interface(cls: Type) -> bool:
-    return getattr(cls, _IFACE_ATTR, None) is not None

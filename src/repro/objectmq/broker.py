@@ -330,9 +330,3 @@ class Broker:
     def _check_open(self) -> None:
         if self._closed:
             raise ObjectMqError(f"Broker {self.client_id} is closed")
-
-    def __enter__(self) -> "Broker":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

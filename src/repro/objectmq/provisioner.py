@@ -53,9 +53,6 @@ class Provisioner(ABC):
         """λ_pred(t) the policy compares against; 0.0 without a predictor."""
         return 0.0
 
-    def reset(self) -> None:
-        """Clear internal state (history windows, EWMA, ...)."""
-
 
 @dataclass
 class ControlDecision:

@@ -43,7 +43,7 @@ class CallStats:
     """Per-proxy client-side latency statistics (thread-safe).
 
     Aggregates (count / mean / max) are exact over every call ever made;
-    the per-call samples backing the percentile accessors live in a
+    the per-call samples behind the scraped percentiles live in a
     bounded reservoir of the most recent :data:`RESERVOIR_SIZE` calls, so
     a proxy that serves millions of invocations stays O(1) in memory.
     """
@@ -70,18 +70,6 @@ class CallStats:
         with self._lock:
             self.calls += 1
             self.timeouts += 1
-
-    def percentile(self, fraction: float) -> float:
-        """Percentile over the recent-sample reservoir.
-
-        Delegates to :func:`repro.telemetry.stats.percentile` — the one
-        linear-interpolation implementation shared with
-        :mod:`repro.simulation.metrics` — so client-side and simulation
-        percentiles agree even at small n.
-        """
-        with self._lock:
-            recent = list(self._recent)
-        return _shared_percentile(recent, fraction)
 
     def scrape(self) -> dict:
         """Registry-source view of this proxy's call statistics."""

@@ -21,7 +21,6 @@ fanout semantics for pool-wide operations.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, List, Optional, Type
 
 from repro.objectmq.annotations import CallSpec, interface_specs
@@ -63,29 +62,18 @@ class ShardedProxy:
             broker.lookup(shard_oid(oid, shard), interface)
             for shard in range(num_shards)
         ]
-        self._route_counts = [0] * num_shards
-        self._lock = threading.Lock()
         for method_name, spec in specs.items():
             setattr(self, method_name, self._make_method(method_name, spec))
 
     def __repr__(self) -> str:
         return (
             f"<ShardedProxy {self._interface_name} -> {self._oid!r} "
-            f"x{self.num_shards}>"
+            f"x{len(self._proxies)}>"
         )
-
-    @property
-    def num_shards(self) -> int:
-        return len(self._proxies)
 
     def shard_for(self, key: Any) -> int:
         """Shard index that calls keyed by *key* are routed to."""
         return self.router.shard_for(str(key))
-
-    def route_counts(self) -> List[int]:
-        """Calls routed per shard since construction (index = shard)."""
-        with self._lock:
-            return list(self._route_counts)
 
     # -- stub construction -------------------------------------------------------
 
@@ -95,10 +83,7 @@ class ShardedProxy:
                 f"{self._interface_name}.{method_name} needs a positional "
                 f"routing key at index {self._route_arg}"
             )
-        shard = self.shard_for(args[self._route_arg])
-        with self._lock:
-            self._route_counts[shard] += 1
-        return self._proxies[shard]
+        return self._proxies[self.shard_for(args[self._route_arg])]
 
     def _make_method(self, method_name: str, spec: CallSpec):
         if spec.multi:

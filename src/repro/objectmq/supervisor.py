@@ -99,9 +99,6 @@ class ArrivalMonitor:
         # Var[N(w)] = w sigma_a^2 / mu_a^3  =>  sigma_a^2 = Var[N] mu_a^3 / w
         return var_count * mean_interarrival**3 / width
 
-    def reset(self) -> None:
-        self._samples.clear()
-
 
 @dataclass
 class SupervisorRecord:
@@ -373,20 +370,9 @@ class ShardedSupervisor:
             for shard in range(shards)
         ]
 
-    @property
-    def num_shards(self) -> int:
-        return len(self.supervisors)
-
     def step(self, now: Optional[float] = None) -> List[SupervisorRecord]:
         """Run one control period on every shard; returns records in shard order."""
         return [supervisor.step(now) for supervisor in self.supervisors]
-
-    def pool_sizes(self) -> List[int]:
-        """Currently enforced pool size per shard (0 before the first step)."""
-        return [
-            s.history.records[-1].pool_size if s.history.records else 0
-            for s in self.supervisors
-        ]
 
     def start(self) -> None:
         for supervisor in self.supervisors:

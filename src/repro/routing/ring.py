@@ -2,9 +2,8 @@
 
 OpenStack Swift places objects on storage nodes using a partitioned
 consistent-hash ring with replicas.  We reproduce the essentials: a ring
-of 2^power partitions, each mapped to *replicas* distinct devices, with
-stable assignment under device addition/removal (only ~1/N of partitions
-move).  The same ring routes metadata shards (see
+of 2^power partitions, each mapped to *replicas* distinct devices.  The
+same ring routes metadata shards (see
 :class:`repro.routing.shard.ShardRouter`), so object-store placement and
 metadata sharding share one tested implementation.
 """
@@ -32,8 +31,8 @@ class HashRing:
         if not devices:
             raise ValueError("ring needs at least one device")
         self.partition_count = 2**power
-        self.replicas = min(replicas, len(devices))
         self.devices: List[str] = list(dict.fromkeys(devices))
+        self.replicas = min(replicas, len(self.devices))
         # partition -> replica devices, worked out on the partition's first
         # lookup: a ring nobody routes through (the object store of a
         # metadata-only deployment) costs no hashing at all.
@@ -46,8 +45,6 @@ class HashRing:
         movement property without maintaining an explicit virtual-node
         ring, and is deterministic across processes.
         """
-        # A membership change rebinds the memo after it changes the device
-        # list, so an entry computed from the old list lands in the old memo.
         memo = self._assignments
         assigned = memo.get(partition)
         if assigned is None:
@@ -68,26 +65,3 @@ class HashRing:
 
     def primary_for(self, key: str) -> str:
         return self._replicas_of(self.partition_for(key))[0]
-
-    def add_device(self, device: str) -> None:
-        if device in self.devices:
-            return
-        self.devices.append(device)
-        self.replicas = min(max(self.replicas, 1), len(self.devices))
-        self._assignments = {}
-
-    def remove_device(self, device: str) -> None:
-        if device not in self.devices:
-            return
-        if len(self.devices) == 1:
-            raise ValueError("cannot remove the last device")
-        self.devices.remove(device)
-        self.replicas = min(self.replicas, len(self.devices))
-        self._assignments = {}
-
-    def load_distribution(self, keys: Sequence[str]) -> Dict[str, int]:
-        """Count of primary assignments per device over *keys*."""
-        counts: Dict[str, int] = {dev: 0 for dev in self.devices}
-        for key in keys:
-            counts[self.primary_for(key)] += 1
-        return counts

@@ -16,7 +16,7 @@ at construction, so a key's shard never changes while the router lives.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List
+from typing import Dict
 
 from repro.routing.ring import HashRing
 
@@ -56,23 +56,6 @@ class ShardRouter:
                 self._memo.clear()
             self._memo[key] = shard
         return shard
-
-    def shards(self) -> List[int]:
-        return list(range(self.num_shards))
-
-    def group_by_shard(self, keys: Iterable[str]) -> Dict[int, List[str]]:
-        """Partition *keys* by owning shard (insertion order preserved)."""
-        groups: Dict[int, List[str]] = {}
-        for key in keys:
-            groups.setdefault(self.shard_for(key), []).append(key)
-        return groups
-
-    def load_distribution(self, keys: Iterable[str]) -> Dict[int, int]:
-        """Count of keys per shard — for balance checks and tests."""
-        counts = {shard: 0 for shard in range(self.num_shards)}
-        for key in keys:
-            counts[self.shard_for(key)] += 1
-        return counts
 
     def __repr__(self) -> str:
         return f"<ShardRouter shards={self.num_shards}>"

@@ -29,7 +29,6 @@ from repro.objectmq.provisioner import ControlDecision, Provisioner, decide
 from repro.simulation.des import EventLoop
 from repro.simulation.metrics import boxplot_stats, bucket_by_time, fraction_above
 from repro.simulation.server import (
-    CompletedRequest,
     ServerPool,
     ServiceTimeDistribution,
     poisson_arrival_times,
@@ -282,10 +281,6 @@ class ShardedSimResult:
     journal: Optional[DecisionJournal] = None
 
     @property
-    def num_shards(self) -> int:
-        return len(self.shard_results)
-
-    @property
     def total_arrivals(self) -> int:
         return sum(r.total_arrivals for r in self.shard_results)
 
@@ -301,22 +296,11 @@ class ShardedSimResult:
                 merged[timestamp] = merged.get(timestamp, 0) + capacity
         return sorted(merged.items())
 
-    def max_total_capacity(self) -> int:
-        return max((c for _t, c in self.total_capacity_series()), default=0)
-
     def response_times(self) -> List[float]:
         times: List[float] = []
         for result in self.shard_results:
             times.extend(result.response_times())
         return times
-
-    def sla_violation_fraction(self, sla: Optional[float] = None) -> float:
-        violations = [
-            r.sla_violation_fraction(sla) * len(r.response_times())
-            for r in self.shard_results
-        ]
-        total = len(self.response_times())
-        return sum(violations) / total if total else 0.0
 
 
 class ShardedAutoscaleSimulation:

@@ -20,7 +20,6 @@ class EventLoop:
         self.now = 0.0
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
-        self._stopped = False
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
         """Run *callback* after *delay* simulated seconds."""
@@ -34,27 +33,19 @@ class EventLoop:
             raise ValueError("cannot schedule into the past")
         heapq.heappush(self._heap, (when, next(self._seq), callback))
 
-    def stop(self) -> None:
-        self._stopped = True
-
-    @property
-    def pending(self) -> int:
-        return len(self._heap)
-
     def run_until(self, end_time: Optional[float] = None) -> float:
         """Process events until the heap drains or *end_time* is reached.
 
         Returns the final clock value.  The clock advances to *end_time*
         even if the heap drains earlier.
         """
-        self._stopped = False
-        while self._heap and not self._stopped:
+        while self._heap:
             when, _seq, callback = self._heap[0]
             if end_time is not None and when > end_time:
                 break
             heapq.heappop(self._heap)
             self.now = when
             callback()
-        if end_time is not None and not self._stopped:
+        if end_time is not None:
             self.now = max(self.now, end_time)
         return self.now

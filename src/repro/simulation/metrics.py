@@ -30,17 +30,6 @@ class BoxplotStats:
     mean: float
     count: int
 
-    @property
-    def iqr(self) -> float:
-        return self.q3 - self.q1
-
-    @property
-    def skewness(self) -> float:
-        """Bowley (quartile) skewness in [-1, 1]; >0 = right-skewed."""
-        if self.iqr == 0:
-            return 0.0
-        return (self.q3 + self.q1 - 2 * self.median) / self.iqr
-
 
 def boxplot_stats(values: Sequence[float]) -> BoxplotStats:
     if not values:

@@ -20,7 +20,6 @@ simulates it event-by-event on the DES kernel:
 
 from __future__ import annotations
 
-import math
 import random
 from collections import deque
 from dataclasses import dataclass
@@ -69,10 +68,6 @@ class CompletedRequest:
     @property
     def response_time(self) -> float:
         return self.completed_at - self.arrived_at
-
-    @property
-    def wait_time(self) -> float:
-        return self.started_at - self.arrived_at
 
 
 class ServerPool:

@@ -1,7 +1,7 @@
 """Swift-like object storage: proxy node + storage nodes + ring (§5.1).
 
 The StackSync client addresses the Storage back-end with a narrow
-container/object API: PUT/GET/DELETE/HEAD of immutable compressed chunks
+container/object API: PUT/GET/DELETE of immutable compressed chunks
 keyed by fingerprint.  The testbed of the paper was one Swift proxy in
 front of 4 storage nodes; :class:`SwiftLikeStore` mirrors that topology —
 a proxy that consults the :class:`~repro.routing.HashRing`, writes
@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.errors import ObjectNotFound, StorageError
 from repro.routing import HashRing
-from repro.storage.latency import LatencyModel, LatencyProfile, ZERO_PROFILE
+from repro.storage.latency import LatencyModel, ZERO_PROFILE
 from repro.telemetry.registry import REGISTRY
 
 
@@ -61,10 +61,6 @@ class StorageNode:
         with self._lock:
             return self.objects.pop(key, None) is not None
 
-    def has(self, key: str) -> bool:
-        with self._lock:
-            return not self.failed and key in self.objects
-
     def keys(self) -> List[str]:
         """Stable snapshot of the stored keys (safe under concurrent puts)."""
         with self._lock:
@@ -76,11 +72,6 @@ class StorageNode:
         with self._lock:
             data = self.objects.get(key)
             return len(data) if data is not None else None
-
-    @property
-    def used_bytes(self) -> int:
-        with self._lock:
-            return sum(len(v) for v in self.objects.values())
 
 
 class SwiftLikeStore:
@@ -201,13 +192,6 @@ class SwiftLikeStore:
             raise last_error
         raise ObjectNotFound(key)
 
-    def head_object(self, container: str, name: str) -> bool:
-        """Existence probe (used by dedup before uploading a chunk)."""
-        self._require_container(container)
-        key = f"{container}/{name}"
-        self.latency.charge(0)
-        return any(self.nodes[d].has(key) for d in self.ring.devices_for(key))
-
     def put_time(self, container: str, name: str) -> Optional[float]:
         """When the object was last PUT (None if never via this proxy)."""
         with self._lock:
@@ -237,24 +221,6 @@ class SwiftLikeStore:
             if not node.failed and node.delete(key):
                 deleted = True
         return deleted
-
-    # -- operations & failures ----------------------------------------------------------
-
-    def fail_node(self, name: str) -> None:
-        self.nodes[name].failed = True
-
-    def recover_node(self, name: str) -> None:
-        self.nodes[name].failed = False
-
-    def usage(self) -> Dict[str, int]:
-        return {name: node.used_bytes for name, node in self.nodes.items()}
-
-    def reset_traffic_counters(self) -> None:
-        with self._lock:
-            self.bytes_in = 0
-            self.bytes_out = 0
-            self.put_count = 0
-            self.get_count = 0
 
     def _require_container(self, container: str) -> None:
         if not self.container_exists(container):

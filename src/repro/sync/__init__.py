@@ -3,7 +3,6 @@
 from repro.sync.auth import (
     AuthService,
     AuthToken,
-    AuthenticatedStore,
     sync_auth_interceptor,
 )
 from repro.sync.interface import (
@@ -27,7 +26,6 @@ from repro.sync.service import SyncService, sync_service_factory
 __all__ = [
     "AuthService",
     "AuthToken",
-    "AuthenticatedStore",
     "STATUS_CHANGED",
     "STATUS_DELETED",
     "STATUS_NEW",

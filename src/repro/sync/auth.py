@@ -8,9 +8,7 @@ and the Storage back-end.  This module supplies both halves:
   hashes) issuing expiring bearer tokens;
 * :func:`sync_auth_interceptor` — an ObjectMQ server interceptor that
   authenticates every SyncService call from the propagated call context
-  and authorizes it against workspace ACLs in the metadata back-end;
-* :class:`AuthenticatedStore` — a thin storage wrapper enforcing that a
-  token's user only touches containers they own (the "digital locker").
+  and authorizes it against workspace ACLs in the metadata back-end.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import AuthenticationError, AuthorizationError
-from repro.storage.object_store import SwiftLikeStore
 
 if TYPE_CHECKING:  # avoid a circular import: metadata.base imports sync.models
     from repro.metadata.base import MetadataBackend
@@ -72,16 +69,6 @@ class AuthService:
             salt = os.urandom(16)
             self._accounts[user_id] = (salt, self._hash(password, salt))
 
-    def change_password(self, user_id: str, old: str, new: str) -> None:
-        self._verify_password(user_id, old)
-        with self._lock:
-            salt = os.urandom(16)
-            self._accounts[user_id] = (salt, self._hash(new, salt))
-            # Password change invalidates outstanding sessions.
-            self._tokens = {
-                t: tok for t, tok in self._tokens.items() if tok.user_id != user_id
-            }
-
     def _verify_password(self, user_id: str, password: str) -> None:
         with self._lock:
             entry = self._accounts.get(user_id)
@@ -118,19 +105,6 @@ class AuthService:
                 self._tokens.pop(token, None)
             raise AuthenticationError("token expired")
         return entry.user_id
-
-    def revoke(self, token: str) -> bool:
-        with self._lock:
-            return self._tokens.pop(token, None) is not None
-
-    def active_sessions(self, user_id: str) -> int:
-        now = self.clock()
-        with self._lock:
-            return sum(
-                1
-                for tok in self._tokens.values()
-                if tok.user_id == user_id and tok.expires_at > now
-            )
 
 
 #: SyncService methods whose first argument is a workspace id.
@@ -191,43 +165,3 @@ def sync_auth_interceptor(auth: AuthService, metadata: "MetadataBackend"):
                 )
 
     return interceptor
-
-
-class AuthenticatedStore:
-    """Storage facade scoping a token to its own container.
-
-    The client talks to the Storage back-end directly (decoupled data
-    flow); this wrapper is the back-end-side check that the presented
-    token only reaches the user's own digital locker.
-    """
-
-    def __init__(self, store: SwiftLikeStore, auth: AuthService):
-        self._store = store
-        self._auth = auth
-
-    def _authorize(self, token: str, container: str) -> None:
-        user = self._auth.validate(token)
-        if container != f"u-{user}":
-            raise AuthorizationError(
-                f"{user!r} may not access container {container!r}"
-            )
-
-    def create_container(self, token: str, container: str) -> None:
-        self._authorize(token, container)
-        self._store.create_container(container)
-
-    def put_object(self, token: str, container: str, name: str, data: bytes) -> None:
-        self._authorize(token, container)
-        self._store.put_object(container, name, data)
-
-    def get_object(self, token: str, container: str, name: str) -> bytes:
-        self._authorize(token, container)
-        return self._store.get_object(container, name)
-
-    def delete_object(self, token: str, container: str, name: str) -> bool:
-        self._authorize(token, container)
-        return self._store.delete_object(container, name)
-
-    def head_object(self, token: str, container: str, name: str) -> bool:
-        self._authorize(token, container)
-        return self._store.head_object(container, name)

@@ -138,7 +138,10 @@ class SyncService(HasObjectInfo):
         outcomes = self.metadata.store_versions_bulk(objects_changed)
         conflicts = 0
         for new_object, (confirmed, current) in zip(objects_changed, outcomes):
-            if not confirmed:
+            # A redelivered commit loses to the very record it stored the
+            # first time: that is no conflict, and its writer reads the
+            # result as a confirmation (StackSyncClient._handle_result).
+            if not confirmed and current != new_object:
                 conflicts += 1
                 logger.debug("conflict on %s: proposed v%d, current v%s", new_object.item_id,
                              new_object.version, getattr(current, "version", None))

@@ -215,22 +215,6 @@ class DecisionJournal:
             json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in self.events()
         )
 
-    def write(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
-
-    @classmethod
-    def load(cls, path: str) -> "DecisionJournal":
-        journal = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            events = load_journal_lines(fh)
-        with journal._lock:
-            journal._events.extend(events)
-            journal._seq = itertools.count(
-                max((e.seq for e in events), default=0) + 1
-            )
-        return journal
-
     def close(self) -> None:
         with self._lock:
             if self._sink is not None:

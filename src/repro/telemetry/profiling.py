@@ -86,9 +86,6 @@ class Exemplar:
     errored: bool
     spans: List[Span] = field(default_factory=list)
 
-    def breakdown(self) -> Dict[str, float]:
-        return segment_breakdown(self.spans)
-
     def dominant_segment(self) -> Tuple[str, float, float]:
         return dominant_segment(self.spans)
 
@@ -104,7 +101,7 @@ class Exemplar:
             "dominant_segment": segment,
             "dominant_seconds": seconds,
             "dominant_fraction": fraction,
-            "breakdown": self.breakdown(),
+            "breakdown": segment_breakdown(self.spans),
         }
 
 
@@ -186,10 +183,6 @@ class ExemplarReservoir:
             return sorted(
                 self._exemplars, key=lambda e: e.duration, reverse=True
             )
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._exemplars)
 
     def stats(self) -> Dict[str, float]:
         with self._lock:

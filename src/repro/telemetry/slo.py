@@ -34,7 +34,7 @@ from __future__ import annotations
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.telemetry.control import (
@@ -216,10 +216,6 @@ class SloEngine:
     def active_alerts(self) -> List[str]:
         with self._lock:
             return [name for name, s in self._states.items() if s.active]
-
-    def reset(self) -> None:
-        with self._lock:
-            self._states = {r.name: _RuleState() for r in self.rules}
 
 
 #: Example ruleset used by the demo ops run and documented in the README.

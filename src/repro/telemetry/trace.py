@@ -258,11 +258,6 @@ class Tracer:
             self._spans.clear()
             self.dropped = 0
 
-    def drain(self) -> List[Span]:
-        with self._lock:
-            spans, self._spans = self._spans, []
-            return spans
-
     # -- internals -----------------------------------------------------------
 
     def _push(self, span: Span) -> None:

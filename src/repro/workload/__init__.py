@@ -5,7 +5,6 @@ from repro.workload.filesizes import (
     FileSizeSampler,
     PAPER_MEAN_SIZE,
     PAPER_P90_BOUND,
-    empirical_cdf,
 )
 from repro.workload.markov import (
     FileStateMarkov,
@@ -67,6 +66,5 @@ __all__ = [
     "TraceReplayer",
     "UB1Config",
     "UbuntuOneTraceGenerator",
-    "empirical_cdf",
     "generate_content",
 ]

@@ -85,6 +85,3 @@ class ContentStore:
 
     def exists(self, path: str) -> bool:
         return path in self._contents
-
-    def total_bytes(self) -> int:
-        return sum(len(c) for c in self._contents.values())

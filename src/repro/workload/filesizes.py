@@ -17,9 +17,8 @@ matching the paper's two published statistics.
 
 from __future__ import annotations
 
-import math
 import random
-from typing import List, Optional
+from typing import Optional
 
 #: Calibrated parameters (see module docstring).
 BODY_MU = 11.0
@@ -48,20 +47,3 @@ class FileSizeSampler:
         else:
             size = TAIL_OFFSET + self._rng.expovariate(1.0 / TAIL_MEAN_EXTRA)
         return max(self.min_size, int(size))
-
-    def sample_many(self, count: int) -> List[int]:
-        return [self.sample() for _ in range(count)]
-
-    @staticmethod
-    def theoretical_mean() -> float:
-        """Closed-form mean of the mixture, for calibration tests."""
-        body_mean = math.exp(BODY_MU + BODY_SIGMA**2 / 2.0)
-        tail_mean = TAIL_OFFSET + TAIL_MEAN_EXTRA
-        return BODY_WEIGHT * body_mean + (1 - BODY_WEIGHT) * tail_mean
-
-
-def empirical_cdf(sizes: List[int]) -> List[tuple]:
-    """(size, cumulative fraction) points for plotting Fig 7(a)."""
-    ordered = sorted(sizes)
-    n = len(ordered)
-    return [(size, (i + 1) / n) for i, size in enumerate(ordered)]

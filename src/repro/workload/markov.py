@@ -153,7 +153,3 @@ class FileStateMarkov:
             added.append(self._create_file())
 
         return {"added": added, "modified": modified, "deleted": deleted}
-
-    @property
-    def live_count(self) -> int:
-        return len(self.files)

@@ -15,9 +15,8 @@ during replay so that generating a trace stays cheap.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
 from repro.workload.content import ContentStore
@@ -76,10 +75,6 @@ class Trace:
         """ADD sizes, the sample plotted as the CDF of Fig 7(a)."""
         return [o.size for o in self.ops if o.op == OP_ADD]
 
-    def only(self, op: str) -> "Trace":
-        """Sub-trace with a single action type (the Fig 7c/d variants)."""
-        return Trace(ops=[o for o in self.ops if o.op == op], seed=self.seed)
-
     def summary(self) -> Dict[str, float]:
         return {
             "ops": len(self.ops),
@@ -89,32 +84,6 @@ class Trace:
             "add_volume_mb": self.add_volume / (1024 * 1024),
             "mean_file_size_kb": self.mean_file_size / 1024,
         }
-
-    # -- persistence (the benchmark is shareable, like Drago et al.'s) --------
-
-    def save(self, path: str) -> None:
-        """Write the trace as JSON lines: one header, then one op per line.
-
-        Together with the seed (stored in the header), a saved trace fully
-        reproduces a replay including file *contents*, since contents are
-        derived deterministically from (seed, path).
-        """
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"format": "stacksync-trace-v1", "seed": self.seed}))
-            fh.write("\n")
-            for op in self.ops:
-                fh.write(json.dumps(asdict(op), separators=(",", ":")))
-                fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str) -> "Trace":
-        """Read a trace written by :meth:`save`."""
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            if header.get("format") != "stacksync-trace-v1":
-                raise ValueError(f"{path!r} is not a stacksync trace file")
-            ops = [TraceOp(**json.loads(line)) for line in fh if line.strip()]
-        return cls(ops=ops, seed=header["seed"])
 
 
 class TraceGenerator:

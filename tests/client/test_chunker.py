@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.client import Chunk, ContentDefinedChunker, FixedChunker, make_chunker
+from repro.client import Chunk, ContentDefinedChunker, FixedChunker
 from repro.client.chunker import DEFAULT_CHUNK_SIZE
 
 
@@ -104,11 +105,18 @@ def test_cdc_validates_bounds():
         ContentDefinedChunker(minimum=100, target=50, maximum=200)
 
 
-def test_make_chunker_registry():
-    assert isinstance(make_chunker("fixed"), FixedChunker)
-    assert isinstance(make_chunker("cdc"), ContentDefinedChunker)
-    with pytest.raises(ValueError):
-        make_chunker("magic")
+@pytest.mark.parametrize(
+    "chunker",
+    [FixedChunker(chunk_size=1000), ContentDefinedChunker(minimum=1024, target=4096, maximum=16384)],
+    ids=["fixed", "cdc"],
+)
+def test_chunks_are_fingerprinted_by_sha1(chunker):
+    data = random.Random(3).randbytes(40_000)
+    chunks = chunker.chunk(data)
+    assert len(chunks) > 1
+    for chunk in chunks:
+        assert chunk.fingerprint == hashlib.sha1(chunk.data).digest()
+    assert chunker.chunk(b"")[0].fingerprint == hashlib.sha1(b"").digest()
 
 
 @settings(max_examples=50, deadline=None)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import bz2
 import hashlib
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -12,10 +14,7 @@ from repro.client import (
     Bzip2Compressor,
     GzipCompressor,
     NullCompressor,
-    make_compressor,
-    make_fingerprinter,
     sha1_fingerprint,
-    sha256_fingerprint,
 )
 
 COMPRESSORS = [GzipCompressor(), Bzip2Compressor(), NullCompressor()]
@@ -46,29 +45,20 @@ def test_null_is_identity():
     assert NullCompressor().compress(data) is data
 
 
-def test_registry():
-    assert make_compressor("gzip").name == "gzip"
-    assert make_compressor("bzip2").name == "bzip2"
-    assert make_compressor("null").name == "null"
-    with pytest.raises(ValueError):
-        make_compressor("zstd")
+def test_gzip_is_zlib_at_its_fastest_level():
+    data = b"some text that compresses " * 200
+    assert GzipCompressor().compress(data) == zlib.compress(data, 1)
+
+
+def test_bzip2_uses_its_largest_block_size():
+    data = b"some text that compresses " * 200
+    assert Bzip2Compressor().compress(data) == bz2.compress(data, 9)
 
 
 def test_sha1_matches_hashlib():
     data = b"fingerprint me"
     assert sha1_fingerprint(data) == hashlib.sha1(data).digest()
     assert len(sha1_fingerprint(data)) == 20  # paper: "the 20 bytes of its SHA1 hash"
-
-
-def test_sha256_fingerprint():
-    data = b"x"
-    assert sha256_fingerprint(data) == hashlib.sha256(data).digest()
-
-
-def test_fingerprinter_registry():
-    assert make_fingerprinter("sha1") is sha1_fingerprint
-    with pytest.raises(ValueError):
-        make_fingerprinter("md5")
 
 
 @settings(max_examples=50, deadline=None)

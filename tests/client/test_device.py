@@ -48,8 +48,8 @@ def test_workspaces_sync_independently(multi_ws):
         meta_b.item_id, meta_b.version, timeout=10
     )
     # Strict isolation: files do not leak across workspaces.
-    assert not phone.fs_for(first).exists("b.txt")
-    assert not phone.fs_for(second).exists("a.txt")
+    assert "b.txt" not in phone.fs_for(first).list_paths()
+    assert "a.txt" not in phone.fs_for(second).list_paths()
     laptop.stop()
     phone.stop()
 
@@ -85,7 +85,7 @@ def test_client_for_unknown_workspace_raises(multi_ws):
     device.stop()
 
 
-def test_scan_all_drives_every_workspace(multi_ws):
+def test_a_device_syncs_what_it_scans_in_every_workspace(multi_ws):
     testbed, _proxy = multi_ws
     laptop = StackSyncDevice("alice", "laptop", testbed.mom, testbed.storage)
     phone = StackSyncDevice("alice", "phone", testbed.mom, testbed.storage)
@@ -94,14 +94,16 @@ def test_scan_all_drives_every_workspace(multi_ws):
     first, second = laptop.workspace_ids()
     laptop.fs_for(first).write("x.txt", b"1")
     laptop.fs_for(second).write("y.txt", b"2")
-    assert laptop.scan_all() == 2
+    scanned = [laptop.client_for(ws).watcher.scan_once() for ws in (first, second)]
+    assert [len(events) for events in scanned] == [1, 1]
     deadline = time.monotonic() + 10
     while time.monotonic() < deadline and not (
-        phone.fs_for(first).exists("x.txt") and phone.fs_for(second).exists("y.txt")
+        "x.txt" in phone.fs_for(first).list_paths()
+        and "y.txt" in phone.fs_for(second).list_paths()
     ):
         time.sleep(0.05)
-    assert phone.fs_for(first).exists("x.txt")
-    assert phone.fs_for(second).exists("y.txt")
+    assert "x.txt" in phone.fs_for(first).list_paths()
+    assert "y.txt" in phone.fs_for(second).list_paths()
     laptop.stop()
     phone.stop()
 

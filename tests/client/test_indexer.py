@@ -84,7 +84,7 @@ def test_compression_applied_to_uploads():
     )
     content = b"compressible " * 500
     result = indexer.index_change("ws", "dev", "a.txt", content)
-    assert result.upload_bytes < result.upload_raw_bytes
+    assert sum(len(payload) for _fp, payload in result.uploads) < result.upload_raw_bytes
 
 
 def test_delete_proposal(indexer):

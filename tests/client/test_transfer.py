@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import closing
 
 import pytest
 
@@ -65,9 +66,10 @@ def store():
 
 
 def manager(delays=None, **kwargs):
-    """A manager whose retry backoffs are recorded in *delays*, not slept."""
+    """A manager whose retry backoffs are recorded in *delays*, not slept;
+    closed when its ``with`` block ends."""
     recorder = [] if delays is None else delays
-    return ChunkTransferManager(sleep=recorder.append, **kwargs)
+    return closing(ChunkTransferManager(sleep=recorder.append, **kwargs))
 
 
 def test_upload_retries_transient_storage_error(store):

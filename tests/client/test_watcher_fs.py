@@ -17,12 +17,12 @@ def fs(request, tmp_path):
 
 def test_fs_write_read_delete(fs):
     fs.write("dir/file.txt", b"hello")
-    assert fs.exists("dir/file.txt")
+    assert "dir/file.txt" in fs.list_paths()
     assert fs.read("dir/file.txt") == b"hello"
     size, mtime = fs.stat("dir/file.txt")
     assert size == 5 and mtime > 0
     fs.delete("dir/file.txt")
-    assert not fs.exists("dir/file.txt")
+    assert "dir/file.txt" not in fs.list_paths()
 
 
 def test_fs_list_paths_sorted(fs):

@@ -86,10 +86,3 @@ def test_monitored_service_time_used():
         service_time_variance=200e-6,
     )
     assert slow.propose(slow_obs) > baseline
-
-
-def test_reset_clears_state():
-    policy = PredictiveProvisioner(period=100.0, day_length=400.0)
-    policy.load_history([10.0] * 4)
-    policy.reset()
-    assert policy.predicted_rate(0.0) == 0.0

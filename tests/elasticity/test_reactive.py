@@ -100,12 +100,3 @@ def test_combined_respects_cadence():
     # 301 s later the reactive policy runs and corrects.
     third = combined.propose(obs(timestamp=301.0, rate=500.0, instances=6))
     assert third > first
-
-
-def test_combined_reset():
-    predictive = predictor_with_constant(100.0)
-    reactive = ReactiveProvisioner(predictive=predictive)
-    combined = CombinedProvisioner(predictive, reactive)
-    combined.propose(obs(rate=100.0))
-    combined.reset()
-    assert predictive.predicted_rate(0.0) == 0.0

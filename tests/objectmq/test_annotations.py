@@ -9,7 +9,6 @@ from repro.objectmq import (
     Remote,
     async_method,
     interface_specs,
-    is_remote_interface,
     multi_method,
     remote_interface,
     sync_method,
@@ -26,7 +25,6 @@ def test_async_method_spec():
     spec = interface_specs(Api)["fire"]
     assert spec.kind == "async"
     assert not spec.multi
-    assert not spec.expects_reply
 
 
 def test_sync_method_bare_and_parameterised():
@@ -42,7 +40,6 @@ def test_sync_method_bare_and_parameterised():
 
     specs = interface_specs(Api)
     assert specs["a"].kind == "sync"
-    assert specs["a"].expects_reply
     assert specs["b"].timeout == 2.5
     assert specs["b"].retry == 7
 
@@ -111,7 +108,6 @@ def test_interface_specs_requires_decoration():
 
     with pytest.raises(NotARemoteInterface):
         interface_specs(Plain)
-    assert not is_remote_interface(Plain)
 
 
 def test_paper_sync_service_signature():

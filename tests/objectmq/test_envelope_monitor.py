@@ -60,7 +60,7 @@ def test_arrival_monitor_rate():
     assert monitor.rate == pytest.approx(10.0)
 
 
-def test_arrival_monitor_empty_and_reset():
+def test_arrival_monitor_empty():
     monitor = ArrivalMonitor()
     assert monitor.rate == 0.0
     assert monitor.interarrival_variance == 0.0
@@ -68,8 +68,6 @@ def test_arrival_monitor_empty_and_reset():
     assert monitor.rate == 0.0  # one sample is not a rate
     monitor.record(1.0, 5)
     assert monitor.rate == pytest.approx(5.0)
-    monitor.reset()
-    assert monitor.rate == 0.0
 
 
 def test_arrival_monitor_window_slides():

@@ -134,13 +134,13 @@ def test_excluded_files_never_reach_the_server(testbed):
     c2 = testbed.client(device_id="d2")
     c1.fs.write("work.txt", b"content")
     c1.fs.write("work.txt.tmp", b"editor scratch")
-    c1.scan()
+    c1.watcher.scan_once()
     deadline = time.monotonic() + 10
-    while time.monotonic() < deadline and not c2.fs.exists("work.txt"):
+    while time.monotonic() < deadline and "work.txt" not in c2.fs.list_paths():
         time.sleep(0.05)
-    assert c2.fs.exists("work.txt")
+    assert "work.txt" in c2.fs.list_paths()
     time.sleep(0.3)
-    assert not c2.fs.exists("work.txt.tmp")
+    assert "work.txt.tmp" not in c2.fs.list_paths()
 
 
 # -- combined provisioner online learning ---------------------------------------------------

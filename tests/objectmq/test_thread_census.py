@@ -132,7 +132,7 @@ def test_commit_deployment_closed_without_traffic_started_no_thread():
         assert consumer_threads() == []
         # Binding declared one multicast queue for the receiver, none per
         # listener, and the lookup-only generator declared none.
-        queues = rig.mom.queue_names()
+        queues = list(rig.mom._queues)
         assert rig.receiver.multicast_queue_name in queues
         assert rig.client.multicast_queue_name not in queues
         assert not [q for q in queues if ".inst." in q]

@@ -52,7 +52,7 @@ def test_single_server_sequential_service():
     first, second = pool.completed
     assert first.response_time == pytest.approx(1.0)
     assert second.response_time == pytest.approx(2.0)  # waited behind first
-    assert second.wait_time == pytest.approx(1.0)
+    assert second.started_at - second.arrived_at == pytest.approx(1.0)
 
 
 def test_two_servers_parallel_service():

@@ -35,7 +35,7 @@ def test_get_unknown_object_raises(store):
 def test_objects_replicated(store):
     store.create_container("c")
     store.put_object("c", "fp", b"data")
-    holders = [n for n in store.nodes.values() if n.has("c/fp")]
+    holders = [n for n in store.nodes.values() if "c/fp" in n.keys()]
     assert len(holders) == 2
 
 
@@ -43,29 +43,70 @@ def test_read_survives_primary_failure(store):
     store.create_container("c")
     store.put_object("c", "fp", b"data")
     primary = store.ring.primary_for("c/fp")
-    store.fail_node(primary)
+    store.nodes[primary].failed = True
     assert store.get_object("c", "fp") == b"data"
-    store.recover_node(primary)
+    store.nodes[primary].failed = False
+
+
+@pytest.mark.parametrize("replica", [0, 1])
+def test_read_survives_any_single_replica_down(store, replica):
+    store.create_container("c")
+    store.put_object("c", "fp", b"data")
+    down = store.nodes[store.ring.devices_for("c/fp")[replica]]
+    down.failed = True
+    assert store.get_object("c", "fp") == b"data"
+    assert store.object_size("c", "fp") == 4
+    assert store.scrape()["failed_nodes"] == 1 and store.scrape()["up"] == 1
+
+
+def test_put_with_a_replica_down_writes_the_live_one(store):
+    store.create_container("c")
+    primary, secondary = store.ring.devices_for("c/fp")
+    store.nodes[primary].failed = True
+    store.put_object("c", "fp", b"data")
+    store.nodes[primary].failed = False
+    assert "c/fp" not in store.nodes[primary].keys()
+    assert "c/fp" in store.nodes[secondary].keys()
+    # The read fails over from the primary that missed the write.
+    assert store.get_object("c", "fp") == b"data"
+
+
+def test_delete_skips_a_down_replica(store):
+    store.create_container("c")
+    store.put_object("c", "fp", b"data")
+    primary, secondary = store.ring.devices_for("c/fp")
+    store.nodes[secondary].failed = True
+    assert store.delete_object("c", "fp") is True
+    store.nodes[secondary].failed = False
+    assert "c/fp" not in store.nodes[primary].keys()
+    assert "c/fp" in store.nodes[secondary].keys()
+
+
+def test_nothing_is_up_when_every_node_is_down(store):
+    for node in store.nodes.values():
+        node.failed = True
+    assert store.scrape()["up"] == 0
+    assert store.scrape()["failed_nodes"] == len(store.nodes)
 
 
 def test_write_fails_only_when_all_replicas_down(store):
     store.create_container("c")
     devices = store.ring.devices_for("c/key")
     for device in devices:
-        store.fail_node(device)
+        store.nodes[device].failed = True
     with pytest.raises(StorageError):
         store.put_object("c", "key", b"x")
-    store.recover_node(devices[0])
+    store.nodes[devices[0]].failed = False
     store.put_object("c", "key", b"x")  # one replica suffices
 
 
-def test_head_and_delete(store):
+def test_delete_removes_every_replica(store):
     store.create_container("c")
-    assert store.head_object("c", "fp") is False
     store.put_object("c", "fp", b"x")
-    assert store.head_object("c", "fp") is True
     assert store.delete_object("c", "fp") is True
-    assert store.head_object("c", "fp") is False
+    assert not any("c/fp" in n.keys() for n in store.nodes.values())
+    with pytest.raises(ObjectNotFound):
+        store.get_object("c", "fp")
     assert store.delete_object("c", "fp") is False
 
 
@@ -86,14 +127,6 @@ def test_traffic_counters(store):
     assert store.bytes_out == 5
     assert store.put_count == 1
     assert store.get_count == 1
-    store.reset_traffic_counters()
-    assert store.bytes_in == 0
-
-
-def test_usage_accounting(store):
-    store.create_container("c")
-    store.put_object("c", "fp", b"x" * 100)
-    assert sum(store.usage().values()) == 200  # 2 replicas x 100 bytes
 
 
 def test_latency_model_charged_per_operation():

@@ -15,10 +15,8 @@ from repro.objectmq import Broker
 from repro.sync import SYNC_SERVICE_OID, SyncService, SyncServiceApi, Workspace
 from repro.sync.auth import (
     AuthService,
-    AuthenticatedStore,
     sync_auth_interceptor,
 )
-from repro.storage import SwiftLikeStore
 
 
 class FakeClock:
@@ -37,7 +35,6 @@ def test_account_lifecycle_and_login():
     auth.create_account("alice", "s3cret")
     token = auth.login("alice", "s3cret")
     assert auth.validate(token.token) == "alice"
-    assert auth.active_sessions("alice") == 1
 
 
 def test_duplicate_account_rejected():
@@ -68,16 +65,6 @@ def test_token_expiry():
         auth.validate(token.token)
 
 
-def test_revoke():
-    auth = AuthService()
-    auth.create_account("alice", "pw")
-    token = auth.login("alice", "pw")
-    assert auth.revoke(token.token)
-    with pytest.raises(AuthenticationError):
-        auth.validate(token.token)
-    assert not auth.revoke(token.token)
-
-
 def test_missing_token_rejected():
     auth = AuthService()
     with pytest.raises(AuthenticationError):
@@ -86,16 +73,72 @@ def test_missing_token_rejected():
         auth.validate("made-up")
 
 
-def test_password_change_invalidates_sessions():
+def test_each_login_issues_its_own_live_token():
     auth = AuthService()
-    auth.create_account("alice", "old")
-    token = auth.login("alice", "old")
-    auth.change_password("alice", "old", "new")
-    with pytest.raises(AuthenticationError):
+    auth.create_account("alice", "pw")
+    first = auth.login("alice", "pw")
+    second = auth.login("alice", "pw")
+    assert first.token != second.token
+    assert auth.validate(first.token) == auth.validate(second.token) == "alice"
+
+
+def test_an_expired_token_is_forgotten():
+    clock = FakeClock()
+    auth = AuthService(token_ttl=10.0, clock=clock)
+    auth.create_account("alice", "pw")
+    token = auth.login("alice", "pw")
+    clock.t += 10  # the token dies at its expiry instant
+    with pytest.raises(AuthenticationError, match="expired"):
         auth.validate(token.token)
-    auth.login("alice", "new")
-    with pytest.raises(AuthenticationError):
-        auth.login("alice", "old")
+    with pytest.raises(AuthenticationError, match="unknown"):
+        auth.validate(token.token)
+
+
+# -- the interceptor's rules, called directly ------------------------------------------
+
+
+@pytest.fixture
+def interceptor():
+    metadata = MemoryMetadataBackend()
+    auth = AuthService()
+    tokens = {}
+    for user in ("alice", "bob", "carol"):
+        metadata.create_user(user)
+        auth.create_account(user, "pw")
+        tokens[user] = auth.login(user, "pw").token
+    metadata.create_workspace(Workspace(workspace_id="ws-alice", owner="alice"))
+    metadata.grant_access("ws-alice", "bob")
+    check = sync_auth_interceptor(auth, metadata)
+    return lambda user, method, args=(), kwargs=None: check(
+        method, args, kwargs or {}, {"auth_token": tokens.get(user)}
+    )
+
+
+@pytest.mark.parametrize(
+    "user, method, args, kwargs, error",
+    [
+        ("alice", "get_workspaces", ("alice",), None, None),
+        ("bob", "get_workspaces", (), {"user_id": "alice"}, AuthorizationError),
+        ("carol", "create_workspace", ("ws-c", "carol"), None, None),
+        ("carol", "create_workspace", (), {"workspace_id": "ws-x", "owner": "alice"},
+         AuthorizationError),
+        ("alice", "share_workspace", ("ws-alice", "carol"), None, None),
+        ("bob", "share_workspace", ("ws-alice", "carol"), None, AuthorizationError),
+        ("bob", "commit_request", ("ws-alice", "dev", [], "r"), None, None),
+        ("carol", "get_changes", (), {"workspace_id": "ws-alice"}, AuthorizationError),
+        ("nobody", "get_changes", ("ws-alice",), None, AuthenticationError),
+    ],
+    ids=[
+        "list-own", "list-other", "create-own", "create-for-other", "share-owned",
+        "share-granted-not-owned", "commit-granted", "read-no-access", "no-token",
+    ],
+)
+def test_interceptor_rules(interceptor, user, method, args, kwargs, error):
+    if error is None:
+        assert interceptor(user, method, args, kwargs) is None
+    else:
+        with pytest.raises(error):
+            interceptor(user, method, args, kwargs)
 
 
 # -- secured SyncService over ObjectMQ ---------------------------------------------------
@@ -184,28 +227,3 @@ def test_expired_token_rejected_remotely():
     client.close()
     server.close()
     mom.close()
-
-
-# -- AuthenticatedStore --------------------------------------------------------------------
-
-
-def test_authenticated_store_scopes_containers():
-    auth = AuthService()
-    auth.create_account("alice", "pw")
-    auth.create_account("bob", "pw")
-    store = SwiftLikeStore(node_count=2, replicas=1)
-    secured = AuthenticatedStore(store, auth)
-
-    alice = auth.login("alice", "pw").token
-    bob = auth.login("bob", "pw").token
-
-    secured.create_container(alice, "u-alice")
-    secured.put_object(alice, "u-alice", "fp", b"chunk")
-    assert secured.get_object(alice, "u-alice", "fp") == b"chunk"
-
-    with pytest.raises(AuthorizationError):
-        secured.get_object(bob, "u-alice", "fp")
-    with pytest.raises(AuthorizationError):
-        secured.put_object(bob, "u-alice", "x", b"y")
-    with pytest.raises(AuthenticationError):
-        secured.get_object("bogus-token", "u-alice", "fp")

@@ -57,7 +57,7 @@ def test_remove_propagates(testbed):
     assert c2.wait_for_version(meta.item_id, 1, timeout=10)
     deletion = c2.delete_file("bye.txt")
     assert c1.wait_for_version(deletion.item_id, deletion.version, timeout=10)
-    assert not c1.fs.exists("bye.txt")
+    assert "bye.txt" not in c1.fs.list_paths()
 
 
 def test_late_joiner_gets_full_state(testbed):
@@ -90,10 +90,10 @@ def test_conflict_creates_conflicted_copy(testbed):
     copy_name = conflicted_copy_name("shared.txt", loser.device_id)
     deadline = time.monotonic() + 5
     while time.monotonic() < deadline and not (
-        c1.fs.exists(copy_name) and c2.fs.exists(copy_name)
+        copy_name in c1.fs.list_paths() and copy_name in c2.fs.list_paths()
     ):
         time.sleep(0.05)
-    assert c1.fs.exists(copy_name) and c2.fs.exists(copy_name)
+    assert copy_name in c1.fs.list_paths() and copy_name in c2.fs.list_paths()
 
 
 def test_dedup_avoids_reupload(testbed):
@@ -130,7 +130,7 @@ def test_service_instance_crash_does_not_lose_commits(testbed):
     testbed.server_broker.unbind(testbed.skeletons[0])
     meta = c1.put_file("resilient.txt", b"survives")
     time.sleep(0.3)
-    assert c2.applied_at(meta.item_id, meta.version) is None
+    assert c2.wait_for_version(meta.item_id, meta.version, timeout=0) is None
     # Bind a replacement instance: the queued commit is processed.
     testbed.server_broker.bind("syncservice", testbed.service)
     assert c2.wait_for_version(meta.item_id, meta.version, timeout=10)
@@ -142,10 +142,10 @@ def test_watcher_driven_sync(testbed):
     c1 = testbed.client(device_id="dev-1")
     c2 = testbed.client(device_id="dev-2")
     c1.fs.write("auto.txt", b"detected")
-    events = c1.scan()
+    events = c1.watcher.scan_once()
     assert len(events) == 1
     deadline = time.monotonic() + 10
-    while time.monotonic() < deadline and not c2.fs.exists("auto.txt"):
+    while time.monotonic() < deadline and "auto.txt" not in c2.fs.list_paths():
         time.sleep(0.05)
     assert c2.fs.read("auto.txt") == b"detected"
 

@@ -23,12 +23,12 @@ def test_storage_node_failure_transparent_to_clients(testbed):
     chunk = meta.chunks[0]
     key = f"u-alice/{chunk}"
     primary = testbed.storage.ring.primary_for(key)
-    testbed.storage.fail_node(primary)
+    testbed.storage.nodes[primary].failed = True
 
     # A late joiner still reconstructs the file from the replica.
     c2 = testbed.client(device_id="d2")
     assert c2.fs.read("replicated.txt") == b"R" * 2000
-    testbed.storage.recover_node(primary)
+    testbed.storage.nodes[primary].failed = False
 
 
 def test_total_storage_outage_surfaces_but_metadata_survives(testbed):
@@ -37,12 +37,12 @@ def test_total_storage_outage_surfaces_but_metadata_survives(testbed):
     c1.wait_for_version(meta.item_id, meta.version)
 
     for node in list(testbed.storage.nodes):
-        testbed.storage.fail_node(node)
+        testbed.storage.nodes[node].failed = True
     # Uploads now fail loudly at the client.
     with pytest.raises(StorageError):
         c1.put_file("new.txt", b"N" * 1000)
     for node in list(testbed.storage.nodes):
-        testbed.storage.recover_node(node)
+        testbed.storage.nodes[node].failed = False
     # After recovery the client syncs normally again.
     meta2 = c1.put_file("recovered.txt", b"OK")
     assert c1.wait_for_version(meta2.item_id, meta2.version, timeout=10)
@@ -89,7 +89,7 @@ def test_a_commit_made_while_no_instance_is_bound_waits_for_the_next_one(testbed
 
     gap = writer.put_file("gap.txt", b"no server")
     assert testbed.mom.queue_stats(SYNC_SERVICE_OID)["ready"] == 1
-    assert writer.applied_at(gap.item_id, gap.version) is None
+    assert writer.wait_for_version(gap.item_id, gap.version, timeout=0) is None
 
     server = Broker(testbed.mom)
     try:

@@ -116,6 +116,76 @@ def test_duplicate_new_object_conflicts(rig):
     assert not sink.notifications[1].results[0].confirmed
 
 
+def test_a_redelivered_commit_loses_to_itself_not_a_conflict(rig):
+    """At-least-once delivery may run one commit twice: the replay of a
+    proposal that is already the current version loses to that very record
+    (which its writer reads as a confirmation) and is no conflict."""
+    metadata, service, sink = rig
+    service.commit_request("ws", "dev-1", [proposal(1)], "r1")
+    service.commit_request("ws", "dev-1", [proposal(1)], "r1")
+    assert wait_for(lambda: len(sink.notifications) == 2)
+    replay = sink.notifications[1].results[0]
+    assert sink.notifications[1].request_id == "r1"
+    assert not replay.confirmed and replay.current == replay.metadata
+    assert service.conflict_count == 0
+    assert [m.version for m in metadata.item_history("ws:a.txt")] == [1]
+    # A different record at the same version still loses, even from the
+    # same device.
+    service.commit_request("ws", "dev-1", [proposal(1, chunks=["f3" * 20])], "r2")
+    assert wait_for(lambda: len(sink.notifications) == 3)
+    assert not sink.notifications[2].results[0].confirmed
+    assert service.conflict_count == 1
+
+
+@pytest.mark.parametrize("kind", ["memory", "sqlite", "sharded", "sharded-sqlite"])
+def test_a_replayed_bundle_loses_to_itself_on_every_engine(kind):
+    """The replay check compares the proposal with the record the engine
+    hands back, so each engine's round trip must give an equal record."""
+    mom = MessageBroker()
+    broker = Broker(mom)
+    metadata = make_metadata_backend(kind)
+    metadata.create_user("alice")
+    metadata.create_workspace(Workspace(workspace_id="ws", owner="alice"))
+    service = SyncService(metadata, broker)
+    sink = NotificationSink()
+    broker.bind(workspace_oid("ws"), sink)
+    other = ItemMetadata(item_id="ws:b.txt", workspace_id="ws", version=1,
+                         filename="b.txt", device_id="dev-1")
+    try:
+        service.commit_request("ws", "dev-1", [proposal(1)], "r1")
+        bundle = [proposal(2, STATUS_CHANGED, chunks=["f2" * 20, "f4" * 20]), other]
+        for _ in range(2):
+            service.commit_request("ws", "dev-1", bundle, "r2")
+        assert wait_for(lambda: len(sink.notifications) == 3)
+        replays = sink.notifications[2].results
+        assert [(r.confirmed, r.current == r.metadata) for r in replays] == [(False, True)] * 2
+        assert service.conflict_count == 0
+        assert [m.version for m in metadata.item_history("ws:a.txt")] == [1, 2]
+        # The replay of v1 came after v2: a conflict, with v2 piggybacked.
+        service.commit_request("ws", "dev-1", [proposal(1)], "r1")
+        assert wait_for(lambda: len(sink.notifications) == 4)
+        late = sink.notifications[3].results[0]
+        assert not late.confirmed and late.current.version == 2
+        assert service.conflict_count == 1
+    finally:
+        broker.close()
+        mom.close()
+        metadata.close()
+
+
+def test_a_replayed_delete_loses_to_itself(rig):
+    metadata, service, sink = rig
+    service.commit_request("ws", "dev-1", [proposal(1)])
+    for _ in range(2):
+        service.commit_request("ws", "dev-1", [proposal(2, STATUS_DELETED, chunks=[])])
+    assert wait_for(lambda: len(sink.notifications) == 3)
+    assert [n.results[0].confirmed for n in sink.notifications] == [True, True, False]
+    assert sink.notifications[2].results[0].current == sink.notifications[2].results[0].metadata
+    assert service.conflict_count == 0
+    assert [m.status for m in metadata.item_history("ws:a.txt")] == ["NEW", STATUS_DELETED]
+    assert metadata.get_workspace_state("ws") == []
+
+
 def test_batch_commit_mixed_outcomes(rig):
     metadata, service, sink = rig
     other = ItemMetadata(
@@ -126,8 +196,8 @@ def test_batch_commit_mixed_outcomes(rig):
         device_id="dev-1",
     )
     service.commit_request("ws", "dev-1", [proposal(1)])
-    # Batch: one conflicting (duplicate v1), one fresh.
-    service.commit_request("ws", "dev-1", [proposal(1), other])
+    # Batch: one conflicting (another v1), one fresh.
+    service.commit_request("ws", "dev-1", [proposal(1, chunks=["f3" * 20]), other])
     assert wait_for(lambda: len(sink.notifications) == 2)
     results = sink.notifications[1].results
     assert [r.confirmed for r in results] == [False, True]

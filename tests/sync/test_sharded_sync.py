@@ -119,8 +119,16 @@ def test_client_commits_route_to_the_owning_shard_queue(sharded_bed):
     client = sharded_bed.client("alice", device_id="laptop")
     workspace_id = sharded_bed.workspaces["alice"].workspace_id
     expected = client.sync_service.shard_for(workspace_id)
-    before = client.sync_service.route_counts()
+
+    def published():
+        return [
+            sharded_bed.mom.queue_stats(shard_oid(SYNC_SERVICE_OID, shard))["published"]
+            for shard in range(SHARDS)
+        ]
+
+    before = published()
     meta = client.put_file("routed.txt", b"x")
     assert client.wait_for_version(meta.item_id, meta.version, timeout=10)
-    after = client.sync_service.route_counts()
+    after = published()
     assert after[expected] > before[expected]
+    assert all(after[k] == before[k] for k in range(SHARDS) if k != expected)

@@ -221,6 +221,11 @@ class TestProfileRoute:
             assert payload["reservoir"]["roots_seen"] >= 1
             assert payload["exemplars"], "tail exemplar not served"
             assert payload["exemplars"][0]["dominant_segment"] == "sync"
+            assert set(payload["exemplars"][0]) == {
+                "trace_id", "root", "duration_s", "start", "errored", "spans",
+                "dominant_segment", "dominant_seconds", "dominant_fraction", "breakdown",
+            }
+            assert set(payload["reservoir"]) == {"roots_seen", "captured", "evicted", "retained"}
         finally:
             TRACER.enabled = False
             disable_exemplars()

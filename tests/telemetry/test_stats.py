@@ -1,7 +1,7 @@
 """One percentile implementation for the whole stack.
 
 The property test pins :func:`repro.telemetry.stats.percentile` — and its
-re-users ``CallStats.percentile`` and ``repro.simulation.metrics`` — to
+re-users ``CallStats.scrape`` and ``repro.simulation.metrics`` — to
 numpy's default linear-interpolation percentile, so client-side latency
 reports and simulation boxplots can never drift apart again.
 """
@@ -42,12 +42,14 @@ def test_simulation_metrics_is_the_same_function(values, fraction):
 
 
 @settings(max_examples=50, deadline=None)
-@given(values=values_strategy, fraction=fraction_strategy)
-def test_call_stats_delegates_to_shared_percentile(values, fraction):
+@given(values=values_strategy)
+def test_call_stats_delegates_to_shared_percentile(values):
     stats = CallStats()
     for value in values:
         stats.record(value)
-    assert stats.percentile(fraction) == percentile(values, fraction)
+    scraped = stats.scrape()
+    assert scraped["p50_seconds"] == percentile(values, 0.50)
+    assert scraped["p95_seconds"] == percentile(values, 0.95)
 
 
 def test_call_stats_reservoir_is_bounded():
@@ -56,7 +58,8 @@ def test_call_stats_reservoir_is_bounded():
         stats.record(float(i))
     # Exact aggregates over everything; percentiles over the window.
     assert stats.calls == stats.RESERVOIR_SIZE + 100
-    assert stats.percentile(0.0) == 100.0
+    window = [float(i) for i in range(100, stats.RESERVOIR_SIZE + 100)]
+    assert stats.scrape()["p50_seconds"] == percentile(window, 0.50)
 
 
 def test_edge_cases():

@@ -121,15 +121,6 @@ def test_wire_round_trip_and_missing():
     assert TraceContext.from_wire({"trace_id": "x"}) is None
 
 
-def test_drain_empties_buffer():
-    enable()
-    with TRACER.span("a", layer="client"):
-        pass
-    drained = TRACER.drain()
-    assert [s.name for s in drained] == ["a"]
-    assert TRACER.spans() == []
-
-
 def test_disable_keeps_collected_spans():
     enable()
     with TRACER.span("kept", layer="client"):

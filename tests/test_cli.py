@@ -75,10 +75,10 @@ def test_timeline_command(capsys, tmp_path):
         "decision", 5.0, oid="syncservice", lam_obs=11.0, lam_pred=12.0,
         census=2, desired=2, policy="fixed", reason="fixed target of 2",
     )
-    path = str(tmp_path / "journal.jsonl")
-    journal.write(path)
+    path = tmp_path / "journal.jsonl"
+    path.write_text(journal.to_jsonl(), encoding="utf-8")
 
-    code, out = run_cli(capsys, "timeline", path)
+    code, out = run_cli(capsys, "timeline", str(path))
     assert code == 0
     assert "Pool size over time" in out
     assert "observed vs predicted" in out

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.client import ContentDefinedChunker, conflicted_copy_name, make_chunker
+from repro.client import conflicted_copy_name
 from repro.storage import LatencyModel, LatencyProfile
 from repro.workload import Trace, TraceGenerator, TraceReplayer
 
@@ -45,12 +45,6 @@ def test_latency_jitter_bounded():
 def test_conflicted_copy_name_without_extension():
     assert conflicted_copy_name("Makefile", "dev-9") == "Makefile (conflicted copy dev-9)"
     assert conflicted_copy_name("a/b.tar.gz", "d") == "a/b.tar (conflicted copy d).gz"
-
-
-def test_make_chunker_with_kwargs():
-    chunker = make_chunker("cdc", minimum=100, target=200, maximum=400)
-    assert isinstance(chunker, ContentDefinedChunker)
-    assert chunker.minimum == 100
 
 
 def test_replayer_mod_seed_changes_updates_only():

@@ -13,7 +13,6 @@ from repro.workload import (
     ModificationEngine,
     PAPER_MEAN_SIZE,
     PAPER_P90_BOUND,
-    empirical_cdf,
 )
 
 
@@ -26,7 +25,7 @@ def test_pattern_probabilities_match_paper():
 
 def test_sampler_matches_paper_statistics():
     sampler = FileSizeSampler(rng=random.Random(11))
-    sizes = sampler.sample_many(20_000)
+    sizes = [sampler.sample() for _ in range(20_000)]
     mean = sum(sizes) / len(sizes)
     below_4mb = sum(1 for s in sizes if s < PAPER_P90_BOUND) / len(sizes)
     # Paper: mean ≈ 583 KB, 90% of files < 4 MB.
@@ -34,20 +33,9 @@ def test_sampler_matches_paper_statistics():
     assert below_4mb == pytest.approx(0.90, abs=0.02)
 
 
-def test_theoretical_mean_close_to_paper():
-    assert FileSizeSampler.theoretical_mean() == pytest.approx(
-        PAPER_MEAN_SIZE, rel=0.05
-    )
-
-
 def test_sampler_minimum_size():
     sampler = FileSizeSampler(rng=random.Random(1), min_size=128)
-    assert all(s >= 128 for s in sampler.sample_many(1000))
-
-
-def test_empirical_cdf_monotone():
-    cdf = empirical_cdf([5, 1, 3])
-    assert cdf == [(1, pytest.approx(1 / 3)), (3, pytest.approx(2 / 3)), (5, 1.0)]
+    assert all(sampler.sample() >= 128 for _ in range(1000))
 
 
 def test_pattern_sampling_distribution():

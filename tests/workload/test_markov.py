@@ -30,7 +30,7 @@ def test_seed_files_all_new():
     model = FileStateMarkov(rng=random.Random(1))
     paths = model.seed_files(5)
     assert len(paths) == 5
-    assert model.live_count == 5
+    assert len(model.files) == 5
     assert all(model.files[p].state == STATE_NEW for p in paths)
 
 
@@ -52,7 +52,7 @@ def test_deleted_files_leave_population():
     total_deleted = 0
     for _ in range(200):
         total_deleted += len(model.step()["deleted"])
-    assert model.live_count == 50 - total_deleted
+    assert len(model.files) == 50 - total_deleted
 
 
 def test_zero_arrivals():

@@ -57,12 +57,6 @@ def test_scale_shrinks_sizes_only():
     assert small.add_volume < full.add_volume * 0.15
 
 
-def test_only_filters_by_action(paper_trace):
-    adds = paper_trace.only(OP_ADD)
-    assert len(adds) == paper_trace.count(OP_ADD)
-    assert all(op.op == OP_ADD for op in adds)
-
-
 def test_updates_have_patterns(paper_trace):
     for op in paper_trace:
         if op.op == OP_UPDATE:
